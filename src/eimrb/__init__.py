@@ -14,8 +14,8 @@ from .fem import (FEField, Mesh, FESpace, SolverFailure, apply_dirichlet,
                   triangle_quadrature)
 from .nonlinear import (NewtonConfig, NewtonFailure, NonlinearProblem,
                         NonlinearTerm, SolveCounter, SolveStats,
-                        check_derivative, output_average, truth_newton_solve,
-                        truth_newton_solve_eim)
+                        SurrogateSolver, check_derivative, output_average,
+                        truth_newton_solve, truth_newton_solve_eim)
 from .eim import (DegenerateInterpolationPoint, DegenerateSnapshot, EimBasis,
                   EimTrainingError, GreedyStep, eim_greedy_step,
                   eim_initialize, eim_train)

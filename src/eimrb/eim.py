@@ -47,7 +47,8 @@ class EimBasis:
 
     @property
     def M(self):
-        return len(self.fields)
+        # from the points, so the online solve never touches the fields
+        return len(self.t)
 
     @property
     def point_coords(self):

@@ -318,14 +318,22 @@ def apply_dirichlet(space, op, rhs):
     return eliminated, new_rhs
 
 
-def solve_sparse(op, rhs):
-    """Direct sparse solve with a residual check of 1e-10 relative."""
-    rhs = np.asarray(rhs, dtype=float)
+def factor_sparse(op):
+    """Sparse LU of op, kept with op for the residual check of each solve."""
     try:
-        lu = spla.splu(sp.csc_matrix(op))
-        x = lu.solve(rhs)
+        return op, spla.splu(sp.csc_matrix(op))
     except RuntimeError as exc:
         raise SolverFailure(f"sparse factorization failed: {exc}") from exc
+
+
+def solve_factored(factor, rhs):
+    """Solve with a factor_sparse factor; residual check of 1e-10 relative."""
+    op, lu = factor
+    rhs = np.asarray(rhs, dtype=float)
+    try:
+        x = lu.solve(rhs)
+    except RuntimeError as exc:
+        raise SolverFailure(f"sparse solve failed: {exc}") from exc
     rhs_norm = np.linalg.norm(rhs)
     res = np.linalg.norm(op @ x - rhs)
     tol = 1e-10 * rhs_norm if rhs_norm > 0 else 1e-14
@@ -334,6 +342,11 @@ def solve_sparse(op, rhs):
             f"sparse solve residual {res:.3e} exceeds tolerance {tol:.3e}",
             residual=res, rhs_norm=rhs_norm)
     return x
+
+
+def solve_sparse(op, rhs):
+    """Direct sparse solve with a residual check of 1e-10 relative."""
+    return solve_factored(factor_sparse(op), rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Newton solver for the full nonlinear finite element problem.
+"""Newton solvers for the full nonlinear finite element problem.
 
 The problem is: find u with zero boundary values such that
 
@@ -9,15 +9,39 @@ nodal values of u (so the nonlinear term is the nodal interpolant of
 g(u(x), x; mu)), and F the assembled load.  The Newton Jacobian uses the
 weighted mass matrix with weight dg/du(u), which keeps the truth and the
 reduced solver consistent term by term.
+
+The EIM-surrogate problem replaces g(u) by its empirical interpolant
+Q B^{-1} g(u_t): Q holds the M basis fields as columns, B is the lower
+triangular interpolation matrix and u_t are the values of u at the M
+interpolation points t (dofs, so E_t u = u_t picks rows of u):
+
+    A u + M Q B^{-1} g(u_t) = F    on the interior rows.
+
+Let A also denote the Dirichlet-eliminated stiffness and read F and M Q
+with their boundary rows zeroed.  Then every surrogate solution is
+
+    u = A^{-1} F - (A^{-1} M Q) B^{-1} g(u_t),                    (*)
+
+fixed by its M point values.  Applying E_t to (*) gives the
+M-dimensional system
+
+    v + K g(v) = a,    K = E_t A^{-1} M Q B^{-1},    a = E_t A^{-1} F,
+
+with v = u_t.  Conversely, lifting a solution v by (*) gives a u with
+u_t = a - K g(v) = v, so u solves the surrogate problem: the two are
+equivalent.  Newton on the small system uses its exact Jacobian
+I + K diag(g'(v)); the full problem only enters through one factorisation
+of A and the columns A^{-1} M q_m, one solve each (see SurrogateSolver).
 """
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from .fem import (FEField, apply_dirichlet, assemble_load,
-                  assemble_weighted_mass, solve_sparse)
+from .fem import (FEField, SolverFailure, apply_dirichlet, assemble_load,
+                  assemble_weighted_mass, factor_sparse, solve_factored,
+                  solve_sparse)
 
 
 class NewtonFailure(RuntimeError):
@@ -49,19 +73,16 @@ class SolveStats:
     iterations: int
     final_residual_norm: float
     residual_history: list = field(default_factory=list)
-    fe_solve_counter_increment: int = 1
 
 
 class SolveCounter:
-    """Serialized counter of successful finite element solves."""
+    """Counter of successful finite element solves."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._count = 0
 
     def increment(self, by=1):
-        with self._lock:
-            self._count += by
+        self._count += by
 
     @property
     def count(self):
@@ -121,88 +142,152 @@ def output_average(field_or_problem, values=None):
     return field_or_problem.average(values)
 
 
-def _newton_loop(problem, mu, cfg, counter, initial, gfield, dgfield):
-    """Shared Newton driver; gfield/dgfield map nodal u to nodal fields."""
-    space = problem.space
-    bdofs = space.boundary_dofs
-    u = np.zeros(space.ndof) if initial is None else np.array(initial, dtype=float)
-    u[bdofs] = 0.0
-
-    def residual(uv):
-        # divergence shows up as inf/nan and is classified below, not warned
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = problem.stiffness @ uv + problem.mass @ gfield(uv) - problem.load
-        r[bdofs] = 0.0
-        return r
-
-    r = residual(u)
-    r_norm = np.linalg.norm(r)
+def _newton(mu, cfg, counter, r_norm, step):
+    """Newton loop shared by the solvers: r_norm is the residual norm at
+    the start, step() takes one Newton step and returns the new norm."""
     if not np.isfinite(r_norm):
         raise NewtonFailure(f"residual not finite at the initial guess, mu={mu}",
                             [r_norm])
     history = [r_norm]
     tol = cfg.tolerance(r_norm)
-    iterations = 0
     while True:
-        if iterations >= cfg.max_iter:
+        if len(history) > cfg.max_iter:
             raise NewtonFailure(
                 f"no convergence after {cfg.max_iter} iterations at mu={mu}",
                 history)
-        with np.errstate(over="ignore", invalid="ignore"):
-            jac = problem.stiffness + assemble_weighted_mass(space, dgfield(u))
-        jac_el, rhs_el = apply_dirichlet(space, jac, -r)
-        u = u + solve_sparse(jac_el, rhs_el)
-        iterations += 1
-        r = residual(u)
-        r_norm = np.linalg.norm(r)
+        r_norm = step()
         history.append(r_norm)
         if np.isfinite(r_norm) and r_norm <= tol:
             break
         if not np.isfinite(r_norm):
             raise NewtonFailure(f"residual diverged at mu={mu}", history)
-
     if counter is not None:
         counter.increment()
-    stats = SolveStats(iterations=iterations, final_residual_norm=r_norm,
-                       residual_history=history)
-    return FEField(space, u), stats
+    return SolveStats(iterations=len(history) - 1, final_residual_norm=r_norm,
+                      residual_history=history)
 
 
 def truth_newton_solve(problem, mu, cfg=None, counter=None, initial=None):
     """Solve the full nonlinear problem at mu with exact nonlinearity."""
     cfg = cfg or NewtonConfig()
-    coords = problem.space.dof_coords
+    space = problem.space
+    bdofs = space.boundary_dofs
+    coords = space.dof_coords
     term = problem.term
-    return _newton_loop(problem, mu, cfg, counter, initial,
-                        lambda u: term.g(u, coords, mu),
-                        lambda u: term.dg_du(u, coords, mu))
+    u = np.zeros(space.ndof) if initial is None else np.array(initial, dtype=float)
+    u[bdofs] = 0.0
+
+    def residual(uv):
+        # divergence shows up as inf/nan and is classified by _newton
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = (problem.stiffness @ uv + problem.mass @ term.g(uv, coords, mu)
+                 - problem.load)
+            r[bdofs] = 0.0
+            return r, np.linalg.norm(r)
+
+    r, r_norm = residual(u)
+
+    def step():
+        nonlocal u, r
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = problem.stiffness + assemble_weighted_mass(
+                space, term.dg_du(u, coords, mu))
+        jac_el, rhs_el = apply_dirichlet(space, jac, -r)
+        u = u + solve_sparse(jac_el, rhs_el)
+        r, r_norm = residual(u)
+        return r_norm
+
+    stats = _newton(mu, cfg, counter, r_norm, step)
+    return FEField(space, u), stats
 
 
-def truth_newton_solve_eim(problem, eim_g, eim_dg, mu, cfg=None, counter=None,
-                           initial=None):
-    """Solve the full problem with both nonlinear fields replaced by their
-    empirical interpolants.
+class SurrogateSolver:
+    """Full-space state of the EIM-surrogate solve, kept for one build.
 
-    The iterate is evaluated at the interpolation points (exact, they are
-    dofs), the pointwise nonlinearity gives the right-hand side of the
-    triangular interpolation system, and the resulting surrogate fields
-    enter the same assembly as in the exact solve.
+    Factors the Dirichlet-eliminated stiffness A once, solves A^{-1} F,
+    and keeps M q_m and A^{-1} M q_m for every field q_m of eim_g (the
+    boundary rows of M q_m are zeroed before the solve).  The fields of
+    an interpolant are append-only, so the columns of earlier fields stay
+    valid: a field appended since the last solve costs one solve with the
+    cached factor, and nothing is refactored.
+    """
+
+    def __init__(self, problem, eim_g):
+        self.problem = problem
+        self.eim_g = eim_g
+        stiffness, load = apply_dirichlet(problem.space, problem.stiffness,
+                                          problem.load)
+        self._factor = factor_sparse(stiffness)
+        ndof = problem.space.ndof
+        self.linear = solve_factored(self._factor, load)     # A^{-1} F
+        self.mass_q = np.zeros((ndof, 0))                    # M q_m
+        self.solved_q = np.zeros((ndof, 0))                  # A^{-1} M q_m
+
+    def update(self):
+        """Add the columns of the fields appended to eim_g since the last call."""
+        bdofs = self.problem.space.boundary_dofs
+        for q in self.eim_g.fields[self.mass_q.shape[1]:]:
+            mq = self.problem.mass @ q
+            rhs = mq.copy()
+            rhs[bdofs] = 0.0
+            self.mass_q = np.column_stack([self.mass_q, mq])
+            self.solved_q = np.column_stack(
+                [self.solved_q, solve_factored(self._factor, rhs)])
+
+
+def truth_newton_solve_eim(surrogate, mu, cfg=None, counter=None):
+    """Solve the full problem with the nonlinear term replaced by the
+    empirical interpolant surrogate.eim_g, in its M point values.
+
+    Newton solves v + K g(v) = a (module docstring) from v = 0 with the
+    exact Jacobian I + K diag(g'(v)), an M x M system.  Every iterate is
+    lifted to u = A^{-1} F - (A^{-1} M Q) B^{-1} g(v), and the iteration
+    stops when the full-space surrogate residual A u + M Q B^{-1} g(u_t)
+    - F, on the interior rows, falls to cfg.tolerance(r0), with r0 its
+    norm at u = 0.  The result has zero boundary values; one successful
+    call counts as one finite element solve.
     """
     cfg = cfg or NewtonConfig()
-    if eim_g.M < 1 or eim_dg.M < 1:
-        raise ValueError("both interpolants need at least one basis field")
+    eim = surrogate.eim_g
+    if eim.M < 1:
+        raise ValueError("the interpolant needs at least one basis field")
+    surrogate.update()
+    problem = surrogate.problem
+    space = problem.space
+    bdofs = space.boundary_dofs
     term = problem.term
-    coords = problem.space.dof_coords
+    t = np.asarray(eim.t, dtype=int)
+    xt = space.dof_coords[t]
+    mass_q, solved_q = surrogate.mass_q, surrogate.solved_q
+    # K = E_t A^{-1} M Q B^{-1}, as K^T = B^{-T} (E_t A^{-1} M Q)^T
+    k_mat = solve_triangular(eim.B, solved_q[t].T, lower=True, trans="T").T
+    a = surrogate.linear[t]
 
-    def g_surrogate(u):
+    def residual_norm(uv):
+        # divergence shows up as inf/nan and is classified by _newton
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = term.g(u[eim_g.t], coords[eim_g.t], mu)
-            return eim_g.evaluate(eim_g.coeffs(vals))
+            r = (problem.stiffness @ uv
+                 + mass_q @ eim.coeffs(term.g(uv[t], xt, mu)) - problem.load)
+            r[bdofs] = 0.0
+            return float(np.linalg.norm(r))
 
-    def dg_surrogate(u):
+    v = np.zeros(eim.M)
+    u = np.zeros(space.ndof)
+
+    def step():
+        nonlocal v, u
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = term.dg_du(u[eim_dg.t], coords[eim_dg.t], mu)
-            return eim_dg.evaluate(eim_dg.coeffs(vals))
+            f = v + k_mat @ term.g(v, xt, mu) - a
+            jac = np.eye(eim.M) + k_mat * term.dg_du(v, xt, mu)
+        try:
+            v = v - np.linalg.solve(jac, f)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(
+                f"singular surrogate Jacobian at mu={mu}: {exc}") from exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = surrogate.linear - solved_q @ eim.coeffs(term.g(v, xt, mu))
+        u[bdofs] = 0.0
+        return residual_norm(u)
 
-    return _newton_loop(problem, mu, cfg, counter, initial,
-                        g_surrogate, dg_surrogate)
+    stats = _newton(mu, cfg, counter, residual_norm(u), step)
+    return FEField(space, u), stats

@@ -262,10 +262,10 @@ class ReducedModel:
             with np.errstate(over="ignore", invalid="ignore"):
                 u_pts = blocks.Tr.T @ cv
                 beta = self.eim_g.coeffs(term.g(u_pts, xg, mu))
-                return amat @ cv + blocks.Rq.T @ beta - fvec
+                r = amat @ cv + blocks.Rq.T @ beta - fvec
+                return r, float(np.linalg.norm(r))
 
-        r = residual(c)
-        r_norm = float(np.linalg.norm(r))
+        r, r_norm = residual(c)
         if not np.isfinite(r_norm):
             raise NewtonFailure(
                 f"reduced residual not finite at the initial guess, mu={mu}",
@@ -289,8 +289,7 @@ class ReducedModel:
                     f"singular reduced Jacobian at mu={mu}: {exc}") from exc
             c = c + delta
             iterations += 1
-            r = residual(c)
-            r_norm = float(np.linalg.norm(r))
+            r, r_norm = residual(c)
             history.append(r_norm)
             if np.isfinite(r_norm) and r_norm <= tol:
                 break

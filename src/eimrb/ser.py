@@ -19,6 +19,12 @@ frequency r:
 With ``rebuild_wn`` every basis update re-solves all snapshot parameters
 with the current interpolated operator and rebuilds the basis and the
 reduced blocks from scratch.
+
+Snapshots with the current interpolated operator are solved in the M
+interpolation-point values (see ``nonlinear``), always from zero.  The
+build keeps one ``SurrogateSolver``: the stiffness is factored once and
+each new interpolant field costs one solve with that factor, so no
+snapshot factorises a sparse matrix.
 """
 
 import time
@@ -27,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eim import eim_greedy_step, eim_initialize
-from .fem import SolverFailure
-from .nonlinear import (NewtonConfig, NewtonFailure, SolveCounter,
+from .nonlinear import (NewtonConfig, SolveCounter, SurrogateSolver,
                         truth_newton_solve, truth_newton_solve_eim)
 from .rb import DependentSnapshot, RbSpace, ReducedBlocks, ReducedModel
 
@@ -50,7 +55,6 @@ class SerConfig:
     snapshot_source: str = SNAPSHOT_WITH_EIM
     newton: NewtonConfig = field(default_factory=NewtonConfig)
     saturation_tol: float = 1e-13
-    warm_start: bool = False
     checkpoints: tuple = ()
 
     def __post_init__(self):
@@ -138,24 +142,15 @@ class TruthSolutionSource:
 class ReducedSolutionSource:
     """Lifted reduced solutions, cached for the duration of one sweep."""
 
-    def __init__(self, model, newton, warm_start=False, starts=None):
+    def __init__(self, model, newton):
         self.model = model
         self.newton = newton
-        self.warm_start = warm_start
-        self.starts = starts if starts is not None else {}
         self.cache = {}
 
     def solve(self, mu):
         key = tuple(mu)
         if key not in self.cache:
-            initial = None
-            if self.warm_start:
-                prev = self.starts.get(key)
-                if prev is not None and len(prev) == self.model.N:
-                    initial = prev
-            sol = self.model.solve(key, self.newton, initial=initial)
-            if self.warm_start:
-                self.starts[key] = sol.coeffs
+            sol = self.model.solve(key, self.newton)
             self.cache[key] = self.model.lift_values(sol)
         return self.cache[key]
 
@@ -265,51 +260,19 @@ def build_ser(problem, cfg):
     rb = RbSpace(problem.space)
     blocks = ReducedBlocks(problem)
     blocks.extend(rb, eim_g, eim_dg)
+    surrogate = SurrogateSolver(problem, eim_g)
 
     def live_model():
         return ReducedModel(problem, rb, blocks, eim_g, eim_dg, label=label)
 
-    raw_snapshots = {}       # mu -> last computed truth field at that mu
-    sweep_cache = {}         # mu -> lifted reduced solution from the last sweep
-
-    def snapshot_guess(mu):
-        """Initial guess for a snapshot solve.
-
-        With a small interpolant the surrogate operator is only trustworthy
-        near the solution manifold; from a zero guess the undamped Newton
-        can cycle at strongly nonlinear parameters.  Prefer an earlier
-        truth field at the same parameter (interpolated or exact, cache
-        reads only), then the reduced solution the selection sweep already
-        computed, then the current reduced model; zero as a last resort.
-        """
-        if mu in raw_snapshots:
-            return raw_snapshots[mu]
-        if mu in truth.cache:
-            return truth.cache[mu]
-        if mu in sweep_cache:
-            return sweep_cache[mu]
-        if rb.N >= 1:
-            model = live_model()
-            try:
-                return model.lift_values(model.solve(mu, cfg.newton))
-            except (NewtonFailure, SolverFailure):
-                return None
-        return None
-
     def snapshot_solve(mu):
         if cfg.snapshot_source == SNAPSHOT_EXACT and not cfg.rebuild_wn:
-            values = truth.solve(mu)
-        else:
-            u, _ = truth_newton_solve_eim(problem, eim_g, eim_dg, mu,
-                                          cfg.newton, counter=counter,
-                                          initial=snapshot_guess(mu))
-            values = u.values
-        raw_snapshots[mu] = values
-        return values
+            return truth.solve(mu)
+        u, _ = truth_newton_solve_eim(surrogate, mu, cfg.newton, counter=counter)
+        return u.values
 
     result = BuildResult(model=None, report=report)
     used = set()
-    warm_starts = {}
     group_selected = [train[0]]
     last_errors = None       # g-sweep errors, for ranking fallback snapshots
     g_saturated = dg_saturated = False
@@ -334,10 +297,7 @@ def build_ser(problem, cfg):
                 # freeze the pre-sweep model: the eims grow in place during
                 # the sweep and both scans must see the same state
                 frozen = live_model().restrict(rb.N, max(eim_g.M, eim_dg.M))
-                src = ReducedSolutionSource(frozen, cfg.newton,
-                                            warm_start=cfg.warm_start,
-                                            starts=warm_starts)
-                sweep_cache = src.cache
+                src = ReducedSolutionSource(frozen, cfg.newton)
             prov_g = _field_provider(src, term.g, coords)
             prov_dg = _field_provider(src, term.dg_du, coords)
             sup = None
@@ -365,19 +325,13 @@ def build_ser(problem, cfg):
             if cfg.rebuild_wn:
                 queue = list(rb.mus) + new_params
                 kept = set(rb.mus)
-                guesses = {mu: snapshot_guess(mu) for mu in queue}
                 rb = RbSpace(problem.space)
                 blocks = ReducedBlocks(problem)
                 while queue:
                     mu = queue.pop(0)
                     used.add(mu)
-                    guess = guesses[mu] if mu in guesses else snapshot_guess(mu)
-                    u, _ = truth_newton_solve_eim(problem, eim_g, eim_dg, mu,
-                                                  cfg.newton, counter=counter,
-                                                  initial=guess)
-                    raw_snapshots[mu] = u.values
                     try:
-                        rb.add_snapshot(u.values, mu)
+                        rb.add_snapshot(snapshot_solve(mu), mu)
                         blocks.extend(rb, eim_g, eim_dg)
                         if mu not in kept:
                             report.log("rb", mu, None, eim_g.M, rb.N, counter)
@@ -394,8 +348,6 @@ def build_ser(problem, cfg):
                     used.add(mu)
                     try:
                         rb.add_snapshot(snapshot_solve(mu), mu)
-                        # extend immediately: the next snapshot's initial
-                        # guess solves with the model including this vector
                         blocks.extend(rb, eim_g, eim_dg)
                         report.log("rb", mu, None, eim_g.M, rb.N, counter)
                     except DependentSnapshot:

@@ -5,7 +5,9 @@ builds (mesh n=32, P2, 20x20 training grid, 225 random test parameters)
 are shared session fixtures, so the whole module takes a few minutes.
 """
 
+import copy
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -63,13 +65,23 @@ def std_build(bench, train20):
 
 
 @pytest.fixture(scope="session")
-def ser1_build(bench, train20):
+def ser1_run(bench, train20):
+    """The r=1 build and the RuntimeWarnings that leaked out of it."""
     cfg = er.SerConfig(r=1, n_max=25, m_max=25, train_set=train20,
                        checkpoints=er.default_checkpoints(1, 25, 25))
     t0 = time.perf_counter()
-    result = er.build_ser(bench, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        result = er.build_ser(bench, cfg)
     result.report.wall_time = time.perf_counter() - t0
-    return result
+    leaked = [str(w.message) for w in caught
+              if issubclass(w.category, RuntimeWarning)]
+    return result, leaked
+
+
+@pytest.fixture(scope="session")
+def ser1_build(ser1_run):
+    return ser1_run[0]
 
 
 @pytest.fixture(scope="session")
@@ -164,6 +176,16 @@ def test_criterion_3_solve_count_claim(bench, train20, ser1_build):
     ok = all(counts[n] == n + 1 for n in (5, 10, 25)) and t25 < 300.0
     assert verdict(ok, "criterion 3: r=1 build costs exactly N+1 truth solves",
                    f"counts={counts} t(N=25)={t25:.0f}s")
+
+
+def test_r1_build_leaks_no_runtime_warning(ser1_run):
+    # the build's sweeps include diverging reduced solves (the skipped
+    # samples), which must be classified as failures without a warning
+    result, leaked = ser1_run
+    ok = not leaked
+    assert verdict(ok, "r=1 build leaks no RuntimeWarning",
+                   f"{len(leaked)} leaked, {len(result.report.skipped)} "
+                   f"sweep evaluations skipped")
 
 
 def test_criterion_4_standard_error_profile(std_build, test225, references,
@@ -262,6 +284,53 @@ def test_criterion_7_online_mesh_independence():
                    "the mesh is refined 32 -> 64",
                    f"t32={t32 * 1e3:.0f}ms t64={t64 * 1e3:.0f}ms "
                    f"ratio={ratio:.3f} batch={len(batch)}")
+
+
+def untouchable(name):
+    """Stand-in for an ndof-sized member: any use raises."""
+    def fail(*args, **kwargs):
+        raise AssertionError(f"the online solve used {name}")
+    dunders = ("__getattr__", "__getitem__", "__iter__", "__len__", "__bool__",
+               "__array__", "__array_ufunc__", "__array_function__",
+               "__matmul__", "__rmatmul__", "__mul__", "__rmul__",
+               "__add__", "__radd__", "__sub__", "__rsub__", "__neg__")
+    return type("Untouchable", (), dict.fromkeys(dunders, fail))()
+
+
+def test_criterion_7_companion_online_solve_touches_no_ndof_member(ser1_build,
+                                                                   test225):
+    # deterministic companion of the timing gate: the online solve gives
+    # bitwise the same answers when every ndof-sized member is unusable
+    model = ser1_build.model
+    blind = copy.copy(model)
+    blind.problem = copy.copy(model.problem)
+    for name in ("stiffness", "mass", "load", "_mass_row_sums"):
+        setattr(blind.problem, name, untouchable(f"problem.{name}"))
+    blind.rb = copy.copy(model.rb)
+    for name in ("basis", "x_basis", "x_op"):
+        setattr(blind.rb, name, untouchable(f"rb.{name}"))
+    blind.blocks = copy.copy(model.blocks)
+    blind.blocks.problem = blind.problem
+    for name in ("jac_ops", "load_vecs", "_weighted_ops", "_mass_qs"):
+        setattr(blind.blocks, name, untouchable(f"blocks.{name}"))
+    for attr in ("eim_g", "eim_dg"):
+        eim = copy.copy(getattr(model, attr))
+        eim.fields = untouchable(f"{attr}.fields")
+        setattr(blind, attr, eim)
+    solved = 0
+    for mu in list(test225)[:40]:
+        try:
+            sol = model.solve(mu)
+        except er.NewtonFailure:
+            with pytest.raises(er.NewtonFailure):
+                blind.solve(mu)
+            continue
+        other = blind.solve(mu)
+        assert other.coeffs.tobytes() == sol.coeffs.tobytes()
+        assert blind.output(other) == model.output(sol)
+        solved += 1
+    assert verdict(solved >= 30, "criterion 7 companion: online solve uses "
+                   "no ndof-sized member", f"{solved} of 40 solves bitwise equal")
 
 
 def test_criterion_8_compare_determinism(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,23 @@ class TestReducedSolve:
         with pytest.raises(er.NewtonFailure) as info:
             standard_small.model.solve((10.0, 10.0), er.NewtonConfig(max_iter=1))
         assert len(info.value.history) >= 2
+
+    def test_overflowing_residual_norm_raises_without_warning(self,
+                                                              standard_small):
+        # the initial guess is hugely negative at every interpolation point,
+        # so g stays finite and so does every residual entry, but the sum
+        # of their squares overflows
+        model = standard_small.model.restrict(6, 6)
+        traces = model.blocks.Tr
+        c = 1e160 * np.linalg.solve(traces.T, -np.ones(traces.shape[1]))
+        assert np.all(traces.T @ c < 0)
+        leading = model.blocks.A_aff[0] @ c
+        assert np.all(np.isfinite(leading))
+        assert np.linalg.norm(leading / 1e160) * 1e160 > 1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(er.NewtonFailure):
+                model.solve((1.0, 1.0), initial=c)
 
     def test_galerkin_consistency_full_interior_space(self):
         # basis spanning the whole interior of a tiny P1 space, saturated
