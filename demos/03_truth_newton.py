@@ -21,7 +21,7 @@ for mu in [(0.01, 0.01), (10, 0.01), (0.01, 10), (10, 10), (1, 1)]:
     t0 = time.perf_counter()
     u, stats = er.truth_newton_solve(problem, mu, counter=counter)
     elapsed = time.perf_counter() - t0
-    s = er.output_average(u)
+    s = problem.average(u.values)
     print(f"mu=({mu[0]:5.2f}, {mu[1]:5.2f}): {stats.iterations:2d} Newton its, "
           f"residual {stats.final_residual_norm:.1e}, "
           f"u in [{u.values.min():+.3f}, {u.values.max():+.3f}], "

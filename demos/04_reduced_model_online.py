@@ -1,9 +1,9 @@
 """Offline/online split: build a reduced model, then solve fast at new
 parameters.
 
-The sequential (standard) build first trains the two interpolation bases
-for the nonlinearity and its derivative from truth solves over the whole
-training grid, then assembles the reduced blocks.  Afterwards each new
+The sequential (standard) build first trains the interpolation basis of
+the nonlinearity from truth solves over the whole training grid, then
+assembles the reduced blocks.  Afterwards each new
 parameter costs a dense N x N Newton iteration, independent of the mesh.
 """
 
@@ -36,6 +36,6 @@ for mu in mus:
     t_online = time.perf_counter() - t0
     du = u_ref.values - result.model.lift_values(sol)
     err = float(np.sqrt(du @ (problem.mass @ du)))
-    print(f"({mu[0]:6.3f},{mu[1]:6.3f})  {er.output_average(u_ref):12.6f} "
+    print(f"({mu[0]:6.3f},{mu[1]:6.3f})  {problem.average(u_ref.values):12.6f} "
           f"{result.model.output(sol):12.6f} {err:10.1e} "
           f"{t_truth * 1e3:9.1f} {t_online * 1e3:9.2f}")

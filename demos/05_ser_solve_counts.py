@@ -32,10 +32,7 @@ variants = [
 print(f"training set: {len(train)} parameters\n")
 print(f"{'variant':>28}  {'fe solves':>9}  {'max u err':>10}  {'max s err':>10}")
 for name, cfg in variants:
-    if cfg.r == "standard":
-        result = er.build_standard(problem, cfg)
-    else:
-        result = er.build_ser(problem, cfg)
+    result = er.build_ser(problem, cfg)
     rows = er.run_error_study(result, test,
                               [(result.model.N, result.model.eim_g.M)],
                               references=refs)

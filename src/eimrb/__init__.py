@@ -8,13 +8,12 @@ and grouped intermediates.
 """
 
 from .fem import (FEField, Mesh, FESpace, SolverFailure, apply_dirichlet,
-                  assemble_load, assemble_mass, assemble_stiffness,
-                  assemble_weighted_mass, build_mesh, build_space,
-                  eval_at_points, h1_inner, l2_norm, solve_sparse,
-                  triangle_quadrature)
+                  assemble_load, assemble_stiffness, assemble_weighted_mass,
+                  build_mesh, build_space, eval_at_points, h1_inner, l2_norm,
+                  solve_sparse, triangle_quadrature)
 from .nonlinear import (NewtonConfig, NewtonFailure, NonlinearProblem,
                         NonlinearTerm, SolveCounter, SolveStats,
-                        SurrogateSolver, check_derivative, output_average,
+                        SurrogateSolver, check_derivative, truth_jacobian,
                         truth_newton_solve, truth_newton_solve_eim)
 from .eim import (DegenerateInterpolationPoint, DegenerateSnapshot, EimBasis,
                   EimTrainingError, GreedyStep, eim_greedy_step,
@@ -23,7 +22,7 @@ from .rb import (DependentSnapshot, RbSolution, RbSpace, ReducedBlocks,
                  ReducedModel)
 from .ser import (BuildReport, BuildResult, SerBuildError, SerConfig,
                   StepRecord, TruthSolutionSource, ReducedSolutionSource,
-                  build_ser, build_standard, fe_solve_count)
+                  build_ser, build_standard)
 from .benchmark import (D_MAX, D_MIN, Parameter, SampleSet, StudyRow,
                         TruthReferences, benchmark_problem, benchmark_rhs,
                         benchmark_term, default_checkpoints, emit_table,

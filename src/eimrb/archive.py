@@ -1,11 +1,12 @@
 """Versioned model archives (npz): everything the online solver needs.
 
 An archive stores the mesh/degree pair (the benchmark problem is
-rebuilt deterministically from it), the reduced basis, all reduced
-blocks and traces, both interpolation bases, a config fingerprint, and
-any per-stage checkpoint models recorded during the build.  A loaded
-model reproduces online outputs bit for bit; it cannot be extended
-further (the full-order weighted operators are not stored).
+rebuilt deterministically from it), the build's update frequency r and
+rebuild flag, the reduced basis, all reduced blocks and traces, the
+interpolation basis, a config fingerprint, and any per-stage checkpoint
+models recorded during the build.  A loaded model reproduces online
+outputs bit for bit; it cannot be extended further (the full-order
+operators are not stored).
 """
 
 import json
@@ -17,23 +18,20 @@ from .eim import EimBasis
 from .rb import RbSpace, ReducedBlocks, ReducedModel
 from .ser import BuildReport, BuildResult
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _model_arrays(model, prefix=""):
     d = {
         prefix + "xi": model.rb.basis_matrix(),
         prefix + "snapshot_mus": np.asarray(model.rb.mus, dtype=float),
-        prefix + "A_aff": model.blocks.A_aff,
-        prefix + "F_aff": model.blocks.F_aff,
-        prefix + "Aq": model.blocks.Aq,
+        prefix + "A": model.blocks.A,
+        prefix + "F": model.blocks.F,
         prefix + "Rq": model.blocks.Rq,
-        prefix + "Tj": model.blocks.Tj,
         prefix + "Tr": model.blocks.Tr,
         prefix + "avg": model.blocks.avg,
     }
     d.update(model.eim_g.to_arrays(prefix + "eimg_"))
-    d.update(model.eim_dg.to_arrays(prefix + "eimdg_"))
     return d
 
 
@@ -41,34 +39,30 @@ def _model_from_arrays(problem, data, label, prefix=""):
     rb = RbSpace.from_basis(problem.space, np.array(data[prefix + "xi"]),
                             [tuple(r) for r in np.atleast_2d(data[prefix + "snapshot_mus"])])
     blocks = ReducedBlocks(problem)
-    blocks.A_aff = np.array(data[prefix + "A_aff"])
-    blocks.F_aff = np.array(data[prefix + "F_aff"])
-    blocks.Aq = np.array(data[prefix + "Aq"])
+    blocks.A = np.array(data[prefix + "A"])
+    blocks.F = np.array(data[prefix + "F"])
     blocks.Rq = np.array(data[prefix + "Rq"])
-    blocks.Tj = np.array(data[prefix + "Tj"])
     blocks.Tr = np.array(data[prefix + "Tr"])
     blocks.avg = np.array(data[prefix + "avg"])
-    blocks._weighted_ops = None
     blocks._mass_qs = None
     blocks._nbasis = rb.N
     eim_g = EimBasis.from_arrays(problem.space, data, prefix + "eimg_")
-    eim_dg = EimBasis.from_arrays(problem.space, data, prefix + "eimdg_")
-    return ReducedModel(problem, rb, blocks, eim_g, eim_dg, label=label)
+    return ReducedModel(problem, rb, blocks, eim_g, label=label)
 
 
 def save_model(path, result, fingerprint=""):
-    """Write a BuildResult (or bare model) to an npz archive."""
-    model = result.model if isinstance(result, BuildResult) else result
-    checkpoints = result.checkpoints if isinstance(result, BuildResult) else {}
-    report = result.report if isinstance(result, BuildResult) else None
+    """Write a BuildResult to an npz archive."""
+    model, checkpoints, report = result.model, result.checkpoints, result.report
     space = model.problem.space
     data = {
         "format_version": np.int64(FORMAT_VERSION),
         "mesh_n": np.int64(space.mesh.n_cells_per_side),
         "degree": np.int64(space.degree),
         "label": np.str_(model.label),
+        "r": np.str_(report.r),
+        "rebuild_wn": np.bool_(report.rebuild_wn),
         "fingerprint": np.str_(fingerprint),
-        "fe_solve_count": np.int64(report.fe_solve_count if report else 0),
+        "fe_solve_count": np.int64(report.fe_solve_count),
         "checkpoint_keys": np.asarray(sorted(checkpoints), dtype=np.int64).reshape(-1, 2),
     }
     data.update(_model_arrays(model))
@@ -79,7 +73,8 @@ def save_model(path, result, fingerprint=""):
 
 
 def load_model(path):
-    """Load an archive back into a BuildResult (report holds only the count)."""
+    """Load an archive back into a BuildResult (its report holds the solve
+    count, r and the rebuild flag, not the step log)."""
     with np.load(path, allow_pickle=False) as data:
         version = int(data["format_version"])
         if version != FORMAT_VERSION:
@@ -93,8 +88,11 @@ def load_model(path):
                 continue
             checkpoints[(int(key[0]), int(key[1]))] = _model_from_arrays(
                 problem, data, label, f"cp{i}_")
+        r = str(data["r"])
         report = BuildReport(variant=label,
-                             fe_solve_count=int(data["fe_solve_count"]))
+                             fe_solve_count=int(data["fe_solve_count"]),
+                             r=int(r) if r.isdigit() else r,
+                             rebuild_wn=bool(data["rebuild_wn"]))
         fingerprint = str(data["fingerprint"])
     result = BuildResult(model=model, report=report, checkpoints=checkpoints)
     result.fingerprint = fingerprint

@@ -121,23 +121,18 @@ class TruthReferences:
     from any build's solve count.
     """
 
-    def __init__(self, problem, newton=None, warm_start=False):
+    def __init__(self, problem, newton=None):
         self.problem = problem
         self.newton = newton or NewtonConfig()
-        self.warm_start = warm_start
         self.counter = SolveCounter()
         self.cache = {}
-        self._last = None
 
     def get(self, mu):
         key = tuple(mu)
         if key not in self.cache:
-            initial = self._last if self.warm_start else None
             u, _ = truth_newton_solve(self.problem, key, self.newton,
-                                      counter=self.counter, initial=initial)
+                                      counter=self.counter)
             self.cache[key] = (u.values, self.problem.average(u.values))
-            if self.warm_start:
-                self._last = u.values
         return self.cache[key]
 
 

@@ -18,7 +18,7 @@ from .config import ConfigError, load_config
 from .eim import EimTrainingError
 from .fem import SolverFailure
 from .nonlinear import NewtonFailure
-from .ser import SerBuildError, SerConfig, build_ser, build_standard
+from .ser import SerBuildError, SerConfig, build_ser
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,13 +44,6 @@ def _ser_config(settings, r=None, rebuild=None, n_max=None, m_max=None):
                      checkpoints=default_checkpoints(r, n_max, m_max))
 
 
-def _run_build(settings, cfg, problem=None):
-    problem = problem or benchmark_problem(settings.mesh_n, settings.degree)
-    if cfg.r == "standard":
-        return build_standard(problem, cfg)
-    return build_ser(problem, cfg)
-
-
 def _write_report(report, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report.summary_dict(), fh, indent=1, sort_keys=True)
@@ -62,7 +55,7 @@ def cmd_build(args):
     cfg = _ser_config(settings)
     out = Path(settings.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = _run_build(settings, cfg)
+    result = build_ser(benchmark_problem(settings.mesh_n, settings.degree), cfg)
     save_model(out / "model.npz", result,
                fingerprint=fingerprint_json(settings.fingerprint_dict()))
     _write_report(result.report, out / "build_report.json")
@@ -79,12 +72,8 @@ def cmd_study(args):
     out = Path(settings.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     label = result.model.label
-    r = {"r=M": "standard"}.get(label)
-    if r is None:
-        base = label.split("-")[0]
-        r = "standard" if base == "r=M" else int(base.split("=")[1])
-    checkpoints = [k for k in default_checkpoints(r, result.model.N,
-                                                  result.model.eim_g.M)]
+    checkpoints = default_checkpoints(result.report.r, result.model.N,
+                                      result.model.eim_g.M)
     refs = TruthReferences(result.model.problem, settings.newton())
     rows = run_error_study(result, settings.test_set(), checkpoints,
                            newton=settings.newton(), references=refs)
@@ -128,7 +117,7 @@ def cmd_compare(args):
     ]
     counts = []
     for cfg in variants:
-        result = _run_build(settings, cfg, problem=problem)
+        result = build_ser(problem, cfg)
         label = result.report.variant
         slug = _variant_slug(label)
         rows = run_error_study(result, test_set, cfg.checkpoints,

@@ -283,10 +283,6 @@ def assemble_weighted_mass(space, weight):
     return _scatter(space, local)
 
 
-def assemble_mass(space):
-    return space.mass
-
-
 def assemble_load(space, f):
     """Load vector F_i = integral of f(x) phi_i for a coordinate function f.
 

@@ -6,9 +6,8 @@ The problem is: find u with zero boundary values such that
 
 where A is the stiffness matrix, M the mass matrix, g is applied to the
 nodal values of u (so the nonlinear term is the nodal interpolant of
-g(u(x), x; mu)), and F the assembled load.  The Newton Jacobian uses the
-weighted mass matrix with weight dg/du(u), which keeps the truth and the
-reduced solver consistent term by term.
+g(u(x), x; mu)), and F the assembled load.  Newton uses the exact
+Jacobian A + M diag(g'(u)) of this residual.
 
 The EIM-surrogate problem replaces g(u) by its empirical interpolant
 Q B^{-1} g(u_t): Q holds the M basis fields as columns, B is the lower
@@ -37,11 +36,11 @@ of A and the columns A^{-1} M q_m, one solve each (see SurrogateSolver).
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
 from .fem import (FEField, SolverFailure, apply_dirichlet, assemble_load,
-                  assemble_weighted_mass, factor_sparse, solve_factored,
-                  solve_sparse)
+                  factor_sparse, solve_factored, solve_sparse)
 
 
 class NewtonFailure(RuntimeError):
@@ -134,14 +133,6 @@ class NonlinearProblem:
         return float(self._mass_row_sums @ values)
 
 
-def output_average(field_or_problem, values=None):
-    """Average of a field over the domain, 1' M u with |Omega| = 1."""
-    if isinstance(field_or_problem, FEField):
-        f = field_or_problem
-        return float(np.asarray(f.space.mass.sum(axis=1)).ravel() @ f.values)
-    return field_or_problem.average(values)
-
-
 def _newton(mu, cfg, counter, r_norm, step):
     """Newton loop shared by the solvers: r_norm is the residual norm at
     the start, step() takes one Newton step and returns the new norm."""
@@ -167,6 +158,17 @@ def _newton(mu, cfg, counter, r_norm, step):
                       residual_history=history)
 
 
+def truth_jacobian(problem, u, mu):
+    """Exact derivative A + M diag(g'(u)) of the residual A u + M g(u) - F,
+    with M's columns scaled in its CSR data (no assembly)."""
+    mass = problem.mass
+    with np.errstate(over="ignore", invalid="ignore"):
+        dg = problem.term.dg_du(u, problem.space.dof_coords, mu)
+        scaled = sp.csr_matrix((mass.data * dg[mass.indices], mass.indices,
+                                mass.indptr), shape=mass.shape)
+    return problem.stiffness + scaled
+
+
 def truth_newton_solve(problem, mu, cfg=None, counter=None, initial=None):
     """Solve the full nonlinear problem at mu with exact nonlinearity."""
     cfg = cfg or NewtonConfig()
@@ -189,9 +191,7 @@ def truth_newton_solve(problem, mu, cfg=None, counter=None, initial=None):
 
     def step():
         nonlocal u, r
-        with np.errstate(over="ignore", invalid="ignore"):
-            jac = problem.stiffness + assemble_weighted_mass(
-                space, term.dg_du(u, coords, mu))
+        jac = truth_jacobian(problem, u, mu)
         jac_el, rhs_el = apply_dirichlet(space, jac, -r)
         u = u + solve_sparse(jac_el, rhs_el)
         r, r_norm = residual(u)

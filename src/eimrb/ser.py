@@ -3,11 +3,11 @@
 Three schedules share one machinery, distinguished by the update
 frequency r:
 
-* ``standard`` (r = M): train both interpolants to M_max against truth
+* ``standard`` (r = M): train the interpolant to M_max against truth
   solves over the whole training set, then take the reduced basis
   snapshots.  Costs one finite element solve per training parameter.
-* r = 1: the simultaneous build.  One exact solve initializes both
-  interpolants; afterwards every greedy sweep scans the training set
+* r = 1: the simultaneous build.  One exact solve initializes the
+  interpolant; afterwards every greedy sweep scans the training set
   with the current reduced model, and each enrichment is followed by one
   snapshot solved with the current interpolated operator.  Total cost:
   N_max + 1 finite element solves.
@@ -85,6 +85,8 @@ class BuildReport:
     skipped: list = field(default_factory=list)
     fe_solve_count: int = 0
     wall_time: float = 0.0
+    r: object = None         # update frequency of the build
+    rebuild_wn: bool = False
 
     def log(self, kind, mu, sup_error, m, n, counter):
         self.steps.append(StepRecord(kind, mu, sup_error, m, n, counter.count))
@@ -115,10 +117,6 @@ class BuildResult:
         if (n, m) in self.checkpoints:
             return self.checkpoints[(n, m)]
         return self.model.restrict(n, m)
-
-
-def fe_solve_count(report):
-    return report.fe_solve_count
 
 
 class TruthSolutionSource:
@@ -178,29 +176,18 @@ def build_standard(problem, cfg):
     t0 = time.perf_counter()
     train = [tuple(p) for p in cfg.train_set]
     counter = SolveCounter()
-    report = BuildReport(variant="r=M")
+    report = BuildReport(variant="r=M", r="standard")
     truth = TruthSolutionSource(problem, cfg.newton, counter)
-    coords = problem.space.dof_coords
-    term = problem.term
-    prov_g = _field_provider(truth, term.g, coords)
-    prov_dg = _field_provider(truth, term.dg_du, coords)
+    prov_g = _field_provider(truth, problem.term.g, problem.space.dof_coords)
 
     eim_g = eim_initialize(problem.space, prov_g, train)
-    eim_dg = eim_initialize(problem.space, prov_dg, train)
     report.log("eim", train[0], eim_g.train_errors[0], 1, 0, counter)
-    g_done = dg_done = False
-    while (not g_done or not dg_done) and max(eim_g.M, eim_dg.M) < cfg.m_max:
-        sup = None
-        if not g_done and eim_g.M < cfg.m_max:
-            step = eim_greedy_step(eim_g, prov_g, train, cfg.saturation_tol)
-            report.skipped.extend(step.skipped)
-            g_done = step.saturated
-            sup = step.sup_error
-        if not dg_done and eim_dg.M < cfg.m_max:
-            step = eim_greedy_step(eim_dg, prov_dg, train, cfg.saturation_tol)
-            report.skipped.extend(step.skipped)
-            dg_done = step.saturated
-        report.log("eim", eim_g.mus[-1], sup, eim_g.M, 0, counter)
+    saturated = False
+    while not saturated and eim_g.M < cfg.m_max:
+        step = eim_greedy_step(eim_g, prov_g, train, cfg.saturation_tol)
+        report.skipped.extend(step.skipped)
+        saturated = step.saturated
+        report.log("eim", eim_g.mus[-1], step.sup_error, eim_g.M, 0, counter)
 
     rb = RbSpace(problem.space)
     blocks = ReducedBlocks(problem)
@@ -217,9 +204,9 @@ def build_standard(problem, cfg):
             report.log("reject", mu, None, eim_g.M, rb.N, counter)
             extra = _snapshot_params(1, eim_g.mus, train, used | set(queue))
             queue.extend(extra)
-    blocks.extend(rb, eim_g, eim_dg)
+    blocks.extend(rb, eim_g)
 
-    model = ReducedModel(problem, rb, blocks, eim_g, eim_dg, label="r=M")
+    model = ReducedModel(problem, rb, blocks, eim_g, label="r=M")
     report.fe_solve_count = counter.count
     report.wall_time = time.perf_counter() - t0
     result = BuildResult(model=model, report=report)
@@ -238,7 +225,7 @@ def build_ser(problem, cfg):
     train = [tuple(p) for p in cfg.train_set]
     counter = SolveCounter()
     label = f"r={r}" + ("-rebuild" if cfg.rebuild_wn else "")
-    report = BuildReport(variant=label)
+    report = BuildReport(variant=label, r=r, rebuild_wn=cfg.rebuild_wn)
     truth = TruthSolutionSource(problem, cfg.newton, counter)
     coords = problem.space.dof_coords
     term = problem.term
@@ -253,17 +240,15 @@ def build_ser(problem, cfg):
     u1 = truth.solve(train[0])
     eim_g = eim_initialize(problem.space,
                            lambda mu: term.g(u1, coords, tuple(mu)), train)
-    eim_dg = eim_initialize(problem.space,
-                            lambda mu: term.dg_du(u1, coords, tuple(mu)), train)
     report.log("eim", train[0], eim_g.train_errors[0], 1, 0, counter)
 
     rb = RbSpace(problem.space)
     blocks = ReducedBlocks(problem)
-    blocks.extend(rb, eim_g, eim_dg)
+    blocks.extend(rb, eim_g)
     surrogate = SurrogateSolver(problem, eim_g)
 
     def live_model():
-        return ReducedModel(problem, rb, blocks, eim_g, eim_dg, label=label)
+        return ReducedModel(problem, rb, blocks, eim_g, label=label)
 
     def snapshot_solve(mu):
         if cfg.snapshot_source == SNAPSHOT_EXACT and not cfg.rebuild_wn:
@@ -274,8 +259,8 @@ def build_ser(problem, cfg):
     result = BuildResult(model=None, report=report)
     used = set()
     group_selected = [train[0]]
-    last_errors = None       # g-sweep errors, for ranking fallback snapshots
-    g_saturated = dg_saturated = False
+    last_errors = None       # sweep errors, for ranking fallback snapshots
+    saturated = False
     prev_n = 0
 
     def fallback_params():
@@ -290,32 +275,22 @@ def build_ser(problem, cfg):
 
     for j, (m_target, n_target) in enumerate(zip(event_m, n_after), start=1):
         # --- interpolant enrichment for this group
-        while max(eim_g.M, eim_dg.M) < m_target and not (g_saturated and dg_saturated):
+        while eim_g.M < m_target and not saturated:
             if j == 1 and r > 1:
                 src = truth
             else:
-                # freeze the pre-sweep model: the eims grow in place during
-                # the sweep and both scans must see the same state
-                frozen = live_model().restrict(rb.N, max(eim_g.M, eim_dg.M))
-                src = ReducedSolutionSource(frozen, cfg.newton)
-            prov_g = _field_provider(src, term.g, coords)
-            prov_dg = _field_provider(src, term.dg_du, coords)
-            sup = None
-            sel = None
-            if not g_saturated and eim_g.M < m_target:
-                step = eim_greedy_step(eim_g, prov_g, train, cfg.saturation_tol)
-                report.skipped.extend(step.skipped)
-                g_saturated = step.saturated
-                sup, sel = step.sup_error, step.mu
-                last_errors = step.errors
-                if not step.saturated:
-                    group_selected.append(step.mu)
-            if not dg_saturated and eim_dg.M < m_target:
-                step = eim_greedy_step(eim_dg, prov_dg, train, cfg.saturation_tol)
-                report.skipped.extend(step.skipped)
-                dg_saturated = step.saturated
-            blocks.extend(rb, eim_g, eim_dg)
-            report.log("eim", sel, sup, eim_g.M, rb.N, counter)
+                # the interpolant and the blocks grow only after the sweep,
+                # so every sweep evaluation sees the same model
+                src = ReducedSolutionSource(live_model(), cfg.newton)
+            step = eim_greedy_step(eim_g, _field_provider(src, term.g, coords),
+                                   train, cfg.saturation_tol)
+            report.skipped.extend(step.skipped)
+            saturated = step.saturated
+            last_errors = step.errors
+            if not step.saturated:
+                group_selected.append(step.mu)
+            blocks.extend(rb, eim_g)
+            report.log("eim", step.mu, step.sup_error, eim_g.M, rb.N, counter)
 
         # --- basis update event
         due = n_target - prev_n
@@ -332,7 +307,7 @@ def build_ser(problem, cfg):
                     used.add(mu)
                     try:
                         rb.add_snapshot(snapshot_solve(mu), mu)
-                        blocks.extend(rb, eim_g, eim_dg)
+                        blocks.extend(rb, eim_g)
                         if mu not in kept:
                             report.log("rb", mu, None, eim_g.M, rb.N, counter)
                     except DependentSnapshot:
@@ -348,7 +323,7 @@ def build_ser(problem, cfg):
                     used.add(mu)
                     try:
                         rb.add_snapshot(snapshot_solve(mu), mu)
-                        blocks.extend(rb, eim_g, eim_dg)
+                        blocks.extend(rb, eim_g)
                         report.log("rb", mu, None, eim_g.M, rb.N, counter)
                     except DependentSnapshot:
                         report.log("reject", mu, None, eim_g.M, rb.N, counter)
@@ -361,8 +336,7 @@ def build_ser(problem, cfg):
 
         for (n, m) in cfg.checkpoints:
             if (n, m) not in result.checkpoints and n == rb.N and m == m_target:
-                result.checkpoints[(n, m)] = live_model().restrict(
-                    n, min(m, eim_g.M, eim_dg.M))
+                result.checkpoints[(n, m)] = live_model().restrict(n, m)
 
     report.fe_solve_count = counter.count
     report.wall_time = time.perf_counter() - t0

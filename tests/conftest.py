@@ -22,7 +22,7 @@ def train5():
 @pytest.fixture(scope="session")
 def newton_roomy():
     """Default tolerances with headroom on iterations for tiny test meshes,
-    where crude interpolants make the inexact Jacobian converge slowly."""
+    where crude interpolants can make Newton from zero converge slowly."""
     return er.NewtonConfig(max_iter=200)
 
 

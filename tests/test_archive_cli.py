@@ -49,6 +49,26 @@ class TestArchive:
             er.load_model(path)
 
 
+    def test_v1_archive_rejected(self, standard_small, tmp_path):
+        # every current array is present, so only the version refuses it
+        path = tmp_path / "model.npz"
+        er.save_model(path, standard_small)
+        data = dict(np.load(path, allow_pickle=False))
+        data["format_version"] = np.int64(1)
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match="version 1"):
+            er.load_model(path)
+
+    def test_build_parameters_survive_round_trip(self, ser_small,
+                                                 standard_small, tmp_path):
+        for result, expected in ((ser_small, (1, False, "r=1")),
+                                 (standard_small, ("standard", False, "r=M"))):
+            path = tmp_path / "model.npz"
+            er.save_model(path, result)
+            report = er.load_model(path).report
+            assert (report.r, report.rebuild_wn, report.variant) == expected
+
+
 class TestConfig:
     def test_defaults_and_overrides(self, tmp_path):
         text = """

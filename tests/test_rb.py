@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import eimrb as er
-from eimrb.fem import triangle_quadrature
 
 
 class TestRbSpace:
@@ -47,71 +46,81 @@ class TestBlocks:
         eim_g = er.eim_train(problem8.space,
                              lambda mu: term.g(truth.solve(mu), coords, mu),
                              list(train5), m_max=4)
-        eim_dg = er.eim_train(problem8.space,
-                              lambda mu: term.dg_du(truth.solve(mu), coords, mu),
-                              list(train5), m_max=4)
         rb = er.RbSpace(problem8.space)
         blocks = er.ReducedBlocks(problem8)
         mus = [(0.01, 0.01), (10, 10), (0.1, 1.0)]
         for mu in mus[:2]:
             rb.add_snapshot(truth.solve(mu), mu)
-        blocks.extend(rb, eim_g, eim_dg)
-        old = {k: v.copy() for k, v in
-               [("A", blocks.A_aff), ("F", blocks.F_aff), ("Aq", blocks.Aq),
-                ("Rq", blocks.Rq), ("Tj", blocks.Tj), ("Tr", blocks.Tr),
-                ("avg", blocks.avg)]}
+        blocks.extend(rb, eim_g.restrict(3))
+        old = {k: getattr(blocks, k).copy() for k in ("A", "F", "Rq", "Tr", "avg")}
+        # grow the basis and the interpolant in one extension
         rb.add_snapshot(truth.solve(mus[2]), mus[2])
-        blocks.extend(rb, eim_g, eim_dg)
-        assert np.array_equal(blocks.A_aff[:, :2, :2], old["A"])
-        assert np.array_equal(blocks.F_aff[:, :2], old["F"])
-        assert np.array_equal(blocks.Aq[:, :2, :2], old["Aq"])
-        assert np.array_equal(blocks.Rq[:, :2], old["Rq"])
-        assert np.array_equal(blocks.Tj[:2], old["Tj"])
-        assert np.array_equal(blocks.Tr[:2], old["Tr"])
+        blocks.extend(rb, eim_g)
+        assert np.array_equal(blocks.A[:2, :2], old["A"])
+        assert np.array_equal(blocks.F[:2], old["F"])
+        assert np.array_equal(blocks.Rq[:3, :2], old["Rq"])
+        assert np.array_equal(blocks.Tr[:2, :3], old["Tr"])
         assert np.array_equal(blocks.avg[:2], old["avg"])
+        # and the grown blocks equal blocks built at the final size at once
+        fresh = er.ReducedBlocks(problem8)
+        fresh.extend(rb, eim_g)
+        for name in ("A", "F", "Rq", "Tr", "avg"):
+            assert np.array_equal(getattr(blocks, name), getattr(fresh, name)), name
 
     def test_trace_matrices_are_exact_evaluations(self, standard_small):
         model = standard_small.model
+        assert model.blocks.Tr.shape == (model.N, model.eim_g.M)
         for n, xi in enumerate(model.rb.basis):
             f = er.FEField(model.problem.space, xi)
-            tj = er.eval_at_points(f, np.asarray(model.eim_dg.t, dtype=int))
             tr = er.eval_at_points(f, np.asarray(model.eim_g.t, dtype=int))
-            assert np.array_equal(model.blocks.Tj[n], tj)
             assert np.array_equal(model.blocks.Tr[n], tr)
-
-    def test_jacobian_blocks_match_per_element_quadrature(self, standard_small):
-        model = standard_small.model
-        space = model.problem.space
-        pts, wts = triangle_quadrature(2 * space.degree + 2)
-
-        def p2_basis_at(pt):
-            x, y = pt
-            lam = np.array([1 - x - y, x, y])
-            n200 = lam * (2 * lam - 1)
-            return np.array([
-                n200[0], 4 * lam[0] * lam[1], n200[1],
-                4 * lam[0] * lam[2], 4 * lam[1] * lam[2], n200[2]])
-
-        tab = np.array([p2_basis_at(pt) for pt in pts])  # (nq, 6)
-        rng = np.random.default_rng(7)
-        for _ in range(3):
-            m = rng.integers(model.eim_dg.M)
-            i, j = rng.integers(model.rb.N, size=2)
-            q = model.eim_dg.fields[m]
-            xi_i, xi_j = model.rb.basis[i], model.rb.basis[j]
-            total = 0.0
-            for e in range(space.mesh.n_triangles):
-                dofs = space.elem_dofs[e]
-                qv = tab @ q[dofs]
-                iv = tab @ xi_i[dofs]
-                jv = tab @ xi_j[dofs]
-                total += space._detj[e] * (wts @ (qv * iv * jv))
-            assert abs(total - model.blocks.Aq[m, i, j]) <= 1e-12
 
     def test_restricted_blocks_not_extendable(self, standard_small):
         small = standard_small.model.restrict(2, 3)
         with pytest.raises(RuntimeError):
-            small.blocks.extend(small.rb, small.eim_g, small.eim_dg)
+            small.blocks.extend(small.rb, small.eim_g)
+
+
+def reduced_residual(model, c, mu):
+    """A c + Rq^T B^{-1} g(Tr^T c) - F, written out from the blocks."""
+    blocks, eim = model.blocks, model.eim_g
+    g = model.problem.term.g(blocks.Tr.T @ c, eim.point_coords, mu)
+    return blocks.A @ c + blocks.Rq.T @ np.linalg.solve(eim.B, g) - blocks.F
+
+
+class TestExactJacobians:
+    """Each Jacobian equals the central-difference derivative of its residual."""
+
+    H = 1e-6
+
+    @pytest.mark.parametrize("mu", [(0.01, 0.01), (1.0, 1.0), (10.0, 10.0)])
+    def test_reduced_jacobian_is_the_residual_derivative(self, standard_small, mu):
+        model = standard_small.model
+        c = model.solve((0.5, 0.5)).coeffs
+        jac = model.jacobian(c, mu)
+        fd = np.column_stack([
+            (reduced_residual(model, c + self.H * e, mu)
+             - reduced_residual(model, c - self.H * e, mu)) / (2 * self.H)
+            for e in np.eye(model.N)])
+        assert jac.shape == (model.N, model.N)
+        assert np.abs(jac - fd).max() <= 1e-6 * np.abs(jac).max()
+
+    @pytest.mark.parametrize("mu", [(0.01, 0.01), (1.0, 1.0), (10.0, 10.0)])
+    def test_truth_jacobian_is_the_residual_derivative(self, problem8, mu):
+        space = problem8.space
+        coords = space.dof_coords
+
+        def residual(u):
+            return (problem8.stiffness @ u
+                    + problem8.mass @ problem8.term.g(u, coords, mu)
+                    - problem8.load)
+
+        u, _ = er.truth_newton_solve(problem8, (0.5, 0.5))
+        jac = er.truth_jacobian(problem8, u.values, mu).toarray()
+        fd = np.column_stack([
+            (residual(u.values + self.H * e) - residual(u.values - self.H * e))
+            / (2 * self.H) for e in np.eye(space.ndof)])
+        assert np.abs(jac - fd).max() <= 1e-6 * np.abs(jac).max()
 
 
 class TestReducedSolve:
@@ -125,21 +134,18 @@ class TestReducedSolve:
         eim_g = er.eim_train(problem8.space,
                              lambda m: term.g(truth.solve(m), coords, m),
                              samples, m_max=4)
-        eim_dg = er.eim_train(problem8.space,
-                              lambda m: term.dg_du(truth.solve(m), coords, m),
-                              samples, m_max=4)
         rb = er.RbSpace(problem8.space)
         rb.add_snapshot(truth.solve(mu), mu)
         blocks = er.ReducedBlocks(problem8)
-        blocks.extend(rb, eim_g, eim_dg)
-        model = er.ReducedModel(problem8, rb, blocks, eim_g, eim_dg)
+        blocks.extend(rb, eim_g)
+        model = er.ReducedModel(problem8, rb, blocks, eim_g)
         sol = model.solve(mu)
         du = truth.solve(mu) - model.lift_values(sol)
         assert float(np.sqrt(du @ (problem8.mass @ du))) <= 1e-6
 
     def test_zero_rhs_gives_zero_in_one_iteration(self, standard_small):
         model = standard_small.model.restrict(4, 5)
-        model.blocks.F_aff = np.zeros_like(model.blocks.F_aff)
+        model.blocks.F = np.zeros_like(model.blocks.F)
         sol = model.solve((1.0, 1.0))
         assert np.all(sol.coeffs == 0.0)
         assert sol.newton_iters == 1
@@ -158,7 +164,7 @@ class TestReducedSolve:
         traces = model.blocks.Tr
         c = 1e160 * np.linalg.solve(traces.T, -np.ones(traces.shape[1]))
         assert np.all(traces.T @ c < 0)
-        leading = model.blocks.A_aff[0] @ c
+        leading = model.blocks.A @ c
         assert np.all(np.isfinite(leading))
         assert np.linalg.norm(leading / 1e160) * 1e160 > 1e154
         with warnings.catch_warnings():
@@ -178,17 +184,14 @@ class TestReducedSolve:
         eim_g = er.eim_train(space,
                              lambda m: term.g(truth.solve(m), space.dof_coords, m),
                              samples, m_max=9)
-        eim_dg = er.eim_train(space,
-                              lambda m: term.dg_du(truth.solve(m), space.dof_coords, m),
-                              samples, m_max=9)
         rb = er.RbSpace(space)
         for k, dof in enumerate(space.interior_dofs):
             e = np.zeros(space.ndof)
             e[dof] = 1.0
             rb.add_snapshot(e, (float(k), 0.0))
         blocks = er.ReducedBlocks(problem)
-        blocks.extend(rb, eim_g, eim_dg)
-        model = er.ReducedModel(problem, rb, blocks, eim_g, eim_dg)
+        blocks.extend(rb, eim_g)
+        model = er.ReducedModel(problem, rb, blocks, eim_g)
         for mu in samples:
             sol = model.solve(mu, er.NewtonConfig(max_iter=200))
             du = truth.solve(mu) - model.lift_values(sol)
@@ -206,7 +209,8 @@ class TestOutputsAndLift:
         model = standard_small.model
         sol = model.solve((0.7, 0.9))
         lifted = model.lift(sol)
-        assert abs(model.output(sol) - er.output_average(lifted)) <= 1e-12
+        assert abs(model.output(sol)
+                   - model.problem.average(lifted.values)) <= 1e-12
 
     def test_lift_of_unit_vector_is_basis_field(self, standard_small):
         model = standard_small.model
@@ -231,10 +235,15 @@ class TestRestrict:
         model = standard_small.model
         small = model.restrict(3, 4)
         assert small.N == 3
-        assert small.eim_g.M == 4 and small.eim_dg.M == 4
-        assert small.blocks.Aq.shape == (4, 3, 3)
+        assert small.eim_g.M == 4
         assert small.blocks.Rq.shape == (4, 3)
-        assert np.array_equal(small.blocks.A_aff, model.blocks.A_aff[:, :3, :3])
+        assert small.blocks.Tr.shape == (3, 4)
+        assert np.array_equal(small.blocks.A, model.blocks.A[:3, :3])
+        assert np.array_equal(small.blocks.F, model.blocks.F[:3])
+        assert np.array_equal(small.blocks.Rq, model.blocks.Rq[:4, :3])
+        assert np.array_equal(small.blocks.Tr, model.blocks.Tr[:3, :4])
+        assert np.array_equal(small.blocks.avg, model.blocks.avg[:3])
+        assert np.array_equal(small.eim_g.B, model.eim_g.B[:4, :4])
 
     def test_restriction_beyond_size_rejected(self, standard_small):
         with pytest.raises(ValueError):

@@ -24,7 +24,6 @@ def expected_solids(r, rebuild, n_max, m_max, n_train):
 class TestSolveCounts:
     def test_ser_r1_is_n_plus_one(self, ser_small):
         assert ser_small.report.fe_solve_count == 6
-        assert er.fe_solve_count(ser_small.report) == 6
 
     def test_standard_costs_one_solve_per_training_point(self, standard_small,
                                                          train5):
@@ -48,7 +47,7 @@ class TestSolveCounts:
 
     def test_zero_before_any_build(self):
         report = er.BuildReport(variant="none")
-        assert er.fe_solve_count(report) == 0
+        assert report.fe_solve_count == 0
 
 
 class TestSchedules:
@@ -84,12 +83,14 @@ class TestSchedules:
         cfg_deg = er.SerConfig(r=6, n_max=5, m_max=6, train_set=train5,
                                newton=newton_roomy)
         deg = er.build_ser(problem8, cfg_deg)
-        for a, b in ((std.model.eim_g, deg.model.eim_g),
-                     (std.model.eim_dg, deg.model.eim_dg)):
-            assert a.t == b.t
-            assert a.mus == b.mus
-            assert np.array_equal(a.B, b.B)
-            assert np.array_equal(a.field_matrix(), b.field_matrix())
+        a, b = std.model.eim_g, deg.model.eim_g
+        assert a.t == b.t
+        assert a.mus == b.mus
+        assert a.train_errors == b.train_errors
+        assert np.array_equal(a.B, b.B)
+        assert np.array_equal(a.field_matrix(), b.field_matrix())
+        # both take their snapshots at the greedy selections
+        assert std.model.rb.mus == deg.model.rb.mus
 
     def test_standard_eim_equals_direct_training_bitwise(self, problem8,
                                                          train5,
@@ -114,7 +115,10 @@ class TestSchedules:
                               final.rb.basis_matrix()[:, :3])
         assert np.array_equal(cp.eim_g.field_matrix(),
                               final.eim_g.field_matrix()[:3])
-        assert np.array_equal(cp.blocks.Aq, final.blocks.Aq[:3, :3, :3])
+        assert np.array_equal(cp.blocks.A, final.blocks.A[:3, :3])
+        assert np.array_equal(cp.blocks.F, final.blocks.F[:3])
+        assert np.array_equal(cp.blocks.Rq, final.blocks.Rq[:3, :3])
+        assert np.array_equal(cp.blocks.Tr, final.blocks.Tr[:3, :3])
 
     def test_rebuild_checkpoints_are_recorded(self, problem8, train5,
                                               newton_roomy):

@@ -220,13 +220,11 @@ class TestTruthNewtonEim:
 
 class TestOutputAverage:
     def test_zero_field(self, problem8):
-        assert er.output_average(er.FEField(problem8.space,
-                                            np.zeros(problem8.space.ndof))) == 0.0
+        assert problem8.average(np.zeros(problem8.space.ndof)) == 0.0
 
     def test_constant_field(self, problem8):
-        ones = er.FEField(problem8.space, np.ones(problem8.space.ndof))
-        assert abs(er.output_average(ones) - 1.0) <= 1e-10
+        assert abs(problem8.average(np.ones(problem8.space.ndof)) - 1.0) <= 1e-10
 
     def test_linear_regime_output_near_zero(self, problem32):
         u, _ = er.truth_newton_solve(problem32, (0.01, 0.01))
-        assert abs(er.output_average(u)) <= 1e-3
+        assert abs(problem32.average(u.values)) <= 1e-3
