@@ -13,8 +13,15 @@ import eimrb as er
 
 space = er.build_space(er.build_mesh(8), 2)
 x, y = space.dof_coords[:, 0], space.dof_coords[:, 1]
-provider = lambda mu: np.exp(-mu[0] * x) + mu[1] * y**2
 samples = list(er.SampleSet.log_grid(10, 10))
+
+
+def provider(mus):
+    """All fields of the family at once, one row per parameter; no
+    parameter fails here, so the failure dict is empty."""
+    mus = np.asarray(mus)
+    return np.exp(-mus[:, :1] * x) + mus[:, 1:] * y**2, {}
+
 
 basis = er.eim_initialize(space, provider, samples)
 print(f"first parameter {basis.mus[0]}, first point at "
@@ -34,7 +41,7 @@ with np.printoptions(precision=2, suppress=True):
     print(basis.B)
 
 mu_probe = samples[37]
-w = provider(mu_probe)
+w = provider([mu_probe])[0][0]
 interp = basis.interpolate(w)
 print(f"\nprobe at mu=({mu_probe[0]:.3g}, {mu_probe[1]:.3g}): "
       f"sup interpolation error {np.max(np.abs(w - interp)):.3e}, "

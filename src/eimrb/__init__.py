@@ -21,8 +21,8 @@ from .eim import (DegenerateInterpolationPoint, DegenerateSnapshot, EimBasis,
 from .rb import (DependentSnapshot, RbSolution, RbSpace, ReducedBlocks,
                  ReducedModel)
 from .ser import (BuildReport, BuildResult, SerBuildError, SerConfig,
-                  StepRecord, TruthSolutionSource, ReducedSolutionSource,
-                  build_ser, build_standard)
+                  StepRecord, TruthSolutionSource, build_ser, build_standard,
+                  reduced_g_block)
 from .benchmark import (D_MAX, D_MIN, Parameter, SampleSet, StudyRow,
                         TruthReferences, benchmark_problem, benchmark_rhs,
                         benchmark_term, default_checkpoints, emit_table,

@@ -6,18 +6,22 @@ interpolation points (dof indices, so point evaluation is exact) and
 B[i, m] = q_m(t_i).  Basis fields are residuals of the greedy sweep,
 normalized to unit sup norm over the dofs.
 
-The snapshot provider is any callable mu -> dof-value array; swapping a
-truth-solver provider for a reduced-basis provider is what turns the
-standard training loop into the simultaneous build.
+A snapshot provider maps a list of P parameters to a (P, ndof) block of
+dof values, one row per parameter, and a dict {index: exception} of the
+parameters whose field it could not compute (a Newton or linear solver
+failure); those rows hold no field.  A greedy step asks for the whole
+training set at once and owns the returned block: it overwrites it with
+the interpolation residuals, so it gets every sup error from one
+triangular solve with P right-hand sides and one (P, M) @ (M, ndof)
+product.  Swapping a provider of truth solutions for one of reduced
+solutions is what turns the standard training loop into the
+simultaneous build.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-
-from .fem import SolverFailure
-from .nonlinear import NewtonFailure
 
 SATURATION_FLOOR = 1e-14
 
@@ -164,7 +168,10 @@ def eim_initialize(space, provider, samples):
     if len(samples) == 0:
         raise ValueError("empty sample set")
     mu1 = samples[0]
-    w = np.asarray(provider(mu1), dtype=float)
+    block, failures = provider([mu1])
+    if failures:
+        raise failures[0]
+    w = block[0]
     sup = float(np.max(np.abs(w)))
     if sup == 0.0:
         raise DegenerateSnapshot(
@@ -177,41 +184,35 @@ def eim_initialize(space, provider, samples):
 def eim_greedy_step(basis, provider, samples, saturation_tol=1e-13):
     """One greedy enrichment: pick the worst-approximated sample, add its residual.
 
-    Provider failures (Newton or solver) skip that sample for this sweep;
-    more than half the set failing aborts.  A sup error below the
-    saturation threshold returns a saturated step without enriching.
+    Samples the provider failed on, and rows that are not finite, are
+    skipped for this sweep; more than half the set skipped aborts.  A sup
+    error below the saturation threshold returns a saturated step without
+    enriching.
     """
     if basis.M < 1:
         raise ValueError("initialize the basis before greedy steps")
-    qmat = basis.field_matrix()
-    t_idx = np.asarray(basis.t, dtype=int)
-    errors = np.full(len(samples), np.nan)
-    best_err = -1.0
-    best_mu = None
-    best_w = None
-    skipped = []
-    for k, mu in enumerate(samples):
-        try:
-            w = np.asarray(provider(mu), dtype=float)
-        except (NewtonFailure, SolverFailure) as exc:
-            skipped.append((k, tuple(mu), str(exc)))
-            continue
-        if not np.all(np.isfinite(w)):
-            skipped.append((k, tuple(mu), "snapshot field overflowed"))
-            continue
-        beta = solve_triangular(basis.B, w[t_idx], lower=True)
-        err = float(np.max(np.abs(w - qmat.T @ beta)))
-        errors[k] = err
-        if err > best_err:
-            best_err = err
-            best_mu = tuple(mu)
-            best_w = w
+    block, failures = provider(samples)
+    bad = ~np.all(np.isfinite(block), axis=1)
+    bad[list(failures)] = True
+    skipped = [(k, tuple(samples[k]),
+                str(failures[k]) if k in failures else "snapshot field overflowed")
+               for k in np.flatnonzero(bad).tolist()]
     if 2 * len(skipped) > len(samples):
         raise EimTrainingError(
             f"{len(skipped)} of {len(samples)} samples failed during the sweep; "
             f"first failure: {skipped[0][2]}")
-    if best_w is None:
+    if len(skipped) == len(samples):
         raise EimTrainingError("every sample failed during the sweep")
+    # the block becomes the interpolation residuals, in place
+    block[bad] = 0.0
+    t_idx = np.asarray(basis.t, dtype=int)
+    beta = solve_triangular(basis.B, block[:, t_idx].T, lower=True)
+    block -= beta.T @ basis.field_matrix()
+    errors = np.maximum(block.max(axis=1), -block.min(axis=1))
+    errors[bad] = np.nan
+    best = int(np.nanargmax(errors))
+    best_err = float(errors[best])
+    best_mu = tuple(samples[best])
     # saturation is judged against the largest error seen: the first
     # snapshot (at the first training parameter) can sit orders of
     # magnitude below the manifold scale
@@ -219,8 +220,7 @@ def eim_greedy_step(basis, provider, samples, saturation_tol=1e-13):
     if best_err < floor:
         return GreedyStep(mu=best_mu, sup_error=best_err, saturated=True,
                           skipped=skipped, errors=errors)
-    residual = best_w - basis.interpolate(best_w)
-    basis.append_from_residual(residual, best_mu, best_err)
+    basis.append_from_residual(block[best], best_mu, best_err)
     return GreedyStep(mu=best_mu, sup_error=best_err, skipped=skipped,
                       errors=errors)
 

@@ -12,7 +12,9 @@ interpolation points.  Newton uses the exact Jacobian
     J(c) = A + W diag(g'(Tr^T c)) Tr^T,
 
 so nothing inside the Newton loop touches an object of full finite
-element dimension.
+element dimension.  ``solve_many`` runs the same Newton for a whole list
+of parameters at once, on a (P, N) coefficient array, which is how the
+greedy sweeps of a build scan the training set.
 """
 
 import numpy as np
@@ -182,8 +184,9 @@ class RbSolution:
 class ReducedModel:
     """Everything needed to solve the reduced problem at a new parameter.
 
-    W is formed from the blocks and the interpolant as they are when the
-    model is made; after they grow, make a new model.
+    W and the stacked basis are formed from the blocks, the interpolant
+    and the basis as they are when the model is made; after they grow,
+    make a new model.
     """
 
     def __init__(self, problem, rb, blocks, eim_g, label=""):
@@ -197,6 +200,8 @@ class ReducedModel:
         # several BLAS threads, which cost more than the step it served)
         self._w = solve_triangular(eim_g.B, blocks.Rq, lower=True, trans="T",
                                    check_finite=False).T
+        # the basis as columns (ndof, N), stacked once for every lift
+        self._basis = rb.basis_matrix()
 
     @property
     def N(self):
@@ -258,8 +263,102 @@ class ReducedModel:
                                     history)
         return RbSolution(c, tuple(mu), iterations, history)
 
+    def solve_many(self, mus, cfg=None):
+        """Reduced Newton solves at every parameter of mus at once.
+
+        One Newton loop over a (P, N) coefficient array: residuals come
+        from products with A, W and Tr for all parameters at once, and
+        the Newton steps from one stacked (P, N, N) solve.  Each parameter
+        starts from zero, stops at its own cfg.tolerance(r0) and leaves
+        the iteration when it converges or fails.  Returns the (P, N)
+        coefficients, zero in the rows of failed parameters, and
+        {index: exception} for those, each the exception ``solve`` raises
+        at that parameter.
+        """
+        cfg = cfg or NewtonConfig()
+        n = self.N
+        if n < 1:
+            raise ValueError("empty reduced basis")
+        term = self.problem.term
+        blocks = self.blocks
+        xg = self.eim_g.point_coords
+        coeffs = np.zeros((len(mus), n))
+        history = np.full((cfg.max_iter + 1, len(mus)), np.nan)
+        failures = {}
+
+        def pointwise(func, values, rows):
+            # the nonlinear term takes one parameter per call
+            out = np.empty_like(values)
+            for i, k in enumerate(rows):
+                out[i] = func(values[i], xg, mus[k])
+            return out
+
+        def residual(rows):
+            c = coeffs[rows]
+            values = c @ blocks.Tr
+            r = (c @ blocks.A.T + pointwise(term.g, values, rows) @ self._w.T
+                 - blocks.F)
+            return values, r, np.linalg.norm(r, axis=1)
+
+        def fail(rows, message, iterations):
+            for k in rows:
+                failures[int(k)] = NewtonFailure(
+                    message.format(mu=mus[k]),
+                    history[:iterations + 1, k].tolist())
+
+        live = np.arange(len(mus))   # parameters still iterating
+        # divergence shows up as inf/nan and is classified below, not warned
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, r, r_norm = residual(live)
+            history[0] = r_norm
+            tol = np.array([cfg.tolerance(x) for x in r_norm])
+            fail(live[~np.isfinite(r_norm)],
+                 "reduced residual not finite at the initial guess, mu={mu}", 0)
+            going = np.isfinite(r_norm)
+            iterations = 0
+            while True:
+                live, values, r = live[going], values[going], r[going]
+                if live.size == 0:
+                    break
+                if iterations >= cfg.max_iter:
+                    fail(live, f"reduced solve stalled after {cfg.max_iter} "
+                         "iterations at mu={mu}", iterations)
+                    break
+                dg = pointwise(term.dg_du, values, live)
+                jac = blocks.A + (self._w * dg[:, None, :]) @ blocks.Tr.T
+                try:
+                    delta = np.linalg.solve(jac, -r[:, :, None])[:, :, 0]
+                except np.linalg.LinAlgError:
+                    # the stacked solve only says that some Jacobian is
+                    # singular: solve one by one to find which
+                    delta = np.empty_like(r)
+                    solved = np.ones(live.size, dtype=bool)
+                    for i, k in enumerate(live):
+                        try:
+                            delta[i] = np.linalg.solve(jac[i], -r[i])
+                        except np.linalg.LinAlgError as exc:
+                            failures[int(k)] = SolverFailure(
+                                f"singular reduced Jacobian at mu={mus[k]}: "
+                                f"{exc}")
+                            failures[int(k)].__cause__ = exc
+                            solved[i] = False
+                    live, delta = live[solved], delta[solved]
+                coeffs[live] += delta
+                iterations += 1
+                values, r, r_norm = residual(live)
+                history[iterations, live] = r_norm
+                fail(live[~np.isfinite(r_norm)],
+                     "reduced residual diverged at mu={mu}", iterations)
+                going = np.isfinite(r_norm) & (r_norm > tol[live])
+        coeffs[list(failures)] = 0.0
+        return coeffs, failures
+
     def lift_values(self, sol):
-        return self.rb.basis_matrix() @ sol.coeffs
+        return self._basis @ sol.coeffs
+
+    def lift_block(self, coeffs):
+        """Lifted fields of a (P, N) coefficient array, shape (P, ndof)."""
+        return coeffs @ self._basis.T
 
     def lift(self, sol):
         return FEField(self.problem.space, self.lift_values(sol))
@@ -275,7 +374,7 @@ class ReducedModel:
             raise ValueError(f"cannot restrict N={self.N} model to {n}")
         m = min(m, self.eim_g.M)
         rb_r = RbSpace.from_basis(self.problem.space,
-                                  self.rb.basis_matrix()[:, :n],
+                                  self._basis[:, :n],
                                   self.rb.mus[:n])
         blocks = ReducedBlocks(self.problem)
         blocks.A = self.blocks.A[:n, :n].copy()

@@ -22,9 +22,18 @@ reduced blocks from scratch.
 
 Snapshots with the current interpolated operator are solved in the M
 interpolation-point values (see ``nonlinear``), always from zero.  The
-build keeps one ``SurrogateSolver``: the stiffness is factored once and
-each new interpolant field costs one solve with that factor, so no
-snapshot factorises a sparse matrix.
+build keeps one ``SurrogateSolver``, made at the first such snapshot: the
+stiffness is factored once and each new interpolant field costs one
+solve with that factor, so no snapshot factorises a sparse matrix.
+
+A greedy sweep hands the whole training set of P parameters to its
+provider at once.  With the reduced model, that is one Newton over a
+(P, N) coefficient array (``ReducedModel.solve_many``), one
+(P, N) @ (N, ndof) lift, g applied row by row, and in ``eim`` one
+triangular solve and one (P, M) @ (M, ndof) product for all sup errors.
+Its cost is a few small dense products per Newton iteration plus P calls
+of g and g' (one parameter per call), instead of P separate solves and
+lifts; two (P, ndof) blocks are alive at most.
 """
 
 import time
@@ -33,8 +42,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eim import eim_greedy_step, eim_initialize
-from .nonlinear import (NewtonConfig, SolveCounter, SurrogateSolver,
-                        truth_newton_solve, truth_newton_solve_eim)
+from .fem import SolverFailure
+from .nonlinear import (NewtonConfig, NewtonFailure, SolveCounter,
+                        SurrogateSolver, truth_newton_solve,
+                        truth_newton_solve_eim)
 from .rb import DependentSnapshot, RbSpace, ReducedBlocks, ReducedModel
 
 SNAPSHOT_WITH_EIM = "truth-with-current-eim"
@@ -136,25 +147,37 @@ class TruthSolutionSource:
             self.cache[key] = u.values
         return self.cache[key]
 
-
-class ReducedSolutionSource:
-    """Lifted reduced solutions, cached for the duration of one sweep."""
-
-    def __init__(self, model, newton):
-        self.model = model
-        self.newton = newton
-        self.cache = {}
-
-    def solve(self, mu):
-        key = tuple(mu)
-        if key not in self.cache:
-            sol = self.model.solve(key, self.newton)
-            self.cache[key] = self.model.lift_values(sol)
-        return self.cache[key]
+    def g_block(self, samples):
+        """Greedy-sweep provider: g of the truth solutions at the samples,
+        as a (P, ndof) block, and {index: exception} for failed solves."""
+        block = np.zeros((len(samples), self.problem.space.ndof))
+        failures = {}
+        for k, mu in enumerate(samples):
+            try:
+                block[k] = self.solve(mu)
+            except (NewtonFailure, SolverFailure) as exc:
+                failures[k] = exc
+        return _apply_g(self.problem, block, samples, failures), failures
 
 
-def _field_provider(source, func, coords):
-    return lambda mu: func(source.solve(mu), coords, tuple(mu))
+def reduced_g_block(model, newton):
+    """Greedy-sweep provider over the reduced model: g of the lifted reduced
+    solutions at the samples, all solved and lifted at once."""
+    def provider(samples):
+        coeffs, failures = model.solve_many(samples, newton)
+        block = model.lift_block(coeffs)
+        return _apply_g(model.problem, block, samples, failures), failures
+    return provider
+
+
+def _apply_g(problem, block, samples, failures):
+    """Overwrite each row of the block, a field at its sample, with g of
+    that field (the term takes one parameter per call)."""
+    term, coords = problem.term, problem.space.dof_coords
+    for k, mu in enumerate(samples):
+        if k not in failures:
+            block[k] = term.g(block[k], coords, tuple(mu))
+    return block
 
 
 def _snapshot_params(due, preferred, fallbacks, used):
@@ -178,13 +201,12 @@ def build_standard(problem, cfg):
     counter = SolveCounter()
     report = BuildReport(variant="r=M", r="standard")
     truth = TruthSolutionSource(problem, cfg.newton, counter)
-    prov_g = _field_provider(truth, problem.term.g, problem.space.dof_coords)
 
-    eim_g = eim_initialize(problem.space, prov_g, train)
+    eim_g = eim_initialize(problem.space, truth.g_block, train)
     report.log("eim", train[0], eim_g.train_errors[0], 1, 0, counter)
     saturated = False
     while not saturated and eim_g.M < cfg.m_max:
-        step = eim_greedy_step(eim_g, prov_g, train, cfg.saturation_tol)
+        step = eim_greedy_step(eim_g, truth.g_block, train, cfg.saturation_tol)
         report.skipped.extend(step.skipped)
         saturated = step.saturated
         report.log("eim", eim_g.mus[-1], step.sup_error, eim_g.M, 0, counter)
@@ -227,8 +249,6 @@ def build_ser(problem, cfg):
     label = f"r={r}" + ("-rebuild" if cfg.rebuild_wn else "")
     report = BuildReport(variant=label, r=r, rebuild_wn=cfg.rebuild_wn)
     truth = TruthSolutionSource(problem, cfg.newton, counter)
-    coords = problem.space.dof_coords
-    term = problem.term
 
     n_updates = -(-cfg.m_max // r)  # ceil
     event_m = [min(j * r, cfg.m_max) for j in range(1, n_updates + 1)]
@@ -237,22 +257,23 @@ def build_ser(problem, cfg):
     n_after = [max(1, (j * cfg.n_max) // n_updates) for j in range(1, n_updates + 1)]
     n_after[-1] = cfg.n_max
 
-    u1 = truth.solve(train[0])
-    eim_g = eim_initialize(problem.space,
-                           lambda mu: term.g(u1, coords, tuple(mu)), train)
+    eim_g = eim_initialize(problem.space, truth.g_block, train)
     report.log("eim", train[0], eim_g.train_errors[0], 1, 0, counter)
 
     rb = RbSpace(problem.space)
     blocks = ReducedBlocks(problem)
     blocks.extend(rb, eim_g)
-    surrogate = SurrogateSolver(problem, eim_g)
+    surrogate = None     # made at the first snapshot solved with it
 
     def live_model():
         return ReducedModel(problem, rb, blocks, eim_g, label=label)
 
     def snapshot_solve(mu):
+        nonlocal surrogate
         if cfg.snapshot_source == SNAPSHOT_EXACT and not cfg.rebuild_wn:
             return truth.solve(mu)
+        if surrogate is None:
+            surrogate = SurrogateSolver(problem, eim_g)
         u, _ = truth_newton_solve_eim(surrogate, mu, cfg.newton, counter=counter)
         return u.values
 
@@ -277,13 +298,12 @@ def build_ser(problem, cfg):
         # --- interpolant enrichment for this group
         while eim_g.M < m_target and not saturated:
             if j == 1 and r > 1:
-                src = truth
+                provider = truth.g_block
             else:
                 # the interpolant and the blocks grow only after the sweep,
                 # so every sweep evaluation sees the same model
-                src = ReducedSolutionSource(live_model(), cfg.newton)
-            step = eim_greedy_step(eim_g, _field_provider(src, term.g, coords),
-                                   train, cfg.saturation_tol)
+                provider = reduced_g_block(live_model(), cfg.newton)
+            step = eim_greedy_step(eim_g, provider, train, cfg.saturation_tol)
             report.skipped.extend(step.skipped)
             saturated = step.saturated
             last_errors = step.errors

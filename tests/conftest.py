@@ -41,6 +41,11 @@ def ser_small(problem8, train5, newton_roomy):
     return er.build_ser(problem8, cfg)
 
 
+def rows_provider(field):
+    """Greedy-sweep provider whose block stacks field(mu) over the samples."""
+    return lambda samples: (np.array([field(mu) for mu in samples]), {})
+
+
 def quad_l2_error(space, values, exact):
     """Independent L2 error: fields sampled at quadrature points per element."""
     xq = space.quad_phys_points()

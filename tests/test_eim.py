@@ -6,56 +6,57 @@ import pytest
 import eimrb as er
 from eimrb.eim import SATURATION_FLOOR
 
+from conftest import rows_provider
+
 
 @pytest.fixture(scope="module")
 def grid10():
     return er.SampleSet.log_grid(10, 10)
 
 
-def rank2_provider(space):
+def rank2_field(space):
     x = space.dof_coords[:, 0]
     return lambda mu: mu[0] * x + mu[1] * x**2
 
 
 class TestInitialize:
     def test_constant_field(self, space8, train5):
-        basis = er.eim_initialize(space8,
-                                  lambda mu: np.full(space8.ndof, 5.0),
-                                  list(train5))
+        basis = er.eim_initialize(
+            space8, rows_provider(lambda mu: np.full(space8.ndof, 5.0)),
+            list(train5))
         assert np.all(basis.fields[0] == 1.0)
         assert basis.B.shape == (1, 1) and basis.B[0, 0] == 1.0
 
     def test_point_at_sup_of_coordinate_field(self, space8, train5):
         x = space8.dof_coords[:, 0]
-        basis = er.eim_initialize(space8, lambda mu: mu[0] * x, list(train5))
+        basis = er.eim_initialize(space8, rows_provider(lambda mu: mu[0] * x),
+                                  list(train5))
         assert space8.dof_coords[basis.t[0], 0] == 1.0
         assert np.allclose(basis.fields[0], x, atol=1e-15)
 
     def test_benchmark_first_field_is_normalized(self, problem8, train5):
         counter = er.SolveCounter()
         truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        coords = problem8.space.dof_coords
-        basis = er.eim_initialize(
-            problem8.space,
-            lambda mu: problem8.term.g(truth.solve(mu), coords, mu),
-            list(train5))
+        basis = er.eim_initialize(problem8.space, truth.g_block, list(train5))
         assert abs(np.max(np.abs(basis.fields[0])) - 1.0) <= 1e-12
         assert basis.mus[0] == tuple(train5[0])
 
     def test_zero_snapshot_rejected(self, space8, train5):
         with pytest.raises(er.DegenerateSnapshot):
-            er.eim_initialize(space8, lambda mu: np.zeros(space8.ndof),
+            er.eim_initialize(space8,
+                              rows_provider(lambda mu: np.zeros(space8.ndof)),
                               list(train5))
 
     def test_empty_sample_set(self, space8):
         with pytest.raises(ValueError):
-            er.eim_initialize(space8, lambda mu: np.ones(space8.ndof), [])
+            er.eim_initialize(space8,
+                              rows_provider(lambda mu: np.ones(space8.ndof)), [])
 
 
 class TestGreedy:
     def test_rank1_saturates_after_one_field(self, space8, grid10):
         x = space8.dof_coords[:, 0]
-        provider = lambda mu: mu[0] * x
+        provider = rows_provider(lambda mu: mu[0] * x)
         basis = er.eim_initialize(space8, provider, list(grid10))
         step = er.eim_greedy_step(basis, provider, list(grid10))
         assert step.saturated
@@ -64,22 +65,19 @@ class TestGreedy:
         assert basis.M == 1
 
     def test_rank2_exact_at_two_fields(self, space8, grid10):
-        provider = rank2_provider(space8)
+        field = rank2_field(space8)
         samples = list(grid10)
-        basis = er.eim_train(space8, provider, samples, m_max=2)
+        basis = er.eim_train(space8, rows_provider(field), samples, m_max=2)
         assert basis.M == 2
         # brute-force check over the full grid
-        worst = max(basis.sup_error(provider(mu)) for mu in samples)
+        worst = max(basis.sup_error(field(mu)) for mu in samples)
         assert worst <= 1e-12
 
     def test_benchmark_training_decay(self, problem8, train5):
         counter = er.SolveCounter()
         truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        coords = problem8.space.dof_coords
-        basis = er.eim_train(
-            problem8.space,
-            lambda mu: problem8.term.g(truth.solve(mu), coords, mu),
-            list(train5), m_max=10)
+        basis = er.eim_train(problem8.space, truth.g_block, list(train5),
+                             m_max=10)
         errs = basis.train_errors[1:]
         assert len(errs) == 9
         for a, b in zip(errs, errs[1:]):
@@ -90,7 +88,7 @@ class TestGreedy:
         # well-behaved manifolds (as here and for the benchmark), not for
         # arbitrary providers
         x, y = space8.dof_coords[:, 0], space8.dof_coords[:, 1]
-        provider = lambda mu: np.exp(-mu[0] * x) + mu[1] * y**2
+        provider = rows_provider(lambda mu: np.exp(-mu[0] * x) + mu[1] * y**2)
         basis = er.eim_train(space8, provider, list(grid10), m_max=8)
         errs = basis.train_errors[1:]
         for a, b in zip(errs, errs[1:]):
@@ -100,25 +98,85 @@ class TestGreedy:
         x = space8.dof_coords[:, 0]
         bad = tuple(grid10[3])
 
-        def provider(mu):
-            if tuple(mu) == bad:
-                raise er.NewtonFailure("synthetic failure", [1.0])
-            return mu[0] * x + mu[1] * x**3
+        def provider(samples):
+            # the failed row holds a valid field, which must not be ranked
+            block = np.array([mu[0] * x + mu[1] * x**3 for mu in samples])
+            failures = {k: er.NewtonFailure("synthetic failure", [1.0])
+                        for k, mu in enumerate(samples) if tuple(mu) == bad}
+            return block, failures
 
         basis = er.eim_initialize(space8, provider, list(grid10))
         step = er.eim_greedy_step(basis, provider, list(grid10))
-        assert [mu for _, mu, _ in step.skipped] == [bad]
+        assert step.skipped == [(3, bad, "synthetic failure")]
+        assert np.isnan(step.errors[3])
+        assert np.isfinite(np.delete(step.errors, 3)).all()
         assert basis.M == 2
 
+    def test_first_sample_failure_raises(self, space8, grid10):
+        def provider(samples):
+            return (np.ones((len(samples), space8.ndof)),
+                    {0: er.NewtonFailure("synthetic failure", [1.0])})
+
+        with pytest.raises(er.NewtonFailure, match="synthetic failure"):
+            er.eim_initialize(space8, provider, list(grid10))
+
     def test_majority_failure_aborts(self, space8, grid10):
-        def provider(mu):
-            if mu[0] > 0.02:
-                raise er.NewtonFailure("synthetic failure", [1.0])
-            return np.full(space8.ndof, mu[0])
+        def provider(samples):
+            block = np.array([np.full(space8.ndof, mu[0]) for mu in samples])
+            failures = {k: er.NewtonFailure("synthetic failure", [1.0])
+                        for k, mu in enumerate(samples) if mu[0] > 0.02}
+            return block, failures
 
         basis = er.eim_initialize(space8, provider, list(grid10))
         with pytest.raises(er.EimTrainingError):
             er.eim_greedy_step(basis, provider, list(grid10))
+
+    def test_block_step_matches_per_sample_reference(self, space8, grid10):
+        x, y = space8.dof_coords[:, 0], space8.dof_coords[:, 1]
+        field = lambda mu: np.exp(-mu[0] * x) + np.sin(mu[1] * y)
+        samples = list(grid10)
+        basis = er.eim_train(space8, rows_provider(field), samples, m_max=4)
+        fields = [field(mu) for mu in samples]
+        fields[11][5] = np.inf
+        fields[20][0] = np.nan
+        failed = {7: er.SolverFailure("synthetic singular solve")}
+
+        # the per-sample loop the block step replaces
+        q, t = np.array(basis.fields), basis.t
+        ref_errors = np.full(len(samples), np.nan)
+        ref_skipped, best_err, best_k = [], -1.0, None
+        for k, mu in enumerate(samples):
+            if k in failed:
+                ref_skipped.append((k, mu, "synthetic singular solve"))
+                continue
+            w = fields[k]
+            if not np.all(np.isfinite(w)):
+                ref_skipped.append((k, mu, "snapshot field overflowed"))
+                continue
+            beta = np.linalg.solve(basis.B, w[t])
+            ref_errors[k] = np.max(np.abs(w - q.T @ beta))
+            if ref_errors[k] > best_err:
+                best_err, best_k = ref_errors[k], k
+        w = fields[best_k]
+        ref_residual = w - q.T @ np.linalg.solve(basis.B, w[t])
+
+        step = er.eim_greedy_step(
+            basis, lambda mus: (np.array(fields), dict(failed)), samples)
+        assert step.skipped == ref_skipped
+        assert step.mu == samples[best_k]
+        assert step.sup_error == pytest.approx(best_err, rel=1e-12)
+        assert np.array_equal(np.isnan(step.errors), np.isnan(ref_errors))
+        ok = ~np.isnan(ref_errors)
+        # relative, plus roundoff of the field's size where the error is
+        # roundoff itself (at the samples picked before)
+        sups = np.array([np.max(np.abs(w)) for w in fields])
+        assert np.all(np.abs(step.errors[ok] - ref_errors[ok])
+                      <= 1e-12 * ref_errors[ok] + 1e-14 * sups[ok])
+        assert basis.M == 5
+        expected = ref_residual / ref_residual[basis.t[-1]]
+        expected[basis.t[:-1]] = 0.0
+        assert np.abs(basis.fields[-1] - expected).max() <= 1e-12
+        assert basis.t[-1] == int(np.argmax(np.abs(ref_residual)))
 
     def test_degenerate_point_guard(self, space8):
         basis = er.EimBasis(space8)
@@ -131,10 +189,9 @@ class TestGreedy:
             basis.append_from_residual(clash, (2.0, 2.0), 3.0)
 
     def test_nestedness_is_bitwise(self, space8, grid10):
-        provider = rank2_provider(space8)
         # richer manifold so the greedy can run longer
         x, y = space8.dof_coords[:, 0], space8.dof_coords[:, 1]
-        provider = lambda mu: np.exp(-mu[0] * x) + mu[1] * y**2
+        provider = rows_provider(lambda mu: np.exp(-mu[0] * x) + mu[1] * y**2)
         samples = list(grid10)
         basis = er.eim_train(space8, provider, samples, m_max=3)
         frozen = copy.deepcopy(basis)
@@ -150,14 +207,14 @@ class TestGreedy:
 @pytest.fixture(scope="module")
 def trained(space8, grid10):
     x, y = space8.dof_coords[:, 0], space8.dof_coords[:, 1]
-    provider = lambda mu: np.exp(-mu[0] * x) + np.sin(mu[1] * y)
+    field = lambda mu: np.exp(-mu[0] * x) + np.sin(mu[1] * y)
     samples = list(grid10)
-    basis = er.eim_initialize(space8, provider, samples)
+    basis = er.eim_initialize(space8, rows_provider(field), samples)
     states = []
     while basis.M < 6:
-        er.eim_greedy_step(basis, provider, samples)
+        er.eim_greedy_step(basis, rows_provider(field), samples)
         states.append((basis.B.copy(), list(basis.t)))
-    return basis, states, provider, samples
+    return basis, states, field, samples
 
 
 class TestStructure:
@@ -180,9 +237,9 @@ class TestStructure:
         assert len(set(basis.t)) == basis.M
 
     def test_interpolation_exactness_at_points(self, trained):
-        basis, _, provider, _ = trained
+        basis, _, field, _ = trained
         for k, mu in enumerate(basis.mus):
-            w = provider(mu)
+            w = field(mu)
             interp = basis.interpolate(w)
             scale = max(1.0, np.max(np.abs(w)))
             for i in range(k + 1):
@@ -206,7 +263,8 @@ class TestOnline:
         assert np.allclose(beta, [1.0, 1.6], atol=1e-15)
 
     def test_evaluate_unit_vectors(self, space8, grid10):
-        basis = er.eim_train(space8, rank2_provider(space8), list(grid10), m_max=2)
+        basis = er.eim_train(space8, rows_provider(rank2_field(space8)),
+                             list(grid10), m_max=2)
         e1 = np.zeros(2)
         e1[0] = 1.0
         assert np.array_equal(basis.evaluate(e1), basis.fields[0])
@@ -217,9 +275,10 @@ class TestOnline:
         assert basis.coeffs([]).shape == (0,)
 
     def test_training_snapshot_exact_at_points(self, space8, grid10):
-        provider = rank2_provider(space8)
-        basis = er.eim_train(space8, provider, list(grid10), m_max=2)
-        w = provider(basis.mus[1])
+        field = rank2_field(space8)
+        basis = er.eim_train(space8, rows_provider(field), list(grid10),
+                             m_max=2)
+        w = field(basis.mus[1])
         interp = basis.evaluate(basis.coeffs(w[basis.t]))
         assert np.abs(interp[basis.t] - w[basis.t]).max() <= 1e-12
 
@@ -227,7 +286,8 @@ class TestOnline:
 class TestSerialization:
     def test_round_trip_bitwise(self, space8, grid10):
         x, y = space8.dof_coords[:, 0], space8.dof_coords[:, 1]
-        provider = lambda mu: np.exp(-mu[0] * x) + np.sin(mu[1] * y)
+        provider = rows_provider(lambda mu: np.exp(-mu[0] * x)
+                                 + np.sin(mu[1] * y))
         basis = er.eim_train(space8, provider, list(grid10), m_max=4)
         back = er.EimBasis.from_arrays(space8, basis.to_arrays())
         assert np.array_equal(back.B, basis.B)

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import eimrb as er
 from eimrb.fem import triangle_quadrature
 
-from conftest import quad_l2_error
+from conftest import quad_l2_error, rows_provider
 
 
 def manufactured_rhs(xy):
@@ -115,7 +115,8 @@ class TestWeightedMass:
         coords = problem8.space.dof_coords
         basis = er.eim_train(
             problem8.space,
-            lambda mu: mu[0] * coords[:, 0] + mu[1] * coords[:, 0] ** 2,
+            rows_provider(lambda mu: mu[0] * coords[:, 0]
+                          + mu[1] * coords[:, 0] ** 2),
             list(train5), m_max=2)
         q = basis.fields[1]
         space = problem8.space

@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -41,11 +42,8 @@ class TestBlocks:
     def test_extension_preserves_existing_entries_bitwise(self, problem8, train5):
         counter = er.SolveCounter()
         truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        coords = problem8.space.dof_coords
-        term = problem8.term
-        eim_g = er.eim_train(problem8.space,
-                             lambda mu: term.g(truth.solve(mu), coords, mu),
-                             list(train5), m_max=4)
+        eim_g = er.eim_train(problem8.space, truth.g_block, list(train5),
+                             m_max=4)
         rb = er.RbSpace(problem8.space)
         blocks = er.ReducedBlocks(problem8)
         mus = [(0.01, 0.01), (10, 10), (0.1, 1.0)]
@@ -129,11 +127,7 @@ class TestReducedSolve:
         samples = [mu, (0.6, 2.0), (0.5, 2.5), (0.7, 1.5)]
         counter = er.SolveCounter()
         truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        coords = problem8.space.dof_coords
-        term = problem8.term
-        eim_g = er.eim_train(problem8.space,
-                             lambda m: term.g(truth.solve(m), coords, m),
-                             samples, m_max=4)
+        eim_g = er.eim_train(problem8.space, truth.g_block, samples, m_max=4)
         rb = er.RbSpace(problem8.space)
         rb.add_snapshot(truth.solve(mu), mu)
         blocks = er.ReducedBlocks(problem8)
@@ -180,10 +174,7 @@ class TestReducedSolve:
         samples = list(er.SampleSet.log_grid(3, 3))
         counter = er.SolveCounter()
         truth = er.TruthSolutionSource(problem, er.NewtonConfig(), counter)
-        term = problem.term
-        eim_g = er.eim_train(space,
-                             lambda m: term.g(truth.solve(m), space.dof_coords, m),
-                             samples, m_max=9)
+        eim_g = er.eim_train(space, truth.g_block, samples, m_max=9)
         rb = er.RbSpace(space)
         for k, dof in enumerate(space.interior_dofs):
             e = np.zeros(space.ndof)
@@ -196,6 +187,115 @@ class TestReducedSolve:
             sol = model.solve(mu, er.NewtonConfig(max_iter=200))
             du = truth.solve(mu) - model.lift_values(sol)
             assert float(np.sqrt(du @ (problem.mass @ du))) <= 1e-8
+
+
+def with_term(model, g=None, dg_du=None):
+    """The model with its nonlinear term's g or dg_du replaced."""
+    term = model.problem.term
+    problem = er.NonlinearProblem(model.problem.space,
+                                  er.NonlinearTerm(g or term.g,
+                                                   dg_du or term.dg_du),
+                                  er.benchmark_rhs)
+    return er.ReducedModel(problem, model.rb, model.blocks, model.eim_g)
+
+
+def poisoned_at(func, bad, value):
+    """func, but filled with value at the parameter bad."""
+    def out(u, xy, mu):
+        if tuple(mu) == bad:
+            return np.full_like(np.asarray(u, dtype=float), value)
+        return func(u, xy, mu)
+    return out
+
+
+class TestSolveMany:
+    """solve_many against solve, one parameter at a time."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return [tuple(p) for p in er.SampleSet.log_grid(6, 6)]
+
+    def assert_matches_solve(self, model, mus, cfg):
+        coeffs, failures = model.solve_many(mus, cfg)
+        assert coeffs.shape == (len(mus), model.N)
+        for k, mu in enumerate(mus):
+            try:
+                sol = model.solve(mu, cfg)
+            except (er.NewtonFailure, er.SolverFailure) as exc:
+                got = failures[k]
+                assert type(got) is type(exc)
+                assert str(got) == str(exc)
+                if isinstance(exc, er.NewtonFailure):
+                    assert got.history == pytest.approx(exc.history, rel=1e-10,
+                                                        nan_ok=True)
+                assert np.all(coeffs[k] == 0.0)
+                continue
+            assert k not in failures
+            assert np.abs(coeffs[k] - sol.coeffs).max() \
+                <= 1e-12 * np.abs(sol.coeffs).max()
+        return failures
+
+    def test_coefficients_match_solve(self, standard_small, grid):
+        failures = self.assert_matches_solve(standard_small.model, grid,
+                                             er.NewtonConfig())
+        assert not failures
+
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_stalled_solves_match_solve(self, standard_small, grid, max_iter):
+        failures = self.assert_matches_solve(
+            standard_small.model, grid, er.NewtonConfig(max_iter=max_iter))
+        assert failures
+        assert all("stalled" in str(exc) for exc in failures.values())
+
+    def test_poisoned_term_fails_only_there(self, standard_small, grid):
+        bad = grid[7]
+        model = with_term(standard_small.model,
+                          g=poisoned_at(standard_small.model.problem.term.g,
+                                        bad, np.nan))
+        failures = self.assert_matches_solve(model, grid, er.NewtonConfig())
+        assert list(failures) == [7]
+        assert "not finite at the initial guess" in str(failures[7])
+
+    def test_singular_jacobians_are_attributed(self, standard_small, grid):
+        # a linear term g(u) = u and A = 0: the Jacobian W Tr^T is constant
+        # and regular, except at bad, where g' is poisoned to 0
+        bad = grid[7]
+        model = standard_small.model
+        zero_a = copy.copy(model.blocks)
+        zero_a.A = np.zeros_like(model.blocks.A)
+        linear = with_term(model, g=lambda u, xy, mu: np.array(u, dtype=float),
+                           dg_du=poisoned_at(lambda u, xy, mu: np.ones_like(u),
+                                             bad, 0.0))
+        linear = er.ReducedModel(linear.problem, model.rb, zero_a, model.eim_g)
+        failures = self.assert_matches_solve(linear, grid, er.NewtonConfig())
+        assert list(failures) == [7]
+        assert isinstance(failures[7], er.SolverFailure)
+        assert "singular reduced Jacobian" in str(failures[7])
+
+    def test_no_parameters(self, standard_small):
+        coeffs, failures = standard_small.model.solve_many([])
+        assert coeffs.shape == (0, standard_small.model.N)
+        assert failures == {}
+
+    def test_empty_basis_rejected_like_solve(self, problem8, standard_small):
+        eim_g = standard_small.model.eim_g
+        rb = er.RbSpace(problem8.space)
+        blocks = er.ReducedBlocks(problem8)
+        blocks.extend(rb, eim_g)
+        model = er.ReducedModel(problem8, rb, blocks, eim_g)
+        with pytest.raises(ValueError) as single:
+            model.solve((1.0, 1.0))
+        with pytest.raises(ValueError) as many:
+            model.solve_many([(1.0, 1.0)])
+        assert str(many.value) == str(single.value)
+
+    def test_lift_block_matches_lift_values(self, standard_small, grid):
+        model = standard_small.model
+        coeffs, _ = model.solve_many(grid[:5])
+        block = model.lift_block(coeffs)
+        for c, row in zip(coeffs, block):
+            lifted = model.lift_values(er.RbSolution(c, None, 0, []))
+            assert np.abs(row - lifted).max() <= 1e-12 * np.abs(lifted).max()
 
 
 class TestOutputsAndLift:

@@ -97,10 +97,7 @@ class TestSchedules:
                                                          standard_small):
         counter = er.SolveCounter()
         truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        coords = problem8.space.dof_coords
-        term = problem8.term
-        direct = er.eim_train(problem8.space,
-                              lambda mu: term.g(truth.solve(mu), coords, mu),
+        direct = er.eim_train(problem8.space, truth.g_block,
                               [tuple(p) for p in train5], m_max=8)
         built = standard_small.model.eim_g
         assert direct.t == built.t
@@ -146,10 +143,17 @@ class TestSchedules:
 
 class TestSnapshotSources:
     def test_truth_exact_source_reuses_cached_solves(self, problem8, train5,
-                                                     newton_roomy):
+                                                     newton_roomy, monkeypatch):
+        # no snapshot is solved with the surrogate, so the build factors no
+        # stiffness matrix for one
+        def no_surrogate(*args):
+            raise AssertionError("SurrogateSolver made by a truth-exact build")
+
+        monkeypatch.setattr("eimrb.ser.SurrogateSolver", no_surrogate)
         cfg = er.SerConfig(r=1, n_max=4, m_max=4, train_set=train5,
                            snapshot_source="truth-exact", newton=newton_roomy)
         result = er.build_ser(problem8, cfg)
+        assert result.model.N == 4
         # the initialization solve doubles as the first snapshot
         assert result.report.fe_solve_count == 4
 

@@ -78,11 +78,8 @@ def saturated_eims(problem8):
     samples = list(er.SampleSet.log_grid(3, 3))
     counter = er.SolveCounter()
     truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-    coords = problem8.space.dof_coords
-    term = problem8.term
-    eim_g = er.eim_train(problem8.space,
-                         lambda mu: term.g(truth.solve(mu), coords, mu),
-                         samples, m_max=len(samples))
+    eim_g = er.eim_train(problem8.space, truth.g_block, samples,
+                         m_max=len(samples))
     return samples, truth, eim_g
 
 
@@ -149,14 +146,11 @@ class TestTruthNewtonEim:
         samples = list(er.SampleSet.log_grid(4, 4))
         counter = er.SolveCounter()
         truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        coords = problem8.space.dof_coords
-        term = problem8.term
-        provider = lambda mu: term.g(truth.solve(mu), coords, mu)
-        eim_g = er.eim_train(problem8.space, provider, samples, m_max=4)
+        eim_g = er.eim_train(problem8.space, truth.g_block, samples, m_max=4)
         cached = er.SurrogateSolver(problem8, eim_g)
         mu = (2.0, 5.0)
         er.truth_newton_solve_eim(cached, mu)
-        er.eim_greedy_step(eim_g, provider, samples)
+        er.eim_greedy_step(eim_g, truth.g_block, samples)
         assert eim_g.M == 5
         u_cached, s_cached = er.truth_newton_solve_eim(cached, mu)
         u_fresh, s_fresh = er.truth_newton_solve_eim(
@@ -168,11 +162,7 @@ class TestTruthNewtonEim:
         mu = (0.5, 2.0)
         counter = er.SolveCounter()
         truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        coords = problem8.space.dof_coords
-        term = problem8.term
-        eim_g = er.eim_initialize(problem8.space,
-                                  lambda m: term.g(truth.solve(m), coords, m),
-                                  [mu])
+        eim_g = er.eim_initialize(problem8.space, truth.g_block, [mu])
         u, _ = er.truth_newton_solve_eim(er.SurrogateSolver(problem8, eim_g), mu)
         assert l2_distance(problem8, truth.solve(mu), u.values) <= 1e-8
         assert np.all(u.values[problem8.space.boundary_dofs] == 0.0)
@@ -208,7 +198,8 @@ class TestTruthNewtonEim:
         g_of = lambda mu: term.g(truth.solve(mu), coords, mu)
         probes = [samples[5], samples[10], samples[15]]
         for m_max in (6, 10, 14):
-            eim_g = er.eim_train(problem8.space, g_of, samples, m_max=m_max)
+            eim_g = er.eim_train(problem8.space, truth.g_block, samples,
+                                 m_max=m_max)
             solver = er.SurrogateSolver(problem8, eim_g)
             eps = max(eim_g.sup_error(g_of(mu)) for mu in samples)
             for mu in probes:
