@@ -18,7 +18,7 @@ train = er.SampleSet.log_grid(8, 8)
 cfg = er.SerConfig(r="standard", n_max=10, m_max=14, train_set=train)
 
 t0 = time.perf_counter()
-result = er.build_standard(problem, cfg)
+result = er.build_ser(problem, cfg)
 print(f"offline build: {time.perf_counter() - t0:.1f}s, "
       f"{result.report.fe_solve_count} finite element solves, "
       f"N={result.model.N}, M={result.model.eim_g.M}")

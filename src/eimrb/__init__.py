@@ -1,10 +1,11 @@
 """Reduced-order solvers for nonlinear, non-affinely parametrized PDEs.
 
 The package pairs an empirical interpolation engine (affine surrogates
-of the nonlinear terms) with a reduced basis Galerkin solver, and
-provides three offline build schedules: the sequential one, the
-simultaneous one (one finite element solve per basis vector plus one),
-and grouped intermediates.
+of the nonlinear terms) with a reduced basis Galerkin solver.  One
+offline build, ``build_ser``, updates the basis every r interpolation
+steps: r = 1 is the simultaneous build (one finite element solve per
+basis vector plus one), 1 < r < M the grouped intermediates, and
+r = "standard" (r = M) the sequential build with exact truth snapshots.
 """
 
 from .fem import (FEField, Mesh, FESpace, SolverFailure, apply_dirichlet,
@@ -21,8 +22,7 @@ from .eim import (DegenerateInterpolationPoint, DegenerateSnapshot, EimBasis,
 from .rb import (DependentSnapshot, RbSolution, RbSpace, ReducedBlocks,
                  ReducedModel)
 from .ser import (BuildReport, BuildResult, SerBuildError, SerConfig,
-                  StepRecord, TruthSolutionSource, build_ser, build_standard,
-                  reduced_g_block)
+                  StepRecord, TruthSolutionSource, build_ser, reduced_g_block)
 from .benchmark import (D_MAX, D_MIN, Parameter, SampleSet, StudyRow,
                         TruthReferences, benchmark_problem, benchmark_rhs,
                         benchmark_term, default_checkpoints, emit_table,

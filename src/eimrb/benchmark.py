@@ -93,12 +93,12 @@ def benchmark_problem(n=32, degree=2):
     return NonlinearProblem(space, benchmark_term(), benchmark_rhs)
 
 
-def default_checkpoints(r, n_max, m_max, count=5):
+def default_checkpoints(r, n_max, m_max):
     """Five proportional (N, M) stages; for r=1 builds these are N=M rows."""
     out = []
-    for j in range(1, count + 1):
-        n = max(1, round(j * n_max / count))
-        m = max(1, round(j * m_max / count))
+    for j in range(1, 6):
+        n = max(1, round(j * n_max / 5))
+        m = max(1, round(j * m_max / 5))
         if (n, m) not in out:
             out.append((n, m))
     return tuple(out)

@@ -148,6 +148,9 @@ def _validate(s):
         raise ConfigError("test.count must be >= 1")
     if s.n_max < 1 or s.m_max < 1:
         raise ConfigError("ser.n_max and eim.m_max must be >= 1")
+    if s.r == "standard" and s.rebuild_wn:
+        raise ConfigError("ser.rebuild_wn does not apply to ser.r = standard, "
+                          "which updates the basis once")
     if s.newton_max_iter < 1:
         raise ConfigError("newton.max_iter must be >= 1")
     if s.newton_abs_tol <= 0 or s.newton_rel_tol <= 0:

@@ -226,14 +226,12 @@ def eim_greedy_step(basis, provider, samples, saturation_tol=1e-13):
 
 
 def eim_train(space, provider, samples, m_max, saturation_tol=1e-13,
-              basis=None, on_step=None):
+              basis=None):
     """Initialize (if needed) and greedily enrich up to m_max fields."""
     if basis is None:
         basis = eim_initialize(space, provider, samples)
     while basis.M < m_max:
         step = eim_greedy_step(basis, provider, samples, saturation_tol)
-        if on_step is not None:
-            on_step(step)
         if step.saturated:
             break
     return basis

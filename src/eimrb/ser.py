@@ -1,22 +1,27 @@
 """Build strategies for the combined interpolation + reduced basis model.
 
-Three schedules share one machinery, distinguished by the update
-frequency r:
+One loop builds every schedule.  The interpolant grows by one greedy
+step at a time, and after every group of r steps the basis is updated
+by a proportional batch of snapshots.  The update frequency r selects
+the schedule:
 
-* ``standard`` (r = M): train the interpolant to M_max against truth
-  solves over the whole training set, then take the reduced basis
-  snapshots.  Costs one finite element solve per training parameter.
 * r = 1: the simultaneous build.  One exact solve initializes the
   interpolant; afterwards every greedy sweep scans the training set
   with the current reduced model, and each enrichment is followed by one
   snapshot solved with the current interpolated operator.  Total cost:
   N_max + 1 finite element solves.
-* 1 < r < M: grouped.  The first r interpolant fields are built from
-  truth solves (there is no reduced model yet), later groups use the
-  reduced model; the basis grows by a proportional batch after every
-  group.
+* 1 < r < M: grouped.  The first group is trained against truth solves
+  (there is no reduced model yet), later groups use the reduced model.
+* ``standard`` (r = M): the one group spans the whole interpolant, so it
+  is trained against truth solves over the whole training set and the
+  single basis update takes all N_max snapshots.  These snapshots are
+  the cached exact truth solves, not solves with the interpolated
+  operator, so the build costs one finite element solve per training
+  parameter and no more.
 
-With ``rebuild_wn`` every basis update re-solves all snapshot parameters
+Each update snapshots the parameters its group selected, then the
+parameters the last sweep approximated worst.  With ``rebuild_wn`` (not
+for the standard build) every update re-solves all snapshot parameters
 with the current interpolated operator and rebuilds the basis and the
 reduced blocks from scratch.
 
@@ -48,9 +53,6 @@ from .nonlinear import (NewtonConfig, NewtonFailure, SolveCounter,
                         truth_newton_solve_eim)
 from .rb import DependentSnapshot, RbSpace, ReducedBlocks, ReducedModel
 
-SNAPSHOT_WITH_EIM = "truth-with-current-eim"
-SNAPSHOT_EXACT = "truth-exact"
-
 
 class SerBuildError(RuntimeError):
     """The build cannot continue (bad config or too many failed solves)."""
@@ -58,12 +60,11 @@ class SerBuildError(RuntimeError):
 
 @dataclass
 class SerConfig:
-    r: object = 1                       # positive int or "standard"
+    r: object = 1                       # positive int or "standard" (r = m_max)
     rebuild_wn: bool = False
     n_max: int = 1
     m_max: int = 1
     train_set: object = None
-    snapshot_source: str = SNAPSHOT_WITH_EIM
     newton: NewtonConfig = field(default_factory=NewtonConfig)
     saturation_tol: float = 1e-13
     checkpoints: tuple = ()
@@ -71,10 +72,11 @@ class SerConfig:
     def __post_init__(self):
         if self.r != "standard" and (not isinstance(self.r, int) or self.r < 1):
             raise SerBuildError(f"update frequency must be >= 1 or 'standard', got {self.r!r}")
+        if self.r == "standard" and self.rebuild_wn:
+            raise SerBuildError("the standard build updates the basis once; "
+                                "rebuild_wn does not apply to it")
         if self.n_max < 1 or self.m_max < 1:
             raise SerBuildError("n_max and m_max must be >= 1")
-        if self.snapshot_source not in (SNAPSHOT_WITH_EIM, SNAPSHOT_EXACT):
-            raise SerBuildError(f"unknown snapshot source {self.snapshot_source!r}")
         if self.train_set is None or len(self.train_set) == 0:
             raise SerBuildError("empty training set")
 
@@ -194,60 +196,16 @@ def _snapshot_params(due, preferred, fallbacks, used):
     return out
 
 
-def build_standard(problem, cfg):
-    """Sequential build: interpolants from truth solves first, then the basis."""
-    t0 = time.perf_counter()
-    train = [tuple(p) for p in cfg.train_set]
-    counter = SolveCounter()
-    report = BuildReport(variant="r=M", r="standard")
-    truth = TruthSolutionSource(problem, cfg.newton, counter)
-
-    eim_g = eim_initialize(problem.space, truth.g_block, train)
-    report.log("eim", train[0], eim_g.train_errors[0], 1, 0, counter)
-    saturated = False
-    while not saturated and eim_g.M < cfg.m_max:
-        step = eim_greedy_step(eim_g, truth.g_block, train, cfg.saturation_tol)
-        report.skipped.extend(step.skipped)
-        saturated = step.saturated
-        report.log("eim", eim_g.mus[-1], step.sup_error, eim_g.M, 0, counter)
-
-    rb = RbSpace(problem.space)
-    blocks = ReducedBlocks(problem)
-    used = set()
-    params = _snapshot_params(cfg.n_max, eim_g.mus, train, used)
-    queue = list(params)
-    while rb.N < cfg.n_max and queue:
-        mu = queue.pop(0)
-        used.add(mu)
-        try:
-            rb.add_snapshot(truth.solve(mu), mu)
-            report.log("rb", mu, None, eim_g.M, rb.N, counter)
-        except DependentSnapshot:
-            report.log("reject", mu, None, eim_g.M, rb.N, counter)
-            extra = _snapshot_params(1, eim_g.mus, train, used | set(queue))
-            queue.extend(extra)
-    blocks.extend(rb, eim_g)
-
-    model = ReducedModel(problem, rb, blocks, eim_g, label="r=M")
-    report.fe_solve_count = counter.count
-    report.wall_time = time.perf_counter() - t0
-    result = BuildResult(model=model, report=report)
-    for (n, m) in cfg.checkpoints:
-        if n <= rb.N:
-            result.checkpoints[(n, m)] = model.restrict(n, m)
-    return result
-
-
 def build_ser(problem, cfg):
-    """Alternating build with basis updates every r interpolation steps."""
-    if cfg.r == "standard":
-        return build_standard(problem, cfg)
-    r = cfg.r
+    """Alternating build with basis updates every r interpolation steps;
+    r="standard" is the single group r = m_max with exact snapshots."""
+    standard = cfg.r == "standard"
+    r = cfg.m_max if standard else cfg.r
     t0 = time.perf_counter()
     train = [tuple(p) for p in cfg.train_set]
     counter = SolveCounter()
-    label = f"r={r}" + ("-rebuild" if cfg.rebuild_wn else "")
-    report = BuildReport(variant=label, r=r, rebuild_wn=cfg.rebuild_wn)
+    label = "r=M" if standard else f"r={r}" + ("-rebuild" if cfg.rebuild_wn else "")
+    report = BuildReport(variant=label, r=cfg.r, rebuild_wn=cfg.rebuild_wn)
     truth = TruthSolutionSource(problem, cfg.newton, counter)
 
     n_updates = -(-cfg.m_max // r)  # ceil
@@ -270,7 +228,7 @@ def build_ser(problem, cfg):
 
     def snapshot_solve(mu):
         nonlocal surrogate
-        if cfg.snapshot_source == SNAPSHOT_EXACT and not cfg.rebuild_wn:
+        if standard:
             return truth.solve(mu)
         if surrogate is None:
             surrogate = SurrogateSolver(problem, eim_g)
@@ -315,42 +273,29 @@ def build_ser(problem, cfg):
         # --- basis update event
         due = n_target - prev_n
         if due > 0:
-            new_params = _snapshot_params(due, group_selected,
-                                          fallback_params(), used)
+            kept = list(rb.mus) if cfg.rebuild_wn else []
+            queue = kept + _snapshot_params(due, group_selected,
+                                            fallback_params(), used)
             if cfg.rebuild_wn:
-                queue = list(rb.mus) + new_params
-                kept = set(rb.mus)
                 rb = RbSpace(problem.space)
                 blocks = ReducedBlocks(problem)
-                while queue:
-                    mu = queue.pop(0)
-                    used.add(mu)
-                    try:
-                        rb.add_snapshot(snapshot_solve(mu), mu)
-                        blocks.extend(rb, eim_g)
-                        if mu not in kept:
-                            report.log("rb", mu, None, eim_g.M, rb.N, counter)
-                    except DependentSnapshot:
-                        report.log("reject", mu, None, eim_g.M, rb.N, counter)
-                        queue.extend(_snapshot_params(1, group_selected,
-                                                      fallback_params(),
-                                                      used | set(queue)))
-                report.log("rebuild", None, None, eim_g.M, rb.N, counter)
-            else:
-                queue = list(new_params)
-                while rb.N < n_target and queue:
-                    mu = queue.pop(0)
-                    used.add(mu)
-                    try:
-                        rb.add_snapshot(snapshot_solve(mu), mu)
-                        blocks.extend(rb, eim_g)
+            # a rejected parameter is replaced by at most one other, so
+            # len(queue) + rb.N <= n_target holds throughout
+            while queue:
+                mu = queue.pop(0)
+                used.add(mu)
+                try:
+                    rb.add_snapshot(snapshot_solve(mu), mu)
+                    blocks.extend(rb, eim_g)
+                    if mu not in kept:
                         report.log("rb", mu, None, eim_g.M, rb.N, counter)
-                    except DependentSnapshot:
-                        report.log("reject", mu, None, eim_g.M, rb.N, counter)
-                        extra = _snapshot_params(1, group_selected,
-                                                 fallback_params(),
-                                                 used | set(queue))
-                        queue.extend(extra)
+                except DependentSnapshot:
+                    report.log("reject", mu, None, eim_g.M, rb.N, counter)
+                    queue.extend(_snapshot_params(1, group_selected,
+                                                  fallback_params(),
+                                                  used | set(queue)))
+            if cfg.rebuild_wn:
+                report.log("rebuild", None, None, eim_g.M, rb.N, counter)
         prev_n = rb.N
         group_selected = []
 

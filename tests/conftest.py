@@ -31,13 +31,22 @@ def standard_small(problem8, train5):
     """Sequential build on the small mesh, shared across test modules."""
     cfg = er.SerConfig(r="standard", n_max=6, m_max=8, train_set=train5,
                        checkpoints=((3, 4), (6, 8)))
-    return er.build_standard(problem8, cfg)
+    return er.build_ser(problem8, cfg)
 
 
 @pytest.fixture(scope="session")
 def ser_small(problem8, train5, newton_roomy):
     cfg = er.SerConfig(r=1, n_max=5, m_max=5, train_set=train5,
                        newton=newton_roomy, checkpoints=((3, 3), (5, 5)))
+    return er.build_ser(problem8, cfg)
+
+
+@pytest.fixture(scope="session")
+def rebuild_small(problem8, train5, newton_roomy):
+    """r=1 build that rebuilds the basis at every update."""
+    cfg = er.SerConfig(r=1, rebuild_wn=True, n_max=4, m_max=4,
+                       train_set=train5, newton=newton_roomy,
+                       checkpoints=((2, 2), (4, 4)))
     return er.build_ser(problem8, cfg)
 
 

@@ -59,7 +59,7 @@ def std_build(bench, train20):
     cfg = er.SerConfig(r="standard", n_max=20, m_max=25, train_set=train20,
                        checkpoints=er.default_checkpoints("standard", 20, 25))
     t0 = time.perf_counter()
-    result = er.build_standard(bench, cfg)
+    result = er.build_ser(bench, cfg)
     result.report.wall_time = time.perf_counter() - t0
     return result
 
@@ -244,7 +244,7 @@ def test_criterion_6_reproduction_property():
     train = er.SampleSet.log_grid(4, 4)
     cfg = er.SerConfig(r="standard", n_max=6, m_max=2 * len(train),
                        train_set=train)
-    result = er.build_standard(problem, cfg)
+    result = er.build_ser(problem, cfg)
     model = result.model
     g_err = model.eim_g.train_errors[-1]
     worst = 0.0
@@ -271,7 +271,7 @@ def test_criterion_7_online_mesh_independence():
     def build_model(n):
         problem = er.benchmark_problem(n, 2)
         cfg = er.SerConfig(r="standard", n_max=20, m_max=25, train_set=train)
-        return er.build_standard(problem, cfg).model
+        return er.build_ser(problem, cfg).model
 
     m32 = build_model(32)
     m64 = build_model(64)

@@ -21,15 +21,34 @@ class TestArchive:
             assert np.array_equal(a.coeffs, b.coeffs)
             assert standard_small.model.output(a) == loaded.model.output(b)
 
-    def test_checkpoints_survive_round_trip(self, standard_small, tmp_path):
-        path = tmp_path / "model.npz"
+    def test_checkpoints_survive_round_trip(self, standard_small, rebuild_small,
+                                            tmp_path):
+        mu = (1.2, 0.9)
+        # a rebuilding build stores its stages: they are no prefixes of the
+        # final model
+        path = tmp_path / "rebuild.npz"
+        er.save_model(path, rebuild_small)
+        loaded = er.load_model(path)
+        assert set(loaded.checkpoints) == set(rebuild_small.checkpoints)
+        saved, got = rebuild_small.checkpoints[(2, 2)], loaded.checkpoints[(2, 2)]
+        assert got.rb.mus == saved.rb.mus
+        assert np.array_equal(got.rb.basis_matrix(), saved.rb.basis_matrix())
+        for name in ("A", "F", "Rq", "Tr", "avg"):
+            assert np.array_equal(getattr(got.blocks, name),
+                                  getattr(saved.blocks, name))
+        assert got.eim_g.t == saved.eim_g.t
+        assert np.array_equal(got.eim_g.B, saved.eim_g.B)
+        assert np.array_equal(got.eim_g.field_matrix(),
+                              saved.eim_g.field_matrix())
+        assert np.array_equal(got.solve(mu).coeffs, saved.solve(mu).coeffs)
+        # the standard build stores the stage of its one basis update; its
+        # earlier stages are truncations, before and after the round trip
+        path = tmp_path / "standard.npz"
         er.save_model(path, standard_small)
         loaded = er.load_model(path)
-        assert set(loaded.checkpoints) == set(standard_small.checkpoints)
-        cp = loaded.checkpoints[(3, 4)]
-        mu = (1.2, 0.9)
-        a = standard_small.checkpoints[(3, 4)].solve(mu)
-        b = cp.solve(mu)
+        assert set(loaded.checkpoints) == set(standard_small.checkpoints) == {(6, 8)}
+        a = standard_small.checkpoint(3, 4).solve(mu)
+        b = loaded.checkpoint(3, 4).solve(mu)
         assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_loaded_model_restricts(self, standard_small, tmp_path):
@@ -97,6 +116,10 @@ class TestConfig:
     def test_bad_r(self):
         with pytest.raises(er.ConfigError):
             er.parse_config("ser.r = 0")
+
+    def test_standard_with_rebuild_rejected(self):
+        with pytest.raises(er.ConfigError, match="rebuild_wn"):
+            er.parse_config("ser.r = standard\nser.rebuild_wn = true")
 
     def test_bad_spacing(self):
         with pytest.raises(er.ConfigError):

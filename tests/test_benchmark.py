@@ -67,7 +67,7 @@ class TestErrorStudy:
         # parameters the reduced model must reproduce the snapshots
         samples = er.SampleSet.log_grid(3, 3)
         cfg = er.SerConfig(r="standard", n_max=4, m_max=9, train_set=samples)
-        result = er.build_standard(problem8, cfg)
+        result = er.build_ser(problem8, cfg)
         snap_set = er.SampleSet(np.array(result.model.rb.mus), "snapshots")
         rows = er.run_error_study(result, snap_set, [(4, 9)])
         assert rows[0].failures == 0

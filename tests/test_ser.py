@@ -1,7 +1,11 @@
+import inspect
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import eimrb as er
+import eimrb.ser
 
 
 def expected_solids(r, rebuild, n_max, m_max, n_train):
@@ -44,6 +48,7 @@ class TestSolveCounts:
         kinds = [s.kind for s in result.report.steps]
         assert kinds.count("eim") == n_max  # m_max enrichments incl. the init
         assert kinds.count("rb") == n_max
+        assert kinds.count("rebuild") == (-(-n_max // r) if rebuild else 0)
 
     def test_zero_before_any_build(self):
         report = er.BuildReport(variant="none")
@@ -79,7 +84,7 @@ class TestSchedules:
                                                               newton_roomy):
         cfg_std = er.SerConfig(r="standard", n_max=5, m_max=6,
                                train_set=train5, newton=newton_roomy)
-        std = er.build_standard(problem8, cfg_std)
+        std = er.build_ser(problem8, cfg_std)
         cfg_deg = er.SerConfig(r=6, n_max=5, m_max=6, train_set=train5,
                                newton=newton_roomy)
         deg = er.build_ser(problem8, cfg_deg)
@@ -117,12 +122,8 @@ class TestSchedules:
         assert np.array_equal(cp.blocks.Rq, final.blocks.Rq[:3, :3])
         assert np.array_equal(cp.blocks.Tr, final.blocks.Tr[:3, :3])
 
-    def test_rebuild_checkpoints_are_recorded(self, problem8, train5,
-                                              newton_roomy):
-        cfg = er.SerConfig(r=1, rebuild_wn=True, n_max=4, m_max=4,
-                           train_set=train5, newton=newton_roomy,
-                           checkpoints=((2, 2), (4, 4)))
-        result = er.build_ser(problem8, cfg)
+    def test_rebuild_checkpoints_are_recorded(self, rebuild_small, train5):
+        result = rebuild_small
         assert set(result.checkpoints) == {(2, 2), (4, 4)}
         # with rebuilding the early basis is not a prefix of the final one
         cp = result.checkpoints[(2, 2)]
@@ -143,24 +144,22 @@ class TestSchedules:
 
 class TestSnapshotSources:
     def test_truth_exact_source_reuses_cached_solves(self, problem8, train5,
-                                                     newton_roomy, monkeypatch):
-        # no snapshot is solved with the surrogate, so the build factors no
-        # stiffness matrix for one
+                                                     monkeypatch):
+        # the standard build snapshots its cached truth solves: no snapshot
+        # is solved with the surrogate, so it factors no stiffness for one
         def no_surrogate(*args):
-            raise AssertionError("SurrogateSolver made by a truth-exact build")
+            raise AssertionError("SurrogateSolver made by a standard build")
 
         monkeypatch.setattr("eimrb.ser.SurrogateSolver", no_surrogate)
-        cfg = er.SerConfig(r=1, n_max=4, m_max=4, train_set=train5,
-                           snapshot_source="truth-exact", newton=newton_roomy)
+        cfg = er.SerConfig(r="standard", n_max=4, m_max=4, train_set=train5)
         result = er.build_ser(problem8, cfg)
         assert result.model.N == 4
-        # the initialization solve doubles as the first snapshot
-        assert result.report.fe_solve_count == 4
+        assert result.report.fe_solve_count == len(train5)
 
-    def test_unknown_source_rejected(self, train5):
+    def test_standard_with_rebuild_rejected(self, train5):
         with pytest.raises(er.SerBuildError):
-            er.SerConfig(r=1, n_max=2, m_max=2, train_set=train5,
-                         snapshot_source="guess")
+            er.SerConfig(r="standard", rebuild_wn=True, n_max=2, m_max=2,
+                         train_set=train5)
 
     def test_bad_frequency_rejected(self, train5):
         with pytest.raises(er.SerBuildError):
@@ -197,3 +196,145 @@ class TestFailureHandling:
                            newton=er.NewtonConfig(max_iter=1))
         with pytest.raises((er.EimTrainingError, er.NewtonFailure)):
             er.build_ser(problem8, cfg)
+
+
+def record_steps(monkeypatch):
+    """Wrap the build's greedy step; the returned list fills with its steps."""
+    steps = []
+    greedy_step = eimrb.ser.eim_greedy_step
+
+    def recording(*args, **kwargs):
+        steps.append(greedy_step(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr("eimrb.ser.eim_greedy_step", recording)
+    return steps
+
+
+def worst_first(errors):
+    """Training indices by decreasing sweep error, failed (NaN) samples
+    last, ties in training order."""
+    return sorted(range(len(errors)),
+                  key=lambda i: (bool(np.isnan(errors[i])),
+                                 -np.nan_to_num(errors[i])))
+
+
+class TestSnapshotSelection:
+    @pytest.mark.parametrize("schedule", [dict(r=1), dict(r=1, rebuild_wn=True),
+                                          dict(r="standard")],
+                             ids=["r1", "r1-rebuild", "standard"])
+    def test_dependent_snapshot_replaced_by_worst_unused(self, problem8, train5,
+                                                         newton_roomy,
+                                                         monkeypatch, schedule):
+        # the third distinct snapshot parameter is rejected as dependent once
+        steps = record_steps(monkeypatch)
+        add_snapshot = er.RbSpace.add_snapshot
+        attempted, rejected = [], {}
+
+        def dependent_once(space, values, mu):
+            if not rejected and mu not in attempted and len(set(attempted)) == 2:
+                rejected.update(mu=mu, errors=steps[-1].errors.copy(),
+                                attempted=set(attempted) | {mu})
+                attempted.append(mu)
+                raise er.DependentSnapshot(f"forced at mu={mu}")
+            attempted.append(mu)
+            return add_snapshot(space, values, mu)
+
+        monkeypatch.setattr(er.RbSpace, "add_snapshot", dependent_once)
+        cfg = er.SerConfig(n_max=5, m_max=5, train_set=train5,
+                           newton=newton_roomy, **schedule)
+        result = er.build_ser(problem8, cfg)
+
+        steps_log = result.report.steps
+        kinds = [s.kind for s in steps_log]
+        assert kinds.count("reject") == 1
+        at = kinds.index("reject")
+        assert steps_log[at].mu == rejected["mu"]
+        assert result.model.N == 5
+        assert len(set(result.model.rb.mus)) == 5
+        assert rejected["mu"] not in result.model.rb.mus
+        # the replacement joins the end of the update's queue: it is the
+        # last snapshot the update logs, and the ones before it were queued
+        event = []
+        for s in steps_log[at + 1:]:
+            if s.kind != "rb":
+                break
+            event.append(s.mu)
+        replacement = event[-1]
+        excluded = rejected["attempted"] | set(event[:-1])
+        train = [tuple(p) for p in train5]
+        expected = next(train[i] for i in worst_first(rejected["errors"])
+                        if train[i] not in excluded)
+        assert replacement == expected
+
+    def test_standard_fallback_snapshots_ranked_by_last_sweep(self, problem8,
+                                                              train5,
+                                                              monkeypatch):
+        # more snapshots than interpolant picks: the rest are the unused
+        # parameters the last sweep approximated worst
+        steps = record_steps(monkeypatch)
+        cfg = er.SerConfig(r="standard", n_max=7, m_max=4, train_set=train5)
+        result = er.build_ser(problem8, cfg)
+        picks = result.model.eim_g.mus
+        assert len(set(picks)) == 4
+        train = [tuple(p) for p in train5]
+        ranked = [train[i] for i in worst_first(steps[-1].errors)
+                  if train[i] not in picks]
+        assert result.model.rb.mus == list(picks) + ranked[:3]
+        # which differs from taking them in training-set order
+        assert ranked[:3] != [mu for mu in train if mu not in picks][:3]
+
+    def test_saturated_standard_step_logs_its_sweep_maximum(self, problem8,
+                                                            monkeypatch):
+        steps = record_steps(monkeypatch)
+        train = er.SampleSet.log_grid(3, 3)
+        cfg = er.SerConfig(r="standard", n_max=4, m_max=12, train_set=train)
+        result = er.build_ser(problem8, cfg)
+        assert steps[-1].saturated
+        logged = [s for s in result.report.steps if s.kind == "eim"][-1]
+        assert logged.mu == steps[-1].mu
+        assert logged.sup_error == steps[-1].sup_error
+        # not the previous pick, which the saturated step did not add
+        assert logged.mu != result.model.eim_g.mus[-1]
+
+
+class TestBenchmarkBindings:
+    """perfbench traces a build by wrapping these names where ``ser`` looks
+    them up, and counts sweep evaluations through the ``samples`` argument
+    of ``eim_greedy_step``; a build that bypasses them loses its trace."""
+
+    SITES = ("eim_greedy_step", "truth_newton_solve", "truth_newton_solve_eim")
+
+    def test_traced_bindings_exist(self):
+        for name in self.SITES:
+            assert callable(getattr(eimrb.ser, name))
+        assert er.build_ser is eimrb.ser.build_ser
+        assert "samples" in inspect.signature(eimrb.ser.eim_greedy_step).parameters
+
+    def test_builds_call_through_the_bindings(self, problem8, train5,
+                                              newton_roomy, monkeypatch):
+        calls, evaluations = Counter(), Counter()
+        for name in self.SITES:
+            fn = getattr(eimrb.ser, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                bound = inspect.signature(_fn).bind(*args, **kwargs).arguments
+                evaluations[_name] += len(bound.get("samples", ()))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(f"eimrb.ser.{name}", counted)
+
+        er.build_ser(problem8, er.SerConfig(r="standard", n_max=6, m_max=8,
+                                            train_set=train5))
+        assert calls == {"eim_greedy_step": 7, "truth_newton_solve": len(train5)}
+        assert evaluations["eim_greedy_step"] == 7 * len(train5)
+
+        calls.clear()
+        evaluations.clear()
+        er.build_ser(problem8, er.SerConfig(r=1, n_max=5, m_max=5,
+                                            train_set=train5,
+                                            newton=newton_roomy))
+        assert calls == {"eim_greedy_step": 4, "truth_newton_solve": 1,
+                         "truth_newton_solve_eim": 5}
+        assert evaluations["eim_greedy_step"] == 4 * len(train5)
