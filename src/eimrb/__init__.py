@@ -18,7 +18,7 @@ from .nonlinear import (NewtonConfig, NewtonFailure, NonlinearProblem,
                         truth_newton_solve, truth_newton_solve_eim)
 from .eim import (DegenerateInterpolationPoint, DegenerateSnapshot, EimBasis,
                   EimTrainingError, GreedyStep, eim_greedy_step,
-                  eim_initialize, eim_train)
+                  eim_initialize)
 from .rb import (DependentSnapshot, RbSolution, RbSpace, ReducedBlocks,
                  ReducedModel)
 from .ser import (BuildReport, BuildResult, SerBuildError, SerConfig,

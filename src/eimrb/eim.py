@@ -224,14 +224,3 @@ def eim_greedy_step(basis, provider, samples, saturation_tol=1e-13):
     return GreedyStep(mu=best_mu, sup_error=best_err, skipped=skipped,
                       errors=errors)
 
-
-def eim_train(space, provider, samples, m_max, saturation_tol=1e-13,
-              basis=None):
-    """Initialize (if needed) and greedily enrich up to m_max fields."""
-    if basis is None:
-        basis = eim_initialize(space, provider, samples)
-    while basis.M < m_max:
-        step = eim_greedy_step(basis, provider, samples, saturation_tol)
-        if step.saturated:
-            break
-    return basis

@@ -187,7 +187,7 @@ class FESpace:
 
         # local node -> global lattice dof
         local = self.ref.nodes                                 # (nloc, 2)
-        phys = self._v0[:, None, :] + np.einsum("tij,nj->tni", jac, local)
+        phys = self._v0[:, None, :] + local @ np.transpose(jac, (0, 2, 1))
         gx = np.rint(phys[..., 0] * nd).astype(np.int64)
         gy = np.rint(phys[..., 1] * nd).astype(np.int64)
         self.elem_dofs = gy * (nd + 1) + gx                    # (nt, nloc)
@@ -213,7 +213,7 @@ class FESpace:
 
     def quad_phys_points(self):
         """Physical coordinates of all quadrature points, shape (nt, nq, 2)."""
-        return self._v0[:, None, :] + np.einsum("tij,qj->tqi", self._jac, self.quad_points)
+        return self._v0[:, None, :] + self.quad_points @ np.transpose(self._jac, (0, 2, 1))
 
 
 def build_space(mesh, degree):
@@ -261,10 +261,16 @@ def _scatter(space, local):
 
 def assemble_stiffness(space):
     """Stiffness matrix A_ij = integral of grad(phi_j) . grad(phi_i)."""
-    g = np.einsum("tdk,nqk->tnqd", space._invjt, space._grad)
-    local = np.einsum("q,t,tnqd,tmqd->tnm",
-                      space.quad_weights, space._detj, g, g)
-    return _scatter(space, local)
+    # The elements are affine, so the physical gradients are J^{-T} times the
+    # reference ones and each local matrix is detj * sum_kl C_kl R_kl, with
+    # C = J^{-1} J^{-T} per triangle and the reference moments
+    # R_kl[n, m] = sum_q w_q d_k phi_n d_l phi_m.
+    nt, nloc = len(space._detj), space.ref.n_local
+    ref = np.einsum("q,nqk,mql->klnm", space.quad_weights, space._grad,
+                    space._grad).reshape(-1, nloc * nloc)
+    metric = np.transpose(space._invjt, (0, 2, 1)) @ space._invjt
+    local = (space._detj[:, None] * metric.reshape(nt, -1)) @ ref
+    return _scatter(space, local.reshape(nt, nloc, nloc))
 
 
 def assemble_weighted_mass(space, weight):
@@ -277,10 +283,13 @@ def assemble_weighted_mass(space, weight):
     w = _as_values(weight, space if isinstance(weight, FEField) else None)
     if w.shape != (space.ndof,):
         raise ValueError("weight must be a nodal field on the same space")
-    wq = np.einsum("tn,nq->tq", w[space.elem_dofs], space._phi)
-    local = np.einsum("q,t,tq,nq,mq->tnm",
-                      space.quad_weights, space._detj, wq, space._phi, space._phi)
-    return _scatter(space, local)
+    nt, nloc = len(space._detj), space.ref.n_local
+    wq = w[space.elem_dofs] @ space._phi                    # (nt, nq)
+    # reference moments w_q phi_n phi_m, one row per quadrature point
+    ref = np.einsum("q,nq,mq->qnm", space.quad_weights, space._phi,
+                    space._phi).reshape(-1, nloc * nloc)
+    local = (space._detj[:, None] * wq) @ ref
+    return _scatter(space, local.reshape(nt, nloc, nloc))
 
 
 def assemble_load(space, f):
@@ -290,11 +299,9 @@ def assemble_load(space, f):
     """
     xq = space.quad_phys_points()            # (nt, nq, 2)
     fq = np.asarray(f(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape[:2])
-    contrib = np.einsum("q,t,tq,nq->tn", space.quad_weights, space._detj,
-                        fq, space._phi)
-    out = np.zeros(space.ndof)
-    np.add.at(out, space.elem_dofs.ravel(), contrib.ravel())
-    return out
+    contrib = (space._detj[:, None] * space.quad_weights * fq) @ space._phi.T
+    return np.bincount(space.elem_dofs.ravel(), weights=contrib.ravel(),
+                       minlength=space.ndof)
 
 
 def apply_dirichlet(space, op, rhs):
@@ -315,9 +322,14 @@ def apply_dirichlet(space, op, rhs):
 
 
 def factor_sparse(op):
-    """Sparse LU of op, kept with op for the residual check of each solve."""
+    """Sparse LU of op, kept with op for the residual check of each solve.
+
+    The column ordering is minimum degree on the structure of A^T + A:
+    every operator factored here is a finite element operator with a
+    structurally symmetric pattern, where it fills less than COLAMD.
+    """
     try:
-        return op, spla.splu(sp.csc_matrix(op))
+        return op, spla.splu(sp.csc_matrix(op), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SolverFailure(f"sparse factorization failed: {exc}") from exc
 

@@ -9,6 +9,16 @@ nodal values of u (so the nonlinear term is the nodal interpolant of
 g(u(x), x; mu)), and F the assembled load.  Newton uses the exact
 Jacobian A + M diag(g'(u)) of this residual.
 
+The boundary values are zero, so Newton only solves for the interior
+values u_I: each step solves J_II du = -r_I, with r_I the interior rows
+of the residual and J_II = A_II + M_II diag(g'(u_I)) the interior block
+of the Jacobian, and adds du to u_I.  A and M are assembled from the same
+element-to-dof map, so A_II and M_II share one sparsity pattern: the
+problem keeps A_II in CSC form, the data of M_II on that pattern and the
+column of every stored entry, and each step writes the Jacobian's data
+a_k + m_k g'(u_I)[col_k] into the pattern.  No sparse product, boundary
+elimination or format conversion runs per iteration.
+
 The EIM-surrogate problem replaces g(u) by its empirical interpolant
 Q B^{-1} g(u_t): Q holds the M basis fields as columns, B is the lower
 triangular interpolation matrix and u_t are the values of u at the M
@@ -16,8 +26,9 @@ interpolation points t (dofs, so E_t u = u_t picks rows of u):
 
     A u + M Q B^{-1} g(u_t) = F    on the interior rows.
 
-Let A also denote the Dirichlet-eliminated stiffness and read F and M Q
-with their boundary rows zeroed.  Then every surrogate solution is
+Let A also denote the interior block A_II, acting on interior values
+extended by zero on the boundary, and read F and M Q on the interior
+rows.  Then every surrogate solution is
 
     u = A^{-1} F - (A^{-1} M Q) B^{-1} g(u_t),                    (*)
 
@@ -30,7 +41,7 @@ with v = u_t.  Conversely, lifting a solution v by (*) gives a u with
 u_t = a - K g(v) = v, so u solves the surrogate problem: the two are
 equivalent.  Newton on the small system uses its exact Jacobian
 I + K diag(g'(v)); the full problem only enters through one factorisation
-of A and the columns A^{-1} M q_m, one solve each (see SurrogateSolver).
+of A_II and the columns A^{-1} M q_m, one solve each (see SurrogateSolver).
 """
 
 from dataclasses import dataclass, field
@@ -39,8 +50,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
-from .fem import (FEField, SolverFailure, apply_dirichlet, assemble_load,
-                  factor_sparse, solve_factored, solve_sparse)
+from .fem import (FEField, SolverFailure, assemble_load, factor_sparse,
+                  solve_factored, solve_sparse)
 
 
 class NewtonFailure(RuntimeError):
@@ -127,6 +138,29 @@ class NonlinearProblem:
         self.mass = space.mass
         self.load = assemble_load(space, rhs)
         self._mass_row_sums = np.asarray(self.mass.sum(axis=1)).ravel()
+        self._interior_block = None
+
+    @property
+    def interior_block(self):
+        """(A_II, M_II data, column of each stored entry), built on first use.
+
+        A_II is the interior block of the stiffness in CSC form with sorted
+        indices; the second array holds the interior mass block's entries
+        in the same positions, which requires one sparsity pattern for both.
+        """
+        if self._interior_block is None:
+            idx = self.space.interior_dofs
+            a_ii = self.stiffness[idx][:, idx].tocsc()
+            m_ii = self.mass[idx][:, idx].tocsc()
+            a_ii.sort_indices()
+            m_ii.sort_indices()
+            if not (np.array_equal(a_ii.indptr, m_ii.indptr)
+                    and np.array_equal(a_ii.indices, m_ii.indices)):
+                raise ValueError(
+                    "stiffness and mass matrices differ in sparsity pattern")
+            cols = np.repeat(np.arange(len(idx)), np.diff(a_ii.indptr))
+            self._interior_block = (a_ii, m_ii.data, cols)
+        return self._interior_block
 
     def average(self, values):
         """Integral of the field over the unit square (|Omega| = 1)."""
@@ -159,21 +193,27 @@ def _newton(mu, cfg, counter, r_norm, step):
 
 
 def truth_jacobian(problem, u, mu):
-    """Exact derivative A + M diag(g'(u)) of the residual A u + M g(u) - F,
-    with M's columns scaled in its CSR data (no assembly)."""
-    mass = problem.mass
+    """Interior block J_II = A_II + M_II diag(g'(u_I)) of the exact
+    derivative of the residual A u + M g(u) - F, written into the fixed
+    CSC pattern of problem.interior_block."""
+    a_ii, m_data, cols = problem.interior_block
+    idx = problem.space.interior_dofs
     with np.errstate(over="ignore", invalid="ignore"):
-        dg = problem.term.dg_du(u, problem.space.dof_coords, mu)
-        scaled = sp.csr_matrix((mass.data * dg[mass.indices], mass.indices,
-                                mass.indptr), shape=mass.shape)
-    return problem.stiffness + scaled
+        dg = problem.term.dg_du(u[idx], problem.space.dof_coords[idx], mu)
+        data = a_ii.data + m_data * dg[cols]
+    return sp.csc_matrix((data, a_ii.indices, a_ii.indptr), shape=a_ii.shape)
 
 
 def truth_newton_solve(problem, mu, cfg=None, counter=None, initial=None):
-    """Solve the full nonlinear problem at mu with exact nonlinearity."""
+    """Solve the full nonlinear problem at mu with exact nonlinearity.
+
+    Each Newton step solves for the interior values only (module
+    docstring); the boundary values stay zero.
+    """
     cfg = cfg or NewtonConfig()
     space = problem.space
     bdofs = space.boundary_dofs
+    idx = space.interior_dofs
     coords = space.dof_coords
     term = problem.term
     u = np.zeros(space.ndof) if initial is None else np.array(initial, dtype=float)
@@ -190,10 +230,8 @@ def truth_newton_solve(problem, mu, cfg=None, counter=None, initial=None):
     r, r_norm = residual(u)
 
     def step():
-        nonlocal u, r
-        jac = truth_jacobian(problem, u, mu)
-        jac_el, rhs_el = apply_dirichlet(space, jac, -r)
-        u = u + solve_sparse(jac_el, rhs_el)
+        nonlocal r
+        u[idx] += solve_sparse(truth_jacobian(problem, u, mu), -r[idx])
         r, r_norm = residual(u)
         return r_norm
 
@@ -204,9 +242,9 @@ def truth_newton_solve(problem, mu, cfg=None, counter=None, initial=None):
 class SurrogateSolver:
     """Full-space state of the EIM-surrogate solve, kept for one build.
 
-    Factors the Dirichlet-eliminated stiffness A once, solves A^{-1} F,
-    and keeps M q_m and A^{-1} M q_m for every field q_m of eim_g (the
-    boundary rows of M q_m are zeroed before the solve).  The fields of
+    Factors the interior stiffness block A_II once, solves A^{-1} F, and
+    keeps M q_m and A^{-1} M q_m for every field q_m of eim_g (solutions
+    on the interior rows, zero on the boundary).  The fields of
     an interpolant are append-only, so the columns of earlier fields stay
     valid: a field appended since the last solve costs one solve with the
     cached factor, and nothing is refactored.
@@ -215,24 +253,25 @@ class SurrogateSolver:
     def __init__(self, problem, eim_g):
         self.problem = problem
         self.eim_g = eim_g
-        stiffness, load = apply_dirichlet(problem.space, problem.stiffness,
-                                          problem.load)
-        self._factor = factor_sparse(stiffness)
+        self._factor = factor_sparse(problem.interior_block[0])
         ndof = problem.space.ndof
-        self.linear = solve_factored(self._factor, load)     # A^{-1} F
+        self.linear = self._solve(problem.load)              # A^{-1} F
         self.mass_q = np.zeros((ndof, 0))                    # M q_m
         self.solved_q = np.zeros((ndof, 0))                  # A^{-1} M q_m
 
+    def _solve(self, rhs):
+        """A_II^{-1} on the interior rows of rhs, zero on the boundary."""
+        idx = self.problem.space.interior_dofs
+        x = np.zeros(self.problem.space.ndof)
+        x[idx] = solve_factored(self._factor, rhs[idx])
+        return x
+
     def update(self):
         """Add the columns of the fields appended to eim_g since the last call."""
-        bdofs = self.problem.space.boundary_dofs
         for q in self.eim_g.fields[self.mass_q.shape[1]:]:
             mq = self.problem.mass @ q
-            rhs = mq.copy()
-            rhs[bdofs] = 0.0
             self.mass_q = np.column_stack([self.mass_q, mq])
-            self.solved_q = np.column_stack(
-                [self.solved_q, solve_factored(self._factor, rhs)])
+            self.solved_q = np.column_stack([self.solved_q, self._solve(mq)])
 
 
 def truth_newton_solve_eim(surrogate, mu, cfg=None, counter=None):

@@ -50,6 +50,18 @@ def rebuild_small(problem8, train5, newton_roomy):
     return er.build_ser(problem8, cfg)
 
 
+def eim_train(space, provider, samples, m_max, basis=None):
+    """Initialize (if needed) and greedily enrich up to m_max fields,
+    stopping early at saturation."""
+    if basis is None:
+        basis = er.eim_initialize(space, provider, samples)
+    while basis.M < m_max:
+        step = er.eim_greedy_step(basis, provider, samples)
+        if step.saturated:
+            break
+    return basis
+
+
 def rows_provider(field):
     """Greedy-sweep provider whose block stacks field(mu) over the samples."""
     return lambda samples: (np.array([field(mu) for mu in samples]), {})

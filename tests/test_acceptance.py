@@ -14,7 +14,7 @@ import pytest
 
 import eimrb as er
 
-from conftest import quad_l2_error, rows_provider
+from conftest import eim_train, quad_l2_error, rows_provider
 
 TABLE_STANDARD = [(4, 5, 7.38e-3), (8, 10, 1.01e-3), (12, 15, 1.49e-4),
                   (16, 20, 2.21e-5), (20, 25, 5.88e-6)]
@@ -149,7 +149,7 @@ def test_criterion_2_eim_structure(std_build, space8):
     grid = list(er.SampleSet.log_grid(10, 10))
     x = space8.dof_coords[:, 0]
     field = lambda mu: mu[0] * x + mu[1] * x**2
-    basis = er.eim_train(space8, rows_provider(field), grid, m_max=2)
+    basis = eim_train(space8, rows_provider(field), grid, m_max=2)
     exact2 = max(basis.sup_error(field(mu)) for mu in grid)
     checks.append(structural(basis) and exact2 <= 1e-12)
 

@@ -6,7 +6,7 @@ import pytest
 import eimrb as er
 from eimrb.eim import SATURATION_FLOOR
 
-from conftest import rows_provider
+from conftest import eim_train, rows_provider
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ class TestGreedy:
     def test_rank2_exact_at_two_fields(self, space8, grid10):
         field = rank2_field(space8)
         samples = list(grid10)
-        basis = er.eim_train(space8, rows_provider(field), samples, m_max=2)
+        basis = eim_train(space8, rows_provider(field), samples, m_max=2)
         assert basis.M == 2
         # brute-force check over the full grid
         worst = max(basis.sup_error(field(mu)) for mu in samples)
@@ -76,8 +76,8 @@ class TestGreedy:
     def test_benchmark_training_decay(self, problem8, train5):
         counter = er.SolveCounter()
         truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        basis = er.eim_train(problem8.space, truth.g_block, list(train5),
-                             m_max=10)
+        basis = eim_train(problem8.space, truth.g_block, list(train5),
+                          m_max=10)
         errs = basis.train_errors[1:]
         assert len(errs) == 9
         for a, b in zip(errs, errs[1:]):
@@ -89,7 +89,7 @@ class TestGreedy:
         # arbitrary providers
         x, y = space8.dof_coords[:, 0], space8.dof_coords[:, 1]
         provider = rows_provider(lambda mu: np.exp(-mu[0] * x) + mu[1] * y**2)
-        basis = er.eim_train(space8, provider, list(grid10), m_max=8)
+        basis = eim_train(space8, provider, list(grid10), m_max=8)
         errs = basis.train_errors[1:]
         for a, b in zip(errs, errs[1:]):
             assert b <= a + 1e-13
@@ -135,7 +135,7 @@ class TestGreedy:
         x, y = space8.dof_coords[:, 0], space8.dof_coords[:, 1]
         field = lambda mu: np.exp(-mu[0] * x) + np.sin(mu[1] * y)
         samples = list(grid10)
-        basis = er.eim_train(space8, rows_provider(field), samples, m_max=4)
+        basis = eim_train(space8, rows_provider(field), samples, m_max=4)
         fields = [field(mu) for mu in samples]
         fields[11][5] = np.inf
         fields[20][0] = np.nan
@@ -193,9 +193,9 @@ class TestGreedy:
         x, y = space8.dof_coords[:, 0], space8.dof_coords[:, 1]
         provider = rows_provider(lambda mu: np.exp(-mu[0] * x) + mu[1] * y**2)
         samples = list(grid10)
-        basis = er.eim_train(space8, provider, samples, m_max=3)
+        basis = eim_train(space8, provider, samples, m_max=3)
         frozen = copy.deepcopy(basis)
-        er.eim_train(space8, provider, samples, m_max=6, basis=basis)
+        eim_train(space8, provider, samples, m_max=6, basis=basis)
         assert basis.M == 6
         for m in range(3):
             assert np.array_equal(basis.fields[m], frozen.fields[m])
@@ -263,8 +263,8 @@ class TestOnline:
         assert np.allclose(beta, [1.0, 1.6], atol=1e-15)
 
     def test_evaluate_unit_vectors(self, space8, grid10):
-        basis = er.eim_train(space8, rows_provider(rank2_field(space8)),
-                             list(grid10), m_max=2)
+        basis = eim_train(space8, rows_provider(rank2_field(space8)),
+                          list(grid10), m_max=2)
         e1 = np.zeros(2)
         e1[0] = 1.0
         assert np.array_equal(basis.evaluate(e1), basis.fields[0])
@@ -276,8 +276,8 @@ class TestOnline:
 
     def test_training_snapshot_exact_at_points(self, space8, grid10):
         field = rank2_field(space8)
-        basis = er.eim_train(space8, rows_provider(field), list(grid10),
-                             m_max=2)
+        basis = eim_train(space8, rows_provider(field), list(grid10),
+                          m_max=2)
         w = field(basis.mus[1])
         interp = basis.evaluate(basis.coeffs(w[basis.t]))
         assert np.abs(interp[basis.t] - w[basis.t]).max() <= 1e-12
@@ -288,7 +288,7 @@ class TestSerialization:
         x, y = space8.dof_coords[:, 0], space8.dof_coords[:, 1]
         provider = rows_provider(lambda mu: np.exp(-mu[0] * x)
                                  + np.sin(mu[1] * y))
-        basis = er.eim_train(space8, provider, list(grid10), m_max=4)
+        basis = eim_train(space8, provider, list(grid10), m_max=4)
         back = er.EimBasis.from_arrays(space8, basis.to_arrays())
         assert np.array_equal(back.B, basis.B)
         assert back.t == basis.t

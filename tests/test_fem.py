@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import eimrb as er
 from eimrb.fem import triangle_quadrature
 
-from conftest import quad_l2_error, rows_provider
+from conftest import eim_train, quad_l2_error, rows_provider
 
 
 def manufactured_rhs(xy):
@@ -106,6 +106,17 @@ class TestWeightedMass:
         mc = er.assemble_weighted_mass(space8, np.full(space8.ndof, 2.5))
         assert np.abs(mc - 2.5 * m1).max() <= 1e-12
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_same_pattern_as_stiffness(self, degree):
+        # the truth Newton writes its Jacobian into the stiffness pattern
+        space = er.build_space(er.build_mesh(4), degree)
+        a = er.assemble_stiffness(space)
+        m = er.assemble_weighted_mass(space, np.ones(space.ndof))
+        a.sort_indices()
+        m.sort_indices()
+        assert np.array_equal(a.indptr, m.indptr)
+        assert np.array_equal(a.indices, m.indices)
+
     def test_space_mismatch(self, space8):
         with pytest.raises(ValueError):
             er.assemble_weighted_mass(space8, np.ones(space8.ndof + 3))
@@ -113,7 +124,7 @@ class TestWeightedMass:
     def test_matches_per_element_quadrature_oracle(self, problem8, train5):
         # weight from a genuinely trained interpolation basis
         coords = problem8.space.dof_coords
-        basis = er.eim_train(
+        basis = eim_train(
             problem8.space,
             rows_provider(lambda mu: mu[0] * coords[:, 0]
                           + mu[1] * coords[:, 0] ** 2),

@@ -7,6 +7,8 @@ import pytest
 import eimrb as er
 import eimrb.ser
 
+from conftest import eim_train
+
 
 def expected_solids(r, rebuild, n_max, m_max, n_train):
     """Accounting oracle derived from the update schedule.
@@ -102,8 +104,8 @@ class TestSchedules:
                                                          standard_small):
         counter = er.SolveCounter()
         truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        direct = er.eim_train(problem8.space, truth.g_block,
-                              [tuple(p) for p in train5], m_max=8)
+        direct = eim_train(problem8.space, truth.g_block,
+                           [tuple(p) for p in train5], m_max=8)
         built = standard_small.model.eim_g
         assert direct.t == built.t
         assert np.array_equal(direct.B, built.B)

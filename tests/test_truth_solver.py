@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import eimrb as er
+
+from conftest import eim_train
 
 
 CORNERS = [(0.01, 0.01), (10.0, 0.01), (0.01, 10.0), (10.0, 10.0)]
@@ -62,6 +65,45 @@ class TestTruthNewton:
             er.truth_newton_solve(problem8, (10.0, 10.0), cfg)
         assert len(info.value.history) >= 1
 
+    @pytest.mark.parametrize("mu", CORNERS + [(1.0, 1.0)])
+    def test_matches_newton_on_the_full_eliminated_system(self, problem8, mu):
+        # reference: Newton on all dofs, boundary rows and columns of the
+        # assembled Jacobian replaced by identity
+        space, term = problem8.space, problem8.term
+        coords, bdofs = space.dof_coords, space.boundary_dofs
+        cfg = er.NewtonConfig()
+
+        def residual(u):
+            r = (problem8.stiffness @ u + problem8.mass @ term.g(u, coords, mu)
+                 - problem8.load)
+            r[bdofs] = 0.0
+            return r
+
+        ref = np.zeros(space.ndof)
+        r = residual(ref)
+        tol = cfg.tolerance(np.linalg.norm(r))
+        iterations = 0
+        while np.linalg.norm(r) > tol:
+            assert iterations < cfg.max_iter
+            jac = (problem8.stiffness
+                   + problem8.mass @ sp.diags(term.dg_du(ref, coords, mu)))
+            op, rhs = er.apply_dirichlet(space, jac, -r)
+            ref = ref + er.solve_sparse(op, rhs)
+            r = residual(ref)
+            iterations += 1
+
+        u, stats = er.truth_newton_solve(problem8, mu, cfg)
+        assert stats.iterations == iterations
+        assert (np.linalg.norm(u.values - ref)
+                <= 1e-12 * np.linalg.norm(ref))
+
+    def test_mass_pattern_mismatch_rejected(self, problem8):
+        prob = er.NonlinearProblem(problem8.space, problem8.term,
+                                   er.benchmark_rhs)
+        prob.mass = sp.diags(prob.mass.sum(axis=1).A1, format="csr")  # lumped
+        with pytest.raises(ValueError, match="sparsity pattern"):
+            er.truth_newton_solve(prob, (1.0, 1.0))
+
     def test_counter_counts_successes_only(self, problem8):
         counter = er.SolveCounter()
         er.truth_newton_solve(problem8, (1.0, 1.0), counter=counter)
@@ -78,8 +120,8 @@ def saturated_eims(problem8):
     samples = list(er.SampleSet.log_grid(3, 3))
     counter = er.SolveCounter()
     truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-    eim_g = er.eim_train(problem8.space, truth.g_block, samples,
-                         m_max=len(samples))
+    eim_g = eim_train(problem8.space, truth.g_block, samples,
+                      m_max=len(samples))
     return samples, truth, eim_g
 
 
@@ -146,7 +188,7 @@ class TestTruthNewtonEim:
         samples = list(er.SampleSet.log_grid(4, 4))
         counter = er.SolveCounter()
         truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        eim_g = er.eim_train(problem8.space, truth.g_block, samples, m_max=4)
+        eim_g = eim_train(problem8.space, truth.g_block, samples, m_max=4)
         cached = er.SurrogateSolver(problem8, eim_g)
         mu = (2.0, 5.0)
         er.truth_newton_solve_eim(cached, mu)
@@ -198,8 +240,8 @@ class TestTruthNewtonEim:
         g_of = lambda mu: term.g(truth.solve(mu), coords, mu)
         probes = [samples[5], samples[10], samples[15]]
         for m_max in (6, 10, 14):
-            eim_g = er.eim_train(problem8.space, truth.g_block, samples,
-                                 m_max=m_max)
+            eim_g = eim_train(problem8.space, truth.g_block, samples,
+                              m_max=m_max)
             solver = er.SurrogateSolver(problem8, eim_g)
             eps = max(eim_g.sup_error(g_of(mu)) for mu in samples)
             for mu in probes:
