@@ -14,7 +14,7 @@ from .fem import (FEField, Mesh, FESpace, SolverFailure, apply_dirichlet,
                   solve_sparse, triangle_quadrature)
 from .nonlinear import (NewtonConfig, NewtonFailure, NonlinearProblem,
                         NonlinearTerm, SolveCounter, SolveStats,
-                        SurrogateSolver, check_derivative, truth_jacobian,
+                        SurrogateSolver, truth_jacobian,
                         truth_newton_solve, truth_newton_solve_eim)
 from .eim import (DegenerateInterpolationPoint, DegenerateSnapshot, EimBasis,
                   EimTrainingError, GreedyStep, eim_greedy_step,

@@ -71,15 +71,20 @@ def benchmark_term():
     """g(u; mu) = mu1 (e^(mu2 u) - 1)/mu2 and its u-derivative mu1 e^(mu2 u).
 
     expm1 keeps the small-mu2*u regime accurate; mu2 >= 0.01 in the
-    parameter domain so the division is safe.
+    parameter domain so the division is safe.  Row p of a (P, k) block
+    of u values is evaluated at the parameter mus[p], by broadcasting the
+    (P, 1) columns mu1 and mu2: each entry is the same operations on the
+    same operands as at one parameter, so equal to it bit for bit.
     """
-    def g(u, xy, mu):
+    def g(u, xy, mus):
+        mu1, mu2 = mus[:, :1], mus[:, 1:]
         with np.errstate(over="ignore"):  # inf marks a diverged iterate
-            return mu[0] * np.expm1(mu[1] * np.asarray(u)) / mu[1]
+            return mu1 * np.expm1(mu2 * u) / mu2
 
-    def dg(u, xy, mu):
+    def dg(u, xy, mus):
+        mu1, mu2 = mus[:, :1], mus[:, 1:]
         with np.errstate(over="ignore"):
-            return mu[0] * np.exp(mu[1] * np.asarray(u))
+            return mu1 * np.exp(mu2 * u)
 
     return NonlinearTerm(g, dg)
 

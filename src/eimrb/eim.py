@@ -6,16 +6,20 @@ interpolation points (dof indices, so point evaluation is exact) and
 B[i, m] = q_m(t_i).  Basis fields are residuals of the greedy sweep,
 normalized to unit sup norm over the dofs.
 
-A snapshot provider maps a list of P parameters to a (P, ndof) block of
-dof values, one row per parameter, and a dict {index: exception} of the
-parameters whose field it could not compute (a Newton or linear solver
-failure); those rows hold no field.  A greedy step asks for the whole
-training set at once and owns the returned block: it overwrites it with
-the interpolation residuals, so it gets every sup error from one
-triangular solve with P right-hand sides and one (P, M) @ (M, ndof)
-product.  Swapping a provider of truth solutions for one of reduced
-solutions is what turns the standard training loop into the
-simultaneous build.
+A snapshot provider maps a list of P parameters to the fields of those
+parameters and a dict {index: exception} of the parameters whose field
+it could not compute (a Newton or linear solver failure); those rows hold
+no field.  The fields need only be sliceable by row ranges:
+``fields[lo:hi]`` is a (hi - lo, ndof) float array of dof values, one row
+per parameter, so a plain (P, ndof) array qualifies, and so does a lazy
+block that makes each range on request (``ser.GBlock``).  A greedy step
+asks for the whole training set at once and walks it in chunks of rows
+that fit in cache; it owns every slice it takes and overwrites it with
+the interpolation residuals, so each chunk costs one triangular solve
+with one right-hand side per row and one (rows, M) @ (M, ndof) product,
+and only the best residual so far is kept.  Swapping a provider of
+truth solutions for one of reduced solutions is what turns the standard
+training loop into the simultaneous build.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +28,9 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 SATURATION_FLOOR = 1e-14
+# doubles per chunk of rows in a greedy step (1 MB): a chunk and its
+# residual stay in a core's L2 cache from the provider to the sup errors
+BUDGET = 2 ** 17
 
 
 class DegenerateSnapshot(ValueError):
@@ -168,10 +175,10 @@ def eim_initialize(space, provider, samples):
     if len(samples) == 0:
         raise ValueError("empty sample set")
     mu1 = samples[0]
-    block, failures = provider([mu1])
+    fields, failures = provider([mu1])
     if failures:
         raise failures[0]
-    w = block[0]
+    w = fields[0:1][0]
     sup = float(np.max(np.abs(w)))
     if sup == 0.0:
         raise DegenerateSnapshot(
@@ -191,27 +198,42 @@ def eim_greedy_step(basis, provider, samples, saturation_tol=1e-13):
     """
     if basis.M < 1:
         raise ValueError("initialize the basis before greedy steps")
-    block, failures = provider(samples)
-    bad = ~np.all(np.isfinite(block), axis=1)
+    fields, failures = provider(samples)
+    n_samples = len(samples)
+    t_idx = np.asarray(basis.t, dtype=int)
+    q = basis.field_matrix()
+    bad = np.zeros(n_samples, dtype=bool)
     bad[list(failures)] = True
+    errors = np.full(n_samples, np.nan)
+    best, best_err, best_residual = None, -np.inf, None
+    rows = max(1, BUDGET // basis.space.ndof)
+    for lo in range(0, n_samples, rows):
+        hi = min(lo + rows, n_samples)
+        # the chunk becomes the interpolation residuals, in place
+        chunk = fields[lo:hi]
+        chunk_bad = bad[lo:hi]
+        chunk_bad |= ~np.all(np.isfinite(chunk), axis=1)
+        chunk[chunk_bad] = 0.0
+        beta = solve_triangular(basis.B, chunk[:, t_idx].T, lower=True)
+        chunk -= beta.T @ q
+        err = np.maximum(chunk.max(axis=1), -chunk.min(axis=1))
+        err[chunk_bad] = np.nan
+        errors[lo:hi] = err
+        if np.isnan(err).all():
+            continue
+        k = int(np.nanargmax(err))
+        # strictly larger: on ties the first sample wins, as in one argmax
+        if err[k] > best_err:
+            best, best_err, best_residual = lo + k, float(err[k]), chunk[k].copy()
     skipped = [(k, tuple(samples[k]),
                 str(failures[k]) if k in failures else "snapshot field overflowed")
                for k in np.flatnonzero(bad).tolist()]
-    if 2 * len(skipped) > len(samples):
+    if 2 * len(skipped) > n_samples:
         raise EimTrainingError(
-            f"{len(skipped)} of {len(samples)} samples failed during the sweep; "
+            f"{len(skipped)} of {n_samples} samples failed during the sweep; "
             f"first failure: {skipped[0][2]}")
-    if len(skipped) == len(samples):
+    if best is None:
         raise EimTrainingError("every sample failed during the sweep")
-    # the block becomes the interpolation residuals, in place
-    block[bad] = 0.0
-    t_idx = np.asarray(basis.t, dtype=int)
-    beta = solve_triangular(basis.B, block[:, t_idx].T, lower=True)
-    block -= beta.T @ basis.field_matrix()
-    errors = np.maximum(block.max(axis=1), -block.min(axis=1))
-    errors[bad] = np.nan
-    best = int(np.nanargmax(errors))
-    best_err = float(errors[best])
     best_mu = tuple(samples[best])
     # saturation is judged against the largest error seen: the first
     # snapshot (at the first training parameter) can sit orders of
@@ -220,7 +242,6 @@ def eim_greedy_step(basis, provider, samples, saturation_tol=1e-13):
     if best_err < floor:
         return GreedyStep(mu=best_mu, sup_error=best_err, saturated=True,
                           skipped=skipped, errors=errors)
-    basis.append_from_residual(block[best], best_mu, best_err)
+    basis.append_from_residual(best_residual, best_mu, best_err)
     return GreedyStep(mu=best_mu, sup_error=best_err, skipped=skipped,
                       errors=errors)
-

@@ -102,8 +102,10 @@ class SolveCounter:
 class NonlinearTerm:
     """Pointwise nonlinearity g(u, x; mu) and its u-derivative.
 
-    Both callables are vectorized: they take an array of u values, the
-    matching (k, 2) coordinates and a parameter, and return k values.
+    Both callables act on a block of parameters at once: they take a
+    (P, k) array of u values, one row per parameter, the matching (k, 2)
+    coordinates and the (P, 2) array of parameters, and return the (P, k)
+    values.  A solve at one parameter passes one row.
     """
 
     def __init__(self, g, dg_du):
@@ -111,20 +113,9 @@ class NonlinearTerm:
         self.dg_du = dg_du
 
 
-def check_derivative(term, mus, u_values, x=(0.3, 0.7), h=1e-6, tol=1e-5):
-    """Central-difference check of dg_du against g; returns the worst error."""
-    xy = np.array([x], dtype=float)
-    worst = 0.0
-    for mu in mus:
-        for u in np.atleast_1d(u_values):
-            up = term.g(np.array([u + h]), xy, mu)[0]
-            um = term.g(np.array([u - h]), xy, mu)[0]
-            fd = (up - um) / (2 * h)
-            exact = term.dg_du(np.array([u], dtype=float), xy, mu)[0]
-            worst = max(worst, abs(fd - exact))
-    if worst > tol:
-        raise ValueError(f"dg_du disagrees with finite differences by {worst:.3e}")
-    return worst
+def mu_row(mu):
+    """One parameter as the (1, 2) parameter block the term takes."""
+    return np.asarray(mu, dtype=float).reshape(1, -1)
 
 
 class NonlinearProblem:
@@ -195,11 +186,13 @@ def _newton(mu, cfg, counter, r_norm, step):
 def truth_jacobian(problem, u, mu):
     """Interior block J_II = A_II + M_II diag(g'(u_I)) of the exact
     derivative of the residual A u + M g(u) - F, written into the fixed
-    CSC pattern of problem.interior_block."""
+    CSC pattern of problem.interior_block.  mu is one parameter or its
+    (1, 2) row."""
     a_ii, m_data, cols = problem.interior_block
     idx = problem.space.interior_dofs
     with np.errstate(over="ignore", invalid="ignore"):
-        dg = problem.term.dg_du(u[idx], problem.space.dof_coords[idx], mu)
+        dg = problem.term.dg_du(u[None, idx], problem.space.dof_coords[idx],
+                                mu_row(mu))[0]
         data = a_ii.data + m_data * dg[cols]
     return sp.csc_matrix((data, a_ii.indices, a_ii.indptr), shape=a_ii.shape)
 
@@ -216,13 +209,15 @@ def truth_newton_solve(problem, mu, cfg=None, counter=None, initial=None):
     idx = space.interior_dofs
     coords = space.dof_coords
     term = problem.term
+    mus = mu_row(mu)
     u = np.zeros(space.ndof) if initial is None else np.array(initial, dtype=float)
     u[bdofs] = 0.0
 
     def residual(uv):
         # divergence shows up as inf/nan and is classified by _newton
         with np.errstate(over="ignore", invalid="ignore"):
-            r = (problem.stiffness @ uv + problem.mass @ term.g(uv, coords, mu)
+            r = (problem.stiffness @ uv
+                 + problem.mass @ term.g(uv[None], coords, mus)[0]
                  - problem.load)
             r[bdofs] = 0.0
             return r, np.linalg.norm(r)
@@ -231,7 +226,7 @@ def truth_newton_solve(problem, mu, cfg=None, counter=None, initial=None):
 
     def step():
         nonlocal r
-        u[idx] += solve_sparse(truth_jacobian(problem, u, mu), -r[idx])
+        u[idx] += solve_sparse(truth_jacobian(problem, u, mus), -r[idx])
         r, r_norm = residual(u)
         return r_norm
 
@@ -295,6 +290,7 @@ def truth_newton_solve_eim(surrogate, mu, cfg=None, counter=None):
     space = problem.space
     bdofs = space.boundary_dofs
     term = problem.term
+    mus = mu_row(mu)
     t = np.asarray(eim.t, dtype=int)
     xt = space.dof_coords[t]
     mass_q, solved_q = surrogate.mass_q, surrogate.solved_q
@@ -306,7 +302,8 @@ def truth_newton_solve_eim(surrogate, mu, cfg=None, counter=None):
         # divergence shows up as inf/nan and is classified by _newton
         with np.errstate(over="ignore", invalid="ignore"):
             r = (problem.stiffness @ uv
-                 + mass_q @ eim.coeffs(term.g(uv[t], xt, mu)) - problem.load)
+                 + mass_q @ eim.coeffs(term.g(uv[None, t], xt, mus)[0])
+                 - problem.load)
             r[bdofs] = 0.0
             return float(np.linalg.norm(r))
 
@@ -316,15 +313,16 @@ def truth_newton_solve_eim(surrogate, mu, cfg=None, counter=None):
     def step():
         nonlocal v, u
         with np.errstate(over="ignore", invalid="ignore"):
-            f = v + k_mat @ term.g(v, xt, mu) - a
-            jac = np.eye(eim.M) + k_mat * term.dg_du(v, xt, mu)
+            f = v + k_mat @ term.g(v[None], xt, mus)[0] - a
+            jac = np.eye(eim.M) + k_mat * term.dg_du(v[None], xt, mus)
         try:
             v = v - np.linalg.solve(jac, f)
         except np.linalg.LinAlgError as exc:
             raise SolverFailure(
                 f"singular surrogate Jacobian at mu={mu}: {exc}") from exc
         with np.errstate(over="ignore", invalid="ignore"):
-            u = surrogate.linear - solved_q @ eim.coeffs(term.g(v, xt, mu))
+            u = (surrogate.linear
+                 - solved_q @ eim.coeffs(term.g(v[None], xt, mus)[0]))
         u[bdofs] = 0.0
         return residual_norm(u)
 

@@ -17,11 +17,13 @@ of parameters at once, on a (P, N) coefficient array, which is how the
 greedy sweeps of a build scan the training set.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .fem import FEField, SolverFailure
-from .nonlinear import NewtonConfig, NewtonFailure
+from .nonlinear import NewtonConfig, NewtonFailure, mu_row
 
 
 class DependentSnapshot(RuntimeError):
@@ -202,6 +204,9 @@ class ReducedModel:
                                    check_finite=False).T
         # the basis as columns (ndof, N), stacked once for every lift
         self._basis = rb.basis_matrix()
+        # coordinates of the interpolation points, so a solve does not
+        # index the ndof-sized dof coordinates
+        self._xg = eim_g.point_coords
 
     @property
     def N(self):
@@ -209,11 +214,12 @@ class ReducedModel:
 
     def jacobian(self, c, mu):
         """Exact derivative A + W diag(g'(Tr^T c)) Tr^T of the reduced
-        residual at the coefficients c."""
+        residual at the coefficients c; mu is one parameter or its
+        (1, 2) row."""
         blocks = self.blocks
         with np.errstate(over="ignore", invalid="ignore"):
-            dg = self.problem.term.dg_du(blocks.Tr.T @ c,
-                                         self.eim_g.point_coords, mu)
+            dg = self.problem.term.dg_du((blocks.Tr.T @ c)[None], self._xg,
+                                         mu_row(mu))
             return blocks.A + (self._w * dg) @ blocks.Tr.T
 
     def solve(self, mu, cfg=None, initial=None):
@@ -224,43 +230,43 @@ class ReducedModel:
             raise ValueError("empty reduced basis")
         term = self.problem.term
         blocks = self.blocks
-        xg = self.eim_g.point_coords
+        mus = mu_row(mu)
         c = np.zeros(n) if initial is None else np.array(initial, dtype=float)
 
         def residual(cv):
-            # divergence shows up as inf/nan and is classified below, not warned
-            with np.errstate(over="ignore", invalid="ignore"):
-                g = term.g(blocks.Tr.T @ cv, xg, mu)
-                r = blocks.A @ cv + self._w @ g - blocks.F
-                return r, float(np.linalg.norm(r))
+            g = term.g((blocks.Tr.T @ cv)[None], self._xg, mus)[0]
+            r = blocks.A @ cv + self._w @ g - blocks.F
+            return r, math.sqrt(r @ r)     # np.linalg.norm, without its overhead
 
-        r, r_norm = residual(c)
-        if not np.isfinite(r_norm):
-            raise NewtonFailure(
-                f"reduced residual not finite at the initial guess, mu={mu}",
-                [r_norm])
-        history = [r_norm]
-        tol = cfg.tolerance(r_norm)
-        iterations = 0
-        while True:
-            if iterations >= cfg.max_iter:
-                raise NewtonFailure(
-                    f"reduced solve stalled after {cfg.max_iter} iterations "
-                    f"at mu={mu}", history)
-            try:
-                delta = np.linalg.solve(self.jacobian(c, mu), -r)
-            except np.linalg.LinAlgError as exc:
-                raise SolverFailure(
-                    f"singular reduced Jacobian at mu={mu}: {exc}") from exc
-            c = c + delta
-            iterations += 1
+        # divergence shows up as inf/nan and is classified below, not warned
+        with np.errstate(over="ignore", invalid="ignore"):
             r, r_norm = residual(c)
-            history.append(r_norm)
-            if np.isfinite(r_norm) and r_norm <= tol:
-                break
-            if not np.isfinite(r_norm):
-                raise NewtonFailure(f"reduced residual diverged at mu={mu}",
-                                    history)
+            if not math.isfinite(r_norm):
+                raise NewtonFailure(
+                    f"reduced residual not finite at the initial guess, mu={mu}",
+                    [r_norm])
+            history = [r_norm]
+            tol = cfg.tolerance(r_norm)
+            iterations = 0
+            while True:
+                if iterations >= cfg.max_iter:
+                    raise NewtonFailure(
+                        f"reduced solve stalled after {cfg.max_iter} iterations "
+                        f"at mu={mu}", history)
+                try:
+                    delta = np.linalg.solve(self.jacobian(c, mus), -r)
+                except np.linalg.LinAlgError as exc:
+                    raise SolverFailure(
+                        f"singular reduced Jacobian at mu={mu}: {exc}") from exc
+                c = c + delta
+                iterations += 1
+                r, r_norm = residual(c)
+                history.append(r_norm)
+                if math.isfinite(r_norm) and r_norm <= tol:
+                    break
+                if not math.isfinite(r_norm):
+                    raise NewtonFailure(f"reduced residual diverged at mu={mu}",
+                                        history)
         return RbSolution(c, tuple(mu), iterations, history)
 
     def solve_many(self, mus, cfg=None):
@@ -281,22 +287,18 @@ class ReducedModel:
             raise ValueError("empty reduced basis")
         term = self.problem.term
         blocks = self.blocks
-        xg = self.eim_g.point_coords
         coeffs = np.zeros((len(mus), n))
+        if not len(mus):
+            return coeffs, {}
+        mu_rows = np.asarray(mus, dtype=float)
         history = np.full((cfg.max_iter + 1, len(mus)), np.nan)
         failures = {}
-
-        def pointwise(func, values, rows):
-            # the nonlinear term takes one parameter per call
-            out = np.empty_like(values)
-            for i, k in enumerate(rows):
-                out[i] = func(values[i], xg, mus[k])
-            return out
 
         def residual(rows):
             c = coeffs[rows]
             values = c @ blocks.Tr
-            r = (c @ blocks.A.T + pointwise(term.g, values, rows) @ self._w.T
+            r = (c @ blocks.A.T
+                 + term.g(values, self._xg, mu_rows[rows]) @ self._w.T
                  - blocks.F)
             return values, r, np.linalg.norm(r, axis=1)
 
@@ -324,7 +326,7 @@ class ReducedModel:
                     fail(live, f"reduced solve stalled after {cfg.max_iter} "
                          "iterations at mu={mu}", iterations)
                     break
-                dg = pointwise(term.dg_du, values, live)
+                dg = term.dg_du(values, self._xg, mu_rows[live])
                 jac = blocks.A + (self._w * dg[:, None, :]) @ blocks.Tr.T
                 try:
                     delta = np.linalg.solve(jac, -r[:, :, None])[:, :, 0]

@@ -33,12 +33,14 @@ solve with that factor, so no snapshot factorises a sparse matrix.
 
 A greedy sweep hands the whole training set of P parameters to its
 provider at once.  With the reduced model, that is one Newton over a
-(P, N) coefficient array (``ReducedModel.solve_many``), one
-(P, N) @ (N, ndof) lift, g applied row by row, and in ``eim`` one
-triangular solve and one (P, M) @ (M, ndof) product for all sup errors.
-Its cost is a few small dense products per Newton iteration plus P calls
-of g and g' (one parameter per call), instead of P separate solves and
-lifts; two (P, ndof) blocks are alive at most.
+(P, N) coefficient array (``ReducedModel.solve_many``, one call of g and
+one of g' per iteration on the parameters still iterating).  The fields
+are then made a chunk of rows at a time (``GBlock``): the greedy step in
+``eim`` asks for about a megabyte of rows, which are lifted with one
+(rows, N) @ (N, ndof) product, passed through g in one call, and turned
+into their interpolation residuals and sup errors by one triangular
+solve and one (rows, M) @ (M, ndof) product while they are still in
+cache.  No (P, ndof) array of the whole sweep is made.
 """
 
 import time
@@ -151,35 +153,49 @@ class TruthSolutionSource:
 
     def g_block(self, samples):
         """Greedy-sweep provider: g of the truth solutions at the samples,
-        as a (P, ndof) block, and {index: exception} for failed solves."""
-        block = np.zeros((len(samples), self.problem.space.ndof))
+        made a row range at a time (``GBlock``), and {index: exception}
+        for failed solves, whose rows hold g of a zero field."""
         failures = {}
         for k, mu in enumerate(samples):
             try:
-                block[k] = self.solve(mu)
+                self.solve(mu)
             except (NewtonFailure, SolverFailure) as exc:
                 failures[k] = exc
-        return _apply_g(self.problem, block, samples, failures), failures
+        zero = np.zeros(self.problem.space.ndof)
+        fields = [self.cache.get(tuple(mu), zero) for mu in samples]
+        return (GBlock(self.problem, samples, lambda rows: np.array(fields[rows])),
+                failures)
+
+
+class GBlock:
+    """Fields g(u_p, x; mu_p) over samples mu_p, made a row range at a time.
+
+    ``block[lo:hi]`` is a new (hi - lo, ndof) array: ``values(rows)``
+    gives the fields u_p of that slice of samples and the term is applied
+    to them at once.  A greedy step walks the block in cache-sized
+    chunks, so no (P, ndof) array of the whole sweep is ever made.
+    """
+
+    def __init__(self, problem, samples, values):
+        self.term = problem.term
+        self.coords = problem.space.dof_coords
+        self.mus = np.asarray(samples, dtype=float)
+        self.values = values
+
+    def __getitem__(self, rows):
+        return self.term.g(self.values(rows), self.coords, self.mus[rows])
 
 
 def reduced_g_block(model, newton):
     """Greedy-sweep provider over the reduced model: g of the lifted reduced
-    solutions at the samples, all solved and lifted at once."""
+    solutions at the samples.  One ``solve_many`` solves every sample; each
+    row range is lifted and g applied when the greedy step asks for it."""
     def provider(samples):
         coeffs, failures = model.solve_many(samples, newton)
-        block = model.lift_block(coeffs)
-        return _apply_g(model.problem, block, samples, failures), failures
+        return (GBlock(model.problem, samples,
+                       lambda rows: model.lift_block(coeffs[rows])),
+                failures)
     return provider
-
-
-def _apply_g(problem, block, samples, failures):
-    """Overwrite each row of the block, a field at its sample, with g of
-    that field (the term takes one parameter per call)."""
-    term, coords = problem.term, problem.space.dof_coords
-    for k, mu in enumerate(samples):
-        if k not in failures:
-            block[k] = term.g(block[k], coords, tuple(mu))
-    return block
 
 
 def _snapshot_params(due, preferred, fallbacks, used):

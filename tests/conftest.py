@@ -62,6 +62,28 @@ def eim_train(space, provider, samples, m_max, basis=None):
     return basis
 
 
+def at_mu(func, u, xy, mu):
+    """func of the term (g or dg_du) at the one parameter mu: u is passed
+    as one row and the row of the result is returned."""
+    return func(np.asarray(u, dtype=float)[None], xy,
+                np.asarray(mu, dtype=float).reshape(1, -1))[0]
+
+
+def check_derivative(term, mus, u_values, x=(0.3, 0.7), h=1e-6, tol=1e-5):
+    """Central-difference check of dg_du against g at every (mu, u) pair,
+    all at the point x; returns the worst error.  The pairs form one
+    (len(mus), len(u_values)) block: row p holds every u at mus[p]."""
+    mus = np.asarray(mus, dtype=float).reshape(-1, 2)
+    u = np.broadcast_to(np.atleast_1d(np.asarray(u_values, dtype=float)),
+                        (len(mus), np.size(u_values)))
+    xy = np.tile(np.asarray(x, dtype=float), (u.shape[1], 1))
+    fd = (term.g(u + h, xy, mus) - term.g(u - h, xy, mus)) / (2 * h)
+    worst = float(np.max(np.abs(fd - term.dg_du(u, xy, mus))))
+    if worst > tol:
+        raise ValueError(f"dg_du disagrees with finite differences by {worst:.3e}")
+    return worst
+
+
 def rows_provider(field):
     """Greedy-sweep provider whose block stacks field(mu) over the samples."""
     return lambda samples: (np.array([field(mu) for mu in samples]), {})

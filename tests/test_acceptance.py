@@ -286,8 +286,11 @@ def test_criterion_7_online_mesh_independence():
         return time.perf_counter() - t0
 
     batch_time(m32), batch_time(m64)  # warm up
-    t32 = min(batch_time(m32) for _ in range(9))
-    t64 = min(batch_time(m64) for _ in range(9))
+    # alternate the two models, so that host drift hits both alike
+    t32 = t64 = float("inf")
+    for _ in range(9):
+        t32 = min(t32, batch_time(m32))
+        t64 = min(t64, batch_time(m64))
     ratio = t64 / t32
     ok = abs(ratio - 1.0) < 0.20
     assert verdict(ok, "criterion 7: online solve time unchanged (<20%) when "
@@ -325,6 +328,7 @@ def test_criterion_7_companion_online_solve_touches_no_ndof_member(ser1_build,
     blind.blocks._mass_qs = untouchable("blocks._mass_qs")
     blind.eim_g = copy.copy(model.eim_g)
     blind.eim_g.fields = untouchable("eim_g.fields")
+    blind.eim_g.space = untouchable("eim_g.space")
     solved = 0
     for mu in list(test225)[:40]:
         try:

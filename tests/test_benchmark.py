@@ -6,17 +6,19 @@ import pytest
 import eimrb as er
 from eimrb.benchmark import format_row
 
+from conftest import at_mu, check_derivative
+
 
 class TestNonlinearity:
     def test_zero_input(self):
         term = er.benchmark_term()
         xy = np.array([[0.5, 0.5]])
         for mu in [(0.01, 0.01), (10, 10), (3, 0.2)]:
-            assert term.g(np.array([0.0]), xy, mu)[0] == 0.0
+            assert at_mu(term.g, [0.0], xy, mu)[0] == 0.0
 
     def test_unit_input(self):
         term = er.benchmark_term()
-        val = term.g(np.array([1.0]), np.array([[0.1, 0.2]]), (1.0, 1.0))[0]
+        val = at_mu(term.g, [1.0], np.array([[0.1, 0.2]]), (1.0, 1.0))[0]
         assert abs(val - (math.e - 1.0)) <= 1e-12
 
     def test_derivative_by_central_differences(self):
@@ -25,14 +27,34 @@ class TestNonlinearity:
         mus = [tuple(10.0 ** rng.uniform(-2, 1, 2)) for _ in range(20)]
         us = rng.uniform(-1.5, 1.5, 20)
         for mu, u in zip(mus, us):
-            er.check_derivative(term, [mu], [u])
+            check_derivative(term, [mu], [u])
+
+    def test_block_rows_equal_one_parameter_evaluations_bitwise(self):
+        # a (P, k) block at P distinct parameters, row p against the one-row
+        # evaluation at mus[p], for g and dg_du, on values that cover the
+        # expm1 small-argument regime and overflow to inf
+        term = er.benchmark_term()
+        rng = np.random.default_rng(17)
+        mus = np.vstack([[(0.01, 0.01), (10.0, 10.0), (0.01, 10.0), (10.0, 0.01)],
+                         10.0 ** rng.uniform(-2, 1, (16, 2))])
+        u = rng.uniform(-1.5, 1.5, (len(mus), 40))
+        u[:, :3] = [1e-12, -1e-9, 80.0]
+        xy = rng.uniform(0, 1, (u.shape[1], 2))
+        assert len({tuple(mu) for mu in mus}) == len(mus)
+        for func in (term.g, term.dg_du):
+            block = func(u, xy, mus)
+            assert block.shape == u.shape
+            rows = np.array([func(u[p:p + 1], xy, mus[p:p + 1])[0]
+                             for p in range(len(mus))])
+            assert block.tobytes() == rows.tobytes()
+            assert np.isinf(block[1, 2])
 
     def test_small_exponent_accuracy(self):
         # expm1 keeps g ~ mu1*u when mu2*u is tiny
         term = er.benchmark_term()
         xy = np.array([[0.5, 0.5]])
         u = np.array([1e-9])
-        val = term.g(u, xy, (1.0, 0.01))[0]
+        val = at_mu(term.g, u, xy, (1.0, 0.01))[0]
         assert abs(val - 1e-9) <= 1e-17
 
 

@@ -131,7 +131,8 @@ class TestGreedy:
         with pytest.raises(er.EimTrainingError):
             er.eim_greedy_step(basis, provider, list(grid10))
 
-    def test_block_step_matches_per_sample_reference(self, space8, grid10):
+    def test_block_step_matches_per_sample_reference(self, space8, grid10,
+                                                     chunk_rows=None):
         x, y = space8.dof_coords[:, 0], space8.dof_coords[:, 1]
         field = lambda mu: np.exp(-mu[0] * x) + np.sin(mu[1] * y)
         samples = list(grid10)
@@ -159,6 +160,10 @@ class TestGreedy:
                 best_err, best_k = ref_errors[k], k
         w = fields[best_k]
         ref_residual = w - q.T @ np.linalg.solve(basis.B, w[t])
+        if chunk_rows is not None:
+            chunks = {k // chunk_rows for k in (7, 11, 20, best_k)}
+            assert len(chunks) == 4
+            assert len(samples) % chunk_rows == 1
 
         step = er.eim_greedy_step(
             basis, lambda mus: (np.array(fields), dict(failed)), samples)
@@ -177,6 +182,34 @@ class TestGreedy:
         expected[basis.t[:-1]] = 0.0
         assert np.abs(basis.fields[-1] - expected).max() <= 1e-12
         assert basis.t[-1] == int(np.argmax(np.abs(ref_residual)))
+
+    def test_block_step_in_small_chunks_matches_per_sample_reference(
+            self, space8, grid10, monkeypatch):
+        # with 3-row chunks the failed, inf, nan and best rows each fall in
+        # a chunk of their own and the last chunk holds one row
+        monkeypatch.setattr("eimrb.eim.BUDGET", 3 * space8.ndof)
+        self.test_block_step_matches_per_sample_reference(space8, grid10,
+                                                          chunk_rows=3)
+
+    @pytest.mark.parametrize("chunk_rows", [None, 3],
+                             ids=["default-chunks", "3-row-chunks"])
+    def test_ties_go_to_the_first_sample(self, space8, grid10, monkeypatch,
+                                         chunk_rows):
+        # rows 4 and 40 are equal and approximated worst; with 3-row chunks
+        # they fall in different chunks
+        if chunk_rows is not None:
+            monkeypatch.setattr("eimrb.eim.BUDGET", chunk_rows * space8.ndof)
+        x = space8.dof_coords[:, 0]
+        samples = list(grid10)
+        scale = np.ones(len(samples))
+        scale[[4, 40]] = 2.0
+        fields = np.array([x + s * x**2 for s in scale])
+        basis = er.eim_initialize(space8, rows_provider(lambda mu: x), samples)
+        step = er.eim_greedy_step(basis, lambda mus: (fields.copy(), {}),
+                                  samples)
+        assert step.errors[4] == step.errors[40] == np.nanmax(step.errors)
+        assert step.mu == samples[4]
+        assert basis.mus[-1] == samples[4]
 
     def test_degenerate_point_guard(self, space8):
         basis = er.EimBasis(space8)

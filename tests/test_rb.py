@@ -6,7 +6,7 @@ import pytest
 
 import eimrb as er
 
-from conftest import eim_train
+from conftest import at_mu, eim_train
 
 
 class TestRbSpace:
@@ -84,7 +84,7 @@ class TestBlocks:
 def reduced_residual(model, c, mu):
     """A c + Rq^T B^{-1} g(Tr^T c) - F, written out from the blocks."""
     blocks, eim = model.blocks, model.eim_g
-    g = model.problem.term.g(blocks.Tr.T @ c, eim.point_coords, mu)
+    g = at_mu(model.problem.term.g, blocks.Tr.T @ c, eim.point_coords, mu)
     return blocks.A @ c + blocks.Rq.T @ np.linalg.solve(eim.B, g) - blocks.F
 
 
@@ -114,7 +114,7 @@ class TestExactJacobians:
 
         def residual(u):
             return (problem8.stiffness @ u
-                    + problem8.mass @ problem8.term.g(u, coords, mu)
+                    + problem8.mass @ at_mu(problem8.term.g, u, coords, mu)
                     - problem8.load)[idx]
 
         u, _ = er.truth_newton_solve(problem8, (0.5, 0.5))
@@ -205,11 +205,11 @@ def with_term(model, g=None, dg_du=None):
 
 
 def poisoned_at(func, bad, value):
-    """func, but filled with value at the parameter bad."""
-    def out(u, xy, mu):
-        if tuple(mu) == bad:
-            return np.full_like(np.asarray(u, dtype=float), value)
-        return func(u, xy, mu)
+    """func, but filled with value in the rows of the parameter bad."""
+    def out(u, xy, mus):
+        res = np.array(func(u, xy, mus), dtype=float)
+        res[np.all(mus == bad, axis=1)] = value
+        return res
     return out
 
 

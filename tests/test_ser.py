@@ -178,10 +178,10 @@ class TestFailureHandling:
         term = problem8.term
         poisoned = tuple(train5[7])
 
-        def poisoned_g(u, xy, mu):
-            if tuple(mu) == poisoned:
-                return np.full_like(np.asarray(u, dtype=float), np.nan)
-            return term.g(u, xy, mu)
+        def poisoned_g(u, xy, mus):
+            res = term.g(u, xy, mus)
+            res[np.all(mus == poisoned, axis=1)] = np.nan
+            return res
 
         bad_problem = er.NonlinearProblem(
             problem8.space, er.NonlinearTerm(poisoned_g, term.dg_du),

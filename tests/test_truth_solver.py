@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 import eimrb as er
 
-from conftest import eim_train
+from conftest import at_mu, check_derivative, eim_train
 
 
 CORNERS = [(0.01, 0.01), (10.0, 0.01), (0.01, 10.0), (10.0, 10.0)]
@@ -18,13 +18,13 @@ def problem32():
 class TestNonlinearTerm:
     def test_derivative_consistency(self):
         term = er.benchmark_term()
-        er.check_derivative(term, CORNERS, np.linspace(-1, 1, 9))
+        check_derivative(term, CORNERS, np.linspace(-1, 1, 9))
 
     def test_inconsistent_derivative_detected(self):
         bad = er.NonlinearTerm(lambda u, xy, mu: np.asarray(u) ** 2,
                                lambda u, xy, mu: 3 * np.asarray(u))
         with pytest.raises(ValueError):
-            er.check_derivative(bad, [(1.0, 1.0)], [0.5])
+            check_derivative(bad, [(1.0, 1.0)], [0.5])
 
 
 class TestTruthNewton:
@@ -74,7 +74,8 @@ class TestTruthNewton:
         cfg = er.NewtonConfig()
 
         def residual(u):
-            r = (problem8.stiffness @ u + problem8.mass @ term.g(u, coords, mu)
+            r = (problem8.stiffness @ u
+                 + problem8.mass @ at_mu(term.g, u, coords, mu)
                  - problem8.load)
             r[bdofs] = 0.0
             return r
@@ -86,7 +87,8 @@ class TestTruthNewton:
         while np.linalg.norm(r) > tol:
             assert iterations < cfg.max_iter
             jac = (problem8.stiffness
-                   + problem8.mass @ sp.diags(term.dg_du(ref, coords, mu)))
+                   + problem8.mass @ sp.diags(at_mu(term.dg_du, ref, coords,
+                                                    mu)))
             op, rhs = er.apply_dirichlet(space, jac, -r)
             ref = ref + er.solve_sparse(op, rhs)
             r = residual(ref)
@@ -134,7 +136,7 @@ def surrogate_residual(problem, eim, mu, u):
     """Interior rows of A u + M Q B^{-1} g(u_t) - F, assembled directly
     from the interpolant's fields, not through the solver's cached state."""
     t = np.asarray(eim.t, dtype=int)
-    g_t = problem.term.g(u[t], problem.space.dof_coords[t], mu)
+    g_t = at_mu(problem.term.g, u[t], problem.space.dof_coords[t], mu)
     surrogate = np.column_stack(eim.fields) @ np.linalg.solve(eim.B, g_t)
     r = problem.stiffness @ u + problem.mass @ surrogate - problem.load
     r[problem.space.boundary_dofs] = 0.0
@@ -237,7 +239,7 @@ class TestTruthNewtonEim:
         truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
         coords = problem8.space.dof_coords
         term = problem8.term
-        g_of = lambda mu: term.g(truth.solve(mu), coords, mu)
+        g_of = lambda mu: at_mu(term.g, truth.solve(mu), coords, mu)
         probes = [samples[5], samples[10], samples[15]]
         for m_max in (6, 10, 14):
             eim_g = eim_train(problem8.space, truth.g_block, samples,
