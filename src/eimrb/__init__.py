@@ -27,7 +27,7 @@ from .benchmark import (D_MAX, D_MIN, Parameter, SampleSet, StudyRow,
                         TruthReferences, benchmark_problem, benchmark_rhs,
                         benchmark_term, default_checkpoints, emit_table,
                         in_parameter_domain, run_error_study)
-from .archive import load_model, save_model
+from .archive import ArchiveError, load_model, save_model
 from .config import ConfigError, RunSettings, load_config, parse_config
 
 __version__ = "0.1.0"

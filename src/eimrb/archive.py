@@ -2,52 +2,46 @@
 
 An archive stores the mesh/degree pair (the benchmark problem is
 rebuilt deterministically from it), the build's update frequency r and
-rebuild flag, the reduced basis, all reduced blocks and traces, the
-interpolation basis, a config fingerprint, and any per-stage checkpoint
-models recorded during the build.  A loaded model reproduces online
-outputs bit for bit; it cannot be extended further (the full-order
-operators are not stored).
+rebuild flag, a config fingerprint, and the arrays of the final
+``ReducedModel`` under its field names (``A``, ``F``, ``Rq``, ``Tr``,
+``avg``, ``basis``, ``snapshot_mus``, and the interpolant as
+``eim_g_*``).  A stored checkpoint adds the same arrays under the prefix
+``cp<i>_``; builds store one only where a later basis rebuild makes it
+unrecoverable from the final model.  A loaded model reproduces online
+outputs bit for bit.
 """
 
 import json
+import zipfile
 
 import numpy as np
 
 from .benchmark import benchmark_problem
 from .eim import EimBasis
-from .rb import RbSpace, ReducedBlocks, ReducedModel
+from .rb import ReducedModel
 from .ser import BuildReport, BuildResult
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+MODEL_ARRAYS = ("A", "F", "Rq", "Tr", "avg", "basis", "snapshot_mus")
+
+
+class ArchiveError(ValueError):
+    """The file is not a model archive of this format version: another
+    version, a file of another kind, or an archive missing an array."""
 
 
 def _model_arrays(model, prefix=""):
-    d = {
-        prefix + "xi": model.rb.basis_matrix(),
-        prefix + "snapshot_mus": np.asarray(model.rb.mus, dtype=float),
-        prefix + "A": model.blocks.A,
-        prefix + "F": model.blocks.F,
-        prefix + "Rq": model.blocks.Rq,
-        prefix + "Tr": model.blocks.Tr,
-        prefix + "avg": model.blocks.avg,
-    }
-    d.update(model.eim_g.to_arrays(prefix + "eimg_"))
+    d = {prefix + name: np.asarray(getattr(model, name), dtype=float)
+         for name in MODEL_ARRAYS}
+    d.update(model.eim_g.to_arrays(prefix + "eim_g_"))
     return d
 
 
 def _model_from_arrays(problem, data, label, prefix=""):
-    rb = RbSpace.from_basis(problem.space, np.array(data[prefix + "xi"]),
-                            [tuple(r) for r in np.atleast_2d(data[prefix + "snapshot_mus"])])
-    blocks = ReducedBlocks(problem)
-    blocks.A = np.array(data[prefix + "A"])
-    blocks.F = np.array(data[prefix + "F"])
-    blocks.Rq = np.array(data[prefix + "Rq"])
-    blocks.Tr = np.array(data[prefix + "Tr"])
-    blocks.avg = np.array(data[prefix + "avg"])
-    blocks._mass_qs = None
-    blocks._nbasis = rb.N
-    eim_g = EimBasis.from_arrays(problem.space, data, prefix + "eimg_")
-    return ReducedModel(problem, rb, blocks, eim_g, label=label)
+    eim_g = EimBasis.from_arrays(problem.space, data, prefix + "eim_g_")
+    return ReducedModel(problem, eim_g,
+                        *(data[prefix + name] for name in MODEL_ARRAYS),
+                        label=label)
 
 
 def save_model(path, result, fingerprint=""):
@@ -72,31 +66,41 @@ def save_model(path, result, fingerprint=""):
     return path
 
 
+def _result_from_arrays(data):
+    version = int(data["format_version"])
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported archive format version {version}")
+    problem = benchmark_problem(int(data["mesh_n"]), int(data["degree"]))
+    label = str(data["label"])
+    checkpoints = {(int(n), int(m)): _model_from_arrays(problem, data, label,
+                                                        f"cp{i}_")
+                   for i, (n, m) in enumerate(data["checkpoint_keys"])}
+    r = str(data["r"])
+    report = BuildReport(variant=label,
+                         fe_solve_count=int(data["fe_solve_count"]),
+                         r=int(r) if r.isdigit() else r,
+                         rebuild_wn=bool(data["rebuild_wn"]))
+    result = BuildResult(model=_model_from_arrays(problem, data, label),
+                         report=report, checkpoints=checkpoints)
+    result.fingerprint = str(data["fingerprint"])
+    return result
+
+
 def load_model(path):
     """Load an archive back into a BuildResult (its report holds the solve
-    count, r and the rebuild flag, not the step log)."""
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"])
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported archive format version {version}")
-        problem = benchmark_problem(int(data["mesh_n"]), int(data["degree"]))
-        label = str(data["label"])
-        model = _model_from_arrays(problem, data, label)
-        checkpoints = {}
-        for i, key in enumerate(np.atleast_2d(data["checkpoint_keys"])):
-            if len(key) == 0:
-                continue
-            checkpoints[(int(key[0]), int(key[1]))] = _model_from_arrays(
-                problem, data, label, f"cp{i}_")
-        r = str(data["r"])
-        report = BuildReport(variant=label,
-                             fe_solve_count=int(data["fe_solve_count"]),
-                             r=int(r) if r.isdigit() else r,
-                             rebuild_wn=bool(data["rebuild_wn"]))
-        fingerprint = str(data["fingerprint"])
-    result = BuildResult(model=model, report=report, checkpoints=checkpoints)
-    result.fingerprint = fingerprint
-    return result
+    count, r and the rebuild flag, not the step log).
+
+    Raises ArchiveError for a file that is not a readable archive of this
+    format version, and OSError when the file cannot be opened.
+    """
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an npz archive")
+        with data:
+            return _result_from_arrays(data)
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ArchiveError(f"cannot load model archive {path}: {exc}") from exc
 
 
 def fingerprint_json(settings_dict):

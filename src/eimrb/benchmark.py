@@ -142,21 +142,21 @@ class TruthReferences:
 
 
 def run_error_study(result, test_set, checkpoints, newton=None,
-                    references=None, variant=None):
-    """Max solution / output errors over the test set at each (N, M) stage.
+                    references=None):
+    """Max solution / output errors over the test set at each (N, M)
+    stage of a BuildResult.
 
     Per-parameter solver failures are counted on the row instead of
     aborting the study; a row with failures is flagged when emitted.
     """
     newton = newton or NewtonConfig()
-    model = result.model if hasattr(result, "model") else result
-    refs = references or TruthReferences(model.problem, newton)
-    label = variant or model.label or "model"
+    problem = result.model.problem
+    refs = references or TruthReferences(problem, newton)
+    label = result.model.label or "model"
     rows = []
     for (n, m) in checkpoints:
         try:
-            cp = result.checkpoint(n, m) if hasattr(result, "checkpoint") \
-                else model.restrict(n, m)
+            cp = result.checkpoint(n, m)
         except ValueError:
             # stage not reachable from this build; emit an incomplete row
             rows.append(StudyRow(N=n, M=m, max_err_u=float("nan"),
@@ -172,7 +172,7 @@ def run_error_study(result, test_set, checkpoints, newton=None,
                 failures += 1
                 continue
             du = u_ref - cp.lift_values(sol)
-            errs_u.append(float(np.sqrt(max(du @ (model.problem.mass @ du), 0.0))))
+            errs_u.append(float(np.sqrt(max(du @ (problem.mass @ du), 0.0))))
             errs_s.append(abs(s_ref - cp.output(sol)))
         rows.append(StudyRow(N=n, M=m,
                              max_err_u=max(errs_u) if errs_u else float("nan"),

@@ -1,7 +1,8 @@
 """Command line driver: build models, run studies, solve, compare variants.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 I/O error.
+4 I/O error (a file that cannot be read, or an archive that cannot be
+loaded).
 """
 
 import argparse
@@ -10,7 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from .archive import fingerprint_json, load_model, save_model
+from .archive import ArchiveError, fingerprint_json, load_model, save_model
 from .benchmark import (TruthReferences, benchmark_problem,
                         default_checkpoints, emit_table, in_parameter_domain,
                         run_error_study)
@@ -173,7 +174,7 @@ def main(argv=None):
     except (NewtonFailure, SolverFailure, SerBuildError, EimTrainingError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except OSError as exc:
+    except (OSError, ArchiveError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

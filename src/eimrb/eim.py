@@ -153,7 +153,7 @@ class EimBasis:
     @classmethod
     def from_arrays(cls, space, data, prefix=""):
         out = cls(space)
-        out.fields = [row.copy() for row in np.atleast_2d(data[prefix + "fields"])]
+        out.fields = list(data[prefix + "fields"])   # row views, no copies
         out.t = [int(i) for i in data[prefix + "t"]]
         out.B = np.array(data[prefix + "B"], dtype=float)
         out.mus = [tuple(row) for row in np.atleast_2d(data[prefix + "mus"])]

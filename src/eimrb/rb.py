@@ -15,6 +15,13 @@ so nothing inside the Newton loop touches an object of full finite
 element dimension.  ``solve_many`` runs the same Newton for a whole list
 of parameters at once, on a (P, N) coefficient array, which is how the
 greedy sweeps of a build scan the training set.
+
+``RbSpace`` and ``ReducedBlocks`` are the build's growing state: the
+basis and the blocks are extended in place as snapshots and interpolant
+fields arrive.  ``ReducedModel`` is the online model of one (N, M)
+stage, made from its arrays and never grown: a build makes one from the
+current blocks, ``restrict`` from slices of a larger model, and
+``archive.load_model`` from the arrays of an archive.
 """
 
 import math
@@ -22,7 +29,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .fem import FEField, SolverFailure
+from .fem import SolverFailure
 from .nonlinear import NewtonConfig, NewtonFailure, mu_row
 
 
@@ -79,21 +86,6 @@ class RbSpace:
         self.mus.append(tuple(mu))
         return xi
 
-    def gram_matrix(self):
-        bm = self.basis_matrix()
-        return bm.T @ (self.x_op @ bm)
-
-    @classmethod
-    def from_basis(cls, space, basis_columns, mus):
-        """Rebuild from already orthonormal columns (archive load, restrict)."""
-        out = cls(space)
-        for col, mu in zip(np.atleast_2d(basis_columns.T), mus):
-            vec = np.array(col, dtype=float)
-            out.basis.append(vec)
-            out.x_basis.append(out.x_op @ vec)
-            out.mus.append(tuple(mu))
-        return out
-
 
 class ReducedBlocks:
     """Reduced operators, extended in place as the bases grow.
@@ -113,17 +105,10 @@ class ReducedBlocks:
         self.Tr = np.zeros((0, 0))
         self.avg = np.zeros(0)
         self._mass_qs = []        # mass @ q per interpolant field
-        self._nbasis = 0
-
-    @property
-    def extendable(self):
-        return self._mass_qs is not None
 
     def extend(self, rb, eim):
         """Grow all blocks to the current (N, M)."""
-        if not self.extendable:
-            raise RuntimeError("restricted or loaded blocks cannot be extended")
-        n_old, n_new = self._nbasis, rb.N
+        n_old, n_new = self.A.shape[0], rb.N
         m_old, m_new = self.Rq.shape[0], eim.M
         stiffness = self.problem.stiffness
         mass_rows = self.problem._mass_row_sums
@@ -168,8 +153,6 @@ class ReducedBlocks:
         for n in range(n_old):
             self.Tr[n, m_old:m_new] = basis[n][t[m_old:m_new]]
 
-        self._nbasis = n_new
-
 
 class RbSolution:
     """Coefficients of the reduced solution at one parameter."""
@@ -186,41 +169,42 @@ class RbSolution:
 class ReducedModel:
     """Everything needed to solve the reduced problem at a new parameter.
 
-    W and the stacked basis are formed from the blocks, the interpolant
-    and the basis as they are when the model is made; after they grow,
-    make a new model.
+    A (N, N) and F (N,) are the reduced stiffness and load, Rq (M, N) the
+    reduced interpolant fields, Tr (N, M) the basis traces at the
+    interpolation points, avg (N,) the basis averages and basis the
+    (ndof, N) stacked basis; W and the interpolation point coordinates
+    are derived from them here.
     """
 
-    def __init__(self, problem, rb, blocks, eim_g, label=""):
+    def __init__(self, problem, eim_g, A, F, Rq, Tr, avg, basis,
+                 snapshot_mus, label=""):
         self.problem = problem
-        self.rb = rb
-        self.blocks = blocks
         self.eim_g = eim_g
+        self.A, self.F, self.Rq, self.Tr, self.avg = A, F, Rq, Tr, avg
+        self.basis = basis
+        self.snapshot_mus = [tuple(mu) for mu in snapshot_mus]
         self.label = label
         # W = Rq^T B^{-1} (N x M), formed once: with it a Newton step needs
         # no triangular solve (scipy runs one with N right-hand sides on
         # several BLAS threads, which cost more than the step it served)
-        self._w = solve_triangular(eim_g.B, blocks.Rq, lower=True, trans="T",
-                                   check_finite=False).T
-        # the basis as columns (ndof, N), stacked once for every lift
-        self._basis = rb.basis_matrix()
+        self.W = solve_triangular(eim_g.B, Rq, lower=True, trans="T",
+                                  check_finite=False).T
         # coordinates of the interpolation points, so a solve does not
         # index the ndof-sized dof coordinates
-        self._xg = eim_g.point_coords
+        self.xg = eim_g.point_coords
 
     @property
     def N(self):
-        return self.blocks._nbasis
+        return self.A.shape[0]
 
     def jacobian(self, c, mu):
         """Exact derivative A + W diag(g'(Tr^T c)) Tr^T of the reduced
         residual at the coefficients c; mu is one parameter or its
         (1, 2) row."""
-        blocks = self.blocks
         with np.errstate(over="ignore", invalid="ignore"):
-            dg = self.problem.term.dg_du((blocks.Tr.T @ c)[None], self._xg,
+            dg = self.problem.term.dg_du((self.Tr.T @ c)[None], self.xg,
                                          mu_row(mu))
-            return blocks.A + (self._w * dg) @ blocks.Tr.T
+            return self.A + (self.W * dg) @ self.Tr.T
 
     def solve(self, mu, cfg=None, initial=None):
         """Online reduced Newton solve; cost independent of the FE dimension."""
@@ -229,13 +213,12 @@ class ReducedModel:
         if n < 1:
             raise ValueError("empty reduced basis")
         term = self.problem.term
-        blocks = self.blocks
         mus = mu_row(mu)
         c = np.zeros(n) if initial is None else np.array(initial, dtype=float)
 
         def residual(cv):
-            g = term.g((blocks.Tr.T @ cv)[None], self._xg, mus)[0]
-            r = blocks.A @ cv + self._w @ g - blocks.F
+            g = term.g((self.Tr.T @ cv)[None], self.xg, mus)[0]
+            r = self.A @ cv + self.W @ g - self.F
             return r, math.sqrt(r @ r)     # np.linalg.norm, without its overhead
 
         # divergence shows up as inf/nan and is classified below, not warned
@@ -286,7 +269,6 @@ class ReducedModel:
         if n < 1:
             raise ValueError("empty reduced basis")
         term = self.problem.term
-        blocks = self.blocks
         coeffs = np.zeros((len(mus), n))
         if not len(mus):
             return coeffs, {}
@@ -296,10 +278,10 @@ class ReducedModel:
 
         def residual(rows):
             c = coeffs[rows]
-            values = c @ blocks.Tr
-            r = (c @ blocks.A.T
-                 + term.g(values, self._xg, mu_rows[rows]) @ self._w.T
-                 - blocks.F)
+            values = c @ self.Tr
+            r = (c @ self.A.T
+                 + term.g(values, self.xg, mu_rows[rows]) @ self.W.T
+                 - self.F)
             return values, r, np.linalg.norm(r, axis=1)
 
         def fail(rows, message, iterations):
@@ -326,8 +308,8 @@ class ReducedModel:
                     fail(live, f"reduced solve stalled after {cfg.max_iter} "
                          "iterations at mu={mu}", iterations)
                     break
-                dg = term.dg_du(values, self._xg, mu_rows[live])
-                jac = blocks.A + (self._w * dg[:, None, :]) @ blocks.Tr.T
+                dg = term.dg_du(values, self.xg, mu_rows[live])
+                jac = self.A + (self.W * dg[:, None, :]) @ self.Tr.T
                 try:
                     delta = np.linalg.solve(jac, -r[:, :, None])[:, :, 0]
                 except np.linalg.LinAlgError:
@@ -356,35 +338,25 @@ class ReducedModel:
         return coeffs, failures
 
     def lift_values(self, sol):
-        return self._basis @ sol.coeffs
+        return self.basis @ sol.coeffs
 
     def lift_block(self, coeffs):
         """Lifted fields of a (P, N) coefficient array, shape (P, ndof)."""
-        return coeffs @ self._basis.T
-
-    def lift(self, sol):
-        return FEField(self.problem.space, self.lift_values(sol))
+        return coeffs @ self.basis.T
 
     def output(self, sol):
         """Average of the lifted solution, from precomputed basis averages."""
-        return float(self.blocks.avg @ sol.coeffs)
+        return float(self.avg @ sol.coeffs)
 
     def restrict(self, n, m):
-        """Deep-copied model truncated to the leading n basis vectors and
-        m interpolant fields (valid because growth is append-only)."""
+        """Model of the leading n basis vectors and m interpolant fields,
+        on copies of the sliced arrays (valid because growth is
+        append-only)."""
         if n > self.N:
             raise ValueError(f"cannot restrict N={self.N} model to {n}")
         m = min(m, self.eim_g.M)
-        rb_r = RbSpace.from_basis(self.problem.space,
-                                  self._basis[:, :n],
-                                  self.rb.mus[:n])
-        blocks = ReducedBlocks(self.problem)
-        blocks.A = self.blocks.A[:n, :n].copy()
-        blocks.F = self.blocks.F[:n].copy()
-        blocks.Rq = self.blocks.Rq[:m, :n].copy()
-        blocks.Tr = self.blocks.Tr[:n, :m].copy()
-        blocks.avg = self.blocks.avg[:n].copy()
-        blocks._mass_qs = None
-        blocks._nbasis = n
-        return ReducedModel(self.problem, rb_r, blocks,
-                            self.eim_g.restrict(m), label=self.label)
+        return ReducedModel(self.problem, self.eim_g.restrict(m),
+                            self.A[:n, :n].copy(), self.F[:n].copy(),
+                            self.Rq[:m, :n].copy(), self.Tr[:n, :m].copy(),
+                            self.avg[:n].copy(), self.basis[:, :n].copy(),
+                            self.snapshot_mus[:n], label=self.label)

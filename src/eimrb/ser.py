@@ -25,6 +25,12 @@ for the standard build) every update re-solves all snapshot parameters
 with the current interpolated operator and rebuilds the basis and the
 reduced blocks from scratch.
 
+Growth is append-only between rebuilds, so the model of an earlier
+(N, M) stage is the final model restricted to it, equal in every array
+(``BuildResult.checkpoint``).  A stage from ``SerConfig.checkpoints`` is
+stored only when a later update of a ``rebuild_wn`` build replaces the
+basis it was solved with.
+
 Snapshots with the current interpolated operator are solved in the M
 interpolation-point values (see ``nonlinear``), always from zero.  The
 build keeps one ``SurrogateSolver``, made at the first such snapshot: the
@@ -128,7 +134,8 @@ class BuildResult:
     checkpoints: dict = field(default_factory=dict)
 
     def checkpoint(self, n, m):
-        """Model saved at (n, m) during the build, else a truncation."""
+        """Model stored at (n, m) during a rebuilding build, else a
+        restriction of the final model."""
         if (n, m) in self.checkpoints:
             return self.checkpoints[(n, m)]
         return self.model.restrict(n, m)
@@ -240,7 +247,9 @@ def build_ser(problem, cfg):
     surrogate = None     # made at the first snapshot solved with it
 
     def live_model():
-        return ReducedModel(problem, rb, blocks, eim_g, label=label)
+        return ReducedModel(problem, eim_g, blocks.A, blocks.F, blocks.Rq,
+                            blocks.Tr, blocks.avg, rb.basis_matrix(), rb.mus,
+                            label=label)
 
     def snapshot_solve(mu):
         nonlocal surrogate
@@ -315,9 +324,10 @@ def build_ser(problem, cfg):
         prev_n = rb.N
         group_selected = []
 
-        for (n, m) in cfg.checkpoints:
-            if (n, m) not in result.checkpoints and n == rb.N and m == m_target:
-                result.checkpoints[(n, m)] = live_model().restrict(n, m)
+        stage = (rb.N, m_target)
+        if (cfg.rebuild_wn and j < n_updates
+                and stage in map(tuple, cfg.checkpoints)):
+            result.checkpoints[stage] = live_model().restrict(*stage)
 
     report.fe_solve_count = counter.count
     report.wall_time = time.perf_counter() - t0

@@ -50,6 +50,53 @@ def rebuild_small(problem8, train5, newton_roomy):
     return er.build_ser(problem8, cfg)
 
 
+MODEL_FIELDS = ("problem", "eim_g", "A", "F", "Rq", "Tr", "avg", "basis",
+                "snapshot_mus", "label")
+MODEL_ARRAYS = ("A", "F", "Rq", "Tr", "avg", "basis", "W", "xg")
+
+
+def model_from(problem, rb, blocks, eim_g):
+    """Online model of a basis and blocks grown by hand, as a build makes it."""
+    return er.ReducedModel(problem, eim_g, blocks.A, blocks.F, blocks.Rq,
+                           blocks.Tr, blocks.avg, rb.basis_matrix(), rb.mus)
+
+
+def model_with(model, **changes):
+    """The model made again from its arrays, with some of them replaced."""
+    fields = {name: getattr(model, name) for name in MODEL_FIELDS}
+    fields.update(changes)
+    return er.ReducedModel(**fields)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_same_model(a, b, mus=((0.37, 0.8), (5.0, 0.02), (2.0, 6.0))):
+    """Two models equal bitwise: every array, the interpolant, the labels,
+    and the coefficients and outputs of online solves at mus."""
+    for name in MODEL_ARRAYS:
+        assert same_bits(getattr(a, name), getattr(b, name)), name
+    assert a.snapshot_mus == b.snapshot_mus
+    assert a.label == b.label
+    ga, gb = a.eim_g, b.eim_g
+    assert ga.t == gb.t and ga.mus == gb.mus
+    assert ga.train_errors == gb.train_errors
+    assert same_bits(ga.B, gb.B)
+    assert same_bits(ga.field_matrix(), gb.field_matrix())
+    for mu in mus:
+        sa, sb = a.solve(mu), b.solve(mu)
+        assert same_bits(sa.coeffs, sb.coeffs)
+        assert same_bits(a.output(sa), b.output(sb))
+
+
+def gram_matrix(rb):
+    """Gram matrix of an RbSpace basis in its inner product."""
+    basis = rb.basis_matrix()
+    return basis.T @ (rb.x_op @ basis)
+
+
 def eim_train(space, provider, samples, m_max, basis=None):
     """Initialize (if needed) and greedily enrich up to m_max fields,
     stopping early at saturation."""

@@ -6,6 +6,8 @@ import pytest
 import eimrb as er
 from eimrb.cli import main
 
+from conftest import assert_same_model
+
 
 class TestArchive:
     def test_round_trip_reproduces_online_outputs_bitwise(self, standard_small,
@@ -20,33 +22,26 @@ class TestArchive:
             b = loaded.model.solve(mu)
             assert np.array_equal(a.coeffs, b.coeffs)
             assert standard_small.model.output(a) == loaded.model.output(b)
+        assert_same_model(loaded.model, standard_small.model)
 
     def test_checkpoints_survive_round_trip(self, standard_small, rebuild_small,
                                             tmp_path):
         mu = (1.2, 0.9)
-        # a rebuilding build stores its stages: they are no prefixes of the
-        # final model
+        # a rebuilding build stores the stages that later updates rebuilt:
+        # they are no prefixes of the final model
         path = tmp_path / "rebuild.npz"
         er.save_model(path, rebuild_small)
         loaded = er.load_model(path)
-        assert set(loaded.checkpoints) == set(rebuild_small.checkpoints)
-        saved, got = rebuild_small.checkpoints[(2, 2)], loaded.checkpoints[(2, 2)]
-        assert got.rb.mus == saved.rb.mus
-        assert np.array_equal(got.rb.basis_matrix(), saved.rb.basis_matrix())
-        for name in ("A", "F", "Rq", "Tr", "avg"):
-            assert np.array_equal(getattr(got.blocks, name),
-                                  getattr(saved.blocks, name))
-        assert got.eim_g.t == saved.eim_g.t
-        assert np.array_equal(got.eim_g.B, saved.eim_g.B)
-        assert np.array_equal(got.eim_g.field_matrix(),
-                              saved.eim_g.field_matrix())
-        assert np.array_equal(got.solve(mu).coeffs, saved.solve(mu).coeffs)
-        # the standard build stores the stage of its one basis update; its
-        # earlier stages are truncations, before and after the round trip
+        assert set(loaded.checkpoints) == set(rebuild_small.checkpoints) == {(2, 2)}
+        assert_same_model(loaded.checkpoints[(2, 2)],
+                          rebuild_small.checkpoints[(2, 2)])
+        assert_same_model(loaded.model, rebuild_small.model)
+        # the standard build stores none; its stages are restrictions,
+        # before and after the round trip
         path = tmp_path / "standard.npz"
         er.save_model(path, standard_small)
         loaded = er.load_model(path)
-        assert set(loaded.checkpoints) == set(standard_small.checkpoints) == {(6, 8)}
+        assert loaded.checkpoints == standard_small.checkpoints == {}
         a = standard_small.checkpoint(3, 4).solve(mu)
         b = loaded.checkpoint(3, 4).solve(mu)
         assert np.array_equal(a.coeffs, b.coeffs)
@@ -58,25 +53,50 @@ class TestArchive:
         small = loaded.model.restrict(2, 3)
         assert small.N == 2
 
-    def test_version_check(self, standard_small, tmp_path):
+    def test_archive_stores_each_model_once(self, rebuild_small, tmp_path):
+        # format 3: metadata, then each model's arrays under the frozen
+        # model's field names, the stored checkpoint under its prefix
+        path = tmp_path / "model.npz"
+        er.save_model(path, rebuild_small)
+        with np.load(path, allow_pickle=False) as data:
+            names = set(data.files)
+        model_keys = {"A", "F", "Rq", "Tr", "avg", "basis", "snapshot_mus",
+                      "eim_g_fields", "eim_g_t", "eim_g_B", "eim_g_mus",
+                      "eim_g_train_errors"}
+        meta = {"format_version", "mesh_n", "degree", "label", "r",
+                "rebuild_wn", "fingerprint", "fe_solve_count",
+                "checkpoint_keys"}
+        assert names == meta | model_keys | {"cp0_" + k for k in model_keys}
+
+    @pytest.mark.parametrize("damage, match", [
+        ({"format_version": 1}, "version 1"),
+        ({"format_version": 2}, "version 2"),
+        ({"format_version": 99}, "version 99"),
+        ({"A": None}, "A is not a file"),
+        (b"not a model archive\n", "pickle"),
+        (b"", "No data left"),
+    ], ids=["v1", "v2", "v99", "missing-A", "junk", "empty"])
+    def test_unloadable_archive_is_refused(self, standard_small, tmp_path,
+                                           capsys, damage, match):
+        # every other array is present, so only the damage refuses it
         path = tmp_path / "model.npz"
         er.save_model(path, standard_small)
-        data = dict(np.load(path, allow_pickle=False))
-        data["format_version"] = np.int64(99)
-        np.savez(path, **data)
-        with pytest.raises(ValueError):
+        if isinstance(damage, bytes):
+            path.write_bytes(damage)
+        else:
+            data = dict(np.load(path, allow_pickle=False))
+            for key, value in damage.items():
+                if value is None:
+                    del data[key]
+                else:
+                    data[key] = np.int64(value)
+            np.savez(path, **data)
+        with pytest.raises(ValueError, match=match) as info:
             er.load_model(path)
-
-
-    def test_v1_archive_rejected(self, standard_small, tmp_path):
-        # every current array is present, so only the version refuses it
-        path = tmp_path / "model.npz"
-        er.save_model(path, standard_small)
-        data = dict(np.load(path, allow_pickle=False))
-        data["format_version"] = np.int64(1)
-        np.savez(path, **data)
-        with pytest.raises(ValueError, match="version 1"):
-            er.load_model(path)
+        assert isinstance(info.value, er.ArchiveError)
+        capsys.readouterr()
+        assert main(["solve", str(path), "--mu1", "1", "--mu2", "1"]) == 4
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
     def test_build_parameters_survive_round_trip(self, ser_small,
                                                  standard_small, tmp_path):
@@ -200,6 +220,24 @@ class TestCli:
         counts = (out / "solve_counts.csv").read_text().splitlines()
         assert counts[0] == "variant,fe_solve_count"
         assert len(counts) == 5
+
+    def test_study_of_archive_matches_compare(self, tmp_path):
+        # the study of a saved model reads its restricted and its stored
+        # (rebuilt) stages back from the archive: its table is the one
+        # compare writes for the same build
+        compared = tmp_path / "compared"
+        cfg = tmp_path / "compare.cfg"
+        cfg.write_text(TINY_CONFIG.format(out=compared))
+        assert main(["compare", str(cfg)]) == 0
+        for rebuild, slug in (("false", "r1"), ("true", "r1_rebuild")):
+            out = tmp_path / slug
+            cfg = tmp_path / f"{slug}.cfg"
+            cfg.write_text(TINY_CONFIG.format(out=out)
+                           + f"ser.rebuild_wn = {rebuild}\n")
+            assert main(["build", str(cfg)]) == 0
+            assert main(["study", str(cfg), str(out / "model.npz")]) == 0
+            table = (out / f"table_{slug}.csv").read_bytes()
+            assert table == (compared / f"table_{slug}.csv").read_bytes()
 
     def test_compare_is_deterministic(self, tmp_path):
         files = {}

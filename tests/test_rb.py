@@ -1,4 +1,3 @@
-import copy
 import warnings
 
 import numpy as np
@@ -6,7 +5,8 @@ import pytest
 
 import eimrb as er
 
-from conftest import at_mu, eim_train
+from conftest import (at_mu, eim_train, gram_matrix, model_from,
+                      model_with)
 
 
 class TestRbSpace:
@@ -14,7 +14,7 @@ class TestRbSpace:
         rb = er.RbSpace(problem8.space)
         u, _ = er.truth_newton_solve(problem8, (1.0, 1.0))
         rb.add_snapshot(u.values, (1.0, 1.0))
-        gram = rb.gram_matrix()
+        gram = gram_matrix(rb)
         assert abs(gram[0, 0] - 1.0) <= 1e-12
 
     def test_duplicate_snapshot_rejected(self, problem8):
@@ -30,13 +30,13 @@ class TestRbSpace:
         for mu in [(0.01, 0.01), (10, 10), (0.1, 1.0), (1.0, 0.1), (3.0, 3.0)]:
             u, _ = er.truth_newton_solve(problem8, mu)
             rb.add_snapshot(u.values, mu)
-        gram = rb.gram_matrix()
+        gram = gram_matrix(rb)
         assert np.abs(gram - np.eye(5)).max() <= 1e-10
 
     def test_zero_boundary_values(self, standard_small):
-        rb = standard_small.model.rb
-        bdofs = rb.space.boundary_dofs
-        for xi in rb.basis:
+        model = standard_small.model
+        bdofs = model.problem.space.boundary_dofs
+        for xi in model.basis.T:
             assert np.all(xi[bdofs] == 0.0)
 
 
@@ -69,23 +69,18 @@ class TestBlocks:
 
     def test_trace_matrices_are_exact_evaluations(self, standard_small):
         model = standard_small.model
-        assert model.blocks.Tr.shape == (model.N, model.eim_g.M)
-        for n, xi in enumerate(model.rb.basis):
+        assert model.Tr.shape == (model.N, model.eim_g.M)
+        for n, xi in enumerate(model.basis.T):
             f = er.FEField(model.problem.space, xi)
             tr = er.eval_at_points(f, np.asarray(model.eim_g.t, dtype=int))
-            assert np.array_equal(model.blocks.Tr[n], tr)
-
-    def test_restricted_blocks_not_extendable(self, standard_small):
-        small = standard_small.model.restrict(2, 3)
-        with pytest.raises(RuntimeError):
-            small.blocks.extend(small.rb, small.eim_g)
+            assert np.array_equal(model.Tr[n], tr)
 
 
 def reduced_residual(model, c, mu):
     """A c + Rq^T B^{-1} g(Tr^T c) - F, written out from the blocks."""
-    blocks, eim = model.blocks, model.eim_g
-    g = at_mu(model.problem.term.g, blocks.Tr.T @ c, eim.point_coords, mu)
-    return blocks.A @ c + blocks.Rq.T @ np.linalg.solve(eim.B, g) - blocks.F
+    eim = model.eim_g
+    g = at_mu(model.problem.term.g, model.Tr.T @ c, eim.point_coords, mu)
+    return model.A @ c + model.Rq.T @ np.linalg.solve(eim.B, g) - model.F
 
 
 class TestExactJacobians:
@@ -137,14 +132,14 @@ class TestReducedSolve:
         rb.add_snapshot(truth.solve(mu), mu)
         blocks = er.ReducedBlocks(problem8)
         blocks.extend(rb, eim_g)
-        model = er.ReducedModel(problem8, rb, blocks, eim_g)
+        model = model_from(problem8, rb, blocks, eim_g)
         sol = model.solve(mu)
         du = truth.solve(mu) - model.lift_values(sol)
         assert float(np.sqrt(du @ (problem8.mass @ du))) <= 1e-6
 
     def test_zero_rhs_gives_zero_in_one_iteration(self, standard_small):
         model = standard_small.model.restrict(4, 5)
-        model.blocks.F = np.zeros_like(model.blocks.F)
+        model = model_with(model, F=np.zeros_like(model.F))
         sol = model.solve((1.0, 1.0))
         assert np.all(sol.coeffs == 0.0)
         assert sol.newton_iters == 1
@@ -160,10 +155,10 @@ class TestReducedSolve:
         # so g stays finite and so does every residual entry, but the sum
         # of their squares overflows
         model = standard_small.model.restrict(6, 6)
-        traces = model.blocks.Tr
+        traces = model.Tr
         c = 1e160 * np.linalg.solve(traces.T, -np.ones(traces.shape[1]))
         assert np.all(traces.T @ c < 0)
-        leading = model.blocks.A @ c
+        leading = model.A @ c
         assert np.all(np.isfinite(leading))
         assert np.linalg.norm(leading / 1e160) * 1e160 > 1e154
         with warnings.catch_warnings():
@@ -187,7 +182,7 @@ class TestReducedSolve:
             rb.add_snapshot(e, (float(k), 0.0))
         blocks = er.ReducedBlocks(problem)
         blocks.extend(rb, eim_g)
-        model = er.ReducedModel(problem, rb, blocks, eim_g)
+        model = model_from(problem, rb, blocks, eim_g)
         for mu in samples:
             sol = model.solve(mu, er.NewtonConfig(max_iter=200))
             du = truth.solve(mu) - model.lift_values(sol)
@@ -201,7 +196,7 @@ def with_term(model, g=None, dg_du=None):
                                   er.NonlinearTerm(g or term.g,
                                                    dg_du or term.dg_du),
                                   er.benchmark_rhs)
-    return er.ReducedModel(problem, model.rb, model.blocks, model.eim_g)
+    return model_with(model, problem=problem)
 
 
 def poisoned_at(func, bad, value):
@@ -266,12 +261,10 @@ class TestSolveMany:
         # and regular, except at bad, where g' is poisoned to 0
         bad = grid[7]
         model = standard_small.model
-        zero_a = copy.copy(model.blocks)
-        zero_a.A = np.zeros_like(model.blocks.A)
         linear = with_term(model, g=lambda u, xy, mu: np.array(u, dtype=float),
                            dg_du=poisoned_at(lambda u, xy, mu: np.ones_like(u),
                                              bad, 0.0))
-        linear = er.ReducedModel(linear.problem, model.rb, zero_a, model.eim_g)
+        linear = model_with(linear, A=np.zeros_like(model.A))
         failures = self.assert_matches_solve(linear, grid, er.NewtonConfig())
         assert list(failures) == [7]
         assert isinstance(failures[7], er.SolverFailure)
@@ -287,7 +280,7 @@ class TestSolveMany:
         rb = er.RbSpace(problem8.space)
         blocks = er.ReducedBlocks(problem8)
         blocks.extend(rb, eim_g)
-        model = er.ReducedModel(problem8, rb, blocks, eim_g)
+        model = model_from(problem8, rb, blocks, eim_g)
         with pytest.raises(ValueError) as single:
             model.solve((1.0, 1.0))
         with pytest.raises(ValueError) as many:
@@ -313,25 +306,27 @@ class TestOutputsAndLift:
     def test_output_matches_average_of_lift(self, standard_small):
         model = standard_small.model
         sol = model.solve((0.7, 0.9))
-        lifted = model.lift(sol)
+        lifted = model.lift_values(sol)
         assert abs(model.output(sol)
-                   - model.problem.average(lifted.values)) <= 1e-12
+                   - model.problem.average(lifted)) <= 1e-12
 
     def test_lift_of_unit_vector_is_basis_field(self, standard_small):
         model = standard_small.model
         e1 = np.zeros(model.N)
         e1[0] = 1.0
         sol = er.RbSolution(e1, (1.0, 1.0), 0, [])
-        assert np.array_equal(model.lift_values(sol), model.rb.basis[0])
+        assert np.array_equal(model.lift_values(sol), model.basis[:, 0])
 
     def test_parseval(self, standard_small):
         model = standard_small.model
+        space = model.problem.space
+        x_op = space.stiffness + space.mass
         rng = np.random.default_rng(11)
         for _ in range(5):
             c = rng.standard_normal(model.N)
             sol = er.RbSolution(c, (1.0, 1.0), 0, [])
             lifted = model.lift_values(sol)
-            xnorm = model.rb.x_norm(lifted)
+            xnorm = float(np.sqrt(max(lifted @ (x_op @ lifted), 0.0)))
             assert abs(xnorm - np.linalg.norm(c)) <= 1e-9 * max(1.0, np.linalg.norm(c))
 
 
@@ -341,14 +336,29 @@ class TestRestrict:
         small = model.restrict(3, 4)
         assert small.N == 3
         assert small.eim_g.M == 4
-        assert small.blocks.Rq.shape == (4, 3)
-        assert small.blocks.Tr.shape == (3, 4)
-        assert np.array_equal(small.blocks.A, model.blocks.A[:3, :3])
-        assert np.array_equal(small.blocks.F, model.blocks.F[:3])
-        assert np.array_equal(small.blocks.Rq, model.blocks.Rq[:4, :3])
-        assert np.array_equal(small.blocks.Tr, model.blocks.Tr[:3, :4])
-        assert np.array_equal(small.blocks.avg, model.blocks.avg[:3])
+        assert small.Rq.shape == (4, 3)
+        assert small.Tr.shape == (3, 4)
+        assert np.array_equal(small.A, model.A[:3, :3])
+        assert np.array_equal(small.F, model.F[:3])
+        assert np.array_equal(small.Rq, model.Rq[:4, :3])
+        assert np.array_equal(small.Tr, model.Tr[:3, :4])
+        assert np.array_equal(small.avg, model.avg[:3])
         assert np.array_equal(small.eim_g.B, model.eim_g.B[:4, :4])
+
+    def test_restriction_owns_copies(self, standard_small):
+        # a restricted model shares no array with the model it came from:
+        # writing into every array of it leaves the model unchanged
+        model = standard_small.model
+        names = ("A", "F", "Rq", "Tr", "avg", "basis")
+        before = {name: getattr(model, name).copy() for name in names}
+        b_before = model.eim_g.B.copy()
+        small = model.restrict(model.N, model.eim_g.M)
+        for name in names:
+            getattr(small, name)[...] = np.nan
+        small.eim_g.B[...] = np.nan
+        for name in names:
+            assert np.array_equal(getattr(model, name), before[name]), name
+        assert np.array_equal(model.eim_g.B, b_before)
 
     def test_restriction_beyond_size_rejected(self, standard_small):
         with pytest.raises(ValueError):

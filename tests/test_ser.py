@@ -7,7 +7,7 @@ import pytest
 import eimrb as er
 import eimrb.ser
 
-from conftest import eim_train
+from conftest import assert_same_model, eim_train
 
 
 def expected_solids(r, rebuild, n_max, m_max, n_train):
@@ -97,7 +97,7 @@ class TestSchedules:
         assert np.array_equal(a.B, b.B)
         assert np.array_equal(a.field_matrix(), b.field_matrix())
         # both take their snapshots at the greedy selections
-        assert std.model.rb.mus == deg.model.rb.mus
+        assert std.model.snapshot_mus == deg.model.snapshot_mus
 
     def test_standard_eim_equals_direct_training_bitwise(self, problem8,
                                                          train5,
@@ -111,25 +111,32 @@ class TestSchedules:
         assert np.array_equal(direct.B, built.B)
         assert np.array_equal(direct.field_matrix(), built.field_matrix())
 
-    def test_nested_growth_no_rebuild(self, ser_small):
-        # checkpoints recorded mid-build are bitwise prefixes of the final state
-        cp = ser_small.checkpoints[(3, 3)]
-        final = ser_small.model
-        assert np.array_equal(cp.rb.basis_matrix(),
-                              final.rb.basis_matrix()[:, :3])
-        assert np.array_equal(cp.eim_g.field_matrix(),
-                              final.eim_g.field_matrix()[:3])
-        assert np.array_equal(cp.blocks.A, final.blocks.A[:3, :3])
-        assert np.array_equal(cp.blocks.F, final.blocks.F[:3])
-        assert np.array_equal(cp.blocks.Rq, final.blocks.Rq[:3, :3])
-        assert np.array_equal(cp.blocks.Tr, final.blocks.Tr[:3, :3])
+    def test_nested_growth_no_rebuild(self, problem8, train5, newton_roomy,
+                                      ser_small):
+        # without rebuilding, a build stopped at a stage is the longer
+        # build's final model restricted to it, bitwise in every array and
+        # in online outputs: so no stage needs storing
+        cfg = er.SerConfig(r=1, n_max=3, m_max=3, train_set=train5,
+                           newton=newton_roomy)
+        short = er.build_ser(problem8, cfg)
+        assert_same_model(short.model, ser_small.model.restrict(3, 3))
+        assert_same_model(short.model, ser_small.checkpoint(3, 3))
+
+    def test_builds_without_rebuild_store_no_checkpoints(self, ser_small,
+                                                         standard_small):
+        assert ser_small.checkpoints == {}
+        assert standard_small.checkpoints == {}
 
     def test_rebuild_checkpoints_are_recorded(self, rebuild_small, train5):
         result = rebuild_small
-        assert set(result.checkpoints) == {(2, 2), (4, 4)}
-        # with rebuilding the early basis is not a prefix of the final one
+        # only the stage that the last update rebuilds is stored; the final
+        # stage is the final model
+        assert set(result.checkpoints) == {(2, 2)}
         cp = result.checkpoints[(2, 2)]
-        assert cp.rb.N == 2 and cp.eim_g.M == 2
+        assert cp.N == 2 and cp.eim_g.M == 2
+        # with rebuilding the early basis is not a prefix of the final one
+        assert not np.array_equal(cp.basis, result.model.basis[:, :2])
+        assert_same_model(result.checkpoint(4, 4), result.model)
         assert result.report.fe_solve_count == expected_solids(
             1, True, 4, 4, len(train5))
 
@@ -137,7 +144,7 @@ class TestSchedules:
         # each update snapshots at the parameter the sweep just selected;
         # a re-selected (already used) parameter falls back to another one
         g_mus = ser_small.model.eim_g.mus
-        rb_mus = ser_small.model.rb.mus
+        rb_mus = ser_small.model.snapshot_mus
         assert len(rb_mus) == len(set(rb_mus)) == 5
         for k, sel in enumerate(g_mus[:5]):
             if sel not in g_mus[:k]:
@@ -253,8 +260,8 @@ class TestSnapshotSelection:
         at = kinds.index("reject")
         assert steps_log[at].mu == rejected["mu"]
         assert result.model.N == 5
-        assert len(set(result.model.rb.mus)) == 5
-        assert rejected["mu"] not in result.model.rb.mus
+        assert len(set(result.model.snapshot_mus)) == 5
+        assert rejected["mu"] not in result.model.snapshot_mus
         # the replacement joins the end of the update's queue: it is the
         # last snapshot the update logs, and the ones before it were queued
         event = []
@@ -282,7 +289,7 @@ class TestSnapshotSelection:
         train = [tuple(p) for p in train5]
         ranked = [train[i] for i in worst_first(steps[-1].errors)
                   if train[i] not in picks]
-        assert result.model.rb.mus == list(picks) + ranked[:3]
+        assert result.model.snapshot_mus == list(picks) + ranked[:3]
         # which differs from taking them in training-set order
         assert ranked[:3] != [mu for mu in train if mu not in picks][:3]
 
