@@ -14,7 +14,7 @@ from .fem import (FEField, Mesh, FESpace, SolverFailure, apply_dirichlet,
                   solve_sparse, triangle_quadrature)
 from .nonlinear import (NewtonConfig, NewtonFailure, NonlinearProblem,
                         NonlinearTerm, SolveCounter, SolveStats,
-                        SurrogateSolver, truth_jacobian,
+                        SurrogateSolver, newton_failure, truth_jacobian,
                         truth_newton_solve, truth_newton_solve_eim)
 from .eim import (DegenerateInterpolationPoint, DegenerateSnapshot, EimBasis,
                   EimTrainingError, GreedyStep, eim_greedy_step,
@@ -22,7 +22,7 @@ from .eim import (DegenerateInterpolationPoint, DegenerateSnapshot, EimBasis,
 from .rb import (DependentSnapshot, RbSolution, RbSpace, ReducedBlocks,
                  ReducedModel)
 from .ser import (BuildReport, BuildResult, SerBuildError, SerConfig,
-                  StepRecord, TruthSolutionSource, build_ser, reduced_g_block)
+                  StepRecord, build_ser, reduced_g_block, truth_g_block)
 from .benchmark import (D_MAX, D_MIN, Parameter, SampleSet, StudyRow,
                         TruthReferences, benchmark_problem, benchmark_rhs,
                         benchmark_term, default_checkpoints, emit_table,

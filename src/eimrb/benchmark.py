@@ -120,10 +120,12 @@ class StudyRow:
 
 
 class TruthReferences:
-    """Cached truth solutions and outputs over a test sample.
+    """Exact truth solutions and their outputs, cached per parameter.
 
-    These reference solves are bookkept on their own counter, separate
-    from any build's solve count.
+    Each parameter is solved once and counted once on ``counter``.  A
+    build keeps one for its truth sweeps and exact snapshots, so its
+    counter is the build's count of finite element solves; an error study
+    keeps its own, so its reference solves stay out of any build's count.
     """
 
     def __init__(self, problem, newton=None):

@@ -7,7 +7,6 @@ Unknown keys are rejected.  Example:
     fem.degree = 2
     train.grid_n1 = 20
     train.grid_n2 = 20
-    train.spacing = log
     test.count = 225
     test.seed = 42
     ser.r = 1            # integer, or "standard"
@@ -37,7 +36,6 @@ class RunSettings:
     degree: int = 2
     train_grid_n1: int = 20
     train_grid_n2: int = 20
-    train_spacing: str = "log"
     test_count: int = 225
     test_seed: int = 42
     r: object = 1
@@ -93,7 +91,6 @@ _KEYS = {
     "fem.degree": ("degree", int),
     "train.grid_n1": ("train_grid_n1", int),
     "train.grid_n2": ("train_grid_n2", int),
-    "train.spacing": ("train_spacing", str),
     "test.count": ("test_count", int),
     "test.seed": ("test_seed", int),
     "ser.r": ("r", _parse_r),
@@ -140,8 +137,6 @@ def _validate(s):
         raise ConfigError("mesh.n must be >= 1")
     if s.degree not in (1, 2, 3):
         raise ConfigError("fem.degree must be 1, 2 or 3")
-    if s.train_spacing != "log":
-        raise ConfigError("train.spacing only supports 'log'")
     if s.train_grid_n1 < 1 or s.train_grid_n2 < 1:
         raise ConfigError("training grid sizes must be >= 1")
     if s.test_count < 1:

@@ -1,6 +1,15 @@
-"""Newton solvers for the full nonlinear finite element problem.
+"""The Newton driver, and the full and EIM-surrogate finite element solves.
 
-The problem is: find u with zero boundary values such that
+``_newton`` is the one Newton loop for a single parameter.  The truth
+solve, the surrogate snapshot solve below and the online reduced solve
+(``rb.ReducedModel.solve``) each hand it a residual and a step; it
+applies the stopping rule ``cfg.tolerance(r0)`` and ``max_iter``, and
+raises every failure from one set of templates (``newton_failure``):
+a residual not finite at the initial guess, a stall, a divergence, and
+a singular Jacobian.  ``rb.ReducedModel.solve_many``, the block solver
+of the greedy sweeps, raises its failures from the same templates.
+
+The full problem is: find u with zero boundary values such that
 
     A u + M g(u) = F
 
@@ -44,6 +53,7 @@ I + K diag(g'(v)); the full problem only enters through one factorisation
 of A_II and the columns A^{-1} M q_m, one solve each (see SurrogateSolver).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,8 +101,8 @@ class SolveCounter:
     def __init__(self):
         self._count = 0
 
-    def increment(self, by=1):
-        self._count += by
+    def increment(self):
+        self._count += 1
 
     @property
     def count(self):
@@ -158,25 +168,60 @@ class NonlinearProblem:
         return float(self._mass_row_sums @ values)
 
 
-def _newton(mu, cfg, counter, r_norm, step):
-    """Newton loop shared by the solvers: r_norm is the residual norm at
-    the start, step() takes one Newton step and returns the new norm."""
-    if not np.isfinite(r_norm):
-        raise NewtonFailure(f"residual not finite at the initial guess, mu={mu}",
-                            [r_norm])
-    history = [r_norm]
-    tol = cfg.tolerance(r_norm)
-    while True:
-        if len(history) > cfg.max_iter:
-            raise NewtonFailure(
-                f"no convergence after {cfg.max_iter} iterations at mu={mu}",
-                history)
-        r_norm = step()
-        history.append(r_norm)
-        if np.isfinite(r_norm) and r_norm <= tol:
-            break
-        if not np.isfinite(r_norm):
-            raise NewtonFailure(f"residual diverged at mu={mu}", history)
+# the failures of every Newton solve; {what} names the solver ("" for
+# the truth solve, "surrogate " or "reduced ")
+_FAILURES = {
+    "start": "{what}residual not finite at the initial guess, mu={mu}",
+    "stall": "{what}solve stalled after {iterations} iterations at mu={mu}",
+    "diverge": "{what}residual diverged at mu={mu}",
+    "singular": "singular {what}Jacobian at mu={mu}: {cause}",
+}
+
+
+def newton_failure(kind, what, mu, history, cause):
+    """The exception a Newton solve at mu raises for a failure of the given
+    kind (a key of _FAILURES): a NewtonFailure carrying the residual
+    history, or for "singular" a SolverFailure caused by the LinAlgError
+    cause.  A stall's iteration count is len(history) - 1, and mu is shown
+    as a tuple of floats."""
+    text = _FAILURES[kind].format(what=what, mu=tuple(map(float, mu)),
+                                  iterations=len(history) - 1, cause=cause)
+    if kind != "singular":
+        return NewtonFailure(text, history)
+    failure = SolverFailure(text)
+    failure.__cause__ = cause
+    return failure
+
+
+def _newton(what, mu, cfg, counter, residual, step):
+    """The Newton loop of every single-parameter solve.
+
+    residual() evaluates the residual at the initial guess and returns
+    its norm; step() takes one Newton step and returns the new norm.
+    Both run with numpy's overflow and invalid-value warnings off: a
+    diverging iterate shows up as an inf or nan norm and is raised as a
+    failure here.  A np.linalg.LinAlgError from step() is a singular
+    Jacobian.  what labels the solver in the failure messages
+    (newton_failure).  A converged solve counts once on counter.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_norm = residual()
+        history = [r_norm]
+        if not math.isfinite(r_norm):
+            raise newton_failure("start", what, mu, history, None)
+        tol = cfg.tolerance(r_norm)
+        while len(history) <= cfg.max_iter:
+            try:
+                r_norm = step()
+            except np.linalg.LinAlgError as exc:
+                raise newton_failure("singular", what, mu, history, exc) from exc
+            history.append(r_norm)
+            if not math.isfinite(r_norm):
+                raise newton_failure("diverge", what, mu, history, None)
+            if r_norm <= tol:
+                break
+        else:
+            raise newton_failure("stall", what, mu, history, None)
     if counter is not None:
         counter.increment()
     return SolveStats(iterations=len(history) - 1, final_residual_norm=r_norm,
@@ -190,15 +235,15 @@ def truth_jacobian(problem, u, mu):
     (1, 2) row."""
     a_ii, m_data, cols = problem.interior_block
     idx = problem.space.interior_dofs
-    with np.errstate(over="ignore", invalid="ignore"):
-        dg = problem.term.dg_du(u[None, idx], problem.space.dof_coords[idx],
-                                mu_row(mu))[0]
-        data = a_ii.data + m_data * dg[cols]
+    dg = problem.term.dg_du(u[None, idx], problem.space.dof_coords[idx],
+                            mu_row(mu))[0]
+    data = a_ii.data + m_data * dg[cols]
     return sp.csc_matrix((data, a_ii.indices, a_ii.indptr), shape=a_ii.shape)
 
 
-def truth_newton_solve(problem, mu, cfg=None, counter=None, initial=None):
-    """Solve the full nonlinear problem at mu with exact nonlinearity.
+def truth_newton_solve(problem, mu, cfg=None, counter=None):
+    """Solve the full nonlinear problem at mu with exact nonlinearity,
+    from u = 0.
 
     Each Newton step solves for the interior values only (module
     docstring); the boundary values stay zero.
@@ -210,27 +255,22 @@ def truth_newton_solve(problem, mu, cfg=None, counter=None, initial=None):
     coords = space.dof_coords
     term = problem.term
     mus = mu_row(mu)
-    u = np.zeros(space.ndof) if initial is None else np.array(initial, dtype=float)
-    u[bdofs] = 0.0
+    u = np.zeros(space.ndof)
+    r = None
 
-    def residual(uv):
-        # divergence shows up as inf/nan and is classified by _newton
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = (problem.stiffness @ uv
-                 + problem.mass @ term.g(uv[None], coords, mus)[0]
-                 - problem.load)
-            r[bdofs] = 0.0
-            return r, np.linalg.norm(r)
-
-    r, r_norm = residual(u)
+    def residual():
+        nonlocal r
+        r = (problem.stiffness @ u
+             + problem.mass @ term.g(u[None], coords, mus)[0]
+             - problem.load)
+        r[bdofs] = 0.0
+        return np.linalg.norm(r)
 
     def step():
-        nonlocal r
         u[idx] += solve_sparse(truth_jacobian(problem, u, mus), -r[idx])
-        r, r_norm = residual(u)
-        return r_norm
+        return residual()
 
-    stats = _newton(mu, cfg, counter, r_norm, step)
+    stats = _newton("", mu, cfg, counter, residual, step)
     return FEField(space, u), stats
 
 
@@ -298,33 +338,24 @@ def truth_newton_solve_eim(surrogate, mu, cfg=None, counter=None):
     k_mat = solve_triangular(eim.B, solved_q[t].T, lower=True, trans="T").T
     a = surrogate.linear[t]
 
-    def residual_norm(uv):
-        # divergence shows up as inf/nan and is classified by _newton
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = (problem.stiffness @ uv
-                 + mass_q @ eim.coeffs(term.g(uv[None, t], xt, mus)[0])
-                 - problem.load)
-            r[bdofs] = 0.0
-            return float(np.linalg.norm(r))
-
     v = np.zeros(eim.M)
     u = np.zeros(space.ndof)
 
+    def residual():
+        r = (problem.stiffness @ u
+             + mass_q @ eim.coeffs(term.g(u[None, t], xt, mus)[0])
+             - problem.load)
+        r[bdofs] = 0.0
+        return float(np.linalg.norm(r))
+
     def step():
         nonlocal v, u
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = v + k_mat @ term.g(v[None], xt, mus)[0] - a
-            jac = np.eye(eim.M) + k_mat * term.dg_du(v[None], xt, mus)
-        try:
-            v = v - np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(
-                f"singular surrogate Jacobian at mu={mu}: {exc}") from exc
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = (surrogate.linear
-                 - solved_q @ eim.coeffs(term.g(v[None], xt, mus)[0]))
+        f = v + k_mat @ term.g(v[None], xt, mus)[0] - a
+        jac = np.eye(eim.M) + k_mat * term.dg_du(v[None], xt, mus)
+        v = v - np.linalg.solve(jac, f)
+        u = surrogate.linear - solved_q @ eim.coeffs(term.g(v[None], xt, mus)[0])
         u[bdofs] = 0.0
-        return residual_norm(u)
+        return residual()
 
-    stats = _newton(mu, cfg, counter, residual_norm(u), step)
+    stats = _newton("surrogate ", mu, cfg, counter, residual, step)
     return FEField(space, u), stats

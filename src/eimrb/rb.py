@@ -12,9 +12,14 @@ interpolation points.  Newton uses the exact Jacobian
     J(c) = A + W diag(g'(Tr^T c)) Tr^T,
 
 so nothing inside the Newton loop touches an object of full finite
-element dimension.  ``solve_many`` runs the same Newton for a whole list
-of parameters at once, on a (P, N) coefficient array, which is how the
-greedy sweeps of a build scan the training set.
+element dimension.  ``ReducedModel.solve`` runs it at one parameter on
+the package's one Newton driver (``nonlinear._newton``), the loop of
+the truth and surrogate solves too.  ``solve_many`` is the block solver:
+one masked Newton for a whole list of parameters at once, on a (P, N)
+coefficient array, which is how the greedy sweeps of a build scan the
+training set.  It applies the same stopping rule and builds its
+failures from the same templates (``nonlinear.newton_failure``), so at
+each parameter it fails as ``solve`` does.
 
 ``RbSpace`` and ``ReducedBlocks`` are the build's growing state: the
 basis and the blocks are extended in place as snapshots and interpolant
@@ -29,8 +34,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .fem import SolverFailure
-from .nonlinear import NewtonConfig, NewtonFailure, mu_row
+from .nonlinear import NewtonConfig, _newton, mu_row, newton_failure
 
 
 class DependentSnapshot(RuntimeError):
@@ -201,13 +205,13 @@ class ReducedModel:
         """Exact derivative A + W diag(g'(Tr^T c)) Tr^T of the reduced
         residual at the coefficients c; mu is one parameter or its
         (1, 2) row."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            dg = self.problem.term.dg_du((self.Tr.T @ c)[None], self.xg,
-                                         mu_row(mu))
-            return self.A + (self.W * dg) @ self.Tr.T
+        dg = self.problem.term.dg_du((self.Tr.T @ c)[None], self.xg,
+                                     mu_row(mu))
+        return self.A + (self.W * dg) @ self.Tr.T
 
     def solve(self, mu, cfg=None, initial=None):
-        """Online reduced Newton solve; cost independent of the FE dimension."""
+        """Online reduced Newton solve on the shared driver; cost
+        independent of the FE dimension."""
         cfg = cfg or NewtonConfig()
         n = self.N
         if n < 1:
@@ -215,42 +219,21 @@ class ReducedModel:
         term = self.problem.term
         mus = mu_row(mu)
         c = np.zeros(n) if initial is None else np.array(initial, dtype=float)
+        r = None
 
-        def residual(cv):
-            g = term.g((self.Tr.T @ cv)[None], self.xg, mus)[0]
-            r = self.A @ cv + self.W @ g - self.F
-            return r, math.sqrt(r @ r)     # np.linalg.norm, without its overhead
+        def residual():
+            nonlocal r
+            g = term.g((self.Tr.T @ c)[None], self.xg, mus)[0]
+            r = self.A @ c + self.W @ g - self.F
+            return math.sqrt(r @ r)     # np.linalg.norm, without its overhead
 
-        # divergence shows up as inf/nan and is classified below, not warned
-        with np.errstate(over="ignore", invalid="ignore"):
-            r, r_norm = residual(c)
-            if not math.isfinite(r_norm):
-                raise NewtonFailure(
-                    f"reduced residual not finite at the initial guess, mu={mu}",
-                    [r_norm])
-            history = [r_norm]
-            tol = cfg.tolerance(r_norm)
-            iterations = 0
-            while True:
-                if iterations >= cfg.max_iter:
-                    raise NewtonFailure(
-                        f"reduced solve stalled after {cfg.max_iter} iterations "
-                        f"at mu={mu}", history)
-                try:
-                    delta = np.linalg.solve(self.jacobian(c, mus), -r)
-                except np.linalg.LinAlgError as exc:
-                    raise SolverFailure(
-                        f"singular reduced Jacobian at mu={mu}: {exc}") from exc
-                c = c + delta
-                iterations += 1
-                r, r_norm = residual(c)
-                history.append(r_norm)
-                if math.isfinite(r_norm) and r_norm <= tol:
-                    break
-                if not math.isfinite(r_norm):
-                    raise NewtonFailure(f"reduced residual diverged at mu={mu}",
-                                        history)
-        return RbSolution(c, tuple(mu), iterations, history)
+        def step():
+            nonlocal c
+            c = c + np.linalg.solve(self.jacobian(c, mus), -r)
+            return residual()
+
+        stats = _newton("reduced ", mu, cfg, None, residual, step)
+        return RbSolution(c, tuple(mu), stats.iterations, stats.residual_history)
 
     def solve_many(self, mus, cfg=None):
         """Reduced Newton solves at every parameter of mus at once.
@@ -284,11 +267,11 @@ class ReducedModel:
                  - self.F)
             return values, r, np.linalg.norm(r, axis=1)
 
-        def fail(rows, message, iterations):
+        def fail(rows, kind, iterations, cause):
             for k in rows:
-                failures[int(k)] = NewtonFailure(
-                    message.format(mu=mus[k]),
-                    history[:iterations + 1, k].tolist())
+                failures[int(k)] = newton_failure(
+                    kind, "reduced ", mus[k],
+                    history[:iterations + 1, k].tolist(), cause)
 
         live = np.arange(len(mus))   # parameters still iterating
         # divergence shows up as inf/nan and is classified below, not warned
@@ -296,8 +279,7 @@ class ReducedModel:
             values, r, r_norm = residual(live)
             history[0] = r_norm
             tol = np.array([cfg.tolerance(x) for x in r_norm])
-            fail(live[~np.isfinite(r_norm)],
-                 "reduced residual not finite at the initial guess, mu={mu}", 0)
+            fail(live[~np.isfinite(r_norm)], "start", 0, None)
             going = np.isfinite(r_norm)
             iterations = 0
             while True:
@@ -305,8 +287,7 @@ class ReducedModel:
                 if live.size == 0:
                     break
                 if iterations >= cfg.max_iter:
-                    fail(live, f"reduced solve stalled after {cfg.max_iter} "
-                         "iterations at mu={mu}", iterations)
+                    fail(live, "stall", iterations, None)
                     break
                 dg = term.dg_du(values, self.xg, mu_rows[live])
                 jac = self.A + (self.W * dg[:, None, :]) @ self.Tr.T
@@ -321,18 +302,14 @@ class ReducedModel:
                         try:
                             delta[i] = np.linalg.solve(jac[i], -r[i])
                         except np.linalg.LinAlgError as exc:
-                            failures[int(k)] = SolverFailure(
-                                f"singular reduced Jacobian at mu={mus[k]}: "
-                                f"{exc}")
-                            failures[int(k)].__cause__ = exc
+                            fail([k], "singular", iterations, exc)
                             solved[i] = False
                     live, delta = live[solved], delta[solved]
                 coeffs[live] += delta
                 iterations += 1
                 values, r, r_norm = residual(live)
                 history[iterations, live] = r_norm
-                fail(live[~np.isfinite(r_norm)],
-                     "reduced residual diverged at mu={mu}", iterations)
+                fail(live[~np.isfinite(r_norm)], "diverge", iterations, None)
                 going = np.isfinite(r_norm) & (r_norm > tol[live])
         coeffs[list(failures)] = 0.0
         return coeffs, failures

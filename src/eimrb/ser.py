@@ -54,11 +54,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .benchmark import TruthReferences
 from .eim import eim_greedy_step, eim_initialize
 from .fem import SolverFailure
-from .nonlinear import (NewtonConfig, NewtonFailure, SolveCounter,
-                        SurrogateSolver, truth_newton_solve,
+from .nonlinear import (NewtonConfig, NewtonFailure, SurrogateSolver,
                         truth_newton_solve_eim)
+# importable from here, where perfbench's tracer wraps it; the build's
+# truth solves run through TruthReferences
+from .nonlinear import truth_newton_solve  # noqa: F401
 from .rb import DependentSnapshot, RbSpace, ReducedBlocks, ReducedModel
 
 
@@ -141,39 +144,6 @@ class BuildResult:
         return self.model.restrict(n, m)
 
 
-class TruthSolutionSource:
-    """Exact truth solves, cached per parameter, counted once each."""
-
-    def __init__(self, problem, newton, counter):
-        self.problem = problem
-        self.newton = newton
-        self.counter = counter
-        self.cache = {}
-
-    def solve(self, mu):
-        key = tuple(mu)
-        if key not in self.cache:
-            u, _ = truth_newton_solve(self.problem, key, self.newton,
-                                      counter=self.counter)
-            self.cache[key] = u.values
-        return self.cache[key]
-
-    def g_block(self, samples):
-        """Greedy-sweep provider: g of the truth solutions at the samples,
-        made a row range at a time (``GBlock``), and {index: exception}
-        for failed solves, whose rows hold g of a zero field."""
-        failures = {}
-        for k, mu in enumerate(samples):
-            try:
-                self.solve(mu)
-            except (NewtonFailure, SolverFailure) as exc:
-                failures[k] = exc
-        zero = np.zeros(self.problem.space.ndof)
-        fields = [self.cache.get(tuple(mu), zero) for mu in samples]
-        return (GBlock(self.problem, samples, lambda rows: np.array(fields[rows])),
-                failures)
-
-
 class GBlock:
     """Fields g(u_p, x; mu_p) over samples mu_p, made a row range at a time.
 
@@ -191,6 +161,26 @@ class GBlock:
 
     def __getitem__(self, rows):
         return self.term.g(self.values(rows), self.coords, self.mus[rows])
+
+
+def truth_g_block(references):
+    """Greedy-sweep provider over exact truth solves: g of the truth
+    solutions at the samples, solved and cached by ``references`` (a
+    ``TruthReferences``), and {index: exception} for failed solves, whose
+    rows hold g of a zero field."""
+    def provider(samples):
+        zero = np.zeros(references.problem.space.ndof)
+        fields, failures = [], {}
+        for k, mu in enumerate(samples):
+            try:
+                fields.append(references.get(mu)[0])
+            except (NewtonFailure, SolverFailure) as exc:
+                failures[k] = exc
+                fields.append(zero)
+        return (GBlock(references.problem, samples,
+                       lambda rows: np.array(fields[rows])),
+                failures)
+    return provider
 
 
 def reduced_g_block(model, newton):
@@ -226,10 +216,10 @@ def build_ser(problem, cfg):
     r = cfg.m_max if standard else cfg.r
     t0 = time.perf_counter()
     train = [tuple(p) for p in cfg.train_set]
-    counter = SolveCounter()
+    truth = TruthReferences(problem, cfg.newton)
+    counter = truth.counter
     label = "r=M" if standard else f"r={r}" + ("-rebuild" if cfg.rebuild_wn else "")
     report = BuildReport(variant=label, r=cfg.r, rebuild_wn=cfg.rebuild_wn)
-    truth = TruthSolutionSource(problem, cfg.newton, counter)
 
     n_updates = -(-cfg.m_max // r)  # ceil
     event_m = [min(j * r, cfg.m_max) for j in range(1, n_updates + 1)]
@@ -238,7 +228,7 @@ def build_ser(problem, cfg):
     n_after = [max(1, (j * cfg.n_max) // n_updates) for j in range(1, n_updates + 1)]
     n_after[-1] = cfg.n_max
 
-    eim_g = eim_initialize(problem.space, truth.g_block, train)
+    eim_g = eim_initialize(problem.space, truth_g_block(truth), train)
     report.log("eim", train[0], eim_g.train_errors[0], 1, 0, counter)
 
     rb = RbSpace(problem.space)
@@ -254,7 +244,7 @@ def build_ser(problem, cfg):
     def snapshot_solve(mu):
         nonlocal surrogate
         if standard:
-            return truth.solve(mu)
+            return truth.get(mu)[0]
         if surrogate is None:
             surrogate = SurrogateSolver(problem, eim_g)
         u, _ = truth_newton_solve_eim(surrogate, mu, cfg.newton, counter=counter)
@@ -281,7 +271,7 @@ def build_ser(problem, cfg):
         # --- interpolant enrichment for this group
         while eim_g.M < m_target and not saturated:
             if j == 1 and r > 1:
-                provider = truth.g_block
+                provider = truth_g_block(truth)
             else:
                 # the interpolant and the blocks grow only after the sweep,
                 # so every sweep evaluation sees the same model

@@ -142,7 +142,8 @@ class TestConfig:
             er.parse_config("ser.r = standard\nser.rebuild_wn = true")
 
     def test_bad_spacing(self):
-        with pytest.raises(er.ConfigError):
+        # the training grid is always log-spaced; there is no spacing key
+        with pytest.raises(er.ConfigError, match="unknown key 'train.spacing'"):
             er.parse_config("train.spacing = linear")
 
     def test_missing_equals(self):

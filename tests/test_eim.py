@@ -35,9 +35,9 @@ class TestInitialize:
         assert np.allclose(basis.fields[0], x, atol=1e-15)
 
     def test_benchmark_first_field_is_normalized(self, problem8, train5):
-        counter = er.SolveCounter()
-        truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        basis = er.eim_initialize(problem8.space, truth.g_block, list(train5))
+        truth = er.TruthReferences(problem8)
+        basis = er.eim_initialize(problem8.space, er.truth_g_block(truth),
+                                  list(train5))
         assert abs(np.max(np.abs(basis.fields[0])) - 1.0) <= 1e-12
         assert basis.mus[0] == tuple(train5[0])
 
@@ -74,9 +74,8 @@ class TestGreedy:
         assert worst <= 1e-12
 
     def test_benchmark_training_decay(self, problem8, train5):
-        counter = er.SolveCounter()
-        truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        basis = eim_train(problem8.space, truth.g_block, list(train5),
+        truth = er.TruthReferences(problem8)
+        basis = eim_train(problem8.space, er.truth_g_block(truth), list(train5),
                           m_max=10)
         errs = basis.train_errors[1:]
         assert len(errs) == 9

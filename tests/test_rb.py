@@ -42,19 +42,18 @@ class TestRbSpace:
 
 class TestBlocks:
     def test_extension_preserves_existing_entries_bitwise(self, problem8, train5):
-        counter = er.SolveCounter()
-        truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        eim_g = eim_train(problem8.space, truth.g_block, list(train5),
+        truth = er.TruthReferences(problem8)
+        eim_g = eim_train(problem8.space, er.truth_g_block(truth), list(train5),
                           m_max=4)
         rb = er.RbSpace(problem8.space)
         blocks = er.ReducedBlocks(problem8)
         mus = [(0.01, 0.01), (10, 10), (0.1, 1.0)]
         for mu in mus[:2]:
-            rb.add_snapshot(truth.solve(mu), mu)
+            rb.add_snapshot(truth.get(mu)[0], mu)
         blocks.extend(rb, eim_g.restrict(3))
         old = {k: getattr(blocks, k).copy() for k in ("A", "F", "Rq", "Tr", "avg")}
         # grow the basis and the interpolant in one extension
-        rb.add_snapshot(truth.solve(mus[2]), mus[2])
+        rb.add_snapshot(truth.get(mus[2])[0], mus[2])
         blocks.extend(rb, eim_g)
         assert np.array_equal(blocks.A[:2, :2], old["A"])
         assert np.array_equal(blocks.F[:2], old["F"])
@@ -125,16 +124,15 @@ class TestReducedSolve:
     def test_single_snapshot_reproduction(self, problem8):
         mu = (0.5, 2.0)
         samples = [mu, (0.6, 2.0), (0.5, 2.5), (0.7, 1.5)]
-        counter = er.SolveCounter()
-        truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        eim_g = eim_train(problem8.space, truth.g_block, samples, m_max=4)
+        truth = er.TruthReferences(problem8)
+        eim_g = eim_train(problem8.space, er.truth_g_block(truth), samples, m_max=4)
         rb = er.RbSpace(problem8.space)
-        rb.add_snapshot(truth.solve(mu), mu)
+        rb.add_snapshot(truth.get(mu)[0], mu)
         blocks = er.ReducedBlocks(problem8)
         blocks.extend(rb, eim_g)
         model = model_from(problem8, rb, blocks, eim_g)
         sol = model.solve(mu)
-        du = truth.solve(mu) - model.lift_values(sol)
+        du = truth.get(mu)[0] - model.lift_values(sol)
         assert float(np.sqrt(du @ (problem8.mass @ du))) <= 1e-6
 
     def test_zero_rhs_gives_zero_in_one_iteration(self, standard_small):
@@ -172,9 +170,8 @@ class TestReducedSolve:
         problem = er.benchmark_problem(4, 1)
         space = problem.space
         samples = list(er.SampleSet.log_grid(3, 3))
-        counter = er.SolveCounter()
-        truth = er.TruthSolutionSource(problem, er.NewtonConfig(), counter)
-        eim_g = eim_train(space, truth.g_block, samples, m_max=9)
+        truth = er.TruthReferences(problem)
+        eim_g = eim_train(space, er.truth_g_block(truth), samples, m_max=9)
         rb = er.RbSpace(space)
         for k, dof in enumerate(space.interior_dofs):
             e = np.zeros(space.ndof)
@@ -185,7 +182,7 @@ class TestReducedSolve:
         model = model_from(problem, rb, blocks, eim_g)
         for mu in samples:
             sol = model.solve(mu, er.NewtonConfig(max_iter=200))
-            du = truth.solve(mu) - model.lift_values(sol)
+            du = truth.get(mu)[0] - model.lift_values(sol)
             assert float(np.sqrt(du @ (problem.mass @ du))) <= 1e-8
 
 

@@ -102,9 +102,8 @@ class TestSchedules:
     def test_standard_eim_equals_direct_training_bitwise(self, problem8,
                                                          train5,
                                                          standard_small):
-        counter = er.SolveCounter()
-        truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        direct = eim_train(problem8.space, truth.g_block,
+        truth = er.TruthReferences(problem8)
+        direct = eim_train(problem8.space, er.truth_g_block(truth),
                            [tuple(p) for p in train5], m_max=8)
         built = standard_small.model.eim_g
         assert direct.t == built.t
@@ -199,6 +198,16 @@ class TestFailureHandling:
         assert result.model.N == 3
         skipped_mus = {tuple(mu) for _, mu, _ in result.report.skipped}
         assert poisoned in skipped_mus
+        # the message shows mu as plain floats, as the shared template does
+        template = str(er.newton_failure("start", "reduced ", poisoned,
+                                         [np.nan], None))
+        for _, mu, message in result.report.skipped:
+            assert "np.float64" not in message
+            if tuple(mu) == poisoned:
+                assert message == template
+                assert message == ("reduced residual not finite at the initial "
+                                   f"guess, mu=({float(poisoned[0])!r}, "
+                                   f"{float(poisoned[1])!r})")
 
     def test_majority_failure_aborts(self, problem8, train5):
         cfg = er.SerConfig(r=1, n_max=3, m_max=3, train_set=train5,
@@ -308,23 +317,28 @@ class TestSnapshotSelection:
 
 
 class TestBenchmarkBindings:
-    """perfbench traces a build by wrapping these names where ``ser`` looks
-    them up, and counts sweep evaluations through the ``samples`` argument
-    of ``eim_greedy_step``; a build that bypasses them loses its trace."""
+    """perfbench traces a build by wrapping these names where the build
+    looks them up (the truth solves run through ``TruthReferences`` in
+    ``benchmark``), and counts sweep evaluations through the ``samples``
+    argument of ``eim_greedy_step``; a build that bypasses them loses its
+    trace."""
 
-    SITES = ("eim_greedy_step", "truth_newton_solve", "truth_newton_solve_eim")
+    SITES = ("ser.eim_greedy_step", "benchmark.truth_newton_solve",
+             "ser.truth_newton_solve_eim")
 
     def test_traced_bindings_exist(self):
-        for name in self.SITES:
-            assert callable(getattr(eimrb.ser, name))
+        for site in self.SITES + ("ser.truth_newton_solve",):
+            module, name = site.split(".")
+            assert callable(getattr(getattr(eimrb, module), name))
         assert er.build_ser is eimrb.ser.build_ser
         assert "samples" in inspect.signature(eimrb.ser.eim_greedy_step).parameters
 
     def test_builds_call_through_the_bindings(self, problem8, train5,
                                               newton_roomy, monkeypatch):
         calls, evaluations = Counter(), Counter()
-        for name in self.SITES:
-            fn = getattr(eimrb.ser, name)
+        for site in self.SITES:
+            module, name = site.split(".")
+            fn = getattr(getattr(eimrb, module), name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
                 calls[_name] += 1
@@ -332,7 +346,7 @@ class TestBenchmarkBindings:
                 evaluations[_name] += len(bound.get("samples", ()))
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(f"eimrb.ser.{name}", counted)
+            monkeypatch.setattr(f"eimrb.{site}", counted)
 
         er.build_ser(problem8, er.SerConfig(r="standard", n_max=6, m_max=8,
                                             train_set=train5))

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 import eimrb as er
 
-from conftest import at_mu, check_derivative, eim_train
+from conftest import at_mu, check_derivative, eim_train, model_with
 
 
 CORNERS = [(0.01, 0.01), (10.0, 0.01), (0.01, 10.0), (10.0, 10.0)]
@@ -116,13 +116,84 @@ class TestTruthNewton:
         assert counter.count == 2
 
 
+class TestNewtonDriver:
+    """The truth, surrogate and reduced solves share one Newton driver:
+    each failure kind raises the same class and message, prefixed by the
+    solver's name, after the same number of residuals in all three."""
+
+    MU = er.SampleSet.log_grid(5, 5)[7]     # numpy floats, shown as floats
+    MU_TEXT = f"({float(MU[0])!r}, {float(MU[1])!r})"
+
+    @staticmethod
+    def singular_slope(kind, model):
+        """Slope of a linear term that makes the solver's first Jacobian
+        exactly singular: 0 for the reduced solve with A = 0, whose
+        Jacobian is W diag(g') Tr^T, and -1/k for the one-field surrogate,
+        whose Jacobian is 1 + k g'."""
+        if kind == "reduced":
+            return 0.0
+        surrogate = er.SurrogateSolver(model.problem, model.eim_g.restrict(1))
+        surrogate.update()
+        k = surrogate.solved_q[model.eim_g.t[0], 0] / model.eim_g.B[0, 0]
+        slope = -1.0 / k
+        assert model.eim_g.B[0, 0] == 1.0 and 1.0 + k * slope == 0.0
+        return slope
+
+    @pytest.mark.parametrize("kind, failure", [
+        ("truth", "start"), ("truth", "stall"),
+        ("surrogate", "start"), ("surrogate", "stall"), ("surrogate", "singular"),
+        ("reduced", "start"), ("reduced", "stall"), ("reduced", "singular"),
+    ])
+    def test_failures(self, standard_small, kind, failure):
+        model = standard_small.model
+        term = model.problem.term
+        cfg = er.NewtonConfig(max_iter=1 if failure == "stall" else 50)
+        if failure == "start":
+            term = er.NonlinearTerm(lambda u, xy, mus: np.full_like(u, np.nan),
+                                    term.dg_du)
+        elif failure == "singular":
+            slope = self.singular_slope(kind, model)
+            term = er.NonlinearTerm(lambda u, xy, mus: np.array(u) * slope,
+                                    lambda u, xy, mus: np.full_like(u, slope))
+        problem = er.NonlinearProblem(model.problem.space, term,
+                                      er.benchmark_rhs)
+        if kind == "truth":
+            what, solve = "", lambda: er.truth_newton_solve(problem, self.MU, cfg)
+        elif kind == "surrogate":
+            surrogate = er.SurrogateSolver(problem, model.eim_g.restrict(1))
+            what = "surrogate "
+            solve = lambda: er.truth_newton_solve_eim(surrogate, self.MU, cfg)
+        else:
+            if failure == "singular":
+                model = model_with(model, A=np.zeros_like(model.A))
+            model = model_with(model, problem=problem)
+            what, solve = "reduced ", lambda: model.solve(self.MU, cfg)
+
+        error = er.SolverFailure if failure == "singular" else er.NewtonFailure
+        with pytest.raises(error) as info:
+            solve()
+        exc = info.value
+        assert type(exc) is error
+        if failure == "start":
+            assert str(exc) == (f"{what}residual not finite at the initial "
+                                f"guess, mu={self.MU_TEXT}")
+            assert len(exc.history) == 1 and np.isnan(exc.history[0])
+        elif failure == "stall":
+            assert str(exc) == (f"{what}solve stalled after 1 iterations at "
+                                f"mu={self.MU_TEXT}")
+            assert len(exc.history) == 2 and np.all(np.isfinite(exc.history))
+        else:
+            assert str(exc).startswith(f"singular {what}Jacobian at "
+                                       f"mu={self.MU_TEXT}: ")
+            assert isinstance(exc.__cause__, np.linalg.LinAlgError)
+
+
 @pytest.fixture(scope="module")
 def saturated_eims(problem8):
     """Residual interpolant trained to saturation over a tiny sample."""
     samples = list(er.SampleSet.log_grid(3, 3))
-    counter = er.SolveCounter()
-    truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-    eim_g = eim_train(problem8.space, truth.g_block, samples,
+    truth = er.TruthReferences(problem8)
+    eim_g = eim_train(problem8.space, er.truth_g_block(truth), samples,
                       m_max=len(samples))
     return samples, truth, eim_g
 
@@ -151,7 +222,7 @@ class TestTruthNewtonEim:
         solver = er.SurrogateSolver(problem8, eim_g)
         for mu in samples:
             u, stats = er.truth_newton_solve_eim(solver, mu)
-            assert l2_distance(problem8, truth.solve(mu), u.values) <= 1e-8
+            assert l2_distance(problem8, truth.get(mu)[0], u.values) <= 1e-8
             assert stats.final_residual_norm <= 1e-9
 
     def test_matches_truth_from_zero_guess_mild_regime(self, problem8,
@@ -160,7 +231,7 @@ class TestTruthNewtonEim:
         mu = samples[0]  # (0.01, 0.01): nearly linear
         u, stats = er.truth_newton_solve_eim(er.SurrogateSolver(problem8, eim_g),
                                              mu)
-        assert l2_distance(problem8, truth.solve(mu), u.values) <= 1e-8
+        assert l2_distance(problem8, truth.get(mu)[0], u.values) <= 1e-8
         assert stats.iterations <= 3
 
     def test_zero_start_at_the_hardest_corner(self, problem8, saturated_eims):
@@ -169,7 +240,7 @@ class TestTruthNewtonEim:
         assert mu in samples
         u, _ = er.truth_newton_solve_eim(er.SurrogateSolver(problem8, eim_g),
                                          mu, er.NewtonConfig())
-        assert l2_distance(problem8, truth.solve(mu), u.values) <= 1e-8
+        assert l2_distance(problem8, truth.get(mu)[0], u.values) <= 1e-8
 
     @pytest.mark.parametrize("mu", CORNERS + [(0.5, 2.0)])
     def test_solves_the_full_space_surrogate_problem(self, problem8,
@@ -188,13 +259,12 @@ class TestTruthNewtonEim:
 
     def test_cached_solver_matches_fresh_solver_bitwise(self, problem8):
         samples = list(er.SampleSet.log_grid(4, 4))
-        counter = er.SolveCounter()
-        truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        eim_g = eim_train(problem8.space, truth.g_block, samples, m_max=4)
+        truth = er.TruthReferences(problem8)
+        eim_g = eim_train(problem8.space, er.truth_g_block(truth), samples, m_max=4)
         cached = er.SurrogateSolver(problem8, eim_g)
         mu = (2.0, 5.0)
         er.truth_newton_solve_eim(cached, mu)
-        er.eim_greedy_step(eim_g, truth.g_block, samples)
+        er.eim_greedy_step(eim_g, er.truth_g_block(truth), samples)
         assert eim_g.M == 5
         u_cached, s_cached = er.truth_newton_solve_eim(cached, mu)
         u_fresh, s_fresh = er.truth_newton_solve_eim(
@@ -204,11 +274,10 @@ class TestTruthNewtonEim:
 
     def test_single_field_interpolant_at_training_parameter(self, problem8):
         mu = (0.5, 2.0)
-        counter = er.SolveCounter()
-        truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
-        eim_g = er.eim_initialize(problem8.space, truth.g_block, [mu])
+        truth = er.TruthReferences(problem8)
+        eim_g = er.eim_initialize(problem8.space, er.truth_g_block(truth), [mu])
         u, _ = er.truth_newton_solve_eim(er.SurrogateSolver(problem8, eim_g), mu)
-        assert l2_distance(problem8, truth.solve(mu), u.values) <= 1e-8
+        assert l2_distance(problem8, truth.get(mu)[0], u.values) <= 1e-8
         assert np.all(u.values[problem8.space.boundary_dofs] == 0.0)
 
     def test_counter_increment_per_call(self, problem8, saturated_eims):
@@ -235,19 +304,18 @@ class TestTruthNewtonEim:
         # solve stays within a small factor of the training interpolation
         # error of the residual nonlinearity
         samples = list(er.SampleSet.log_grid(4, 4))
-        counter = er.SolveCounter()
-        truth = er.TruthSolutionSource(problem8, er.NewtonConfig(), counter)
+        truth = er.TruthReferences(problem8)
         coords = problem8.space.dof_coords
         term = problem8.term
-        g_of = lambda mu: at_mu(term.g, truth.solve(mu), coords, mu)
+        g_of = lambda mu: at_mu(term.g, truth.get(mu)[0], coords, mu)
         probes = [samples[5], samples[10], samples[15]]
         for m_max in (6, 10, 14):
-            eim_g = eim_train(problem8.space, truth.g_block, samples,
+            eim_g = eim_train(problem8.space, er.truth_g_block(truth), samples,
                               m_max=m_max)
             solver = er.SurrogateSolver(problem8, eim_g)
             eps = max(eim_g.sup_error(g_of(mu)) for mu in samples)
             for mu in probes:
-                u_ref = truth.solve(mu)
+                u_ref = truth.get(mu)[0]
                 u, _ = er.truth_newton_solve_eim(solver, mu)
                 ds = abs(problem8.average(u.values) - problem8.average(u_ref))
                 assert ds <= 10.0 * eps
