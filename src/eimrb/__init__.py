@@ -11,7 +11,7 @@ r = "standard" (r = M) the sequential build with exact truth snapshots.
 from .fem import (FEField, Mesh, FESpace, SolverFailure, apply_dirichlet,
                   assemble_load, assemble_stiffness, assemble_weighted_mass,
                   build_mesh, build_space, eval_at_points, h1_inner, l2_norm,
-                  solve_sparse, triangle_quadrature)
+                  nested_dissection, solve_sparse, triangle_quadrature)
 from .nonlinear import (NewtonConfig, NewtonFailure, NonlinearProblem,
                         NonlinearTerm, SolveCounter, SolveStats,
                         SurrogateSolver, newton_failure, truth_jacobian,

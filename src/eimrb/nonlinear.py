@@ -26,7 +26,10 @@ element-to-dof map, so A_II and M_II share one sparsity pattern: the
 problem keeps A_II in CSC form, the data of M_II on that pattern and the
 column of every stored entry, and each step writes the Jacobian's data
 a_k + m_k g'(u_I)[col_k] into the pattern.  No sparse product, boundary
-elimination or format conversion runs per iteration.
+elimination or format conversion runs per iteration.  The interior
+values are numbered once, in a nested-dissection elimination order of
+the graph of A_II, so every Jacobian and A_II itself are factored in
+that order with no column ordering per factorisation.
 
 The EIM-surrogate problem replaces g(u) by its empirical interpolant
 Q B^{-1} g(u_t): Q holds the M basis fields as columns, B is the lower
@@ -61,7 +64,7 @@ import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
 from .fem import (FEField, SolverFailure, assemble_load, factor_sparse,
-                  solve_factored, solve_sparse)
+                  nested_dissection, solve_factored, solve_sparse)
 
 
 class NewtonFailure(RuntimeError):
@@ -143,14 +146,22 @@ class NonlinearProblem:
 
     @property
     def interior_block(self):
-        """(A_II, M_II data, column of each stored entry), built on first use.
+        """(interior dofs, A_II, M_II data, column of each stored entry),
+        built on first use.
 
-        A_II is the interior block of the stiffness in CSC form with sorted
-        indices; the second array holds the interior mass block's entries
-        in the same positions, which requires one sparsity pattern for both.
+        The interior dofs come in the nested-dissection elimination order
+        of the graph of A_II (fem.nested_dissection), and A_II, the
+        interior block of the stiffness in CSC form with sorted indices,
+        has its rows and columns in that order, so that it and every
+        Jacobian on its pattern factor without a further ordering.  The
+        third array holds the interior mass block's entries in the same
+        positions, which requires one sparsity pattern for both.
         """
         if self._interior_block is None:
             idx = self.space.interior_dofs
+            order = nested_dissection(self.stiffness[idx][:, idx],
+                                      self.space.dof_coords[idx])
+            idx = idx[order]
             a_ii = self.stiffness[idx][:, idx].tocsc()
             m_ii = self.mass[idx][:, idx].tocsc()
             a_ii.sort_indices()
@@ -160,7 +171,7 @@ class NonlinearProblem:
                 raise ValueError(
                     "stiffness and mass matrices differ in sparsity pattern")
             cols = np.repeat(np.arange(len(idx)), np.diff(a_ii.indptr))
-            self._interior_block = (a_ii, m_ii.data, cols)
+            self._interior_block = (idx, a_ii, m_ii.data, cols)
         return self._interior_block
 
     def average(self, values):
@@ -233,8 +244,7 @@ def truth_jacobian(problem, u, mu):
     derivative of the residual A u + M g(u) - F, written into the fixed
     CSC pattern of problem.interior_block.  mu is one parameter or its
     (1, 2) row."""
-    a_ii, m_data, cols = problem.interior_block
-    idx = problem.space.interior_dofs
+    idx, a_ii, m_data, cols = problem.interior_block
     dg = problem.term.dg_du(u[None, idx], problem.space.dof_coords[idx],
                             mu_row(mu))[0]
     data = a_ii.data + m_data * dg[cols]
@@ -251,7 +261,7 @@ def truth_newton_solve(problem, mu, cfg=None, counter=None):
     cfg = cfg or NewtonConfig()
     space = problem.space
     bdofs = space.boundary_dofs
-    idx = space.interior_dofs
+    idx = problem.interior_block[0]
     coords = space.dof_coords
     term = problem.term
     mus = mu_row(mu)
@@ -267,7 +277,8 @@ def truth_newton_solve(problem, mu, cfg=None, counter=None):
         return np.linalg.norm(r)
 
     def step():
-        u[idx] += solve_sparse(truth_jacobian(problem, u, mus), -r[idx])
+        u[idx] += solve_sparse(truth_jacobian(problem, u, mus), -r[idx],
+                               ordered=True)
         return residual()
 
     stats = _newton("", mu, cfg, counter, residual, step)
@@ -288,7 +299,7 @@ class SurrogateSolver:
     def __init__(self, problem, eim_g):
         self.problem = problem
         self.eim_g = eim_g
-        self._factor = factor_sparse(problem.interior_block[0])
+        self._factor = factor_sparse(problem.interior_block[1], ordered=True)
         ndof = problem.space.ndof
         self.linear = self._solve(problem.load)              # A^{-1} F
         self.mass_q = np.zeros((ndof, 0))                    # M q_m
@@ -296,7 +307,7 @@ class SurrogateSolver:
 
     def _solve(self, rhs):
         """A_II^{-1} on the interior rows of rhs, zero on the boundary."""
-        idx = self.problem.space.interior_dofs
+        idx = self.problem.interior_block[0]
         x = np.zeros(self.problem.space.ndof)
         x[idx] = solve_factored(self._factor, rhs[idx])
         return x

@@ -237,6 +237,62 @@ class TestSolveSparse:
         assert np.linalg.norm(op @ u - vec) <= 1e-10 * np.linalg.norm(vec)
 
 
+def interior_graph(n, degree):
+    """Interior stiffness block of a space and the coordinates of its nodes."""
+    space = er.build_space(er.build_mesh(n), degree)
+    idx = space.interior_dofs
+    return space.stiffness[idx][:, idx].tocsr(), space.dof_coords[idx]
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_permutation(self, n, degree):
+        # n=1 P1 has no interior dof and n=1 P2 has one
+        op, coords = interior_graph(n, degree)
+        perm = er.nested_dissection(op, coords)
+        assert perm.dtype.kind == "i"
+        assert np.array_equal(np.sort(perm), np.arange(op.shape[0]))
+
+    def test_repeatable(self):
+        op, coords = interior_graph(8, 2)
+        first = er.nested_dissection(op, coords)
+        assert all(np.array_equal(er.nested_dissection(op, coords), first)
+                   for _ in range(3))
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_top_level_halves_share_no_edge(self, degree):
+        # the first split, rebuilt here: the median of x (the extents tie),
+        # and the separator of the lower half
+        op, coords = interior_graph(8, degree)
+        k = op.shape[0]
+        assert k > er.fem.DISSECTION_LEAF
+        x = coords[:, 0]
+        lower = x <= np.sort(x)[(k - 1) // 2]
+        separator = lower & (op[:, np.flatnonzero(~lower)].getnnz(axis=1) > 0)
+        first, second = np.flatnonzero(lower & ~separator), np.flatnonzero(~lower)
+        assert len(first) and len(second) and separator.sum()
+        assert op[first][:, second].nnz == 0
+        perm = er.nested_dissection(op, coords)
+        ends = np.cumsum([len(first), len(second)])
+        assert np.array_equal(np.sort(perm[:ends[0]]), first)
+        assert np.array_equal(np.sort(perm[ends[0]:ends[1]]), second)
+        assert np.array_equal(np.sort(perm[ends[1]:]), np.flatnonzero(separator))
+
+    def test_truth_jacobian_fills_less_than_minimum_degree(self):
+        problem = er.benchmark_problem(32, 2)
+        mu = (5.0, 5.0)
+        u, _ = er.truth_newton_solve(problem, mu)
+        jac = er.truth_jacobian(problem, u.values, mu)
+        ordered = er.fem.factor_sparse(jac, ordered=True)[1]
+        # minimum degree breaks ties by the input order: give it the
+        # interior dofs in increasing order, as in space.interior_dofs
+        back = np.argsort(problem.interior_block[0])
+        mmd = er.fem.factor_sparse(jac[back][:, back])[1]
+        fill = ordered.L.nnz + ordered.U.nnz
+        assert fill <= 0.9 * (mmd.L.nnz + mmd.U.nnz)
+
+
 class TestNormsAndEval:
     def test_l2_of_zero(self, space8):
         assert er.l2_norm(er.FEField(space8, np.zeros(space8.ndof))) == 0.0

@@ -102,9 +102,11 @@ class TestExactJacobians:
     @pytest.mark.parametrize("mu", [(0.01, 0.01), (1.0, 1.0), (10.0, 10.0)])
     def test_truth_jacobian_is_the_residual_derivative(self, problem8, mu):
         # the Jacobian Newton factors is the derivative of the interior
-        # residual rows with respect to the interior values
+        # residual rows with respect to the interior values, both in the
+        # problem's elimination order
         space = problem8.space
-        coords, idx = space.dof_coords, space.interior_dofs
+        coords, idx = space.dof_coords, problem8.interior_block[0]
+        assert np.array_equal(np.sort(idx), space.interior_dofs)
 
         def residual(u):
             return (problem8.stiffness @ u
