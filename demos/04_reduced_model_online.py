@@ -34,8 +34,8 @@ for mu in mus:
     t0 = time.perf_counter()
     sol = result.model.solve(mu)
     t_online = time.perf_counter() - t0
-    du = u_ref.values - result.model.lift_values(sol)
+    du = u_ref - result.model.lift_values(sol)
     err = float(np.sqrt(du @ (problem.mass @ du)))
-    print(f"({mu[0]:6.3f},{mu[1]:6.3f})  {problem.average(u_ref.values):12.6f} "
+    print(f"({mu[0]:6.3f},{mu[1]:6.3f})  {problem.average(u_ref):12.6f} "
           f"{result.model.output(sol):12.6f} {err:10.1e} "
           f"{t_truth * 1e3:9.1f} {t_online * 1e3:9.2f}")

@@ -8,12 +8,12 @@ basis vector plus one), 1 < r < M the grouped intermediates, and
 r = "standard" (r = M) the sequential build with exact truth snapshots.
 """
 
-from .fem import (FEField, Mesh, FESpace, SolverFailure, apply_dirichlet,
+from .fem import (Mesh, FESpace, SolverFailure, apply_dirichlet,
                   assemble_load, assemble_stiffness, assemble_weighted_mass,
-                  build_mesh, build_space, eval_at_points, h1_inner, l2_norm,
-                  nested_dissection, solve_sparse, triangle_quadrature)
+                  build_mesh, build_space, nested_dissection, solve_sparse,
+                  triangle_quadrature)
 from .nonlinear import (NewtonConfig, NewtonFailure, NonlinearProblem,
-                        NonlinearTerm, SolveCounter, SolveStats,
+                        NonlinearTerm, SolveStats,
                         SurrogateSolver, newton_failure, truth_jacobian,
                         truth_newton_solve, truth_newton_solve_eim)
 from .eim import (DegenerateInterpolationPoint, DegenerateSnapshot, EimBasis,

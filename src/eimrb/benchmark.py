@@ -19,7 +19,7 @@ import numpy as np
 
 from .fem import SolverFailure, build_mesh, build_space
 from .nonlinear import (NewtonConfig, NewtonFailure, NonlinearProblem,
-                        NonlinearTerm, SolveCounter, truth_newton_solve)
+                        NonlinearTerm, truth_newton_solve)
 
 D_MIN = 0.01
 D_MAX = 10.0
@@ -122,24 +122,27 @@ class StudyRow:
 class TruthReferences:
     """Exact truth solutions and their outputs, cached per parameter.
 
-    Each parameter is solved once and counted once on ``counter``.  A
-    build keeps one for its truth sweeps and exact snapshots, so its
-    counter is the build's count of finite element solves; an error study
-    keeps its own, so its reference solves stay out of any build's count.
+    Each parameter is solved once, and a failed solve raises before it is
+    cached, so ``solves`` counts the successful truth solves.  A build
+    keeps one for its truth sweeps and exact snapshots, and counts its
+    finite element solves from it; an error study keeps its own, so its
+    reference solves stay out of any build's count.
     """
 
     def __init__(self, problem, newton=None):
         self.problem = problem
         self.newton = newton or NewtonConfig()
-        self.counter = SolveCounter()
         self.cache = {}
+
+    @property
+    def solves(self):
+        return len(self.cache)
 
     def get(self, mu):
         key = tuple(mu)
         if key not in self.cache:
-            u, _ = truth_newton_solve(self.problem, key, self.newton,
-                                      counter=self.counter)
-            self.cache[key] = (u.values, self.problem.average(u.values))
+            u, _ = truth_newton_solve(self.problem, key, self.newton)
+            self.cache[key] = (u, self.problem.average(u))
         return self.cache[key]
 
 

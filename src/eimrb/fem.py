@@ -220,30 +220,6 @@ def build_space(mesh, degree):
     return FESpace(mesh, degree)
 
 
-class FEField:
-    """Nodal field: a value per degree of freedom of a space."""
-
-    __slots__ = ("space", "values")
-
-    def __init__(self, space, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (space.ndof,):
-            raise ValueError(f"expected {space.ndof} values, got shape {values.shape}")
-        self.space = space
-        self.values = values
-
-    def copy(self):
-        return FEField(self.space, self.values.copy())
-
-
-def _as_values(field_or_values, space=None):
-    if isinstance(field_or_values, FEField):
-        if space is not None and field_or_values.space is not space:
-            raise ValueError("field is defined on a different space")
-        return field_or_values.values
-    return np.asarray(field_or_values, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
@@ -280,7 +256,7 @@ def assemble_weighted_mass(space, weight):
     nodal interpolant evaluated there, so a constant weight reproduces
     the plain mass matrix exactly.
     """
-    w = _as_values(weight, space if isinstance(weight, FEField) else None)
+    w = np.asarray(weight, dtype=float)
     if w.shape != (space.ndof,):
         raise ValueError("weight must be a nodal field on the same space")
     nt, nloc = len(space._detj), space.ref.n_local
@@ -387,19 +363,16 @@ def nested_dissection(op, coords):
     return order
 
 
-def factor_sparse(op, ordered=False):
-    """Sparse LU of op, kept with op for the residual check of each solve.
+def factor_sparse(op):
+    """Sparse LU of op in its given column order, rows pivoted partially,
+    kept with op for the residual check of each solve.
 
-    An arbitrary operator is factored in a minimum degree column order on
-    the structure of A^T + A: every operator factored here is a finite
-    element operator with a structurally symmetric pattern, where it fills
-    less than COLAMD.  An ordered operator, one whose rows and columns are
-    already in elimination order (nested_dissection), is factored as
-    given.  Rows are pivoted partially either way.
+    The truth Jacobians and A_II come in a nested-dissection elimination
+    order (NonlinearProblem.interior_block); an operator in any other
+    order factors with the fill of that order.
     """
-    permc_spec = "NATURAL" if ordered else "MMD_AT_PLUS_A"
     try:
-        return op, spla.splu(sp.csc_matrix(op), permc_spec=permc_spec)
+        return op, spla.splu(sp.csc_matrix(op), permc_spec="NATURAL")
     except RuntimeError as exc:
         raise SolverFailure(f"sparse factorization failed: {exc}") from exc
 
@@ -422,55 +395,8 @@ def solve_factored(factor, rhs):
     return x
 
 
-def solve_sparse(op, rhs, ordered=False):
-    """Direct sparse solve with a residual check of 1e-10 relative; ordered
-    as in factor_sparse."""
-    return solve_factored(factor_sparse(op, ordered), rhs)
+def solve_sparse(op, rhs):
+    """Direct sparse solve in op's given order (factor_sparse), with a
+    residual check of 1e-10 relative."""
+    return solve_factored(factor_sparse(op), rhs)
 
-
-# ---------------------------------------------------------------------------
-# norms, inner products, point evaluation
-# ---------------------------------------------------------------------------
-
-def l2_norm(field):
-    """L2 norm sqrt(v' M v) of a nodal field."""
-    v = field.values if isinstance(field, FEField) else np.asarray(field)
-    space = field.space if isinstance(field, FEField) else None
-    if space is None:
-        raise TypeError("l2_norm needs an FEField")
-    return float(np.sqrt(max(v @ (space.mass @ v), 0.0)))
-
-
-def h1_inner(a, b):
-    """Full H1 inner product a' (A + M) b."""
-    if a.space is not b.space:
-        raise ValueError("fields live on different spaces")
-    s = a.space
-    return float(a.values @ (s.stiffness @ b.values) + a.values @ (s.mass @ b.values))
-
-
-def eval_at_points(field, points):
-    """Evaluate a field at dof indices (exact) or at coordinates in closure(Omega)."""
-    space, values = field.space, field.values
-    pts = np.asarray(points)
-    if pts.ndim <= 1 and np.issubdtype(pts.dtype, np.integer):
-        return values[pts]
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if np.any(pts < -1e-12) or np.any(pts > 1 + 1e-12):
-        raise ValueError("evaluation point outside the unit square")
-    pts = np.clip(pts, 0.0, 1.0)
-    n = space.mesh.n_cells_per_side
-    cx = np.minimum((pts[:, 0] * n).astype(np.int64), n - 1)
-    cy = np.minimum((pts[:, 1] * n).astype(np.int64), n - 1)
-    s = pts[:, 0] * n - cx
-    t = pts[:, 1] * n - cy
-    lower = t <= s + 1e-14
-    tri = 2 * (cy * n + cx) + np.where(lower, 0, 1)
-    # reference coordinates inside each of the two triangle shapes
-    r = np.where(lower, s - t, s)
-    u = np.where(lower, t, t - s)
-    out = np.empty(len(pts))
-    for k in range(len(pts)):
-        phi = space.ref.eval(np.array([[r[k], u[k]]]))[:, 0]
-        out[k] = values[space.elem_dofs[tri[k]]] @ phi
-    return out

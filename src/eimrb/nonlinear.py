@@ -63,7 +63,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
-from .fem import (FEField, SolverFailure, assemble_load, factor_sparse,
+from .fem import (SolverFailure, assemble_load, factor_sparse,
                   nested_dissection, solve_factored, solve_sparse)
 
 
@@ -96,20 +96,6 @@ class SolveStats:
     iterations: int
     final_residual_norm: float
     residual_history: list = field(default_factory=list)
-
-
-class SolveCounter:
-    """Counter of successful finite element solves."""
-
-    def __init__(self):
-        self._count = 0
-
-    def increment(self):
-        self._count += 1
-
-    @property
-    def count(self):
-        return self._count
 
 
 class NonlinearTerm:
@@ -204,7 +190,7 @@ def newton_failure(kind, what, mu, history, cause):
     return failure
 
 
-def _newton(what, mu, cfg, counter, residual, step):
+def _newton(what, mu, cfg, residual, step):
     """The Newton loop of every single-parameter solve.
 
     residual() evaluates the residual at the initial guess and returns
@@ -213,7 +199,7 @@ def _newton(what, mu, cfg, counter, residual, step):
     diverging iterate shows up as an inf or nan norm and is raised as a
     failure here.  A np.linalg.LinAlgError from step() is a singular
     Jacobian.  what labels the solver in the failure messages
-    (newton_failure).  A converged solve counts once on counter.
+    (newton_failure).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         r_norm = residual()
@@ -233,8 +219,6 @@ def _newton(what, mu, cfg, counter, residual, step):
                 break
         else:
             raise newton_failure("stall", what, mu, history, None)
-    if counter is not None:
-        counter.increment()
     return SolveStats(iterations=len(history) - 1, final_residual_norm=r_norm,
                       residual_history=history)
 
@@ -251,12 +235,13 @@ def truth_jacobian(problem, u, mu):
     return sp.csc_matrix((data, a_ii.indices, a_ii.indptr), shape=a_ii.shape)
 
 
-def truth_newton_solve(problem, mu, cfg=None, counter=None):
+def truth_newton_solve(problem, mu, cfg=None):
     """Solve the full nonlinear problem at mu with exact nonlinearity,
     from u = 0.
 
     Each Newton step solves for the interior values only (module
-    docstring); the boundary values stay zero.
+    docstring); the boundary values stay zero.  Returns the ndof nodal
+    values and the SolveStats.
     """
     cfg = cfg or NewtonConfig()
     space = problem.space
@@ -277,12 +262,11 @@ def truth_newton_solve(problem, mu, cfg=None, counter=None):
         return np.linalg.norm(r)
 
     def step():
-        u[idx] += solve_sparse(truth_jacobian(problem, u, mus), -r[idx],
-                               ordered=True)
+        u[idx] += solve_sparse(truth_jacobian(problem, u, mus), -r[idx])
         return residual()
 
-    stats = _newton("", mu, cfg, counter, residual, step)
-    return FEField(space, u), stats
+    stats = _newton("", mu, cfg, residual, step)
+    return u, stats
 
 
 class SurrogateSolver:
@@ -299,7 +283,7 @@ class SurrogateSolver:
     def __init__(self, problem, eim_g):
         self.problem = problem
         self.eim_g = eim_g
-        self._factor = factor_sparse(problem.interior_block[1], ordered=True)
+        self._factor = factor_sparse(problem.interior_block[1])
         ndof = problem.space.ndof
         self.linear = self._solve(problem.load)              # A^{-1} F
         self.mass_q = np.zeros((ndof, 0))                    # M q_m
@@ -320,7 +304,7 @@ class SurrogateSolver:
             self.solved_q = np.column_stack([self.solved_q, self._solve(mq)])
 
 
-def truth_newton_solve_eim(surrogate, mu, cfg=None, counter=None):
+def truth_newton_solve_eim(surrogate, mu, cfg=None):
     """Solve the full problem with the nonlinear term replaced by the
     empirical interpolant surrogate.eim_g, in its M point values.
 
@@ -329,8 +313,8 @@ def truth_newton_solve_eim(surrogate, mu, cfg=None, counter=None):
     lifted to u = A^{-1} F - (A^{-1} M Q) B^{-1} g(v), and the iteration
     stops when the full-space surrogate residual A u + M Q B^{-1} g(u_t)
     - F, on the interior rows, falls to cfg.tolerance(r0), with r0 its
-    norm at u = 0.  The result has zero boundary values; one successful
-    call counts as one finite element solve.
+    norm at u = 0.  Returns the ndof nodal values, zero on the boundary,
+    and the SolveStats.
     """
     cfg = cfg or NewtonConfig()
     eim = surrogate.eim_g
@@ -368,5 +352,5 @@ def truth_newton_solve_eim(surrogate, mu, cfg=None, counter=None):
         u[bdofs] = 0.0
         return residual()
 
-    stats = _newton("surrogate ", mu, cfg, counter, residual, step)
-    return FEField(space, u), stats
+    stats = _newton("surrogate ", mu, cfg, residual, step)
+    return u, stats

@@ -232,7 +232,7 @@ class ReducedModel:
             c = c + np.linalg.solve(self.jacobian(c, mus), -r)
             return residual()
 
-        stats = _newton("reduced ", mu, cfg, None, residual, step)
+        stats = _newton("reduced ", mu, cfg, residual, step)
         return RbSolution(c, tuple(mu), stats.iterations, stats.residual_history)
 
     def solve_many(self, mus, cfg=None):

@@ -112,8 +112,8 @@ class BuildReport:
     r: object = None         # update frequency of the build
     rebuild_wn: bool = False
 
-    def log(self, kind, mu, sup_error, m, n, counter):
-        self.steps.append(StepRecord(kind, mu, sup_error, m, n, counter.count))
+    def log(self, kind, mu, sup_error, m, n, fe_solves):
+        self.steps.append(StepRecord(kind, mu, sup_error, m, n, fe_solves))
 
     def summary_dict(self):
         """Deterministic machine-readable summary (no timings)."""
@@ -217,7 +217,11 @@ def build_ser(problem, cfg):
     t0 = time.perf_counter()
     train = [tuple(p) for p in cfg.train_set]
     truth = TruthReferences(problem, cfg.newton)
-    counter = truth.counter
+    surrogate_solves = 0     # successful snapshot solves, rejected ones too
+
+    def fe_solves():
+        return truth.solves + surrogate_solves
+
     label = "r=M" if standard else f"r={r}" + ("-rebuild" if cfg.rebuild_wn else "")
     report = BuildReport(variant=label, r=cfg.r, rebuild_wn=cfg.rebuild_wn)
 
@@ -229,7 +233,7 @@ def build_ser(problem, cfg):
     n_after[-1] = cfg.n_max
 
     eim_g = eim_initialize(problem.space, truth_g_block(truth), train)
-    report.log("eim", train[0], eim_g.train_errors[0], 1, 0, counter)
+    report.log("eim", train[0], eim_g.train_errors[0], 1, 0, fe_solves())
 
     rb = RbSpace(problem.space)
     blocks = ReducedBlocks(problem)
@@ -242,13 +246,14 @@ def build_ser(problem, cfg):
                             label=label)
 
     def snapshot_solve(mu):
-        nonlocal surrogate
+        nonlocal surrogate, surrogate_solves
         if standard:
             return truth.get(mu)[0]
         if surrogate is None:
             surrogate = SurrogateSolver(problem, eim_g)
-        u, _ = truth_newton_solve_eim(surrogate, mu, cfg.newton, counter=counter)
-        return u.values
+        u, _ = truth_newton_solve_eim(surrogate, mu, cfg.newton)
+        surrogate_solves += 1
+        return u
 
     result = BuildResult(model=None, report=report)
     used = set()
@@ -283,7 +288,8 @@ def build_ser(problem, cfg):
             if not step.saturated:
                 group_selected.append(step.mu)
             blocks.extend(rb, eim_g)
-            report.log("eim", step.mu, step.sup_error, eim_g.M, rb.N, counter)
+            report.log("eim", step.mu, step.sup_error, eim_g.M, rb.N,
+                       fe_solves())
 
         # --- basis update event
         due = n_target - prev_n
@@ -303,14 +309,14 @@ def build_ser(problem, cfg):
                     rb.add_snapshot(snapshot_solve(mu), mu)
                     blocks.extend(rb, eim_g)
                     if mu not in kept:
-                        report.log("rb", mu, None, eim_g.M, rb.N, counter)
+                        report.log("rb", mu, None, eim_g.M, rb.N, fe_solves())
                 except DependentSnapshot:
-                    report.log("reject", mu, None, eim_g.M, rb.N, counter)
+                    report.log("reject", mu, None, eim_g.M, rb.N, fe_solves())
                     queue.extend(_snapshot_params(1, group_selected,
                                                   fallback_params(),
                                                   used | set(queue)))
             if cfg.rebuild_wn:
-                report.log("rebuild", None, None, eim_g.M, rb.N, counter)
+                report.log("rebuild", None, None, eim_g.M, rb.N, fe_solves())
         prev_n = rb.N
         group_selected = []
 
@@ -319,7 +325,7 @@ def build_ser(problem, cfg):
                 and stage in map(tuple, cfg.checkpoints)):
             result.checkpoints[stage] = live_model().restrict(*stage)
 
-    report.fe_solve_count = counter.count
+    report.fe_solve_count = fe_solves()
     report.wall_time = time.perf_counter() - t0
     result.model = live_model()
     return result

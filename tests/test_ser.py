@@ -284,6 +284,14 @@ class TestSnapshotSelection:
         expected = next(train[i] for i in worst_first(rejected["errors"])
                         if train[i] not in excluded)
         assert replacement == expected
+        # the rejected snapshot's solve is counted like every other
+        report = result.report
+        assert steps_log[-1].fe_solves == report.fe_solve_count
+        if schedule == dict(r=1):
+            assert report.fe_solve_count == (1 + kinds.count("rb")
+                                             + kinds.count("reject"))
+        elif schedule == dict(r="standard"):
+            assert report.fe_solve_count == len(train5)
 
     def test_standard_fallback_snapshots_ranked_by_last_sweep(self, problem8,
                                                               train5,

@@ -38,7 +38,7 @@ class TestTruthNewton:
         op, vec = er.apply_dirichlet(problem8.space, problem8.stiffness,
                                      lin.load)
         direct = er.solve_sparse(op, vec)
-        assert np.abs(u.values - direct).max() <= 1e-10
+        assert np.abs(u - direct).max() <= 1e-10
 
     def test_mild_corner_iteration_count(self, problem32):
         _, stats = er.truth_newton_solve(problem32, (0.01, 0.01))
@@ -50,7 +50,7 @@ class TestTruthNewton:
 
     def test_boundary_values_zero(self, problem8):
         u, _ = er.truth_newton_solve(problem8, (1.0, 1.0))
-        assert np.all(u.values[problem8.space.boundary_dofs] == 0.0)
+        assert np.all(u[problem8.space.boundary_dofs] == 0.0)
 
     @pytest.mark.parametrize("mu", CORNERS)
     def test_residual_strictly_decreases(self, problem8, mu):
@@ -96,7 +96,7 @@ class TestTruthNewton:
 
         u, stats = er.truth_newton_solve(problem8, mu, cfg)
         assert stats.iterations == iterations
-        assert (np.linalg.norm(u.values - ref)
+        assert (np.linalg.norm(u - ref)
                 <= 1e-12 * np.linalg.norm(ref))
 
     def test_mass_pattern_mismatch_rejected(self, problem8):
@@ -106,14 +106,17 @@ class TestTruthNewton:
         with pytest.raises(ValueError, match="sparsity pattern"):
             er.truth_newton_solve(prob, (1.0, 1.0))
 
-    def test_counter_counts_successes_only(self, problem8):
-        counter = er.SolveCounter()
-        er.truth_newton_solve(problem8, (1.0, 1.0), counter=counter)
-        er.truth_newton_solve(problem8, (0.1, 2.0), counter=counter)
+    def test_references_count_successes_only(self, problem8):
+        refs = er.TruthReferences(problem8)
+        first = refs.get((1.0, 1.0))
+        assert refs.get((1.0, 1.0)) is first       # solved twice, counted once
+        refs.get((0.1, 2.0))
+        assert refs.solves == 2
+        refs.newton = er.NewtonConfig(max_iter=1)
         with pytest.raises(er.NewtonFailure):
-            er.truth_newton_solve(problem8, (10.0, 10.0),
-                                  er.NewtonConfig(max_iter=1), counter=counter)
-        assert counter.count == 2
+            refs.get((10.0, 10.0))
+        assert refs.solves == 2
+        assert list(refs.cache) == [(1.0, 1.0), (0.1, 2.0)]
 
 
 class TestNewtonDriver:
@@ -222,7 +225,7 @@ class TestTruthNewtonEim:
         solver = er.SurrogateSolver(problem8, eim_g)
         for mu in samples:
             u, stats = er.truth_newton_solve_eim(solver, mu)
-            assert l2_distance(problem8, truth.get(mu)[0], u.values) <= 1e-8
+            assert l2_distance(problem8, truth.get(mu)[0], u) <= 1e-8
             assert stats.final_residual_norm <= 1e-9
 
     def test_matches_truth_from_zero_guess_mild_regime(self, problem8,
@@ -231,7 +234,7 @@ class TestTruthNewtonEim:
         mu = samples[0]  # (0.01, 0.01): nearly linear
         u, stats = er.truth_newton_solve_eim(er.SurrogateSolver(problem8, eim_g),
                                              mu)
-        assert l2_distance(problem8, truth.get(mu)[0], u.values) <= 1e-8
+        assert l2_distance(problem8, truth.get(mu)[0], u) <= 1e-8
         assert stats.iterations <= 3
 
     def test_zero_start_at_the_hardest_corner(self, problem8, saturated_eims):
@@ -240,7 +243,7 @@ class TestTruthNewtonEim:
         assert mu in samples
         u, _ = er.truth_newton_solve_eim(er.SurrogateSolver(problem8, eim_g),
                                          mu, er.NewtonConfig())
-        assert l2_distance(problem8, truth.get(mu)[0], u.values) <= 1e-8
+        assert l2_distance(problem8, truth.get(mu)[0], u) <= 1e-8
 
     @pytest.mark.parametrize("mu", CORNERS + [(0.5, 2.0)])
     def test_solves_the_full_space_surrogate_problem(self, problem8,
@@ -251,11 +254,11 @@ class TestTruthNewtonEim:
                                              mu, cfg)
         r0 = float(np.linalg.norm(np.delete(problem8.load,
                                             problem8.space.boundary_dofs)))
-        r = surrogate_residual(problem8, eim_g, mu, u.values)
+        r = surrogate_residual(problem8, eim_g, mu, u)
         # the solver's own residual uses another summation order
         assert np.linalg.norm(r) <= cfg.tolerance(r0) + 1e-13
         assert stats.residual_history[0] == pytest.approx(r0, rel=1e-12)
-        assert np.all(u.values[problem8.space.boundary_dofs] == 0.0)
+        assert np.all(u[problem8.space.boundary_dofs] == 0.0)
 
     def test_cached_solver_matches_fresh_solver_bitwise(self, problem8):
         samples = list(er.SampleSet.log_grid(4, 4))
@@ -269,7 +272,7 @@ class TestTruthNewtonEim:
         u_cached, s_cached = er.truth_newton_solve_eim(cached, mu)
         u_fresh, s_fresh = er.truth_newton_solve_eim(
             er.SurrogateSolver(problem8, eim_g), mu)
-        assert u_cached.values.tobytes() == u_fresh.values.tobytes()
+        assert u_cached.tobytes() == u_fresh.tobytes()
         assert s_cached.residual_history == s_fresh.residual_history
 
     def test_single_field_interpolant_at_training_parameter(self, problem8):
@@ -277,21 +280,8 @@ class TestTruthNewtonEim:
         truth = er.TruthReferences(problem8)
         eim_g = er.eim_initialize(problem8.space, er.truth_g_block(truth), [mu])
         u, _ = er.truth_newton_solve_eim(er.SurrogateSolver(problem8, eim_g), mu)
-        assert l2_distance(problem8, truth.get(mu)[0], u.values) <= 1e-8
-        assert np.all(u.values[problem8.space.boundary_dofs] == 0.0)
-
-    def test_counter_increment_per_call(self, problem8, saturated_eims):
-        samples, _, eim_g = saturated_eims
-        solver = er.SurrogateSolver(problem8, eim_g)
-        counter = er.SolveCounter()
-        for calls, mu in enumerate(samples[:3], start=1):
-            er.truth_newton_solve_eim(solver, mu, counter=counter)
-            assert counter.count == calls
-        with pytest.raises(er.NewtonFailure):
-            er.truth_newton_solve_eim(solver, (10.0, 10.0),
-                                      er.NewtonConfig(max_iter=1),
-                                      counter=counter)
-        assert counter.count == 3
+        assert l2_distance(problem8, truth.get(mu)[0], u) <= 1e-8
+        assert np.all(u[problem8.space.boundary_dofs] == 0.0)
 
     def test_requires_trained_bases(self, problem8):
         empty = er.EimBasis(problem8.space)
@@ -317,7 +307,7 @@ class TestTruthNewtonEim:
             for mu in probes:
                 u_ref = truth.get(mu)[0]
                 u, _ = er.truth_newton_solve_eim(solver, mu)
-                ds = abs(problem8.average(u.values) - problem8.average(u_ref))
+                ds = abs(problem8.average(u) - problem8.average(u_ref))
                 assert ds <= 10.0 * eps
 
 
@@ -330,4 +320,4 @@ class TestOutputAverage:
 
     def test_linear_regime_output_near_zero(self, problem32):
         u, _ = er.truth_newton_solve(problem32, (0.01, 0.01))
-        assert abs(problem32.average(u.values)) <= 1e-3
+        assert abs(problem32.average(u)) <= 1e-3
