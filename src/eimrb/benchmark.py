@@ -127,22 +127,50 @@ class TruthReferences:
     keeps one for its truth sweeps and exact snapshots, and counts its
     finite element solves from it; an error study keeps its own, so its
     reference solves stay out of any build's count.
+
+    A solve starts from the caller's guess when it has one, and otherwise
+    from the cached solution nearest to mu in log-parameter distance (the
+    first cached on a tie), or from u = 0 while the cache is empty.  Every
+    solve stops by the same rule (``truth_newton_solve``), so the start
+    moves a solution only at the level of that tolerance.  A cache shared
+    by several callers, as ``compare`` shares one across its error
+    studies, keeps the solution started from the guess of whichever
+    caller asked first; that order is fixed by the caller's code, so the
+    results are deterministic.
     """
 
     def __init__(self, problem, newton=None):
         self.problem = problem
         self.newton = newton or NewtonConfig()
         self.cache = {}
+        self._keys = []                  # cached keys, in cache order
+        self._logs = np.empty((0, 2))    # their log-parameters, row by row
 
     @property
     def solves(self):
         return len(self.cache)
 
-    def get(self, mu):
+    def nearest(self, mu):
+        """The cached solution nearest to mu in log-parameter distance,
+        the first cached on a tie; None while the cache is empty."""
+        if not self._keys:
+            return None
+        dist = ((self._logs - np.log(mu)) ** 2).sum(axis=1)
+        return self.cache[self._keys[int(np.argmin(dist))]][0]
+
+    def get(self, mu, guess=None):
+        """The cached (solution, output) at mu, solved on a miss.  guess,
+        if given, is called with mu on a miss only; the initial values it
+        returns replace the nearest cached solution, and None keeps it."""
         key = tuple(mu)
         if key not in self.cache:
-            u, _ = truth_newton_solve(self.problem, key, self.newton)
+            initial = guess(key) if guess is not None else None
+            if initial is None:
+                initial = self.nearest(key)
+            u, _ = truth_newton_solve(self.problem, key, self.newton, initial)
             self.cache[key] = (u, self.problem.average(u))
+            self._keys.append(key)
+            self._logs = np.vstack([self._logs, np.log(key)])
         return self.cache[key]
 
 
@@ -155,9 +183,19 @@ def run_error_study(result, test_set, checkpoints, newton=None,
     aborting the study; a row with failures is flagged when emitted.
     """
     newton = newton or NewtonConfig()
-    problem = result.model.problem
+    final = result.model
+    problem = final.problem
     refs = references or TruthReferences(problem, newton)
-    label = result.model.label or "model"
+    label = final.label or "model"
+
+    def model_guess(mu):
+        # a reference missing from refs starts from the final model's lifted
+        # solution, so one reference serves every stage
+        try:
+            return final.lift_values(final.solve(mu, newton))
+        except (NewtonFailure, SolverFailure):
+            return None
+
     rows = []
     for (n, m) in checkpoints:
         try:
@@ -171,7 +209,7 @@ def run_error_study(result, test_set, checkpoints, newton=None,
         errs_u, errs_s, failures = [], [], 0
         for mu in test_set:
             try:
-                u_ref, s_ref = refs.get(mu)
+                u_ref, s_ref = refs.get(mu, model_guess)
                 sol = cp.solve(mu, newton)
             except (NewtonFailure, SolverFailure):
                 failures += 1

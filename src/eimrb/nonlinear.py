@@ -190,11 +190,13 @@ def newton_failure(kind, what, mu, history, cause):
     return failure
 
 
-def _newton(what, mu, cfg, residual, step):
+def _newton(what, mu, cfg, residual, step, reference=None):
     """The Newton loop of every single-parameter solve.
 
     residual() evaluates the residual at the initial guess and returns
     its norm; step() takes one Newton step and returns the new norm.
+    The loop stops at the first norm <= cfg.tolerance(reference), with
+    reference the norm at the initial guess unless the caller gives one.
     Both run with numpy's overflow and invalid-value warnings off: a
     diverging iterate shows up as an inf or nan norm and is raised as a
     failure here.  A np.linalg.LinAlgError from step() is a singular
@@ -206,7 +208,7 @@ def _newton(what, mu, cfg, residual, step):
         history = [r_norm]
         if not math.isfinite(r_norm):
             raise newton_failure("start", what, mu, history, None)
-        tol = cfg.tolerance(r_norm)
+        tol = cfg.tolerance(r_norm if reference is None else reference)
         while len(history) <= cfg.max_iter:
             try:
                 r_norm = step()
@@ -235,13 +237,17 @@ def truth_jacobian(problem, u, mu):
     return sp.csc_matrix((data, a_ii.indices, a_ii.indptr), shape=a_ii.shape)
 
 
-def truth_newton_solve(problem, mu, cfg=None):
+def truth_newton_solve(problem, mu, cfg=None, initial=None):
     """Solve the full nonlinear problem at mu with exact nonlinearity,
-    from u = 0.
+    from the interior values of initial (ndof nodal values), or from
+    u = 0 when none is given.
 
     Each Newton step solves for the interior values only (module
-    docstring); the boundary values stay zero.  Returns the ndof nodal
-    values and the SolveStats.
+    docstring); the boundary values stay zero.  The stopping tolerance
+    is cfg.tolerance of the residual norm at u = 0, ||(M g(0) - F)_I||,
+    whatever the initial guess: a guess near the solution saves steps
+    but does not tighten the rule.  Returns the ndof nodal values and
+    the SolveStats.
     """
     cfg = cfg or NewtonConfig()
     space = problem.space
@@ -265,7 +271,12 @@ def truth_newton_solve(problem, mu, cfg=None):
         u[idx] += solve_sparse(truth_jacobian(problem, u, mus), -r[idx])
         return residual()
 
-    stats = _newton("", mu, cfg, residual, step)
+    reference = None
+    if initial is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = residual()          # at u = 0
+        u[idx] = np.asarray(initial, dtype=float)[idx]
+    stats = _newton("", mu, cfg, residual, step, reference)
     return u, stats
 
 

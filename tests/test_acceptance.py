@@ -2,7 +2,7 @@
 
 Run with `python -m pytest tests/test_acceptance.py -v -s`.  The heavy
 builds (mesh n=32, P2, 20x20 training grid, 225 random test parameters)
-are shared session fixtures, so the whole module takes a few minutes.
+are shared session fixtures, so the whole module runs in under a minute.
 """
 
 import copy
@@ -233,6 +233,20 @@ def test_criterion_5_ser_error_profiles(ser1_build, ser1_rebuild_build,
     assert verdict(ok, "criterion 5: alternating builds within 10x of their "
                    "reference rows and within 100x of the sequential build",
                    " ".join(details))
+
+
+def test_study_references_match_cold_truth_solves(bench, std_build, test225,
+                                                  references):
+    # the studies start each reference from a model's lifted solution; the
+    # stopping rule is the cold one, so they agree with solves from u = 0
+    first40 = er.SampleSet(test225.points[:40], "test225[:40]")
+    er.run_error_study(std_build, first40, [(20, 25)], references=references)
+    worst = max(float(np.abs(references.get(mu)[0]
+                             - er.truth_newton_solve(bench, mu)[0]).max())
+                for mu in first40)
+    assert verdict(worst <= 1e-9, "study references agree with cold truth "
+                   "solves over the first 40 test parameters",
+                   f"max difference {worst:.1e}")
 
 
 def test_criterion_6_reproduction_property():

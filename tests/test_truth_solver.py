@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 import eimrb as er
 
-from conftest import at_mu, check_derivative, eim_train, model_with
+from conftest import at_mu, check_derivative, eim_train, model_with, same_bits
 
 
 CORNERS = [(0.01, 0.01), (10.0, 0.01), (0.01, 10.0), (10.0, 10.0)]
@@ -117,6 +117,109 @@ class TestTruthNewton:
             refs.get((10.0, 10.0))
         assert refs.solves == 2
         assert list(refs.cache) == [(1.0, 1.0), (0.1, 2.0)]
+
+
+class TestWarmStart:
+    """A truth solve may start from a guess; its stopping rule stays the
+    one of the cold solve from u = 0."""
+
+    def test_zero_guess_is_the_cold_solve_bitwise(self, problem8):
+        zero = np.zeros(problem8.space.ndof)
+        for mu in CORNERS + [(1.0, 1.0)]:
+            u, stats = er.truth_newton_solve(problem8, mu)
+            u0, stats0 = er.truth_newton_solve(problem8, mu, initial=zero)
+            assert same_bits(u0, u)
+            assert stats0.iterations == stats.iterations
+            assert same_bits(stats0.final_residual_norm,
+                             stats.final_residual_norm)
+            assert same_bits(stats0.residual_history, stats.residual_history)
+
+    def test_neighbour_guess_saves_iterations(self, problem8):
+        neighbour, _ = er.truth_newton_solve(problem8, (1.0, 1.0))
+        cold, cold_stats = er.truth_newton_solve(problem8, (1.0, 2.0))
+        warm, warm_stats = er.truth_newton_solve(problem8, (1.0, 2.0),
+                                                 initial=neighbour)
+        assert warm_stats.iterations < cold_stats.iterations
+        assert np.abs(warm - cold).max() <= 1e-9
+
+    def test_guess_boundary_values_are_ignored(self, problem8):
+        guess = np.ones(problem8.space.ndof)
+        u, _ = er.truth_newton_solve(problem8, (1.0, 1.0), initial=guess)
+        assert np.all(u[problem8.space.boundary_dofs] == 0.0)
+        assert np.all(guess == 1.0)              # the guess is copied
+
+    def test_tolerance_comes_from_the_residual_at_zero(self, problem8):
+        # with rel_tol = 1e-3 a warm solve stops at the first residual below
+        # 1e-3 ||F_I||, the residual at u = 0 (g(0) = 0); relative to its
+        # own, smaller, initial residual it would have to iterate further
+        cfg = er.NewtonConfig(rel_tol=1e-3)
+        neighbour, _ = er.truth_newton_solve(problem8, (1.0, 1.0))
+        _, stats = er.truth_newton_solve(problem8, (1.0, 2.0), cfg,
+                                         initial=neighbour)
+        hist = stats.residual_history
+        tol = 1e-3 * np.linalg.norm(problem8.load[problem8.space.interior_dofs])
+        assert hist[-1] <= tol
+        assert all(h > tol for h in hist[:-1])
+        assert hist[-1] > 1e-3 * hist[0]
+
+
+class TestTruthReferences:
+    """A cache miss starts from the caller's guess, else from the nearest
+    cached solution in log-parameter distance, else from u = 0."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """The initial guess of every truth solve TruthReferences makes."""
+        seen = []
+        solve = er.truth_newton_solve
+
+        def recorded(problem, mu, cfg=None, initial=None):
+            seen.append((mu, initial))
+            return solve(problem, mu, cfg, initial)
+
+        monkeypatch.setattr("eimrb.benchmark.truth_newton_solve", recorded)
+        return seen
+
+    def test_nearest_in_log_distance(self, problem8, starts):
+        refs = er.TruthReferences(problem8)
+        assert refs.nearest((1.0, 1.0)) is None
+        refs.get((0.01, 1.0))
+        refs.get((1.0, 1.0))
+        assert starts[0][1] is None              # empty cache: from u = 0
+        assert starts[1][1] is refs.cache[(0.01, 1.0)][0]
+        # 0.2 is nearer 0.01 than 1 on the line, but nearer 1 in log distance
+        refs.get((0.2, 1.0))
+        assert starts[2][1] is refs.cache[(1.0, 1.0)][0]
+
+    def test_first_cached_wins_a_tie(self, problem8):
+        for order in ([(2.0, 1.0), (1.0, 2.0)], [(1.0, 2.0), (2.0, 1.0)]):
+            refs = er.TruthReferences(problem8)
+            for mu in order:
+                refs.get(mu)
+            assert refs.nearest((1.0, 1.0)) is refs.cache[order[0]][0]
+
+    def test_guess_used_on_a_miss_only(self, problem8, starts):
+        refs = er.TruthReferences(problem8)
+        refs.get((1.0, 1.0))
+        guess_values = refs.cache[(1.0, 1.0)][0] * 0.5
+        calls = []
+
+        def guess(mu):
+            calls.append(mu)
+            return guess_values
+
+        first = refs.get((1.0, 2.0), guess)
+        assert calls == [(1.0, 2.0)] and starts[-1][1] is guess_values
+        assert refs.get((1.0, 2.0), guess) is first
+        assert refs.get((1.0, 1.0), guess) is refs.cache[(1.0, 1.0)]
+        assert calls == [(1.0, 2.0)] and len(starts) == 2
+        assert refs.solves == 2
+
+    def test_no_guess_falls_back_to_the_nearest(self, problem8, starts):
+        refs = er.TruthReferences(problem8)
+        refs.get((1.0, 1.0))
+        refs.get((1.0, 2.0), lambda mu: None)
+        assert starts[-1][1] is refs.cache[(1.0, 1.0)][0]
 
 
 class TestNewtonDriver:
