@@ -12,10 +12,11 @@ from .fem import (Mesh, FESpace, SolverFailure, apply_dirichlet,
                   assemble_load, assemble_stiffness, assemble_weighted_mass,
                   build_mesh, build_space, nested_dissection, solve_sparse,
                   triangle_quadrature)
-from .nonlinear import (NewtonConfig, NewtonFailure, NonlinearProblem,
-                        NonlinearTerm, SolveStats,
-                        SurrogateSolver, newton_failure, truth_jacobian,
-                        truth_newton_solve, truth_newton_solve_eim)
+from .nonlinear import (CHORD_CONTRACTION, Chord, NewtonConfig,
+                        NewtonFailure, NonlinearProblem, NonlinearTerm,
+                        SolveStats, SurrogateSolver, newton_failure,
+                        truth_jacobian, truth_newton_solve,
+                        truth_newton_solve_eim)
 from .eim import (DegenerateInterpolationPoint, DegenerateSnapshot, EimBasis,
                   EimTrainingError, GreedyStep, eim_greedy_step,
                   eim_initialize)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fem import SolverFailure, build_mesh, build_space
-from .nonlinear import (NewtonConfig, NewtonFailure, NonlinearProblem,
+from .nonlinear import (Chord, NewtonConfig, NewtonFailure, NonlinearProblem,
                         NonlinearTerm, truth_newton_solve)
 
 D_MIN = 0.01
@@ -137,12 +137,19 @@ class TruthReferences:
     studies, keeps the solution started from the guess of whichever
     caller asked first; that order is fixed by the caller's code, so the
     results are deterministic.
+
+    All its solves share one ``Chord`` slot: each solve first steps with
+    the last Jacobian factor of the solves before it, and refactors only
+    when that factor stops contracting.  The slot is carried in call
+    order, so a solve's steps depend only on the order of the calls,
+    which is again fixed by the callers' code.
     """
 
     def __init__(self, problem, newton=None):
         self.problem = problem
         self.newton = newton or NewtonConfig()
         self.cache = {}
+        self.chord = Chord()             # the last factor, carried over
         self._keys = []                  # cached keys, in cache order
         self._logs = np.empty((0, 2))    # their log-parameters, row by row
 
@@ -167,7 +174,8 @@ class TruthReferences:
             initial = guess(key) if guess is not None else None
             if initial is None:
                 initial = self.nearest(key)
-            u, _ = truth_newton_solve(self.problem, key, self.newton, initial)
+            u, _ = truth_newton_solve(self.problem, key, self.newton, initial,
+                                      self.chord)
             self.cache[key] = (u, self.problem.average(u))
             self._keys.append(key)
             self._logs = np.vstack([self._logs, np.log(key)])

@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 I/O error (a file that cannot be read, or an archive that cannot be
-loaded).
+loaded), 5 standard output closed by its reader (as by ``| head -1``)
+before the command had printed everything; the files it wrote stay.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -25,6 +27,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
+EXIT_PIPE = 5
 
 
 def _variant_slug(label):
@@ -167,7 +170,14 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()          # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader has gone: the output still buffered, and the flush at
+        # interpreter exit, go to os.devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eimrb as er
-from eimrb.cli import main
+from eimrb.cli import EXIT_PIPE, main
 
 from conftest import assert_same_model
 
@@ -202,6 +206,33 @@ class TestCli:
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["build", str(tmp_path / "nope.cfg")]) == 4
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_stdout_has_its_own_exit_code(self, tiny_config,
+                                                 unbuffered):
+        # the read end of stdout is closed before the command prints: the
+        # build still runs to the end, and the broken pipe is neither an
+        # "i/o error" nor an exception at interpreter exit, whether print
+        # writes at once (unbuffered) or when stdout is flushed
+        cfg, out = tiny_config
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run([sys.executable, "-m", "eimrb", "build",
+                                  str(cfg)], stdout=write, env=env,
+                                 stderr=subprocess.PIPE, text=True, timeout=300)
+        finally:
+            os.close(write)
+        assert run.returncode == EXIT_PIPE
+        assert run.stderr == ""
+        assert (out / "model.npz").exists()
+        assert (out / "build_report.json").exists()
 
     def test_solver_failure_exit_code(self, tmp_path):
         cfg = tmp_path / "run.cfg"

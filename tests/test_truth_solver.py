@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import eimrb as er
+from eimrb.fem import factor_sparse, solve_factored
 
 from conftest import at_mu, check_derivative, eim_train, model_with, same_bits
 
@@ -68,7 +71,9 @@ class TestTruthNewton:
     @pytest.mark.parametrize("mu", CORNERS + [(1.0, 1.0)])
     def test_matches_newton_on_the_full_eliminated_system(self, problem8, mu):
         # reference: Newton on all dofs, boundary rows and columns of the
-        # assembled Jacobian replaced by identity
+        # assembled Jacobian replaced by identity, with the same chord rule:
+        # a step first tries the last factor, and refactors unless that
+        # trial cuts the residual norm to CHORD_CONTRACTION of its value
         space, term = problem8.space, problem8.term
         coords, bdofs = space.dof_coords, space.boundary_dofs
         cfg = er.NewtonConfig()
@@ -83,15 +88,26 @@ class TestTruthNewton:
         ref = np.zeros(space.ndof)
         r = residual(ref)
         tol = cfg.tolerance(np.linalg.norm(r))
-        iterations = 0
+        iterations, factor, accepted = 0, None, False
         while np.linalg.norm(r) > tol:
             assert iterations < cfg.max_iter
-            jac = (problem8.stiffness
-                   + problem8.mass @ sp.diags(at_mu(term.dg_du, ref, coords,
-                                                    mu)))
-            op, rhs = er.apply_dirichlet(space, jac, -r)
-            ref = ref + er.solve_sparse(op, rhs)
-            r = residual(ref)
+            if factor is not None:
+                try:        # r is zero on the boundary rows already
+                    trial = ref + solve_factored(factor, -r)
+                    r_trial = residual(trial)
+                    accepted = (np.linalg.norm(r_trial)
+                                <= er.CHORD_CONTRACTION * np.linalg.norm(r))
+                except er.SolverFailure:
+                    accepted = False
+            if not accepted:
+                jac = (problem8.stiffness
+                       + problem8.mass @ sp.diags(at_mu(term.dg_du, ref,
+                                                        coords, mu)))
+                op, rhs = er.apply_dirichlet(space, jac, -r)
+                factor = factor_sparse(op)
+                trial = ref + solve_factored(factor, rhs)
+                r_trial = residual(trial)
+            ref, r = trial, r_trial
             iterations += 1
 
         u, stats = er.truth_newton_solve(problem8, mu, cfg)
@@ -163,6 +179,98 @@ class TestWarmStart:
         assert hist[-1] > 1e-3 * hist[0]
 
 
+class TestChord:
+    """A truth step first tries the last Jacobian factor, and refactors only
+    when that trial does not cut the residual norm to CHORD_CONTRACTION of
+    its value; a Chord slot carries the factor from one solve to the next."""
+
+    @pytest.fixture
+    def factors(self, monkeypatch):
+        """The Jacobians factored by the truth solves, in order."""
+        made = []
+        factor = er.nonlinear.factor_sparse
+
+        def counted(op):
+            made.append(op)
+            return factor(op)
+
+        monkeypatch.setattr("eimrb.nonlinear.factor_sparse", counted)
+        return made
+
+    def test_bare_solve_factors_once(self, problem8, factors):
+        _, stats = er.truth_newton_solve(problem8, (1.0, 1.0))
+        assert len(factors) == 1
+        assert stats.iterations > 1
+
+    def test_rejected_trial_leaves_the_fresh_solve_bitwise(self, problem8,
+                                                          factors,
+                                                          monkeypatch):
+        chord = er.Chord()
+        er.truth_newton_solve(problem8, (0.01, 0.01), chord=chord)
+        carried, before = chord.factor, len(factors)
+        used = []
+        solve = er.nonlinear.solve_factored
+
+        def recorded(factor, rhs):
+            used.append(factor)
+            return solve(factor, rhs)
+
+        monkeypatch.setattr("eimrb.nonlinear.solve_factored", recorded)
+        u, stats = er.truth_newton_solve(problem8, (10.0, 10.0), chord=chord)
+        assert used[0] is carried and used[1] is not carried  # tried, refused
+        made = len(factors) - before
+        fresh = er.Chord()
+        u0, stats0 = er.truth_newton_solve(problem8, (10.0, 10.0), chord=fresh)
+        assert same_bits(u, u0)
+        assert stats.iterations == stats0.iterations
+        assert same_bits(stats.final_residual_norm, stats0.final_residual_norm)
+        assert same_bits(stats.residual_history, stats0.residual_history)
+        assert made == fresh.factorizations == chord.factorizations - 1
+
+    @pytest.mark.parametrize("mu", CORNERS + [(1.0, 1.0)])
+    def test_each_iteration_factors_or_contracts(self, problem8, monkeypatch,
+                                                 mu):
+        # log "r" at every residual (every evaluation of g) and "F" at every
+        # factorisation; a step is then "r" (chord step kept), "rFr" (trial
+        # refused) or "Fr" (no factor held yet)
+        log = []
+        term, factor = problem8.term, er.nonlinear.factor_sparse
+
+        def g(u, xy, mus):
+            log.append("r")
+            return term.g(u, xy, mus)
+
+        def counted(op):
+            log.append("F")
+            return factor(op)
+
+        monkeypatch.setattr("eimrb.nonlinear.factor_sparse", counted)
+        problem = er.NonlinearProblem(problem8.space,
+                                      er.NonlinearTerm(g, term.dg_du),
+                                      er.benchmark_rhs)
+        _, stats = er.truth_newton_solve(problem, mu)
+        log = "".join(log)
+        steps = re.findall("r?Fr|r", log[1:])
+        assert log[0] == "r" and "".join(steps) == log[1:]
+        assert len(steps) == stats.iterations
+        hist = stats.residual_history
+        for k, step in enumerate(steps):
+            assert "F" in step or hist[k + 1] <= hist[k] / 10
+
+    def test_references_factor_less_than_once_per_solve(self, problem8,
+                                                        factors):
+        # on a 5x5 grid the solves at mu2 = 10 take 3-4 factorisations
+        # each, and the other solves just make up for it (25 for 25 solves)
+        train = er.SampleSet.log_grid(10, 10)
+        refs = er.TruthReferences(problem8)
+        for mu in train:
+            refs.get(mu)
+        assert len(factors) == refs.chord.factorizations < refs.solves
+        for mu in train:
+            cold, _ = er.truth_newton_solve(problem8, mu)
+            assert np.abs(refs.get(mu)[0] - cold).max() <= 1e-9
+
+
 class TestTruthReferences:
     """A cache miss starts from the caller's guess, else from the nearest
     cached solution in log-parameter distance, else from u = 0."""
@@ -173,9 +281,9 @@ class TestTruthReferences:
         seen = []
         solve = er.truth_newton_solve
 
-        def recorded(problem, mu, cfg=None, initial=None):
+        def recorded(problem, mu, cfg=None, initial=None, chord=None):
             seen.append((mu, initial))
-            return solve(problem, mu, cfg, initial)
+            return solve(problem, mu, cfg, initial, chord)
 
         monkeypatch.setattr("eimrb.benchmark.truth_newton_solve", recorded)
         return seen
