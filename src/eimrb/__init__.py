@@ -20,8 +20,7 @@ from .nonlinear import (CHORD_CONTRACTION, Chord, NewtonConfig,
 from .eim import (DegenerateInterpolationPoint, DegenerateSnapshot, EimBasis,
                   EimTrainingError, GreedyStep, eim_greedy_step,
                   eim_initialize)
-from .rb import (DependentSnapshot, RbSolution, RbSpace, ReducedBlocks,
-                 ReducedModel)
+from .rb import DependentSnapshot, RbSolution, RbSpace, ReducedModel
 from .ser import (BuildReport, BuildResult, SerBuildError, SerConfig,
                   StepRecord, build_ser, reduced_g_block, truth_g_block)
 from .benchmark import (D_MAX, D_MIN, Parameter, SampleSet, StudyRow,

@@ -150,8 +150,7 @@ class TruthReferences:
         self.newton = newton or NewtonConfig()
         self.cache = {}
         self.chord = Chord()             # the last factor, carried over
-        self._keys = []                  # cached keys, in cache order
-        self._logs = np.empty((0, 2))    # their log-parameters, row by row
+        self._logs = np.empty((0, 2))    # cached log-parameters, row by row
 
     @property
     def solves(self):
@@ -160,10 +159,10 @@ class TruthReferences:
     def nearest(self, mu):
         """The cached solution nearest to mu in log-parameter distance,
         the first cached on a tie; None while the cache is empty."""
-        if not self._keys:
+        if not self.cache:
             return None
         dist = ((self._logs - np.log(mu)) ** 2).sum(axis=1)
-        return self.cache[self._keys[int(np.argmin(dist))]][0]
+        return list(self.cache.values())[int(np.argmin(dist))][0]
 
     def get(self, mu, guess=None):
         """The cached (solution, output) at mu, solved on a miss.  guess,
@@ -177,7 +176,6 @@ class TruthReferences:
             u, _ = truth_newton_solve(self.problem, key, self.newton, initial,
                                       self.chord)
             self.cache[key] = (u, self.problem.average(u))
-            self._keys.append(key)
             self._logs = np.vstack([self._logs, np.log(key)])
         return self.cache[key]
 

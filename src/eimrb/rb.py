@@ -21,12 +21,12 @@ training set.  It applies the same stopping rule and builds its
 failures from the same templates (``nonlinear.newton_failure``), so at
 each parameter it fails as ``solve`` does.
 
-``RbSpace`` and ``ReducedBlocks`` are the build's growing state: the
-basis and the blocks are extended in place as snapshots and interpolant
-fields arrive.  ``ReducedModel`` is the online model of one (N, M)
-stage, made from its arrays and never grown: a build makes one from the
-current blocks, ``restrict`` from slices of a larger model, and
-``archive.load_model`` from the arrays of an archive.
+``RbSpace`` is the build's growing state: the basis, extended by each
+snapshot, and the reduced blocks on it, extended when a model is asked
+for (``RbSpace.model``).  ``ReducedModel`` is the online model of one
+(N, M) stage, made from its arrays and never grown: ``RbSpace.model``
+makes one from the current blocks, ``restrict`` from slices of a
+larger model, and ``archive.load_model`` from the arrays of an archive.
 """
 
 import math
@@ -42,16 +42,31 @@ class DependentSnapshot(RuntimeError):
 
 
 class RbSpace:
-    """Orthonormal basis of truth snapshots with zero boundary values."""
+    """Orthonormal basis of truth snapshots with zero boundary values,
+    and the reduced blocks on it.
+
+    A is the reduced stiffness and F the reduced load.  Rq holds one
+    reduced vector per interpolant field and Tr the basis traces at the
+    interpolation points; avg holds the basis averages.  ``model`` grows
+    them: existing entries are never recomputed, only new rows, columns
+    and vectors are filled in, into new arrays, so a model made earlier
+    never sees a later entry.
+    """
 
     REJECT_REL = 1e-10
 
-    def __init__(self, space):
-        self.space = space
-        self.x_op = (space.stiffness + space.mass).tocsr()
+    def __init__(self, problem):
+        self.problem = problem
+        self.x_op = (problem.stiffness + problem.mass).tocsr()
         self.basis = []        # orthonormal dof vectors
         self.x_basis = []      # cached x_op @ xi
         self.mus = []
+        self.A = np.zeros((0, 0))
+        self.F = np.zeros(0)
+        self.Rq = np.zeros((0, 0))
+        self.Tr = np.zeros((0, 0))
+        self.avg = np.zeros(0)
+        self._mass_qs = []        # mass @ q per interpolant field
 
     @property
     def N(self):
@@ -60,7 +75,7 @@ class RbSpace:
     def basis_matrix(self):
         """Basis as columns, shape (ndof, N)."""
         if not self.basis:
-            return np.zeros((self.space.ndof, 0))
+            return np.zeros((self.problem.space.ndof, 0))
         return np.column_stack(self.basis)
 
     def x_norm(self, values):
@@ -90,33 +105,14 @@ class RbSpace:
         self.mus.append(tuple(mu))
         return xi
 
-
-class ReducedBlocks:
-    """Reduced operators, extended in place as the bases grow.
-
-    A is the reduced stiffness and F the reduced load.  Rq holds one
-    reduced vector per interpolant field and Tr the basis traces at the
-    interpolation points; avg holds the basis averages.  Existing entries
-    are never recomputed, only new rows, columns and vectors are filled
-    in.
-    """
-
-    def __init__(self, problem):
-        self.problem = problem
-        self.A = np.zeros((0, 0))
-        self.F = np.zeros(0)
-        self.Rq = np.zeros((0, 0))
-        self.Tr = np.zeros((0, 0))
-        self.avg = np.zeros(0)
-        self._mass_qs = []        # mass @ q per interpolant field
-
-    def extend(self, rb, eim):
-        """Grow all blocks to the current (N, M)."""
-        n_old, n_new = self.A.shape[0], rb.N
+    def model(self, eim, label):
+        """Online model of the current basis and the interpolant eim, its
+        blocks first grown to the current (N, M)."""
+        n_old, n_new = self.A.shape[0], self.N
         m_old, m_new = self.Rq.shape[0], eim.M
         stiffness = self.problem.stiffness
         mass_rows = self.problem._mass_row_sums
-        basis = rb.basis
+        basis = self.basis
         t = np.asarray(eim.t, dtype=int)
 
         for m in range(m_old, m_new):
@@ -156,6 +152,11 @@ class ReducedBlocks:
                 self.Rq[m, n] = mq @ basis[n]
         for n in range(n_old):
             self.Tr[n, m_old:m_new] = basis[n][t[m_old:m_new]]
+
+        # the interpolant goes on growing: the model keeps a copy of it
+        return ReducedModel(self.problem, eim.restrict(m_new), self.A, self.F,
+                            self.Rq, self.Tr, self.avg, self.basis_matrix(),
+                            self.mus, label=label)
 
 
 class RbSolution:

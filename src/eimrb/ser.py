@@ -22,11 +22,13 @@ the schedule:
 Each update snapshots the parameters its group selected, then the
 parameters the last sweep approximated worst.  With ``rebuild_wn`` (not
 for the standard build) every update re-solves all snapshot parameters
-with the current interpolated operator and rebuilds the basis and the
-reduced blocks from scratch.
+with the current interpolated operator into a new ``RbSpace``.
 
-Growth is append-only between rebuilds, so the model of an earlier
-(N, M) stage is the final model restricted to it, equal in every array
+The build keeps one growing ``RbSpace``: a snapshot extends its basis,
+and its reduced blocks are extended when the build asks it for the
+model of the current (N, M) (``RbSpace.model``).  Growth is append-only
+between rebuilds, so the model of an earlier (N, M) stage is the final
+model restricted to it, equal in every array
 (``BuildResult.checkpoint``).  A stage from ``SerConfig.checkpoints`` is
 stored only when a later update of a ``rebuild_wn`` build replaces the
 basis it was solved with.
@@ -59,10 +61,7 @@ from .eim import eim_greedy_step, eim_initialize
 from .fem import SolverFailure
 from .nonlinear import (NewtonConfig, NewtonFailure, SurrogateSolver,
                         truth_newton_solve_eim)
-# importable from here, where perfbench's tracer wraps it; the build's
-# truth solves run through TruthReferences
-from .nonlinear import truth_newton_solve  # noqa: F401
-from .rb import DependentSnapshot, RbSpace, ReducedBlocks, ReducedModel
+from .rb import DependentSnapshot, RbSpace, ReducedModel
 
 
 class SerBuildError(RuntimeError):
@@ -235,15 +234,8 @@ def build_ser(problem, cfg):
     eim_g = eim_initialize(problem.space, truth_g_block(truth), train)
     report.log("eim", train[0], eim_g.train_errors[0], 1, 0, fe_solves())
 
-    rb = RbSpace(problem.space)
-    blocks = ReducedBlocks(problem)
-    blocks.extend(rb, eim_g)
+    rb = RbSpace(problem)
     surrogate = None     # made at the first snapshot solved with it
-
-    def live_model():
-        return ReducedModel(problem, eim_g, blocks.A, blocks.F, blocks.Rq,
-                            blocks.Tr, blocks.avg, rb.basis_matrix(), rb.mus,
-                            label=label)
 
     def snapshot_solve(mu):
         nonlocal surrogate, surrogate_solves
@@ -260,7 +252,6 @@ def build_ser(problem, cfg):
     group_selected = [train[0]]
     last_errors = None       # sweep errors, for ranking fallback snapshots
     saturated = False
-    prev_n = 0
 
     def fallback_params():
         """Training points ordered by how badly the last sweep approximated
@@ -278,28 +269,26 @@ def build_ser(problem, cfg):
             if j == 1 and r > 1:
                 provider = truth_g_block(truth)
             else:
-                # the interpolant and the blocks grow only after the sweep,
-                # so every sweep evaluation sees the same model
-                provider = reduced_g_block(live_model(), cfg.newton)
+                # the interpolant grows only after the sweep, so every
+                # sweep evaluation sees the same model
+                provider = reduced_g_block(rb.model(eim_g, label), cfg.newton)
             step = eim_greedy_step(eim_g, provider, train, cfg.saturation_tol)
             report.skipped.extend(step.skipped)
             saturated = step.saturated
             last_errors = step.errors
             if not step.saturated:
                 group_selected.append(step.mu)
-            blocks.extend(rb, eim_g)
             report.log("eim", step.mu, step.sup_error, eim_g.M, rb.N,
                        fe_solves())
 
         # --- basis update event
-        due = n_target - prev_n
+        due = n_target - rb.N
         if due > 0:
             kept = list(rb.mus) if cfg.rebuild_wn else []
             queue = kept + _snapshot_params(due, group_selected,
                                             fallback_params(), used)
             if cfg.rebuild_wn:
-                rb = RbSpace(problem.space)
-                blocks = ReducedBlocks(problem)
+                rb = RbSpace(problem)
             # a rejected parameter is replaced by at most one other, so
             # len(queue) + rb.N <= n_target holds throughout
             while queue:
@@ -307,7 +296,6 @@ def build_ser(problem, cfg):
                 used.add(mu)
                 try:
                     rb.add_snapshot(snapshot_solve(mu), mu)
-                    blocks.extend(rb, eim_g)
                     if mu not in kept:
                         report.log("rb", mu, None, eim_g.M, rb.N, fe_solves())
                 except DependentSnapshot:
@@ -317,15 +305,14 @@ def build_ser(problem, cfg):
                                                   used | set(queue)))
             if cfg.rebuild_wn:
                 report.log("rebuild", None, None, eim_g.M, rb.N, fe_solves())
-        prev_n = rb.N
         group_selected = []
 
         stage = (rb.N, m_target)
         if (cfg.rebuild_wn and j < n_updates
                 and stage in map(tuple, cfg.checkpoints)):
-            result.checkpoints[stage] = live_model().restrict(*stage)
+            result.checkpoints[stage] = rb.model(eim_g, label).restrict(*stage)
 
     report.fe_solve_count = fe_solves()
     report.wall_time = time.perf_counter() - t0
-    result.model = live_model()
+    result.model = rb.model(eim_g, label)
     return result

@@ -55,12 +55,6 @@ MODEL_FIELDS = ("problem", "eim_g", "A", "F", "Rq", "Tr", "avg", "basis",
 MODEL_ARRAYS = ("A", "F", "Rq", "Tr", "avg", "basis", "W", "xg")
 
 
-def model_from(problem, rb, blocks, eim_g):
-    """Online model of a basis and blocks grown by hand, as a build makes it."""
-    return er.ReducedModel(problem, eim_g, blocks.A, blocks.F, blocks.Rq,
-                           blocks.Tr, blocks.avg, rb.basis_matrix(), rb.mus)
-
-
 def model_with(model, **changes):
     """The model made again from its arrays, with some of them replaced."""
     fields = {name: getattr(model, name) for name in MODEL_FIELDS}

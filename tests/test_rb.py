@@ -5,20 +5,20 @@ import pytest
 
 import eimrb as er
 
-from conftest import (at_mu, eim_train, gram_matrix, model_from,
-                      model_with)
+from conftest import (MODEL_ARRAYS, at_mu, eim_train, gram_matrix,
+                      model_with, same_bits)
 
 
 class TestRbSpace:
     def test_first_snapshot_normalized(self, problem8):
-        rb = er.RbSpace(problem8.space)
+        rb = er.RbSpace(problem8)
         u, _ = er.truth_newton_solve(problem8, (1.0, 1.0))
         rb.add_snapshot(u, (1.0, 1.0))
         gram = gram_matrix(rb)
         assert abs(gram[0, 0] - 1.0) <= 1e-12
 
     def test_duplicate_snapshot_rejected(self, problem8):
-        rb = er.RbSpace(problem8.space)
+        rb = er.RbSpace(problem8)
         u, _ = er.truth_newton_solve(problem8, (1.0, 1.0))
         rb.add_snapshot(u, (1.0, 1.0))
         with pytest.raises(er.DependentSnapshot):
@@ -26,7 +26,7 @@ class TestRbSpace:
         assert rb.N == 1
 
     def test_gram_is_identity_after_five_snapshots(self, problem8):
-        rb = er.RbSpace(problem8.space)
+        rb = er.RbSpace(problem8)
         for mu in [(0.01, 0.01), (10, 10), (0.1, 1.0), (1.0, 0.1), (3.0, 3.0)]:
             u, _ = er.truth_newton_solve(problem8, mu)
             rb.add_snapshot(u, mu)
@@ -41,30 +41,64 @@ class TestRbSpace:
 
 
 class TestBlocks:
-    def test_extension_preserves_existing_entries_bitwise(self, problem8, train5):
-        truth = er.TruthReferences(problem8)
+    MUS = [(0.01, 0.01), (10, 10), (0.1, 1.0)]
+
+    @pytest.fixture(scope="class")
+    def truth(self, problem8):
+        return er.TruthReferences(problem8)
+
+    def test_extension_preserves_existing_entries_bitwise(self, problem8,
+                                                          train5, truth):
         eim_g = eim_train(problem8.space, er.truth_g_block(truth), list(train5),
                           m_max=4)
-        rb = er.RbSpace(problem8.space)
-        blocks = er.ReducedBlocks(problem8)
-        mus = [(0.01, 0.01), (10, 10), (0.1, 1.0)]
-        for mu in mus[:2]:
+        rb = er.RbSpace(problem8)
+        for mu in self.MUS[:2]:
             rb.add_snapshot(truth.get(mu)[0], mu)
-        blocks.extend(rb, eim_g.restrict(3))
-        old = {k: getattr(blocks, k).copy() for k in ("A", "F", "Rq", "Tr", "avg")}
-        # grow the basis and the interpolant in one extension
-        rb.add_snapshot(truth.get(mus[2])[0], mus[2])
-        blocks.extend(rb, eim_g)
-        assert np.array_equal(blocks.A[:2, :2], old["A"])
-        assert np.array_equal(blocks.F[:2], old["F"])
-        assert np.array_equal(blocks.Rq[:3, :2], old["Rq"])
-        assert np.array_equal(blocks.Tr[:2, :3], old["Tr"])
-        assert np.array_equal(blocks.avg[:2], old["avg"])
-        # and the grown blocks equal blocks built at the final size at once
-        fresh = er.ReducedBlocks(problem8)
-        fresh.extend(rb, eim_g)
-        for name in ("A", "F", "Rq", "Tr", "avg"):
-            assert np.array_equal(getattr(blocks, name), getattr(fresh, name)), name
+        old = rb.model(eim_g.restrict(3), "old")
+        # grow the basis and the interpolant in one model() call
+        rb.add_snapshot(truth.get(self.MUS[2])[0], self.MUS[2])
+        new = rb.model(eim_g, "new")
+        assert (new.N, new.Rq.shape[0]) == (3, 4)
+        assert same_bits(new.A[:2, :2], old.A)
+        assert same_bits(new.F[:2], old.F)
+        assert same_bits(new.Rq[:3, :2], old.Rq)
+        assert same_bits(new.Tr[:2, :3], old.Tr)
+        assert same_bits(new.avg[:2], old.avg)
+        # and the blocks grown in steps equal blocks built at once
+        fresh = er.RbSpace(problem8)
+        for mu in self.MUS:
+            fresh.add_snapshot(truth.get(mu)[0], mu)
+        at_once = fresh.model(eim_g, "new")
+        for name in MODEL_ARRAYS:
+            assert same_bits(getattr(new, name), getattr(at_once, name)), name
+
+    def test_earlier_model_unchanged_by_later_growth(self, problem8, train5,
+                                                     truth):
+        # a greedy sweep scans with the model of the current (N, M) while
+        # the space and the interpolant go on growing after it
+        provider = er.truth_g_block(truth)
+        eim_g = eim_train(problem8.space, provider, list(train5), m_max=3)
+        rb = er.RbSpace(problem8)
+        for mu in self.MUS[:2]:
+            rb.add_snapshot(truth.get(mu)[0], mu)
+        first = rb.model(eim_g, "first")
+        before = {name: getattr(first, name).copy() for name in MODEL_ARRAYS}
+        mu = (0.37, 0.8)
+        coeffs = first.solve(mu).coeffs
+
+        rb.add_snapshot(truth.get(self.MUS[2])[0], self.MUS[2])
+        assert not er.eim_greedy_step(eim_g, provider, list(train5)).saturated
+        second = rb.model(eim_g, "second")
+
+        assert (second.N, second.Rq.shape[0]) == (3, 4)
+        for name in MODEL_ARRAYS:
+            assert same_bits(getattr(first, name), before[name]), name
+            assert not np.shares_memory(getattr(first, name),
+                                        getattr(second, name)), name
+        assert first.snapshot_mus == self.MUS[:2]
+        assert first.eim_g.M == 3
+        assert same_bits(first.restrict(2, 4).Rq, before["Rq"])
+        assert same_bits(first.solve(mu).coeffs, coeffs)
 
     def test_trace_matrices_are_exact_evaluations(self, standard_small):
         model = standard_small.model
@@ -126,11 +160,9 @@ class TestReducedSolve:
         samples = [mu, (0.6, 2.0), (0.5, 2.5), (0.7, 1.5)]
         truth = er.TruthReferences(problem8)
         eim_g = eim_train(problem8.space, er.truth_g_block(truth), samples, m_max=4)
-        rb = er.RbSpace(problem8.space)
+        rb = er.RbSpace(problem8)
         rb.add_snapshot(truth.get(mu)[0], mu)
-        blocks = er.ReducedBlocks(problem8)
-        blocks.extend(rb, eim_g)
-        model = model_from(problem8, rb, blocks, eim_g)
+        model = rb.model(eim_g, "one snapshot")
         sol = model.solve(mu)
         du = truth.get(mu)[0] - model.lift_values(sol)
         assert float(np.sqrt(du @ (problem8.mass @ du))) <= 1e-6
@@ -172,14 +204,12 @@ class TestReducedSolve:
         samples = list(er.SampleSet.log_grid(3, 3))
         truth = er.TruthReferences(problem)
         eim_g = eim_train(space, er.truth_g_block(truth), samples, m_max=9)
-        rb = er.RbSpace(space)
+        rb = er.RbSpace(problem)
         for k, dof in enumerate(space.interior_dofs):
             e = np.zeros(space.ndof)
             e[dof] = 1.0
             rb.add_snapshot(e, (float(k), 0.0))
-        blocks = er.ReducedBlocks(problem)
-        blocks.extend(rb, eim_g)
-        model = model_from(problem, rb, blocks, eim_g)
+        model = rb.model(eim_g, "interior")
         for mu in samples:
             sol = model.solve(mu, er.NewtonConfig(max_iter=200))
             du = truth.get(mu)[0] - model.lift_values(sol)
@@ -274,10 +304,7 @@ class TestSolveMany:
 
     def test_empty_basis_rejected_like_solve(self, problem8, standard_small):
         eim_g = standard_small.model.eim_g
-        rb = er.RbSpace(problem8.space)
-        blocks = er.ReducedBlocks(problem8)
-        blocks.extend(rb, eim_g)
-        model = model_from(problem8, rb, blocks, eim_g)
+        model = er.RbSpace(problem8).model(eim_g, "empty")
         with pytest.raises(ValueError) as single:
             model.solve((1.0, 1.0))
         with pytest.raises(ValueError) as many:
