@@ -21,7 +21,7 @@ t0 = time.perf_counter()
 result = er.build_ser(problem, cfg)
 print(f"offline build: {time.perf_counter() - t0:.1f}s, "
       f"{result.report.fe_solve_count} finite element solves, "
-      f"N={result.model.N}, M={result.model.eim_g.M}")
+      f"N={result.model.N}, M={result.model.M}")
 
 rng = np.random.default_rng(0)
 mus = [tuple(10.0 ** rng.uniform(-2, 1, 2)) for _ in range(5)]

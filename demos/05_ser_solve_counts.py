@@ -34,7 +34,7 @@ print(f"{'variant':>28}  {'fe solves':>9}  {'max u err':>10}  {'max s err':>10}"
 for name, cfg in variants:
     result = er.build_ser(problem, cfg)
     rows = er.run_error_study(result, test,
-                              [(result.model.N, result.model.eim_g.M)],
+                              [(result.model.N, result.model.M)],
                               references=refs)
     row = rows[0]
     print(f"{name:>28}  {result.report.fe_solve_count:9d}  "

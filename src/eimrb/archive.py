@@ -3,12 +3,13 @@
 An archive stores the mesh/degree pair (the benchmark problem is
 rebuilt deterministically from it), the build's update frequency r and
 rebuild flag, a config fingerprint, and the arrays of the final
-``ReducedModel`` under its field names (``A``, ``F``, ``Rq``, ``Tr``,
-``avg``, ``basis``, ``snapshot_mus``, and the interpolant as
-``eim_g_*``).  A stored checkpoint adds the same arrays under the prefix
-``cp<i>_``; builds store one only where a later basis rebuild makes it
-unrecoverable from the final model.  A loaded model reproduces online
-outputs bit for bit.
+``ReducedModel`` under its field names: the interpolation points ``t``
+(integers) and matrix ``B``, then ``A``, ``F``, ``Rq``, ``Tr``, ``avg``,
+``basis`` and ``snapshot_mus``.  The interpolant's fields are not
+stored: the online solve reads them only through ``Rq``.  A stored
+checkpoint adds the same arrays under the prefix ``cp<i>_``; builds
+store one only where a later basis rebuild makes it unrecoverable from
+the final model.  A loaded model reproduces online outputs bit for bit.
 """
 
 import json
@@ -17,12 +18,11 @@ import zipfile
 import numpy as np
 
 from .benchmark import benchmark_problem
-from .eim import EimBasis
 from .rb import ReducedModel
 from .ser import BuildReport, BuildResult
 
-FORMAT_VERSION = 3
-MODEL_ARRAYS = ("A", "F", "Rq", "Tr", "avg", "basis", "snapshot_mus")
+FORMAT_VERSION = 4
+MODEL_ARRAYS = ("t", "B", "A", "F", "Rq", "Tr", "avg", "basis", "snapshot_mus")
 
 
 class ArchiveError(ValueError):
@@ -31,15 +31,13 @@ class ArchiveError(ValueError):
 
 
 def _model_arrays(model, prefix=""):
-    d = {prefix + name: np.asarray(getattr(model, name), dtype=float)
-         for name in MODEL_ARRAYS}
-    d.update(model.eim_g.to_arrays(prefix + "eim_g_"))
-    return d
+    return {prefix + name: np.asarray(getattr(model, name),
+                                      dtype=np.int64 if name == "t" else float)
+            for name in MODEL_ARRAYS}
 
 
 def _model_from_arrays(problem, data, label, prefix=""):
-    eim_g = EimBasis.from_arrays(problem.space, data, prefix + "eim_g_")
-    return ReducedModel(problem, eim_g,
+    return ReducedModel(problem,
                         *(data[prefix + name] for name in MODEL_ARRAYS),
                         label=label)
 
@@ -80,8 +78,9 @@ def _result_from_arrays(data):
                          fe_solve_count=int(data["fe_solve_count"]),
                          r=int(r) if r.isdigit() else r,
                          rebuild_wn=bool(data["rebuild_wn"]))
+    # an archive keeps only the online model, not the build's interpolant
     result = BuildResult(model=_model_from_arrays(problem, data, label),
-                         report=report, checkpoints=checkpoints)
+                         report=report, eim_g=None, checkpoints=checkpoints)
     result.fingerprint = str(data["fingerprint"])
     return result
 

@@ -31,9 +31,10 @@ EXIT_PIPE = 5
 
 
 def _variant_slug(label):
-    return {"r=M": "standard", "r=5": "r5", "r=1": "r1",
-            "r=1-rebuild": "r1_rebuild"}.get(
-        label, "".join(c if c.isalnum() else "_" for c in label))
+    """File name part of a variant label: r=1-rebuild gives r1_rebuild."""
+    if label == "r=M":
+        return "standard"
+    return label.replace("=", "").replace("-", "_")
 
 
 def _ser_config(settings, r=None, rebuild=None, n_max=None, m_max=None):
@@ -44,7 +45,6 @@ def _ser_config(settings, r=None, rebuild=None, n_max=None, m_max=None):
     return SerConfig(r=r, rebuild_wn=rebuild, n_max=n_max, m_max=m_max,
                      train_set=settings.train_set(),
                      newton=settings.newton(),
-                     saturation_tol=settings.saturation_tol,
                      checkpoints=default_checkpoints(r, n_max, m_max))
 
 
@@ -64,7 +64,7 @@ def cmd_build(args):
                fingerprint=fingerprint_json(settings.fingerprint_dict()))
     _write_report(result.report, out / "build_report.json")
     print(f"variant {result.report.variant}: N={result.model.N} "
-          f"M={result.model.eim_g.M} fe_solves={result.report.fe_solve_count} "
+          f"M={result.model.M} fe_solves={result.report.fe_solve_count} "
           f"wall={result.report.wall_time:.2f}s")
     print(f"model archive: {out / 'model.npz'}")
     return EXIT_OK
@@ -77,7 +77,7 @@ def cmd_study(args):
     out.mkdir(parents=True, exist_ok=True)
     label = result.model.label
     checkpoints = default_checkpoints(result.report.r, result.model.N,
-                                      result.model.eim_g.M)
+                                      result.model.M)
     refs = TruthReferences(result.model.problem, settings.newton())
     rows = run_error_study(result, settings.test_set(), checkpoints,
                            newton=settings.newton(), references=refs)

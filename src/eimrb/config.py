@@ -13,7 +13,6 @@ Unknown keys are rejected.  Example:
     ser.rebuild_wn = false
     ser.n_max = 20
     eim.m_max = 25
-    eim.saturation_tol = 1e-13
     newton.abs_tol = 1e-10
     newton.rel_tol = 1e-10
     newton.max_iter = 50
@@ -42,7 +41,6 @@ class RunSettings:
     rebuild_wn: bool = False
     n_max: int = 20
     m_max: int = 25
-    saturation_tol: float = 1e-13
     newton_abs_tol: float = 1e-10
     newton_rel_tol: float = 1e-10
     newton_max_iter: int = 50
@@ -97,7 +95,6 @@ _KEYS = {
     "ser.rebuild_wn": ("rebuild_wn", _parse_bool),
     "ser.n_max": ("n_max", int),
     "eim.m_max": ("m_max", int),
-    "eim.saturation_tol": ("saturation_tol", float),
     "newton.abs_tol": ("newton_abs_tol", float),
     "newton.rel_tol": ("newton_rel_tol", float),
     "newton.max_iter": ("newton_max_iter", int),

@@ -27,7 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
+# a greedy step saturates below max(SATURATION_FLOOR, SATURATION_REL times
+# the largest training error recorded so far)
 SATURATION_FLOOR = 1e-14
+SATURATION_REL = 1e-13
 # doubles per chunk of rows in a greedy step (1 MB): a chunk and its
 # residual stay in a core's L2 cache from the provider to the sup errors
 BUDGET = 2 ** 17
@@ -58,12 +61,7 @@ class EimBasis:
 
     @property
     def M(self):
-        # from the points, so the online solve never touches the fields
         return len(self.t)
-
-    @property
-    def point_coords(self):
-        return self.space.dof_coords[np.asarray(self.t, dtype=int)]
 
     def field_matrix(self):
         """Stacked basis fields, shape (M, ndof)."""
@@ -129,37 +127,6 @@ class EimBasis:
         self.mus.append(mu)
         self.train_errors.append(float(recorded_error))
 
-    def restrict(self, m):
-        """Copy truncated to the first m basis fields (nested by construction)."""
-        if not 0 <= m <= self.M:
-            raise ValueError(f"cannot restrict M={self.M} basis to {m}")
-        out = EimBasis(self.space)
-        out.fields = list(self.fields[:m])
-        out.t = list(self.t[:m])
-        out.B = self.B[:m, :m].copy()
-        out.mus = list(self.mus[:m])
-        out.train_errors = list(self.train_errors[:m])
-        return out
-
-    def to_arrays(self, prefix=""):
-        return {
-            prefix + "fields": self.field_matrix(),
-            prefix + "t": np.asarray(self.t, dtype=np.int64),
-            prefix + "B": self.B.copy(),
-            prefix + "mus": np.asarray(self.mus, dtype=float),
-            prefix + "train_errors": np.asarray(self.train_errors, dtype=float),
-        }
-
-    @classmethod
-    def from_arrays(cls, space, data, prefix=""):
-        out = cls(space)
-        out.fields = list(data[prefix + "fields"])   # row views, no copies
-        out.t = [int(i) for i in data[prefix + "t"]]
-        out.B = np.array(data[prefix + "B"], dtype=float)
-        out.mus = [tuple(row) for row in np.atleast_2d(data[prefix + "mus"])]
-        out.train_errors = [float(v) for v in data[prefix + "train_errors"]]
-        return out
-
 
 @dataclass
 class GreedyStep:
@@ -188,7 +155,7 @@ def eim_initialize(space, provider, samples):
     return basis
 
 
-def eim_greedy_step(basis, provider, samples, saturation_tol=1e-13):
+def eim_greedy_step(basis, provider, samples):
     """One greedy enrichment: pick the worst-approximated sample, add its residual.
 
     Samples the provider failed on, and rows that are not finite, are
@@ -238,7 +205,7 @@ def eim_greedy_step(basis, provider, samples, saturation_tol=1e-13):
     # saturation is judged against the largest error seen: the first
     # snapshot (at the first training parameter) can sit orders of
     # magnitude below the manifold scale
-    floor = max(SATURATION_FLOOR, saturation_tol * max(basis.train_errors))
+    floor = max(SATURATION_FLOOR, SATURATION_REL * max(basis.train_errors))
     if best_err < floor:
         return GreedyStep(mu=best_mu, sup_error=best_err, saturated=True,
                           skipped=skipped, errors=errors)

@@ -7,7 +7,7 @@ plus mass).  The reduced problem at a parameter mu is
 
 where B is the interpolation matrix of the empirical interpolant of the
 nonlinearity and Tr^T c are the values of the reduced solution at its
-interpolation points.  Newton uses the exact Jacobian
+interpolation points t.  Newton uses the exact Jacobian
 
     J(c) = A + W diag(g'(Tr^T c)) Tr^T,
 
@@ -25,8 +25,10 @@ each parameter it fails as ``solve`` does.
 snapshot, and the reduced blocks on it, extended when a model is asked
 for (``RbSpace.model``).  ``ReducedModel`` is the online model of one
 (N, M) stage, made from its arrays and never grown: ``RbSpace.model``
-makes one from the current blocks, ``restrict`` from slices of a
-larger model, and ``archive.load_model`` from the arrays of an archive.
+makes one from the current blocks and the interpolant's points and
+matrix, ``restrict`` from slices of a larger model, and
+``archive.load_model`` from the arrays of an archive.  The interpolant's
+fields enter a model only through Rq, so no model holds them.
 """
 
 import math
@@ -111,7 +113,6 @@ class RbSpace:
         n_old, n_new = self.A.shape[0], self.N
         m_old, m_new = self.Rq.shape[0], eim.M
         stiffness = self.problem.stiffness
-        mass_rows = self.problem._mass_row_sums
         basis = self.basis
         t = np.asarray(eim.t, dtype=int)
 
@@ -143,7 +144,7 @@ class RbSpace:
             for m, mq in enumerate(self._mass_qs):
                 self.Rq[m, n] = mq @ xi
             self.Tr[n, :] = xi[t]
-            self.avg[n] = mass_rows @ xi
+            self.avg[n] = self.problem.average(xi)
 
         # new interpolant fields: fill the old basis range
         for m in range(m_old, m_new):
@@ -153,8 +154,7 @@ class RbSpace:
         for n in range(n_old):
             self.Tr[n, m_old:m_new] = basis[n][t[m_old:m_new]]
 
-        # the interpolant goes on growing: the model keeps a copy of it
-        return ReducedModel(self.problem, eim.restrict(m_new), self.A, self.F,
+        return ReducedModel(self.problem, eim.t, eim.B, self.A, self.F,
                             self.Rq, self.Tr, self.avg, self.basis_matrix(),
                             self.mus, label=label)
 
@@ -174,17 +174,20 @@ class RbSolution:
 class ReducedModel:
     """Everything needed to solve the reduced problem at a new parameter.
 
-    A (N, N) and F (N,) are the reduced stiffness and load, Rq (M, N) the
-    reduced interpolant fields, Tr (N, M) the basis traces at the
-    interpolation points, avg (N,) the basis averages and basis the
-    (ndof, N) stacked basis; W and the interpolation point coordinates
-    are derived from them here.
+    t (M,) are the interpolation points (dof indices) and B (M, M) the
+    interpolation matrix; A (N, N) and F (N,) are the reduced stiffness
+    and load, Rq (M, N) the reduced interpolant fields, Tr (N, M) the
+    basis traces at the interpolation points, avg (N,) the basis averages
+    and basis the (ndof, N) stacked basis; W and the interpolation point
+    coordinates xg are derived from them here.
     """
 
-    def __init__(self, problem, eim_g, A, F, Rq, Tr, avg, basis,
+    def __init__(self, problem, t, B, A, F, Rq, Tr, avg, basis,
                  snapshot_mus, label=""):
         self.problem = problem
-        self.eim_g = eim_g
+        # own copies: the build's interpolant goes on growing
+        self.t = np.array(t, dtype=np.int64)
+        self.B = np.array(B, dtype=float)
         self.A, self.F, self.Rq, self.Tr, self.avg = A, F, Rq, Tr, avg
         self.basis = basis
         self.snapshot_mus = [tuple(mu) for mu in snapshot_mus]
@@ -192,15 +195,19 @@ class ReducedModel:
         # W = Rq^T B^{-1} (N x M), formed once: with it a Newton step needs
         # no triangular solve (scipy runs one with N right-hand sides on
         # several BLAS threads, which cost more than the step it served)
-        self.W = solve_triangular(eim_g.B, Rq, lower=True, trans="T",
+        self.W = solve_triangular(self.B, Rq, lower=True, trans="T",
                                   check_finite=False).T
         # coordinates of the interpolation points, so a solve does not
         # index the ndof-sized dof coordinates
-        self.xg = eim_g.point_coords
+        self.xg = problem.space.dof_coords[self.t]
 
     @property
     def N(self):
         return self.A.shape[0]
+
+    @property
+    def M(self):
+        return len(self.t)
 
     def jacobian(self, c, mu):
         """Exact derivative A + W diag(g'(Tr^T c)) Tr^T of the reduced
@@ -332,8 +339,8 @@ class ReducedModel:
         append-only)."""
         if n > self.N:
             raise ValueError(f"cannot restrict N={self.N} model to {n}")
-        m = min(m, self.eim_g.M)
-        return ReducedModel(self.problem, self.eim_g.restrict(m),
+        m = min(m, self.M)
+        return ReducedModel(self.problem, self.t[:m], self.B[:m, :m],
                             self.A[:n, :n].copy(), self.F[:n].copy(),
                             self.Rq[:m, :n].copy(), self.Tr[:n, :m].copy(),
                             self.avg[:n].copy(), self.basis[:, :n].copy(),

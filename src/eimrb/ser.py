@@ -26,9 +26,11 @@ with the current interpolated operator into a new ``RbSpace``.
 
 The build keeps one growing ``RbSpace``: a snapshot extends its basis,
 and its reduced blocks are extended when the build asks it for the
-model of the current (N, M) (``RbSpace.model``).  Growth is append-only
-between rebuilds, so the model of an earlier (N, M) stage is the final
-model restricted to it, equal in every array
+model of the current (N, M) (``RbSpace.model``).  A model holds the
+interpolation points and matrix, not the interpolant: the interpolant
+the build trained stays with the build (``BuildResult.eim_g``).  Growth
+is append-only between rebuilds, so the model of an earlier (N, M)
+stage is the final model restricted to it, equal in every array
 (``BuildResult.checkpoint``).  A stage from ``SerConfig.checkpoints`` is
 stored only when a later update of a ``rebuild_wn`` build replaces the
 basis it was solved with.
@@ -76,7 +78,6 @@ class SerConfig:
     m_max: int = 1
     train_set: object = None
     newton: NewtonConfig = field(default_factory=NewtonConfig)
-    saturation_tol: float = 1e-13
     checkpoints: tuple = ()
 
     def __post_init__(self):
@@ -133,6 +134,7 @@ class BuildReport:
 class BuildResult:
     model: ReducedModel
     report: BuildReport
+    eim_g: object            # the interpolant trained, None when loaded
     checkpoints: dict = field(default_factory=dict)
 
     def checkpoint(self, n, m):
@@ -247,7 +249,7 @@ def build_ser(problem, cfg):
         surrogate_solves += 1
         return u
 
-    result = BuildResult(model=None, report=report)
+    result = BuildResult(model=None, report=report, eim_g=eim_g)
     used = set()
     group_selected = [train[0]]
     last_errors = None       # sweep errors, for ranking fallback snapshots
@@ -272,7 +274,7 @@ def build_ser(problem, cfg):
                 # the interpolant grows only after the sweep, so every
                 # sweep evaluation sees the same model
                 provider = reduced_g_block(rb.model(eim_g, label), cfg.newton)
-            step = eim_greedy_step(eim_g, provider, train, cfg.saturation_tol)
+            step = eim_greedy_step(eim_g, provider, train)
             report.skipped.extend(step.skipped)
             saturated = step.saturated
             last_errors = step.errors

@@ -50,9 +50,9 @@ def rebuild_small(problem8, train5, newton_roomy):
     return er.build_ser(problem8, cfg)
 
 
-MODEL_FIELDS = ("problem", "eim_g", "A", "F", "Rq", "Tr", "avg", "basis",
+MODEL_FIELDS = ("problem", "t", "B", "A", "F", "Rq", "Tr", "avg", "basis",
                 "snapshot_mus", "label")
-MODEL_ARRAYS = ("A", "F", "Rq", "Tr", "avg", "basis", "W", "xg")
+MODEL_ARRAYS = ("t", "B", "A", "F", "Rq", "Tr", "avg", "basis", "W", "xg")
 
 
 def model_with(model, **changes):
@@ -68,21 +68,31 @@ def same_bits(a, b):
 
 
 def assert_same_model(a, b, mus=((0.37, 0.8), (5.0, 0.02), (2.0, 6.0))):
-    """Two models equal bitwise: every array, the interpolant, the labels,
-    and the coefficients and outputs of online solves at mus."""
+    """Two models equal bitwise: every array (the interpolation points and
+    matrix among them), the labels, and the coefficients and outputs of
+    online solves at mus."""
     for name in MODEL_ARRAYS:
         assert same_bits(getattr(a, name), getattr(b, name)), name
     assert a.snapshot_mus == b.snapshot_mus
     assert a.label == b.label
-    ga, gb = a.eim_g, b.eim_g
-    assert ga.t == gb.t and ga.mus == gb.mus
-    assert ga.train_errors == gb.train_errors
-    assert same_bits(ga.B, gb.B)
-    assert same_bits(ga.field_matrix(), gb.field_matrix())
     for mu in mus:
         sa, sb = a.solve(mu), b.solve(mu)
         assert same_bits(sa.coeffs, sb.coeffs)
         assert same_bits(a.output(sa), b.output(sb))
+
+
+def assert_same_interpolant(a, b, m=None):
+    """Two interpolants equal bitwise in their first m fields, or in all of
+    them (and in their size) when m is None: points, picks, training
+    errors, interpolation matrix and fields."""
+    if m is None:
+        assert a.M == b.M
+        m = a.M
+    assert min(a.M, b.M) >= m
+    assert a.t[:m] == b.t[:m] and a.mus[:m] == b.mus[:m]
+    assert a.train_errors[:m] == b.train_errors[:m]
+    assert same_bits(a.B[:m, :m], b.B[:m, :m])
+    assert same_bits(a.field_matrix()[:m], b.field_matrix()[:m])
 
 
 def gram_matrix(rb):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import eimrb as er
-from eimrb.cli import EXIT_PIPE, main
+from eimrb.cli import EXIT_PIPE, _variant_slug, main
 
 from conftest import assert_same_model
 
@@ -58,28 +58,34 @@ class TestArchive:
         assert small.N == 2
 
     def test_archive_stores_each_model_once(self, rebuild_small, tmp_path):
-        # format 3: metadata, then each model's arrays under the frozen
-        # model's field names, the stored checkpoint under its prefix
+        # format 4: metadata, then each model's arrays under the frozen
+        # model's field names, the stored checkpoint under its prefix; the
+        # basis is the only array as long as the dofs (no interpolant)
         path = tmp_path / "model.npz"
         er.save_model(path, rebuild_small)
         with np.load(path, allow_pickle=False) as data:
-            names = set(data.files)
-        model_keys = {"A", "F", "Rq", "Tr", "avg", "basis", "snapshot_mus",
-                      "eim_g_fields", "eim_g_t", "eim_g_B", "eim_g_mus",
-                      "eim_g_train_errors"}
+            arrays = {name: data[name] for name in data.files}
+        model_keys = {"t", "B", "A", "F", "Rq", "Tr", "avg", "basis",
+                      "snapshot_mus"}
         meta = {"format_version", "mesh_n", "degree", "label", "r",
                 "rebuild_wn", "fingerprint", "fe_solve_count",
                 "checkpoint_keys"}
-        assert names == meta | model_keys | {"cp0_" + k for k in model_keys}
+        assert set(arrays) == meta | model_keys | {"cp0_" + k for k in model_keys}
+        assert int(arrays["format_version"]) == 4
+        ndof = rebuild_small.model.problem.space.ndof
+        assert {name for name, a in arrays.items()
+                if ndof in a.shape} == {"basis", "cp0_basis"}
+        assert arrays["t"].dtype == arrays["cp0_t"].dtype == np.int64
 
     @pytest.mark.parametrize("damage, match", [
         ({"format_version": 1}, "version 1"),
         ({"format_version": 2}, "version 2"),
+        ({"format_version": 3}, "version 3"),
         ({"format_version": 99}, "version 99"),
         ({"A": None}, "A is not a file"),
         (b"not a model archive\n", "pickle"),
         (b"", "No data left"),
-    ], ids=["v1", "v2", "v99", "missing-A", "junk", "empty"])
+    ], ids=["v1", "v2", "v3", "v99", "missing-A", "junk", "empty"])
     def test_unloadable_archive_is_refused(self, standard_small, tmp_path,
                                            capsys, damage, match):
         # every other array is present, so only the damage refuses it
@@ -145,10 +151,15 @@ class TestConfig:
         with pytest.raises(er.ConfigError, match="rebuild_wn"):
             er.parse_config("ser.r = standard\nser.rebuild_wn = true")
 
-    def test_bad_spacing(self):
-        # the training grid is always log-spaced; there is no spacing key
-        with pytest.raises(er.ConfigError, match="unknown key 'train.spacing'"):
-            er.parse_config("train.spacing = linear")
+    @pytest.mark.parametrize("line", ["train.spacing = linear",
+                                      "eim.saturation_tol = 1e-13"],
+                             ids=["train.spacing", "eim.saturation_tol"])
+    def test_bad_spacing(self, line):
+        # the training grid is always log-spaced and the interpolant's
+        # saturation threshold is fixed: neither has a key
+        key = line.split(" =")[0]
+        with pytest.raises(er.ConfigError, match=f"unknown key '{key}'"):
+            er.parse_config(line)
 
     def test_missing_equals(self):
         with pytest.raises(er.ConfigError):
@@ -239,6 +250,14 @@ class TestCli:
         cfg.write_text(TINY_CONFIG.format(out=tmp_path / "o")
                        .replace("newton.max_iter = 200", "newton.max_iter = 1"))
         assert main(["build", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("label, slug", [
+        ("r=M", "standard"), ("r=1", "r1"), ("r=3", "r3"), ("r=5", "r5"),
+        ("r=1-rebuild", "r1_rebuild"), ("r=3-rebuild", "r3_rebuild"),
+    ])
+    def test_variant_slug(self, label, slug):
+        # one rule names every table and build report file
+        assert _variant_slug(label) == slug
 
     def test_compare_emits_tables_and_counts(self, tmp_path):
         out = tmp_path / "out"

@@ -313,16 +313,3 @@ class TestOnline:
         w = field(basis.mus[1])
         interp = basis.evaluate(basis.coeffs(w[basis.t]))
         assert np.abs(interp[basis.t] - w[basis.t]).max() <= 1e-12
-
-
-class TestSerialization:
-    def test_round_trip_bitwise(self, space8, grid10):
-        x, y = space8.dof_coords[:, 0], space8.dof_coords[:, 1]
-        provider = rows_provider(lambda mu: np.exp(-mu[0] * x)
-                                 + np.sin(mu[1] * y))
-        basis = eim_train(space8, provider, list(grid10), m_max=4)
-        back = er.EimBasis.from_arrays(space8, basis.to_arrays())
-        assert np.array_equal(back.B, basis.B)
-        assert back.t == basis.t
-        assert np.array_equal(back.field_matrix(), basis.field_matrix())
-        assert back.train_errors == basis.train_errors

@@ -7,7 +7,8 @@ import pytest
 import eimrb as er
 import eimrb.ser
 
-from conftest import assert_same_model, eim_train
+from conftest import (assert_same_interpolant, assert_same_model, eim_train,
+                      same_bits)
 
 
 def expected_solids(r, rebuild, n_max, m_max, n_train):
@@ -73,12 +74,8 @@ class TestSchedules:
         result = er.build_ser(problem8, cfg)
         # the first group is trained from truth fields, so the first five
         # interpolant fields coincide with the sequential build's
-        std = standard_small.model
-        assert result.model.eim_g.t == std.eim_g.t[:5]
-        assert result.model.eim_g.mus == std.eim_g.mus[:5]
-        for m in range(5):
-            assert np.array_equal(result.model.eim_g.fields[m],
-                                  std.eim_g.fields[m])
+        assert result.eim_g.M == 5
+        assert_same_interpolant(result.eim_g, standard_small.eim_g, m=5)
         assert result.report.fe_solve_count == len(train5) + 4
 
     def test_degenerate_frequency_equals_standard_eim_bitwise(self, problem8,
@@ -90,12 +87,7 @@ class TestSchedules:
         cfg_deg = er.SerConfig(r=6, n_max=5, m_max=6, train_set=train5,
                                newton=newton_roomy)
         deg = er.build_ser(problem8, cfg_deg)
-        a, b = std.model.eim_g, deg.model.eim_g
-        assert a.t == b.t
-        assert a.mus == b.mus
-        assert a.train_errors == b.train_errors
-        assert np.array_equal(a.B, b.B)
-        assert np.array_equal(a.field_matrix(), b.field_matrix())
+        assert_same_interpolant(std.eim_g, deg.eim_g)
         # both take their snapshots at the greedy selections
         assert std.model.snapshot_mus == deg.model.snapshot_mus
 
@@ -105,10 +97,7 @@ class TestSchedules:
         truth = er.TruthReferences(problem8)
         direct = eim_train(problem8.space, er.truth_g_block(truth),
                            [tuple(p) for p in train5], m_max=8)
-        built = standard_small.model.eim_g
-        assert direct.t == built.t
-        assert np.array_equal(direct.B, built.B)
-        assert np.array_equal(direct.field_matrix(), built.field_matrix())
+        assert_same_interpolant(direct, standard_small.eim_g)
 
     def test_nested_growth_no_rebuild(self, problem8, train5, newton_roomy,
                                       ser_small):
@@ -120,6 +109,20 @@ class TestSchedules:
         short = er.build_ser(problem8, cfg)
         assert_same_model(short.model, ser_small.model.restrict(3, 3))
         assert_same_model(short.model, ser_small.checkpoint(3, 3))
+        # and its interpolant is the longer build's, cut to its size
+        assert short.eim_g.M == 3
+        assert_same_interpolant(short.eim_g, ser_small.eim_g, m=3)
+
+    @pytest.mark.parametrize("build", ["standard_small", "ser_small",
+                                       "rebuild_small"])
+    def test_final_model_holds_the_interpolants_points_and_matrix(self, build,
+                                                                 request):
+        result = request.getfixturevalue(build)
+        model, eim_g = result.model, result.eim_g
+        assert model.t.dtype == np.int64
+        assert model.t.tolist() == eim_g.t
+        assert same_bits(model.B, eim_g.B)
+        assert not np.shares_memory(model.B, eim_g.B)
 
     def test_builds_without_rebuild_store_no_checkpoints(self, ser_small,
                                                          standard_small):
@@ -132,7 +135,7 @@ class TestSchedules:
         # stage is the final model
         assert set(result.checkpoints) == {(2, 2)}
         cp = result.checkpoints[(2, 2)]
-        assert cp.N == 2 and cp.eim_g.M == 2
+        assert cp.N == 2 and cp.M == 2
         # with rebuilding the early basis is not a prefix of the final one
         assert not np.array_equal(cp.basis, result.model.basis[:, :2])
         assert_same_model(result.checkpoint(4, 4), result.model)
@@ -142,7 +145,7 @@ class TestSchedules:
     def test_rb_snapshots_follow_greedy_selections(self, ser_small):
         # each update snapshots at the parameter the sweep just selected;
         # a re-selected (already used) parameter falls back to another one
-        g_mus = ser_small.model.eim_g.mus
+        g_mus = ser_small.eim_g.mus
         rb_mus = ser_small.model.snapshot_mus
         assert len(rb_mus) == len(set(rb_mus)) == 5
         for k, sel in enumerate(g_mus[:5]):
@@ -301,7 +304,7 @@ class TestSnapshotSelection:
         steps = record_steps(monkeypatch)
         cfg = er.SerConfig(r="standard", n_max=7, m_max=4, train_set=train5)
         result = er.build_ser(problem8, cfg)
-        picks = result.model.eim_g.mus
+        picks = result.eim_g.mus
         assert len(set(picks)) == 4
         train = [tuple(p) for p in train5]
         ranked = [train[i] for i in worst_first(steps[-1].errors)
@@ -321,7 +324,7 @@ class TestSnapshotSelection:
         assert logged.mu == steps[-1].mu
         assert logged.sup_error == steps[-1].sup_error
         # not the previous pick, which the saturated step did not add
-        assert logged.mu != result.model.eim_g.mus[-1]
+        assert logged.mu != result.eim_g.mus[-1]
 
 
 class TestBenchmarkBindings:

@@ -7,7 +7,8 @@ import scipy.sparse as sp
 import eimrb as er
 from eimrb.fem import factor_sparse, solve_factored
 
-from conftest import at_mu, check_derivative, eim_train, model_with, same_bits
+from conftest import (assert_same_interpolant, at_mu, check_derivative,
+                      eim_train, model_with, same_bits)
 
 
 CORNERS = [(0.01, 0.01), (10.0, 0.01), (0.01, 10.0), (10.0, 10.0)]
@@ -338,19 +339,29 @@ class TestNewtonDriver:
     MU = er.SampleSet.log_grid(5, 5)[7]     # numpy floats, shown as floats
     MU_TEXT = f"({float(MU[0])!r}, {float(MU[1])!r})"
 
+    @pytest.fixture(scope="class")
+    def one_field(self, standard_small, train5):
+        """The one-field interpolant the standard build starts from."""
+        problem = standard_small.model.problem
+        eim = er.eim_initialize(problem.space,
+                                er.truth_g_block(er.TruthReferences(problem)),
+                                [tuple(p) for p in train5])
+        assert_same_interpolant(eim, standard_small.eim_g, m=1)
+        return eim
+
     @staticmethod
-    def singular_slope(kind, model):
+    def singular_slope(kind, model, eim):
         """Slope of a linear term that makes the solver's first Jacobian
         exactly singular: 0 for the reduced solve with A = 0, whose
-        Jacobian is W diag(g') Tr^T, and -1/k for the one-field surrogate,
-        whose Jacobian is 1 + k g'."""
+        Jacobian is W diag(g') Tr^T, and -1/k for the one-field surrogate
+        of eim, whose Jacobian is 1 + k g'."""
         if kind == "reduced":
             return 0.0
-        surrogate = er.SurrogateSolver(model.problem, model.eim_g.restrict(1))
+        surrogate = er.SurrogateSolver(model.problem, eim)
         surrogate.update()
-        k = surrogate.solved_q[model.eim_g.t[0], 0] / model.eim_g.B[0, 0]
+        k = surrogate.solved_q[eim.t[0], 0] / eim.B[0, 0]
         slope = -1.0 / k
-        assert model.eim_g.B[0, 0] == 1.0 and 1.0 + k * slope == 0.0
+        assert eim.B[0, 0] == 1.0 and 1.0 + k * slope == 0.0
         return slope
 
     @pytest.mark.parametrize("kind, failure", [
@@ -358,7 +369,7 @@ class TestNewtonDriver:
         ("surrogate", "start"), ("surrogate", "stall"), ("surrogate", "singular"),
         ("reduced", "start"), ("reduced", "stall"), ("reduced", "singular"),
     ])
-    def test_failures(self, standard_small, kind, failure):
+    def test_failures(self, standard_small, one_field, kind, failure):
         model = standard_small.model
         term = model.problem.term
         cfg = er.NewtonConfig(max_iter=1 if failure == "stall" else 50)
@@ -366,7 +377,7 @@ class TestNewtonDriver:
             term = er.NonlinearTerm(lambda u, xy, mus: np.full_like(u, np.nan),
                                     term.dg_du)
         elif failure == "singular":
-            slope = self.singular_slope(kind, model)
+            slope = self.singular_slope(kind, model, one_field)
             term = er.NonlinearTerm(lambda u, xy, mus: np.array(u) * slope,
                                     lambda u, xy, mus: np.full_like(u, slope))
         problem = er.NonlinearProblem(model.problem.space, term,
@@ -374,7 +385,7 @@ class TestNewtonDriver:
         if kind == "truth":
             what, solve = "", lambda: er.truth_newton_solve(problem, self.MU, cfg)
         elif kind == "surrogate":
-            surrogate = er.SurrogateSolver(problem, model.eim_g.restrict(1))
+            surrogate = er.SurrogateSolver(problem, one_field)
             what = "surrogate "
             solve = lambda: er.truth_newton_solve_eim(surrogate, self.MU, cfg)
         else:
