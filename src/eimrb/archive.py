@@ -1,8 +1,7 @@
 """Versioned model archives (npz): everything the online solver needs.
 
-An archive stores the mesh/degree pair (the benchmark problem is
-rebuilt deterministically from it), the build's update frequency r and
-rebuild flag, a config fingerprint, and the arrays of the final
+An archive stores the mesh/degree pair, the build's update frequency r
+and rebuild flag, a config fingerprint, and the arrays of the final
 ``ReducedModel`` under its field names: the interpolation points ``t``
 (integers) and matrix ``B``, then ``A``, ``F``, ``Rq``, ``Tr``, ``avg``,
 ``basis`` and ``snapshot_mus``.  The interpolant's fields are not
@@ -10,6 +9,10 @@ stored: the online solve reads them only through ``Rq``.  A stored
 checkpoint adds the same arrays under the prefix ``cp<i>_``; builds
 store one only where a later basis rebuild makes it unrecoverable from
 the final model.  A loaded model reproduces online outputs bit for bit.
+
+A load rebuilds only the benchmark problem's mesh and space, from the
+mesh/degree pair, and assembles nothing: the problem's operators are
+made on first use, and no online solve uses them.
 """
 
 import json

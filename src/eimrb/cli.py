@@ -91,10 +91,10 @@ def cmd_study(args):
 
 
 def cmd_solve(args):
-    result = load_model(args.model)
     mu = (args.mu1, args.mu2)
     if not in_parameter_domain(mu):
         raise ConfigError(f"mu={mu} outside the parameter domain [0.01, 10]^2")
+    result = load_model(args.model)
     t0 = time.perf_counter()
     sol = result.model.solve(mu)
     elapsed = time.perf_counter() - t0

@@ -117,16 +117,13 @@ class Mesh:
         k = np.arange(n + 1) / n
         X, Y = np.meshgrid(k, k, indexing="xy")
         self.vertices = np.column_stack([X.ravel(), Y.ravel()])
-        tris = []
-        for cy in range(n):
-            for cx in range(n):
-                a = cy * (n + 1) + cx
-                b = a + 1
-                c = a + n + 2
-                d = a + n + 1
-                tris.append((a, b, c))  # lower-right of the diagonal
-                tris.append((a, c, d))  # upper-left
-        self.triangles = np.array(tris, dtype=np.int64)
+        # cells row by row; cell (cx, cy) has the corners a (lower left),
+        # b, c, d counterclockwise and is split into the triangle (a, b, c)
+        # right of the diagonal, then (a, c, d) left of it
+        cy, cx = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        a = cy * (n + 1) + cx
+        b, c, d = a + 1, a + n + 2, a + n + 1
+        self.triangles = np.column_stack([a, b, c, a, c, d]).reshape(-1, 3)
 
     @property
     def n_triangles(self):

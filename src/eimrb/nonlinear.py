@@ -69,6 +69,7 @@ of A_II and the columns A^{-1} M q_m, one solve each (see SurrogateSolver).
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -150,17 +151,37 @@ def mu_row(mu):
 
 
 class NonlinearProblem:
-    """Space + nonlinearity + right-hand side, with cached operators."""
+    """Space + nonlinearity + right-hand side, with operators made on
+    first use.
+
+    Constructing a problem assembles nothing: the stiffness, the mass,
+    the load and the mass row sums are each made once, when first read,
+    so that an online model (which reads only the term and the dof
+    coordinates) never pays for them.  Each is a plain instance
+    attribute once made, and an assigned operator replaces it.
+    """
 
     def __init__(self, space, term, rhs):
         self.space = space
         self.term = term
         self.rhs = rhs
-        self.stiffness = space.stiffness
-        self.mass = space.mass
-        self.load = assemble_load(space, rhs)
-        self._mass_row_sums = np.asarray(self.mass.sum(axis=1)).ravel()
         self._interior_block = None
+
+    @cached_property
+    def stiffness(self):
+        return self.space.stiffness
+
+    @cached_property
+    def mass(self):
+        return self.space.mass
+
+    @cached_property
+    def load(self):
+        return assemble_load(self.space, self.rhs)
+
+    @cached_property
+    def _mass_row_sums(self):
+        return np.asarray(self.mass.sum(axis=1)).ravel()
 
     @property
     def interior_block(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import eimrb as er
+from eimrb import fem, nonlinear
 from eimrb.cli import EXIT_PIPE, _variant_slug, main
 
 from conftest import assert_same_model
@@ -49,6 +50,51 @@ class TestArchive:
         a = standard_small.checkpoint(3, 4).solve(mu)
         b = loaded.checkpoint(3, 4).solve(mu)
         assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_load_assembles_nothing(self, ser_small, rebuild_small, tmp_path,
+                                    monkeypatch):
+        # a load rebuilds the mesh and space only: with every assembly and
+        # the dissection order unusable, the loaded models (final, stored
+        # checkpoints and restrictions, of an r=1 and a rebuilding build)
+        # still answer bitwise as the models built in memory
+        mus = list(er.SampleSet.log_random(20, seed=3))
+
+        def answers(model):
+            out = []
+            for mu in mus:
+                try:
+                    sol = model.solve(mu)
+                except er.NewtonFailure:
+                    out.append(None)
+                    continue
+                out.append((sol.coeffs.tobytes(), model.output(sol).hex()))
+            return out
+
+        builds = {"r1": (ser_small, [(3, 3), (5, 5)]),
+                  "rebuild": (rebuild_small, [(2, 2), (4, 4)])}
+        expected = {}
+        for name, (built, stages) in builds.items():
+            er.save_model(tmp_path / f"{name}.npz", built)
+            expected[name] = (answers(built.model),
+                              [answers(built.checkpoint(*s)) for s in stages])
+        assert set(rebuild_small.checkpoints) == {(2, 2)}   # one is stored
+
+        def unusable(name):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"a load called {name}")
+            return fail
+
+        for module in (fem, nonlinear):
+            for name in ("assemble_stiffness", "assemble_weighted_mass",
+                         "assemble_load", "nested_dissection"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, unusable(name))
+        for name, (built, stages) in builds.items():
+            loaded = er.load_model(tmp_path / f"{name}.npz")
+            assert set(loaded.checkpoints) == set(built.checkpoints)
+            assert answers(loaded.model) == expected[name][0]
+            assert [answers(loaded.checkpoint(*s))
+                    for s in stages] == expected[name][1]
 
     def test_loaded_model_restricts(self, standard_small, tmp_path):
         path = tmp_path / "model.npz"
@@ -208,6 +254,11 @@ class TestCli:
         cfg, out = tiny_config
         assert main(["build", str(cfg)]) == 0
         assert main(["solve", str(out / "model.npz"),
+                     "--mu1", "50", "--mu2", "1"]) == 2
+
+    def test_solve_checks_mu_before_reading_the_archive(self, tmp_path):
+        # an out-of-domain mu is a config error even with no archive
+        assert main(["solve", str(tmp_path / "missing.npz"),
                      "--mu1", "50", "--mu2", "1"]) == 2
 
     def test_config_error_exit_code(self, tmp_path):

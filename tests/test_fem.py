@@ -46,6 +46,19 @@ class TestMesh:
         with pytest.raises(ValueError):
             er.build_mesh(0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_triangles_follow_the_per_cell_formula(self, n):
+        # cells row by row, the lower-right triangle of each cell first
+        tris = []
+        for cy in range(n):
+            for cx in range(n):
+                a = cy * (n + 1) + cx
+                tris += [(a, a + 1, a + n + 2), (a, a + n + 2, a + n + 1)]
+        expected = np.array(tris, dtype=np.int64)
+        triangles = er.build_mesh(n).triangles
+        assert triangles.dtype == np.int64 and triangles.shape == expected.shape
+        assert triangles.tobytes() == expected.tobytes()
+
 
 class TestSpace:
     @pytest.mark.parametrize("degree,ndof", [(1, 25), (2, 81), (3, 169)])

@@ -123,6 +123,28 @@ class TestTruthNewton:
         with pytest.raises(ValueError, match="sparsity pattern"):
             er.truth_newton_solve(prob, (1.0, 1.0))
 
+    def test_operators_made_once_on_first_use(self, problem8):
+        space = problem8.space
+        mass = er.assemble_weighted_mass(space, np.ones(space.ndof))
+        assert same_bits(problem8.stiffness.toarray(),
+                         er.assemble_stiffness(space).toarray())
+        assert same_bits(problem8.mass.toarray(), mass.toarray())
+        assert same_bits(problem8.load, er.assemble_load(space, er.benchmark_rhs))
+        u = np.sin(7.0 * space.dof_coords[:, 0]) * space.dof_coords[:, 1]
+        assert problem8.average(u) == float(np.asarray(mass.sum(axis=1)).ravel() @ u)
+        for name in ("stiffness", "mass", "load"):
+            assert getattr(problem8, name) is getattr(problem8, name)
+        # a new problem assembles nothing until asked, and an assigned
+        # operator replaces the one it would make
+        prob = er.NonlinearProblem(space, problem8.term, er.benchmark_rhs)
+        made = {"stiffness", "mass", "load", "_mass_row_sums"} & set(vars(prob))
+        assert made == set()
+        lumped = sp.diags(np.asarray(problem8.mass.sum(axis=1)).ravel(),
+                          format="csr")
+        prob.mass = lumped
+        assert prob.mass is lumped
+        assert prob.stiffness is space.stiffness
+
     def test_references_count_successes_only(self, problem8):
         refs = er.TruthReferences(problem8)
         first = refs.get((1.0, 1.0))
