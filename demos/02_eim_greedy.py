@@ -11,7 +11,7 @@ import numpy as np
 
 import eimrb as er
 
-space = er.build_space(er.build_mesh(8), 2)
+space = er.FESpace(er.Mesh(8), 2)
 x, y = space.dof_coords[:, 0], space.dof_coords[:, 1]
 samples = list(er.SampleSet.log_grid(10, 10))
 

@@ -8,10 +8,9 @@ basis vector plus one), 1 < r < M the grouped intermediates, and
 r = "standard" (r = M) the sequential build with exact truth snapshots.
 """
 
-from .fem import (Mesh, FESpace, SolverFailure, apply_dirichlet,
-                  assemble_load, assemble_stiffness, assemble_weighted_mass,
-                  build_mesh, build_space, nested_dissection, solve_sparse,
-                  triangle_quadrature)
+from .fem import (Mesh, FESpace, SolverFailure, assemble_load,
+                  assemble_stiffness, assemble_weighted_mass,
+                  nested_dissection, triangle_quadrature)
 from .nonlinear import (CHORD_CONTRACTION, Chord, NewtonConfig,
                         NewtonFailure, NonlinearProblem, NonlinearTerm,
                         SolveStats, SurrogateSolver, newton_failure,

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fem import SolverFailure, build_mesh, build_space
+from .fem import FESpace, Mesh, SolverFailure
 from .nonlinear import (Chord, NewtonConfig, NewtonFailure, NonlinearProblem,
                         NonlinearTerm, truth_newton_solve)
 
@@ -94,7 +94,7 @@ def benchmark_rhs(xy):
 
 
 def benchmark_problem(n=32, degree=2):
-    space = build_space(build_mesh(n), degree)
+    space = FESpace(Mesh(n), degree)
     return NonlinearProblem(space, benchmark_term(), benchmark_rhs)
 
 

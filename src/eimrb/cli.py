@@ -18,7 +18,8 @@ from .benchmark import (TruthReferences, benchmark_problem,
                         default_checkpoints, emit_table, in_parameter_domain,
                         run_error_study)
 from .config import ConfigError, load_config
-from .eim import EimTrainingError
+from .eim import (DegenerateInterpolationPoint, DegenerateSnapshot,
+                  EimTrainingError)
 from .fem import SolverFailure
 from .nonlinear import NewtonFailure
 from .ser import SerBuildError, SerConfig, build_ser
@@ -181,7 +182,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NewtonFailure, SolverFailure, SerBuildError, EimTrainingError) as exc:
+    except (NewtonFailure, SolverFailure, SerBuildError, EimTrainingError,
+            DegenerateSnapshot, DegenerateInterpolationPoint) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (OSError, ArchiveError) as exc:

@@ -138,6 +138,8 @@ def _validate(s):
         raise ConfigError("training grid sizes must be >= 1")
     if s.test_count < 1:
         raise ConfigError("test.count must be >= 1")
+    if s.test_seed < 0:
+        raise ConfigError("test.seed must be >= 0")
     if s.n_max < 1 or s.m_max < 1:
         raise ConfigError("ser.n_max and eim.m_max must be >= 1")
     if s.r == "standard" and s.rebuild_wn:

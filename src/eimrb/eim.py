@@ -149,7 +149,8 @@ def eim_initialize(space, provider, samples):
     sup = float(np.max(np.abs(w)))
     if sup == 0.0:
         raise DegenerateSnapshot(
-            f"snapshot at first sample {mu1} is identically zero")
+            f"snapshot at first sample {tuple(map(float, mu1))} is "
+            "identically zero")
     basis = EimBasis(space)
     basis.append_from_residual(w, tuple(mu1), sup)
     return basis

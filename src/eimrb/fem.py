@@ -6,8 +6,13 @@ degree 1, 2 or 3 place their nodes on the refined lattice with spacing
 1/(n*degree), so every degree of freedom has an exact coordinate and
 point evaluation at a node reduces to indexing.
 
-Assembled operators are scipy CSR matrices; linear systems are solved by
-sparse LU with a residual check.
+Assembled operators are scipy CSR matrices.  A space holds none: each
+nonlinear.NonlinearProblem assembles its own, once, on first use.  There
+is one way to solve a linear system: factor_sparse makes a sparse LU in
+the operator's given order, and solve_factored solves with it and checks
+the residual.  The homogeneous Dirichlet conditions are imposed by
+solving on the interior block only (NonlinearProblem.interior_block),
+with the boundary values left at zero.
 """
 
 import numpy as np
@@ -136,10 +141,6 @@ class Mesh:
         return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def build_mesh(n):
-    return Mesh(n)
-
-
 class FESpace:
     """Lagrange P1/P2/P3 space on a structured mesh, homogeneous-Dirichlet aware.
 
@@ -189,32 +190,13 @@ class FESpace:
         gy = np.rint(phys[..., 1] * nd).astype(np.int64)
         self.elem_dofs = gy * (nd + 1) + gx                    # (nt, nloc)
 
-        self._mass = None
-        self._stiffness = None
-
     @property
     def ndof(self):
         return len(self.dof_coords)
 
-    @property
-    def mass(self):
-        if self._mass is None:
-            self._mass = assemble_weighted_mass(self, np.ones(self.ndof))
-        return self._mass
-
-    @property
-    def stiffness(self):
-        if self._stiffness is None:
-            self._stiffness = assemble_stiffness(self)
-        return self._stiffness
-
     def quad_phys_points(self):
         """Physical coordinates of all quadrature points, shape (nt, nq, 2)."""
         return self._v0[:, None, :] + self.quad_points @ np.transpose(self._jac, (0, 2, 1))
-
-
-def build_space(mesh, degree):
-    return FESpace(mesh, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -275,23 +257,6 @@ def assemble_load(space, f):
     contrib = (space._detj[:, None] * space.quad_weights * fq) @ space._phi.T
     return np.bincount(space.elem_dofs.ravel(), weights=contrib.ravel(),
                        minlength=space.ndof)
-
-
-def apply_dirichlet(space, op, rhs):
-    """Symmetric elimination of the homogeneous boundary conditions.
-
-    Boundary rows and columns are replaced by identity and the matching
-    rhs entries are zeroed.  Interior entries are untouched.
-    """
-    ndof = space.ndof
-    keep = np.ones(ndof)
-    keep[space.boundary_dofs] = 0.0
-    p_int = sp.diags(keep)
-    lift = np.zeros(ndof)
-    lift[space.boundary_dofs] = 1.0
-    eliminated = (p_int @ op @ p_int + sp.diags(lift)).tocsr()
-    new_rhs = np.asarray(rhs, dtype=float) * keep
-    return eliminated, new_rhs
 
 
 # nested dissection splits no part of at most this many nodes: on the
@@ -390,10 +355,3 @@ def solve_factored(factor, rhs):
             f"sparse solve residual {res:.3e} exceeds tolerance {tol:.3e}",
             residual=res, rhs_norm=rhs_norm)
     return x
-
-
-def solve_sparse(op, rhs):
-    """Direct sparse solve in op's given order (factor_sparse), with a
-    residual check of 1e-10 relative."""
-    return solve_factored(factor_sparse(op), rhs)
-

@@ -29,7 +29,11 @@ a_k + m_k g'(u_I)[col_k] into the pattern.  No sparse product, boundary
 elimination or format conversion runs per iteration.  The interior
 values are numbered once, in a nested-dissection elimination order of
 the graph of A_II, so every Jacobian and A_II itself are factored in
-that order with no column ordering per factorisation.
+that order with no column ordering per factorisation.  This interior
+block is the package's one linear-solve path: the truth Newton steps,
+the surrogate solves below and a plain Poisson solve (a problem with no
+term) all factor on it with fem.factor_sparse and solve with
+fem.solve_factored, and no boundary-eliminated full system is formed.
 
 Factoring a Jacobian costs as much as about thirteen solves with a
 factor at hand (9 vs 0.7 ms at n=32 P2, one thread of an Intel Xeon),
@@ -75,8 +79,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
-from .fem import (SolverFailure, assemble_load, factor_sparse,
-                  nested_dissection, solve_factored)
+from .fem import (SolverFailure, assemble_load, assemble_stiffness,
+                  assemble_weighted_mass, factor_sparse, nested_dissection,
+                  solve_factored)
 
 
 # a step with a reused Jacobian factor is kept when it cuts the residual
@@ -157,8 +162,10 @@ class NonlinearProblem:
     Constructing a problem assembles nothing: the stiffness, the mass,
     the load and the mass row sums are each made once, when first read,
     so that an online model (which reads only the term and the dof
-    coordinates) never pays for them.  Each is a plain instance
-    attribute once made, and an assigned operator replaces it.
+    coordinates) never pays for them.  The problem is their one owner:
+    the space holds no operator, so two problems on one space each make
+    their own.  Each is a plain instance attribute once made, and an
+    assigned operator replaces it.
     """
 
     def __init__(self, space, term, rhs):
@@ -169,11 +176,11 @@ class NonlinearProblem:
 
     @cached_property
     def stiffness(self):
-        return self.space.stiffness
+        return assemble_stiffness(self.space)
 
     @cached_property
     def mass(self):
-        return self.space.mass
+        return assemble_weighted_mass(self.space, np.ones(self.space.ndof))
 
     @cached_property
     def load(self):

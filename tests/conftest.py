@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import eimrb as er
+from eimrb.fem import factor_sparse, solve_factored
 
 
 @pytest.fixture(scope="session")
 def space8():
-    return er.build_space(er.build_mesh(8), 2)
+    return er.FESpace(er.Mesh(8), 2)
 
 
 @pytest.fixture(scope="session")
@@ -93,6 +95,29 @@ def assert_same_interpolant(a, b, m=None):
     assert a.train_errors[:m] == b.train_errors[:m]
     assert same_bits(a.B[:m, :m], b.B[:m, :m])
     assert same_bits(a.field_matrix()[:m], b.field_matrix()[:m])
+
+
+def poisson_solve(space, rhs):
+    """Solve -Laplace(u) = rhs with zero boundary values on the package's
+    one linear-solve path: A_II u_I = F_I on the interior block of a
+    problem with no nonlinear term.  Returns the ndof nodal values."""
+    problem = er.NonlinearProblem(space, None, rhs)
+    idx, a_ii = problem.interior_block[:2]
+    u = np.zeros(space.ndof)
+    u[idx] = solve_factored(factor_sparse(a_ii), problem.load[idx])
+    return u
+
+
+def eliminate_boundary(space, op, rhs):
+    """Symmetric elimination of the homogeneous boundary conditions on the
+    full system, an independent reference for the interior-block solves:
+    boundary rows and columns of op become identity and the matching rhs
+    entries zero, interior entries are untouched."""
+    keep = np.ones(space.ndof)
+    keep[space.boundary_dofs] = 0.0
+    p_int = sp.diags(keep)
+    eliminated = (p_int @ op @ p_int + sp.diags(1.0 - keep)).tocsr()
+    return eliminated, np.asarray(rhs, dtype=float) * keep
 
 
 def gram_matrix(rb):

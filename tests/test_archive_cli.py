@@ -211,6 +211,12 @@ class TestConfig:
         with pytest.raises(er.ConfigError):
             er.parse_config("mesh.n 8")
 
+    def test_negative_seed_rejected(self):
+        # the test sample's generator takes no negative seed
+        assert er.parse_config("test.seed = 0").test_seed == 0
+        with pytest.raises(er.ConfigError, match="test.seed"):
+            er.parse_config("test.seed = -1")
+
 
 TINY_CONFIG = """
 mesh.n = 6
@@ -301,6 +307,17 @@ class TestCli:
         cfg.write_text(TINY_CONFIG.format(out=tmp_path / "o")
                        .replace("newton.max_iter = 200", "newton.max_iter = 1"))
         assert main(["build", str(cfg)]) == 3
+
+    def test_degenerate_interpolant_exit_code(self, tmp_path, capsys):
+        # n=1 P1 has no interior dof, so the first snapshot is zero and the
+        # interpolant cannot start: a solver failure, not a traceback
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG.format(out=tmp_path / "o")
+                       .replace("mesh.n = 6", "mesh.n = 1"))
+        assert main(["build", str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            "solver failure: snapshot at first sample (0.01, 0.01) is "
+            "identically zero\n")
 
     @pytest.mark.parametrize("label, slug", [
         ("r=M", "standard"), ("r=1", "r1"), ("r=3", "r3"), ("r=5", "r5"),

@@ -4,9 +4,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import eimrb as er
-from eimrb.fem import triangle_quadrature
+from eimrb.fem import factor_sparse, solve_factored, triangle_quadrature
 
-from conftest import eim_train, quad_l2_error, rows_provider
+from conftest import eim_train, poisson_solve, quad_l2_error, rows_provider
 
 
 def manufactured_rhs(xy):
@@ -17,34 +17,27 @@ def manufactured_exact(xy):
     return np.sin(np.pi * xy[:, 0]) * np.sin(np.pi * xy[:, 1])
 
 
-def poisson_solve(n, degree, rhs):
-    space = er.build_space(er.build_mesh(n), degree)
-    op, vec = er.apply_dirichlet(space, er.assemble_stiffness(space),
-                                 er.assemble_load(space, rhs))
-    return space, er.solve_sparse(op, vec)
-
-
 class TestMesh:
     def test_minimal_split(self):
-        m = er.build_mesh(1)
+        m = er.Mesh(1)
         assert m.n_triangles == 2
         assert len(m.vertices) == 4
 
     def test_counts_n4(self):
-        m = er.build_mesh(4)
+        m = er.Mesh(4)
         assert m.n_triangles == 32
         assert len(m.vertices) == 25
 
     def test_partition_of_unity_area(self):
-        m = er.build_mesh(32)
+        m = er.Mesh(32)
         assert abs(m.triangle_areas().sum() - 1.0) <= 1e-12
 
     def test_positive_areas(self):
-        assert np.all(er.build_mesh(7).triangle_areas() > 0)
+        assert np.all(er.Mesh(7).triangle_areas() > 0)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            er.build_mesh(0)
+            er.Mesh(0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_triangles_follow_the_per_cell_formula(self, n):
@@ -55,7 +48,7 @@ class TestMesh:
                 a = cy * (n + 1) + cx
                 tris += [(a, a + 1, a + n + 2), (a, a + n + 2, a + n + 1)]
         expected = np.array(tris, dtype=np.int64)
-        triangles = er.build_mesh(n).triangles
+        triangles = er.Mesh(n).triangles
         assert triangles.dtype == np.int64 and triangles.shape == expected.shape
         assert triangles.tobytes() == expected.tobytes()
 
@@ -63,12 +56,12 @@ class TestMesh:
 class TestSpace:
     @pytest.mark.parametrize("degree,ndof", [(1, 25), (2, 81), (3, 169)])
     def test_dof_counts(self, degree, ndof):
-        space = er.build_space(er.build_mesh(4), degree)
+        space = er.FESpace(er.Mesh(4), degree)
         assert space.ndof == ndof
 
     def test_rejects_degree(self):
         with pytest.raises(ValueError):
-            er.build_space(er.build_mesh(4), 4)
+            er.FESpace(er.Mesh(4), 4)
 
     def test_boundary_dofs_match_coords(self, space8):
         xy = space8.dof_coords
@@ -123,7 +116,7 @@ class TestWeightedMass:
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_same_pattern_as_stiffness(self, degree):
         # the truth Newton writes its Jacobian into the stiffness pattern
-        space = er.build_space(er.build_mesh(4), degree)
+        space = er.FESpace(er.Mesh(4), degree)
         a = er.assemble_stiffness(space)
         m = er.assemble_weighted_mass(space, np.ones(space.ndof))
         a.sort_indices()
@@ -195,67 +188,72 @@ class TestLoad:
         assert abs(f.sum() - 1.0) <= 1e-10
 
     def test_benchmark_rhs_mean_zero(self):
-        space = er.build_space(er.build_mesh(32), 2)
+        space = er.FESpace(er.Mesh(32), 2)
         f = er.assemble_load(space, er.benchmark_rhs)
         assert abs(f.sum()) <= 1e-8
 
 
 class TestDirichlet:
+    # the boundary conditions are imposed by solving on the interior block
+    # of a problem: A_II u_I = F_I, with the boundary values left at zero
     def test_boundary_values_zero(self, space8):
-        op, vec = er.apply_dirichlet(space8, er.assemble_stiffness(space8),
-                                     er.assemble_load(space8, manufactured_rhs))
-        u = er.solve_sparse(op, vec)
+        u = poisson_solve(space8, manufactured_rhs)
         assert np.all(u[space8.boundary_dofs] == 0.0)
 
     def test_interior_block_unchanged(self, space8):
+        # A_II holds the stiffness entries of the interior dofs, in their
+        # elimination order, bitwise
+        problem = er.NonlinearProblem(space8, None, manufactured_rhs)
+        idx, a_ii = problem.interior_block[:2]
         a = er.assemble_stiffness(space8)
-        op, _ = er.apply_dirichlet(space8, a, np.zeros(space8.ndof))
-        ii = space8.interior_dofs
-        assert np.abs(a[np.ix_(ii, ii)] - op[np.ix_(ii, ii)]).max() == 0.0
+        assert np.array_equal(a_ii.toarray(), a[np.ix_(idx, idx)].toarray())
 
     def test_eliminated_stiffness_is_spd(self):
-        space = er.build_space(er.build_mesh(8), 1)
-        op, _ = er.apply_dirichlet(space, er.assemble_stiffness(space),
-                                   np.zeros(space.ndof))
-        np.linalg.cholesky(op.toarray())  # raises if not SPD
+        problem = er.NonlinearProblem(er.FESpace(er.Mesh(8), 1), None,
+                                      manufactured_rhs)
+        np.linalg.cholesky(problem.interior_block[1].toarray())  # raises if not SPD
 
     def test_matches_interior_only_solve(self, space8):
         a = er.assemble_stiffness(space8)
         f = er.assemble_load(space8, manufactured_rhs)
-        op, vec = er.apply_dirichlet(space8, a, f)
-        u = er.solve_sparse(op, vec)
+        u = poisson_solve(space8, manufactured_rhs)
         ii = space8.interior_dofs
         u_int = np.linalg.solve(a[np.ix_(ii, ii)].toarray(), f[ii])
         assert np.abs(u[ii] - u_int).max() <= 1e-10
 
 
 class TestSolveSparse:
+    # the one sparse solve of the package: solve_factored on a factor_sparse factor
     def test_identity(self):
         rhs = np.arange(5, dtype=float)
-        assert np.array_equal(er.solve_sparse(sp.eye(5, format="csr"), rhs), rhs)
+        x = solve_factored(factor_sparse(sp.eye(5, format="csr")), rhs)
+        assert np.array_equal(x, rhs)
 
     def test_hand_checkable(self):
         op = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        x = er.solve_sparse(op, np.array([3.0, 3.0]))
+        x = solve_factored(factor_sparse(op), np.array([3.0, 3.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_singular_raises(self):
         op = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(er.SolverFailure):
-            er.solve_sparse(op, np.array([1.0, 2.0]))
+            solve_factored(factor_sparse(op), np.array([1.0, 2.0]))
 
     def test_manufactured_residual(self):
-        space, u = poisson_solve(16, 2, manufactured_rhs)
-        op, vec = er.apply_dirichlet(space, er.assemble_stiffness(space),
-                                     er.assemble_load(space, manufactured_rhs))
-        assert np.linalg.norm(op @ u - vec) <= 1e-10 * np.linalg.norm(vec)
+        space = er.FESpace(er.Mesh(16), 2)
+        u = poisson_solve(space, manufactured_rhs)
+        ii = space.interior_dofs
+        a_ii = er.assemble_stiffness(space)[np.ix_(ii, ii)]
+        f_ii = er.assemble_load(space, manufactured_rhs)[ii]
+        assert np.linalg.norm(a_ii @ u[ii] - f_ii) <= 1e-10 * np.linalg.norm(f_ii)
 
 
 def interior_graph(n, degree):
     """Interior stiffness block of a space and the coordinates of its nodes."""
-    space = er.build_space(er.build_mesh(n), degree)
+    space = er.FESpace(er.Mesh(n), degree)
     idx = space.interior_dofs
-    return space.stiffness[idx][:, idx].tocsr(), space.dof_coords[idx]
+    return (er.assemble_stiffness(space)[idx][:, idx].tocsr(),
+            space.dof_coords[idx])
 
 
 class TestNestedDissection:
@@ -314,7 +312,8 @@ class TestConvergence:
         errs = []
         hs = []
         for n in (8, 16, 32):
-            space, u = poisson_solve(n, degree, manufactured_rhs)
+            space = er.FESpace(er.Mesh(n), degree)
+            u = poisson_solve(space, manufactured_rhs)
             errs.append(quad_l2_error(space, u, manufactured_exact))
             hs.append(1.0 / n)
         rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]

@@ -1,9 +1,13 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+and the package has one sparse direct solve.
 
-No linter runs on the package, so this check parses each module with
-``ast``: a name bound by an import statement must be read somewhere in
-the module.  ``__init__.py`` is left out, since its imports are the
-package's exports.
+No linter runs on the package, so these checks parse each module with
+``ast``.  A name bound by an import statement must be read somewhere in
+the module; ``__init__.py`` is left out, since its imports are the
+package's exports.  The sparse direct solvers of scipy (``splu``,
+``spsolve``, ``factorized``) may be named only inside
+``fem.factor_sparse``, so that a second linear-solve path shows in the
+diff that adds it.
 """
 
 import ast
@@ -13,6 +17,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eimrb"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SPARSE_SOLVERS = {"splu", "spsolve", "factorized"}
 
 
 def unused_imports(source):
@@ -47,3 +52,55 @@ def test_no_unused_imports(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert not unused, ", ".join(f"{path.name}:{line}: {name}"
                                  for line, name in unused)
+
+
+def sparse_solver_uses(source):
+    """(enclosing function, line, name) of each mention of a sparse direct
+    solver: a call, a reference or an import.  The function is the
+    innermost def around it, None at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.alias):
+                name = child.name.split(".")[-1]
+            else:
+                name = None
+            if name in SPARSE_SOLVERS:
+                found.append((scope, child.lineno, name))
+            inner = (child.name if isinstance(child, (ast.FunctionDef,
+                                                      ast.AsyncFunctionDef))
+                     else scope)
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda use: use[1])
+
+
+def test_solver_checker_finds_calls_references_and_imports():
+    source = ("import scipy.sparse.linalg as spla\n"
+              "from scipy.sparse.linalg import spsolve as solve\n"
+              "def factor(op):\n"
+              "    return spla.splu(op)\n"
+              "class C:\n"
+              "    def run(self, op, b):\n"
+              "        f = spla.factorized\n"
+              "        return solve(op, b)\n")
+    assert sparse_solver_uses(source) == [(None, 2, "spsolve"),
+                                          ("factor", 4, "splu"),
+                                          ("run", 7, "factorized")]
+
+
+def test_one_sparse_solve_path():
+    uses = {path.name: sparse_solver_uses(path.read_text(encoding="utf-8"))
+            for path in PACKAGE.glob("*.py")}
+    assert [use for use in uses["fem.py"] if use[0] == "factor_sparse"]
+    stray = [f"{name}:{line}: {solver} in {scope or 'module'}"
+             for name, found in sorted(uses.items())
+             for scope, line, solver in found
+             if (name, scope) != ("fem.py", "factor_sparse")]
+    assert not stray, ", ".join(stray)

@@ -343,8 +343,7 @@ class TestOutputsAndLift:
 
     def test_parseval(self, standard_small):
         model = standard_small.model
-        space = model.problem.space
-        x_op = space.stiffness + space.mass
+        x_op = model.problem.stiffness + model.problem.mass
         rng = np.random.default_rng(11)
         for _ in range(5):
             c = rng.standard_normal(model.N)

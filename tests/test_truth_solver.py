@@ -8,7 +8,7 @@ import eimrb as er
 from eimrb.fem import factor_sparse, solve_factored
 
 from conftest import (assert_same_interpolant, at_mu, check_derivative,
-                      eim_train, model_with, same_bits)
+                      eim_train, eliminate_boundary, model_with, same_bits)
 
 
 CORNERS = [(0.01, 0.01), (10.0, 0.01), (0.01, 10.0), (10.0, 10.0)]
@@ -39,9 +39,9 @@ class TestTruthNewton:
         u, stats = er.truth_newton_solve(lin, (1.0, 1.0))
         assert stats.iterations == 1
         # matches the direct linear solve
-        op, vec = er.apply_dirichlet(problem8.space, problem8.stiffness,
+        op, vec = eliminate_boundary(problem8.space, problem8.stiffness,
                                      lin.load)
-        direct = er.solve_sparse(op, vec)
+        direct = solve_factored(factor_sparse(op), vec)
         assert np.abs(u - direct).max() <= 1e-10
 
     def test_mild_corner_iteration_count(self, problem32):
@@ -104,7 +104,7 @@ class TestTruthNewton:
                 jac = (problem8.stiffness
                        + problem8.mass @ sp.diags(at_mu(term.dg_du, ref,
                                                         coords, mu)))
-                op, rhs = er.apply_dirichlet(space, jac, -r)
+                op, rhs = eliminate_boundary(space, jac, -r)
                 factor = factor_sparse(op)
                 trial = ref + solve_factored(factor, rhs)
                 r_trial = residual(trial)
@@ -143,7 +143,12 @@ class TestTruthNewton:
                           format="csr")
         prob.mass = lumped
         assert prob.mass is lumped
-        assert prob.stiffness is space.stiffness
+        # the space holds no operator: each problem on it makes its own
+        other = er.NonlinearProblem(space, problem8.term, er.benchmark_rhs)
+        assert prob.stiffness is not other.stiffness
+        for made in (prob.stiffness, other.stiffness):
+            assert same_bits(made.toarray(),
+                             er.assemble_stiffness(space).toarray())
 
     def test_references_count_successes_only(self, problem8):
         refs = er.TruthReferences(problem8)
