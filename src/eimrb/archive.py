@@ -10,13 +10,22 @@ checkpoint adds the same arrays under the prefix ``cp<i>_``; builds
 store one only where a later basis rebuild makes it unrecoverable from
 the final model.  A loaded model reproduces online outputs bit for bit.
 
-A load rebuilds only the benchmark problem's mesh and space, from the
-mesh/degree pair, and assembles nothing: the problem's operators are
-made on first use, and no online solve uses them.
+A load reads the file once and parses only the final model: it
+rebuilds the benchmark problem's mesh and the space's dof lattice from
+the mesh/degree pair and assembles nothing, since the problem's
+operators and the space's element data are made on first use and no
+online solve uses them.  The stored checkpoints are parsed from the bytes
+read at load on first access (StoredCheckpoints), so a file replaced
+later is never read.  A load refuses an archive missing a checkpoint
+array at once, and one whose arrays do not fit each other or the
+rebuilt space when the model is parsed.
 """
 
+import io
 import json
 import zipfile
+from collections.abc import Mapping
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,9 +49,68 @@ def _model_arrays(model, prefix=""):
 
 
 def _model_from_arrays(problem, data, label, prefix=""):
-    return ReducedModel(problem,
-                        *(data[prefix + name] for name in MODEL_ARRAYS),
-                        label=label)
+    """The model stored under prefix, after checking that every array's
+    shape fits the others and the problem's space."""
+    arrays = {name: data[prefix + name] for name in MODEL_ARRAYS}
+    n, m, ndof = arrays["F"].size, arrays["t"].size, problem.space.ndof
+    expected = {"t": (m,), "B": (m, m), "A": (n, n), "F": (n,), "Rq": (m, n),
+                "Tr": (n, m), "avg": (n,), "basis": (ndof, n),
+                "snapshot_mus": (n, 2)}
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"{prefix}{name} has shape {arrays[name].shape}, "
+                             f"expected {shape} on {ndof} dofs")
+    t = arrays["t"]
+    if m and not (0 <= t.min() and t.max() < ndof):
+        raise ValueError(f"{prefix}t holds a point outside the {ndof} dofs")
+    return ReducedModel(problem, *arrays.values(), label=label)
+
+
+@contextmanager
+def _reading(path):
+    """Report any failure to parse the archive at path as ArchiveError."""
+    try:
+        yield
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ArchiveError(f"cannot load model archive {path}: {exc}") from exc
+
+
+class StoredCheckpoints(Mapping):
+    """The checkpoint models of a loaded archive, read-only, each parsed
+    from the archive's bytes on first access and then kept.
+
+    Membership comes from the stored keys alone, so a damaged checkpoint
+    raises ArchiveError when it is read and is never taken as absent.
+    """
+
+    def __init__(self, path, data, problem, label):
+        self._path, self._data = path, data
+        self._problem, self._label = problem, label
+        self._prefixes = {(int(n), int(m)): f"cp{i}_"
+                          for i, (n, m) in enumerate(data["checkpoint_keys"])}
+        members = {prefix + name for prefix in self._prefixes.values()
+                   for name in MODEL_ARRAYS}
+        missing = sorted(members - set(data.files))
+        if missing:
+            raise ValueError(f"{missing[0]} is not a file in the archive")
+        self._models = {}
+
+    def __getitem__(self, key):
+        if key not in self._models:
+            prefix = self._prefixes[key]
+            with _reading(self._path):
+                self._models[key] = _model_from_arrays(
+                    self._problem, self._data, self._label, prefix)
+        return self._models[key]
+
+    def __contains__(self, key):
+        return key in self._prefixes
+
+    def __iter__(self):
+        return iter(self._prefixes)
+
+    def __len__(self):
+        return len(self._prefixes)
 
 
 def save_model(path, result, fingerprint=""):
@@ -67,15 +135,13 @@ def save_model(path, result, fingerprint=""):
     return path
 
 
-def _result_from_arrays(data):
+def _result_from_arrays(path, data):
     version = int(data["format_version"])
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported archive format version {version}")
     problem = benchmark_problem(int(data["mesh_n"]), int(data["degree"]))
     label = str(data["label"])
-    checkpoints = {(int(n), int(m)): _model_from_arrays(problem, data, label,
-                                                        f"cp{i}_")
-                   for i, (n, m) in enumerate(data["checkpoint_keys"])}
+    checkpoints = StoredCheckpoints(path, data, problem, label)
     r = str(data["r"])
     report = BuildReport(variant=label,
                          fe_solve_count=int(data["fe_solve_count"]),
@@ -92,17 +158,19 @@ def load_model(path):
     """Load an archive back into a BuildResult (its report holds the solve
     count, r and the rebuild flag, not the step log).
 
+    The file is read once, whole; the final model is parsed from its
+    bytes at once and each stored checkpoint on first access.
+
     Raises ArchiveError for a file that is not a readable archive of this
     format version, and OSError when the file cannot be opened.
     """
-    try:
-        data = np.load(path, allow_pickle=False)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with _reading(path):
+        data = np.load(io.BytesIO(raw), allow_pickle=False)
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise ValueError("a single array, not an npz archive")
-        with data:
-            return _result_from_arrays(data)
-    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise ArchiveError(f"cannot load model archive {path}: {exc}") from exc
+        return _result_from_arrays(path, data)
 
 
 def fingerprint_json(settings_dict):

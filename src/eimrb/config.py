@@ -145,7 +145,7 @@ def _validate(s):
     if s.r == "standard" and s.rebuild_wn:
         raise ConfigError("ser.rebuild_wn does not apply to ser.r = standard, "
                           "which updates the basis once")
-    if s.newton_max_iter < 1:
-        raise ConfigError("newton.max_iter must be >= 1")
-    if s.newton_abs_tol <= 0 or s.newton_rel_tol <= 0:
-        raise ConfigError("newton tolerances must be positive")
+    try:
+        s.newton()      # NewtonConfig owns the rules for its settings
+    except ValueError as exc:
+        raise ConfigError(f"newton settings: {exc}") from None

@@ -6,14 +6,18 @@ degree 1, 2 or 3 place their nodes on the refined lattice with spacing
 1/(n*degree), so every degree of freedom has an exact coordinate and
 point evaluation at a node reduces to indexing.
 
-Assembled operators are scipy CSR matrices.  A space holds none: each
-nonlinear.NonlinearProblem assembles its own, once, on first use.  There
+A space builds its dof lattice when it is made, and the element data
+that assembly reads (reference basis, quadrature, Jacobians) on first
+use.  Assembled operators are scipy CSR matrices.  A space holds none:
+each nonlinear.NonlinearProblem assembles its own, once, on first use.  There
 is one way to solve a linear system: factor_sparse makes a sparse LU in
 the operator's given order, and solve_factored solves with it and checks
 the residual.  The homogeneous Dirichlet conditions are imposed by
 solving on the interior block only (NonlinearProblem.interior_block),
 with the boundary values left at zero.
 """
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -147,6 +151,12 @@ class FESpace:
     Degrees of freedom live on the lattice with spacing 1/(n*degree); the
     dof id of lattice point (ix, iy) is iy*(n*degree+1) + ix.  Quadrature
     is exact for polynomials of degree 2*degree + 2.
+
+    A space builds only its dof lattice (coordinates, boundary and
+    interior dofs).  The data that assembly reads (reference basis,
+    quadrature, per-triangle Jacobians, elem_dofs) is made on first use,
+    so a loaded online model, which reads only dof_coords, pays for none
+    of it.
     """
 
     def __init__(self, mesh, degree):
@@ -164,31 +174,65 @@ class FESpace:
         self.boundary_dofs = np.flatnonzero(on_edge.ravel())
         self.interior_dofs = np.flatnonzero(~on_edge.ravel())
 
-        self.ref = _ReferenceElement(degree)
-        self.quad_points, self.quad_weights = triangle_quadrature(2 * degree + 2)
-        self._phi = self.ref.eval(self.quad_points)            # (nloc, nq)
-        self._grad = self.ref.eval_grad(self.quad_points)      # (nloc, nq, 2)
+    @cached_property
+    def ref(self):
+        return _ReferenceElement(self.degree)
 
-        verts = mesh.vertices[mesh.triangles]                  # (nt, 3, 2)
-        self._v0 = verts[:, 0]
-        jac = np.stack([verts[:, 1] - verts[:, 0],
-                        verts[:, 2] - verts[:, 0]], axis=-1)   # columns are edges
-        self._jac = jac
-        self._detj = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    @cached_property
+    def _quadrature(self):
+        return triangle_quadrature(2 * self.degree + 2)
+
+    @property
+    def quad_points(self):
+        return self._quadrature[0]
+
+    @property
+    def quad_weights(self):
+        return self._quadrature[1]
+
+    @cached_property
+    def _phi(self):
+        return self.ref.eval(self.quad_points)                 # (nloc, nq)
+
+    @cached_property
+    def _grad(self):
+        return self.ref.eval_grad(self.quad_points)            # (nloc, nq, 2)
+
+    @cached_property
+    def _v0(self):
+        return self.mesh.vertices[self.mesh.triangles[:, 0]]   # (nt, 2)
+
+    @cached_property
+    def _jac(self):
+        verts = self.mesh.vertices[self.mesh.triangles]        # (nt, 3, 2)
+        return np.stack([verts[:, 1] - verts[:, 0],
+                         verts[:, 2] - verts[:, 0]], axis=-1)  # columns are edges
+
+    @cached_property
+    def _detj(self):
+        jac = self._jac
+        return jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+
+    @cached_property
+    def _invjt(self):
+        jac = self._jac
         inv = np.empty_like(jac)
         inv[:, 0, 0] = jac[:, 1, 1]
         inv[:, 0, 1] = -jac[:, 0, 1]
         inv[:, 1, 0] = -jac[:, 1, 0]
         inv[:, 1, 1] = jac[:, 0, 0]
         inv /= self._detj[:, None, None]
-        self._invjt = np.transpose(inv, (0, 2, 1))
+        return np.transpose(inv, (0, 2, 1))
 
-        # local node -> global lattice dof
+    @cached_property
+    def elem_dofs(self):
+        """Global lattice dof of each local node, shape (nt, nloc)."""
+        nd = self._nd
         local = self.ref.nodes                                 # (nloc, 2)
-        phys = self._v0[:, None, :] + local @ np.transpose(jac, (0, 2, 1))
+        phys = self._v0[:, None, :] + local @ np.transpose(self._jac, (0, 2, 1))
         gx = np.rint(phys[..., 0] * nd).astype(np.int64)
         gy = np.rint(phys[..., 1] * nd).astype(np.int64)
-        self.elem_dofs = gy * (nd + 1) + gx                    # (nt, nloc)
+        return gy * (nd + 1) + gx
 
     @property
     def ndof(self):

@@ -104,8 +104,9 @@ class NewtonConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(tol) and tol > 0
+                   for tol in (self.abs_tol, self.rel_tol)):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

@@ -86,15 +86,69 @@ class TestArchive:
 
         for module in (fem, nonlinear):
             for name in ("assemble_stiffness", "assemble_weighted_mass",
-                         "assemble_load", "nested_dissection"):
+                         "assemble_load", "nested_dissection",
+                         "_ReferenceElement", "triangle_quadrature"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, unusable(name))
+        # nor does a problem made afresh build the space's element data
+        er.benchmark_problem(8, 2)
         for name, (built, stages) in builds.items():
             loaded = er.load_model(tmp_path / f"{name}.npz")
             assert set(loaded.checkpoints) == set(built.checkpoints)
             assert answers(loaded.model) == expected[name][0]
             assert [answers(loaded.checkpoint(*s))
                     for s in stages] == expected[name][1]
+
+    def test_checkpoints_are_read_on_first_access(self, rebuild_small,
+                                                  tmp_path, monkeypatch):
+        # a load reads the final model's members only; a stored checkpoint
+        # is read on its first access, from the bytes read at load
+        path = tmp_path / "rebuild.npz"
+        er.save_model(path, rebuild_small)
+        reads = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def counting(self, key):
+            reads.append(key)
+            return getitem(self, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting)
+        loaded = er.load_model(path)
+        assert {"t", "basis", "checkpoint_keys"} <= set(reads)
+        assert not [key for key in reads if key.startswith("cp")]
+        path.write_bytes(b"replaced after the load")
+        reads.clear()
+        model = loaded.checkpoint(2, 2)
+        assert sorted(reads) == sorted("cp0_" + name for name in
+                                       ("t", "B", "A", "F", "Rq", "Tr", "avg",
+                                        "basis", "snapshot_mus"))
+        reads.clear()
+        assert loaded.checkpoint(2, 2) is model
+        assert loaded.checkpoints[(2, 2)] is model
+        assert reads == []
+        assert_same_model(model, rebuild_small.checkpoints[(2, 2)])
+
+    def test_damaged_checkpoint_is_refused(self, rebuild_small, tmp_path,
+                                           tiny_config, capsys):
+        path = tmp_path / "rebuild.npz"
+        er.save_model(path, rebuild_small)
+        stored = dict(np.load(path, allow_pickle=False))
+        # a missing checkpoint array is found at load, from the member names
+        np.savez(path, **{k: v for k, v in stored.items() if k != "cp0_A"})
+        with pytest.raises(er.ArchiveError, match="cp0_A is not a file"):
+            er.load_model(path)
+        # an array of the wrong shape, when the checkpoint is read: the
+        # stage stays stored, so it is never made by restricting the
+        # final model instead
+        np.savez(path, **{**stored, "cp0_A": stored["cp0_A"][:1]})
+        loaded = er.load_model(path)
+        assert (2, 2) in loaded.checkpoints
+        with pytest.raises(er.ArchiveError, match="cp0_A has shape"):
+            loaded.checkpoint(2, 2)
+        # and a study of that stage stops with it, not with an empty row
+        capsys.readouterr()
+        assert main(["study", str(tiny_config[0]), str(path)]) == 4
+        assert "cp0_A has shape" in capsys.readouterr().err
 
     def test_loaded_model_restricts(self, standard_small, tmp_path):
         path = tmp_path / "model.npz"
@@ -129,9 +183,12 @@ class TestArchive:
         ({"format_version": 3}, "version 3"),
         ({"format_version": 99}, "version 99"),
         ({"A": None}, "A is not a file"),
+        ({"t": lambda t: t + 10000}, "t holds a point outside"),
+        ({"mesh_n": lambda n: 2 * n}, "basis has shape"),
         (b"not a model archive\n", "pickle"),
         (b"", "No data left"),
-    ], ids=["v1", "v2", "v3", "v99", "missing-A", "junk", "empty"])
+    ], ids=["v1", "v2", "v3", "v99", "missing-A", "t-outside", "other-mesh",
+            "junk", "empty"])
     def test_unloadable_archive_is_refused(self, standard_small, tmp_path,
                                            capsys, damage, match):
         # every other array is present, so only the damage refuses it
@@ -144,6 +201,8 @@ class TestArchive:
             for key, value in damage.items():
                 if value is None:
                     del data[key]
+                elif callable(value):
+                    data[key] = value(data[key])
                 else:
                     data[key] = np.int64(value)
             np.savez(path, **data)
@@ -210,6 +269,18 @@ class TestConfig:
     def test_missing_equals(self):
         with pytest.raises(er.ConfigError):
             er.parse_config("mesh.n 8")
+
+    @pytest.mark.parametrize("line, match", [
+        ("newton.abs_tol = nan", "finite"), ("newton.abs_tol = inf", "finite"),
+        ("newton.rel_tol = nan", "finite"), ("newton.rel_tol = inf", "finite"),
+        ("newton.rel_tol = 0", "positive"), ("newton.max_iter = 0", "max_iter")])
+    def test_bad_newton_setting_rejected(self, line, match, tmp_path):
+        # a nan tolerance stalls every solve, an infinite one stops at once
+        with pytest.raises(er.ConfigError, match=match):
+            er.parse_config(line)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["build", str(cfg)]) == 2
 
     def test_negative_seed_rejected(self):
         # the test sample's generator takes no negative seed

@@ -102,6 +102,12 @@ class TestErrorStudy:
         assert rows[0].failures == 5
         assert math.isnan(rows[0].max_err_u)
 
+    def test_stage_beyond_the_build_is_an_incomplete_row(self, standard_small):
+        test_set = er.SampleSet.log_random(5, 3)
+        rows = er.run_error_study(standard_small, test_set, [(7, 8)])
+        assert (rows[0].N, rows[0].M, rows[0].failures) == (7, 8, 5)
+        assert math.isnan(rows[0].max_err_u) and math.isnan(rows[0].max_err_s)
+
     def test_error_decreases_with_model_size(self, standard_small):
         test_set = er.SampleSet.log_random(15, 9)
         rows = er.run_error_study(standard_small, test_set, [(3, 4), (6, 8)])

@@ -358,6 +358,13 @@ class TestTruthReferences:
         assert starts[-1][1] is refs.cache[(1.0, 1.0)][0]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-10])
+@pytest.mark.parametrize("key", ["abs_tol", "rel_tol"])
+def test_newton_tolerance_must_be_positive_and_finite(key, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        er.NewtonConfig(**{key: value})
+
+
 class TestNewtonDriver:
     """The truth, surrogate and reduced solves share one Newton driver:
     each failure kind raises the same class and message, prefixed by the
