@@ -67,8 +67,22 @@ M-dimensional system
 with v = u_t.  Conversely, lifting a solution v by (*) gives a u with
 u_t = a - K g(v) = v, so u solves the surrogate problem: the two are
 equivalent.  Newton on the small system uses its exact Jacobian
-I + K diag(g'(v)); the full problem only enters through one factorisation
-of A_II and the columns A^{-1} M q_m, one solve each (see SurrogateSolver).
+I + K diag(g'(v)).
+
+The stopping rule stays the one of the full problem: the norm of the
+surrogate residual r = A u + M Q B^{-1} g(u_t) - F on the interior rows.
+Every Newton iterate v is read as its lift u(v) by (*), and that needs
+no mesh: A u(v) = F - M Q B^{-1} g(v) on the interior rows, so
+
+    r_I = (M Q)_I B^{-1} (g(u_t) - g(v)),    u_t = a - K g(v),
+
+an M-vector mapped by the interior rows of M Q.  With R the M x M
+Cholesky factor of their Gram matrix, R^T R = (M Q)_I^T (M Q)_I, the
+norm is ||r_I|| = ||R B^{-1} (g(u_t) - g(v))||.  So the full problem
+enters through one factorisation of A_II, one solve per interpolant
+field for its column A^{-1} M q_m (see SurrogateSolver), the residual
+at u = 0 that sets the tolerance, and one lift per snapshot, of the
+converged v; a Newton step makes no ndof-sized array.
 """
 
 import math
@@ -77,7 +91,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
 from .fem import (SolverFailure, assemble_load, assemble_stiffness,
                   assemble_weighted_mass, factor_sparse, nested_dissection,
@@ -381,10 +395,18 @@ class SurrogateSolver:
 
     Factors the interior stiffness block A_II once, solves A^{-1} F, and
     keeps M q_m and A^{-1} M q_m for every field q_m of eim_g (solutions
-    on the interior rows, zero on the boundary).  The fields of
-    an interpolant are append-only, so the columns of earlier fields stay
-    valid: a field appended since the last solve costs one solve with the
-    cached factor, and nothing is refactored.
+    on the interior rows, zero on the boundary).  From these, update()
+    makes the M x M data of the solve in the point values (module
+    docstring): the point coordinates xt, a = E_t A^{-1} F,
+    K = E_t A^{-1} M Q B^{-1} and the norm map R B^{-1}, with R the
+    Cholesky factor of the Gram matrix G = (M Q)_I^T (M Q)_I of the
+    interior rows (positive definite while the interior rows of the M q_m
+    are independent).  The fields of an interpolant are append-only, so
+    the columns of earlier fields stay valid: a field appended since the
+    last solve costs one solve with the cached factor and one dot
+    product per new entry of G, and nothing is refactored.  G grows
+    entry by entry, so a solver updated field by field holds the same
+    bits as one made fresh.
     """
 
     def __init__(self, problem, eim_g):
@@ -395,6 +417,7 @@ class SurrogateSolver:
         self.linear = self._solve(problem.load)              # A^{-1} F
         self.mass_q = np.zeros((ndof, 0))                    # M q_m
         self.solved_q = np.zeros((ndof, 0))                  # A^{-1} M q_m
+        self._gram = np.zeros((0, 0))                        # (M Q)_I^T (M Q)_I
 
     def _solve(self, rhs):
         """A_II^{-1} on the interior rows of rhs, zero on the boundary."""
@@ -404,11 +427,33 @@ class SurrogateSolver:
         return x
 
     def update(self):
-        """Add the columns of the fields appended to eim_g since the last call."""
-        for q in self.eim_g.fields[self.mass_q.shape[1]:]:
+        """Add the columns of the fields appended to eim_g since the last
+        call, and remake the M x M data of the solve from them."""
+        eim = self.eim_g
+        m_old = self.mass_q.shape[1]
+        if m_old == eim.M:
+            return
+        idx = self.problem.interior_block[0]
+        for q in eim.fields[m_old:]:
             mq = self.problem.mass @ q
+            m = self.mass_q.shape[1]
+            gram = np.zeros((m + 1, m + 1))
+            gram[:m, :m] = self._gram
+            mq_i = mq[idx]
+            for k in range(m):
+                gram[m, k] = gram[k, m] = mq_i @ self.mass_q[idx, k]
+            gram[m, m] = mq_i @ mq_i
+            self._gram = gram
             self.mass_q = np.column_stack([self.mass_q, mq])
             self.solved_q = np.column_stack([self.solved_q, self._solve(mq)])
+        t = np.asarray(eim.t, dtype=int)
+        self.xt = self.problem.space.dof_coords[t]
+        self.a = self.linear[t]
+        # X B^{-1} as (B^{-T} X^T)^T, for X = E_t A^{-1} M Q and for R
+        self.k_mat = solve_triangular(eim.B, self.solved_q[t].T, lower=True,
+                                      trans="T").T
+        self.norm_map = solve_triangular(eim.B, cholesky(self._gram).T,
+                                         lower=True, trans="T").T
 
 
 def truth_newton_solve_eim(surrogate, mu, cfg=None):
@@ -416,12 +461,15 @@ def truth_newton_solve_eim(surrogate, mu, cfg=None):
     empirical interpolant surrogate.eim_g, in its M point values.
 
     Newton solves v + K g(v) = a (module docstring) from v = 0 with the
-    exact Jacobian I + K diag(g'(v)), an M x M system.  Every iterate is
-    lifted to u = A^{-1} F - (A^{-1} M Q) B^{-1} g(v), and the iteration
-    stops when the full-space surrogate residual A u + M Q B^{-1} g(u_t)
-    - F, on the interior rows, falls to cfg.tolerance(r0), with r0 its
-    norm at u = 0.  Returns the ndof nodal values, zero on the boundary,
-    and the SolveStats.
+    exact Jacobian I + K diag(g'(v)), an M x M system.  It stops when
+    the norm of the full-space surrogate residual A u + M Q B^{-1}
+    g(u_t) - F on the interior rows falls to cfg.tolerance(r0), with r0
+    its norm at u = 0.  That first norm is taken on the mesh; every
+    later iterate is read as its lift u(v), whose residual norm is
+    ||R B^{-1} (g(u_t) - g(v))|| with u_t = a - K g(v), so a step makes
+    no ndof-sized array.  Only the converged v is lifted to the mesh.
+    Returns the ndof nodal values, zero on the boundary, and the
+    SolveStats.
     """
     cfg = cfg or NewtonConfig()
     eim = surrogate.eim_g
@@ -429,35 +477,38 @@ def truth_newton_solve_eim(surrogate, mu, cfg=None):
         raise ValueError("the interpolant needs at least one basis field")
     surrogate.update()
     problem = surrogate.problem
-    space = problem.space
-    bdofs = space.boundary_dofs
+    bdofs = problem.space.boundary_dofs
     term = problem.term
     mus = mu_row(mu)
-    t = np.asarray(eim.t, dtype=int)
-    xt = space.dof_coords[t]
-    mass_q, solved_q = surrogate.mass_q, surrogate.solved_q
-    # K = E_t A^{-1} M Q B^{-1}, as K^T = B^{-T} (E_t A^{-1} M Q)^T
-    k_mat = solve_triangular(eim.B, solved_q[t].T, lower=True, trans="T").T
-    a = surrogate.linear[t]
+    xt, a, k_mat = surrogate.xt, surrogate.a, surrogate.k_mat
+    norm_map = surrogate.norm_map
 
     v = np.zeros(eim.M)
-    u = np.zeros(space.ndof)
+    g_v = k_g = None        # g(v) and K g(v) at the current v
 
     def residual():
-        r = (problem.stiffness @ u
-             + mass_q @ eim.coeffs(term.g(u[None, t], xt, mus)[0])
-             - problem.load)
+        """The full-space residual at u = 0, where A u vanishes and the
+        point values are v = 0."""
+        nonlocal g_v, k_g
+        g_v = term.g(v[None], xt, mus)[0]
+        k_g = k_mat @ g_v
+        r = surrogate.mass_q @ eim.coeffs(g_v) - problem.load
         r[bdofs] = 0.0
         return float(np.linalg.norm(r))
 
     def step():
-        nonlocal v, u
-        f = v + k_mat @ term.g(v[None], xt, mus)[0] - a
+        nonlocal v, g_v, k_g
+        f = v + k_g - a
         jac = np.eye(eim.M) + k_mat * term.dg_du(v[None], xt, mus)
         v = v - np.linalg.solve(jac, f)
-        u = surrogate.linear - solved_q @ eim.coeffs(term.g(v[None], xt, mus)[0])
-        u[bdofs] = 0.0
-        return residual()
+        g_v = term.g(v[None], xt, mus)[0]
+        k_g = k_mat @ g_v
+        u_t = a - k_g
+        delta = term.g(u_t[None], xt, mus)[0] - g_v
+        r = norm_map @ delta
+        return math.sqrt(r @ r)     # np.linalg.norm, without its overhead
 
     stats = _newton("surrogate ", mu, cfg, residual, step)
+    u = surrogate.linear - surrogate.solved_q @ eim.coeffs(g_v)
+    u[bdofs] = 0.0
     return u, stats

@@ -39,7 +39,10 @@ Snapshots with the current interpolated operator are solved in the M
 interpolation-point values (see ``nonlinear``), always from zero.  The
 build keeps one ``SurrogateSolver``, made at the first such snapshot: the
 stiffness is factored once and each new interpolant field costs one
-solve with that factor, so no snapshot factorises a sparse matrix.
+solve with that factor, so no snapshot factorises a sparse matrix.  A
+snapshot's Newton steps, stopping rule included, stay in the M point
+values; the mesh is touched for the residual at zero, which sets the
+tolerance, and for the one lift of the converged values.
 
 A greedy sweep hands the whole training set of P parameters to its
 provider at once.  With the reduced model, that is one Newton over a

@@ -36,20 +36,27 @@ def standard_small(problem8, train5):
     return er.build_ser(problem8, cfg)
 
 
+def small_config(name, train_set, newton):
+    """Config of the r=1 session build ser_small, or of rebuild_small."""
+    if name == "ser_small":
+        return er.SerConfig(r=1, n_max=5, m_max=5, train_set=train_set,
+                            newton=newton, checkpoints=((3, 3), (5, 5)))
+    return er.SerConfig(r=1, rebuild_wn=True, n_max=4, m_max=4,
+                        train_set=train_set, newton=newton,
+                        checkpoints=((2, 2), (4, 4)))
+
+
 @pytest.fixture(scope="session")
 def ser_small(problem8, train5, newton_roomy):
-    cfg = er.SerConfig(r=1, n_max=5, m_max=5, train_set=train5,
-                       newton=newton_roomy, checkpoints=((3, 3), (5, 5)))
-    return er.build_ser(problem8, cfg)
+    return er.build_ser(problem8,
+                        small_config("ser_small", train5, newton_roomy))
 
 
 @pytest.fixture(scope="session")
 def rebuild_small(problem8, train5, newton_roomy):
     """r=1 build that rebuilds the basis at every update."""
-    cfg = er.SerConfig(r=1, rebuild_wn=True, n_max=4, m_max=4,
-                       train_set=train5, newton=newton_roomy,
-                       checkpoints=((2, 2), (4, 4)))
-    return er.build_ser(problem8, cfg)
+    return er.build_ser(problem8,
+                        small_config("rebuild_small", train5, newton_roomy))
 
 
 MODEL_FIELDS = ("problem", "t", "B", "A", "F", "Rq", "Tr", "avg", "basis",

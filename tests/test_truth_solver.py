@@ -1,14 +1,19 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 
 import eimrb as er
 from eimrb.fem import factor_sparse, solve_factored
+from eimrb.nonlinear import _newton, mu_row
 
-from conftest import (assert_same_interpolant, at_mu, check_derivative,
-                      eim_train, eliminate_boundary, model_with, same_bits)
+from conftest import (assert_same_interpolant, assert_same_model, at_mu,
+                      check_derivative, eim_train, eliminate_boundary,
+                      model_with, same_bits, small_config)
 
 
 CORNERS = [(0.01, 0.01), (10.0, 0.01), (0.01, 10.0), (10.0, 10.0)]
@@ -399,9 +404,11 @@ class TestNewtonDriver:
         return slope
 
     @pytest.mark.parametrize("kind, failure", [
-        ("truth", "start"), ("truth", "stall"),
-        ("surrogate", "start"), ("surrogate", "stall"), ("surrogate", "singular"),
-        ("reduced", "start"), ("reduced", "stall"), ("reduced", "singular"),
+        ("truth", "start"), ("truth", "stall"), ("truth", "diverge"),
+        ("surrogate", "start"), ("surrogate", "stall"),
+        ("surrogate", "diverge"), ("surrogate", "singular"),
+        ("reduced", "start"), ("reduced", "stall"), ("reduced", "diverge"),
+        ("reduced", "singular"),
     ])
     def test_failures(self, standard_small, one_field, kind, failure):
         model = standard_small.model
@@ -410,6 +417,11 @@ class TestNewtonDriver:
         if failure == "start":
             term = er.NonlinearTerm(lambda u, xy, mus: np.full_like(u, np.nan),
                                     term.dg_du)
+        elif failure == "diverge":
+            # g' is all but zero, so the first step lands near A^{-1} F,
+            # where g overflows: the next residual is not finite
+            term = er.NonlinearTerm(lambda u, xy, mus: np.expm1(1e3 * u),
+                                    lambda u, xy, mus: np.full_like(u, 1e-300))
         elif failure == "singular":
             slope = self.singular_slope(kind, model, one_field)
             term = er.NonlinearTerm(lambda u, xy, mus: np.array(u) * slope,
@@ -429,7 +441,8 @@ class TestNewtonDriver:
             what, solve = "reduced ", lambda: model.solve(self.MU, cfg)
 
         error = er.SolverFailure if failure == "singular" else er.NewtonFailure
-        with pytest.raises(error) as info:
+        with pytest.raises(error) as info, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             solve()
         exc = info.value
         assert type(exc) is error
@@ -441,6 +454,10 @@ class TestNewtonDriver:
             assert str(exc) == (f"{what}solve stalled after 1 iterations at "
                                 f"mu={self.MU_TEXT}")
             assert len(exc.history) == 2 and np.all(np.isfinite(exc.history))
+        elif failure == "diverge":
+            assert str(exc) == f"{what}residual diverged at mu={self.MU_TEXT}"
+            assert len(exc.history) == 2 and math.isfinite(exc.history[0])
+            assert not math.isfinite(exc.history[1])
         else:
             assert str(exc).startswith(f"singular {what}Jacobian at "
                                        f"mu={self.MU_TEXT}: ")
@@ -471,6 +488,69 @@ def surrogate_residual(problem, eim, mu, u):
     r = problem.stiffness @ u + problem.mass @ surrogate - problem.load
     r[problem.space.boundary_dofs] = 0.0
     return r
+
+
+def full_space_solve_eim(surrogate, mu, cfg=None):
+    """truth_newton_solve_eim with the full-space stopping rule: the same
+    Newton on v + K g(v) = a from v = 0, with every iterate lifted to the
+    mesh and its residual norm taken by surrogate_residual.  The norm at
+    u = 0 is the solver's own expression, so both stop at the same
+    tolerance."""
+    cfg = cfg or er.NewtonConfig()
+    eim = surrogate.eim_g
+    surrogate.update()
+    problem = surrogate.problem
+    term = problem.term
+    bdofs = problem.space.boundary_dofs
+    t = np.asarray(eim.t, dtype=int)
+    xt = problem.space.dof_coords[t]
+    mus = mu_row(mu)
+    k_mat = solve_triangular(eim.B, surrogate.solved_q[t].T, lower=True,
+                             trans="T").T
+    a = surrogate.linear[t]
+    v = np.zeros(eim.M)
+    u = np.zeros(problem.space.ndof)
+
+    def residual():
+        r = (surrogate.mass_q @ eim.coeffs(term.g(v[None], xt, mus)[0])
+             - problem.load)
+        r[bdofs] = 0.0
+        return float(np.linalg.norm(r))
+
+    def step():
+        nonlocal v, u
+        f = v + k_mat @ term.g(v[None], xt, mus)[0] - a
+        jac = np.eye(eim.M) + k_mat * term.dg_du(v[None], xt, mus)
+        v = v - np.linalg.solve(jac, f)
+        u = surrogate.linear - surrogate.solved_q @ eim.coeffs(
+            term.g(v[None], xt, mus)[0])
+        u[bdofs] = 0.0
+        return float(np.linalg.norm(surrogate_residual(problem, eim, mu, u)))
+
+    stats = _newton("surrogate ", mu, cfg, residual, step)
+    return u, stats
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a mesh-sized operator was used")
+
+
+class Blinded:
+    """Stands in for an operator and raises on any use."""
+    __getattr__ = __getitem__ = __len__ = __array__ = _raise
+    __matmul__ = __rmatmul__ = __mul__ = __rmul__ = _raise
+
+
+@pytest.fixture(scope="module")
+def four_field_eim(problem8):
+    samples = list(er.SampleSet.log_grid(4, 4))
+    return eim_train(problem8.space, er.truth_g_block(er.TruthReferences(problem8)),
+                     samples, m_max=4)
+
+
+# the corners, an interior point and parameters off every training grid
+STOPPING_MUS = CORNERS + [(0.5, 2.0), (0.05, 7.0), (3.0, 0.2), (1.0, 1.0),
+                          (7.5, 0.9)]
 
 
 class TestTruthNewtonEim:
@@ -530,6 +610,58 @@ class TestTruthNewtonEim:
             er.SurrogateSolver(problem8, eim_g), mu)
         assert u_cached.tobytes() == u_fresh.tobytes()
         assert s_cached.residual_history == s_fresh.residual_history
+
+    @pytest.mark.parametrize("mu", CORNERS + [(0.5, 2.0)])
+    def test_loop_touches_no_mesh_operator(self, problem8, saturated_eims, mu):
+        # after update() the solve reads no stiffness or mass: the loop
+        # stays in the point values and the lift uses the cached columns
+        _, _, eim_g = saturated_eims
+        u_ref, stats_ref = er.truth_newton_solve_eim(
+            er.SurrogateSolver(problem8, eim_g), mu)
+        problem = er.NonlinearProblem(problem8.space, problem8.term,
+                                      er.benchmark_rhs)
+        solver = er.SurrogateSolver(problem, eim_g)
+        solver.update()
+        problem.stiffness = Blinded()
+        problem.mass = Blinded()
+        u, stats = er.truth_newton_solve_eim(solver, mu)
+        assert u.tobytes() == u_ref.tobytes()
+        assert stats.residual_history == stats_ref.residual_history
+
+    @pytest.mark.parametrize("which", ["saturated", "four fields"])
+    def test_stops_where_the_full_space_rule_stops(self, problem8,
+                                                   saturated_eims,
+                                                   four_field_eim, which):
+        eim_g = saturated_eims[2] if which == "saturated" else four_field_eim
+        assert eim_g.M == (9 if which == "saturated" else 4)
+        solver = er.SurrogateSolver(problem8, eim_g)
+        for mu in STOPPING_MUS:
+            u, stats = er.truth_newton_solve_eim(solver, mu)
+            u_ref, stats_ref = full_space_solve_eim(solver, mu)
+            assert stats.iterations == stats_ref.iterations, mu
+            assert u.tobytes() == u_ref.tobytes(), mu
+            history, reference = stats.residual_history, stats_ref.residual_history
+            assert history[0] == reference[0]
+            # both norms agree to 1e-8 above the rounding floor of the
+            # full-space residual, about 1e-14 r0
+            floor = 1e-12 * reference[0]
+            for h, h_ref in zip(history, reference):
+                assert abs(h - h_ref) <= 1e-8 * h_ref + floor, (mu, h, h_ref)
+
+    @pytest.mark.parametrize("name", ["ser_small", "rebuild_small"])
+    def test_build_with_full_space_rule_is_bitwise_equal(
+            self, request, monkeypatch, problem8, train5, newton_roomy, name):
+        built = request.getfixturevalue(name)
+        monkeypatch.setattr("eimrb.ser.truth_newton_solve_eim",
+                            full_space_solve_eim)
+        cfg = small_config(name, train5, newton_roomy)
+        reference = er.build_ser(problem8, cfg)
+        assert_same_model(reference.model, built.model)
+        assert sorted(reference.checkpoints) == sorted(built.checkpoints)
+        for stage in cfg.checkpoints:
+            assert_same_model(reference.checkpoint(*stage),
+                              built.checkpoint(*stage))
+        assert reference.report.summary_dict() == built.report.summary_dict()
 
     def test_single_field_interpolant_at_training_parameter(self, problem8):
         mu = (0.5, 2.0)
