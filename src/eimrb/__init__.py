@@ -6,6 +6,12 @@ offline build, ``build_ser``, updates the basis every r interpolation
 steps: r = 1 is the simultaneous build (one finite element solve per
 basis vector plus one), 1 < r < M the grouped intermediates, and
 r = "standard" (r = M) the sequential build with exact truth snapshots.
+
+scipy is imported only inside the functions that use it: assembly, the
+sparse and triangular solves of a build or a study, and the W of a model
+made in memory.  ``import eimrb``, ``load_model`` and the solve of a
+loaded model load numpy alone, so the cold start of an online query
+pays for no more.
 """
 
 from .fem import (Mesh, FESpace, SolverFailure, assemble_load,

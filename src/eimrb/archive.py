@@ -1,24 +1,31 @@
 """Versioned model archives (npz): everything the online solver needs.
 
-An archive stores the mesh/degree pair, the build's update frequency r
-and rebuild flag, a config fingerprint, and the arrays of the final
-``ReducedModel`` under its field names: the interpolation points ``t``
-(integers) and matrix ``B``, then ``A``, ``F``, ``Rq``, ``Tr``, ``avg``,
-``basis`` and ``snapshot_mus``.  The interpolant's fields are not
-stored: the online solve reads them only through ``Rq``.  A stored
-checkpoint adds the same arrays under the prefix ``cp<i>_``; builds
-store one only where a later basis rebuild makes it unrecoverable from
-the final model.  A loaded model reproduces online outputs bit for bit.
+An archive (format 5) stores the mesh/degree pair, the build's update
+frequency r and rebuild flag, a config fingerprint, and the arrays of
+the final ``ReducedModel`` under its field names: the interpolation
+points ``t`` (integers) and matrix ``B``, then ``A``, ``F``, ``Rq``,
+``Tr``, ``avg``, ``W``, ``basis`` and ``snapshot_mus``.  ``W`` is the
+model's ``Rq^T B^{-1}`` with the bytes and memory layout it has in
+memory, so a load runs no triangular solve and ``W @ g`` keeps its bits.
+The interpolant's fields are not stored: the online solve reads them
+only through ``Rq``.  A stored checkpoint adds the same arrays under the
+prefix ``cp<i>_``; builds store one only where a later basis rebuild
+makes it unrecoverable from the final model.  A loaded model reproduces
+online outputs bit for bit.
 
-A load reads the file once and parses only the final model: it
-rebuilds the benchmark problem's mesh and the space's dof lattice from
-the mesh/degree pair and assembles nothing, since the problem's
+A load reads the file once and parses only what an online solve reads:
+it rebuilds the benchmark problem's mesh and the space's dof lattice
+from the mesh/degree pair and assembles nothing, since the problem's
 operators and the space's element data are made on first use and no
-online solve uses them.  The stored checkpoints are parsed from the bytes
-read at load on first access (StoredCheckpoints), so a file replaced
-later is never read.  A load refuses an archive missing a checkpoint
-array at once, and one whose arrays do not fit each other or the
-rebuilt space when the model is parsed.
+online solve uses them.  The final model's ``basis``, the one array as
+long as the dofs, is parsed from the bytes read at load on the model's
+first lift, and each stored checkpoint on first access
+(StoredCheckpoints), so a file replaced later is never read.  A load
+refuses an archive missing a checkpoint array at once, and one whose
+arrays do not fit each other or the rebuilt space, or whose ``W`` does
+not solve ``W B = Rq^T``, when the model is parsed; the basis's shape is
+read from its npy header alone.  A basis whose data cannot be parsed
+raises ArchiveError at the first lift.
 """
 
 import io
@@ -33,13 +40,19 @@ from .benchmark import benchmark_problem
 from .rb import ReducedModel
 from .ser import BuildReport, BuildResult
 
-FORMAT_VERSION = 4
-MODEL_ARRAYS = ("t", "B", "A", "F", "Rq", "Tr", "avg", "basis", "snapshot_mus")
+FORMAT_VERSION = 5
+MODEL_ARRAYS = ("t", "B", "A", "F", "Rq", "Tr", "avg", "W", "basis",
+                "snapshot_mus")
+# a stored W is refused unless every entry of W B - Rq^T is within this
+# fraction of the same entry of |W| |B| (a triangular solve leaves about
+# M times the unit roundoff there)
+W_CHECK_REL = 1e-10
 
 
 class ArchiveError(ValueError):
     """The file is not a model archive of this format version: another
-    version, a file of another kind, or an archive missing an array."""
+    version, a file of another kind, an archive missing an array, or one
+    whose arrays do not fit each other or cannot be parsed."""
 
 
 def _model_arrays(model, prefix=""):
@@ -48,22 +61,50 @@ def _model_arrays(model, prefix=""):
             for name in MODEL_ARRAYS}
 
 
-def _model_from_arrays(problem, data, label, prefix=""):
+def _header_shape(data, name):
+    """Shape of the npz member name, read from its npy header alone."""
+    if name not in data.files:
+        raise KeyError(f"{name} is not a file in the archive")
+    with data.zip.open(name + ".npy") as fh:
+        version = np.lib.format.read_magic(fh)
+        read = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                else np.lib.format.read_array_header_2_0)
+        return read(fh)[0]
+
+
+def _model_from_arrays(path, problem, data, label, prefix=""):
     """The model stored under prefix, after checking that every array's
-    shape fits the others and the problem's space."""
-    arrays = {name: data[prefix + name] for name in MODEL_ARRAYS}
+    shape fits the others and the problem's space, and that W fits B and
+    Rq.  Its basis is parsed from data on first use."""
+    arrays = {name: data[prefix + name] for name in MODEL_ARRAYS
+              if name != "basis"}
+    shapes = {name: a.shape for name, a in arrays.items()}
+    shapes["basis"] = _header_shape(data, prefix + "basis")
     n, m, ndof = arrays["F"].size, arrays["t"].size, problem.space.ndof
     expected = {"t": (m,), "B": (m, m), "A": (n, n), "F": (n,), "Rq": (m, n),
-                "Tr": (n, m), "avg": (n,), "basis": (ndof, n),
+                "Tr": (n, m), "avg": (n,), "basis": (ndof, n), "W": (n, m),
                 "snapshot_mus": (n, 2)}
     for name, shape in expected.items():
-        if arrays[name].shape != shape:
-            raise ValueError(f"{prefix}{name} has shape {arrays[name].shape}, "
+        if shapes[name] != shape:
+            raise ValueError(f"{prefix}{name} has shape {shapes[name]}, "
                              f"expected {shape} on {ndof} dofs")
     t = arrays["t"]
     if m and not (0 <= t.min() and t.max() < ndof):
         raise ValueError(f"{prefix}t holds a point outside the {ndof} dofs")
-    return ReducedModel(problem, *arrays.values(), label=label)
+    W, B, Rq = arrays["W"], arrays["B"], arrays["Rq"]
+    if not np.all(np.abs(W @ B - Rq.T) <= W_CHECK_REL * (np.abs(W) @ np.abs(B))):
+        raise ValueError(f"{prefix}W does not solve W B = Rq^T to "
+                         f"{W_CHECK_REL:g} relative")
+
+    def read_basis():
+        with _reading(path):
+            return data[prefix + "basis"]
+
+    model = ReducedModel(problem, t, B, arrays["A"], arrays["F"], Rq,
+                         arrays["Tr"], arrays["avg"], read_basis,
+                         arrays["snapshot_mus"], label=label)
+    model.W = W
+    return model
 
 
 @contextmanager
@@ -100,7 +141,7 @@ class StoredCheckpoints(Mapping):
             prefix = self._prefixes[key]
             with _reading(self._path):
                 self._models[key] = _model_from_arrays(
-                    self._problem, self._data, self._label, prefix)
+                    self._path, self._problem, self._data, self._label, prefix)
         return self._models[key]
 
     def __contains__(self, key):
@@ -148,7 +189,7 @@ def _result_from_arrays(path, data):
                          r=int(r) if r.isdigit() else r,
                          rebuild_wn=bool(data["rebuild_wn"]))
     # an archive keeps only the online model, not the build's interpolant
-    result = BuildResult(model=_model_from_arrays(problem, data, label),
+    result = BuildResult(model=_model_from_arrays(path, problem, data, label),
                          report=report, eim_g=None, checkpoints=checkpoints)
     result.fingerprint = str(data["fingerprint"])
     return result
@@ -159,7 +200,8 @@ def load_model(path):
     count, r and the rebuild flag, not the step log).
 
     The file is read once, whole; the final model is parsed from its
-    bytes at once and each stored checkpoint on first access.
+    bytes at once, its basis on its first lift, and each stored
+    checkpoint on first access.
 
     Raises ArchiveError for a file that is not a readable archive of this
     format version, and OSError when the file cannot be opened.

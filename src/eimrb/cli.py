@@ -95,13 +95,15 @@ def cmd_solve(args):
     mu = (args.mu1, args.mu2)
     if not in_parameter_domain(mu):
         raise ConfigError(f"mu={mu} outside the parameter domain [0.01, 10]^2")
-    result = load_model(args.model)
     t0 = time.perf_counter()
+    result = load_model(args.model)
+    t1 = time.perf_counter()
     sol = result.model.solve(mu)
-    elapsed = time.perf_counter() - t0
+    t2 = time.perf_counter()
     s = result.model.output(sol)
     print(f"mu=({mu[0]:g}, {mu[1]:g})  s_N={s:.10e}  "
-          f"newton_iters={sol.newton_iters}  time={elapsed * 1e3:.3f}ms")
+          f"newton_iters={sol.newton_iters}  time={(t2 - t1) * 1e3:.3f}ms  "
+          f"load={(t1 - t0) * 1e3:.3f}ms")
     return EXIT_OK
 
 

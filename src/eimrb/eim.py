@@ -25,7 +25,6 @@ training loop into the simultaneous build.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 # a greedy step saturates below max(SATURATION_FLOOR, SATURATION_REL times
 # the largest training error recorded so far)
@@ -69,6 +68,7 @@ class EimBasis:
 
     def coeffs(self, values_at_points):
         """Solve B beta = w(t) by forward substitution."""
+        from scipy.linalg import solve_triangular
         w = np.asarray(values_at_points, dtype=float)
         if w.shape != (self.M,):
             raise ValueError(f"expected {self.M} point values, got {w.shape}")
@@ -164,6 +164,7 @@ def eim_greedy_step(basis, provider, samples):
     error below the saturation threshold returns a saturated step without
     enriching.
     """
+    from scipy.linalg import solve_triangular
     if basis.M < 1:
         raise ValueError("initialize the basis before greedy steps")
     fields, failures = provider(samples)

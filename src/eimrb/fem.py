@@ -20,8 +20,6 @@ with the boundary values left at zero.
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 class SolverFailure(RuntimeError):
@@ -249,6 +247,7 @@ class FESpace:
 
 def _scatter(space, local):
     """Scatter (nt, nloc, nloc) element matrices into a CSR operator."""
+    import scipy.sparse as sp
     ed = space.elem_dofs
     nloc = ed.shape[1]
     rows = np.repeat(ed, nloc, axis=1).ravel()
@@ -325,6 +324,7 @@ def nested_dissection(op, coords):
     Returns the permutation perm, position -> node: op[perm][:, perm] is
     op in elimination order.
     """
+    import scipy.sparse as sp
     op = sp.csr_matrix(op)
     n = op.shape[0]
     pattern = sp.csr_matrix((np.ones(len(op.indices)), op.indices, op.indptr),
@@ -377,8 +377,10 @@ def factor_sparse(op):
     order (NonlinearProblem.interior_block); an operator in any other
     order factors with the fill of that order.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
     try:
-        return op, spla.splu(sp.csc_matrix(op), permc_spec="NATURAL")
+        return op, splu(sp.csc_matrix(op), permc_spec="NATURAL")
     except RuntimeError as exc:
         raise SolverFailure(f"sparse factorization failed: {exc}") from exc
 

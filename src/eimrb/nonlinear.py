@@ -90,8 +90,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import cholesky, solve_triangular
 
 from .fem import (SolverFailure, assemble_load, assemble_stiffness,
                   assemble_weighted_mass, factor_sparse, nested_dissection,
@@ -305,6 +303,7 @@ def truth_jacobian(problem, u, mu):
     derivative of the residual A u + M g(u) - F, written into the fixed
     CSC pattern of problem.interior_block.  mu is one parameter or its
     (1, 2) row."""
+    import scipy.sparse as sp
     idx, a_ii, m_data, cols = problem.interior_block
     dg = problem.term.dg_du(u[None, idx], problem.space.dof_coords[idx],
                             mu_row(mu))[0]
@@ -429,6 +428,7 @@ class SurrogateSolver:
     def update(self):
         """Add the columns of the fields appended to eim_g since the last
         call, and remake the M x M data of the solve from them."""
+        from scipy.linalg import cholesky, solve_triangular
         eim = self.eim_g
         m_old = self.mass_q.shape[1]
         if m_old == eim.M:

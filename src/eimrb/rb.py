@@ -29,12 +29,19 @@ makes one from the current blocks and the interpolant's points and
 matrix, ``restrict`` from slices of a larger model, and
 ``archive.load_model`` from the arrays of an archive.  The interpolant's
 fields enter a model only through Rq, so no model holds them.
+
+A model forms W on first use, and a model given a function in place of
+its (ndof, N) basis calls it on first use.  The online solve reads W and
+never the basis, so a loaded model, which is assigned its stored W and
+parses its basis on its first lift, answers a query without a triangular
+solve, without the basis and without scipy (imported here only where W
+is formed).
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .nonlinear import NewtonConfig, _newton, mu_row, newton_failure
 
@@ -178,8 +185,10 @@ class ReducedModel:
     interpolation matrix; A (N, N) and F (N,) are the reduced stiffness
     and load, Rq (M, N) the reduced interpolant fields, Tr (N, M) the
     basis traces at the interpolation points, avg (N,) the basis averages
-    and basis the (ndof, N) stacked basis; W and the interpolation point
-    coordinates xg are derived from them here.
+    and basis the (ndof, N) stacked basis, or a function of no arguments
+    that returns it when it is first read (how a loaded model parses it
+    late).  The interpolation point coordinates xg are derived here, and
+    W on first use; an assigned W or basis replaces the derived one.
     """
 
     def __init__(self, problem, t, B, A, F, Rq, Tr, avg, basis,
@@ -189,17 +198,30 @@ class ReducedModel:
         self.t = np.array(t, dtype=np.int64)
         self.B = np.array(B, dtype=float)
         self.A, self.F, self.Rq, self.Tr, self.avg = A, F, Rq, Tr, avg
-        self.basis = basis
+        if callable(basis):
+            self._read_basis = basis
+        else:
+            self.basis = basis
         self.snapshot_mus = [tuple(mu) for mu in snapshot_mus]
         self.label = label
-        # W = Rq^T B^{-1} (N x M), formed once: with it a Newton step needs
-        # no triangular solve (scipy runs one with N right-hand sides on
-        # several BLAS threads, which cost more than the step it served)
-        self.W = solve_triangular(self.B, Rq, lower=True, trans="T",
-                                  check_finite=False).T
         # coordinates of the interpolation points, so a solve does not
         # index the ndof-sized dof coordinates
         self.xg = problem.space.dof_coords[self.t]
+
+    @cached_property
+    def W(self):
+        """Rq^T B^{-1} (N x M), formed once: with it a Newton step needs no
+        triangular solve (scipy runs one with N right-hand sides on several
+        BLAS threads, which cost more than the step it served)."""
+        from scipy.linalg import solve_triangular
+        return solve_triangular(self.B, self.Rq, lower=True, trans="T",
+                                check_finite=False).T
+
+    @cached_property
+    def basis(self):
+        """The (ndof, N) stacked basis of a model made with a function in
+        its place, from one call of that function."""
+        return self._read_basis()
 
     @property
     def N(self):

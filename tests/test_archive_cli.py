@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import eimrb as er
 from eimrb import fem, nonlinear
 from eimrb.cli import EXIT_PIPE, _variant_slug, main
 
-from conftest import assert_same_model
+from conftest import assert_same_model, same_bits
 
 
 class TestArchive:
@@ -101,8 +102,9 @@ class TestArchive:
 
     def test_checkpoints_are_read_on_first_access(self, rebuild_small,
                                                   tmp_path, monkeypatch):
-        # a load reads the final model's members only; a stored checkpoint
-        # is read on its first access, from the bytes read at load
+        # a load reads the final model's members except its basis; the
+        # basis is read on the model's first lift and a stored checkpoint
+        # on its first access, each once, from the bytes read at load
         path = tmp_path / "rebuild.npz"
         er.save_model(path, rebuild_small)
         reads = []
@@ -114,19 +116,55 @@ class TestArchive:
 
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting)
         loaded = er.load_model(path)
-        assert {"t", "basis", "checkpoint_keys"} <= set(reads)
+        assert {"t", "W", "checkpoint_keys"} <= set(reads)
+        assert "basis" not in reads
         assert not [key for key in reads if key.startswith("cp")]
         path.write_bytes(b"replaced after the load")
-        reads.clear()
-        model = loaded.checkpoint(2, 2)
-        assert sorted(reads) == sorted("cp0_" + name for name in
-                                       ("t", "B", "A", "F", "Rq", "Tr", "avg",
-                                        "basis", "snapshot_mus"))
-        reads.clear()
-        assert loaded.checkpoint(2, 2) is model
-        assert loaded.checkpoints[(2, 2)] is model
-        assert reads == []
-        assert_same_model(model, rebuild_small.checkpoints[(2, 2)])
+        stored = ("t", "B", "A", "F", "Rq", "Tr", "avg", "W", "snapshot_mus")
+        for built, get, prefix in (
+                (rebuild_small.model, lambda: loaded.model, ""),
+                (rebuild_small.checkpoints[(2, 2)],
+                 lambda: loaded.checkpoint(2, 2), "cp0_")):
+            reads.clear()
+            model = get()
+            assert sorted(reads) == ([] if not prefix else
+                                     sorted(prefix + name for name in stored))
+            reads.clear()
+            assert get() is model
+            sol = model.solve((1.2, 0.9))
+            assert reads == []
+            lifted = model.lift_values(sol)
+            assert reads == [prefix + "basis"]
+            assert same_bits(lifted, built.lift_values(sol))
+            model.lift_values(sol)
+            model.lift_block(sol.coeffs[None])
+            assert reads == [prefix + "basis"]
+            assert_same_model(model, built)
+        assert loaded.checkpoints[(2, 2)] is loaded.checkpoint(2, 2)
+
+    def test_damaged_basis_is_refused_at_first_lift(self, standard_small,
+                                                    tmp_path, tiny_config,
+                                                    capsys):
+        # a basis with a valid header and truncated data: the load reads
+        # its header only and succeeds; the first lift fails to parse it
+        path = tmp_path / "model.npz"
+        er.save_model(path, standard_small)
+        with zipfile.ZipFile(path) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        basis = standard_small.model.basis
+        members["basis.npy"] = members["basis.npy"][:-basis.nbytes // 2]
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, data in members.items():
+                zf.writestr(name, data)
+        loaded = er.load_model(path).model
+        sol = loaded.solve((1.2, 0.9))
+        assert same_bits(sol.coeffs, standard_small.model.solve((1.2, 0.9)).coeffs)
+        for _ in range(2):          # a failed parse is not kept
+            with pytest.raises(er.ArchiveError, match="array data"):
+                loaded.lift_values(sol)
+        capsys.readouterr()
+        assert main(["study", str(tiny_config[0]), str(path)]) == 4
+        assert capsys.readouterr().err.startswith("i/o error: cannot load")
 
     def test_damaged_checkpoint_is_refused(self, rebuild_small, tmp_path,
                                            tiny_config, capsys):
@@ -158,37 +196,57 @@ class TestArchive:
         assert small.N == 2
 
     def test_archive_stores_each_model_once(self, rebuild_small, tmp_path):
-        # format 4: metadata, then each model's arrays under the frozen
-        # model's field names, the stored checkpoint under its prefix; the
-        # basis is the only array as long as the dofs (no interpolant)
+        # format 5: metadata, then each model's arrays under the frozen
+        # model's field names and its W, the stored checkpoint under its
+        # prefix; the basis is the only array as long as the dofs (no
+        # interpolant)
         path = tmp_path / "model.npz"
         er.save_model(path, rebuild_small)
         with np.load(path, allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
-        model_keys = {"t", "B", "A", "F", "Rq", "Tr", "avg", "basis",
+        model_keys = {"t", "B", "A", "F", "Rq", "Tr", "avg", "W", "basis",
                       "snapshot_mus"}
         meta = {"format_version", "mesh_n", "degree", "label", "r",
                 "rebuild_wn", "fingerprint", "fe_solve_count",
                 "checkpoint_keys"}
         assert set(arrays) == meta | model_keys | {"cp0_" + k for k in model_keys}
-        assert int(arrays["format_version"]) == 4
+        assert int(arrays["format_version"]) == 5
         ndof = rebuild_small.model.problem.space.ndof
         assert {name for name, a in arrays.items()
                 if ndof in a.shape} == {"basis", "cp0_basis"}
         assert arrays["t"].dtype == arrays["cp0_t"].dtype == np.int64
+        # W is stored as the model holds it in memory: bytes and layout,
+        # on which the bits of W @ g depend
+        loaded = er.load_model(path)
+        for prefix, built, model in (
+                ("", rebuild_small.model, loaded.model),
+                ("cp0_", rebuild_small.checkpoints[(2, 2)],
+                 loaded.checkpoint(2, 2))):
+            for w in (arrays[prefix + "W"], model.W):
+                assert same_bits(w, built.W)
+                assert (w.flags.c_contiguous, w.flags.f_contiguous) == (
+                    built.W.flags.c_contiguous, built.W.flags.f_contiguous)
 
     @pytest.mark.parametrize("damage, match", [
         ({"format_version": 1}, "version 1"),
         ({"format_version": 2}, "version 2"),
         ({"format_version": 3}, "version 3"),
+        ({"format_version": 4}, "version 4"),
         ({"format_version": 99}, "version 99"),
         ({"A": None}, "A is not a file"),
+        ({"W": None}, "W is not a file"),
+        ({"basis": None}, "basis is not a file"),
+        ({"W": lambda w: w + 1e-8 * np.abs(w).max() * (np.arange(w.size)
+                                                       == w.size - 1)
+          .reshape(w.shape)}, "W does not solve"),
+        ({"W": lambda w: w[:, :-1]}, "W has shape"),
         ({"t": lambda t: t + 10000}, "t holds a point outside"),
         ({"mesh_n": lambda n: 2 * n}, "basis has shape"),
         (b"not a model archive\n", "pickle"),
         (b"", "No data left"),
-    ], ids=["v1", "v2", "v3", "v99", "missing-A", "t-outside", "other-mesh",
-            "junk", "empty"])
+    ], ids=["v1", "v2", "v3", "v4", "v99", "missing-A", "missing-W",
+            "missing-basis", "W-perturbed", "W-misshapen", "t-outside",
+            "other-mesh", "junk", "empty"])
     def test_unloadable_archive_is_refused(self, standard_small, tmp_path,
                                            capsys, damage, match):
         # every other array is present, so only the damage refuses it
@@ -323,15 +381,47 @@ class TestCli:
         table = (out / "table_r1.csv").read_text().splitlines()
         assert table[0] == "N,M,max_err_u,max_err_s,variant"
         assert len(table) > 1
+        capsys.readouterr()
         assert main(["solve", str(out / "model.npz"),
                      "--mu1", "0.5", "--mu2", "1.5"]) == 0
-        assert "s_N=" in capsys.readouterr().out
+        line = capsys.readouterr().out
+        assert "s_N=" in line and "time=" in line and "load=" in line
 
     def test_solve_rejects_out_of_domain(self, tiny_config):
         cfg, out = tiny_config
         assert main(["build", str(cfg)]) == 0
         assert main(["solve", str(out / "model.npz"),
                      "--mu1", "50", "--mu2", "1"]) == 2
+
+    def test_solve_imports_no_scipy(self, standard_small, tmp_path):
+        # the cold start of an online query: a fresh process imports the
+        # package, loads the archive and solves without importing scipy,
+        # and answers bitwise as the model built in memory
+        path = tmp_path / "model.npz"
+        er.save_model(path, standard_small)
+        mu = (3.7, 0.2)
+        script = (
+            "import sys\n"
+            "import eimrb\n"
+            "from eimrb import cli\n"
+            f"path, mu = {str(path)!r}, {mu!r}\n"
+            "assert cli.main(['solve', path, '--mu1', repr(mu[0]),\n"
+            "                 '--mu2', repr(mu[1])]) == 0\n"
+            "model = eimrb.load_model(path).model\n"
+            "print(model.output(model.solve(mu)).hex())\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        run = subprocess.run([sys.executable, "-c", script],
+                             env=dict(os.environ, PYTHONPATH=str(src)),
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        line, s_hex, scipy_modules = run.stdout.splitlines()
+        model = standard_small.model
+        s = model.output(model.solve(mu))
+        assert f"s_N={s:.10e}" in line.split()
+        assert s_hex == s.hex()
+        assert scipy_modules == "[]"
 
     def test_solve_checks_mu_before_reading_the_archive(self, tmp_path):
         # an out-of-domain mu is a config error even with no archive

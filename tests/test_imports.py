@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module,
-and the package has one sparse direct solve.
+the package has one sparse direct solve, and no module imports scipy
+when it is loaded.
 
 No linter runs on the package, so these checks parse each module with
 ``ast``.  A name bound by an import statement must be read somewhere in
@@ -7,7 +8,8 @@ the module; ``__init__.py`` is left out, since its imports are the
 package's exports.  The sparse direct solvers of scipy (``splu``,
 ``spsolve``, ``factorized``) may be named only inside
 ``fem.factor_sparse``, so that a second linear-solve path shows in the
-diff that adds it.
+diff that adds it.  scipy may be imported only inside a function, so
+that ``import eimrb`` and an online query load numpy alone.
 """
 
 import ast
@@ -104,3 +106,57 @@ def test_one_sparse_solve_path():
              for scope, line, solver in found
              if (name, scope) != ("fem.py", "factor_sparse")]
     assert not stray, ", ".join(stray)
+
+
+def module_level_scipy_imports(source):
+    """(line, module) of each import of scipy or a scipy submodule that
+    runs when source is loaded: one outside every function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                modules = [child.module]
+            else:
+                modules = []
+            found.extend((child.lineno, name) for name in modules
+                         if name.split(".")[0] == "scipy")
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_checker_flags_only_module_level_scipy_imports():
+    source = ("import numpy as np\n"
+              "import scipy.sparse as sp, os\n"
+              "from scipy.linalg import solve_triangular\n"
+              "from .scipy import helper\n"
+              "import scipyx\n"
+              "try:\n"
+              "    import scipy\n"
+              "except ImportError:\n"
+              "    scipy = None\n"
+              "class C:\n"
+              "    from scipy import sparse\n"
+              "    def run(self):\n"
+              "        import scipy.sparse as sp\n"
+              "        return sp\n"
+              "def solve(b):\n"
+              "    from scipy.linalg import cholesky\n"
+              "    return cholesky(b)\n")
+    assert module_level_scipy_imports(source) == [
+        (2, "scipy.sparse"), (3, "scipy.linalg"), (7, "scipy"), (11, "scipy")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    found = module_level_scipy_imports(path.read_text(encoding="utf-8"))
+    assert not found, ", ".join(f"{path.name}:{line}: import of {module}"
+                                for line, module in found)

@@ -341,6 +341,29 @@ class TestOutputsAndLift:
         sol = er.RbSolution(e1, (1.0, 1.0), 0, [])
         assert np.array_equal(model.lift_values(sol), model.basis[:, 0])
 
+    def test_w_and_basis_are_made_on_first_use(self, standard_small):
+        # a model made with a function in place of its basis calls it once,
+        # on the first lift, and never to solve; W is formed on the first
+        # solve, and an assigned one is used as it is
+        model = standard_small.model
+        calls = []
+
+        def read_basis():
+            calls.append(1)
+            return model.basis
+
+        late = model_with(model, basis=read_basis)
+        assert "W" not in vars(late) and calls == []
+        sol = late.solve((0.7, 0.9))
+        assert same_bits(late.W, model.W) and calls == []
+        assert same_bits(late.lift_values(sol), model.lift_values(sol))
+        late.lift_block(sol.coeffs[None])
+        assert calls == [1]
+        assigned = model_with(model)
+        assigned.W = model.W * 0.0
+        assert np.array_equal(assigned.solve((0.7, 0.9)).coeffs,
+                              np.linalg.solve(model.A, model.F))
+
     def test_parseval(self, standard_small):
         model = standard_small.model
         x_op = model.problem.stiffness + model.problem.mass
