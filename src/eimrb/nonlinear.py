@@ -173,12 +173,12 @@ class NonlinearProblem:
     first use.
 
     Constructing a problem assembles nothing: the stiffness, the mass,
-    the load and the mass row sums are each made once, when first read,
-    so that an online model (which reads only the term and the dof
-    coordinates) never pays for them.  The problem is their one owner:
-    the space holds no operator, so two problems on one space each make
-    their own.  Each is a plain instance attribute once made, and an
-    assigned operator replaces it.
+    their sum x_op (the H1 inner product), the load and the mass row sums
+    are each made once, when first read, so that an online model (which
+    reads only the term and the dof coordinates) never pays for them.
+    The problem is their one owner: the space holds no operator, so two
+    problems on one space each make their own.  Each is a plain instance
+    attribute once made, and an assigned operator replaces it.
     """
 
     def __init__(self, space, term, rhs):
@@ -194,6 +194,12 @@ class NonlinearProblem:
     @cached_property
     def mass(self):
         return assemble_weighted_mass(self.space, np.ones(self.space.ndof))
+
+    @cached_property
+    def x_op(self):
+        """Stiffness plus mass (CSR): the H1 inner product in which the
+        reduced basis is orthonormal."""
+        return (self.stiffness + self.mass).tocsr()
 
     @cached_property
     def load(self):

@@ -66,7 +66,7 @@ class RbSpace:
 
     def __init__(self, problem):
         self.problem = problem
-        self.x_op = (problem.stiffness + problem.mass).tocsr()
+        self.x_op = problem.x_op
         self.basis = []        # orthonormal dof vectors
         self.x_basis = []      # cached x_op @ xi
         self.mus = []

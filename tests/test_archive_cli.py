@@ -15,6 +15,37 @@ from eimrb.cli import EXIT_PIPE, _variant_slug, main
 from conftest import assert_same_model, same_bits
 
 
+def _w_entries(meta, prefix=""):
+    """The slice of W in the floats member of the model under prefix: it
+    follows B (M x M), A (N x N), F (N), Rq (M x N), Tr (N x M) and avg
+    (N)."""
+    n, m = meta[prefix + "N"], len(meta[prefix + "t"])
+    start = m * m + n * n + n + 2 * m * n + n
+    return slice(start, start + n * m)
+
+
+def _old_format(version):
+    """Damage that makes an archive of an older format: a format_version
+    member and no meta."""
+    def damage(meta, members):
+        del members["meta"]
+        members["format_version"] = np.int64(version)
+    return damage
+
+
+def _damage_archive(path, damage):
+    """Rewrite the archive at path after damage(meta, members) changed its
+    parsed metadata or its members in place; the changed metadata is
+    stored unless the damage replaced or removed the meta member."""
+    members = dict(np.load(path, allow_pickle=False))
+    stored = members["meta"]
+    meta = json.loads(str(stored))
+    damage(meta, members)
+    if members.get("meta") is stored:
+        members["meta"] = np.str_(json.dumps(meta, sort_keys=True))
+    np.savez(path, **members)
+
+
 class TestArchive:
     def test_round_trip_reproduces_online_outputs_bitwise(self, standard_small,
                                                           tmp_path):
@@ -102,9 +133,10 @@ class TestArchive:
 
     def test_checkpoints_are_read_on_first_access(self, rebuild_small,
                                                   tmp_path, monkeypatch):
-        # a load reads the final model's members except its basis; the
-        # basis is read on the model's first lift and a stored checkpoint
-        # on its first access, each once, from the bytes read at load
+        # a load reads two members, the metadata and the final model's
+        # floats; the basis is read on the model's first lift and a
+        # stored checkpoint's floats on its first access, each once, from
+        # the bytes read at load
         path = tmp_path / "rebuild.npz"
         er.save_model(path, rebuild_small)
         reads = []
@@ -116,19 +148,15 @@ class TestArchive:
 
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting)
         loaded = er.load_model(path)
-        assert {"t", "W", "checkpoint_keys"} <= set(reads)
-        assert "basis" not in reads
-        assert not [key for key in reads if key.startswith("cp")]
+        assert reads == ["meta", "floats"]
         path.write_bytes(b"replaced after the load")
-        stored = ("t", "B", "A", "F", "Rq", "Tr", "avg", "W", "snapshot_mus")
         for built, get, prefix in (
                 (rebuild_small.model, lambda: loaded.model, ""),
                 (rebuild_small.checkpoints[(2, 2)],
                  lambda: loaded.checkpoint(2, 2), "cp0_")):
             reads.clear()
             model = get()
-            assert sorted(reads) == ([] if not prefix else
-                                     sorted(prefix + name for name in stored))
+            assert reads == ([] if not prefix else [prefix + "floats"])
             reads.clear()
             assert get() is model
             sol = model.solve((1.2, 0.9))
@@ -171,22 +199,24 @@ class TestArchive:
         path = tmp_path / "rebuild.npz"
         er.save_model(path, rebuild_small)
         stored = dict(np.load(path, allow_pickle=False))
-        # a missing checkpoint array is found at load, from the member names
-        np.savez(path, **{k: v for k, v in stored.items() if k != "cp0_A"})
-        with pytest.raises(er.ArchiveError, match="cp0_A is not a file"):
-            er.load_model(path)
-        # an array of the wrong shape, when the checkpoint is read: the
-        # stage stays stored, so it is never made by restricting the
-        # final model instead
-        np.savez(path, **{**stored, "cp0_A": stored["cp0_A"][:1]})
+        # a missing checkpoint member is found at load, from the member
+        # names
+        for name in ("cp0_floats", "cp0_basis"):
+            np.savez(path, **{k: v for k, v in stored.items() if k != name})
+            with pytest.raises(er.ArchiveError, match=f"{name} is not a file"):
+                er.load_model(path)
+        # floats one entry short, when the checkpoint is read: the stage
+        # stays stored, so it is never made by restricting the final model
+        # instead
+        np.savez(path, **{**stored, "cp0_floats": stored["cp0_floats"][:-1]})
         loaded = er.load_model(path)
         assert (2, 2) in loaded.checkpoints
-        with pytest.raises(er.ArchiveError, match="cp0_A has shape"):
+        with pytest.raises(er.ArchiveError, match="cp0_floats has shape"):
             loaded.checkpoint(2, 2)
         # and a study of that stage stops with it, not with an empty row
         capsys.readouterr()
         assert main(["study", str(tiny_config[0]), str(path)]) == 4
-        assert "cp0_A has shape" in capsys.readouterr().err
+        assert "cp0_floats has shape" in capsys.readouterr().err
 
     def test_loaded_model_restricts(self, standard_small, tmp_path):
         path = tmp_path / "model.npz"
@@ -196,25 +226,26 @@ class TestArchive:
         assert small.N == 2
 
     def test_archive_stores_each_model_once(self, rebuild_small, tmp_path):
-        # format 5: metadata, then each model's arrays under the frozen
-        # model's field names and its W, the stored checkpoint under its
-        # prefix; the basis is the only array as long as the dofs (no
-        # interpolant)
+        # format 6: one metadata record, then per model one floats vector
+        # of its arrays (raveled in C order, in the order below) and its
+        # basis, the stored checkpoint under its prefix; the basis is the
+        # only array as long as the dofs (no interpolant)
         path = tmp_path / "model.npz"
         er.save_model(path, rebuild_small)
         with np.load(path, allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
-        model_keys = {"t", "B", "A", "F", "Rq", "Tr", "avg", "W", "basis",
-                      "snapshot_mus"}
-        meta = {"format_version", "mesh_n", "degree", "label", "r",
-                "rebuild_wn", "fingerprint", "fe_solve_count",
-                "checkpoint_keys"}
-        assert set(arrays) == meta | model_keys | {"cp0_" + k for k in model_keys}
-        assert int(arrays["format_version"]) == 5
+        assert set(arrays) == {"meta", "floats", "basis", "cp0_floats",
+                               "cp0_basis"}
+        meta = json.loads(str(arrays["meta"]))
+        assert meta["format_version"] == 6
+        assert set(meta) == {"format_version", "mesh_n", "degree", "label",
+                             "r", "rebuild_wn", "fingerprint",
+                             "fe_solve_count", "checkpoint_keys", "N", "t",
+                             "cp0_N", "cp0_t"}
+        assert meta["checkpoint_keys"] == [[2, 2]]
         ndof = rebuild_small.model.problem.space.ndof
         assert {name for name, a in arrays.items()
                 if ndof in a.shape} == {"basis", "cp0_basis"}
-        assert arrays["t"].dtype == arrays["cp0_t"].dtype == np.int64
         # W is stored as the model holds it in memory: bytes and layout,
         # on which the bits of W @ g depend
         loaded = er.load_model(path)
@@ -222,51 +253,152 @@ class TestArchive:
                 ("", rebuild_small.model, loaded.model),
                 ("cp0_", rebuild_small.checkpoints[(2, 2)],
                  loaded.checkpoint(2, 2))):
-            for w in (arrays[prefix + "W"], model.W):
+            assert meta[prefix + "N"] == built.N
+            assert meta[prefix + "t"] == built.t.tolist()
+            assert all(type(p) is int for p in meta[prefix + "t"])
+            assert model.t.dtype == np.int64
+            floats = arrays[prefix + "floats"]
+            assert same_bits(floats, np.concatenate(
+                [np.ravel(getattr(built, name)) for name in
+                 ("B", "A", "F", "Rq", "Tr", "avg", "W")]
+                + [np.ravel(built.snapshot_mus)]))
+            assert same_bits(arrays[prefix + "basis"], built.basis)
+            stored_w = floats[_w_entries(meta, prefix)].reshape(built.W.shape)
+            for w in (stored_w, model.W):
                 assert same_bits(w, built.W)
                 assert (w.flags.c_contiguous, w.flags.f_contiguous) == (
                     built.W.flags.c_contiguous, built.W.flags.f_contiguous)
 
     @pytest.mark.parametrize("damage, match", [
-        ({"format_version": 1}, "version 1"),
-        ({"format_version": 2}, "version 2"),
-        ({"format_version": 3}, "version 3"),
-        ({"format_version": 4}, "version 4"),
-        ({"format_version": 99}, "version 99"),
-        ({"A": None}, "A is not a file"),
-        ({"W": None}, "W is not a file"),
-        ({"basis": None}, "basis is not a file"),
-        ({"W": lambda w: w + 1e-8 * np.abs(w).max() * (np.arange(w.size)
-                                                       == w.size - 1)
-          .reshape(w.shape)}, "W does not solve"),
-        ({"W": lambda w: w[:, :-1]}, "W has shape"),
-        ({"t": lambda t: t + 10000}, "t holds a point outside"),
-        ({"mesh_n": lambda n: 2 * n}, "basis has shape"),
+        (_old_format(1), "unsupported archive format version 1"),
+        (_old_format(2), "unsupported archive format version 2"),
+        (_old_format(3), "unsupported archive format version 3"),
+        (_old_format(4), "unsupported archive format version 4"),
+        (_old_format(5), "unsupported archive format version 5"),
+        (lambda meta, members: meta.update(format_version=99),
+         "unsupported archive format version 99"),
+        (lambda meta, members: members.pop("meta"), "meta is not a file"),
+        (lambda meta, members: members.update(meta=np.str_("{6: 6}")),
+         "meta is not valid JSON"),
+        (lambda meta, members: members.update(meta=np.str_("[" * 10**5)),
+         "meta is not valid JSON"),
+        (lambda meta, members: members.update(meta=np.str_("[6]")),
+         "meta is not a JSON object"),
+        (lambda meta, members: meta.pop("fe_solve_count"),
+         "meta lacks fe_solve_count"),
+        (lambda meta, members: meta.pop("t"), "meta lacks t"),
+        (lambda meta, members: meta["t"].__setitem__(0, 1.0),
+         "meta t holds"),
+        (lambda meta, members: meta.update(mesh_n=str(meta["mesh_n"])),
+         "meta mesh_n holds"),
+        (lambda meta, members: meta.update(rebuild_wn=0),
+         "meta rebuild_wn holds"),
+        (lambda meta, members: members.update(floats=members["floats"][:-1]),
+         "floats has shape"),
+        (lambda meta, members: members.update(floats=np.delete(
+            members["floats"], np.arange(members["floats"].size)[
+                _w_entries(meta)])), "floats has shape"),
+        (lambda meta, members: members.pop("floats"), "floats is not a file"),
+        (lambda meta, members: members.pop("basis"), "basis is not a file"),
+        (lambda meta, members: members["floats"].__setitem__(
+            _w_entries(meta).stop - 1,
+            members["floats"][_w_entries(meta).stop - 1]
+            + 1e-8 * np.abs(members["floats"][_w_entries(meta)]).max()),
+         "W does not solve"),
+        (lambda meta, members: members.update(floats=np.delete(
+            members["floats"], np.arange(members["floats"].size)[
+                _w_entries(meta)][len(meta["t"]) - 1::len(meta["t"])])),
+         "floats has shape"),
+        (lambda meta, members: meta.update(t=[p + 10000 for p in meta["t"]]),
+         "t holds a point outside"),
+        (lambda meta, members: meta.update(mesh_n=2 * meta["mesh_n"]),
+         "basis has shape"),
         (b"not a model archive\n", "pickle"),
         (b"", "No data left"),
-    ], ids=["v1", "v2", "v3", "v4", "v99", "missing-A", "missing-W",
-            "missing-basis", "W-perturbed", "W-misshapen", "t-outside",
-            "other-mesh", "junk", "empty"])
+    ], ids=["v1", "v2", "v3", "v4", "v5", "v99", "missing-meta", "bad-json",
+            "deep-json", "meta-not-object", "meta-lacks-key", "meta-lacks-t",
+            "t-float", "mesh_n-string", "rebuild_wn-int", "missing-A",
+            "missing-W", "missing-floats", "missing-basis", "W-perturbed",
+            "W-misshapen", "t-outside", "other-mesh", "junk", "empty"])
     def test_unloadable_archive_is_refused(self, standard_small, tmp_path,
                                            capsys, damage, match):
-        # every other array is present, so only the damage refuses it
+        # every other member and entry is present, so only the damage
+        # refuses it
         path = tmp_path / "model.npz"
         er.save_model(path, standard_small)
         if isinstance(damage, bytes):
             path.write_bytes(damage)
         else:
-            data = dict(np.load(path, allow_pickle=False))
-            for key, value in damage.items():
-                if value is None:
-                    del data[key]
-                elif callable(value):
-                    data[key] = value(data[key])
-                else:
-                    data[key] = np.int64(value)
-            np.savez(path, **data)
+            _damage_archive(path, damage)
         with pytest.raises(ValueError, match=match) as info:
             er.load_model(path)
         assert isinstance(info.value, er.ArchiveError)
+        capsys.readouterr()
+        assert main(["solve", str(path), "--mu1", "1", "--mu2", "1"]) == 4
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
+    @pytest.mark.parametrize("damage", ["basis-header", "compression"])
+    def test_damaged_zip_entry_is_refused(self, standard_small, tmp_path,
+                                          capsys, damage):
+        # damage below the npz layer: an npy header that does not parse
+        # (read at load, before any CRC check) and a compression method
+        # zipfile does not know, in the central directory
+        path = tmp_path / "model.npz"
+        er.save_model(path, standard_small)
+        raw = path.read_bytes()
+        if damage == "basis-header":
+            at = raw.index(b"}", raw.index(b"'shape'", raw.index(b"basis.npy")))
+            raw = raw[:at] + b"(" + raw[at + 1:]
+        else:
+            # the central directory entry of floats.npy: its name at
+            # offset 46, its compression method at offset 10
+            entry = raw.index(b"PK\x01\x02")
+            while raw[entry + 46:entry + 56] != b"floats.npy":
+                entry = raw.index(b"PK\x01\x02", entry + 1)
+            raw = raw[:entry + 10] + b"\x63\x00" + raw[entry + 12:]
+        path.write_bytes(raw)
+        with pytest.raises(er.ArchiveError):
+            er.load_model(path)
+        capsys.readouterr()
+        assert main(["solve", str(path), "--mu1", "1", "--mu2", "1"]) == 4
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
+    @pytest.mark.parametrize("meta_change, basis_rows, match", [
+        ({"mesh_n": 10**6}, None, "basis has shape"),
+        ({"mesh_n": 10**6}, (2 * 10**6 + 1) ** 2, "basis has shape .* more "
+                                                  "than the archive's"),
+        ({"degree": 4}, None, "names no mesh"),
+        ({"degree": 0}, None, "names no mesh"),
+        ({"mesh_n": 0}, None, "names no mesh"),
+        ({"mesh_n": -3}, None, "names no mesh"),
+        ({"mesh_n": True}, None, "meta mesh_n holds True"),
+        ({"degree": 2.0}, None, "meta degree holds 2.0"),
+    ], ids=["huge-mesh", "huge-mesh-empty-basis", "degree-4", "degree-0",
+            "mesh_n-0", "mesh_n-negative", "mesh_n-bool", "degree-float"])
+    def test_mesh_is_checked_before_it_is_built(self, standard_small,
+                                                tmp_path, monkeypatch, capsys,
+                                                meta_change, basis_rows,
+                                                match):
+        # a damaged mesh/degree pair is refused from the metadata and the
+        # basis header alone: the mesh is never built, and nothing as
+        # large as the mesh it names is allocated (an empty basis of that
+        # many rows holds no data)
+        path = tmp_path / "model.npz"
+        er.save_model(path, standard_small)
+
+        def damage(meta, members):
+            meta.update(meta_change)
+            if basis_rows is not None:
+                members["basis"] = np.empty((basis_rows, 0))
+
+        _damage_archive(path, damage)
+
+        def build(*args):
+            raise AssertionError("the load built a mesh")
+
+        monkeypatch.setattr("eimrb.archive.benchmark_problem", build)
+        with pytest.raises(er.ArchiveError, match=match):
+            er.load_model(path)
         capsys.readouterr()
         assert main(["solve", str(path), "--mu1", "1", "--mu2", "1"]) == 4
         assert capsys.readouterr().err.startswith("i/o error: ")

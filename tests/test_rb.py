@@ -33,6 +33,14 @@ class TestRbSpace:
         gram = gram_matrix(rb)
         assert np.abs(gram - np.eye(5)).max() <= 1e-10
 
+    def test_spaces_of_one_problem_share_x_op(self, problem8):
+        # the problem makes stiffness + mass once; every space reads it
+        first, second = er.RbSpace(problem8), er.RbSpace(problem8)
+        assert first.x_op is second.x_op is problem8.x_op
+        made = (problem8.stiffness + problem8.mass).tocsr()
+        for name in ("data", "indices", "indptr"):
+            assert same_bits(getattr(first.x_op, name), getattr(made, name))
+
     def test_zero_boundary_values(self, standard_small):
         model = standard_small.model
         bdofs = model.problem.space.boundary_dofs
