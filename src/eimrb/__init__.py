@@ -17,7 +17,7 @@ pays for no more.
 from .fem import (Mesh, FESpace, SolverFailure, assemble_load,
                   assemble_stiffness, assemble_weighted_mass,
                   nested_dissection, triangle_quadrature)
-from .nonlinear import (CHORD_CONTRACTION, Chord, NewtonConfig,
+from .nonlinear import (CHORD_CONTRACTION, Chord, MassFields, NewtonConfig,
                         NewtonFailure, NonlinearProblem, NonlinearTerm,
                         SolveStats, SurrogateSolver, newton_failure,
                         truth_jacobian, truth_newton_solve,

@@ -83,6 +83,11 @@ enters through one factorisation of A_II, one solve per interpolant
 field for its column A^{-1} M q_m (see SurrogateSolver), the residual
 at u = 0 that sets the tolerance, and one lift per snapshot, of the
 converged v; a Newton step makes no ndof-sized array.
+
+The products M q_m themselves are made by MassFields, their one owner:
+a build makes one for its interpolant, and the SurrogateSolver and the
+reduced blocks (rb.RbSpace.model) both read its vectors, so each
+product is made once per build.
 """
 
 import math
@@ -395,33 +400,57 @@ def truth_newton_solve(problem, mu, cfg=None, initial=None, chord=None):
     return u, stats
 
 
+class MassFields:
+    """The mass products M q_m of the fields q_m of one interpolant: the
+    one place where they are made.
+
+    A build makes one for its interpolant and hands it to everything
+    that reads M Q: the SurrogateSolver and every RbSpace.model call,
+    those of the spaces a rebuild replaces included.  The fields of an
+    interpolant are append-only, so each product is made once, when
+    update() first sees its field, and kept as a contiguous vector.
+    """
+
+    def __init__(self, problem, eim):
+        self.problem = problem
+        self.eim = eim
+        self.vectors = []
+
+    def update(self):
+        """The products of every field of eim, those of the fields
+        appended since the last call made now."""
+        for q in self.eim.fields[len(self.vectors):]:
+            self.vectors.append(self.problem.mass @ q)
+        return self.vectors
+
+
 class SurrogateSolver:
     """Full-space state of the EIM-surrogate solve, kept for one build.
 
     Factors the interior stiffness block A_II once, solves A^{-1} F, and
-    keeps M q_m and A^{-1} M q_m for every field q_m of eim_g (solutions
-    on the interior rows, zero on the boundary).  From these, update()
-    makes the M x M data of the solve in the point values (module
-    docstring): the point coordinates xt, a = E_t A^{-1} F,
-    K = E_t A^{-1} M Q B^{-1} and the norm map R B^{-1}, with R the
-    Cholesky factor of the Gram matrix G = (M Q)_I^T (M Q)_I of the
-    interior rows (positive definite while the interior rows of the M q_m
-    are independent).  The fields of an interpolant are append-only, so
-    the columns of earlier fields stay valid: a field appended since the
-    last solve costs one solve with the cached factor and one dot
-    product per new entry of G, and nothing is refactored.  G grows
-    entry by entry, so a solver updated field by field holds the same
-    bits as one made fresh.
+    keeps A^{-1} M q_m for every field q_m of the interpolant (solutions
+    on the interior rows, zero on the boundary), from the products M q_m
+    of mass_fields (a MassFields).  From these, update() makes the M x M
+    data of the solve in the point values (module docstring): the point
+    coordinates xt, a = E_t A^{-1} F, K = E_t A^{-1} M Q B^{-1} and the
+    norm map R B^{-1}, with R the Cholesky factor of the Gram matrix
+    G = (M Q)_I^T (M Q)_I of the interior rows (positive definite while
+    the interior rows of the M q_m are independent), and the (ndof, M)
+    stacks mass_q of the M q_m and solved_q of the A^{-1} M q_m.  The
+    fields of an interpolant are append-only, so the columns of earlier
+    fields stay valid: a field appended since the last solve costs one
+    solve with the cached factor and one dot product per new entry of G,
+    and nothing is refactored.  G grows entry by entry, so a solver
+    updated field by field holds the same bits as one made fresh.
     """
 
-    def __init__(self, problem, eim_g):
-        self.problem = problem
-        self.eim_g = eim_g
+    def __init__(self, mass_fields):
+        self.mass_fields = mass_fields
+        self.problem = problem = mass_fields.problem
+        self.eim_g = mass_fields.eim
         self._factor = factor_sparse(problem.interior_block[1])
-        ndof = problem.space.ndof
         self.linear = self._solve(problem.load)              # A^{-1} F
-        self.mass_q = np.zeros((ndof, 0))                    # M q_m
-        self.solved_q = np.zeros((ndof, 0))                  # A^{-1} M q_m
+        self._solved = []                                    # A^{-1} M q_m
         self._gram = np.zeros((0, 0))                        # (M Q)_I^T (M Q)_I
 
     def _solve(self, rhs):
@@ -436,22 +465,21 @@ class SurrogateSolver:
         call, and remake the M x M data of the solve from them."""
         from scipy.linalg import cholesky, solve_triangular
         eim = self.eim_g
-        m_old = self.mass_q.shape[1]
+        m_old = len(self._solved)
         if m_old == eim.M:
             return
+        mass_qs = self.mass_fields.update()
         idx = self.problem.interior_block[0]
-        for q in eim.fields[m_old:]:
-            mq = self.problem.mass @ q
-            m = self.mass_q.shape[1]
-            gram = np.zeros((m + 1, m + 1))
-            gram[:m, :m] = self._gram
-            mq_i = mq[idx]
-            for k in range(m):
-                gram[m, k] = gram[k, m] = mq_i @ self.mass_q[idx, k]
-            gram[m, m] = mq_i @ mq_i
-            self._gram = gram
-            self.mass_q = np.column_stack([self.mass_q, mq])
-            self.solved_q = np.column_stack([self.solved_q, self._solve(mq)])
+        interior = [mq[idx] for mq in mass_qs]
+        gram = np.zeros((eim.M, eim.M))
+        gram[:m_old, :m_old] = self._gram
+        for m in range(m_old, eim.M):
+            for k in range(m + 1):
+                gram[m, k] = gram[k, m] = interior[m] @ interior[k]
+            self._solved.append(self._solve(mass_qs[m]))
+        self._gram = gram
+        self.mass_q = np.column_stack(mass_qs)
+        self.solved_q = np.column_stack(self._solved)
         t = np.asarray(eim.t, dtype=int)
         self.xt = self.problem.space.dof_coords[t]
         self.a = self.linear[t]

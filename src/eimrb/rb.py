@@ -28,7 +28,9 @@ for (``RbSpace.model``).  ``ReducedModel`` is the online model of one
 makes one from the current blocks and the interpolant's points and
 matrix, ``restrict`` from slices of a larger model, and
 ``archive.load_model`` from the arrays of an archive.  The interpolant's
-fields enter a model only through Rq, so no model holds them.
+fields enter a model only through Rq, so no model holds them, and
+``RbSpace.model`` reads their mass products M q_m from the build's
+``nonlinear.MassFields``, so a space never makes one.
 
 A model forms W on first use, and a model given a function in place of
 its (ndof, N) basis calls it on first use.  The online solve reads W and
@@ -75,7 +77,6 @@ class RbSpace:
         self.Rq = np.zeros((0, 0))
         self.Tr = np.zeros((0, 0))
         self.avg = np.zeros(0)
-        self._mass_qs = []        # mass @ q per interpolant field
 
     @property
     def N(self):
@@ -114,17 +115,18 @@ class RbSpace:
         self.mus.append(tuple(mu))
         return xi
 
-    def model(self, eim, label):
-        """Online model of the current basis and the interpolant eim, its
-        blocks first grown to the current (N, M)."""
+    def model(self, mass_fields, label):
+        """Online model of the current basis and the interpolant of
+        mass_fields (a nonlinear.MassFields, which makes the products
+        M q_m that Rq reads), its blocks first grown to the current
+        (N, M)."""
+        eim = mass_fields.eim
+        mass_qs = mass_fields.update()
         n_old, n_new = self.A.shape[0], self.N
         m_old, m_new = self.Rq.shape[0], eim.M
         stiffness = self.problem.stiffness
         basis = self.basis
         t = np.asarray(eim.t, dtype=int)
-
-        for m in range(m_old, m_new):
-            self._mass_qs.append(self.problem.mass @ eim.fields[m])
 
         def grown(arr, shape):
             out = np.zeros(shape)
@@ -148,14 +150,14 @@ class RbSpace:
                 if j < n:
                     self.A[n, j] = row @ basis[j]
             self.F[n] = self.problem.load @ xi
-            for m, mq in enumerate(self._mass_qs):
+            for m, mq in enumerate(mass_qs):
                 self.Rq[m, n] = mq @ xi
             self.Tr[n, :] = xi[t]
             self.avg[n] = self.problem.average(xi)
 
         # new interpolant fields: fill the old basis range
         for m in range(m_old, m_new):
-            mq = self._mass_qs[m]
+            mq = mass_qs[m]
             for n in range(n_old):
                 self.Rq[m, n] = mq @ basis[n]
         for n in range(n_old):

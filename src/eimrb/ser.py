@@ -39,7 +39,11 @@ Snapshots with the current interpolated operator are solved in the M
 interpolation-point values (see ``nonlinear``), always from zero.  The
 build keeps one ``SurrogateSolver``, made at the first such snapshot: the
 stiffness is factored once and each new interpolant field costs one
-solve with that factor, so no snapshot factorises a sparse matrix.  A
+solve with that factor, so no snapshot factorises a sparse matrix.  The
+products M q_m of the mass with the interpolant's fields have one owner,
+the build's ``nonlinear.MassFields``: the solver and every
+``RbSpace.model`` call (a rebuild's new spaces too) read them from it,
+so each is made once per build.  A
 snapshot's Newton steps, stopping rule included, stay in the M point
 values; the mesh is touched for the residual at zero, which sets the
 tolerance, and for the one lift of the converged values.
@@ -64,8 +68,8 @@ import numpy as np
 from .benchmark import TruthReferences
 from .eim import eim_greedy_step, eim_initialize
 from .fem import SolverFailure
-from .nonlinear import (NewtonConfig, NewtonFailure, SurrogateSolver,
-                        truth_newton_solve_eim)
+from .nonlinear import (MassFields, NewtonConfig, NewtonFailure,
+                        SurrogateSolver, truth_newton_solve_eim)
 from .rb import DependentSnapshot, RbSpace, ReducedModel
 
 
@@ -84,13 +88,17 @@ class SerConfig:
     checkpoints: tuple = ()
 
     def __post_init__(self):
-        if self.r != "standard" and (not isinstance(self.r, int) or self.r < 1):
-            raise SerBuildError(f"update frequency must be >= 1 or 'standard', got {self.r!r}")
+        # type(x) is int: a bool is an int to isinstance, and a float size
+        # would reach range() inside the build
+        if self.r != "standard" and (type(self.r) is not int or self.r < 1):
+            raise SerBuildError(f"update frequency must be an int >= 1 or 'standard', got {self.r!r}")
         if self.r == "standard" and self.rebuild_wn:
             raise SerBuildError("the standard build updates the basis once; "
                                 "rebuild_wn does not apply to it")
-        if self.n_max < 1 or self.m_max < 1:
-            raise SerBuildError("n_max and m_max must be >= 1")
+        if not all(type(size) is int and size >= 1
+                   for size in (self.n_max, self.m_max)):
+            raise SerBuildError(f"n_max and m_max must be ints >= 1, got "
+                                f"{self.n_max!r} and {self.m_max!r}")
         if self.train_set is None or len(self.train_set) == 0:
             raise SerBuildError("empty training set")
 
@@ -238,6 +246,7 @@ def build_ser(problem, cfg):
 
     eim_g = eim_initialize(problem.space, truth_g_block(truth), train)
     report.log("eim", train[0], eim_g.train_errors[0], 1, 0, fe_solves())
+    mass_fields = MassFields(problem, eim_g)
 
     rb = RbSpace(problem)
     surrogate = None     # made at the first snapshot solved with it
@@ -247,7 +256,7 @@ def build_ser(problem, cfg):
         if standard:
             return truth.get(mu)[0]
         if surrogate is None:
-            surrogate = SurrogateSolver(problem, eim_g)
+            surrogate = SurrogateSolver(mass_fields)
         u, _ = truth_newton_solve_eim(surrogate, mu, cfg.newton)
         surrogate_solves += 1
         return u
@@ -276,7 +285,8 @@ def build_ser(problem, cfg):
             else:
                 # the interpolant grows only after the sweep, so every
                 # sweep evaluation sees the same model
-                provider = reduced_g_block(rb.model(eim_g, label), cfg.newton)
+                provider = reduced_g_block(rb.model(mass_fields, label),
+                                           cfg.newton)
             step = eim_greedy_step(eim_g, provider, train)
             report.skipped.extend(step.skipped)
             saturated = step.saturated
@@ -315,9 +325,10 @@ def build_ser(problem, cfg):
         stage = (rb.N, m_target)
         if (cfg.rebuild_wn and j < n_updates
                 and stage in map(tuple, cfg.checkpoints)):
-            result.checkpoints[stage] = rb.model(eim_g, label).restrict(*stage)
+            stored = rb.model(mass_fields, label)
+            result.checkpoints[stage] = stored.restrict(*stage)
 
     report.fe_solve_count = fe_solves()
     report.wall_time = time.perf_counter() - t0
-    result.model = rb.model(eim_g, label)
+    result.model = rb.model(mass_fields, label)
     return result

@@ -62,22 +62,24 @@ class TestBlocks:
         rb = er.RbSpace(problem8)
         for mu in self.MUS[:2]:
             rb.add_snapshot(truth.get(mu)[0], mu)
-        old = rb.model(eim_g, "old")
+        mass_fields = er.MassFields(problem8, eim_g)
+        old = rb.model(mass_fields, "old")
         # grow the basis and the interpolant in one model() call
         rb.add_snapshot(truth.get(self.MUS[2])[0], self.MUS[2])
         eim_train(problem8.space, provider, list(train5), m_max=4, basis=eim_g)
-        new = rb.model(eim_g, "new")
+        new = rb.model(mass_fields, "new")
         assert (new.N, new.Rq.shape[0]) == (3, 4)
         assert same_bits(new.A[:2, :2], old.A)
         assert same_bits(new.F[:2], old.F)
         assert same_bits(new.Rq[:3, :2], old.Rq)
         assert same_bits(new.Tr[:2, :3], old.Tr)
         assert same_bits(new.avg[:2], old.avg)
-        # and the blocks grown in steps equal blocks built at once
+        # and the blocks grown in steps equal blocks built at once, by a
+        # space that reads the products made for the first one
         fresh = er.RbSpace(problem8)
         for mu in self.MUS:
             fresh.add_snapshot(truth.get(mu)[0], mu)
-        at_once = fresh.model(eim_g, "new")
+        at_once = fresh.model(mass_fields, "new")
         for name in MODEL_ARRAYS:
             assert same_bits(getattr(new, name), getattr(at_once, name)), name
 
@@ -90,7 +92,8 @@ class TestBlocks:
         rb = er.RbSpace(problem8)
         for mu in self.MUS[:2]:
             rb.add_snapshot(truth.get(mu)[0], mu)
-        first = rb.model(eim_g, "first")
+        mass_fields = er.MassFields(problem8, eim_g)
+        first = rb.model(mass_fields, "first")
         assert not np.shares_memory(first.B, eim_g.B)
         before = {name: getattr(first, name).copy() for name in MODEL_ARRAYS}
         mu = (0.37, 0.8)
@@ -98,7 +101,7 @@ class TestBlocks:
 
         rb.add_snapshot(truth.get(self.MUS[2])[0], self.MUS[2])
         assert not er.eim_greedy_step(eim_g, provider, list(train5)).saturated
-        second = rb.model(eim_g, "second")
+        second = rb.model(mass_fields, "second")
 
         assert (second.N, second.Rq.shape[0]) == (3, 4)
         for name in MODEL_ARRAYS:
@@ -171,7 +174,7 @@ class TestReducedSolve:
         eim_g = eim_train(problem8.space, er.truth_g_block(truth), samples, m_max=4)
         rb = er.RbSpace(problem8)
         rb.add_snapshot(truth.get(mu)[0], mu)
-        model = rb.model(eim_g, "one snapshot")
+        model = rb.model(er.MassFields(problem8, eim_g), "one snapshot")
         sol = model.solve(mu)
         du = truth.get(mu)[0] - model.lift_values(sol)
         assert float(np.sqrt(du @ (problem8.mass @ du))) <= 1e-6
@@ -218,7 +221,7 @@ class TestReducedSolve:
             e = np.zeros(space.ndof)
             e[dof] = 1.0
             rb.add_snapshot(e, (float(k), 0.0))
-        model = rb.model(eim_g, "interior")
+        model = rb.model(er.MassFields(problem, eim_g), "interior")
         for mu in samples:
             sol = model.solve(mu, er.NewtonConfig(max_iter=200))
             du = truth.get(mu)[0] - model.lift_values(sol)
@@ -312,7 +315,8 @@ class TestSolveMany:
         assert failures == {}
 
     def test_empty_basis_rejected_like_solve(self, problem8, standard_small):
-        model = er.RbSpace(problem8).model(standard_small.eim_g, "empty")
+        mass_fields = er.MassFields(problem8, standard_small.eim_g)
+        model = er.RbSpace(problem8).model(mass_fields, "empty")
         with pytest.raises(ValueError) as single:
             model.solve((1.0, 1.0))
         with pytest.raises(ValueError) as many:

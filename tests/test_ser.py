@@ -8,7 +8,7 @@ import eimrb as er
 import eimrb.ser
 
 from conftest import (assert_same_interpolant, assert_same_model, eim_train,
-                      same_bits)
+                      same_bits, small_config)
 
 
 def expected_solids(r, rebuild, n_max, m_max, n_train):
@@ -26,6 +26,24 @@ def expected_solids(r, rebuild, n_max, m_max, n_train):
     if rebuild:
         return bootstrap + sum(n_after)
     return bootstrap + n_max
+
+
+class CountingMass:
+    """Stands in for a mass matrix and keeps every vector it multiplies.
+
+    It keeps the vectors themselves, not their ids: a freed array's id is
+    reused, so counting ids would count unrelated vectors as one."""
+
+    def __init__(self, mass):
+        self.mass = mass
+        self.operands = []
+
+    def __matmul__(self, x):
+        self.operands.append(x)
+        return self.mass @ x
+
+    def __getattr__(self, name):
+        return getattr(self.mass, name)
 
 
 class TestSolveCounts:
@@ -52,6 +70,30 @@ class TestSolveCounts:
         assert kinds.count("eim") == n_max  # m_max enrichments incl. the init
         assert kinds.count("rb") == n_max
         assert kinds.count("rebuild") == (-(-n_max // r) if rebuild else 0)
+
+    @pytest.mark.parametrize("name", ["ser_small", "rebuild_small",
+                                      "standard_small"])
+    def test_each_field_meets_the_mass_once(self, request, train5,
+                                            newton_roomy, name):
+        # the build's MassFields makes M q_m once per field, for the
+        # surrogate and for every reduced space of a rebuild alike
+        problem = er.benchmark_problem(8, 2)
+        for made_first in ("stiffness", "x_op", "load", "interior_block",
+                           "_mass_row_sums"):
+            getattr(problem, made_first)
+        problem.mass = CountingMass(problem.mass)
+        if name == "standard_small":
+            cfg = er.SerConfig(r="standard", n_max=6, m_max=8,
+                               train_set=train5, checkpoints=((3, 4), (6, 8)))
+        else:
+            cfg = small_config(name, train5, newton_roomy)
+        result = er.build_ser(problem, cfg)
+        fields = result.eim_g.fields
+        assert [sum(op is q for op in problem.mass.operands)
+                for q in fields] == [1] * len(fields)
+        assert len(fields) == cfg.m_max
+        # the stand-in changes no bit of the build
+        assert_same_model(result.model, request.getfixturevalue(name).model)
 
     def test_zero_before_any_build(self):
         report = er.BuildReport(variant="none")
@@ -175,6 +217,20 @@ class TestSnapshotSources:
     def test_bad_frequency_rejected(self, train5):
         with pytest.raises(er.SerBuildError):
             er.SerConfig(r=0, n_max=2, m_max=2, train_set=train5)
+
+    @pytest.mark.parametrize("sizes", [
+        {"r": True, "n_max": 2, "m_max": 2},
+        {"r": 1.0, "n_max": 2, "m_max": 2},
+        {"r": 1, "n_max": 2.5, "m_max": 2},
+        {"r": 1, "n_max": 2, "m_max": 2.5},
+        {"r": 1, "n_max": True, "m_max": 2},
+        {"r": "standard", "n_max": 2, "m_max": 2.0},
+    ])
+    def test_sizes_that_are_not_ints_rejected(self, train5, sizes):
+        # a bool r would build as "r=True", a float n_max would build
+        # N = ceil(n_max) snapshots and a float m_max would fail in range()
+        with pytest.raises(er.SerBuildError):
+            er.SerConfig(train_set=train5, **sizes)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(er.SerBuildError):

@@ -396,7 +396,7 @@ class TestNewtonDriver:
         of eim, whose Jacobian is 1 + k g'."""
         if kind == "reduced":
             return 0.0
-        surrogate = er.SurrogateSolver(model.problem, eim)
+        surrogate = surrogate_of(model.problem, eim)
         surrogate.update()
         k = surrogate.solved_q[eim.t[0], 0] / eim.B[0, 0]
         slope = -1.0 / k
@@ -431,7 +431,7 @@ class TestNewtonDriver:
         if kind == "truth":
             what, solve = "", lambda: er.truth_newton_solve(problem, self.MU, cfg)
         elif kind == "surrogate":
-            surrogate = er.SurrogateSolver(problem, one_field)
+            surrogate = surrogate_of(problem, one_field)
             what = "surrogate "
             solve = lambda: er.truth_newton_solve_eim(surrogate, self.MU, cfg)
         else:
@@ -474,6 +474,11 @@ def saturated_eims(problem8):
     return samples, truth, eim_g
 
 
+def surrogate_of(problem, eim):
+    """A surrogate solver of eim with a mass-product owner of its own."""
+    return er.SurrogateSolver(er.MassFields(problem, eim))
+
+
 def l2_distance(problem, a, b):
     d = a - b
     return float(np.sqrt(d @ (problem.mass @ d)))
@@ -494,8 +499,9 @@ def full_space_solve_eim(surrogate, mu, cfg=None):
     """truth_newton_solve_eim with the full-space stopping rule: the same
     Newton on v + K g(v) = a from v = 0, with every iterate lifted to the
     mesh and its residual norm taken by surrogate_residual.  The norm at
-    u = 0 is the solver's own expression, so both stop at the same
-    tolerance."""
+    u = 0 is the solver's own expression on an M Q made here from the
+    mass and the fields, not read from the solver's mass products, so
+    both stop at the same tolerance when those products are right."""
     cfg = cfg or er.NewtonConfig()
     eim = surrogate.eim_g
     surrogate.update()
@@ -505,6 +511,7 @@ def full_space_solve_eim(surrogate, mu, cfg=None):
     t = np.asarray(eim.t, dtype=int)
     xt = problem.space.dof_coords[t]
     mus = mu_row(mu)
+    mass_q = np.column_stack([problem.mass @ q for q in eim.fields])
     k_mat = solve_triangular(eim.B, surrogate.solved_q[t].T, lower=True,
                              trans="T").T
     a = surrogate.linear[t]
@@ -512,7 +519,7 @@ def full_space_solve_eim(surrogate, mu, cfg=None):
     u = np.zeros(problem.space.ndof)
 
     def residual():
-        r = (surrogate.mass_q @ eim.coeffs(term.g(v[None], xt, mus)[0])
+        r = (mass_q @ eim.coeffs(term.g(v[None], xt, mus)[0])
              - problem.load)
         r[bdofs] = 0.0
         return float(np.linalg.norm(r))
@@ -558,7 +565,7 @@ class TestTruthNewtonEim:
         # the saturated interpolant is exact on its training parameters, so
         # the surrogate solution from the zero start is the truth there
         samples, truth, eim_g = saturated_eims
-        solver = er.SurrogateSolver(problem8, eim_g)
+        solver = surrogate_of(problem8, eim_g)
         for mu in samples:
             u, stats = er.truth_newton_solve_eim(solver, mu)
             assert l2_distance(problem8, truth.get(mu)[0], u) <= 1e-8
@@ -568,8 +575,7 @@ class TestTruthNewtonEim:
                                                        saturated_eims):
         samples, truth, eim_g = saturated_eims
         mu = samples[0]  # (0.01, 0.01): nearly linear
-        u, stats = er.truth_newton_solve_eim(er.SurrogateSolver(problem8, eim_g),
-                                             mu)
+        u, stats = er.truth_newton_solve_eim(surrogate_of(problem8, eim_g), mu)
         assert l2_distance(problem8, truth.get(mu)[0], u) <= 1e-8
         assert stats.iterations <= 3
 
@@ -577,7 +583,7 @@ class TestTruthNewtonEim:
         samples, truth, eim_g = saturated_eims
         mu = (10.0, 10.0)
         assert mu in samples
-        u, _ = er.truth_newton_solve_eim(er.SurrogateSolver(problem8, eim_g),
+        u, _ = er.truth_newton_solve_eim(surrogate_of(problem8, eim_g),
                                          mu, er.NewtonConfig())
         assert l2_distance(problem8, truth.get(mu)[0], u) <= 1e-8
 
@@ -586,7 +592,7 @@ class TestTruthNewtonEim:
                                                      saturated_eims, mu):
         _, _, eim_g = saturated_eims
         cfg = er.NewtonConfig()
-        u, stats = er.truth_newton_solve_eim(er.SurrogateSolver(problem8, eim_g),
+        u, stats = er.truth_newton_solve_eim(surrogate_of(problem8, eim_g),
                                              mu, cfg)
         r0 = float(np.linalg.norm(np.delete(problem8.load,
                                             problem8.space.boundary_dofs)))
@@ -600,14 +606,14 @@ class TestTruthNewtonEim:
         samples = list(er.SampleSet.log_grid(4, 4))
         truth = er.TruthReferences(problem8)
         eim_g = eim_train(problem8.space, er.truth_g_block(truth), samples, m_max=4)
-        cached = er.SurrogateSolver(problem8, eim_g)
+        cached = surrogate_of(problem8, eim_g)
         mu = (2.0, 5.0)
         er.truth_newton_solve_eim(cached, mu)
         er.eim_greedy_step(eim_g, er.truth_g_block(truth), samples)
         assert eim_g.M == 5
         u_cached, s_cached = er.truth_newton_solve_eim(cached, mu)
         u_fresh, s_fresh = er.truth_newton_solve_eim(
-            er.SurrogateSolver(problem8, eim_g), mu)
+            surrogate_of(problem8, eim_g), mu)
         assert u_cached.tobytes() == u_fresh.tobytes()
         assert s_cached.residual_history == s_fresh.residual_history
 
@@ -617,10 +623,10 @@ class TestTruthNewtonEim:
         # stays in the point values and the lift uses the cached columns
         _, _, eim_g = saturated_eims
         u_ref, stats_ref = er.truth_newton_solve_eim(
-            er.SurrogateSolver(problem8, eim_g), mu)
+            surrogate_of(problem8, eim_g), mu)
         problem = er.NonlinearProblem(problem8.space, problem8.term,
                                       er.benchmark_rhs)
-        solver = er.SurrogateSolver(problem, eim_g)
+        solver = surrogate_of(problem, eim_g)
         solver.update()
         problem.stiffness = Blinded()
         problem.mass = Blinded()
@@ -634,7 +640,7 @@ class TestTruthNewtonEim:
                                                    four_field_eim, which):
         eim_g = saturated_eims[2] if which == "saturated" else four_field_eim
         assert eim_g.M == (9 if which == "saturated" else 4)
-        solver = er.SurrogateSolver(problem8, eim_g)
+        solver = surrogate_of(problem8, eim_g)
         for mu in STOPPING_MUS:
             u, stats = er.truth_newton_solve_eim(solver, mu)
             u_ref, stats_ref = full_space_solve_eim(solver, mu)
@@ -667,14 +673,14 @@ class TestTruthNewtonEim:
         mu = (0.5, 2.0)
         truth = er.TruthReferences(problem8)
         eim_g = er.eim_initialize(problem8.space, er.truth_g_block(truth), [mu])
-        u, _ = er.truth_newton_solve_eim(er.SurrogateSolver(problem8, eim_g), mu)
+        u, _ = er.truth_newton_solve_eim(surrogate_of(problem8, eim_g), mu)
         assert l2_distance(problem8, truth.get(mu)[0], u) <= 1e-8
         assert np.all(u[problem8.space.boundary_dofs] == 0.0)
 
     def test_requires_trained_bases(self, problem8):
         empty = er.EimBasis(problem8.space)
         with pytest.raises(ValueError):
-            er.truth_newton_solve_eim(er.SurrogateSolver(problem8, empty),
+            er.truth_newton_solve_eim(surrogate_of(problem8, empty),
                                       (1.0, 1.0))
 
     def test_output_error_tracks_interpolation_error(self, problem8):
@@ -690,7 +696,7 @@ class TestTruthNewtonEim:
         for m_max in (6, 10, 14):
             eim_g = eim_train(problem8.space, er.truth_g_block(truth), samples,
                               m_max=m_max)
-            solver = er.SurrogateSolver(problem8, eim_g)
+            solver = surrogate_of(problem8, eim_g)
             eps = max(eim_g.sup_error(g_of(mu)) for mu in samples)
             for mu in probes:
                 u_ref = truth.get(mu)[0]
