@@ -2,10 +2,11 @@
 
 An archive (format 6) holds two members per model and one metadata
 record.  ``meta`` is one JSON string: the format version, the mesh/degree
-pair, the model label, the build's update frequency r and rebuild flag,
-its finite element solve count, a config fingerprint, the keys of the
-stored checkpoints, and for each model its basis size ``N`` and its
-interpolation points ``t`` (a list of dof indices).  ``floats`` is one
+pair, the build's variant label ``label`` (``BuildReport.variant``),
+its update frequency r and rebuild flag, its finite element solve
+count, a config fingerprint, the keys of the stored checkpoints, and
+for each model its basis size ``N`` and its interpolation points ``t``
+(a list of dof indices).  ``floats`` is one
 float64 vector holding the final ``ReducedModel``'s ``B``, ``A``, ``F``,
 ``Rq``, ``Tr``, ``avg``, ``W`` and ``snapshot_mus`` in that order, each
 raveled in C order; their shapes follow from N and M = len(t).  ``W`` is
@@ -76,7 +77,7 @@ def _float_shapes(n, m):
             "avg": (n,), "W": (n, m), "snapshot_mus": (n, 2)}
 
 
-def _model_members(model, prefix=""):
+def _model_members(model, prefix):
     """The npz members and the metadata entries of one model."""
     names = _float_shapes(model.N, model.M)
     floats = np.concatenate([np.asarray(getattr(model, name), dtype=float)
@@ -160,7 +161,7 @@ def _check_mesh(meta, basis_shape, nbytes):
                          "bytes")
 
 
-def _model_from_members(path, problem, data, meta, basis_shape, prefix=""):
+def _model_from_members(path, problem, data, meta, basis_shape, prefix):
     """The model stored under prefix, after checking that its arrays fit
     each other and the problem's space, and that W fits B and Rq.
     basis_shape is the shape in its basis's npy header; the basis itself
@@ -195,7 +196,7 @@ def _model_from_members(path, problem, data, meta, basis_shape, prefix=""):
 
     model = ReducedModel(problem, t, B, arrays["A"], arrays["F"], Rq,
                          arrays["Tr"], arrays["avg"], read_basis,
-                         arrays["snapshot_mus"], label=meta["label"])
+                         arrays["snapshot_mus"])
     model.W = W
     return model
 
@@ -261,7 +262,7 @@ def save_model(path, result, fingerprint=""):
         "format_version": FORMAT_VERSION,
         "mesh_n": int(space.mesh.n_cells_per_side),
         "degree": int(space.degree),
-        "label": str(model.label),
+        "label": str(report.variant),
         "r": report.r if isinstance(report.r, str) else int(report.r),
         "rebuild_wn": bool(report.rebuild_wn),
         "fingerprint": str(fingerprint),
@@ -288,7 +289,7 @@ def _result_from_members(path, data, nbytes):
                          fe_solve_count=meta["fe_solve_count"],
                          r=meta["r"], rebuild_wn=meta["rebuild_wn"])
     # an archive keeps only the online model, not the build's interpolant
-    model = _model_from_members(path, problem, data, meta, basis_shape)
+    model = _model_from_members(path, problem, data, meta, basis_shape, "")
     result = BuildResult(model=model, report=report, eim_g=None,
                          checkpoints=checkpoints)
     result.fingerprint = meta["fingerprint"]

@@ -93,7 +93,7 @@ def benchmark_rhs(xy):
     return 100.0 * np.sin(2 * np.pi * xy[:, 0]) * np.sin(2 * np.pi * xy[:, 1])
 
 
-def benchmark_problem(n=32, degree=2):
+def benchmark_problem(n, degree):
     space = FESpace(Mesh(n), degree)
     return NonlinearProblem(space, benchmark_term(), benchmark_rhs)
 
@@ -183,7 +183,9 @@ class TruthReferences:
 def run_error_study(result, test_set, checkpoints, newton=None,
                     references=None):
     """Max solution / output errors over the test set at each (N, M)
-    stage of a BuildResult.
+    stage of a BuildResult.  A row names the (N, M) of the model it
+    measured, so a stage asking for more fields than the build made
+    reads the build's M.
 
     Per-parameter solver failures are counted on the row instead of
     aborting the study; a row with failures is flagged when emitted.
@@ -192,7 +194,7 @@ def run_error_study(result, test_set, checkpoints, newton=None,
     final = result.model
     problem = final.problem
     refs = references or TruthReferences(problem, newton)
-    label = final.label or "model"
+    label = result.report.variant
 
     def model_guess(mu):
         # a reference missing from refs starts from the final model's lifted
@@ -223,7 +225,7 @@ def run_error_study(result, test_set, checkpoints, newton=None,
             du = u_ref - cp.lift_values(sol)
             errs_u.append(float(np.sqrt(max(du @ (problem.mass @ du), 0.0))))
             errs_s.append(abs(s_ref - cp.output(sol)))
-        rows.append(StudyRow(N=n, M=m,
+        rows.append(StudyRow(N=cp.N, M=cp.M,
                              max_err_u=max(errs_u) if errs_u else float("nan"),
                              max_err_s=max(errs_s) if errs_s else float("nan"),
                              variant=label, failures=failures))

@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .archive import ArchiveError, fingerprint_json, load_model, save_model
@@ -22,7 +23,7 @@ from .eim import (DegenerateInterpolationPoint, DegenerateSnapshot,
                   EimTrainingError)
 from .fem import SolverFailure
 from .nonlinear import NewtonFailure
-from .ser import SerBuildError, SerConfig, build_ser
+from .ser import SerBuildError, build_ser
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,17 +39,6 @@ def _variant_slug(label):
     return label.replace("=", "").replace("-", "_")
 
 
-def _ser_config(settings, r=None, rebuild=None, n_max=None, m_max=None):
-    r = settings.r if r is None else r
-    rebuild = settings.rebuild_wn if rebuild is None else rebuild
-    n_max = settings.n_max if n_max is None else n_max
-    m_max = settings.m_max if m_max is None else m_max
-    return SerConfig(r=r, rebuild_wn=rebuild, n_max=n_max, m_max=m_max,
-                     train_set=settings.train_set(),
-                     newton=settings.newton(),
-                     checkpoints=default_checkpoints(r, n_max, m_max))
-
-
 def _write_report(report, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report.summary_dict(), fh, indent=1, sort_keys=True)
@@ -57,7 +47,7 @@ def _write_report(report, path):
 
 def cmd_build(args):
     settings = load_config(args.config)
-    cfg = _ser_config(settings)
+    cfg = settings.ser_config()
     out = Path(settings.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = build_ser(benchmark_problem(settings.mesh_n, settings.degree), cfg)
@@ -76,13 +66,11 @@ def cmd_study(args):
     result = load_model(args.model)
     out = Path(settings.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    label = result.model.label
     checkpoints = default_checkpoints(result.report.r, result.model.N,
                                       result.model.M)
-    refs = TruthReferences(result.model.problem, settings.newton())
     rows = run_error_study(result, settings.test_set(), checkpoints,
-                           newton=settings.newton(), references=refs)
-    path = out / f"table_{_variant_slug(label)}.csv"
+                           newton=settings.newton())
+    path = out / f"table_{_variant_slug(result.report.variant)}.csv"
     emit_table(rows, path)
     for row in rows:
         print(f"N={row.N:3d} M={row.M:3d} max_err_u={row.max_err_u:.2e} "
@@ -114,13 +102,15 @@ def cmd_compare(args):
     problem = benchmark_problem(settings.mesh_n, settings.degree)
     test_set = settings.test_set()
     refs = TruthReferences(problem, settings.newton())
+    base = settings.ser_config()
+    m = settings.m_max
+    # the r=1 builds grow the basis with the interpolant: N = M
+    square = dict(n_max=m, m_max=m, checkpoints=default_checkpoints(1, m, m))
     variants = [
-        _ser_config(settings, r="standard", rebuild=False),
-        _ser_config(settings, r=5, rebuild=False),
-        _ser_config(settings, r=1, rebuild=True,
-                    n_max=settings.m_max, m_max=settings.m_max),
-        _ser_config(settings, r=1, rebuild=False,
-                    n_max=settings.m_max, m_max=settings.m_max),
+        replace(base, r="standard", rebuild_wn=False),
+        replace(base, r=5, rebuild_wn=False),
+        replace(base, r=1, rebuild_wn=True, **square),
+        replace(base, r=1, rebuild_wn=False, **square),
     ]
     counts = []
     for cfg in variants:

@@ -1,7 +1,7 @@
 """Flat key-value configuration files for the command line driver.
 
 Format: one `section.key = value` per line, `#` starts a comment.
-Unknown keys are rejected.  Example:
+Unknown and repeated keys are rejected.  Example:
 
     mesh.n = 32
     fem.degree = 2
@@ -21,8 +21,9 @@ Unknown keys are rejected.  Example:
 
 from dataclasses import asdict, dataclass
 
-from .benchmark import SampleSet
+from .benchmark import SampleSet, default_checkpoints
 from .nonlinear import NewtonConfig
+from .ser import SerBuildError, SerConfig
 
 
 class ConfigError(ValueError):
@@ -57,6 +58,15 @@ class RunSettings:
     def test_set(self):
         return SampleSet.log_random(self.test_count, self.test_seed)
 
+    def ser_config(self):
+        """The build config of these settings, checkpointed at the five
+        default stages."""
+        return SerConfig(r=self.r, rebuild_wn=self.rebuild_wn,
+                         n_max=self.n_max, m_max=self.m_max,
+                         train_set=self.train_set(), newton=self.newton(),
+                         checkpoints=default_checkpoints(self.r, self.n_max,
+                                                         self.m_max))
+
     def fingerprint_dict(self):
         d = asdict(self)
         d.pop("output_dir")
@@ -76,12 +86,9 @@ def _parse_r(text):
     if text == "standard":
         return "standard"
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise ConfigError(f"ser.r must be a positive integer or 'standard', got {text!r}")
-    if value < 1:
-        raise ConfigError(f"ser.r must be >= 1, got {value}")
-    return value
 
 
 _KEYS = {
@@ -104,6 +111,7 @@ _KEYS = {
 
 def parse_config(text):
     settings = RunSettings()
+    seen = {}       # line of each key read so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -113,6 +121,10 @@ def parse_config(text):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line "
+                              f"{seen[key]}")
+        seen[key] = lineno
         attr, parse = _KEYS[key]
         try:
             setattr(settings, attr, parse(value))
@@ -140,12 +152,11 @@ def _validate(s):
         raise ConfigError("test.count must be >= 1")
     if s.test_seed < 0:
         raise ConfigError("test.seed must be >= 0")
-    if s.n_max < 1 or s.m_max < 1:
-        raise ConfigError("ser.n_max and eim.m_max must be >= 1")
-    if s.r == "standard" and s.rebuild_wn:
-        raise ConfigError("ser.rebuild_wn does not apply to ser.r = standard, "
-                          "which updates the basis once")
     try:
         s.newton()      # NewtonConfig owns the rules for its settings
     except ValueError as exc:
         raise ConfigError(f"newton settings: {exc}") from None
+    try:
+        s.ser_config()  # and SerConfig those for the build's
+    except SerBuildError as exc:
+        raise ConfigError(f"build settings: {exc}") from None

@@ -22,7 +22,7 @@ truth solutions for one of reduced solutions is what turns the standard
 training loop into the simultaneous build.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,8 +74,9 @@ class EimBasis:
             raise ValueError(f"expected {self.M} point values, got {w.shape}")
         if self.M == 0:
             return np.zeros(0)
-        # check_finite off: overflowing point values must flow through so the
-        # Newton drivers can classify the iterate as diverged
+        # check_finite off: a non-finite w gives a non-finite beta, not a
+        # ValueError.  No Newton iterate reaches this solve: the surrogate
+        # solve passes only g at zero and at its converged point values
         return solve_triangular(self.B, w, lower=True, check_finite=False)
 
     def evaluate(self, beta):
@@ -132,9 +133,9 @@ class EimBasis:
 class GreedyStep:
     mu: tuple | None
     sup_error: float
-    saturated: bool = False
-    skipped: list = field(default_factory=list)
-    errors: np.ndarray | None = None  # per-sample sup errors, nan = skipped
+    saturated: bool
+    skipped: list
+    errors: np.ndarray  # per-sample sup errors, nan = skipped
 
 
 def eim_initialize(space, provider, samples):
@@ -212,5 +213,5 @@ def eim_greedy_step(basis, provider, samples):
         return GreedyStep(mu=best_mu, sup_error=best_err, saturated=True,
                           skipped=skipped, errors=errors)
     basis.append_from_residual(best_residual, best_mu, best_err)
-    return GreedyStep(mu=best_mu, sup_error=best_err, skipped=skipped,
-                      errors=errors)
+    return GreedyStep(mu=best_mu, sup_error=best_err, saturated=False,
+                      skipped=skipped, errors=errors)

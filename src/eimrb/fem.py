@@ -25,11 +25,6 @@ import numpy as np
 class SolverFailure(RuntimeError):
     """Sparse solve did not meet the residual tolerance."""
 
-    def __init__(self, message, residual=None, rhs_norm=None):
-        super().__init__(message)
-        self.residual = residual
-        self.rhs_norm = rhs_norm
-
 
 # ---------------------------------------------------------------------------
 # quadrature on the reference triangle {x >= 0, y >= 0, x + y <= 1}
@@ -398,6 +393,5 @@ def solve_factored(factor, rhs):
     tol = 1e-10 * rhs_norm if rhs_norm > 0 else 1e-14
     if not np.isfinite(res) or res > tol:
         raise SolverFailure(
-            f"sparse solve residual {res:.3e} exceeds tolerance {tol:.3e}",
-            residual=res, rhs_norm=rhs_norm)
+            f"sparse solve residual {res:.3e} exceeds tolerance {tol:.3e}")
     return x

@@ -91,7 +91,7 @@ product is made once per build.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -135,7 +135,7 @@ class NewtonConfig:
 class SolveStats:
     iterations: int
     final_residual_norm: float
-    residual_history: list = field(default_factory=list)
+    residual_history: list
 
 
 class NonlinearTerm:
@@ -190,7 +190,6 @@ class NonlinearProblem:
         self.space = space
         self.term = term
         self.rhs = rhs
-        self._interior_block = None
 
     @cached_property
     def stiffness(self):
@@ -214,7 +213,7 @@ class NonlinearProblem:
     def _mass_row_sums(self):
         return np.asarray(self.mass.sum(axis=1)).ravel()
 
-    @property
+    @cached_property
     def interior_block(self):
         """(interior dofs, A_II, M_II data, column of each stored entry),
         built on first use.
@@ -227,22 +226,20 @@ class NonlinearProblem:
         third array holds the interior mass block's entries in the same
         positions, which requires one sparsity pattern for both.
         """
-        if self._interior_block is None:
-            idx = self.space.interior_dofs
-            order = nested_dissection(self.stiffness[idx][:, idx],
-                                      self.space.dof_coords[idx])
-            idx = idx[order]
-            a_ii = self.stiffness[idx][:, idx].tocsc()
-            m_ii = self.mass[idx][:, idx].tocsc()
-            a_ii.sort_indices()
-            m_ii.sort_indices()
-            if not (np.array_equal(a_ii.indptr, m_ii.indptr)
-                    and np.array_equal(a_ii.indices, m_ii.indices)):
-                raise ValueError(
-                    "stiffness and mass matrices differ in sparsity pattern")
-            cols = np.repeat(np.arange(len(idx)), np.diff(a_ii.indptr))
-            self._interior_block = (idx, a_ii, m_ii.data, cols)
-        return self._interior_block
+        idx = self.space.interior_dofs
+        order = nested_dissection(self.stiffness[idx][:, idx],
+                                  self.space.dof_coords[idx])
+        idx = idx[order]
+        a_ii = self.stiffness[idx][:, idx].tocsc()
+        m_ii = self.mass[idx][:, idx].tocsc()
+        a_ii.sort_indices()
+        m_ii.sort_indices()
+        if not (np.array_equal(a_ii.indptr, m_ii.indptr)
+                and np.array_equal(a_ii.indices, m_ii.indices)):
+            raise ValueError(
+                "stiffness and mass matrices differ in sparsity pattern")
+        cols = np.repeat(np.arange(len(idx)), np.diff(a_ii.indptr))
+        return idx, a_ii, m_ii.data, cols
 
     def average(self, values):
         """Integral of the field over the unit square (|Omega| = 1)."""

@@ -57,11 +57,12 @@ class RbSpace:
     and the reduced blocks on it.
 
     A is the reduced stiffness and F the reduced load.  Rq holds one
-    reduced vector per interpolant field and Tr the basis traces at the
-    interpolation points; avg holds the basis averages.  ``model`` grows
-    them: existing entries are never recomputed, only new rows, columns
-    and vectors are filled in, into new arrays, so a model made earlier
-    never sees a later entry.
+    reduced vector per interpolant field; avg holds the basis averages.
+    ``model`` grows them: existing entries are never recomputed, only new
+    rows, columns and vectors are filled in, into new arrays, so a model
+    made earlier never sees a later entry.  The basis traces at the
+    interpolation points are rows of the stacked basis, taken by
+    ``model`` for each model it makes.
     """
 
     REJECT_REL = 1e-10
@@ -75,7 +76,6 @@ class RbSpace:
         self.A = np.zeros((0, 0))
         self.F = np.zeros(0)
         self.Rq = np.zeros((0, 0))
-        self.Tr = np.zeros((0, 0))
         self.avg = np.zeros(0)
 
     @property
@@ -115,7 +115,7 @@ class RbSpace:
         self.mus.append(tuple(mu))
         return xi
 
-    def model(self, mass_fields, label):
+    def model(self, mass_fields):
         """Online model of the current basis and the interpolant of
         mass_fields (a nonlinear.MassFields, which makes the products
         M q_m that Rq reads), its blocks first grown to the current
@@ -126,7 +126,6 @@ class RbSpace:
         m_old, m_new = self.Rq.shape[0], eim.M
         stiffness = self.problem.stiffness
         basis = self.basis
-        t = np.asarray(eim.t, dtype=int)
 
         def grown(arr, shape):
             out = np.zeros(shape)
@@ -137,7 +136,6 @@ class RbSpace:
         self.A = grown(self.A, (n_new, n_new))
         self.F = grown(self.F, (n_new,))
         self.Rq = grown(self.Rq, (m_new, n_new))
-        self.Tr = grown(self.Tr, (n_new, m_new))
         self.avg = grown(self.avg, (n_new,))
 
         # new basis columns: fill row/column n across every block
@@ -152,7 +150,6 @@ class RbSpace:
             self.F[n] = self.problem.load @ xi
             for m, mq in enumerate(mass_qs):
                 self.Rq[m, n] = mq @ xi
-            self.Tr[n, :] = xi[t]
             self.avg[n] = self.problem.average(xi)
 
         # new interpolant fields: fill the old basis range
@@ -160,12 +157,11 @@ class RbSpace:
             mq = mass_qs[m]
             for n in range(n_old):
                 self.Rq[m, n] = mq @ basis[n]
-        for n in range(n_old):
-            self.Tr[n, m_old:m_new] = basis[n][t[m_old:m_new]]
 
+        stacked = self.basis_matrix()
         return ReducedModel(self.problem, eim.t, eim.B, self.A, self.F,
-                            self.Rq, self.Tr, self.avg, self.basis_matrix(),
-                            self.mus, label=label)
+                            self.Rq, stacked[eim.t].T.copy(), self.avg,
+                            stacked, self.mus)
 
 
 class RbSolution:
@@ -194,7 +190,7 @@ class ReducedModel:
     """
 
     def __init__(self, problem, t, B, A, F, Rq, Tr, avg, basis,
-                 snapshot_mus, label=""):
+                 snapshot_mus):
         self.problem = problem
         # own copies: the build's interpolant goes on growing
         self.t = np.array(t, dtype=np.int64)
@@ -205,7 +201,6 @@ class ReducedModel:
         else:
             self.basis = basis
         self.snapshot_mus = [tuple(mu) for mu in snapshot_mus]
-        self.label = label
         # coordinates of the interpolation points, so a solve does not
         # index the ndof-sized dof coordinates
         self.xg = problem.space.dof_coords[self.t]
@@ -360,7 +355,9 @@ class ReducedModel:
     def restrict(self, n, m):
         """Model of the leading n basis vectors and m interpolant fields,
         on copies of the sliced arrays (valid because growth is
-        append-only)."""
+        append-only).  An m above M is taken as M."""
+        if n < 1 or m < 1:
+            raise ValueError(f"cannot restrict a model to N={n}, M={m}")
         if n > self.N:
             raise ValueError(f"cannot restrict N={self.N} model to {n}")
         m = min(m, self.M)
@@ -368,4 +365,4 @@ class ReducedModel:
                             self.A[:n, :n].copy(), self.F[:n].copy(),
                             self.Rq[:m, :n].copy(), self.Tr[:n, :m].copy(),
                             self.avg[:n].copy(), self.basis[:, :n].copy(),
-                            self.snapshot_mus[:n], label=self.label)
+                            self.snapshot_mus[:n])

@@ -285,8 +285,7 @@ def build_ser(problem, cfg):
             else:
                 # the interpolant grows only after the sweep, so every
                 # sweep evaluation sees the same model
-                provider = reduced_g_block(rb.model(mass_fields, label),
-                                           cfg.newton)
+                provider = reduced_g_block(rb.model(mass_fields), cfg.newton)
             step = eim_greedy_step(eim_g, provider, train)
             report.skipped.extend(step.skipped)
             saturated = step.saturated
@@ -325,10 +324,10 @@ def build_ser(problem, cfg):
         stage = (rb.N, m_target)
         if (cfg.rebuild_wn and j < n_updates
                 and stage in map(tuple, cfg.checkpoints)):
-            stored = rb.model(mass_fields, label)
+            stored = rb.model(mass_fields)
             result.checkpoints[stage] = stored.restrict(*stage)
 
     report.fe_solve_count = fe_solves()
     report.wall_time = time.perf_counter() - t0
-    result.model = rb.model(mass_fields, label)
+    result.model = rb.model(mass_fields)
     return result

@@ -60,7 +60,7 @@ def rebuild_small(problem8, train5, newton_roomy):
 
 
 MODEL_FIELDS = ("problem", "t", "B", "A", "F", "Rq", "Tr", "avg", "basis",
-                "snapshot_mus", "label")
+                "snapshot_mus")
 MODEL_ARRAYS = ("t", "B", "A", "F", "Rq", "Tr", "avg", "basis", "W", "xg")
 
 
@@ -78,12 +78,11 @@ def same_bits(a, b):
 
 def assert_same_model(a, b, mus=((0.37, 0.8), (5.0, 0.02), (2.0, 6.0))):
     """Two models equal bitwise: every array (the interpolation points and
-    matrix among them), the labels, and the coefficients and outputs of
-    online solves at mus."""
+    matrix among them) and the coefficients and outputs of online solves
+    at mus."""
     for name in MODEL_ARRAYS:
         assert same_bits(getattr(a, name), getattr(b, name)), name
     assert a.snapshot_mus == b.snapshot_mus
-    assert a.label == b.label
     for mu in mus:
         sa, sb = a.solve(mu), b.solve(mu)
         assert same_bits(sa.coeffs, sb.coeffs)

@@ -338,7 +338,7 @@ def test_criterion_7_companion_online_solve_touches_no_ndof_member(ser1_build,
     blind.basis = untouchable("model.basis")
     blind.problem = copy.copy(model.problem)
     for name in ("space", "stiffness", "mass", "load", "_mass_row_sums",
-                 "_interior_block"):
+                 "interior_block"):
         setattr(blind.problem, name, untouchable(f"problem.{name}"))
     # and the model holds no other ndof-sized array to fall back on
     ndof = model.problem.space.ndof

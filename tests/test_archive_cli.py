@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import eimrb as er
-from eimrb import fem, nonlinear
+from eimrb import cli, fem, nonlinear
 from eimrb.cli import EXIT_PIPE, _variant_slug, main
 
 from conftest import assert_same_model, same_bits
@@ -460,6 +460,16 @@ class TestConfig:
         with pytest.raises(er.ConfigError):
             er.parse_config("mesh.n 8")
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # a second value for a key is refused, not taken over the first
+        text = "mesh.n = 8\n# comment\nmesh.n = 16\n"
+        with pytest.raises(er.ConfigError,
+                           match="line 3: key 'mesh.n' repeats line 1"):
+            er.parse_config(text)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["build", str(cfg)]) == 2
+
     @pytest.mark.parametrize("line, match", [
         ("newton.abs_tol = nan", "finite"), ("newton.abs_tol = inf", "finite"),
         ("newton.rel_tol = nan", "finite"), ("newton.rel_tol = inf", "finite"),
@@ -565,6 +575,17 @@ class TestCli:
         bad.write_text("mesh.q = 3")
         assert main(["build", str(bad)]) == 2
 
+    @pytest.mark.parametrize("lines", [
+        "ser.r = 0", "ser.n_max = 0", "eim.m_max = 0",
+        "ser.r = standard\nser.rebuild_wn = true"],
+        ids=["r", "n_max", "m_max", "standard_rebuild"])
+    def test_build_rules_are_config_errors(self, lines, tmp_path, capsys):
+        # SerConfig's rules reach the command line as configuration errors
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines + "\n")
+        assert main(["build", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["build", str(tmp_path / "nope.cfg")]) == 4
 
@@ -632,6 +653,34 @@ class TestCli:
         counts = (out / "solve_counts.csv").read_text().splitlines()
         assert counts[0] == "variant,fe_solve_count"
         assert len(counts) == 5
+
+    def test_compare_builds_the_four_variants(self, tmp_path, monkeypatch):
+        # the build config of each variant, as compare hands it to build_ser
+        seen = []
+
+        def build(problem, cfg):
+            seen.append((cfg.r, cfg.rebuild_wn, cfg.n_max, cfg.m_max,
+                         tuple(cfg.checkpoints)))
+            assert (cfg.newton, len(cfg.train_set)) == (
+                er.NewtonConfig(max_iter=200), 16)
+            report = er.BuildReport(variant=f"r={len(seen)}")
+            return er.BuildResult(model=None, report=report, eim_g=None)
+
+        def study(result, *args, **kwargs):
+            return [er.StudyRow(1, 1, 0.0, 0.0, result.report.variant)]
+
+        monkeypatch.setattr(cli, "build_ser", build)
+        monkeypatch.setattr(cli, "run_error_study", study)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG.format(out=tmp_path / "out")
+                       .replace("eim.m_max = 3", "eim.m_max = 5"))
+        assert main(["compare", str(cfg)]) == 0
+        grouped = ((1, 1), (1, 2), (2, 3), (2, 4), (3, 5))
+        square = ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5))
+        assert seen == [("standard", False, 3, 5, grouped),
+                        (5, False, 3, 5, grouped),
+                        (1, True, 5, 5, square),
+                        (1, False, 5, 5, square)]
 
     def test_study_of_archive_matches_compare(self, tmp_path):
         # the study of a saved model reads its restricted and its stored

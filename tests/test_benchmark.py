@@ -108,6 +108,22 @@ class TestErrorStudy:
         assert (rows[0].N, rows[0].M, rows[0].failures) == (7, 8, 5)
         assert math.isnan(rows[0].max_err_u) and math.isnan(rows[0].max_err_s)
 
+    @pytest.mark.parametrize("r, saturated_m", [("standard", 9), (1, 11)])
+    def test_rows_name_the_stage_they_measured(self, r, saturated_m):
+        # on a 3x3 grid the n=8 P1 interpolant saturates below m_max = 30,
+        # so the later stages ask for more fields than the build made
+        checkpoints = er.default_checkpoints(r, 4, 30)
+        cfg = er.SerConfig(r=r, n_max=4, m_max=30,
+                           train_set=er.SampleSet.log_grid(3, 3),
+                           checkpoints=checkpoints)
+        result = er.build_ser(er.benchmark_problem(8, 1), cfg)
+        assert result.model.M == saturated_m
+        rows = er.run_error_study(result, er.SampleSet.log_random(3, 1),
+                                  checkpoints)
+        assert [(row.N, row.M) for row in rows] == [
+            (n, min(m, saturated_m)) for n, m in checkpoints]
+        assert [row.failures for row in rows] == [0] * len(checkpoints)
+
     def test_error_decreases_with_model_size(self, standard_small):
         test_set = er.SampleSet.log_random(15, 9)
         rows = er.run_error_study(standard_small, test_set, [(3, 4), (6, 8)])

@@ -63,11 +63,11 @@ class TestBlocks:
         for mu in self.MUS[:2]:
             rb.add_snapshot(truth.get(mu)[0], mu)
         mass_fields = er.MassFields(problem8, eim_g)
-        old = rb.model(mass_fields, "old")
+        old = rb.model(mass_fields)
         # grow the basis and the interpolant in one model() call
         rb.add_snapshot(truth.get(self.MUS[2])[0], self.MUS[2])
         eim_train(problem8.space, provider, list(train5), m_max=4, basis=eim_g)
-        new = rb.model(mass_fields, "new")
+        new = rb.model(mass_fields)
         assert (new.N, new.Rq.shape[0]) == (3, 4)
         assert same_bits(new.A[:2, :2], old.A)
         assert same_bits(new.F[:2], old.F)
@@ -79,7 +79,7 @@ class TestBlocks:
         fresh = er.RbSpace(problem8)
         for mu in self.MUS:
             fresh.add_snapshot(truth.get(mu)[0], mu)
-        at_once = fresh.model(mass_fields, "new")
+        at_once = fresh.model(mass_fields)
         for name in MODEL_ARRAYS:
             assert same_bits(getattr(new, name), getattr(at_once, name)), name
 
@@ -93,7 +93,7 @@ class TestBlocks:
         for mu in self.MUS[:2]:
             rb.add_snapshot(truth.get(mu)[0], mu)
         mass_fields = er.MassFields(problem8, eim_g)
-        first = rb.model(mass_fields, "first")
+        first = rb.model(mass_fields)
         assert not np.shares_memory(first.B, eim_g.B)
         before = {name: getattr(first, name).copy() for name in MODEL_ARRAYS}
         mu = (0.37, 0.8)
@@ -101,7 +101,7 @@ class TestBlocks:
 
         rb.add_snapshot(truth.get(self.MUS[2])[0], self.MUS[2])
         assert not er.eim_greedy_step(eim_g, provider, list(train5)).saturated
-        second = rb.model(mass_fields, "second")
+        second = rb.model(mass_fields)
 
         assert (second.N, second.Rq.shape[0]) == (3, 4)
         for name in MODEL_ARRAYS:
@@ -117,6 +117,8 @@ class TestBlocks:
         model = standard_small.model
         assert model.Tr.shape == (model.N, model.M)
         assert np.array_equal(model.Tr, model.basis[model.t].T)
+        # laid out in C order, as a loaded model's Tr is
+        assert model.Tr.flags.c_contiguous
 
 
 def reduced_residual(model, c, mu):
@@ -174,7 +176,7 @@ class TestReducedSolve:
         eim_g = eim_train(problem8.space, er.truth_g_block(truth), samples, m_max=4)
         rb = er.RbSpace(problem8)
         rb.add_snapshot(truth.get(mu)[0], mu)
-        model = rb.model(er.MassFields(problem8, eim_g), "one snapshot")
+        model = rb.model(er.MassFields(problem8, eim_g))
         sol = model.solve(mu)
         du = truth.get(mu)[0] - model.lift_values(sol)
         assert float(np.sqrt(du @ (problem8.mass @ du))) <= 1e-6
@@ -221,7 +223,7 @@ class TestReducedSolve:
             e = np.zeros(space.ndof)
             e[dof] = 1.0
             rb.add_snapshot(e, (float(k), 0.0))
-        model = rb.model(er.MassFields(problem, eim_g), "interior")
+        model = rb.model(er.MassFields(problem, eim_g))
         for mu in samples:
             sol = model.solve(mu, er.NewtonConfig(max_iter=200))
             du = truth.get(mu)[0] - model.lift_values(sol)
@@ -316,7 +318,7 @@ class TestSolveMany:
 
     def test_empty_basis_rejected_like_solve(self, problem8, standard_small):
         mass_fields = er.MassFields(problem8, standard_small.eim_g)
-        model = er.RbSpace(problem8).model(mass_fields, "empty")
+        model = er.RbSpace(problem8).model(mass_fields)
         with pytest.raises(ValueError) as single:
             model.solve((1.0, 1.0))
         with pytest.raises(ValueError) as many:
@@ -419,3 +421,10 @@ class TestRestrict:
     def test_restriction_beyond_size_rejected(self, standard_small):
         with pytest.raises(ValueError):
             standard_small.model.restrict(100, 5)
+
+    @pytest.mark.parametrize("n, m", [(-1, 1), (0, 1), (2, -1), (2, 0)])
+    def test_restriction_to_no_vector_or_field_rejected(self, standard_small,
+                                                        n, m):
+        # a negative size would slice from the end and give a model
+        with pytest.raises(ValueError, match="cannot restrict"):
+            standard_small.model.restrict(n, m)

@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eimrb"
-SETTABLE = 61
+SETTABLE = 46
 
 
 def _is_dataclass(node):
