@@ -1,6 +1,6 @@
 """Versioned model archives (npz): everything the online solver needs.
 
-An archive (format 6) holds two members per model and one metadata
+An archive (format 7) holds two members per model and one metadata
 record.  ``meta`` is one JSON string: the format version, the mesh/degree
 pair, the build's variant label ``label`` (``BuildReport.variant``),
 its update frequency r and rebuild flag, its finite element solve
@@ -8,16 +8,20 @@ count, a config fingerprint, the keys of the stored checkpoints, and
 for each model its basis size ``N`` and its interpolation points ``t``
 (a list of dof indices).  ``floats`` is one
 float64 vector holding the final ``ReducedModel``'s ``B``, ``A``, ``F``,
-``Rq``, ``Tr``, ``avg``, ``W`` and ``snapshot_mus`` in that order, each
-raveled in C order; their shapes follow from N and M = len(t).  ``W`` is
-the model's ``Rq^T B^{-1}`` with the bytes it has in memory, so a load
-runs no triangular solve and ``W @ g`` keeps its bits.  ``basis`` is the
-(ndof, N) stacked basis.  The interpolant's fields are not stored: the
-online solve reads them only through ``Rq``.  A stored checkpoint adds
-``floats`` and ``basis`` under the prefix ``cp<i>_`` and its N and t
-under the same prefix in ``meta``; builds store one only where a later
-basis rebuild makes it unrecoverable from the final model.  A loaded
-model reproduces online outputs bit for bit.
+``Rq``, ``Tr``, ``avg``, ``W``, ``snapshot_mus`` and ``snapshot_coeffs``
+in that order, each raveled in C order; their shapes follow from N and
+M = len(t).  ``W`` is the model's ``Rq^T B^{-1}`` with the bytes it has
+in memory, so a load runs no triangular solve and ``W @ g`` keeps its
+bits.  ``snapshot_coeffs`` is the model's N x N table of its reduced
+solutions at its snapshot parameters, where its online solves start: it
+is made when the archive is written, so a load and a query never pay for
+it, and a loaded model starts every query where the saved one does.
+``basis`` is the (ndof, N) stacked basis.  The interpolant's fields are
+not stored: the online solve reads them only through ``Rq``.  A stored
+checkpoint adds ``floats`` and ``basis`` under the prefix ``cp<i>_`` and
+its N and t under the same prefix in ``meta``; builds store one only
+where a later basis rebuild makes it unrecoverable from the final model.
+A loaded model reproduces online outputs bit for bit.
 
 A load reads the file once and parses two members: ``meta`` and the
 final model's ``floats``, each array of which becomes its own
@@ -32,9 +36,11 @@ space's element data are made on first use, and no online solve uses
 them.  It refuses an older format, a ``meta`` that is not JSON or holds
 a missing or mistyped entry, and an archive missing a checkpoint member
 at once; an archive whose arrays do not fit each other or the rebuilt
-space, or whose ``W`` does not solve ``W B = Rq^T``, when the model is
-parsed.  A basis whose data cannot be parsed raises ArchiveError at the
-first lift.
+space, whose ``W`` does not solve ``W B = Rq^T``, or whose
+``snapshot_coeffs`` holds a value that is not finite, when the model is
+parsed.  A format 6 archive, which has no ``snapshot_coeffs``, is
+refused like every older one.  A basis whose data cannot be parsed
+raises ArchiveError at the first lift.
 """
 
 import io
@@ -51,7 +57,7 @@ from .benchmark import benchmark_problem
 from .rb import ReducedModel
 from .ser import BuildReport, BuildResult
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 # the type of each archive-wide metadata entry (bool is no int here)
 META_TYPES = {"format_version": int, "mesh_n": int, "degree": int,
               "label": str, "r": (int, str), "rebuild_wn": bool,
@@ -74,7 +80,8 @@ def _float_shapes(n, m):
     """Shape of each array of a floats member, in their order there, for
     N = n and M = m."""
     return {"B": (m, m), "A": (n, n), "F": (n,), "Rq": (m, n), "Tr": (n, m),
-            "avg": (n,), "W": (n, m), "snapshot_mus": (n, 2)}
+            "avg": (n,), "W": (n, m), "snapshot_mus": (n, 2),
+            "snapshot_coeffs": (n, n)}
 
 
 def _model_members(model, prefix):
@@ -163,7 +170,8 @@ def _check_mesh(meta, basis_shape, nbytes):
 
 def _model_from_members(path, problem, data, meta, basis_shape, prefix):
     """The model stored under prefix, after checking that its arrays fit
-    each other and the problem's space, and that W fits B and Rq.
+    each other and the problem's space, and that W fits B and Rq; it is
+    assigned its stored W and snapshot_coeffs.
     basis_shape is the shape in its basis's npy header; the basis itself
     is parsed from data on first use."""
     n, t = meta[prefix + "N"], meta[prefix + "t"]
@@ -189,6 +197,9 @@ def _model_from_members(path, problem, data, meta, basis_shape, prefix):
     if not np.all(np.abs(W @ B - Rq.T) <= W_CHECK_REL * (np.abs(W) @ np.abs(B))):
         raise ValueError(f"{prefix}W does not solve W B = Rq^T to "
                          f"{W_CHECK_REL:g} relative")
+    if not np.all(np.isfinite(arrays["snapshot_coeffs"])):
+        raise ValueError(f"{prefix}snapshot_coeffs holds a value that is "
+                         "not finite")
 
     def read_basis():
         with _reading(path):
@@ -198,6 +209,7 @@ def _model_from_members(path, problem, data, meta, basis_shape, prefix):
                          arrays["Tr"], arrays["avg"], read_basis,
                          arrays["snapshot_mus"])
     model.W = W
+    model.snapshot_coeffs = arrays["snapshot_coeffs"]
     return model
 
 

@@ -12,14 +12,15 @@ error against the full finite element solution on the same mesh.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .fem import FESpace, Mesh, SolverFailure
-from .nonlinear import (Chord, NewtonConfig, NewtonFailure, NonlinearProblem,
-                        NonlinearTerm, truth_newton_solve)
+from .nonlinear import (DEFAULT_NEWTON, Chord, NewtonFailure,
+                        NonlinearProblem, NonlinearTerm, nearest,
+                        truth_newton_solve)
 
 D_MIN = 0.01
 D_MAX = 10.0
@@ -46,7 +47,7 @@ class SampleSet:
         """Lexicographically ordered log-equidistant grid (mu1 major)."""
         a = np.logspace(math.log10(D_MIN), math.log10(D_MAX), n1)
         b = np.logspace(math.log10(D_MIN), math.log10(D_MAX), n2)
-        pts = [(x, y) for x in a for y in b]
+        pts = np.column_stack([np.repeat(a, n2), np.tile(b, n1)])
         return cls(pts, f"log-grid({n1}x{n2})")
 
     @classmethod
@@ -130,13 +131,14 @@ class TruthReferences:
 
     A solve starts from the caller's guess when it has one, and otherwise
     from the cached solution nearest to mu in log-parameter distance (the
-    first cached on a tie), or from u = 0 while the cache is empty.  Every
-    solve stops by the same rule (``truth_newton_solve``), so the start
-    moves a solution only at the level of that tolerance.  A cache shared
-    by several callers, as ``compare`` shares one across its error
-    studies, keeps the solution started from the guess of whichever
-    caller asked first; that order is fixed by the caller's code, so the
-    results are deterministic.
+    first cached on a tie; ``nonlinear.nearest``, the rule by which an
+    online reduced solve picks its start too), or from u = 0 while the
+    cache is empty.  Every solve stops by the same rule
+    (``truth_newton_solve``), so the start moves a solution only at the
+    level of that tolerance.  A cache shared by several callers, as
+    ``compare`` shares one across its error studies, keeps the solution
+    started from the guess of whichever caller asked first; that order is
+    fixed by the caller's code, so the results are deterministic.
 
     All its solves share one ``Chord`` slot: each solve first steps with
     the last Jacobian factor of the solves before it, and refactors only
@@ -147,7 +149,7 @@ class TruthReferences:
 
     def __init__(self, problem, newton=None):
         self.problem = problem
-        self.newton = newton or NewtonConfig()
+        self.newton = newton or DEFAULT_NEWTON
         self.cache = {}
         self.chord = Chord()             # the last factor, carried over
         self._logs = np.empty((0, 2))    # cached log-parameters, row by row
@@ -161,8 +163,7 @@ class TruthReferences:
         the first cached on a tie; None while the cache is empty."""
         if not self.cache:
             return None
-        dist = ((self._logs - np.log(mu)) ** 2).sum(axis=1)
-        return list(self.cache.values())[int(np.argmin(dist))][0]
+        return list(self.cache.values())[nearest(self._logs, mu)][0]
 
     def get(self, mu, guess=None):
         """The cached (solution, output) at mu, solved on a miss.  guess,
@@ -185,12 +186,15 @@ def run_error_study(result, test_set, checkpoints, newton=None,
     """Max solution / output errors over the test set at each (N, M)
     stage of a BuildResult.  A row names the (N, M) of the model it
     measured, so a stage asking for more fields than the build made
-    reads the build's M.
+    reads the build's M.  Each distinct model is measured once: a stage
+    that resolves to a model measured before (the same stored
+    checkpoint, or the same restriction of the final model) gets a copy
+    of that stage's row.
 
     Per-parameter solver failures are counted on the row instead of
     aborting the study; a row with failures is flagged when emitted.
     """
-    newton = newton or NewtonConfig()
+    newton = newton or DEFAULT_NEWTON
     final = result.model
     problem = final.problem
     refs = references or TruthReferences(problem, newton)
@@ -205,12 +209,18 @@ def run_error_study(result, test_set, checkpoints, newton=None,
             return None
 
     rows = []
+    measured = {}       # row of each model measured, by what it resolves to
     for (n, m) in checkpoints:
-        if (n, m) not in result.checkpoints and n > final.N:
+        stored = (n, m) in result.checkpoints
+        if not stored and n > final.N:
             # stage not reachable from this build; emit an incomplete row
             rows.append(StudyRow(N=n, M=m, max_err_u=float("nan"),
                                  max_err_s=float("nan"), variant=label,
                                  failures=len(test_set)))
+            continue
+        model_key = (stored, n, m if stored else min(m, final.M))
+        if model_key in measured:
+            rows.append(replace(measured[model_key]))
             continue
         # a stored checkpoint that cannot be read raises (ArchiveError)
         cp = result.checkpoint(n, m)
@@ -225,10 +235,11 @@ def run_error_study(result, test_set, checkpoints, newton=None,
             du = u_ref - cp.lift_values(sol)
             errs_u.append(float(np.sqrt(max(du @ (problem.mass @ du), 0.0))))
             errs_s.append(abs(s_ref - cp.output(sol)))
-        rows.append(StudyRow(N=cp.N, M=cp.M,
-                             max_err_u=max(errs_u) if errs_u else float("nan"),
-                             max_err_s=max(errs_s) if errs_s else float("nan"),
-                             variant=label, failures=failures))
+        measured[model_key] = StudyRow(
+            N=cp.N, M=cp.M, max_err_u=max(errs_u) if errs_u else float("nan"),
+            max_err_s=max(errs_s) if errs_s else float("nan"), variant=label,
+            failures=failures)
+        rows.append(measured[model_key])
     return rows
 
 

@@ -6,8 +6,14 @@ solve, the surrogate snapshot solve below and the online reduced solve
 applies the stopping rule ``cfg.tolerance(r0)`` and ``max_iter``, and
 raises every failure from one set of templates (``newton_failure``):
 a residual not finite at the initial guess, a stall, a divergence, and
-a singular Jacobian.  ``rb.ReducedModel.solve_many``, the block solver
-of the greedy sweeps, raises its failures from the same templates.
+a singular Jacobian.  r0 is the residual norm at zero: a solve that
+starts elsewhere (the truth solve from a neighbour's solution, the
+reduced solve from its model's solution at the nearest snapshot
+parameter, see ``nearest``) passes it as the reference, so a good start
+saves steps but never moves the rule.  ``rb.ReducedModel.solve_many``,
+the block solver of the greedy sweeps, raises its failures from the
+same templates and takes its tolerances from the same rule, one array
+for the whole block.
 
 The full problem is: find u with zero boundary values such that
 
@@ -114,7 +120,7 @@ class NewtonFailure(RuntimeError):
         self.history = list(history)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NewtonConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -128,7 +134,14 @@ class NewtonConfig:
             raise ValueError("max_iter must be >= 1")
 
     def tolerance(self, initial_residual):
-        return max(self.abs_tol, self.rel_tol * initial_residual)
+        """max(abs_tol, rel_tol * r0) of one norm r0, or of each entry of
+        an array of norms: np.fmax, like max here, ignores a nan r0 and
+        keeps an infinite one, so both give the same bits."""
+        return np.fmax(self.abs_tol, self.rel_tol * initial_residual)
+
+
+# the settings of a solve given none; never changed, so one is shared
+DEFAULT_NEWTON = NewtonConfig()
 
 
 @dataclass
@@ -171,6 +184,16 @@ class Chord:
 def mu_row(mu):
     """One parameter as the (1, 2) parameter block the term takes."""
     return np.asarray(mu, dtype=float).reshape(1, -1)
+
+
+def nearest(log_points, mu):
+    """Row of the (k, 2) array log_points of log-parameters nearest to the
+    parameter mu (a pair or its (1, 2) row) in log-parameter distance, the
+    first on a tie: the start rule of the truth references and of the
+    online reduced solve."""
+    d = log_points - np.log(mu)
+    d *= d
+    return int((d[:, 0] + d[:, 1]).argmin())
 
 
 class NonlinearProblem:
@@ -276,20 +299,24 @@ def _newton(what, mu, cfg, residual, step, reference=None):
 
     residual() evaluates the residual at the initial guess and returns
     its norm; step() takes one Newton step and returns the new norm.
-    The loop stops at the first norm <= cfg.tolerance(reference), with
-    reference the norm at the initial guess unless the caller gives one.
-    Both run with numpy's overflow and invalid-value warnings off: a
-    diverging iterate shows up as an inf or nan norm and is raised as a
-    failure here.  A np.linalg.LinAlgError from step() is a singular
-    Jacobian.  what labels the solver in the failure messages
-    (newton_failure).
+    The loop stops at the first norm <= cfg.tolerance(r0), with r0 the
+    norm at the initial guess, or the value of reference() when the
+    caller gives that function, called once after the first residual().
+    A caller that starts away from zero gives the norm at zero that way:
+    the truth solve with an initial guess, and the reduced solve always,
+    so that where a solve starts never moves where it stops.  Every
+    solve takes at least one step.  All three run with numpy's overflow
+    and invalid-value warnings off: a diverging iterate shows up as an
+    inf or nan norm and is raised as a failure here.  A
+    np.linalg.LinAlgError from step() is a singular Jacobian.  what
+    labels the solver in the failure messages (newton_failure).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         r_norm = residual()
         history = [r_norm]
         if not math.isfinite(r_norm):
             raise newton_failure("start", what, mu, history, None)
-        tol = cfg.tolerance(r_norm if reference is None else reference)
+        tol = cfg.tolerance(r_norm if reference is None else reference())
         while len(history) <= cfg.max_iter:
             try:
                 r_norm = step()
@@ -340,7 +367,7 @@ def truth_newton_solve(problem, mu, cfg=None, initial=None, chord=None):
     the solution saves steps but does not tighten the rule.  Returns the
     ndof nodal values and the SolveStats.
     """
-    cfg = cfg or NewtonConfig()
+    cfg = cfg or DEFAULT_NEWTON
     chord = Chord() if chord is None else chord
     space = problem.space
     bdofs = space.boundary_dofs
@@ -362,6 +389,9 @@ def truth_newton_solve(problem, mu, cfg=None, initial=None, chord=None):
         nonlocal r
         r = residual_at(u)
         return np.linalg.norm(r)
+
+    def norm_at_zero():
+        return np.linalg.norm(residual_at(np.zeros(space.ndof)))
 
     def chord_step():
         """The trial iterate of the held factor and its residual, or None
@@ -388,12 +418,10 @@ def truth_newton_solve(problem, mu, cfg=None, initial=None, chord=None):
         u[idx] += solve_factored(factor, -r[idx])
         return residual()
 
-    reference = None
     if initial is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            reference = residual()          # at u = 0
         u[idx] = np.asarray(initial, dtype=float)[idx]
-    stats = _newton("", mu, cfg, residual, step, reference)
+    stats = _newton("", mu, cfg, residual, step,
+                    None if initial is None else norm_at_zero)
     return u, stats
 
 
@@ -502,7 +530,7 @@ def truth_newton_solve_eim(surrogate, mu, cfg=None):
     Returns the ndof nodal values, zero on the boundary, and the
     SolveStats.
     """
-    cfg = cfg or NewtonConfig()
+    cfg = cfg or DEFAULT_NEWTON
     eim = surrogate.eim_g
     if eim.M < 1:
         raise ValueError("the interpolant needs at least one basis field")

@@ -19,7 +19,20 @@ one masked Newton for a whole list of parameters at once, on a (P, N)
 coefficient array, which is how the greedy sweeps of a build scan the
 training set.  It applies the same stopping rule and builds its
 failures from the same templates (``nonlinear.newton_failure``), so at
-each parameter it fails as ``solve`` does.
+each parameter it fails as ``solve`` does from zero.
+
+An online query starts where the model already knows an answer near
+it.  A model holds its own reduced solutions at its N snapshot
+parameters (``snapshot_coeffs``, one cold ``solve_many``; a row that
+fails stays zero), and ``solve`` without an initial guess starts Newton
+at the row whose snapshot parameter is nearest to mu in log-parameter
+distance (``nonlinear.nearest``, the rule of the truth references too).
+Every ``solve`` stops at cfg.tolerance of the residual norm at c = 0,
+whatever its start, so a start saves steps but never moves the rule.
+The sweeps' ``solve_many`` stays cold, so no build array depends on a
+start.  ``build_ser`` makes the final model's table, an archive stores
+it, and any other model (a restriction, a stored checkpoint before it
+is saved) makes its own from its own arrays on its first solve.
 
 ``RbSpace`` is the build's growing state: the basis, extended by each
 snapshot, and the reduced blocks on it, extended when a model is asked
@@ -35,9 +48,9 @@ fields enter a model only through Rq, so no model holds them, and
 A model forms W on first use, and a model given a function in place of
 its (ndof, N) basis calls it on first use.  The online solve reads W and
 never the basis, so a loaded model, which is assigned its stored W and
-parses its basis on its first lift, answers a query without a triangular
-solve, without the basis and without scipy (imported here only where W
-is formed).
+table and parses its basis on its first lift, answers a query without a
+triangular solve, without the basis and without scipy (imported here
+only where W is formed).
 """
 
 import math
@@ -45,7 +58,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .nonlinear import NewtonConfig, _newton, mu_row, newton_failure
+from .nonlinear import DEFAULT_NEWTON, _newton, mu_row, nearest, newton_failure
 
 
 class DependentSnapshot(RuntimeError):
@@ -186,7 +199,8 @@ class ReducedModel:
     and basis the (ndof, N) stacked basis, or a function of no arguments
     that returns it when it is first read (how a loaded model parses it
     late).  The interpolation point coordinates xg are derived here, and
-    W on first use; an assigned W or basis replaces the derived one.
+    W and the table snapshot_coeffs on first use; an assigned W, table
+    or basis replaces the derived one.
     """
 
     def __init__(self, problem, t, B, A, F, Rq, Tr, avg, basis,
@@ -228,6 +242,17 @@ class ReducedModel:
     def M(self):
         return len(self.t)
 
+    @cached_property
+    def snapshot_coeffs(self):
+        """(N, N) reduced solutions at the snapshot parameters, row k at
+        snapshot_mus[k], from one cold solve_many with the default
+        settings (a row that fails stays zero): the starts of solve."""
+        return self.solve_many(self.snapshot_mus)[0]
+
+    @cached_property
+    def _snapshot_logs(self):
+        return np.log(np.array(self.snapshot_mus, dtype=float))
+
     def jacobian(self, c, mu):
         """Exact derivative A + W diag(g'(Tr^T c)) Tr^T of the reduced
         residual at the coefficients c; mu is one parameter or its
@@ -238,28 +263,56 @@ class ReducedModel:
 
     def solve(self, mu, cfg=None, initial=None):
         """Online reduced Newton solve on the shared driver; cost
-        independent of the FE dimension."""
-        cfg = cfg or NewtonConfig()
+        independent of the FE dimension.
+
+        Newton starts from initial, or when none is given from the row of
+        snapshot_coeffs whose snapshot parameter is nearest to mu in
+        log-parameter distance (nonlinear.nearest).  Whatever the start,
+        it stops at cfg.tolerance of the residual norm at c = 0, as the
+        truth solve does: a start saves steps but never moves the rule.
+        """
+        cfg = cfg or DEFAULT_NEWTON
         n = self.N
         if n < 1:
             raise ValueError("empty reduced basis")
-        term = self.problem.term
-        mus = mu_row(mu)
-        c = np.zeros(n) if initial is None else np.array(initial, dtype=float)
-        r = None
+        g, dg_du = self.problem.term.g, self.problem.term.dg_du
+        A, F, W, xg = self.A, self.F, self.W, self.xg
+        trace = self.Tr.T
+        twice = np.array((mu, mu), dtype=float)     # mu on two rows
+        mus = twice[:1]
+        if initial is None:
+            c = self.snapshot_coeffs[nearest(self._snapshot_logs, mus)].copy()
+        else:
+            c = np.array(initial, dtype=float)
+        values = r = norm_at_zero = None    # Tr^T c and the residual at c
 
         def residual():
-            nonlocal r
-            g = term.g((self.Tr.T @ c)[None], self.xg, mus)[0]
-            r = self.A @ c + self.W @ g - self.F
+            nonlocal values, r
+            values = (trace @ c)[None]
+            r = A @ c + W @ g(values, xg, mus)[0] - F
             return math.sqrt(r @ r)     # np.linalg.norm, without its overhead
+
+        def start():
+            """residual() at the start, which also takes the residual norm
+            at c = 0 that sets the tolerance: one call of g on the point
+            values of both."""
+            nonlocal values, r, norm_at_zero
+            both = np.zeros((2, self.M))
+            both[1] = trace @ c
+            g_both = g(both, xg, twice)
+            values = both[1:]
+            r0 = W @ g_both[0] - F      # A c vanishes at c = 0
+            norm_at_zero = math.sqrt(r0 @ r0)
+            r = A @ c + W @ g_both[1] - F
+            return math.sqrt(r @ r)
 
         def step():
             nonlocal c
-            c = c + np.linalg.solve(self.jacobian(c, mus), -r)
+            jac = A + (W * dg_du(values, xg, mus)) @ trace
+            c = c + np.linalg.solve(jac, -r)
             return residual()
 
-        stats = _newton("reduced ", mu, cfg, residual, step)
+        stats = _newton("reduced ", mu, cfg, start, step, lambda: norm_at_zero)
         return RbSolution(c, tuple(mu), stats.iterations, stats.residual_history)
 
     def solve_many(self, mus, cfg=None):
@@ -269,12 +322,13 @@ class ReducedModel:
         from products with A, W and Tr for all parameters at once, and
         the Newton steps from one stacked (P, N, N) solve.  Each parameter
         starts from zero, stops at its own cfg.tolerance(r0) and leaves
-        the iteration when it converges or fails.  Returns the (P, N)
+        the iteration when it converges or fails, so at each parameter it
+        fails as ``solve`` does from zero.  Returns the (P, N)
         coefficients, zero in the rows of failed parameters, and
         {index: exception} for those, each the exception ``solve`` raises
-        at that parameter.
+        at that parameter with initial=np.zeros(N).
         """
-        cfg = cfg or NewtonConfig()
+        cfg = cfg or DEFAULT_NEWTON
         n = self.N
         if n < 1:
             raise ValueError("empty reduced basis")
@@ -305,7 +359,7 @@ class ReducedModel:
         with np.errstate(over="ignore", invalid="ignore"):
             values, r, r_norm = residual(live)
             history[0] = r_norm
-            tol = np.array([cfg.tolerance(x) for x in r_norm])
+            tol = cfg.tolerance(r_norm)
             fail(live[~np.isfinite(r_norm)], "start", 0, None)
             going = np.isfinite(r_norm)
             iterations = 0
@@ -355,7 +409,9 @@ class ReducedModel:
     def restrict(self, n, m):
         """Model of the leading n basis vectors and m interpolant fields,
         on copies of the sliced arrays (valid because growth is
-        append-only).  An m above M is taken as M."""
+        append-only).  An m above M is taken as M.  It makes its own
+        snapshot_coeffs on its first solve: the rows of this model's
+        table solve this model, not the restricted one."""
         if n < 1 or m < 1:
             raise ValueError(f"cannot restrict a model to N={n}, M={m}")
         if n > self.N:

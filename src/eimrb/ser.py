@@ -33,7 +33,10 @@ is append-only between rebuilds, so the model of an earlier (N, M)
 stage is the final model restricted to it, equal in every array
 (``BuildResult.checkpoint``).  A stage from ``SerConfig.checkpoints`` is
 stored only when a later update of a ``rebuild_wn`` build replaces the
-basis it was solved with.
+basis it was solved with.  Before it returns, the build makes the final
+model's table of reduced solutions at its snapshot parameters
+(``ReducedModel.snapshot_coeffs``, one cold ``solve_many``), where its
+online solves start.
 
 Snapshots with the current interpolated operator are solved in the M
 interpolation-point values (see ``nonlinear``), always from zero.  The
@@ -83,7 +86,7 @@ class SerConfig:
     rebuild_wn: bool = False
     n_max: int = 1
     m_max: int = 1
-    train_set: object = None
+    train_set: object = field(kw_only=True)
     newton: NewtonConfig = field(default_factory=NewtonConfig)
     checkpoints: tuple = ()
 
@@ -99,7 +102,7 @@ class SerConfig:
                    for size in (self.n_max, self.m_max)):
             raise SerBuildError(f"n_max and m_max must be ints >= 1, got "
                                 f"{self.n_max!r} and {self.m_max!r}")
-        if self.train_set is None or len(self.train_set) == 0:
+        if len(self.train_set) == 0:
             raise SerBuildError("empty training set")
 
 
@@ -330,4 +333,5 @@ def build_ser(problem, cfg):
     report.fe_solve_count = fe_solves()
     report.wall_time = time.perf_counter() - t0
     result.model = rb.model(mass_fields)
+    result.model.snapshot_coeffs    # the starts of its online solves, made now
     return result

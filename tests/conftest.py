@@ -61,7 +61,12 @@ def rebuild_small(problem8, train5, newton_roomy):
 
 MODEL_FIELDS = ("problem", "t", "B", "A", "F", "Rq", "Tr", "avg", "basis",
                 "snapshot_mus")
-MODEL_ARRAYS = ("t", "B", "A", "F", "Rq", "Tr", "avg", "basis", "W", "xg")
+# the arrays of a model, those derived from its fields included: xg, W
+# and the table of its solutions at its snapshot parameters, where its
+# online solves start (a model remade from its fields by model_with
+# derives these from the arrays it is given)
+MODEL_ARRAYS = ("t", "B", "A", "F", "Rq", "Tr", "avg", "basis", "W", "xg",
+                "snapshot_coeffs")
 
 
 def model_with(model, **changes):

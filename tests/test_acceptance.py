@@ -199,6 +199,33 @@ def test_r1_build_skips_no_sweep_evaluation(ser1_run):
                    f"{len({tuple(mu) for _, mu, _ in skipped})} parameters")
 
 
+def test_online_start_saves_newton_iterations(ser1_build):
+    # clock-free: over a 40x40 log grid, a query started at the model's
+    # own solution at the nearest snapshot parameter fails nowhere, takes
+    # fewer Newton iterations in all than the same query started from
+    # zero, and answers within the Newton tolerance of it
+    model = ser1_build.model
+    zero = np.zeros(model.N)
+    warm_iters, cold_iters, worst = [], [], 0.0
+    for mu in er.SampleSet.log_grid(40, 40):
+        warm = model.solve(mu)          # a failure here fails the test
+        try:
+            cold = model.solve(mu, initial=zero)
+        except (er.NewtonFailure, er.SolverFailure):
+            continue
+        warm_iters.append(warm.newton_iters)
+        cold_iters.append(cold.newton_iters)
+        worst = max(worst, float(np.abs(warm.coeffs - cold.coeffs).max()
+                                 / np.abs(cold.coeffs).max()))
+    ok = (sum(warm_iters) < sum(cold_iters)
+          and max(warm_iters) <= max(cold_iters) and worst <= 1e-8)
+    assert verdict(ok, "online start at the nearest snapshot solution saves "
+                   "Newton iterations over a 40x40 grid",
+                   f"mean {np.mean(cold_iters):.2f} -> "
+                   f"{np.mean(warm_iters):.2f}, max {max(cold_iters)} -> "
+                   f"{max(warm_iters)}, coefficients within {worst:.1e}")
+
+
 def test_criterion_4_standard_error_profile(std_build, test225, references,
                                             train20):
     rows = study(std_build, test225, references, TABLE_STANDARD)

@@ -24,6 +24,23 @@ def _w_entries(meta, prefix=""):
     return slice(start, start + n * m)
 
 
+def _table_entries(meta, prefix=""):
+    """The slice of the table of reduced solutions at the snapshot
+    parameters (N x N) in the floats member of the model under prefix:
+    its last entries."""
+    n = meta[prefix + "N"]
+    return slice(-n * n, None)
+
+
+def _format_6(meta, members):
+    """Damage that makes a format 6 archive: its version, and floats
+    without the table of reduced solutions at the snapshot parameters."""
+    meta.update(format_version=6)
+    members["floats"] = np.delete(
+        members["floats"],
+        np.arange(members["floats"].size)[_table_entries(meta)])
+
+
 def _old_format(version):
     """Damage that makes an archive of an older format: a format_version
     member and no meta."""
@@ -218,6 +235,36 @@ class TestArchive:
         assert main(["study", str(tiny_config[0]), str(path)]) == 4
         assert "cp0_floats has shape" in capsys.readouterr().err
 
+    def test_online_starts_survive_round_trip(self, ser_small, rebuild_small,
+                                              tmp_path, monkeypatch):
+        # the table of solutions at the snapshot parameters is stored with
+        # its bits, for the final model and for a stored checkpoint: a
+        # loaded model starts every query where the built one does, and
+        # neither the load nor a query solves for the table again
+        mus = list(er.SampleSet.log_random(20, seed=5))
+        expected = {}
+        for name, built in (("r1", ser_small), ("rebuild", rebuild_small)):
+            er.save_model(tmp_path / f"{name}.npz", built)
+            stages = [built.model] + [built.checkpoints[key]
+                                      for key in sorted(built.checkpoints)]
+            expected[name] = [(m.snapshot_coeffs,
+                               [m.solve(mu).coeffs for mu in mus])
+                              for m in stages]
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a loaded model solved for its table")
+
+        monkeypatch.setattr(er.ReducedModel, "solve_many", no_table)
+        for name, stages in expected.items():
+            loaded = er.load_model(tmp_path / f"{name}.npz")
+            stored = [loaded.model] + [loaded.checkpoints[key]
+                                       for key in sorted(loaded.checkpoints)]
+            assert len(stored) == len(stages)
+            for model, (table, answers) in zip(stored, stages):
+                assert same_bits(model.snapshot_coeffs, table)
+                for mu, coeffs in zip(mus, answers):
+                    assert same_bits(model.solve(mu).coeffs, coeffs)
+
     def test_loaded_model_restricts(self, standard_small, tmp_path):
         path = tmp_path / "model.npz"
         er.save_model(path, standard_small)
@@ -226,10 +273,11 @@ class TestArchive:
         assert small.N == 2
 
     def test_archive_stores_each_model_once(self, rebuild_small, tmp_path):
-        # format 6: one metadata record, then per model one floats vector
-        # of its arrays (raveled in C order, in the order below) and its
-        # basis, the stored checkpoint under its prefix; the basis is the
-        # only array as long as the dofs (no interpolant)
+        # format 7: one metadata record, then per model one floats vector
+        # of its arrays (raveled in C order, in the order below, the table
+        # of its solutions at its snapshot parameters last) and its basis,
+        # the stored checkpoint under its prefix; the basis is the only
+        # array as long as the dofs (no interpolant)
         path = tmp_path / "model.npz"
         er.save_model(path, rebuild_small)
         with np.load(path, allow_pickle=False) as data:
@@ -237,7 +285,7 @@ class TestArchive:
         assert set(arrays) == {"meta", "floats", "basis", "cp0_floats",
                                "cp0_basis"}
         meta = json.loads(str(arrays["meta"]))
-        assert meta["format_version"] == 6
+        assert meta["format_version"] == 7
         assert set(meta) == {"format_version", "mesh_n", "degree", "label",
                              "r", "rebuild_wn", "fingerprint",
                              "fe_solve_count", "checkpoint_keys", "N", "t",
@@ -261,7 +309,8 @@ class TestArchive:
             assert same_bits(floats, np.concatenate(
                 [np.ravel(getattr(built, name)) for name in
                  ("B", "A", "F", "Rq", "Tr", "avg", "W")]
-                + [np.ravel(built.snapshot_mus)]))
+                + [np.ravel(built.snapshot_mus),
+                   np.ravel(built.snapshot_coeffs)]))
             assert same_bits(arrays[prefix + "basis"], built.basis)
             stored_w = floats[_w_entries(meta, prefix)].reshape(built.W.shape)
             for w in (stored_w, model.W):
@@ -275,6 +324,7 @@ class TestArchive:
         (_old_format(3), "unsupported archive format version 3"),
         (_old_format(4), "unsupported archive format version 4"),
         (_old_format(5), "unsupported archive format version 5"),
+        (_format_6, "unsupported archive format version 6"),
         (lambda meta, members: meta.update(format_version=99),
          "unsupported archive format version 99"),
         (lambda meta, members: members.pop("meta"), "meta is not a file"),
@@ -309,17 +359,23 @@ class TestArchive:
             members["floats"], np.arange(members["floats"].size)[
                 _w_entries(meta)][len(meta["t"]) - 1::len(meta["t"])])),
          "floats has shape"),
+        (lambda meta, members: members.update(floats=np.delete(
+            members["floats"], np.arange(members["floats"].size)[
+                _table_entries(meta)])), "floats has shape"),
+        (lambda meta, members: members["floats"].__setitem__(-1, np.nan),
+         "snapshot_coeffs holds a value that is not finite"),
         (lambda meta, members: meta.update(t=[p + 10000 for p in meta["t"]]),
          "t holds a point outside"),
         (lambda meta, members: meta.update(mesh_n=2 * meta["mesh_n"]),
          "basis has shape"),
         (b"not a model archive\n", "pickle"),
         (b"", "No data left"),
-    ], ids=["v1", "v2", "v3", "v4", "v5", "v99", "missing-meta", "bad-json",
-            "deep-json", "meta-not-object", "meta-lacks-key", "meta-lacks-t",
-            "t-float", "mesh_n-string", "rebuild_wn-int", "missing-A",
-            "missing-W", "missing-floats", "missing-basis", "W-perturbed",
-            "W-misshapen", "t-outside", "other-mesh", "junk", "empty"])
+    ], ids=["v1", "v2", "v3", "v4", "v5", "v6", "v99", "missing-meta",
+            "bad-json", "deep-json", "meta-not-object", "meta-lacks-key",
+            "meta-lacks-t", "t-float", "mesh_n-string", "rebuild_wn-int",
+            "missing-A", "missing-W", "missing-floats", "missing-basis",
+            "W-perturbed", "W-misshapen", "missing-table", "table-not-finite",
+            "t-outside", "other-mesh", "junk", "empty"])
     def test_unloadable_archive_is_refused(self, standard_small, tmp_path,
                                            capsys, damage, match):
         # every other member and entry is present, so only the damage

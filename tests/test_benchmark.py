@@ -68,6 +68,16 @@ class TestSampleSets:
         assert all(er.in_parameter_domain(p) for p in pts)
         assert abs(pts[-1][0] - 10.0) <= 1e-12 and abs(pts[-1][1] - 10.0) <= 1e-12
 
+    @pytest.mark.parametrize("n1, n2", [(20, 20), (10, 10), (3, 5), (1, 1)])
+    def test_log_grid_equals_the_double_loop_bitwise(self, n1, n2):
+        a = np.logspace(math.log10(er.D_MIN), math.log10(er.D_MAX), n1)
+        b = np.logspace(math.log10(er.D_MIN), math.log10(er.D_MAX), n2)
+        loop = np.asarray([(x, y) for x in a for y in b], dtype=float)
+        grid = er.SampleSet.log_grid(n1, n2).points
+        assert grid.shape == loop.shape == (n1 * n2, 2)
+        assert grid.dtype == loop.dtype
+        assert grid.tobytes() == loop.tobytes()
+
     def test_log_random_is_deterministic(self):
         a = er.SampleSet.log_random(50, 42)
         b = er.SampleSet.log_random(50, 42)
@@ -96,9 +106,13 @@ class TestErrorStudy:
         assert rows[0].max_err_u <= 1e-8
 
     def test_rows_report_failures_instead_of_aborting(self, standard_small):
+        # no solve can meet these tolerances, so every one stalls, from
+        # whatever start
         test_set = er.SampleSet.log_random(5, 3)
         rows = er.run_error_study(standard_small, test_set, [(6, 8)],
-                                  newton=er.NewtonConfig(max_iter=1))
+                                  newton=er.NewtonConfig(abs_tol=1e-300,
+                                                         rel_tol=1e-300,
+                                                         max_iter=1))
         assert rows[0].failures == 5
         assert math.isnan(rows[0].max_err_u)
 
@@ -123,6 +137,35 @@ class TestErrorStudy:
         assert [(row.N, row.M) for row in rows] == [
             (n, min(m, saturated_m)) for n, m in checkpoints]
         assert [row.failures for row in rows] == [0] * len(checkpoints)
+
+    def test_each_distinct_model_is_measured_once(self, monkeypatch):
+        # on the saturated n=8 P1 3x3 standard build, the stages (2, 12)
+        # and (2, 18) both resolve to N=2, M=9: the study solves the test
+        # set with four models, not five, plus the final model's guesses
+        # for the references, and still emits one row per stage
+        checkpoints = er.default_checkpoints("standard", 4, 30)
+        assert checkpoints[1:3] == ((2, 12), (2, 18))
+        cfg = er.SerConfig(r="standard", n_max=4, m_max=30,
+                           train_set=er.SampleSet.log_grid(3, 3),
+                           checkpoints=checkpoints)
+        result = er.build_ser(er.benchmark_problem(8, 1), cfg)
+        assert result.model.M == 9
+        test_set = er.SampleSet.log_random(3, 1)
+        solves = []
+        solve = er.ReducedModel.solve
+
+        def counted(model, mu, *args, **kwargs):
+            solves.append((model.N, model.M))
+            return solve(model, mu, *args, **kwargs)
+
+        monkeypatch.setattr(er.ReducedModel, "solve", counted)
+        rows = er.run_error_study(result, test_set, checkpoints)
+        distinct = sorted({(n, min(m, 9)) for n, m in checkpoints})
+        assert len(distinct) == 4
+        assert len(solves) == len(distinct) * len(test_set) + len(test_set)
+        assert [(row.N, row.M) for row in rows] == [
+            (n, min(m, 9)) for n, m in checkpoints]
+        assert rows[2] == rows[1] and rows[2] is not rows[1]
 
     def test_error_decreases_with_model_size(self, standard_small):
         test_set = er.SampleSet.log_random(15, 9)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -189,8 +190,10 @@ class TestReducedSolve:
         assert sol.newton_iters == 1
 
     def test_newton_failure_carries_history(self, standard_small):
+        model = standard_small.model
         with pytest.raises(er.NewtonFailure) as info:
-            standard_small.model.solve((10.0, 10.0), er.NewtonConfig(max_iter=1))
+            model.solve((10.0, 10.0), er.NewtonConfig(max_iter=1),
+                        initial=np.zeros(model.N))
         assert len(info.value.history) >= 2
 
     def test_overflowing_residual_norm_raises_without_warning(self,
@@ -225,7 +228,10 @@ class TestReducedSolve:
             rb.add_snapshot(e, (float(k), 0.0))
         model = rb.model(er.MassFields(problem, eim_g))
         for mu in samples:
-            sol = model.solve(mu, er.NewtonConfig(max_iter=200))
+            # the snapshot parameters here name no parameter, so the solve
+            # starts from zero
+            sol = model.solve(mu, er.NewtonConfig(max_iter=200),
+                              initial=np.zeros(model.N))
             du = truth.get(mu)[0] - model.lift_values(sol)
             assert float(np.sqrt(du @ (problem.mass @ du))) <= 1e-8
 
@@ -257,11 +263,13 @@ class TestSolveMany:
         return [tuple(p) for p in er.SampleSet.log_grid(6, 6)]
 
     def assert_matches_solve(self, model, mus, cfg):
+        # solve_many starts every parameter from zero, and so does solve
+        # here
         coeffs, failures = model.solve_many(mus, cfg)
         assert coeffs.shape == (len(mus), model.N)
         for k, mu in enumerate(mus):
             try:
-                sol = model.solve(mu, cfg)
+                sol = model.solve(mu, cfg, initial=np.zeros(model.N))
             except (er.NewtonFailure, er.SolverFailure) as exc:
                 got = failures[k]
                 assert type(got) is type(exc)
@@ -334,6 +342,78 @@ class TestSolveMany:
             assert np.abs(row - lifted).max() <= 1e-12 * np.abs(lifted).max()
 
 
+class TestOnlineStart:
+    """solve starts at the model's own solution at the nearest snapshot
+    parameter and stops by the rule of a solve from zero."""
+
+    MUS = list(er.SampleSet.log_random(20, seed=8))
+
+    @staticmethod
+    def nearest_row(model, mu):
+        """Index of the snapshot parameter nearest to mu in log distance,
+        the first on a tie, by a plain loop."""
+        def dist(k):
+            return sum((math.log(a) - math.log(b)) ** 2
+                       for a, b in zip(model.snapshot_mus[k], mu))
+        return min(range(model.N), key=dist)
+
+    def test_table_is_the_cold_block_solve_at_the_snapshots(self, ser_small):
+        model = ser_small.model
+        assert model.snapshot_coeffs.shape == (model.N, model.N)
+        assert same_bits(model.snapshot_coeffs,
+                         model.solve_many(model.snapshot_mus)[0])
+
+    @pytest.mark.parametrize("r, rebuild", [(1, False), (1, True),
+                                            ("standard", False)])
+    def test_build_makes_the_final_models_table(self, r, rebuild):
+        # the build pays for the table, so no query does
+        cfg = er.SerConfig(r=r, rebuild_wn=rebuild, n_max=2, m_max=3,
+                           train_set=er.SampleSet.log_grid(3, 3))
+        model = er.build_ser(er.benchmark_problem(4, 1), cfg).model
+        assert "snapshot_coeffs" in vars(model)
+        assert same_bits(model.snapshot_coeffs,
+                         model.solve_many(model.snapshot_mus)[0])
+
+    def test_a_failed_row_stays_zero(self, standard_small):
+        model = standard_small.model
+        bad = model.snapshot_mus[2]
+        poisoned = with_term(model, g=poisoned_at(model.problem.term.g, bad,
+                                                  np.nan))
+        table = poisoned.snapshot_coeffs
+        assert np.all(table[2] == 0.0)
+        assert np.all(np.delete(table, 2, axis=0) != 0.0)
+
+    def test_default_start_is_the_nearest_row_bitwise(self, ser_small):
+        model = ser_small.model
+        rows = set()
+        for mu in self.MUS:
+            k = self.nearest_row(model, mu)
+            rows.add(k)
+            warm = model.solve(mu)
+            given = model.solve(mu, initial=model.snapshot_coeffs[k])
+            assert same_bits(warm.coeffs, given.coeffs)
+            assert warm.residual_history == given.residual_history
+        assert len(rows) > 1
+
+    def test_every_start_stops_by_the_rule_from_zero(self, ser_small):
+        model = ser_small.model
+        cfg = er.NewtonConfig()
+        for mu in self.MUS:
+            cold = model.solve(mu, initial=np.zeros(model.N))
+            tol = cfg.tolerance(cold.residual_history[0])
+            for start in (None, cold.coeffs):
+                history = model.solve(mu, initial=start).residual_history
+                assert history[-1] <= tol
+                assert all(norm > tol for norm in history[1:-1])
+
+    def test_restriction_derives_its_own_table(self, ser_small):
+        small = ser_small.model.restrict(3, 3)
+        assert "snapshot_coeffs" not in vars(small)
+        small.solve((0.7, 0.9))
+        assert same_bits(small.snapshot_coeffs,
+                         small.solve_many(small.snapshot_mus)[0])
+
+
 class TestOutputsAndLift:
     def test_zero_coeffs(self, standard_small):
         model = standard_small.model
@@ -375,7 +455,8 @@ class TestOutputsAndLift:
         assert calls == [1]
         assigned = model_with(model)
         assigned.W = model.W * 0.0
-        assert np.array_equal(assigned.solve((0.7, 0.9)).coeffs,
+        assert np.array_equal(assigned.solve((0.7, 0.9),
+                                             initial=np.zeros(model.N)).coeffs,
                               np.linalg.solve(model.A, model.F))
 
     def test_parseval(self, standard_small):

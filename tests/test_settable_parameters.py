@@ -2,15 +2,18 @@
 
 A settable parameter is a function parameter with a default (private
 helpers and lambdas included) or a dataclass field with a default: each
-is a knob a caller may turn.  The pin makes a new knob a visible change:
-a diff that adds one fails here until it changes ``SETTABLE`` too.
+is a knob a caller may turn.  A field declared by a ``field(...)`` call
+with neither ``default`` nor ``default_factory`` has no default, so a
+caller must set it, and it is not counted.  The pin makes a new knob a
+visible change: a diff that adds one fails here until it changes
+``SETTABLE`` too.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eimrb"
-SETTABLE = 46
+SETTABLE = 45
 
 
 def _is_dataclass(node):
@@ -22,6 +25,17 @@ def _is_dataclass(node):
     return False
 
 
+def _has_default(value):
+    """Whether a dataclass field's assigned value gives it a default."""
+    if value is None:
+        return False
+    func = getattr(value, "func", None)
+    if "field" in (getattr(func, "attr", None), getattr(func, "id", None)):
+        return any(kw.arg in ("default", "default_factory")
+                   for kw in value.keywords)
+    return True
+
+
 def settable_parameters(source):
     """(line, name, count) of each function or dataclass with defaults."""
     found = []
@@ -31,7 +45,7 @@ def settable_parameters(source):
                      + sum(d is not None for d in node.args.kw_defaults))
             name = getattr(node, "name", "<lambda>")
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            count = sum(isinstance(s, ast.AnnAssign) and s.value is not None
+            count = sum(isinstance(s, ast.AnnAssign) and _has_default(s.value)
                         for s in node.body)
             name = node.name
         else:
@@ -50,10 +64,12 @@ def test_counter_counts_defaults_and_dataclass_fields():
               "    a: int\n"
               "    b: int = 1\n"
               "    c: list = field(default_factory=list)\n"
+              "    d: int = field(kw_only=True)\n"
+              "    e: int = field(default=0, kw_only=True)\n"
               "class Plain:\n"
               "    a: int = 1\n")
     assert settable_parameters(source) == [(2, "f", 2), (3, "_g", 1),
-                                           (5, "C", 2), (3, "<lambda>", 1)]
+                                           (5, "C", 3), (3, "<lambda>", 1)]
 
 
 def test_settable_parameter_count_is_pinned():

@@ -370,6 +370,22 @@ def test_newton_tolerance_must_be_positive_and_finite(key, value):
         er.NewtonConfig(**{key: value})
 
 
+def test_tolerance_of_an_array_is_the_tolerance_of_each_norm():
+    # a block's tolerances in one call equal the single-norm rule
+    # max(abs_tol, rel_tol * r0) bit for bit, on finite, infinite and nan
+    # norms alike
+    cfg = er.NewtonConfig(abs_tol=1e-10, rel_tol=1e-8)
+    norms = np.array([0.0, 1e-300, 1e-3, 1e-2, 0.5, 3.7e5, 1.7e308,
+                      np.inf, np.nan])
+    block = cfg.tolerance(norms)
+    assert block.shape == norms.shape
+    expected = [max(cfg.abs_tol, cfg.rel_tol * float(r)) for r in norms]
+    assert block.tobytes() == np.array(expected).tobytes()
+    for r, tol in zip(norms, expected):
+        assert np.float64(cfg.tolerance(float(r))).tobytes() == \
+            np.float64(tol).tobytes()
+
+
 class TestNewtonDriver:
     """The truth, surrogate and reduced solves share one Newton driver:
     each failure kind raises the same class and message, prefixed by the
