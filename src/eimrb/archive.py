@@ -34,11 +34,11 @@ read.  The load rebuilds the benchmark problem's mesh and the space's
 dof lattice and assembles nothing: the problem's operators and the
 space's element data are made on first use, and no online solve uses
 them.  It refuses an older format, a ``meta`` that is not JSON or holds
-a missing or mistyped entry, and an archive missing a checkpoint member
-at once; an archive whose arrays do not fit each other or the rebuilt
-space, whose ``W`` does not solve ``W B = Rq^T``, or whose
-``snapshot_coeffs`` holds a value that is not finite, when the model is
-parsed.  A format 6 archive, which has no ``snapshot_coeffs``, is
+a missing or mistyped entry or a model with N = 0 or no point, and an
+archive missing a checkpoint member at once; an archive whose arrays do
+not fit each other or the rebuilt space, whose ``W`` does not solve
+``W B = Rq^T``, or whose ``snapshot_coeffs`` holds a value that is not
+finite, when the model is parsed.  A format 6 archive, which has no ``snapshot_coeffs``, is
 refused like every older one.  A basis whose data cannot be parsed
 raises ArchiveError at the first lift.
 """
@@ -123,8 +123,8 @@ def _read_meta(data):
     if not all(_is_ints(key) and len(key) == 2 for key in keys):
         raise ValueError(f"meta checkpoint_keys holds {keys!r}")
     for prefix in _prefixes(meta):
-        for key, valid in ((prefix + "N", lambda n: type(n) is int and n >= 0),
-                           (prefix + "t", _is_ints)):
+        for key, valid in ((prefix + "N", lambda n: type(n) is int and n >= 1),
+                           (prefix + "t", lambda t: _is_ints(t) and t != [])):
             if key not in meta:
                 raise ValueError(f"meta lacks {key}")
             if not valid(meta[key]):

@@ -79,7 +79,7 @@ def _parse_bool(text):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_r(text):
@@ -88,7 +88,7 @@ def _parse_r(text):
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"ser.r must be a positive integer or 'standard', got {text!r}")
+        raise ValueError(f"expected an integer or 'standard', got {text!r}")
 
 
 _KEYS = {
@@ -128,8 +128,6 @@ def parse_config(text):
         attr, parse = _KEYS[key]
         try:
             setattr(settings, attr, parse(value))
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}")
     _validate(settings)

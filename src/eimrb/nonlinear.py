@@ -157,7 +157,9 @@ class NonlinearTerm:
     Both callables act on a block of parameters at once: they take a
     (P, k) array of u values, one row per parameter, the matching (k, 2)
     coordinates and the (P, 2) array of parameters, and return the (P, k)
-    values.  A solve at one parameter passes one row.
+    values.  A solve at one parameter passes one row.  A term may
+    overflow to inf: its callers own numpy's warning state (the errstate
+    of _newton, rb.ReducedModel.solve_many and ser.GBlock).
     """
 
     def __init__(self, g, dg_du):

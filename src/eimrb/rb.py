@@ -19,7 +19,9 @@ one masked Newton for a whole list of parameters at once, on a (P, N)
 coefficient array, which is how the greedy sweeps of a build scan the
 training set.  It applies the same stopping rule and builds its
 failures from the same templates (``nonlinear.newton_failure``), so at
-each parameter it fails as ``solve`` does from zero.
+each parameter it fails as ``solve`` does from zero.  Both take R and
+J from one pair of kernels on a (P, N) block, ``_residual`` and
+``_jacobian``, ``solve`` on a (1, N) row.
 
 An online query starts where the model already knows an answer near
 it.  A model holds its own reduced solutions at its N snapshot
@@ -58,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .nonlinear import DEFAULT_NEWTON, _newton, mu_row, nearest, newton_failure
+from .nonlinear import DEFAULT_NEWTON, _newton, nearest, newton_failure
 
 
 class DependentSnapshot(RuntimeError):
@@ -253,13 +255,13 @@ class ReducedModel:
     def _snapshot_logs(self):
         return np.log(np.array(self.snapshot_mus, dtype=float))
 
-    def jacobian(self, c, mu):
-        """Exact derivative A + W diag(g'(Tr^T c)) Tr^T of the reduced
-        residual at the coefficients c; mu is one parameter or its
-        (1, 2) row."""
-        dg = self.problem.term.dg_du((self.Tr.T @ c)[None], self.xg,
-                                     mu_row(mu))
-        return self.A + (self.W * dg) @ self.Tr.T
+    def _residual(self, c, g_values):
+        """Residuals of a (P, N) block c, g_values being g at c Tr."""
+        return c @ self.A.T + g_values @ self.W.T - self.F
+
+    def _jacobian(self, dg):
+        """(P, N, N) exact Jacobians, dg being g' at the point values."""
+        return self.A + (self.W * dg[:, None, :]) @ self.Tr.T
 
     def solve(self, mu, cfg=None, initial=None):
         """Online reduced Newton solve on the shared driver; cost
@@ -272,48 +274,45 @@ class ReducedModel:
         truth solve does: a start saves steps but never moves the rule.
         """
         cfg = cfg or DEFAULT_NEWTON
-        n = self.N
-        if n < 1:
+        if self.N < 1:
             raise ValueError("empty reduced basis")
         g, dg_du = self.problem.term.g, self.problem.term.dg_du
-        A, F, W, xg = self.A, self.F, self.W, self.xg
-        trace = self.Tr.T
+        xg, Tr = self.xg, self.Tr
         twice = np.array((mu, mu), dtype=float)     # mu on two rows
         mus = twice[:1]
         if initial is None:
-            c = self.snapshot_coeffs[nearest(self._snapshot_logs, mus)].copy()
-        else:
-            c = np.array(initial, dtype=float)
-        values = r = norm_at_zero = None    # Tr^T c and the residual at c
+            initial = self.snapshot_coeffs[nearest(self._snapshot_logs, mus)]
+        c = np.array(initial, dtype=float, ndmin=2)     # a (1, N) row
+        values = r = norm_at_zero = None    # c Tr and the residual at c
 
-        def residual():
-            nonlocal values, r
-            values = (trace @ c)[None]
-            r = A @ c + W @ g(values, xg, mus)[0] - F
-            return math.sqrt(r @ r)     # np.linalg.norm, without its overhead
+        def residual(g_values):
+            nonlocal r
+            r = self._residual(c, g_values)
+            return math.sqrt(np.vdot(r, r))     # np.linalg.norm, cheaper
 
         def start():
-            """residual() at the start, which also takes the residual norm
-            at c = 0 that sets the tolerance: one call of g on the point
-            values of both."""
-            nonlocal values, r, norm_at_zero
+            """Residual norm at the start and, for the tolerance, at c = 0:
+            one call of g on the point values of both, then the kernel a
+            row at a time (a two-row product moves the bits of row 1)."""
+            nonlocal values, norm_at_zero
             both = np.zeros((2, self.M))
-            both[1] = trace @ c
+            both[1:] = c @ Tr
             g_both = g(both, xg, twice)
             values = both[1:]
-            r0 = W @ g_both[0] - F      # A c vanishes at c = 0
-            norm_at_zero = math.sqrt(r0 @ r0)
-            r = A @ c + W @ g_both[1] - F
-            return math.sqrt(r @ r)
+            r0 = self._residual(np.zeros(c.shape), g_both[:1])
+            norm_at_zero = math.sqrt(np.vdot(r0, r0))
+            return residual(g_both[1:])
 
         def step():
-            nonlocal c
-            jac = A + (W * dg_du(values, xg, mus)) @ trace
-            c = c + np.linalg.solve(jac, -r)
-            return residual()
+            nonlocal values
+            jac = self._jacobian(dg_du(values, xg, mus))
+            c[0] += np.linalg.solve(jac[0], -r[0])
+            values = c @ Tr
+            return residual(g(values, xg, mus))
 
         stats = _newton("reduced ", mu, cfg, start, step, lambda: norm_at_zero)
-        return RbSolution(c, tuple(mu), stats.iterations, stats.residual_history)
+        return RbSolution(c[0], tuple(mu), stats.iterations,
+                          stats.residual_history)
 
     def solve_many(self, mus, cfg=None):
         """Reduced Newton solves at every parameter of mus at once.
@@ -329,11 +328,10 @@ class ReducedModel:
         at that parameter with initial=np.zeros(N).
         """
         cfg = cfg or DEFAULT_NEWTON
-        n = self.N
-        if n < 1:
+        if self.N < 1:
             raise ValueError("empty reduced basis")
-        term = self.problem.term
-        coeffs = np.zeros((len(mus), n))
+        g, dg_du = self.problem.term.g, self.problem.term.dg_du
+        coeffs = np.zeros((len(mus), self.N))
         if not len(mus):
             return coeffs, {}
         mu_rows = np.asarray(mus, dtype=float)
@@ -343,9 +341,7 @@ class ReducedModel:
         def residual(rows):
             c = coeffs[rows]
             values = c @ self.Tr
-            r = (c @ self.A.T
-                 + term.g(values, self.xg, mu_rows[rows]) @ self.W.T
-                 - self.F)
+            r = self._residual(c, g(values, self.xg, mu_rows[rows]))
             return values, r, np.linalg.norm(r, axis=1)
 
         def fail(rows, kind, iterations, cause):
@@ -370,8 +366,7 @@ class ReducedModel:
                 if iterations >= cfg.max_iter:
                     fail(live, "stall", iterations, None)
                     break
-                dg = term.dg_du(values, self.xg, mu_rows[live])
-                jac = self.A + (self.W * dg[:, None, :]) @ self.Tr.T
+                jac = self._jacobian(dg_du(values, self.xg, mu_rows[live]))
                 try:
                     delta = np.linalg.solve(jac, -r[:, :, None])[:, :, 0]
                 except np.linalg.LinAlgError:

@@ -175,7 +175,8 @@ class GBlock:
         self.values = values
 
     def __getitem__(self, rows):
-        return self.term.g(self.values(rows), self.coords, self.mus[rows])
+        with np.errstate(over="ignore"):    # the greedy step skips an inf row
+            return self.term.g(self.values(rows), self.coords, self.mus[rows])
 
 
 def truth_g_block(references):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 import eimrb as er
 from eimrb import cli, fem, nonlinear
+from eimrb.archive import _float_shapes
 from eimrb.cli import EXIT_PIPE, _variant_slug, main
 
 from conftest import assert_same_model, same_bits
@@ -47,6 +49,26 @@ def _old_format(version):
     def damage(meta, members):
         del members["meta"]
         members["format_version"] = np.int64(version)
+    return damage
+
+
+def _cut(n=None, m=None):
+    """Damage that stores the final model cut to its leading n basis
+    vectors and m points (None keeps them all), each array of floats cut
+    to fit as restrict cuts it, so that only the sizes are wrong."""
+    def damage(meta, members):
+        sizes = (meta["N"], len(meta["t"]))
+        cut = (sizes[0] if n is None else n, sizes[1] if m is None else m)
+        floats, start, parts = members["floats"], 0, []
+        for shape, kept in zip(_float_shapes(*sizes).values(),
+                               _float_shapes(*cut).values()):
+            stop = start + math.prod(shape)
+            block = floats[start:stop].reshape(shape)
+            parts.append(block[tuple(map(slice, kept))].ravel())
+            start = stop
+        members["floats"] = np.concatenate(parts)
+        members["basis"] = members["basis"][:, :cut[0]]
+        meta.update(N=cut[0], t=meta["t"][:cut[1]])
     return damage
 
 
@@ -368,6 +390,8 @@ class TestArchive:
          "t holds a point outside"),
         (lambda meta, members: meta.update(mesh_n=2 * meta["mesh_n"]),
          "basis has shape"),
+        (_cut(n=0), "meta N holds 0"),
+        (_cut(m=0), r"meta t holds \[\]"),
         (b"not a model archive\n", "pickle"),
         (b"", "No data left"),
     ], ids=["v1", "v2", "v3", "v4", "v5", "v6", "v99", "missing-meta",
@@ -375,7 +399,7 @@ class TestArchive:
             "meta-lacks-t", "t-float", "mesh_n-string", "rebuild_wn-int",
             "missing-A", "missing-W", "missing-floats", "missing-basis",
             "W-perturbed", "W-misshapen", "missing-table", "table-not-finite",
-            "t-outside", "other-mesh", "junk", "empty"])
+            "t-outside", "other-mesh", "N-zero", "t-empty", "junk", "empty"])
     def test_unloadable_archive_is_refused(self, standard_small, tmp_path,
                                            capsys, damage, match):
         # every other member and entry is present, so only the damage
@@ -497,6 +521,19 @@ class TestConfig:
     def test_bad_r(self):
         with pytest.raises(er.ConfigError):
             er.parse_config("ser.r = 0")
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("ser.rebuild_wn", "maybe", "expected a boolean, got 'maybe'"),
+        ("ser.r", "x", "expected an integer or 'standard', got 'x'")])
+    def test_unparsable_value_names_line_and_key(self, key, value, expected,
+                                                 tmp_path):
+        text = f"mesh.n = 8\n{key} = {value}\n"
+        with pytest.raises(er.ConfigError) as info:
+            er.parse_config(text)
+        assert str(info.value) == f"line 2: bad value for {key}: {expected}"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["build", str(cfg)]) == 2
 
     def test_standard_with_rebuild_rejected(self):
         with pytest.raises(er.ConfigError, match="rebuild_wn"):

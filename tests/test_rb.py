@@ -136,9 +136,18 @@ class TestExactJacobians:
 
     @pytest.mark.parametrize("mu", [(0.01, 0.01), (1.0, 1.0), (10.0, 10.0)])
     def test_reduced_jacobian_is_the_residual_derivative(self, standard_small, mu):
+        # the kernels that solve and solve_many run: the residual is the
+        # one written out, on W in place of the solve with B, and the
+        # Jacobian is its derivative
         model = standard_small.model
         c = model.solve((0.5, 0.5)).coeffs
-        jac = model.jacobian(c, mu)
+        xg = model.problem.space.dof_coords[model.t]
+        g = at_mu(model.problem.term.g, c @ model.Tr, xg, mu)
+        assert np.abs(model._residual(c[None], g[None])[0]
+                      - reduced_residual(model, c, mu)).max() \
+            <= 1e-12 * np.abs(model.F).max()
+        dg = at_mu(model.problem.term.dg_du, c @ model.Tr, xg, mu)
+        jac = model._jacobian(dg[None])[0]
         fd = np.column_stack([
             (reduced_residual(model, c + self.H * e, mu)
              - reduced_residual(model, c - self.H * e, mu)) / (2 * self.H)
@@ -283,6 +292,16 @@ class TestSolveMany:
             assert np.abs(coeffs[k] - sol.coeffs).max() \
                 <= 1e-12 * np.abs(sol.coeffs).max()
         return failures
+
+    def test_one_parameter_equals_solve_bitwise(self, standard_small, grid):
+        # both loops run the same residual and Jacobian kernels, so one
+        # parameter through the block solver takes solve's steps bit for bit
+        model = standard_small.model
+        for mu in grid:
+            coeffs, failures = model.solve_many([mu])
+            assert not failures
+            assert same_bits(coeffs[0], model.solve(
+                mu, initial=np.zeros(model.N)).coeffs)
 
     def test_coefficients_match_solve(self, standard_small, grid):
         failures = self.assert_matches_solve(standard_small.model, grid,

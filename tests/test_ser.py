@@ -1,4 +1,5 @@
 import inspect
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -267,6 +268,37 @@ class TestFailureHandling:
                 assert message == ("reduced residual not finite at the initial "
                                    f"guess, mu=({float(poisoned[0])!r}, "
                                    f"{float(poisoned[1])!r})")
+
+    def test_overflowing_rows_are_inf_and_skipped(self, problem8, train5):
+        # the block owns the warning state of its term calls: a row whose
+        # g overflows comes back as inf without a RuntimeWarning, and the
+        # greedy step skips it
+        samples = [tuple(mu) for mu in train5]
+        overflowing = {samples[3], samples[11]}
+        coords = problem8.space.dof_coords
+        bump = np.sin(np.pi * coords[:, 0]) * np.sin(np.pi * coords[:, 1])
+
+        def provider(mus):
+            # mu2 u reaches 1e3 on the scaled rows: exp overflows there
+            scale = np.array([1e5 if tuple(mu) in overflowing else 1.0
+                              for mu in mus])
+            return (eimrb.ser.GBlock(problem8, mus,
+                                     lambda rows: np.outer(scale[rows], bump)),
+                    {})
+
+        bad = sorted(samples.index(mu) for mu in overflowing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fields = provider(samples)[0][0:len(samples)]
+            basis = er.eim_initialize(problem8.space, provider, samples)
+            step = er.eim_greedy_step(basis, provider, samples)
+        is_inf = np.isinf(fields).any(axis=1)
+        assert np.flatnonzero(is_inf).tolist() == bad
+        assert np.all(np.isfinite(fields[~is_inf]))
+        assert step.skipped == [(k, samples[k], "snapshot field overflowed")
+                                for k in bad]
+        assert np.flatnonzero(np.isnan(step.errors)).tolist() == bad
+        assert basis.M == 2
 
     def test_majority_failure_aborts(self, problem8, train5):
         cfg = er.SerConfig(r=1, n_max=3, m_max=3, train_set=train5,
