@@ -7,11 +7,12 @@ steps: r = 1 is the simultaneous build (one finite element solve per
 basis vector plus one), 1 < r < M the grouped intermediates, and
 r = "standard" (r = M) the sequential build with exact truth snapshots.
 
-scipy is imported only inside the functions that use it: assembly, the
-sparse and triangular solves of a build or a study, and the W of a model
-made in memory.  ``import eimrb``, ``load_model`` and the solve of a
-loaded model load numpy alone, so the cold start of an online query
-pays for no more.
+scipy serves sparse work only (assembly, the nested-dissection order
+and the sparse LU) and is imported only inside the functions that do
+it.  Every dense solve runs on numpy, so one BLAS library and one thread
+pool do the dense work of a process.  ``import eimrb``, ``load_model``
+and the solve of a loaded model load numpy alone, so the cold start of
+an online query pays for no more.
 """
 
 from .fem import (Mesh, FESpace, SolverFailure, assemble_load,
@@ -28,10 +29,10 @@ from .eim import (DegenerateInterpolationPoint, DegenerateSnapshot, EimBasis,
 from .rb import DependentSnapshot, RbSolution, RbSpace, ReducedModel
 from .ser import (BuildReport, BuildResult, SerBuildError, SerConfig,
                   StepRecord, build_ser, reduced_g_block, truth_g_block)
-from .benchmark import (D_MAX, D_MIN, Parameter, SampleSet, StudyRow,
-                        TruthReferences, benchmark_problem, benchmark_rhs,
-                        benchmark_term, default_checkpoints, emit_table,
-                        in_parameter_domain, run_error_study)
+from .benchmark import (D_MAX, D_MIN, SampleSet, StudyRow, TruthReferences,
+                        benchmark_problem, benchmark_rhs, benchmark_term,
+                        default_checkpoints, emit_table, in_parameter_domain,
+                        run_error_study)
 from .archive import ArchiveError, load_model, save_model
 from .config import ConfigError, RunSettings, load_config, parse_config
 

@@ -1,6 +1,6 @@
 """Versioned model archives (npz): everything the online solver needs.
 
-An archive (format 7) holds two members per model and one metadata
+An archive (format 8) holds two members per model and one metadata
 record.  ``meta`` is one JSON string: the format version, the mesh/degree
 pair, the build's variant label ``label`` (``BuildReport.variant``),
 its update frequency r and rebuild flag, its finite element solve
@@ -8,11 +8,12 @@ count, a config fingerprint, the keys of the stored checkpoints, and
 for each model its basis size ``N`` and its interpolation points ``t``
 (a list of dof indices).  ``floats`` is one
 float64 vector holding the final ``ReducedModel``'s ``B``, ``A``, ``F``,
-``Rq``, ``Tr``, ``avg``, ``W``, ``snapshot_mus`` and ``snapshot_coeffs``
-in that order, each raveled in C order; their shapes follow from N and
-M = len(t).  ``W`` is the model's ``Rq^T B^{-1}`` with the bytes it has
-in memory, so a load runs no triangular solve and ``W @ g`` keeps its
-bits.  ``snapshot_coeffs`` is the model's N x N table of its reduced
+``Rq``, ``Tr``, ``avg``, ``snapshot_mus`` and ``snapshot_coeffs`` in
+that order, each raveled in C order; their shapes follow from N and
+M = len(t).  ``W = Rq^T B^{-1}`` is not stored: a loaded model forms it
+on its first solve from its stored ``B`` and ``Rq`` with the call the
+built model made, so ``W @ g`` keeps its bits on the machine that
+loads it.  ``snapshot_coeffs`` is the model's N x N table of its reduced
 solutions at its snapshot parameters, where its online solves start: it
 is made when the archive is written, so a load and a query never pay for
 it, and a loaded model starts every query where the saved one does.
@@ -36,11 +37,12 @@ space's element data are made on first use, and no online solve uses
 them.  It refuses an older format, a ``meta`` that is not JSON or holds
 a missing or mistyped entry or a model with N = 0 or no point, and an
 archive missing a checkpoint member at once; an archive whose arrays do
-not fit each other or the rebuilt space, whose ``W`` does not solve
-``W B = Rq^T``, or whose ``snapshot_coeffs`` holds a value that is not
-finite, when the model is parsed.  A format 6 archive, which has no ``snapshot_coeffs``, is
-refused like every older one.  A basis whose data cannot be parsed
-raises ArchiveError at the first lift.
+not fit each other or the rebuilt space, whose ``B`` is not exactly unit
+lower triangular (the form the solve that makes ``W`` relies on), or
+whose ``snapshot_coeffs`` holds a value that is not finite, when the
+model is parsed.  A format 7 archive, which stores ``W``, is refused
+like every older one.  A basis whose data cannot be parsed raises
+ArchiveError at the first lift.
 """
 
 import io
@@ -57,16 +59,12 @@ from .benchmark import benchmark_problem
 from .rb import ReducedModel
 from .ser import BuildReport, BuildResult
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 # the type of each archive-wide metadata entry (bool is no int here)
 META_TYPES = {"format_version": int, "mesh_n": int, "degree": int,
               "label": str, "r": (int, str), "rebuild_wn": bool,
               "fingerprint": str, "fe_solve_count": int,
               "checkpoint_keys": list}
-# a stored W is refused unless every entry of W B - Rq^T is within this
-# fraction of the same entry of |W| |B| (a triangular solve leaves about
-# M times the unit roundoff there)
-W_CHECK_REL = 1e-10
 
 
 class ArchiveError(ValueError):
@@ -80,7 +78,7 @@ def _float_shapes(n, m):
     """Shape of each array of a floats member, in their order there, for
     N = n and M = m."""
     return {"B": (m, m), "A": (n, n), "F": (n,), "Rq": (m, n), "Tr": (n, m),
-            "avg": (n,), "W": (n, m), "snapshot_mus": (n, 2),
+            "avg": (n,), "snapshot_mus": (n, 2),
             "snapshot_coeffs": (n, n)}
 
 
@@ -170,8 +168,8 @@ def _check_mesh(meta, basis_shape, nbytes):
 
 def _model_from_members(path, problem, data, meta, basis_shape, prefix):
     """The model stored under prefix, after checking that its arrays fit
-    each other and the problem's space, and that W fits B and Rq; it is
-    assigned its stored W and snapshot_coeffs.
+    each other and the problem's space, and that B is unit lower
+    triangular; it is assigned its stored snapshot_coeffs.
     basis_shape is the shape in its basis's npy header; the basis itself
     is parsed from data on first use."""
     n, t = meta[prefix + "N"], meta[prefix + "t"]
@@ -193,10 +191,9 @@ def _model_from_members(path, problem, data, meta, basis_shape, prefix):
         stop = start + math.prod(shape)
         arrays[name] = floats[start:stop].reshape(shape).copy()
         start = stop
-    W, B, Rq = arrays["W"], arrays["B"], arrays["Rq"]
-    if not np.all(np.abs(W @ B - Rq.T) <= W_CHECK_REL * (np.abs(W) @ np.abs(B))):
-        raise ValueError(f"{prefix}W does not solve W B = Rq^T to "
-                         f"{W_CHECK_REL:g} relative")
+    B = arrays["B"]
+    if not ((np.triu(B) == np.eye(m)).all() and np.isfinite(B).all()):
+        raise ValueError(f"{prefix}B is not unit lower triangular")
     if not np.all(np.isfinite(arrays["snapshot_coeffs"])):
         raise ValueError(f"{prefix}snapshot_coeffs holds a value that is "
                          "not finite")
@@ -205,10 +202,9 @@ def _model_from_members(path, problem, data, meta, basis_shape, prefix):
         with _reading(path):
             return data[prefix + "basis"]
 
-    model = ReducedModel(problem, t, B, arrays["A"], arrays["F"], Rq,
-                         arrays["Tr"], arrays["avg"], read_basis,
+    model = ReducedModel(problem, t, B, arrays["A"], arrays["F"],
+                         arrays["Rq"], arrays["Tr"], arrays["avg"], read_basis,
                          arrays["snapshot_mus"])
-    model.W = W
     model.snapshot_coeffs = arrays["snapshot_coeffs"]
     return model
 

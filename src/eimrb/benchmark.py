@@ -13,7 +13,6 @@ error against the full finite element solution on the same mesh.
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,21 +25,16 @@ D_MIN = 0.01
 D_MAX = 10.0
 
 
-class Parameter(NamedTuple):
-    mu1: float
-    mu2: float
-
-
 def in_parameter_domain(mu):
     return D_MIN <= mu[0] <= D_MAX and D_MIN <= mu[1] <= D_MAX
 
 
 class SampleSet:
-    """Deterministic parameter sample, log-spaced over [0.01, 10]^2."""
+    """Deterministic parameter sample, log-spaced over [0.01, 10]^2: a
+    sequence of (mu1, mu2) tuples."""
 
-    def __init__(self, points, descriptor):
+    def __init__(self, points):
         self.points = np.asarray(points, dtype=float)
-        self.descriptor = descriptor
 
     @classmethod
     def log_grid(cls, n1, n2):
@@ -48,24 +42,23 @@ class SampleSet:
         a = np.logspace(math.log10(D_MIN), math.log10(D_MAX), n1)
         b = np.logspace(math.log10(D_MIN), math.log10(D_MAX), n2)
         pts = np.column_stack([np.repeat(a, n2), np.tile(b, n1)])
-        return cls(pts, f"log-grid({n1}x{n2})")
+        return cls(pts)
 
     @classmethod
     def log_random(cls, count, seed):
         rng = np.random.default_rng(seed)
         pts = 10.0 ** rng.uniform(math.log10(D_MIN), math.log10(D_MAX),
                                   size=(count, 2))
-        return cls(pts, f"log-random({count},seed={seed})")
+        return cls(pts)
 
     def __len__(self):
         return len(self.points)
 
     def __getitem__(self, i):
-        return Parameter(*self.points[i])
+        return tuple(self.points[i])
 
     def __iter__(self):
-        for row in self.points:
-            yield Parameter(*row)
+        return map(tuple, self.points)
 
 
 def benchmark_term():

@@ -67,17 +67,17 @@ class EimBasis:
         return np.array(self.fields)
 
     def coeffs(self, values_at_points):
-        """Solve B beta = w(t) by forward substitution."""
-        from scipy.linalg import solve_triangular
+        """Solve B beta = w(t) by forward substitution, a row at a time
+        (numpy's LU solve of one vector rounds otherwise, and the
+        surrogate snapshots of a build read these bits)."""
         w = np.asarray(values_at_points, dtype=float)
         if w.shape != (self.M,):
             raise ValueError(f"expected {self.M} point values, got {w.shape}")
-        if self.M == 0:
-            return np.zeros(0)
-        # check_finite off: a non-finite w gives a non-finite beta, not a
-        # ValueError.  No Newton iterate reaches this solve: the surrogate
-        # solve passes only g at zero and at its converged point values
-        return solve_triangular(self.B, w, lower=True, check_finite=False)
+        B = self.B
+        beta = np.zeros(self.M)
+        for i in range(self.M):
+            beta[i] = (w[i] - B[i, :i] @ beta[:i]) / B[i, i]
+        return beta
 
     def evaluate(self, beta):
         """Field sum_m beta_m q_m as a dof-value array."""
@@ -165,7 +165,6 @@ def eim_greedy_step(basis, provider, samples):
     error below the saturation threshold returns a saturated step without
     enriching.
     """
-    from scipy.linalg import solve_triangular
     if basis.M < 1:
         raise ValueError("initialize the basis before greedy steps")
     fields, failures = provider(samples)
@@ -184,7 +183,9 @@ def eim_greedy_step(basis, provider, samples):
         chunk_bad = bad[lo:hi]
         chunk_bad |= ~np.all(np.isfinite(chunk), axis=1)
         chunk[chunk_bad] = 0.0
-        beta = solve_triangular(basis.B, chunk[:, t_idx].T, lower=True)
+        # B is unit lower triangular with no entry above 1 in size, so
+        # the LU solve pivots no row and runs the triangular solve
+        beta = np.linalg.solve(basis.B, chunk[:, t_idx].T)
         chunk -= beta.T @ q
         err = np.maximum(chunk.max(axis=1), -chunk.min(axis=1))
         err[chunk_bad] = np.nan

@@ -490,7 +490,6 @@ class SurrogateSolver:
     def update(self):
         """Add the columns of the fields appended to eim_g since the last
         call, and remake the M x M data of the solve from them."""
-        from scipy.linalg import cholesky, solve_triangular
         eim = self.eim_g
         m_old = len(self._solved)
         if m_old == eim.M:
@@ -510,11 +509,13 @@ class SurrogateSolver:
         t = np.asarray(eim.t, dtype=int)
         self.xt = self.problem.space.dof_coords[t]
         self.a = self.linear[t]
-        # X B^{-1} as (B^{-T} X^T)^T, for X = E_t A^{-1} M Q and for R
-        self.k_mat = solve_triangular(eim.B, self.solved_q[t].T, lower=True,
-                                      trans="T").T
-        self.norm_map = solve_triangular(eim.B, cholesky(self._gram).T,
-                                         lower=True, trans="T").T
+        # X B^{-1} as (B^{-T} X^T)^T, for X = E_t A^{-1} M Q and for
+        # R = L^T, with G = L L^T; B^T is unit upper triangular, so the LU
+        # solve pivots no row
+        self.k_mat = np.ascontiguousarray(
+            np.linalg.solve(eim.B.T, self.solved_q[t].T).T)
+        self.norm_map = np.ascontiguousarray(
+            np.linalg.solve(eim.B.T, np.linalg.cholesky(self._gram)).T)
 
 
 def truth_newton_solve_eim(surrogate, mu, cfg=None):

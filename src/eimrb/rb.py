@@ -47,12 +47,11 @@ fields enter a model only through Rq, so no model holds them, and
 ``RbSpace.model`` reads their mass products M q_m from the build's
 ``nonlinear.MassFields``, so a space never makes one.
 
-A model forms W on first use, and a model given a function in place of
-its (ndof, N) basis calls it on first use.  The online solve reads W and
-never the basis, so a loaded model, which is assigned its stored W and
-table and parses its basis on its first lift, answers a query without a
-triangular solve, without the basis and without scipy (imported here
-only where W is formed).
+A model forms W on first use, from B and Rq, and a model given a
+function in place of its (ndof, N) basis calls it on first use.  The
+online solve reads W and never the basis, so a loaded model, which is
+assigned its stored table and parses its basis on its first lift,
+answers a query without the basis and on numpy alone.
 """
 
 import math
@@ -223,12 +222,11 @@ class ReducedModel:
 
     @cached_property
     def W(self):
-        """Rq^T B^{-1} (N x M), formed once: with it a Newton step needs no
-        triangular solve (scipy runs one with N right-hand sides on several
-        BLAS threads, which cost more than the step it served)."""
-        from scipy.linalg import solve_triangular
-        return solve_triangular(self.B, self.Rq, lower=True, trans="T",
-                                check_finite=False).T
+        """Rq^T B^{-1} (N x M), formed once, so a Newton step needs no
+        triangular solve.  B^T is unit upper triangular, so the LU solve
+        pivots no row; W is C-contiguous, since the bits of W @ g can
+        depend on the layout."""
+        return np.ascontiguousarray(np.linalg.solve(self.B.T, self.Rq).T)
 
     @cached_property
     def basis(self):

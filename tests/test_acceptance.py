@@ -99,6 +99,23 @@ def ser5_build(bench, train20):
     return er.build_ser(bench, cfg)
 
 
+@pytest.mark.parametrize("name", ["std_build", "ser5_build", "ser1_build",
+                                  "ser1_rebuild_build"])
+def test_interpolation_matrix_is_unit_lower_triangular(name, request):
+    # the dense solves with B rely on it: with no entry above 1 in size,
+    # numpy's LU solve pivots no row and runs the triangular solve
+    result = request.getfixturevalue(name)
+    r, model = result.report.r, result.model
+    models = ([result.eim_g, model] + list(result.checkpoints.values())
+              + [model.restrict(n, m) for n, m in
+                 er.default_checkpoints(r, model.N, model.M)])
+    for each in models:
+        b = each.B
+        assert np.all(np.diag(b) == 1.0)
+        assert np.all(np.triu(b, 1) == 0.0)
+        assert np.all(np.abs(b) <= 1.0)
+
+
 def study(result, test_set, refs, table):
     checkpoints = [(n, m) for (n, m, _) in table]
     return er.run_error_study(result, test_set, checkpoints, references=refs)
@@ -267,7 +284,7 @@ def test_study_references_match_cold_truth_solves(bench, std_build, test225,
                                                   references):
     # the studies start each reference from a model's lifted solution; the
     # stopping rule is the cold one, so they agree with solves from u = 0
-    first40 = er.SampleSet(test225.points[:40], "test225[:40]")
+    first40 = er.SampleSet(test225.points[:40])
     er.run_error_study(std_build, first40, [(20, 25)], references=references)
     worst = max(float(np.abs(references.get(mu)[0]
                              - er.truth_newton_solve(bench, mu)[0]).max())

@@ -17,13 +17,13 @@ from eimrb.cli import EXIT_PIPE, _variant_slug, main
 from conftest import assert_same_model, same_bits
 
 
-def _w_entries(meta, prefix=""):
-    """The slice of W in the floats member of the model under prefix: it
-    follows B (M x M), A (N x N), F (N), Rq (M x N), Tr (N x M) and avg
-    (N)."""
-    n, m = meta[prefix + "N"], len(meta[prefix + "t"])
-    start = m * m + n * n + n + 2 * m * n + n
-    return slice(start, start + n * m)
+def _set_b(row, col, value):
+    """Damage that sets entry (row, col) of the final model's B, the first
+    M x M entries of its floats member."""
+    def damage(meta, members):
+        m = len(meta["t"])
+        members["floats"][row % m * m + col % m] = value
+    return damage
 
 
 def _table_entries(meta, prefix=""):
@@ -41,6 +41,15 @@ def _format_6(meta, members):
     members["floats"] = np.delete(
         members["floats"],
         np.arange(members["floats"].size)[_table_entries(meta)])
+
+
+def _format_7(meta, members):
+    """Damage that makes a format 7 archive: its version, and floats with
+    N x M entries for W after avg."""
+    meta.update(format_version=7)
+    n, m = meta["N"], len(meta["t"])
+    at = m * m + n * n + n + 2 * m * n + n
+    members["floats"] = np.insert(members["floats"], at, np.zeros(n * m))
 
 
 def _old_format(version):
@@ -295,11 +304,11 @@ class TestArchive:
         assert small.N == 2
 
     def test_archive_stores_each_model_once(self, rebuild_small, tmp_path):
-        # format 7: one metadata record, then per model one floats vector
+        # format 8: one metadata record, then per model one floats vector
         # of its arrays (raveled in C order, in the order below, the table
-        # of its solutions at its snapshot parameters last) and its basis,
-        # the stored checkpoint under its prefix; the basis is the only
-        # array as long as the dofs (no interpolant)
+        # of its solutions at its snapshot parameters last; no W) and its
+        # basis, the stored checkpoint under its prefix; the basis is the
+        # only array as long as the dofs (no interpolant)
         path = tmp_path / "model.npz"
         er.save_model(path, rebuild_small)
         with np.load(path, allow_pickle=False) as data:
@@ -307,7 +316,7 @@ class TestArchive:
         assert set(arrays) == {"meta", "floats", "basis", "cp0_floats",
                                "cp0_basis"}
         meta = json.loads(str(arrays["meta"]))
-        assert meta["format_version"] == 7
+        assert meta["format_version"] == 8
         assert set(meta) == {"format_version", "mesh_n", "degree", "label",
                              "r", "rebuild_wn", "fingerprint",
                              "fe_solve_count", "checkpoint_keys", "N", "t",
@@ -316,7 +325,7 @@ class TestArchive:
         ndof = rebuild_small.model.problem.space.ndof
         assert {name for name, a in arrays.items()
                 if ndof in a.shape} == {"basis", "cp0_basis"}
-        # W is stored as the model holds it in memory: bytes and layout,
+        # a loaded model forms W as the built one did: bytes and layout,
         # on which the bits of W @ g depend
         loaded = er.load_model(path)
         for prefix, built, model in (
@@ -330,15 +339,13 @@ class TestArchive:
             floats = arrays[prefix + "floats"]
             assert same_bits(floats, np.concatenate(
                 [np.ravel(getattr(built, name)) for name in
-                 ("B", "A", "F", "Rq", "Tr", "avg", "W")]
+                 ("B", "A", "F", "Rq", "Tr", "avg")]
                 + [np.ravel(built.snapshot_mus),
                    np.ravel(built.snapshot_coeffs)]))
             assert same_bits(arrays[prefix + "basis"], built.basis)
-            stored_w = floats[_w_entries(meta, prefix)].reshape(built.W.shape)
-            for w in (stored_w, model.W):
-                assert same_bits(w, built.W)
-                assert (w.flags.c_contiguous, w.flags.f_contiguous) == (
-                    built.W.flags.c_contiguous, built.W.flags.f_contiguous)
+            assert same_bits(model.W, built.W)
+            assert (model.W.flags.c_contiguous, model.W.flags.f_contiguous) \
+                == (built.W.flags.c_contiguous, built.W.flags.f_contiguous)
 
     @pytest.mark.parametrize("damage, match", [
         (_old_format(1), "unsupported archive format version 1"),
@@ -347,6 +354,7 @@ class TestArchive:
         (_old_format(4), "unsupported archive format version 4"),
         (_old_format(5), "unsupported archive format version 5"),
         (_format_6, "unsupported archive format version 6"),
+        (_format_7, "unsupported archive format version 7"),
         (lambda meta, members: meta.update(format_version=99),
          "unsupported archive format version 99"),
         (lambda meta, members: members.pop("meta"), "meta is not a file"),
@@ -367,20 +375,11 @@ class TestArchive:
          "meta rebuild_wn holds"),
         (lambda meta, members: members.update(floats=members["floats"][:-1]),
          "floats has shape"),
-        (lambda meta, members: members.update(floats=np.delete(
-            members["floats"], np.arange(members["floats"].size)[
-                _w_entries(meta)])), "floats has shape"),
         (lambda meta, members: members.pop("floats"), "floats is not a file"),
         (lambda meta, members: members.pop("basis"), "basis is not a file"),
-        (lambda meta, members: members["floats"].__setitem__(
-            _w_entries(meta).stop - 1,
-            members["floats"][_w_entries(meta).stop - 1]
-            + 1e-8 * np.abs(members["floats"][_w_entries(meta)]).max()),
-         "W does not solve"),
-        (lambda meta, members: members.update(floats=np.delete(
-            members["floats"], np.arange(members["floats"].size)[
-                _w_entries(meta)][len(meta["t"]) - 1::len(meta["t"])])),
-         "floats has shape"),
+        (_set_b(-1, -1, 1.0 + 2.0 ** -52), "B is not unit lower triangular"),
+        (_set_b(0, -1, 1e-300), "B is not unit lower triangular"),
+        (_set_b(-1, 0, np.nan), "B is not unit lower triangular"),
         (lambda meta, members: members.update(floats=np.delete(
             members["floats"], np.arange(members["floats"].size)[
                 _table_entries(meta)])), "floats has shape"),
@@ -394,11 +393,11 @@ class TestArchive:
         (_cut(m=0), r"meta t holds \[\]"),
         (b"not a model archive\n", "pickle"),
         (b"", "No data left"),
-    ], ids=["v1", "v2", "v3", "v4", "v5", "v6", "v99", "missing-meta",
+    ], ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v99", "missing-meta",
             "bad-json", "deep-json", "meta-not-object", "meta-lacks-key",
             "meta-lacks-t", "t-float", "mesh_n-string", "rebuild_wn-int",
-            "missing-A", "missing-W", "missing-floats", "missing-basis",
-            "W-perturbed", "W-misshapen", "missing-table", "table-not-finite",
+            "missing-A", "missing-floats", "missing-basis", "B-diagonal",
+            "B-upper", "B-not-finite", "missing-table", "table-not-finite",
             "t-outside", "other-mesh", "N-zero", "t-empty", "junk", "empty"])
     def test_unloadable_archive_is_refused(self, standard_small, tmp_path,
                                            capsys, damage, match):

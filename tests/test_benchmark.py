@@ -102,7 +102,7 @@ class TestErrorStudy:
         samples = er.SampleSet.log_grid(3, 3)
         cfg = er.SerConfig(r="standard", n_max=4, m_max=9, train_set=samples)
         result = er.build_ser(problem8, cfg)
-        snap_set = er.SampleSet(np.array(result.model.snapshot_mus), "snapshots")
+        snap_set = er.SampleSet(np.array(result.model.snapshot_mus))
         rows = er.run_error_study(result, snap_set, [(4, 9)])
         assert rows[0].failures == 0
         assert rows[0].max_err_u <= 1e-8

@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module,
-the package has one sparse direct solve, and no module imports scipy
-when it is loaded.
+the package has one sparse direct solve and no dense scipy solve, and no
+module imports scipy when it is loaded.
 
 No linter runs on the package, so these checks parse each module with
 ``ast``.  A name bound by an import statement must be read somewhere in
@@ -8,8 +8,10 @@ the module; ``__init__.py`` is left out, since its imports are the
 package's exports.  The sparse direct solvers of scipy (``splu``,
 ``spsolve``, ``factorized``) may be named only inside
 ``fem.factor_sparse``, so that a second linear-solve path shows in the
-diff that adds it.  scipy may be imported only inside a function, so
-that ``import eimrb`` and an online query load numpy alone.
+diff that adds it.  No module names ``scipy.linalg``: every dense solve
+runs on numpy, so a process loads one BLAS library with one thread pool.
+scipy may be imported only inside a function, so that ``import eimrb``
+and an online query load numpy alone.
 """
 
 import ast
@@ -105,6 +107,47 @@ def test_one_sparse_solve_path():
              for name, found in sorted(uses.items())
              for scope, line, solver in found
              if (name, scope) != ("fem.py", "factor_sparse")]
+    assert not stray, ", ".join(stray)
+
+
+def dense_scipy_uses(source):
+    """(line, name) of each import of scipy.linalg, of a module below it or
+    of a name from it, and of each reference scipy.linalg."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name.split(".")[:2] == ["scipy", "linalg"])
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            found.extend((node.lineno, name) for name in names
+                         if name.split(".")[:2] == ["scipy", "linalg"])
+        elif (isinstance(node, ast.Attribute) and node.attr == "linalg"
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "scipy"):
+            found.append((node.lineno, "scipy.linalg"))
+    return sorted(found)
+
+
+def test_dense_checker_finds_imports_and_references():
+    source = ("import scipy.sparse.linalg as spla\n"
+              "import scipy.linalg\n"
+              "from scipy.linalg import solve_triangular\n"
+              "from scipy import linalg, sparse\n"
+              "from scipy.linalg.lapack import dgesv\n"
+              "import scipy\n"
+              "def solve(a, b):\n"
+              "    return scipy.linalg.cholesky(a), spla.splu(b)\n")
+    assert dense_scipy_uses(source) == [
+        (2, "scipy.linalg"), (3, "scipy.linalg.solve_triangular"),
+        (4, "scipy.linalg"), (5, "scipy.linalg.lapack.dgesv"),
+        (8, "scipy.linalg")]
+
+
+def test_no_dense_scipy_solve():
+    stray = [f"{path.name}:{line}: {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in dense_scipy_uses(path.read_text(encoding="utf-8"))]
     assert not stray, ", ".join(stray)
 
 

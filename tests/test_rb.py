@@ -425,6 +425,33 @@ class TestOnlineStart:
                 assert history[-1] <= tol
                 assert all(norm > tol for norm in history[1:-1])
 
+    def test_start_takes_each_residual_on_its_own_row(self, problem8):
+        # solve calls g once on the rows zero and start, then takes the
+        # residual of each as a one-row product: on models with random A,
+        # W and Tr, a two-row product rounds the start row otherwise
+        n = m = 5
+        mu = (0.3, 0.5)
+        moved = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            model = er.ReducedModel(
+                problem8, np.arange(m), np.eye(m),
+                10.0 * np.eye(n) + rng.standard_normal((n, n)),
+                rng.standard_normal(n), np.zeros((m, n)),
+                rng.standard_normal((n, m)), np.zeros(n),
+                np.zeros((problem8.space.ndof, n)), [(1.0, 1.0)] * n)
+            model.W = rng.standard_normal((n, m))
+            start = rng.standard_normal(n)
+            g_start = model.problem.term.g(start[None] @ model.Tr, model.xg,
+                                           np.array([mu]))
+            one_row = model._residual(start[None], g_start)
+            two_rows = model._residual(np.vstack([np.zeros(n), start]),
+                                       np.vstack([np.zeros(m), g_start]))[1:]
+            norm = math.sqrt(np.vdot(one_row, one_row))
+            moved += norm != math.sqrt(np.vdot(two_rows, two_rows))
+            assert model.solve(mu, initial=start).residual_history[0] == norm
+        assert moved
+
     def test_restriction_derives_its_own_table(self, ser_small):
         small = ser_small.model.restrict(3, 3)
         assert "snapshot_coeffs" not in vars(small)
