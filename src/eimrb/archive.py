@@ -1,22 +1,26 @@
 """Versioned model archives (npz): everything the online solver needs.
 
-An archive (format 8) holds two members per model and one metadata
+An archive (format 9) holds two members per model and one metadata
 record.  ``meta`` is one JSON string: the format version, the mesh/degree
 pair, the build's variant label ``label`` (``BuildReport.variant``),
 its update frequency r and rebuild flag, its finite element solve
 count, a config fingerprint, the keys of the stored checkpoints, and
-for each model its basis size ``N`` and its interpolation points ``t``
-(a list of dof indices).  ``floats`` is one
-float64 vector holding the final ``ReducedModel``'s ``B``, ``A``, ``F``,
-``Rq``, ``Tr``, ``avg``, ``snapshot_mus`` and ``snapshot_coeffs`` in
-that order, each raveled in C order; their shapes follow from N and
-M = len(t).  ``W = Rq^T B^{-1}`` is not stored: a loaded model forms it
-on its first solve from its stored ``B`` and ``Rq`` with the call the
-built model made, so ``W @ g`` keeps its bits on the machine that
-loads it.  ``snapshot_coeffs`` is the model's N x N table of its reduced
-solutions at its snapshot parameters, where its online solves start: it
-is made when the archive is written, so a load and a query never pay for
-it, and a loaded model starts every query where the saved one does.
+for each model its basis size ``N``, its interpolation points ``t``
+(a list of dof indices) and the row count ``P`` of its start table.
+``floats`` is one float64 vector holding the final ``ReducedModel``'s
+``B``, ``A``, ``F``, ``Rq``, ``Tr``, ``avg``, ``snapshot_mus``, and its
+start table's ``start_mus`` (P, 2), ``start_coeffs`` (P, N) and
+``start_slopes`` (P, 2, N), in that order, each raveled in C order;
+their shapes follow from N, M = len(t) and P.  ``W = Rq^T B^{-1}`` is
+not stored: a loaded model forms it on its first solve from its stored
+``B`` and ``Rq`` with the call the built model made, so ``W @ g`` keeps
+its bits on the machine that loads it.  The start table
+(``ReducedModel.start_table``) holds the rows of the model's training
+set where its cold solve converged, with their solutions and slopes:
+it is made when the archive is written, so a load and a query never pay
+for it, and a loaded model starts every query where the saved one does.
+A loaded model's ``start_mus`` are the stored rows, so a restriction of
+it makes its table over those.
 ``basis`` is the (ndof, N) stacked basis.  The interpolant's fields are
 not stored: the online solve reads them only through ``Rq``.  A stored
 checkpoint adds ``floats`` and ``basis`` under the prefix ``cp<i>_`` and
@@ -39,9 +43,10 @@ a missing or mistyped entry or a model with N = 0 or no point, and an
 archive missing a checkpoint member at once; an archive whose arrays do
 not fit each other or the rebuilt space, whose ``B`` is not exactly unit
 lower triangular (the form the solve that makes ``W`` relies on), or
-whose ``snapshot_coeffs`` holds a value that is not finite, when the
-model is parsed.  A format 7 archive, which stores ``W``, is refused
-like every older one.  A basis whose data cannot be parsed raises
+whose start table holds a value that is not finite or a parameter that
+is not positive, when the model is parsed.  A format 8 archive, which
+stores an N-row table at the snapshot parameters, is refused like every
+older one.  A basis whose data cannot be parsed raises
 ArchiveError at the first lift.
 """
 
@@ -56,10 +61,10 @@ from contextlib import contextmanager
 import numpy as np
 
 from .benchmark import benchmark_problem
-from .rb import ReducedModel
+from .rb import ReducedModel, StartTable
 from .ser import BuildReport, BuildResult
 
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 # the type of each archive-wide metadata entry (bool is no int here)
 META_TYPES = {"format_version": int, "mesh_n": int, "degree": int,
               "label": str, "r": (int, str), "rebuild_wn": bool,
@@ -74,22 +79,28 @@ class ArchiveError(ValueError):
     be parsed."""
 
 
-def _float_shapes(n, m):
+def _float_shapes(n, m, p):
     """Shape of each array of a floats member, in their order there, for
-    N = n and M = m."""
+    N = n, M = m and a start table of p rows."""
     return {"B": (m, m), "A": (n, n), "F": (n,), "Rq": (m, n), "Tr": (n, m),
-            "avg": (n,), "snapshot_mus": (n, 2),
-            "snapshot_coeffs": (n, n)}
+            "avg": (n,), "snapshot_mus": (n, 2), "start_mus": (p, 2),
+            "start_coeffs": (p, n), "start_slopes": (p, 2, n)}
 
 
 def _model_members(model, prefix):
     """The npz members and the metadata entries of one model."""
-    names = _float_shapes(model.N, model.M)
-    floats = np.concatenate([np.asarray(getattr(model, name), dtype=float)
-                             .ravel() for name in names])
+    table = model.start_table
+    arrays = {name: getattr(model, name) for name in
+              ("B", "A", "F", "Rq", "Tr", "avg", "snapshot_mus")}
+    arrays.update(start_mus=table.mus, start_coeffs=table.coeffs,
+                  start_slopes=table.slopes)
+    floats = np.concatenate([
+        np.asarray(arrays[name], dtype=float).ravel()
+        for name in _float_shapes(model.N, model.M, len(table.mus))])
     members = {prefix + "floats": floats,
                prefix + "basis": np.asarray(model.basis, dtype=float)}
-    meta = {prefix + "N": model.N, prefix + "t": [int(p) for p in model.t]}
+    meta = {prefix + "N": model.N, prefix + "t": [int(p) for p in model.t],
+            prefix + "P": len(table.mus)}
     return members, meta
 
 
@@ -122,7 +133,8 @@ def _read_meta(data):
         raise ValueError(f"meta checkpoint_keys holds {keys!r}")
     for prefix in _prefixes(meta):
         for key, valid in ((prefix + "N", lambda n: type(n) is int and n >= 1),
-                           (prefix + "t", lambda t: _is_ints(t) and t != [])):
+                           (prefix + "t", lambda t: _is_ints(t) and t != []),
+                           (prefix + "P", lambda p: type(p) is int and p >= 0)):
             if key not in meta:
                 raise ValueError(f"meta lacks {key}")
             if not valid(meta[key]):
@@ -136,15 +148,38 @@ def _prefixes(meta):
     return [""] + [f"cp{i}_" for i in range(len(meta["checkpoint_keys"]))]
 
 
-def _header_shape(data, name):
-    """Shape of the npz member name, read from its npy header alone."""
+def _member_file(data, name):
+    """The zip entry of the npz member name."""
     if name not in data.files:
         raise KeyError(f"{name} is not a file in the archive")
-    with data.zip.open(name + ".npy") as fh:
-        version = np.lib.format.read_magic(fh)
-        read = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-                else np.lib.format.read_array_header_2_0)
-        return read(fh)[0]
+    return name + ".npy"
+
+
+def _npy_header(fh):
+    """(shape, fortran_order, dtype) of the npy header at fh, which is
+    left after it."""
+    version = np.lib.format.read_magic(fh)
+    read = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+            else np.lib.format.read_array_header_2_0)
+    return read(fh)
+
+
+def _header_shape(data, name):
+    """Shape of the npz member name, read from its npy header alone."""
+    with data.zip.open(_member_file(data, name)) as fh:
+        return _npy_header(fh)[0]
+
+
+def _read_member(data, name):
+    """The npy header (shape, fortran_order, dtype) of the npz member name
+    and its data, a view of the bytes of one zip read of the whole member,
+    which checks its CRC.  numpy's own member read copies the data in
+    chunks: a cold load of the r=1 perfbench archive, whose floats are
+    mostly its start table, took 8-9% longer with it."""
+    buf = data.zip.read(_member_file(data, name))
+    fh = io.BytesIO(buf)
+    header = _npy_header(fh)
+    return header, memoryview(buf)[fh.tell():]
 
 
 def _check_mesh(meta, basis_shape, nbytes):
@@ -168,23 +203,24 @@ def _check_mesh(meta, basis_shape, nbytes):
 
 def _model_from_members(path, problem, data, meta, basis_shape, prefix):
     """The model stored under prefix, after checking that its arrays fit
-    each other and the problem's space, and that B is unit lower
-    triangular; it is assigned its stored snapshot_coeffs.
+    each other and the problem's space, that B is unit lower triangular
+    and that the start table is finite; it is assigned its stored table.
     basis_shape is the shape in its basis's npy header; the basis itself
     is parsed from data on first use."""
-    n, t = meta[prefix + "N"], meta[prefix + "t"]
+    n, t, p = meta[prefix + "N"], meta[prefix + "t"], meta[prefix + "P"]
     m, ndof = len(t), problem.space.ndof
-    shapes = _float_shapes(n, m)
-    floats = data[prefix + "floats"]
+    shapes = _float_shapes(n, m, p)
     size = sum(math.prod(shape) for shape in shapes.values())
-    if floats.dtype != np.float64 or floats.shape != (size,):
-        raise ValueError(f"{prefix}floats has shape {floats.shape} and dtype "
-                         f"{floats.dtype}, expected ({size},) float64 for "
-                         f"N={n}, M={m}")
+    (shape, _, dtype), stored = _read_member(data, prefix + "floats")
+    if dtype != np.float64 or shape != (size,):
+        raise ValueError(f"{prefix}floats has shape {shape} and dtype "
+                         f"{dtype}, expected ({size},) float64 for "
+                         f"N={n}, M={m}, P={p}")
+    floats = np.frombuffer(stored, dtype=np.float64, count=size)
     if basis_shape != (ndof, n):
         raise ValueError(f"{prefix}basis has shape {basis_shape}, expected "
                          f"{(ndof, n)} on {ndof} dofs")
-    if not all(0 <= p < ndof for p in t):
+    if not all(0 <= point < ndof for point in t):
         raise ValueError(f"{prefix}t holds a point outside the {ndof} dofs")
     arrays, start = {}, 0
     for name, shape in shapes.items():
@@ -194,9 +230,15 @@ def _model_from_members(path, problem, data, meta, basis_shape, prefix):
     B = arrays["B"]
     if not ((np.triu(B) == np.eye(m)).all() and np.isfinite(B).all()):
         raise ValueError(f"{prefix}B is not unit lower triangular")
-    if not np.all(np.isfinite(arrays["snapshot_coeffs"])):
-        raise ValueError(f"{prefix}snapshot_coeffs holds a value that is "
-                         "not finite")
+    table = [arrays[name] for name in
+             ("start_mus", "start_coeffs", "start_slopes")]
+    if not all(np.isfinite(a).all() for a in table):
+        raise ValueError(f"{prefix}start table holds a value that is not "
+                         "finite")
+    if not (table[0] > 0).all():
+        raise ValueError(f"{prefix}start_mus holds a parameter that is not "
+                         "positive")
+    table = StartTable(*table)
 
     def read_basis():
         with _reading(path):
@@ -204,8 +246,8 @@ def _model_from_members(path, problem, data, meta, basis_shape, prefix):
 
     model = ReducedModel(problem, t, B, arrays["A"], arrays["F"],
                          arrays["Rq"], arrays["Tr"], arrays["avg"], read_basis,
-                         arrays["snapshot_mus"])
-    model.snapshot_coeffs = arrays["snapshot_coeffs"]
+                         arrays["snapshot_mus"], table.mus)
+    model.start_table = table
     return model
 
 

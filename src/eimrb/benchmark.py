@@ -145,7 +145,7 @@ class TruthReferences:
         self.newton = newton or DEFAULT_NEWTON
         self.cache = {}
         self.chord = Chord()             # the last factor, carried over
-        self._logs = np.empty((0, 2))    # cached log-parameters, row by row
+        self._logs = np.empty((2, 0))    # cached log-parameters, as columns
 
     @property
     def solves(self):
@@ -156,7 +156,7 @@ class TruthReferences:
         the first cached on a tie; None while the cache is empty."""
         if not self.cache:
             return None
-        return list(self.cache.values())[nearest(self._logs, mu)][0]
+        return list(self.cache.values())[nearest(self._logs, np.log(mu))][0]
 
     def get(self, mu, guess=None):
         """The cached (solution, output) at mu, solved on a miss.  guess,
@@ -170,7 +170,7 @@ class TruthReferences:
             u, _ = truth_newton_solve(self.problem, key, self.newton, initial,
                                       self.chord)
             self.cache[key] = (u, self.problem.average(u))
-            self._logs = np.vstack([self._logs, np.log(key)])
+            self._logs = np.column_stack([self._logs, np.log(key)])
         return self.cache[key]
 
 

@@ -8,12 +8,12 @@ raises every failure from one set of templates (``newton_failure``):
 a residual not finite at the initial guess, a stall, a divergence, and
 a singular Jacobian.  r0 is the residual norm at zero: a solve that
 starts elsewhere (the truth solve from a neighbour's solution, the
-reduced solve from its model's solution at the nearest snapshot
-parameter, see ``nearest``) passes it as the reference, so a good start
-saves steps but never moves the rule.  ``rb.ReducedModel.solve_many``,
-the block solver of the greedy sweeps, raises its failures from the
-same templates and takes its tolerances from the same rule, one array
-for the whole block.
+reduced solve from a tangent prediction off its model's solution at
+the nearest training parameter, see ``nearest``) passes it as the
+reference, so a good start saves steps but never moves the rule.
+``rb.ReducedModel.solve_many``, the block solver of the greedy sweeps,
+raises its failures from the same templates and takes its tolerances
+from the same rule, one array for the whole block.
 
 The full problem is: find u with zero boundary values such that
 
@@ -188,14 +188,16 @@ def mu_row(mu):
     return np.asarray(mu, dtype=float).reshape(1, -1)
 
 
-def nearest(log_points, mu):
-    """Row of the (k, 2) array log_points of log-parameters nearest to the
-    parameter mu (a pair or its (1, 2) row) in log-parameter distance, the
-    first on a tie: the start rule of the truth references and of the
-    online reduced solve."""
-    d = log_points - np.log(mu)
-    d *= d
-    return int((d[:, 0] + d[:, 1]).argmin())
+def nearest(log_columns, log_mu):
+    """Column of the (2, k) array log_columns of log-parameters nearest to
+    the (2,) log-parameter log_mu, the first on a tie: the start rule of
+    the truth references and of the online reduced solve."""
+    d0 = log_columns[0] - log_mu[0]
+    d1 = log_columns[1] - log_mu[1]
+    d0 *= d0
+    d1 *= d1
+    d0 += d1
+    return int(d0.argmin())
 
 
 class NonlinearProblem:

@@ -24,11 +24,22 @@ J from one pair of kernels on a (P, N) block, ``_residual`` and
 ``_jacobian``, ``solve`` on a (1, N) row.
 
 An online query starts where the model already knows an answer near
-it.  A model holds its own reduced solutions at its N snapshot
-parameters (``snapshot_coeffs``, one cold ``solve_many``; a row that
-fails stays zero), and ``solve`` without an initial guess starts Newton
-at the row whose snapshot parameter is nearest to mu in log-parameter
-distance (``nonlinear.nearest``, the rule of the truth references too).
+it.  A model holds a start table over its ``start_mus``, the training
+set of the build that made it (``start_table``): at each of those
+parameters mu_k its own reduced solution c_k, from one cold
+``solve_many`` with the default settings, and the slope S_k = dc/dlog mu
+there, the tangent of the solution path,
+
+    S_k = -J(c_k)^{-1} W dg/dlog mu (Tr^T c_k; mu_k),
+
+from one stacked solve with the two columns of the right-hand side as
+its right-hand sides; dg/dlog mu is a central difference of the term on
+the point values (step ``SLOPE_STEP``), since the term has no
+mu-derivative.  A row whose cold solve fails or whose slope is not
+finite is left out.  ``solve`` without an initial guess starts Newton
+at the Euler (tangent) prediction c_k + S_k (log mu - log mu_k) of the
+row nearest to mu in log-parameter distance (``nonlinear.nearest``, the
+rule of the truth references too), or at zero when no row is left.
 Every ``solve`` stops at cfg.tolerance of the residual norm at c = 0,
 whatever its start, so a start saves steps but never moves the rule.
 The sweeps' ``solve_many`` stays cold, so no build array depends on a
@@ -55,11 +66,15 @@ answers a query without the basis and on numpy alone.
 """
 
 import math
+from contextlib import suppress
 from functools import cached_property
 
 import numpy as np
 
 from .nonlinear import DEFAULT_NEWTON, _newton, nearest, newton_failure
+
+# step in log mu of the central difference of the term in the slopes
+SLOPE_STEP = 1e-5
 
 
 class DependentSnapshot(RuntimeError):
@@ -129,11 +144,11 @@ class RbSpace:
         self.mus.append(tuple(mu))
         return xi
 
-    def model(self, mass_fields):
+    def model(self, mass_fields, start_mus):
         """Online model of the current basis and the interpolant of
         mass_fields (a nonlinear.MassFields, which makes the products
         M q_m that Rq reads), its blocks first grown to the current
-        (N, M)."""
+        (N, M), that starts its solves from a table over start_mus."""
         eim = mass_fields.eim
         mass_qs = mass_fields.update()
         n_old, n_new = self.A.shape[0], self.N
@@ -175,7 +190,7 @@ class RbSpace:
         stacked = self.basis_matrix()
         return ReducedModel(self.problem, eim.t, eim.B, self.A, self.F,
                             self.Rq, stacked[eim.t].T.copy(), self.avg,
-                            stacked, self.mus)
+                            stacked, self.mus, start_mus)
 
 
 class RbSolution:
@@ -190,6 +205,30 @@ class RbSolution:
         self.residual_history = residual_history
 
 
+class StartTable:
+    """The rows where ``ReducedModel.solve`` may start: the (P, 2)
+    parameters mus, the (P, N) reduced solutions coeffs there and the
+    (P, 2, N) slopes, row k holding dc/dlog mu_1 and dc/dlog mu_2 at
+    mus[k]; logs are the (P, 2) log-parameters."""
+
+    __slots__ = ("mus", "coeffs", "slopes", "logs", "_log_columns")
+
+    def __init__(self, mus, coeffs, slopes):
+        self.mus, self.coeffs, self.slopes = mus, coeffs, slopes
+        self.logs = np.log(mus)
+        # the nearest-row search is faster on two contiguous columns
+        self._log_columns = np.ascontiguousarray(self.logs.T)
+
+    def start(self, mu):
+        """The tangent prediction at the (2,) parameter mu from the row
+        nearest in log-parameter distance, or zero with no row."""
+        if not len(self.coeffs):
+            return np.zeros(self.coeffs.shape[1])
+        log_mu = np.log(mu)
+        k = nearest(self._log_columns, log_mu)
+        return self.coeffs[k] + (log_mu - self.logs[k]) @ self.slopes[k]
+
+
 class ReducedModel:
     """Everything needed to solve the reduced problem at a new parameter.
 
@@ -199,13 +238,15 @@ class ReducedModel:
     basis traces at the interpolation points, avg (N,) the basis averages
     and basis the (ndof, N) stacked basis, or a function of no arguments
     that returns it when it is first read (how a loaded model parses it
-    late).  The interpolation point coordinates xg are derived here, and
-    W and the table snapshot_coeffs on first use; an assigned W, table
-    or basis replaces the derived one.
+    late).  snapshot_mus records the parameters of the basis snapshots,
+    and start_mus (P, 2) those where the start table may have rows (a
+    copy of the given sequence).  The interpolation point
+    coordinates xg are derived here, and W and the start_table on first
+    use; an assigned W, table or basis replaces the derived one.
     """
 
     def __init__(self, problem, t, B, A, F, Rq, Tr, avg, basis,
-                 snapshot_mus):
+                 snapshot_mus, start_mus):
         self.problem = problem
         # own copies: the build's interpolant goes on growing
         self.t = np.array(t, dtype=np.int64)
@@ -216,6 +257,7 @@ class ReducedModel:
         else:
             self.basis = basis
         self.snapshot_mus = [tuple(mu) for mu in snapshot_mus]
+        self.start_mus = np.array(start_mus, dtype=float).reshape(-1, 2)
         # coordinates of the interpolation points, so a solve does not
         # index the ndof-sized dof coordinates
         self.xg = problem.space.dof_coords[self.t]
@@ -243,15 +285,36 @@ class ReducedModel:
         return len(self.t)
 
     @cached_property
-    def snapshot_coeffs(self):
-        """(N, N) reduced solutions at the snapshot parameters, row k at
-        snapshot_mus[k], from one cold solve_many with the default
-        settings (a row that fails stays zero): the starts of solve."""
-        return self.solve_many(self.snapshot_mus)[0]
-
-    @cached_property
-    def _snapshot_logs(self):
-        return np.log(np.array(self.snapshot_mus, dtype=float))
+    def start_table(self):
+        """The StartTable over start_mus: one cold solve_many with the
+        default settings, then the slopes -J^{-1} W dg/dlog mu at the
+        converged rows from one stacked solve; rows that fail either are
+        left out."""
+        mus = self.start_mus
+        coeffs, failures = self.solve_many(mus)
+        term, xg = self.problem.term, self.xg
+        values = coeffs @ self.Tr
+        with np.errstate(over="ignore", invalid="ignore"):
+            # (P, 2, M): the term's central difference in each log mu_j
+            dg_dlog = np.stack([
+                (term.g(values, xg, mus * step) - term.g(values, xg, mus / step))
+                / (2 * SLOPE_STEP)
+                for step in np.exp(SLOPE_STEP * np.eye(2))], axis=1)
+            jac = self._jacobian(term.dg_du(values, xg, mus))
+            rhs = -(dg_dlog @ self.W.T).transpose(0, 2, 1)     # (P, N, 2)
+            try:
+                slopes = np.linalg.solve(jac, rhs)
+            except np.linalg.LinAlgError:
+                # the stacked solve only says that some Jacobian is
+                # singular: solve one by one and leave those rows out
+                slopes = np.full(rhs.shape, np.nan)
+                for k in range(len(jac)):
+                    with suppress(np.linalg.LinAlgError):
+                        slopes[k] = np.linalg.solve(jac[k], rhs[k])
+        kept = np.isfinite(slopes).all(axis=(1, 2))
+        kept[list(failures)] = False
+        return StartTable(mus[kept], coeffs[kept], np.ascontiguousarray(
+            slopes[kept].transpose(0, 2, 1)))
 
     def _residual(self, c, g_values):
         """Residuals of a (P, N) block c, g_values being g at c Tr."""
@@ -265,11 +328,12 @@ class ReducedModel:
         """Online reduced Newton solve on the shared driver; cost
         independent of the FE dimension.
 
-        Newton starts from initial, or when none is given from the row of
-        snapshot_coeffs whose snapshot parameter is nearest to mu in
-        log-parameter distance (nonlinear.nearest).  Whatever the start,
-        it stops at cfg.tolerance of the residual norm at c = 0, as the
-        truth solve does: a start saves steps but never moves the rule.
+        Newton starts from initial, N coefficients, or when none is
+        given from the tangent prediction of the start_table row nearest
+        to mu in log-parameter distance (nonlinear.nearest).  Whatever
+        the start, it stops at cfg.tolerance of the residual norm at
+        c = 0, as the truth solve does: a start saves steps but never
+        moves the rule.
         """
         cfg = cfg or DEFAULT_NEWTON
         if self.N < 1:
@@ -279,8 +343,11 @@ class ReducedModel:
         twice = np.array((mu, mu), dtype=float)     # mu on two rows
         mus = twice[:1]
         if initial is None:
-            initial = self.snapshot_coeffs[nearest(self._snapshot_logs, mus)]
+            initial = self.start_table.start(twice[0])
         c = np.array(initial, dtype=float, ndmin=2)     # a (1, N) row
+        if c.shape != (1, self.N):
+            raise ValueError(f"initial has shape {np.shape(initial)}, "
+                             f"expected N={self.N} coefficients")
         values = r = norm_at_zero = None    # c Tr and the residual at c
 
         def residual(g_values):
@@ -402,9 +469,13 @@ class ReducedModel:
     def restrict(self, n, m):
         """Model of the leading n basis vectors and m interpolant fields,
         on copies of the sliced arrays (valid because growth is
-        append-only).  An m above M is taken as M.  It makes its own
-        snapshot_coeffs on its first solve: the rows of this model's
+        append-only).  An m above M is taken as M; n and m are ints (a
+        bool or a float is refused).  It makes its own start_table over
+        the same start_mus on its first solve: the rows of this model's
         table solve this model, not the restricted one."""
+        if type(n) is not int or type(m) is not int:
+            raise ValueError(f"restriction sizes must be ints, got {n!r} "
+                             f"and {m!r}")
         if n < 1 or m < 1:
             raise ValueError(f"cannot restrict a model to N={n}, M={m}")
         if n > self.N:
@@ -414,4 +485,4 @@ class ReducedModel:
                             self.A[:n, :n].copy(), self.F[:n].copy(),
                             self.Rq[:m, :n].copy(), self.Tr[:n, :m].copy(),
                             self.avg[:n].copy(), self.basis[:, :n].copy(),
-                            self.snapshot_mus[:n])
+                            self.snapshot_mus[:n], self.start_mus)

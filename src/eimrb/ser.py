@@ -33,10 +33,12 @@ is append-only between rebuilds, so the model of an earlier (N, M)
 stage is the final model restricted to it, equal in every array
 (``BuildResult.checkpoint``).  A stage from ``SerConfig.checkpoints`` is
 stored only when a later update of a ``rebuild_wn`` build replaces the
-basis it was solved with.  Before it returns, the build makes the final
-model's table of reduced solutions at its snapshot parameters
-(``ReducedModel.snapshot_coeffs``, one cold ``solve_many``), where its
-online solves start.
+basis it was solved with.  Every model the build makes starts its online
+solves from a table over the training set (``ReducedModel.start_mus``),
+and before it returns, the build makes the final model's table: its
+reduced solutions at the training parameters, from one cold
+``solve_many``, and their slopes in log mu
+(``ReducedModel.start_table``).
 
 Snapshots with the current interpolated operator are solved in the M
 interpolation-point values (see ``nonlinear``), always from zero.  The
@@ -289,7 +291,8 @@ def build_ser(problem, cfg):
             else:
                 # the interpolant grows only after the sweep, so every
                 # sweep evaluation sees the same model
-                provider = reduced_g_block(rb.model(mass_fields), cfg.newton)
+                provider = reduced_g_block(rb.model(mass_fields, train),
+                                           cfg.newton)
             step = eim_greedy_step(eim_g, provider, train)
             report.skipped.extend(step.skipped)
             saturated = step.saturated
@@ -328,11 +331,11 @@ def build_ser(problem, cfg):
         stage = (rb.N, m_target)
         if (cfg.rebuild_wn and j < n_updates
                 and stage in map(tuple, cfg.checkpoints)):
-            stored = rb.model(mass_fields)
+            stored = rb.model(mass_fields, train)
             result.checkpoints[stage] = stored.restrict(*stage)
 
     report.fe_solve_count = fe_solves()
     report.wall_time = time.perf_counter() - t0
-    result.model = rb.model(mass_fields)
-    result.model.snapshot_coeffs    # the starts of its online solves, made now
+    result.model = rb.model(mass_fields, train)
+    result.model.start_table    # the starts of its online solves, made now
     return result

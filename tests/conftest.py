@@ -60,13 +60,21 @@ def rebuild_small(problem8, train5, newton_roomy):
 
 
 MODEL_FIELDS = ("problem", "t", "B", "A", "F", "Rq", "Tr", "avg", "basis",
-                "snapshot_mus")
+                "snapshot_mus", "start_mus")
 # the arrays of a model, those derived from its fields included: xg, W
-# and the table of its solutions at its snapshot parameters, where its
-# online solves start (a model remade from its fields by model_with
-# derives these from the arrays it is given)
-MODEL_ARRAYS = ("t", "B", "A", "F", "Rq", "Tr", "avg", "basis", "W", "xg",
-                "snapshot_coeffs")
+# and the start table (the model's solutions and their slopes at its
+# start parameters, where its online solves start; a model remade from
+# its fields by model_with derives these from the arrays it is given)
+MODEL_ARRAYS = ("t", "B", "A", "F", "Rq", "Tr", "avg", "basis", "W", "xg")
+TABLE_ARRAYS = ("mus", "coeffs", "slopes", "logs")
+
+
+def model_arrays(model):
+    """Every array of a model by name, the start table's among them."""
+    arrays = {name: getattr(model, name) for name in MODEL_ARRAYS}
+    arrays.update({"start_table." + name: getattr(model.start_table, name)
+                   for name in TABLE_ARRAYS})
+    return arrays
 
 
 def model_with(model, **changes):
@@ -74,6 +82,25 @@ def model_with(model, **changes):
     fields = {name: getattr(model, name) for name in MODEL_FIELDS}
     fields.update(changes)
     return er.ReducedModel(**fields)
+
+
+def with_term(model, g=None, dg_du=None):
+    """The model with its nonlinear term's g or dg_du replaced."""
+    term = model.problem.term
+    problem = er.NonlinearProblem(model.problem.space,
+                                  er.NonlinearTerm(g or term.g,
+                                                   dg_du or term.dg_du),
+                                  er.benchmark_rhs)
+    return model_with(model, problem=problem)
+
+
+def poisoned_at(func, bad, value):
+    """func, but filled with value in the rows of the parameter bad."""
+    def out(u, xy, mus):
+        res = np.array(func(u, xy, mus), dtype=float)
+        res[np.all(mus == bad, axis=1)] = value
+        return res
+    return out
 
 
 def same_bits(a, b):
@@ -85,9 +112,11 @@ def assert_same_model(a, b, mus=((0.37, 0.8), (5.0, 0.02), (2.0, 6.0))):
     """Two models equal bitwise: every array (the interpolation points and
     matrix among them) and the coefficients and outputs of online solves
     at mus."""
-    for name in MODEL_ARRAYS:
-        assert same_bits(getattr(a, name), getattr(b, name)), name
+    arrays = model_arrays(b)
+    for name, array in model_arrays(a).items():
+        assert same_bits(array, arrays[name]), name
     assert a.snapshot_mus == b.snapshot_mus
+    assert same_bits(a.start_mus, b.start_mus)
     for mu in mus:
         sa, sb = a.solve(mu), b.solve(mu)
         assert same_bits(sa.coeffs, sb.coeffs)

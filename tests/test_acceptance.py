@@ -217,10 +217,11 @@ def test_r1_build_skips_no_sweep_evaluation(ser1_run):
 
 
 def test_online_start_saves_newton_iterations(ser1_build):
-    # clock-free: over a 40x40 log grid, a query started at the model's
-    # own solution at the nearest snapshot parameter fails nowhere, takes
-    # fewer Newton iterations in all than the same query started from
-    # zero, and answers within the Newton tolerance of it
+    # clock-free: over a 40x40 log grid, a query started at the tangent
+    # prediction from the model's own solution at the nearest training
+    # parameter fails nowhere, takes at most 1.5 Newton iterations on
+    # average and 3 at most, and answers within the Newton tolerance of
+    # the same query started from zero
     model = ser1_build.model
     zero = np.zeros(model.N)
     warm_iters, cold_iters, worst = [], [], 0.0
@@ -234,13 +235,33 @@ def test_online_start_saves_newton_iterations(ser1_build):
         cold_iters.append(cold.newton_iters)
         worst = max(worst, float(np.abs(warm.coeffs - cold.coeffs).max()
                                  / np.abs(cold.coeffs).max()))
-    ok = (sum(warm_iters) < sum(cold_iters)
-          and max(warm_iters) <= max(cold_iters) and worst <= 1e-8)
-    assert verdict(ok, "online start at the nearest snapshot solution saves "
-                   "Newton iterations over a 40x40 grid",
+    ok = (np.mean(warm_iters) <= 1.5 and max(warm_iters) <= 3
+          and worst <= 1e-8)
+    assert verdict(ok, "online start at the tangent prediction from the "
+                   "nearest training solution saves Newton iterations over "
+                   "a 40x40 grid",
                    f"mean {np.mean(cold_iters):.2f} -> "
                    f"{np.mean(warm_iters):.2f}, max {max(cold_iters)} -> "
                    f"{max(warm_iters)}, coefficients within {worst:.1e}")
+
+
+def test_r5_sweep_models_answer_every_online_query(ser5_build):
+    # clock-free: the restrictions of the r=5 build whose sweeps skip
+    # evaluations on the mu2 = 10 edge answer every point of a 40x40 log
+    # grid from their own start tables
+    grid = list(er.SampleSet.log_grid(40, 40))
+    failed, most = {}, 0
+    for n, m in ((4, 6), (4, 7), (12, 16), (12, 17)):
+        model = ser5_build.model.restrict(n, m)
+        failed[(n, m)] = 0
+        for mu in grid:
+            try:
+                most = max(most, model.solve(mu).newton_iters)
+            except (er.NewtonFailure, er.SolverFailure):
+                failed[(n, m)] += 1
+    assert verdict(not any(failed.values()), "r=5 sweep models answer every "
+                   "query of a 40x40 grid",
+                   f"failures {failed}, max {most} iterations")
 
 
 def test_criterion_4_standard_error_profile(std_build, test225, references,

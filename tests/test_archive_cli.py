@@ -14,7 +14,7 @@ from eimrb import cli, fem, nonlinear
 from eimrb.archive import _float_shapes
 from eimrb.cli import EXIT_PIPE, _variant_slug, main
 
-from conftest import assert_same_model, same_bits
+from conftest import assert_same_model, poisoned_at, same_bits, with_term
 
 
 def _set_b(row, col, value):
@@ -27,27 +27,46 @@ def _set_b(row, col, value):
 
 
 def _table_entries(meta, prefix=""):
-    """The slice of the table of reduced solutions at the snapshot
-    parameters (N x N) in the floats member of the model under prefix:
+    """The slice of the start table (P x 2 parameters, P x N solutions
+    and P x 2 x N slopes) in the floats member of the model under prefix:
     its last entries."""
-    n = meta[prefix + "N"]
-    return slice(-n * n, None)
+    n, p = meta[prefix + "N"], meta[prefix + "P"]
+    return slice(-p * (2 + 3 * n), None)
+
+
+def _without_table(meta, members):
+    members["floats"] = np.delete(
+        members["floats"],
+        np.arange(members["floats"].size)[_table_entries(meta)])
 
 
 def _format_6(meta, members):
     """Damage that makes a format 6 archive: its version, and floats
-    without the table of reduced solutions at the snapshot parameters."""
+    without a table of starts."""
+    _without_table(meta, members)
     meta.update(format_version=6)
-    members["floats"] = np.delete(
-        members["floats"],
-        np.arange(members["floats"].size)[_table_entries(meta)])
+    del meta["P"]
+
+
+def _format_8(meta, members):
+    """Damage that makes a format 8 archive: its version, and floats with
+    the N x N table of reduced solutions at the snapshot parameters in
+    place of the start table."""
+    _without_table(meta, members)
+    n = meta["N"]
+    members["floats"] = np.concatenate([members["floats"], np.ones(n * n)])
+    meta.update(format_version=8)
+    del meta["P"]
 
 
 def _format_7(meta, members):
     """Damage that makes a format 7 archive: its version, and floats with
     N x M entries for W after avg."""
     meta.update(format_version=7)
+    _without_table(meta, members)
+    del meta["P"]
     n, m = meta["N"], len(meta["t"])
+    members["floats"] = np.concatenate([members["floats"], np.ones(n * n)])
     at = m * m + n * n + n + 2 * m * n + n
     members["floats"] = np.insert(members["floats"], at, np.zeros(n * m))
 
@@ -69,8 +88,8 @@ def _cut(n=None, m=None):
         sizes = (meta["N"], len(meta["t"]))
         cut = (sizes[0] if n is None else n, sizes[1] if m is None else m)
         floats, start, parts = members["floats"], 0, []
-        for shape, kept in zip(_float_shapes(*sizes).values(),
-                               _float_shapes(*cut).values()):
+        for shape, kept in zip(_float_shapes(*sizes, meta["P"]).values(),
+                               _float_shapes(*cut, meta["P"]).values()):
             stop = start + math.prod(shape)
             block = floats[start:stop].reshape(shape)
             parts.append(block[tuple(map(slice, kept))].ravel())
@@ -187,14 +206,21 @@ class TestArchive:
         # the bytes read at load
         path = tmp_path / "rebuild.npz"
         er.save_model(path, rebuild_small)
+        # a member is read through the npz file or, for floats, as one
+        # zip entry
         reads = []
-        getitem = np.lib.npyio.NpzFile.__getitem__
+        getitem, read = np.lib.npyio.NpzFile.__getitem__, zipfile.ZipFile.read
 
         def counting(self, key):
             reads.append(key)
             return getitem(self, key)
 
+        def counting_entry(self, name, *args):
+            reads.append(name.removesuffix(".npy"))
+            return read(self, name, *args)
+
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting)
+        monkeypatch.setattr(zipfile.ZipFile, "read", counting_entry)
         loaded = er.load_model(path)
         assert reads == ["meta", "floats"]
         path.write_bytes(b"replaced after the load")
@@ -268,17 +294,18 @@ class TestArchive:
 
     def test_online_starts_survive_round_trip(self, ser_small, rebuild_small,
                                               tmp_path, monkeypatch):
-        # the table of solutions at the snapshot parameters is stored with
-        # its bits, for the final model and for a stored checkpoint: a
-        # loaded model starts every query where the built one does, and
-        # neither the load nor a query solves for the table again
+        # the start table (its parameters, the solutions there and their
+        # slopes) is stored with its bits, for the final model and for a
+        # stored checkpoint: a loaded model starts every query where the
+        # built one does, and neither the load nor a query solves for the
+        # table again
         mus = list(er.SampleSet.log_random(20, seed=5))
         expected = {}
         for name, built in (("r1", ser_small), ("rebuild", rebuild_small)):
             er.save_model(tmp_path / f"{name}.npz", built)
             stages = [built.model] + [built.checkpoints[key]
                                       for key in sorted(built.checkpoints)]
-            expected[name] = [(m.snapshot_coeffs,
+            expected[name] = [(m.start_table, m.start_mus,
                                [m.solve(mu).coeffs for mu in mus])
                               for m in stages]
 
@@ -291,10 +318,35 @@ class TestArchive:
             stored = [loaded.model] + [loaded.checkpoints[key]
                                        for key in sorted(loaded.checkpoints)]
             assert len(stored) == len(stages)
-            for model, (table, answers) in zip(stored, stages):
-                assert same_bits(model.snapshot_coeffs, table)
+            for model, (table, start_mus, answers) in zip(stored, stages):
+                assert same_bits(model.start_mus, start_mus)
+                for part in ("mus", "coeffs", "slopes", "logs"):
+                    assert same_bits(getattr(model.start_table, part),
+                                     getattr(table, part)), part
                 for mu, coeffs in zip(mus, answers):
                     assert same_bits(model.solve(mu).coeffs, coeffs)
+
+    def test_archive_stores_the_converged_rows_of_the_table(self,
+                                                            standard_small,
+                                                            tmp_path):
+        # a row left out of the table is left out of the archive, and a
+        # loaded model's start parameters are the stored rows
+        model = standard_small.model
+        bad = model.start_mus[4]
+        poisoned = with_term(model, g=poisoned_at(model.problem.term.g, bad,
+                                                  np.nan))
+        result = er.BuildResult(model=poisoned, report=standard_small.report,
+                                eim_g=None)
+        path = tmp_path / "model.npz"
+        er.save_model(path, result)
+        with np.load(path, allow_pickle=False) as data:
+            assert json.loads(str(data["meta"]))["P"] == len(model.start_mus) - 1
+        loaded = er.load_model(path).model
+        assert same_bits(loaded.start_mus,
+                         np.delete(model.start_mus, 4, axis=0))
+        for part in ("mus", "coeffs", "slopes"):
+            assert same_bits(getattr(loaded.start_table, part),
+                             getattr(poisoned.start_table, part)), part
 
     def test_loaded_model_restricts(self, standard_small, tmp_path):
         path = tmp_path / "model.npz"
@@ -304,11 +356,11 @@ class TestArchive:
         assert small.N == 2
 
     def test_archive_stores_each_model_once(self, rebuild_small, tmp_path):
-        # format 8: one metadata record, then per model one floats vector
-        # of its arrays (raveled in C order, in the order below, the table
-        # of its solutions at its snapshot parameters last; no W) and its
-        # basis, the stored checkpoint under its prefix; the basis is the
-        # only array as long as the dofs (no interpolant)
+        # format 9: one metadata record, then per model one floats vector
+        # of its arrays (raveled in C order, in the order below, its start
+        # table last; no W) and its basis, the stored checkpoint under its
+        # prefix; the basis is the only array as long as the dofs (no
+        # interpolant)
         path = tmp_path / "model.npz"
         er.save_model(path, rebuild_small)
         with np.load(path, allow_pickle=False) as data:
@@ -316,11 +368,11 @@ class TestArchive:
         assert set(arrays) == {"meta", "floats", "basis", "cp0_floats",
                                "cp0_basis"}
         meta = json.loads(str(arrays["meta"]))
-        assert meta["format_version"] == 8
+        assert meta["format_version"] == 9
         assert set(meta) == {"format_version", "mesh_n", "degree", "label",
                              "r", "rebuild_wn", "fingerprint",
                              "fe_solve_count", "checkpoint_keys", "N", "t",
-                             "cp0_N", "cp0_t"}
+                             "P", "cp0_N", "cp0_t", "cp0_P"}
         assert meta["checkpoint_keys"] == [[2, 2]]
         ndof = rebuild_small.model.problem.space.ndof
         assert {name for name, a in arrays.items()
@@ -334,14 +386,16 @@ class TestArchive:
                  loaded.checkpoint(2, 2))):
             assert meta[prefix + "N"] == built.N
             assert meta[prefix + "t"] == built.t.tolist()
+            assert meta[prefix + "P"] == len(built.start_mus) == 25
             assert all(type(p) is int for p in meta[prefix + "t"])
             assert model.t.dtype == np.int64
             floats = arrays[prefix + "floats"]
             assert same_bits(floats, np.concatenate(
                 [np.ravel(getattr(built, name)) for name in
                  ("B", "A", "F", "Rq", "Tr", "avg")]
-                + [np.ravel(built.snapshot_mus),
-                   np.ravel(built.snapshot_coeffs)]))
+                + [np.ravel(built.snapshot_mus)]
+                + [np.ravel(getattr(built.start_table, part))
+                   for part in ("mus", "coeffs", "slopes")]))
             assert same_bits(arrays[prefix + "basis"], built.basis)
             assert same_bits(model.W, built.W)
             assert (model.W.flags.c_contiguous, model.W.flags.f_contiguous) \
@@ -355,6 +409,7 @@ class TestArchive:
         (_old_format(5), "unsupported archive format version 5"),
         (_format_6, "unsupported archive format version 6"),
         (_format_7, "unsupported archive format version 7"),
+        (_format_8, "unsupported archive format version 8"),
         (lambda meta, members: meta.update(format_version=99),
          "unsupported archive format version 99"),
         (lambda meta, members: members.pop("meta"), "meta is not a file"),
@@ -384,7 +439,17 @@ class TestArchive:
             members["floats"], np.arange(members["floats"].size)[
                 _table_entries(meta)])), "floats has shape"),
         (lambda meta, members: members["floats"].__setitem__(-1, np.nan),
-         "snapshot_coeffs holds a value that is not finite"),
+         "start table holds a value that is not finite"),
+        (lambda meta, members: members["floats"].__setitem__(
+            _table_entries(meta).start, np.inf),
+         "start table holds a value that is not finite"),
+        (lambda meta, members: members["floats"].__setitem__(
+            _table_entries(meta).start + 1, 0.0),
+         "start_mus holds a parameter that is not positive"),
+        (lambda meta, members: meta.pop("P"), "meta lacks P"),
+        (lambda meta, members: meta.update(P=-1), "meta P holds -1"),
+        (lambda meta, members: meta.update(P=meta["P"] - 1),
+         "floats has shape"),
         (lambda meta, members: meta.update(t=[p + 10000 for p in meta["t"]]),
          "t holds a point outside"),
         (lambda meta, members: meta.update(mesh_n=2 * meta["mesh_n"]),
@@ -393,11 +458,14 @@ class TestArchive:
         (_cut(m=0), r"meta t holds \[\]"),
         (b"not a model archive\n", "pickle"),
         (b"", "No data left"),
-    ], ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v99", "missing-meta",
+    ], ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v99",
+            "missing-meta",
             "bad-json", "deep-json", "meta-not-object", "meta-lacks-key",
             "meta-lacks-t", "t-float", "mesh_n-string", "rebuild_wn-int",
             "missing-A", "missing-floats", "missing-basis", "B-diagonal",
             "B-upper", "B-not-finite", "missing-table", "table-not-finite",
+            "table-mu-not-finite", "table-mu-not-positive", "meta-lacks-P",
+            "P-negative", "P-short",
             "t-outside", "other-mesh", "N-zero", "t-empty", "junk", "empty"])
     def test_unloadable_archive_is_refused(self, standard_small, tmp_path,
                                            capsys, damage, match):
@@ -416,27 +484,35 @@ class TestArchive:
         assert main(["solve", str(path), "--mu1", "1", "--mu2", "1"]) == 4
         assert capsys.readouterr().err.startswith("i/o error: ")
 
-    @pytest.mark.parametrize("damage", ["basis-header", "compression"])
+    @pytest.mark.parametrize("damage, match", [
+        ("basis-header", "cannot load"), ("compression", "cannot load"),
+        ("floats-data", "Bad CRC-32 for file 'floats.npy'")])
     def test_damaged_zip_entry_is_refused(self, standard_small, tmp_path,
-                                          capsys, damage):
+                                          capsys, damage, match):
         # damage below the npz layer: an npy header that does not parse
-        # (read at load, before any CRC check) and a compression method
-        # zipfile does not know, in the central directory
+        # (read at load, before any CRC check), a compression method
+        # zipfile does not know, in the central directory, and a flipped
+        # byte in the data of floats, which a load reads as one zip entry
+        # (so the entry's CRC must be checked)
         path = tmp_path / "model.npz"
         er.save_model(path, standard_small)
         raw = path.read_bytes()
         if damage == "basis-header":
             at = raw.index(b"}", raw.index(b"'shape'", raw.index(b"basis.npy")))
             raw = raw[:at] + b"(" + raw[at + 1:]
-        else:
+        elif damage == "compression":
             # the central directory entry of floats.npy: its name at
             # offset 46, its compression method at offset 10
             entry = raw.index(b"PK\x01\x02")
             while raw[entry + 46:entry + 56] != b"floats.npy":
                 entry = raw.index(b"PK\x01\x02", entry + 1)
             raw = raw[:entry + 10] + b"\x63\x00" + raw[entry + 12:]
+        else:
+            # past the local header and the 128-byte npy header
+            at = raw.index(b"floats.npy") + 10 + 200
+            raw = raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:]
         path.write_bytes(raw)
-        with pytest.raises(er.ArchiveError):
+        with pytest.raises(er.ArchiveError, match=match):
             er.load_model(path)
         capsys.readouterr()
         assert main(["solve", str(path), "--mu1", "1", "--mu2", "1"]) == 4

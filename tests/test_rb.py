@@ -6,8 +6,8 @@ import pytest
 
 import eimrb as er
 
-from conftest import (MODEL_ARRAYS, at_mu, eim_train, gram_matrix,
-                      model_with, same_bits)
+from conftest import (at_mu, eim_train, gram_matrix, model_arrays,
+                      model_with, poisoned_at, same_bits, with_term)
 
 
 class TestRbSpace:
@@ -64,11 +64,11 @@ class TestBlocks:
         for mu in self.MUS[:2]:
             rb.add_snapshot(truth.get(mu)[0], mu)
         mass_fields = er.MassFields(problem8, eim_g)
-        old = rb.model(mass_fields)
+        old = rb.model(mass_fields, train5)
         # grow the basis and the interpolant in one model() call
         rb.add_snapshot(truth.get(self.MUS[2])[0], self.MUS[2])
         eim_train(problem8.space, provider, list(train5), m_max=4, basis=eim_g)
-        new = rb.model(mass_fields)
+        new = rb.model(mass_fields, train5)
         assert (new.N, new.Rq.shape[0]) == (3, 4)
         assert same_bits(new.A[:2, :2], old.A)
         assert same_bits(new.F[:2], old.F)
@@ -80,9 +80,10 @@ class TestBlocks:
         fresh = er.RbSpace(problem8)
         for mu in self.MUS:
             fresh.add_snapshot(truth.get(mu)[0], mu)
-        at_once = fresh.model(mass_fields)
-        for name in MODEL_ARRAYS:
-            assert same_bits(getattr(new, name), getattr(at_once, name)), name
+        at_once = fresh.model(mass_fields, train5)
+        arrays = model_arrays(at_once)
+        for name, array in model_arrays(new).items():
+            assert same_bits(array, arrays[name]), name
 
     def test_earlier_model_unchanged_by_later_growth(self, problem8, train5,
                                                      truth):
@@ -94,21 +95,22 @@ class TestBlocks:
         for mu in self.MUS[:2]:
             rb.add_snapshot(truth.get(mu)[0], mu)
         mass_fields = er.MassFields(problem8, eim_g)
-        first = rb.model(mass_fields)
+        first = rb.model(mass_fields, train5)
         assert not np.shares_memory(first.B, eim_g.B)
-        before = {name: getattr(first, name).copy() for name in MODEL_ARRAYS}
+        before = {name: array.copy()
+                  for name, array in model_arrays(first).items()}
         mu = (0.37, 0.8)
         coeffs = first.solve(mu).coeffs
 
         rb.add_snapshot(truth.get(self.MUS[2])[0], self.MUS[2])
         assert not er.eim_greedy_step(eim_g, provider, list(train5)).saturated
-        second = rb.model(mass_fields)
+        second = rb.model(mass_fields, train5)
 
         assert (second.N, second.Rq.shape[0]) == (3, 4)
-        for name in MODEL_ARRAYS:
-            assert same_bits(getattr(first, name), before[name]), name
-            assert not np.shares_memory(getattr(first, name),
-                                        getattr(second, name)), name
+        arrays = model_arrays(second)
+        for name, array in model_arrays(first).items():
+            assert same_bits(array, before[name]), name
+            assert not np.shares_memory(array, arrays[name]), name
         assert first.snapshot_mus == self.MUS[:2]
         assert first.M == 3
         assert same_bits(first.restrict(2, 4).Rq, before["Rq"])
@@ -186,7 +188,7 @@ class TestReducedSolve:
         eim_g = eim_train(problem8.space, er.truth_g_block(truth), samples, m_max=4)
         rb = er.RbSpace(problem8)
         rb.add_snapshot(truth.get(mu)[0], mu)
-        model = rb.model(er.MassFields(problem8, eim_g))
+        model = rb.model(er.MassFields(problem8, eim_g), samples)
         sol = model.solve(mu)
         du = truth.get(mu)[0] - model.lift_values(sol)
         assert float(np.sqrt(du @ (problem8.mass @ du))) <= 1e-6
@@ -235,33 +237,13 @@ class TestReducedSolve:
             e = np.zeros(space.ndof)
             e[dof] = 1.0
             rb.add_snapshot(e, (float(k), 0.0))
-        model = rb.model(er.MassFields(problem, eim_g))
+        model = rb.model(er.MassFields(problem, eim_g), samples)
         for mu in samples:
-            # the snapshot parameters here name no parameter, so the solve
-            # starts from zero
+            # the solve starts from zero, so the start table plays no part
             sol = model.solve(mu, er.NewtonConfig(max_iter=200),
                               initial=np.zeros(model.N))
             du = truth.get(mu)[0] - model.lift_values(sol)
             assert float(np.sqrt(du @ (problem.mass @ du))) <= 1e-8
-
-
-def with_term(model, g=None, dg_du=None):
-    """The model with its nonlinear term's g or dg_du replaced."""
-    term = model.problem.term
-    problem = er.NonlinearProblem(model.problem.space,
-                                  er.NonlinearTerm(g or term.g,
-                                                   dg_du or term.dg_du),
-                                  er.benchmark_rhs)
-    return model_with(model, problem=problem)
-
-
-def poisoned_at(func, bad, value):
-    """func, but filled with value in the rows of the parameter bad."""
-    def out(u, xy, mus):
-        res = np.array(func(u, xy, mus), dtype=float)
-        res[np.all(mus == bad, axis=1)] = value
-        return res
-    return out
 
 
 class TestSolveMany:
@@ -345,7 +327,7 @@ class TestSolveMany:
 
     def test_empty_basis_rejected_like_solve(self, problem8, standard_small):
         mass_fields = er.MassFields(problem8, standard_small.eim_g)
-        model = er.RbSpace(problem8).model(mass_fields)
+        model = er.RbSpace(problem8).model(mass_fields, [(1.0, 1.0)])
         with pytest.raises(ValueError) as single:
             model.solve((1.0, 1.0))
         with pytest.raises(ValueError) as many:
@@ -362,57 +344,150 @@ class TestSolveMany:
 
 
 class TestOnlineStart:
-    """solve starts at the model's own solution at the nearest snapshot
-    parameter and stops by the rule of a solve from zero."""
+    """solve starts at the tangent prediction from the model's own
+    solution at the nearest start parameter and stops by the rule of a
+    solve from zero."""
 
     MUS = list(er.SampleSet.log_random(20, seed=8))
 
     @staticmethod
-    def nearest_row(model, mu):
-        """Index of the snapshot parameter nearest to mu in log distance,
-        the first on a tie, by a plain loop."""
+    def predicted(model, mu):
+        """The start of solve(mu) by a plain loop: the row of the start
+        table nearest to mu in log distance, the first on a tie, moved
+        along its slopes; zero with no row."""
+        table = model.start_table
+        if not len(table.mus):
+            return np.zeros(model.N)
+
         def dist(k):
             return sum((math.log(a) - math.log(b)) ** 2
-                       for a, b in zip(model.snapshot_mus[k], mu))
-        return min(range(model.N), key=dist)
+                       for a, b in zip(table.mus[k], mu))
+        k = min(range(len(table.mus)), key=dist)
+        step = np.log(mu) - np.log(table.mus[k])
+        return table.coeffs[k] + step @ table.slopes[k]
 
-    def test_table_is_the_cold_block_solve_at_the_snapshots(self, ser_small):
+    def assert_starts_at(self, model, mu, start):
+        """solve(mu) is bitwise the solve started at start."""
+        warm = model.solve(mu)
+        given = model.solve(mu, initial=start)
+        assert same_bits(warm.coeffs, given.coeffs)
+        assert warm.residual_history == given.residual_history
+
+    def test_table_is_the_cold_block_solve_at_the_start_parameters(
+            self, ser_small, train5):
         model = ser_small.model
-        assert model.snapshot_coeffs.shape == (model.N, model.N)
-        assert same_bits(model.snapshot_coeffs,
-                         model.solve_many(model.snapshot_mus)[0])
+        table = model.start_table
+        assert same_bits(model.start_mus, train5.points)
+        assert same_bits(table.mus, model.start_mus)
+        assert same_bits(table.coeffs,
+                         model.solve_many(model.start_mus)[0])
+        assert table.slopes.shape == (len(train5), 2, model.N)
+        assert table.slopes.flags.c_contiguous
+
+    def test_slopes_are_the_derivatives_of_the_solution(self, ser_small):
+        # central differences of the cold block solve in each log mu_j
+        model = ser_small.model
+        table = model.start_table
+        h = 1e-4
+        worst = 0.0
+        for j in range(2):
+            shift = np.exp(h * np.eye(2)[j])
+            up = model.solve_many(table.mus * shift)[0]
+            down = model.solve_many(table.mus / shift)[0]
+            fd = (up - down) / (2 * h)
+            worst = max(worst, float(np.max(
+                np.abs(fd - table.slopes[:, j]).max(axis=1)
+                / np.abs(fd).max(axis=1))))
+        assert worst <= 1e-5
 
     @pytest.mark.parametrize("r, rebuild", [(1, False), (1, True),
                                             ("standard", False)])
     def test_build_makes_the_final_models_table(self, r, rebuild):
-        # the build pays for the table, so no query does
+        # the build pays for the table, so no query does; its rows sit at
+        # the training set
+        train = er.SampleSet.log_grid(3, 3)
         cfg = er.SerConfig(r=r, rebuild_wn=rebuild, n_max=2, m_max=3,
-                           train_set=er.SampleSet.log_grid(3, 3))
+                           train_set=train)
         model = er.build_ser(er.benchmark_problem(4, 1), cfg).model
-        assert "snapshot_coeffs" in vars(model)
-        assert same_bits(model.snapshot_coeffs,
-                         model.solve_many(model.snapshot_mus)[0])
+        assert "start_table" in vars(model)
+        assert same_bits(model.start_mus, train.points)
+        fresh = model_with(model).start_table
+        for name in ("mus", "coeffs", "slopes", "logs"):
+            assert same_bits(getattr(model.start_table, name),
+                             getattr(fresh, name)), name
 
-    def test_a_failed_row_stays_zero(self, standard_small):
-        model = standard_small.model
-        bad = model.snapshot_mus[2]
-        poisoned = with_term(model, g=poisoned_at(model.problem.term.g, bad,
-                                                  np.nan))
-        table = poisoned.snapshot_coeffs
-        assert np.all(table[2] == 0.0)
-        assert np.all(np.delete(table, 2, axis=0) != 0.0)
-
-    def test_default_start_is_the_nearest_row_bitwise(self, ser_small):
+    def test_default_start_is_the_tangent_prediction_bitwise(self,
+                                                             ser_small):
         model = ser_small.model
-        rows = set()
+        starts = set()
         for mu in self.MUS:
-            k = self.nearest_row(model, mu)
-            rows.add(k)
-            warm = model.solve(mu)
-            given = model.solve(mu, initial=model.snapshot_coeffs[k])
-            assert same_bits(warm.coeffs, given.coeffs)
-            assert warm.residual_history == given.residual_history
-        assert len(rows) > 1
+            start = self.predicted(model, mu)
+            starts.add(start.tobytes())
+            self.assert_starts_at(model, mu, start)
+        assert len(starts) > 1
+
+    def test_start_at_a_table_parameter_is_that_row(self, ser_small):
+        model = ser_small.model
+        table = model.start_table
+        for k in (0, 7, len(table.mus) - 1):
+            mu = tuple(table.mus[k])
+            assert same_bits(table.start(np.array(mu)), table.coeffs[k])
+            self.assert_starts_at(model, mu, table.coeffs[k])
+
+    @pytest.mark.parametrize("where", ["solve", "slope"])
+    def test_a_failed_row_is_never_the_start(self, standard_small, where):
+        # a row whose cold solve fails, or whose slope is not finite (g
+        # poisoned at one parameter of the slope's central difference),
+        # is left out, and a query beside it starts from its nearest
+        # converged row
+        model = standard_small.model
+        bad = tuple(model.start_mus[12])
+        poison = np.array(bad)
+        if where == "slope":
+            poison = poison * np.exp(er.rb.SLOPE_STEP * np.eye(2))[1]
+        poisoned = with_term(model, g=poisoned_at(model.problem.term.g,
+                                                  poison, np.nan))
+        table = poisoned.start_table
+        assert same_bits(table.mus, np.delete(model.start_mus, 12, axis=0))
+        assert np.isfinite(table.slopes).all()
+        logs = np.log(model.start_mus)
+        for mu in ((bad[0] * 1.01, bad[1]), (bad[0], bad[1] / 1.01)):
+            # bad is the start parameter nearest to mu, but no table row
+            assert ((logs - np.log(mu)) ** 2).sum(axis=1).argmin() == 12
+            self.assert_starts_at(poisoned, mu, self.predicted(poisoned, mu))
+
+    def test_a_row_with_a_singular_jacobian_is_left_out(self,
+                                                         standard_small):
+        # with A = 0 and g(u) = u, the cold solve converges in one step
+        # from c = 0; g' vanishes away from u = 0 at one parameter only,
+        # so its converged Jacobian W diag(g') Tr^T is singular there
+        model = standard_small.model
+        bad = np.array(model.start_mus[6])
+
+        def dg_du(u, xy, mus):
+            out = np.ones_like(u)
+            out[np.all(mus == bad, axis=1) & np.any(u != 0, axis=1)] = 0.0
+            return out
+
+        linear = model_with(with_term(model, g=lambda u, xy, mus: u * 1.0,
+                                      dg_du=dg_du), A=np.zeros_like(model.A))
+        coeffs, failures = linear.solve_many(linear.start_mus)
+        assert failures == {}
+        table = linear.start_table
+        assert same_bits(table.mus, np.delete(linear.start_mus, 6, axis=0))
+        assert same_bits(table.coeffs, np.delete(coeffs, 6, axis=0))
+
+    def test_a_table_with_no_converged_row_starts_at_zero(self,
+                                                          standard_small):
+        model = standard_small.model
+        bad = model.start_mus[3]
+        lone = model_with(with_term(model, g=poisoned_at(
+            model.problem.term.g, bad, np.nan)), start_mus=[bad])
+        table = lone.start_table
+        assert table.mus.shape == (0, 2)
+        assert table.coeffs.shape == (0, model.N)
+        assert same_bits(table.start(np.array([0.5, 0.5])), np.zeros(model.N))
+        self.assert_starts_at(lone, (0.5, 0.5), np.zeros(model.N))
 
     def test_every_start_stops_by_the_rule_from_zero(self, ser_small):
         model = ser_small.model
@@ -439,7 +514,8 @@ class TestOnlineStart:
                 10.0 * np.eye(n) + rng.standard_normal((n, n)),
                 rng.standard_normal(n), np.zeros((m, n)),
                 rng.standard_normal((n, m)), np.zeros(n),
-                np.zeros((problem8.space.ndof, n)), [(1.0, 1.0)] * n)
+                np.zeros((problem8.space.ndof, n)), [(1.0, 1.0)] * n,
+                [(1.0, 1.0)])
             model.W = rng.standard_normal((n, m))
             start = rng.standard_normal(n)
             g_start = model.problem.term.g(start[None] @ model.Tr, model.xg,
@@ -453,11 +529,30 @@ class TestOnlineStart:
         assert moved
 
     def test_restriction_derives_its_own_table(self, ser_small):
-        small = ser_small.model.restrict(3, 3)
-        assert "snapshot_coeffs" not in vars(small)
+        model = ser_small.model
+        small = model.restrict(3, 3)
+        assert same_bits(small.start_mus, model.start_mus)
+        assert not np.shares_memory(small.start_mus, model.start_mus)
+        assert "start_table" not in vars(small)
         small.solve((0.7, 0.9))
-        assert same_bits(small.snapshot_coeffs,
-                         small.solve_many(small.snapshot_mus)[0])
+        assert "start_table" in vars(small)
+        table = small.start_table
+        assert same_bits(table.mus, model.start_table.mus)
+        assert same_bits(table.coeffs,
+                         small.solve_many(small.start_mus)[0])
+        fresh = model_with(small).start_table
+        assert same_bits(table.slopes, fresh.slopes)
+        self.assert_starts_at(small, (0.7, 0.9),
+                              self.predicted(small, (0.7, 0.9)))
+
+    @pytest.mark.parametrize("initial", [np.zeros(3), np.zeros((2, 5)),
+                                         np.zeros(6), np.zeros(0)])
+    def test_a_start_of_the_wrong_length_is_refused(self, ser_small,
+                                                    initial):
+        model = ser_small.model
+        assert model.N == 5
+        with pytest.raises(ValueError, match="expected N=5 coefficients"):
+            model.solve((0.7, 0.9), initial=initial)
 
 
 class TestOutputsAndLift:
@@ -548,6 +643,14 @@ class TestRestrict:
     def test_restriction_beyond_size_rejected(self, standard_small):
         with pytest.raises(ValueError):
             standard_small.model.restrict(100, 5)
+
+    @pytest.mark.parametrize("n, m", [(True, True), (2.0, 3), (2, 3.0),
+                                      (np.int64(2), 3)])
+    def test_restriction_to_sizes_that_are_not_ints_rejected(
+            self, standard_small, n, m):
+        # a bool would give a 1x1 model, a float would reach a slice
+        with pytest.raises(ValueError, match="sizes must be ints"):
+            standard_small.model.restrict(n, m)
 
     @pytest.mark.parametrize("n, m", [(-1, 1), (0, 1), (2, -1), (2, 0)])
     def test_restriction_to_no_vector_or_field_rejected(self, standard_small,

@@ -454,7 +454,11 @@ class TestNewtonDriver:
             if failure == "singular":
                 model = model_with(model, A=np.zeros_like(model.A))
             model = model_with(model, problem=problem)
-            what, solve = "reduced ", lambda: model.solve(self.MU, cfg)
+            # from zero, as the truth and surrogate solves here: MU is a
+            # training parameter, where the default start is the solution
+            zero = np.zeros(model.N)
+            what = "reduced "
+            solve = lambda: model.solve(self.MU, cfg, initial=zero)
 
         error = er.SolverFailure if failure == "singular" else er.NewtonFailure
         with pytest.raises(error) as info, warnings.catch_warnings():
