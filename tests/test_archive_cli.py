@@ -486,7 +486,8 @@ class TestArchive:
 
     @pytest.mark.parametrize("damage, match", [
         ("basis-header", "cannot load"), ("compression", "cannot load"),
-        ("floats-data", "Bad CRC-32 for file 'floats.npy'")])
+        ("floats-data", "Bad CRC-32 for file 'floats.npy'")],
+        ids=["basis-header", "compression", "floats-data"])
     def test_damaged_zip_entry_is_refused(self, standard_small, tmp_path,
                                           capsys, damage, match):
         # damage below the npz layer: an npy header that does not parse
