@@ -1,59 +1,61 @@
-"""Versioned model archives (npz): everything the online solver needs.
+"""Versioned model archives: everything the online solver needs.
 
-An archive (format 9) holds two members per model and one metadata
-record.  ``meta`` is one JSON string: the format version, the mesh/degree
-pair, the build's variant label ``label`` (``BuildReport.variant``),
-its update frequency r and rebuild flag, its finite element solve
-count, a config fingerprint, the keys of the stored checkpoints, and
-for each model its basis size ``N``, its interpolation points ``t``
-(a list of dof indices) and the row count ``P`` of its start table.
-``floats`` is one float64 vector holding the final ``ReducedModel``'s
-``B``, ``A``, ``F``, ``Rq``, ``Tr``, ``avg``, ``snapshot_mus``, and its
-start table's ``start_mus`` (P, 2), ``start_coeffs`` (P, N) and
-``start_slopes`` (P, 2, N), in that order, each raveled in C order;
-their shapes follow from N, M = len(t) and P.  ``W = Rq^T B^{-1}`` is
-not stored: a loaded model forms it on its first solve from its stored
-``B`` and ``Rq`` with the call the built model made, so ``W @ g`` keeps
-its bits on the machine that loads it.  The start table
-(``ReducedModel.start_table``) holds the rows of the model's training
-set where its cold solve converged, with their solutions and slopes:
-it is made when the archive is written, so a load and a query never pay
-for it, and a loaded model starts every query where the saved one does.
-A loaded model's ``start_mus`` are the stored rows, so a restriction of
-it makes its table over those.
-``basis`` is the (ndof, N) stacked basis.  The interpolant's fields are
-not stored: the online solve reads them only through ``Rq``.  A stored
-checkpoint adds ``floats`` and ``basis`` under the prefix ``cp<i>_`` and
-its N and t under the same prefix in ``meta``; builds store one only
-where a later basis rebuild makes it unrecoverable from the final model.
-A loaded model reproduces online outputs bit for bit.
+An archive (format 10) is a zip of stored (uncompressed) entries, each
+with zipfile's fixed 1980 date, so two saves of one result write the
+same bytes.  It holds two members per model and one metadata record.
+``meta`` is UTF-8 JSON: the format version, the mesh/degree pair, the
+build's variant label ``label`` (``BuildReport.variant``), its update
+frequency r and rebuild flag, its finite element solve count, a config
+fingerprint, the keys of the stored checkpoints, and for each model its
+basis size ``N``, its interpolation points ``t`` (a list of dof
+indices) and the row count ``P`` of its start table.  The other members
+are raw little-endian float64 bytes with no header: every shape follows
+from ``meta``, so numpy's np.load cannot read them.  ``floats`` holds
+the final ``ReducedModel``'s ``B``, ``A``, ``F``, ``Rq``, ``Tr``,
+``avg``, ``snapshot_mus``, and its start table's ``start_mus`` (P, 2),
+``start_coeffs`` (P, N) and ``start_slopes`` (P, 2, N), in that order,
+each raveled in C order; their shapes follow from N, M = len(t) and P.
+``W = Rq^T B^{-1}`` is not stored: a loaded model forms it on its first
+solve from its stored ``B`` and ``Rq`` with the call the built model
+made, so ``W @ g`` keeps its bits on the machine that loads it.  The
+start table (``ReducedModel.start_table``) holds the rows of the model's
+training set where its cold solve converged, with their solutions and
+slopes: it is made when the archive is written, so a load and a query
+never pay for it, and a loaded model starts every query where the saved
+one does.  A loaded model's ``start_mus`` are the stored rows, so a
+restriction of it makes its table over those.  ``basis`` is the
+(ndof, N) stacked basis, ndof = (degree * mesh_n + 1)^2; the
+interpolant's fields are not stored (the online solve reads them only
+through ``Rq``).  A stored checkpoint adds ``floats`` and ``basis``
+under the prefix ``cp<i>_`` and its N, t and P under the same prefix in
+``meta``; builds store one only where a later basis rebuild makes it
+unrecoverable from the final model.  A loaded model reproduces online
+outputs bit for bit.
 
-A load reads the file once and parses two members: ``meta`` and the
-final model's ``floats``, each array of which becomes its own
-C-contiguous copy.  Of ``basis``, the one array as long as the dofs, it
-reads only the npy header, to check the stored mesh against it before
-the mesh is built; the data is parsed from the bytes read at load on the
-model's first lift.  A stored checkpoint's ``floats`` is parsed on its
-first access (StoredCheckpoints), so a file replaced later is never
-read.  The load rebuilds the benchmark problem's mesh and the space's
-dof lattice and assembles nothing: the problem's operators and the
-space's element data are made on first use, and no online solve uses
-them.  It refuses an older format, a ``meta`` that is not JSON or holds
-a missing or mistyped entry or a model with N = 0 or no point, and an
-archive missing a checkpoint member at once; an archive whose arrays do
-not fit each other or the rebuilt space, whose ``B`` is not exactly unit
-lower triangular (the form the solve that makes ``W`` relies on), or
-whose start table holds a value that is not finite or a parameter that
-is not positive, when the model is parsed.  A format 8 archive, which
-stores an N-row table at the snapshot parameters, is refused like every
-older one.  A basis whose data cannot be parsed raises
+A load reads the file once and two entries of it, ``meta`` and the
+final model's ``floats`` (each array of which becomes its own
+C-contiguous copy); every entry read checks its CRC.  It first checks
+from the zip's central directory that ``floats`` holds 8 bytes per
+entry of its arrays and ``basis`` 8 * ndof * N, so a damaged mesh is
+refused before it is allocated.  The basis is parsed on the model's
+first lift, and a stored checkpoint on its first access
+(StoredCheckpoints), from the bytes read at load.  The load makes the
+benchmark problem and builds nothing of it: the mesh, the dof lattice,
+the element data and the operators are made on first use, and no
+online solve uses them.  It refuses an older format (an npz, whose
+version is read from its npy members on this failure path only), a
+``meta`` that is not JSON or holds a missing or mistyped entry or a
+model with N = 0 or no point, a missing member, and a model whose
+members do not fit each other or the mesh, whose ``B`` is not exactly
+unit lower triangular (the form the solve that makes ``W`` relies on),
+or whose start table holds a value that is not finite or a parameter
+that is not positive.  A basis whose bytes fail their CRC raises
 ArchiveError at the first lift.
 """
 
 import io
 import json
 import math
-import tokenize
 import zipfile
 from collections.abc import Mapping
 from contextlib import contextmanager
@@ -64,12 +66,13 @@ from .benchmark import benchmark_problem
 from .rb import ReducedModel, StartTable
 from .ser import BuildReport, BuildResult
 
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 # the type of each archive-wide metadata entry (bool is no int here)
 META_TYPES = {"format_version": int, "mesh_n": int, "degree": int,
               "label": str, "r": (int, str), "rebuild_wn": bool,
               "fingerprint": str, "fe_solve_count": int,
               "checkpoint_keys": list}
+FLOAT = np.dtype("<f8")       # the layout of the floats and basis members
 
 
 class ArchiveError(ValueError):
@@ -88,7 +91,7 @@ def _float_shapes(n, m, p):
 
 
 def _model_members(model, prefix):
-    """The npz members and the metadata entries of one model."""
+    """The float members and the metadata entries of one model."""
     table = model.start_table
     arrays = {name: getattr(model, name) for name in
               ("B", "A", "F", "Rq", "Tr", "avg", "snapshot_mus")}
@@ -97,8 +100,7 @@ def _model_members(model, prefix):
     floats = np.concatenate([
         np.asarray(arrays[name], dtype=float).ravel()
         for name in _float_shapes(model.N, model.M, len(table.mus))])
-    members = {prefix + "floats": floats,
-               prefix + "basis": np.asarray(model.basis, dtype=float)}
+    members = {prefix + "floats": floats, prefix + "basis": model.basis}
     meta = {prefix + "N": model.N, prefix + "t": [int(p) for p in model.t],
             prefix + "P": len(table.mus)}
     return members, meta
@@ -108,15 +110,27 @@ def _is_ints(value):
     return type(value) is list and all(type(x) is int for x in value)
 
 
-def _read_meta(data):
+def _old_version(zf):
+    """The format version of an npz archive of format 1-9, from its
+    format_version member (formats 1-5) or its meta string."""
+    if "format_version.npy" in zf.namelist():
+        return np.load(zf.open("format_version.npy"))
+    meta = json.loads(str(np.load(zf.open("meta.npy"))))
+    return meta.get("format_version") if type(meta) is dict else None
+
+
+def _read_meta(zf):
     """The metadata record, after checking its version and the type of
     every entry."""
-    if "meta" not in data.files and "format_version" in data.files:
-        raise ValueError("unsupported archive format version "
-                         f"{data['format_version']}")
+    names = zf.namelist()
+    if "meta" not in names:
+        if "meta.npy" in names or "format_version.npy" in names:
+            raise ValueError("unsupported archive format version "
+                             f"{_old_version(zf)}")
+        raise ValueError("meta is not a file in the archive")
     try:
-        meta = json.loads(str(data["meta"]))
-    except (json.JSONDecodeError, RecursionError) as exc:   # too deep
+        meta = json.loads(zf.read("meta"))
+    except (ValueError, RecursionError) as exc:     # too deep, not UTF-8
         raise ValueError(f"meta is not valid JSON: {exc}") from exc
     if type(meta) is not dict:
         raise ValueError("meta is not a JSON object")
@@ -139,6 +153,10 @@ def _read_meta(data):
                 raise ValueError(f"meta lacks {key}")
             if not valid(meta[key]):
                 raise ValueError(f"meta {key} holds {meta[key]!r}")
+        for name in ("floats", "basis"):
+            if prefix + name not in names:
+                raise ValueError(f"{prefix}{name} is not a file in the "
+                                 "archive")
     return meta
 
 
@@ -148,82 +166,48 @@ def _prefixes(meta):
     return [""] + [f"cp{i}_" for i in range(len(meta["checkpoint_keys"]))]
 
 
-def _member_file(data, name):
-    """The zip entry of the npz member name."""
-    if name not in data.files:
-        raise KeyError(f"{name} is not a file in the archive")
-    return name + ".npy"
+def _float_count(meta, prefix):
+    """The number of floats in the floats member of the model under
+    prefix."""
+    shapes = _float_shapes(meta[prefix + "N"], len(meta[prefix + "t"]),
+                           meta[prefix + "P"])
+    return sum(math.prod(shape) for shape in shapes.values())
 
 
-def _npy_header(fh):
-    """(shape, fortran_order, dtype) of the npy header at fh, which is
-    left after it."""
-    version = np.lib.format.read_magic(fh)
-    read = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-            else np.lib.format.read_array_header_2_0)
-    return read(fh)
-
-
-def _header_shape(data, name):
-    """Shape of the npz member name, read from its npy header alone."""
-    with data.zip.open(_member_file(data, name)) as fh:
-        return _npy_header(fh)[0]
-
-
-def _read_member(data, name):
-    """The npy header (shape, fortran_order, dtype) of the npz member name
-    and its data, a view of the bytes of one zip read of the whole member,
-    which checks its CRC.  numpy's own member read copies the data in
-    chunks: a cold load of the r=1 perfbench archive, whose floats are
-    mostly its start table, took 8-9% longer with it."""
-    buf = data.zip.read(_member_file(data, name))
-    fh = io.BytesIO(buf)
-    header = _npy_header(fh)
-    return header, memoryview(buf)[fh.tell():]
-
-
-def _check_mesh(meta, basis_shape, nbytes):
-    """Refuse a mesh/degree pair that names no mesh, or whose dof count
-    differs from the basis's rows or could not be stored in nbytes,
-    before any of it is built."""
+def _check_sizes(zf, meta, prefix):
+    """Refuse a mesh/degree pair that names no mesh, and a model under
+    prefix whose member sizes, in the zip's central directory, do not
+    fit its N, M and P and the mesh's dofs or whose points lie outside
+    them, before any of it is read or built."""
     mesh_n, degree = meta["mesh_n"], meta["degree"]
     if mesh_n < 1 or degree not in (1, 2, 3):
         raise ValueError(f"meta mesh_n={mesh_n}, degree={degree} names no "
                          "mesh of degree 1, 2 or 3")
     ndof = (degree * mesh_n + 1) ** 2
-    mesh = f"the {mesh_n}x{mesh_n} P{degree} mesh"
-    if basis_shape[:1] != (ndof,):
-        raise ValueError(f"basis has shape {basis_shape}, expected {ndof} "
-                         f"rows on {mesh}")
-    if ndof > nbytes:
-        raise ValueError(f"basis has shape {basis_shape}: {mesh} has "
-                         f"{ndof} dofs, more than the archive's {nbytes} "
-                         "bytes")
-
-
-def _model_from_members(path, problem, data, meta, basis_shape, prefix):
-    """The model stored under prefix, after checking that its arrays fit
-    each other and the problem's space, that B is unit lower triangular
-    and that the start table is finite; it is assigned its stored table.
-    basis_shape is the shape in its basis's npy header; the basis itself
-    is parsed from data on first use."""
     n, t, p = meta[prefix + "N"], meta[prefix + "t"], meta[prefix + "P"]
-    m, ndof = len(t), problem.space.ndof
-    shapes = _float_shapes(n, m, p)
-    size = sum(math.prod(shape) for shape in shapes.values())
-    (shape, _, dtype), stored = _read_member(data, prefix + "floats")
-    if dtype != np.float64 or shape != (size,):
-        raise ValueError(f"{prefix}floats has shape {shape} and dtype "
-                         f"{dtype}, expected ({size},) float64 for "
-                         f"N={n}, M={m}, P={p}")
-    floats = np.frombuffer(stored, dtype=np.float64, count=size)
-    if basis_shape != (ndof, n):
-        raise ValueError(f"{prefix}basis has shape {basis_shape}, expected "
-                         f"{(ndof, n)} on {ndof} dofs")
+    for name, count in (("floats", _float_count(meta, prefix)),
+                        ("basis", ndof * n)):
+        size, expected = zf.getinfo(prefix + name).file_size, 8 * count
+        if size != expected:
+            raise ValueError(
+                f"{prefix}{name} has {size} bytes, expected {expected} for "
+                f"N={n}, M={len(t)}, P={p} on the {mesh_n}x{mesh_n} "
+                f"P{degree} mesh ({ndof} dofs)")
     if not all(0 <= point < ndof for point in t):
         raise ValueError(f"{prefix}t holds a point outside the {ndof} dofs")
+
+
+def _model_from_members(path, problem, zf, meta, prefix):
+    """The model stored under prefix, whose member sizes _check_sizes
+    passed, after checking that B is unit lower triangular and that the
+    start table is finite; it is assigned its stored table.  The basis
+    is parsed from the bytes of zf on first use."""
+    n, t = meta[prefix + "N"], meta[prefix + "t"]
+    m, ndof = len(t), problem.space.ndof
+    floats = np.frombuffer(zf.read(prefix + "floats"), dtype=FLOAT,
+                           count=_float_count(meta, prefix))
     arrays, start = {}, 0
-    for name, shape in shapes.items():
+    for name, shape in _float_shapes(n, m, meta[prefix + "P"]).items():
         stop = start + math.prod(shape)
         arrays[name] = floats[start:stop].reshape(shape).copy()
         start = stop
@@ -242,7 +226,8 @@ def _model_from_members(path, problem, data, meta, basis_shape, prefix):
 
     def read_basis():
         with _reading(path):
-            return data[prefix + "basis"]
+            return np.frombuffer(zf.read(prefix + "basis"),
+                                 dtype=FLOAT).reshape(ndof, n)
 
     model = ReducedModel(problem, t, B, arrays["A"], arrays["F"],
                          arrays["Rq"], arrays["Tr"], arrays["avg"], read_basis,
@@ -254,13 +239,12 @@ def _model_from_members(path, problem, data, meta, basis_shape, prefix):
 @contextmanager
 def _reading(path):
     """Report any failure to parse the archive at path as ArchiveError
-    (numpy's npy header parse lets a tokenize error of a damaged header
-    through, and zipfile raises NotImplementedError for a damaged
-    compression method)."""
+    (zipfile raises NotImplementedError for a damaged compression
+    method)."""
     try:
         yield
     except (EOFError, KeyError, NotImplementedError, ValueError,
-            tokenize.TokenError, zipfile.BadZipFile) as exc:
+            zipfile.BadZipFile) as exc:
         raise ArchiveError(f"cannot load model archive {path}: {exc}") from exc
 
 
@@ -272,25 +256,20 @@ class StoredCheckpoints(Mapping):
     raises ArchiveError when it is read and is never taken as absent.
     """
 
-    def __init__(self, path, data, meta, problem):
-        self._path, self._data, self._meta = path, data, meta
+    def __init__(self, path, zf, meta, problem):
+        self._path, self._zf, self._meta = path, zf, meta
         self._problem = problem
         self._prefixes = {tuple(key): prefix for key, prefix in
                           zip(meta["checkpoint_keys"], _prefixes(meta)[1:])}
-        members = {prefix + name for prefix in self._prefixes.values()
-                   for name in ("floats", "basis")}
-        missing = sorted(members - set(data.files))
-        if missing:
-            raise ValueError(f"{missing[0]} is not a file in the archive")
         self._models = {}
 
     def __getitem__(self, key):
         if key not in self._models:
             prefix = self._prefixes[key]
             with _reading(self._path):
+                _check_sizes(self._zf, self._meta, prefix)
                 self._models[key] = _model_from_members(
-                    self._path, self._problem, self._data, self._meta,
-                    _header_shape(self._data, prefix + "basis"), prefix)
+                    self._path, self._problem, self._zf, self._meta, prefix)
         return self._models[key]
 
     def __contains__(self, key):
@@ -304,7 +283,8 @@ class StoredCheckpoints(Mapping):
 
 
 def save_model(path, result, fingerprint=""):
-    """Write a BuildResult to an npz archive."""
+    """Write a BuildResult to a format 10 archive at path; two saves of
+    one result write the same bytes."""
     model, checkpoints, report = result.model, result.checkpoints, result.report
     space = model.problem.space
     keys = sorted(checkpoints)
@@ -325,25 +305,13 @@ def save_model(path, result, fingerprint=""):
         stage_members, stage_meta = _model_members(stage, prefix)
         members.update(stage_members)
         meta.update(stage_meta)
-    np.savez(path, meta=np.str_(json.dumps(meta, sort_keys=True)), **members)
+    with zipfile.ZipFile(path, "w") as zf:
+        with zf.open("meta", "w") as fh:
+            fh.write(json.dumps(meta, sort_keys=True).encode())
+        for name, array in members.items():
+            with zf.open(name, "w") as fh:
+                fh.write(np.ascontiguousarray(array, dtype=FLOAT))
     return path
-
-
-def _result_from_members(path, data, nbytes):
-    meta = _read_meta(data)
-    basis_shape = _header_shape(data, "basis")
-    _check_mesh(meta, basis_shape, nbytes)
-    problem = benchmark_problem(meta["mesh_n"], meta["degree"])
-    checkpoints = StoredCheckpoints(path, data, meta, problem)
-    report = BuildReport(variant=meta["label"],
-                         fe_solve_count=meta["fe_solve_count"],
-                         r=meta["r"], rebuild_wn=meta["rebuild_wn"])
-    # an archive keeps only the online model, not the build's interpolant
-    model = _model_from_members(path, problem, data, meta, basis_shape, "")
-    result = BuildResult(model=model, report=report, eim_g=None,
-                         checkpoints=checkpoints)
-    result.fingerprint = meta["fingerprint"]
-    return result
 
 
 def load_model(path):
@@ -360,10 +328,20 @@ def load_model(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     with _reading(path):
-        data = np.load(io.BytesIO(raw), allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("a single array, not an npz archive")
-        return _result_from_members(path, data, len(raw))
+        zf = zipfile.ZipFile(io.BytesIO(raw))
+        meta = _read_meta(zf)
+        _check_sizes(zf, meta, "")
+        problem = benchmark_problem(meta["mesh_n"], meta["degree"])
+        # the online model only, not the build's interpolant
+        model = _model_from_members(path, problem, zf, meta, "")
+    report = BuildReport(variant=meta["label"],
+                         fe_solve_count=meta["fe_solve_count"],
+                         r=meta["r"], rebuild_wn=meta["rebuild_wn"])
+    result = BuildResult(model=model, report=report, eim_g=None,
+                         checkpoints=StoredCheckpoints(path, zf, meta,
+                                                       problem))
+    result.fingerprint = meta["fingerprint"]
+    return result
 
 
 def fingerprint_json(settings_dict):

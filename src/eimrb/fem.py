@@ -6,10 +6,11 @@ degree 1, 2 or 3 place their nodes on the refined lattice with spacing
 1/(n*degree), so every degree of freedom has an exact coordinate and
 point evaluation at a node reduces to indexing.
 
-A space builds its dof lattice when it is made, and the element data
-that assembly reads (reference basis, quadrature, Jacobians) on first
-use.  Assembled operators are scipy CSR matrices.  A space holds none:
-each nonlinear.NonlinearProblem assembles its own, once, on first use.  There
+A mesh and a space build nothing when they are made: the vertices,
+triangles and dof lattice, and the element data that assembly reads
+(reference basis, quadrature, Jacobians), are each made on first use.
+Assembled operators are scipy CSR matrices.  A space holds none: each
+nonlinear.NonlinearProblem assembles its own, once, on first use.  There
 is one way to solve a linear system: factor_sparse makes a sparse LU in
 the operator's given order, and solve_factored solves with it and checks
 the residual.  The homogeneous Dirichlet conditions are imposed by
@@ -110,22 +111,31 @@ class _ReferenceElement:
 # ---------------------------------------------------------------------------
 
 class Mesh:
-    """Uniform triangulation of (0,1)^2: n*n cells, two triangles each."""
+    """Uniform triangulation of (0,1)^2: n*n cells, two triangles each;
+    vertices and triangles are built on first use."""
 
     def __init__(self, n):
         if n < 1:
             raise ValueError(f"cells per side must be >= 1, got {n}")
         self.n_cells_per_side = n
+
+    @cached_property
+    def vertices(self):
+        n = self.n_cells_per_side
         k = np.arange(n + 1) / n
         X, Y = np.meshgrid(k, k, indexing="xy")
-        self.vertices = np.column_stack([X.ravel(), Y.ravel()])
+        return np.column_stack([X.ravel(), Y.ravel()])
+
+    @cached_property
+    def triangles(self):
         # cells row by row; cell (cx, cy) has the corners a (lower left),
         # b, c, d counterclockwise and is split into the triangle (a, b, c)
         # right of the diagonal, then (a, c, d) left of it
+        n = self.n_cells_per_side
         cy, cx = np.divmod(np.arange(n * n, dtype=np.int64), n)
         a = cy * (n + 1) + cx
         b, c, d = a + 1, a + n + 2, a + n + 1
-        self.triangles = np.column_stack([a, b, c, a, c, d]).reshape(-1, 3)
+        return np.column_stack([a, b, c, a, c, d]).reshape(-1, 3)
 
     @property
     def n_triangles(self):
@@ -145,11 +155,11 @@ class FESpace:
     dof id of lattice point (ix, iy) is iy*(n*degree+1) + ix.  Quadrature
     is exact for polynomials of degree 2*degree + 2.
 
-    A space builds only its dof lattice (coordinates, boundary and
-    interior dofs).  The data that assembly reads (reference basis,
-    quadrature, per-triangle Jacobians, elem_dofs) is made on first use,
-    so a loaded online model, which reads only dof_coords, pays for none
-    of it.
+    A space builds nothing until first use: ndof and coords follow from
+    n and the degree, and the dof lattice and the data that assembly
+    reads (reference basis, quadrature, per-triangle Jacobians,
+    elem_dofs) are made when first read, so a loaded online model pays
+    for none of it.
     """
 
     def __init__(self, mesh, degree):
@@ -157,15 +167,29 @@ class FESpace:
             raise ValueError(f"unsupported degree {degree}, need 1, 2 or 3")
         self.mesh = mesh
         self.degree = degree
-        n = mesh.n_cells_per_side
-        nd = n * degree
-        self._nd = nd
+        self._nd = mesh.n_cells_per_side * degree
 
-        ix, iy = np.meshgrid(np.arange(nd + 1), np.arange(nd + 1), indexing="xy")
-        self.dof_coords = np.column_stack([ix.ravel() / nd, iy.ravel() / nd])
-        on_edge = (ix == 0) | (ix == nd) | (iy == 0) | (iy == nd)
-        self.boundary_dofs = np.flatnonzero(on_edge.ravel())
-        self.interior_dofs = np.flatnonzero(~on_edge.ravel())
+    @property
+    def ndof(self):
+        return (self._nd + 1) ** 2
+
+    def coords(self, dofs):
+        """Coordinates (k, 2) of the lattice points of the dofs (k,)."""
+        iy, ix = np.divmod(dofs, self._nd + 1)
+        return np.column_stack([ix / self._nd, iy / self._nd])
+
+    @cached_property
+    def dof_coords(self):
+        return self.coords(np.arange(self.ndof))
+
+    @cached_property
+    def boundary_dofs(self):
+        xy = self.dof_coords                    # exact: 0 and 1 on the edge
+        return np.flatnonzero(((xy == 0) | (xy == 1)).any(axis=1))
+
+    @cached_property
+    def interior_dofs(self):
+        return np.setdiff1d(np.arange(self.ndof), self.boundary_dofs)
 
     @cached_property
     def ref(self):
@@ -226,10 +250,6 @@ class FESpace:
         gx = np.rint(phys[..., 0] * nd).astype(np.int64)
         gy = np.rint(phys[..., 1] * nd).astype(np.int64)
         return gy * (nd + 1) + gx
-
-    @property
-    def ndof(self):
-        return len(self.dof_coords)
 
     def quad_phys_points(self):
         """Physical coordinates of all quadrature points, shape (nt, nq, 2)."""

@@ -207,7 +207,7 @@ class NonlinearProblem:
     Constructing a problem assembles nothing: the stiffness, the mass,
     their sum x_op (the H1 inner product), the load and the mass row sums
     are each made once, when first read, so that an online model (which
-    reads only the term and the dof coordinates) never pays for them.
+    reads only the term and its points' coordinates) never pays for them.
     The problem is their one owner: the space holds no operator, so two
     problems on one space each make their own.  Each is a plain instance
     attribute once made, and an assigned operator replaces it.

@@ -258,9 +258,9 @@ class ReducedModel:
             self.basis = basis
         self.snapshot_mus = [tuple(mu) for mu in snapshot_mus]
         self.start_mus = np.array(start_mus, dtype=float).reshape(-1, 2)
-        # coordinates of the interpolation points, so a solve does not
-        # index the ndof-sized dof coordinates
-        self.xg = problem.space.dof_coords[self.t]
+        # coordinates of the interpolation points, from their dof ids
+        # alone: a loaded model builds no ndof-sized lattice
+        self.xg = problem.space.coords(self.t)
 
     @cached_property
     def W(self):

@@ -1,8 +1,12 @@
+import io
 import json
 import math
 import os
+import re
+import struct
 import subprocess
 import sys
+import time
 import zipfile
 from pathlib import Path
 
@@ -71,12 +75,31 @@ def _format_7(meta, members):
     members["floats"] = np.insert(members["floats"], at, np.zeros(n * m))
 
 
+def _format_9(meta, members):
+    """Damage that makes a format 9 archive: the entries of the npz that
+    np.savez writes of the meta string and the float members, each with
+    its npy header."""
+    meta.update(format_version=9)
+    npz = io.BytesIO()
+    np.savez(npz, meta=np.str_(json.dumps(meta, sort_keys=True)),
+             **{name: data for name, data in members.items() if name != "meta"})
+    members.clear()
+    members.update(_read_members(npz))
+
+
+def _npy(value):
+    """The npy bytes of value, as an npz archive stores a member."""
+    buf = io.BytesIO()
+    np.save(buf, value)
+    return buf.getvalue()
+
+
 def _old_format(version):
-    """Damage that makes an archive of an older format: a format_version
+    """Damage that makes an archive of formats 1-5: a format_version.npy
     member and no meta."""
     def damage(meta, members):
         del members["meta"]
-        members["format_version"] = np.int64(version)
+        members["format_version.npy"] = _npy(np.int64(version))
     return damage
 
 
@@ -100,17 +123,47 @@ def _cut(n=None, m=None):
     return damage
 
 
+def _read_members(path):
+    """The raw bytes of each entry of the zip at path, by name."""
+    with zipfile.ZipFile(path) as zf:
+        return {name: zf.read(name) for name in zf.namelist()}
+
+
+def _write_members(path, members):
+    """Write a stored zip of members: bytes as they are, an array as its
+    raw little-endian float64 bytes."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            if not isinstance(data, bytes):
+                data = np.ascontiguousarray(data, dtype="<f8").tobytes()
+            zf.writestr(zipfile.ZipInfo(name), data)
+
+
 def _damage_archive(path, damage):
     """Rewrite the archive at path after damage(meta, members) changed its
-    parsed metadata or its members in place; the changed metadata is
-    stored unless the damage replaced or removed the meta member."""
-    members = dict(np.load(path, allow_pickle=False))
+    parsed metadata or its members in place: each float member a float64
+    vector, the final model's basis shaped (ndof, N).  The changed
+    metadata is stored unless the damage replaced or removed the meta
+    member."""
+    members = _read_members(path)
     stored = members["meta"]
-    meta = json.loads(str(stored))
+    meta = json.loads(stored)
+    for name, data in members.items():
+        if name != "meta":
+            members[name] = np.frombuffer(data, dtype="<f8").copy()
+    members["basis"] = members["basis"].reshape(-1, meta["N"])
     damage(meta, members)
     if members.get("meta") is stored:
-        members["meta"] = np.str_(json.dumps(meta, sort_keys=True))
-    np.savez(path, **members)
+        members["meta"] = json.dumps(meta, sort_keys=True).encode()
+    _write_members(path, members)
+
+
+def _data_offset(raw, name):
+    """Offset of the data of the entry name in the zip bytes raw."""
+    with zipfile.ZipFile(io.BytesIO(raw)) as zf:
+        at = zf.getinfo(name).header_offset
+    name_len, extra_len = struct.unpack("<HH", raw[at + 26:at + 30])
+    return at + 30 + name_len + extra_len
 
 
 class TestArchive:
@@ -152,10 +205,11 @@ class TestArchive:
 
     def test_load_assembles_nothing(self, ser_small, rebuild_small, tmp_path,
                                     monkeypatch):
-        # a load rebuilds the mesh and space only: with every assembly and
-        # the dissection order unusable, the loaded models (final, stored
-        # checkpoints and restrictions, of an r=1 and a rebuilding build)
-        # still answer bitwise as the models built in memory
+        # a load makes the mesh and space objects only: with every
+        # assembly and the dissection order unusable, the loaded models
+        # (final, stored checkpoints and restrictions, of an r=1 and a
+        # rebuilding build) still answer bitwise as the models built in
+        # memory, and neither the mesh nor the dof lattice is ever built
         mus = list(er.SampleSet.log_random(20, seed=3))
 
         def answers(model):
@@ -197,6 +251,32 @@ class TestArchive:
             assert answers(loaded.model) == expected[name][0]
             assert [answers(loaded.checkpoint(*s))
                     for s in stages] == expected[name][1]
+            space = loaded.model.problem.space
+            assert not {"vertices", "triangles"} & set(vars(space.mesh))
+            assert not {"dof_coords", "boundary_dofs",
+                        "interior_dofs"} & set(vars(space))
+
+    def test_load_parses_no_npy_header(self, rebuild_small, tmp_path,
+                                       monkeypatch):
+        # every member is raw bytes whose shape comes from meta: with
+        # numpy's npy header parse unusable, a load, a solve, a lift and
+        # a stored checkpoint's first access answer bitwise
+        path = tmp_path / "rebuild.npz"
+        er.save_model(path, rebuild_small)
+
+        def no_header(*args, **kwargs):
+            raise AssertionError("a load parsed an npy header")
+
+        monkeypatch.setattr(np.lib.format, "read_magic", no_header)
+        loaded = er.load_model(path)
+        mu = (1.2, 0.9)
+        for built, model in ((rebuild_small.model, loaded.model),
+                             (rebuild_small.checkpoints[(2, 2)],
+                              loaded.checkpoint(2, 2))):
+            sol = model.solve(mu)
+            assert same_bits(sol.coeffs, built.solve(mu).coeffs)
+            assert same_bits(model.lift_values(sol), built.lift_values(sol))
+            assert_same_model(model, built)
 
     def test_checkpoints_are_read_on_first_access(self, rebuild_small,
                                                   tmp_path, monkeypatch):
@@ -206,20 +286,14 @@ class TestArchive:
         # the bytes read at load
         path = tmp_path / "rebuild.npz"
         er.save_model(path, rebuild_small)
-        # a member is read through the npz file or, for floats, as one
-        # zip entry
+        # a member is read as one zip entry
         reads = []
-        getitem, read = np.lib.npyio.NpzFile.__getitem__, zipfile.ZipFile.read
-
-        def counting(self, key):
-            reads.append(key)
-            return getitem(self, key)
+        read = zipfile.ZipFile.read
 
         def counting_entry(self, name, *args):
-            reads.append(name.removesuffix(".npy"))
+            reads.append(name)
             return read(self, name, *args)
 
-        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting)
         monkeypatch.setattr(zipfile.ZipFile, "read", counting_entry)
         loaded = er.load_model(path)
         assert reads == ["meta", "floats"]
@@ -247,22 +321,20 @@ class TestArchive:
     def test_damaged_basis_is_refused_at_first_lift(self, standard_small,
                                                     tmp_path, tiny_config,
                                                     capsys):
-        # a basis with a valid header and truncated data: the load reads
-        # its header only and succeeds; the first lift fails to parse it
+        # a basis of the right size with a flipped data byte: the load
+        # reads its size only and succeeds; the first lift reads it and
+        # its CRC refuses it
         path = tmp_path / "model.npz"
         er.save_model(path, standard_small)
-        with zipfile.ZipFile(path) as zf:
-            members = {name: zf.read(name) for name in zf.namelist()}
-        basis = standard_small.model.basis
-        members["basis.npy"] = members["basis.npy"][:-basis.nbytes // 2]
-        with zipfile.ZipFile(path, "w") as zf:
-            for name, data in members.items():
-                zf.writestr(name, data)
+        raw = path.read_bytes()
+        at = _data_offset(raw, "basis") + standard_small.model.basis.nbytes // 2
+        path.write_bytes(raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:])
         loaded = er.load_model(path).model
         sol = loaded.solve((1.2, 0.9))
         assert same_bits(sol.coeffs, standard_small.model.solve((1.2, 0.9)).coeffs)
         for _ in range(2):          # a failed parse is not kept
-            with pytest.raises(er.ArchiveError, match="array data"):
+            with pytest.raises(er.ArchiveError,
+                               match="Bad CRC-32 for file 'basis'"):
                 loaded.lift_values(sol)
         capsys.readouterr()
         assert main(["study", str(tiny_config[0]), str(path)]) == 4
@@ -272,25 +344,27 @@ class TestArchive:
                                            tiny_config, capsys):
         path = tmp_path / "rebuild.npz"
         er.save_model(path, rebuild_small)
-        stored = dict(np.load(path, allow_pickle=False))
+        stored = _read_members(path)
         # a missing checkpoint member is found at load, from the member
         # names
         for name in ("cp0_floats", "cp0_basis"):
-            np.savez(path, **{k: v for k, v in stored.items() if k != name})
+            _write_members(path, {k: v for k, v in stored.items() if k != name})
             with pytest.raises(er.ArchiveError, match=f"{name} is not a file"):
                 er.load_model(path)
         # floats one entry short, when the checkpoint is read: the stage
         # stays stored, so it is never made by restricting the final model
         # instead
-        np.savez(path, **{**stored, "cp0_floats": stored["cp0_floats"][:-1]})
+        _write_members(path, {**stored,
+                              "cp0_floats": stored["cp0_floats"][:-8]})
         loaded = er.load_model(path)
         assert (2, 2) in loaded.checkpoints
-        with pytest.raises(er.ArchiveError, match="cp0_floats has shape"):
+        short = r"cp0_floats has \d+ bytes, expected"
+        with pytest.raises(er.ArchiveError, match=short):
             loaded.checkpoint(2, 2)
         # and a study of that stage stops with it, not with an empty row
         capsys.readouterr()
         assert main(["study", str(tiny_config[0]), str(path)]) == 4
-        assert "cp0_floats has shape" in capsys.readouterr().err
+        assert re.search(short, capsys.readouterr().err)
 
     def test_online_starts_survive_round_trip(self, ser_small, rebuild_small,
                                               tmp_path, monkeypatch):
@@ -339,8 +413,8 @@ class TestArchive:
                                 eim_g=None)
         path = tmp_path / "model.npz"
         er.save_model(path, result)
-        with np.load(path, allow_pickle=False) as data:
-            assert json.loads(str(data["meta"]))["P"] == len(model.start_mus) - 1
+        meta = json.loads(_read_members(path)["meta"])
+        assert meta["P"] == len(model.start_mus) - 1
         loaded = er.load_model(path).model
         assert same_bits(loaded.start_mus,
                          np.delete(model.start_mus, 4, axis=0))
@@ -356,27 +430,35 @@ class TestArchive:
         assert small.N == 2
 
     def test_archive_stores_each_model_once(self, rebuild_small, tmp_path):
-        # format 9: one metadata record, then per model one floats vector
-        # of its arrays (raveled in C order, in the order below, its start
-        # table last; no W) and its basis, the stored checkpoint under its
-        # prefix; the basis is the only array as long as the dofs (no
-        # interpolant)
+        # format 10: a stored zip of one UTF-8 JSON metadata record, then
+        # per model one floats vector of its arrays (raveled in C order,
+        # in the order below, its start table last; no W) and its basis,
+        # each raw little-endian float64 with no header, the stored
+        # checkpoint under its prefix; the basis is the only member as
+        # long as the dofs (no interpolant)
         path = tmp_path / "model.npz"
         er.save_model(path, rebuild_small)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {name: data[name] for name in data.files}
-        assert set(arrays) == {"meta", "floats", "basis", "cp0_floats",
-                               "cp0_basis"}
-        meta = json.loads(str(arrays["meta"]))
-        assert meta["format_version"] == 9
+        raw = _read_members(path)
+        with zipfile.ZipFile(path) as zf:
+            assert all(info.compress_type == zipfile.ZIP_STORED
+                       and info.date_time == (1980, 1, 1, 0, 0, 0)
+                       for info in zf.infolist())
+        assert list(raw) == ["meta", "floats", "basis", "cp0_floats",
+                             "cp0_basis"]
+        meta = json.loads(raw["meta"].decode("utf-8"))
+        assert meta["format_version"] == 10
         assert set(meta) == {"format_version", "mesh_n", "degree", "label",
                              "r", "rebuild_wn", "fingerprint",
                              "fe_solve_count", "checkpoint_keys", "N", "t",
                              "P", "cp0_N", "cp0_t", "cp0_P"}
         assert meta["checkpoint_keys"] == [[2, 2]]
         ndof = rebuild_small.model.problem.space.ndof
-        assert {name for name, a in arrays.items()
-                if ndof in a.shape} == {"basis", "cp0_basis"}
+        for prefix in ("", "cp0_"):
+            n, m, p = (meta[prefix + "N"], len(meta[prefix + "t"]),
+                       meta[prefix + "P"])
+            assert len(raw[prefix + "floats"]) == 8 * sum(
+                math.prod(shape) for shape in _float_shapes(n, m, p).values())
+            assert len(raw[prefix + "basis"]) == 8 * ndof * n
         # a loaded model forms W as the built one did: bytes and layout,
         # on which the bits of W @ g depend
         loaded = er.load_model(path)
@@ -389,17 +471,31 @@ class TestArchive:
             assert meta[prefix + "P"] == len(built.start_mus) == 25
             assert all(type(p) is int for p in meta[prefix + "t"])
             assert model.t.dtype == np.int64
-            floats = arrays[prefix + "floats"]
+            floats = np.frombuffer(raw[prefix + "floats"], dtype="<f8")
             assert same_bits(floats, np.concatenate(
                 [np.ravel(getattr(built, name)) for name in
                  ("B", "A", "F", "Rq", "Tr", "avg")]
                 + [np.ravel(built.snapshot_mus)]
                 + [np.ravel(getattr(built.start_table, part))
                    for part in ("mus", "coeffs", "slopes")]))
-            assert same_bits(arrays[prefix + "basis"], built.basis)
+            assert same_bits(np.frombuffer(raw[prefix + "basis"], dtype="<f8")
+                             .reshape(ndof, built.N), built.basis)
             assert same_bits(model.W, built.W)
             assert (model.W.flags.c_contiguous, model.W.flags.f_contiguous) \
                 == (built.W.flags.c_contiguous, built.W.flags.f_contiguous)
+
+    def test_two_saves_write_the_same_bytes(self, rebuild_small, tmp_path,
+                                            monkeypatch):
+        # every entry carries zipfile's fixed 1980 date, not the clock's:
+        # a save a day later writes the same bytes
+        path, saved = tmp_path / "model.npz", []
+        stamp = time.time()
+        for day in (0, 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(time, "time", lambda: stamp + 86400 * day)
+                er.save_model(path, rebuild_small)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
 
     @pytest.mark.parametrize("damage, match", [
         (_old_format(1), "unsupported archive format version 1"),
@@ -413,11 +509,11 @@ class TestArchive:
         (lambda meta, members: meta.update(format_version=99),
          "unsupported archive format version 99"),
         (lambda meta, members: members.pop("meta"), "meta is not a file"),
-        (lambda meta, members: members.update(meta=np.str_("{6: 6}")),
+        (lambda meta, members: members.update(meta=b"{6: 6}"),
          "meta is not valid JSON"),
-        (lambda meta, members: members.update(meta=np.str_("[" * 10**5)),
+        (lambda meta, members: members.update(meta=b"[" * 10**5),
          "meta is not valid JSON"),
-        (lambda meta, members: members.update(meta=np.str_("[6]")),
+        (lambda meta, members: members.update(meta=b"[6]"),
          "meta is not a JSON object"),
         (lambda meta, members: meta.pop("fe_solve_count"),
          "meta lacks fe_solve_count"),
@@ -429,7 +525,7 @@ class TestArchive:
         (lambda meta, members: meta.update(rebuild_wn=0),
          "meta rebuild_wn holds"),
         (lambda meta, members: members.update(floats=members["floats"][:-1]),
-         "floats has shape"),
+         "floats has \\d+ bytes, expected"),
         (lambda meta, members: members.pop("floats"), "floats is not a file"),
         (lambda meta, members: members.pop("basis"), "basis is not a file"),
         (_set_b(-1, -1, 1.0 + 2.0 ** -52), "B is not unit lower triangular"),
@@ -437,7 +533,7 @@ class TestArchive:
         (_set_b(-1, 0, np.nan), "B is not unit lower triangular"),
         (lambda meta, members: members.update(floats=np.delete(
             members["floats"], np.arange(members["floats"].size)[
-                _table_entries(meta)])), "floats has shape"),
+                _table_entries(meta)])), "floats has \\d+ bytes, expected"),
         (lambda meta, members: members["floats"].__setitem__(-1, np.nan),
          "start table holds a value that is not finite"),
         (lambda meta, members: members["floats"].__setitem__(
@@ -449,15 +545,16 @@ class TestArchive:
         (lambda meta, members: meta.pop("P"), "meta lacks P"),
         (lambda meta, members: meta.update(P=-1), "meta P holds -1"),
         (lambda meta, members: meta.update(P=meta["P"] - 1),
-         "floats has shape"),
+         "floats has \\d+ bytes, expected"),
         (lambda meta, members: meta.update(t=[p + 10000 for p in meta["t"]]),
          "t holds a point outside"),
         (lambda meta, members: meta.update(mesh_n=2 * meta["mesh_n"]),
-         "basis has shape"),
+         "basis has \\d+ bytes, expected"),
         (_cut(n=0), "meta N holds 0"),
         (_cut(m=0), r"meta t holds \[\]"),
-        (b"not a model archive\n", "pickle"),
-        (b"", "No data left"),
+        (_format_9, "unsupported archive format version 9"),
+        (b"not a model archive\n", "File is not a zip file"),
+        (b"", "File is not a zip file"),
     ], ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v99",
             "missing-meta",
             "bad-json", "deep-json", "meta-not-object", "meta-lacks-key",
@@ -466,7 +563,8 @@ class TestArchive:
             "B-upper", "B-not-finite", "missing-table", "table-not-finite",
             "table-mu-not-finite", "table-mu-not-positive", "meta-lacks-P",
             "P-negative", "P-short",
-            "t-outside", "other-mesh", "N-zero", "t-empty", "junk", "empty"])
+            "t-outside", "other-mesh", "N-zero", "t-empty", "v9", "junk",
+            "empty"])
     def test_unloadable_archive_is_refused(self, standard_small, tmp_path,
                                            capsys, damage, match):
         # every other member and entry is present, so only the damage
@@ -485,32 +583,40 @@ class TestArchive:
         assert capsys.readouterr().err.startswith("i/o error: ")
 
     @pytest.mark.parametrize("damage, match", [
-        ("basis-header", "cannot load"), ("compression", "cannot load"),
-        ("floats-data", "Bad CRC-32 for file 'floats.npy'")],
-        ids=["basis-header", "compression", "floats-data"])
+        ("basis-size", "basis has {short} bytes, expected {full} "),
+        ("compression", "cannot load"),
+        ("floats-data", "Bad CRC-32 for file 'floats'")],
+        ids=["basis-size", "compression", "floats-data"])
     def test_damaged_zip_entry_is_refused(self, standard_small, tmp_path,
-                                          capsys, damage, match):
-        # damage below the npz layer: an npy header that does not parse
-        # (read at load, before any CRC check), a compression method
-        # zipfile does not know, in the central directory, and a flipped
-        # byte in the data of floats, which a load reads as one zip entry
-        # (so the entry's CRC must be checked)
+                                          monkeypatch, capsys, damage, match):
+        # damage to the zip entries: a basis one float short, refused from
+        # its size in the central directory before the mesh is built, a
+        # compression method zipfile does not know, in the central
+        # directory, and a flipped byte in the data of floats, which a
+        # load reads as one zip entry (so the entry's CRC must be checked)
         path = tmp_path / "model.npz"
         er.save_model(path, standard_small)
+        full = standard_small.model.basis.nbytes
+        match = match.format(short=full - 8, full=full)
+        if damage == "basis-size":
+            _damage_archive(path, lambda meta, members: members.update(
+                basis=members["basis"].ravel()[:-1]))
+
+            def build(*args):
+                raise AssertionError("the load built a mesh")
+
+            monkeypatch.setattr("eimrb.archive.benchmark_problem", build)
         raw = path.read_bytes()
-        if damage == "basis-header":
-            at = raw.index(b"}", raw.index(b"'shape'", raw.index(b"basis.npy")))
-            raw = raw[:at] + b"(" + raw[at + 1:]
-        elif damage == "compression":
-            # the central directory entry of floats.npy: its name at
-            # offset 46, its compression method at offset 10
+        if damage == "compression":
+            # the central directory entry of floats: its name at offset
+            # 46, its compression method at offset 10
             entry = raw.index(b"PK\x01\x02")
-            while raw[entry + 46:entry + 56] != b"floats.npy":
+            while raw[entry + 28:entry + 30] != struct.pack("<H", 6) \
+                    or raw[entry + 46:entry + 52] != b"floats":
                 entry = raw.index(b"PK\x01\x02", entry + 1)
             raw = raw[:entry + 10] + b"\x63\x00" + raw[entry + 12:]
-        else:
-            # past the local header and the 128-byte npy header
-            at = raw.index(b"floats.npy") + 10 + 200
+        elif damage == "floats-data":
+            at = _data_offset(raw, "floats") + 16
             raw = raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:]
         path.write_bytes(raw)
         with pytest.raises(er.ArchiveError, match=match):
@@ -520,9 +626,10 @@ class TestArchive:
         assert capsys.readouterr().err.startswith("i/o error: ")
 
     @pytest.mark.parametrize("meta_change, basis_rows, match", [
-        ({"mesh_n": 10**6}, None, "basis has shape"),
-        ({"mesh_n": 10**6}, (2 * 10**6 + 1) ** 2, "basis has shape .* more "
-                                                  "than the archive's"),
+        ({"mesh_n": 10**6}, None, r"basis has [1-9]\d* bytes, expected \d+ "
+                                  ".* on the 1000000x1000000 P2 mesh"),
+        ({"mesh_n": 10**6}, (2 * 10**6 + 1) ** 2, r"basis has 0 bytes, "
+         "expected .* on the 1000000x1000000 P2 mesh"),
         ({"degree": 4}, None, "names no mesh"),
         ({"degree": 0}, None, "names no mesh"),
         ({"mesh_n": 0}, None, "names no mesh"),
@@ -536,9 +643,9 @@ class TestArchive:
                                                 meta_change, basis_rows,
                                                 match):
         # a damaged mesh/degree pair is refused from the metadata and the
-        # basis header alone: the mesh is never built, and nothing as
-        # large as the mesh it names is allocated (an empty basis of that
-        # many rows holds no data)
+        # basis size in the zip's central directory alone: the mesh is
+        # never built, and nothing as large as the mesh it names is
+        # allocated (an empty basis of that many rows holds no data)
         path = tmp_path / "model.npz"
         er.save_model(path, standard_small)
 

@@ -63,6 +63,42 @@ class TestSpace:
         with pytest.raises(ValueError):
             er.FESpace(er.Mesh(4), 4)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 3, 8, 32])
+    def test_lattice_built_on_first_use_matches_the_eager_formulas(self, n,
+                                                                   degree):
+        # a mesh and a space build nothing when made; what they make on
+        # first use is bitwise what the lattice formulas give at once
+        mesh = er.Mesh(n)
+        space = er.FESpace(mesh, degree)
+        assert space.ndof == (n * degree + 1) ** 2
+        assert not {"vertices", "triangles"} & set(vars(mesh))
+        assert not {"dof_coords", "boundary_dofs",
+                    "interior_dofs"} & set(vars(space))
+        nd = n * degree
+        ix, iy = np.meshgrid(np.arange(nd + 1), np.arange(nd + 1),
+                             indexing="xy")
+        coords = np.column_stack([ix.ravel() / nd, iy.ravel() / nd])
+        on_edge = ((ix == 0) | (ix == nd) | (iy == 0) | (iy == nd)).ravel()
+        k = np.arange(n + 1) / n
+        X, Y = np.meshgrid(k, k, indexing="xy")
+        cy, cx = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        a = cy * (n + 1) + cx
+        triangles = np.column_stack(
+            [a, a + 1, a + n + 2, a, a + n + 2, a + n + 1]).reshape(-1, 3)
+        for got, expected in (
+                (space.dof_coords, coords),
+                (space.boundary_dofs, np.flatnonzero(on_edge)),
+                (space.interior_dofs, np.flatnonzero(~on_edge)),
+                (mesh.vertices, np.column_stack([X.ravel(), Y.ravel()])),
+                (mesh.triangles, triangles)):
+            assert got.dtype == expected.dtype
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+        t = np.random.default_rng(n * degree).integers(0, space.ndof, 25)
+        assert space.coords(t).tobytes() == space.dof_coords[t].tobytes()
+        assert space.coords(t).shape == (25, 2)
+
     def test_boundary_dofs_match_coords(self, space8):
         xy = space8.dof_coords
         on_bd = ((np.abs(xy[:, 0]) <= 1e-12) | (np.abs(xy[:, 0] - 1) <= 1e-12)
