@@ -12,19 +12,19 @@ indices) and the row count ``P`` of its start table.  The other members
 are raw little-endian float64 bytes with no header: every shape follows
 from ``meta``, so numpy's np.load cannot read them.  ``floats`` holds
 the final ``ReducedModel``'s ``B``, ``A``, ``F``, ``Rq``, ``Tr``,
-``avg``, ``snapshot_mus``, and its start table's ``start_mus`` (P, 2),
-``start_coeffs`` (P, N) and ``start_slopes`` (P, 2, N), in that order,
+``avg``, ``snapshot_mus``, and its start table's ``table.mus`` (P, 2),
+``table.coeffs`` (P, N) and ``table.slopes`` (P, 2, N), in that order,
 each raveled in C order; their shapes follow from N, M = len(t) and P.
 ``W = Rq^T B^{-1}`` is not stored: a loaded model forms it on its first
 solve from its stored ``B`` and ``Rq`` with the call the built model
 made, so ``W @ g`` keeps its bits on the machine that loads it.  The
-start table (``ReducedModel.start_table``) holds the rows of the model's
-training set where its cold solve converged, with their solutions and
-slopes: it is made when the archive is written, so a load and a query
-never pay for it, and a loaded model starts every query where the saved
-one does.  A loaded model's ``start_mus`` are the stored rows, so a
-restriction of it makes its table over those.  ``basis`` is the
-(ndof, N) stacked basis, ndof = (degree * mesh_n + 1)^2; the
+start table (``ReducedModel.table``, made by the build with
+``rb.start_table``) holds the rows of the model's training set where
+its cold solve converged, with their solutions and slopes: a load and a
+query never pay for it, a loaded model is given it and starts every
+query where the saved one does, and a restriction of a loaded model
+slices it as it would the built one's.  ``basis`` is the (ndof, N)
+stacked basis, ndof = (degree * mesh_n + 1)^2; the
 interpolant's fields are not stored (the online solve reads them only
 through ``Rq``).  A stored checkpoint adds ``floats`` and ``basis``
 under the prefix ``cp<i>_`` and its N, t and P under the same prefix in
@@ -59,6 +59,7 @@ import math
 import zipfile
 from collections.abc import Mapping
 from contextlib import contextmanager
+from operator import attrgetter
 
 import numpy as np
 
@@ -83,26 +84,24 @@ class ArchiveError(ValueError):
 
 
 def _float_shapes(n, m, p):
-    """Shape of each array of a floats member, in their order there, for
-    N = n, M = m and a start table of p rows."""
+    """Shape of each array of a floats member, by its attribute path on
+    the model, in their order there, for N = n, M = m and a start table
+    of p rows."""
     return {"B": (m, m), "A": (n, n), "F": (n,), "Rq": (m, n), "Tr": (n, m),
-            "avg": (n,), "snapshot_mus": (n, 2), "start_mus": (p, 2),
-            "start_coeffs": (p, n), "start_slopes": (p, 2, n)}
+            "avg": (n,), "snapshot_mus": (n, 2), "table.mus": (p, 2),
+            "table.coeffs": (p, n), "table.slopes": (p, 2, n)}
 
 
 def _model_members(model, prefix):
-    """The float members and the metadata entries of one model."""
-    table = model.start_table
-    arrays = {name: getattr(model, name) for name in
-              ("B", "A", "F", "Rq", "Tr", "avg", "snapshot_mus")}
-    arrays.update(start_mus=table.mus, start_coeffs=table.coeffs,
-                  start_slopes=table.slopes)
+    """The float members and the metadata entries of one model, which
+    holds a start table."""
+    rows = len(model.table.mus)
     floats = np.concatenate([
-        np.asarray(arrays[name], dtype=float).ravel()
-        for name in _float_shapes(model.N, model.M, len(table.mus))])
+        np.asarray(attrgetter(name)(model), dtype=float).ravel()
+        for name in _float_shapes(model.N, model.M, rows)])
     members = {prefix + "floats": floats, prefix + "basis": model.basis}
     meta = {prefix + "N": model.N, prefix + "t": [int(p) for p in model.t],
-            prefix + "P": len(table.mus)}
+            prefix + "P": rows}
     return members, meta
 
 
@@ -200,8 +199,8 @@ def _check_sizes(zf, meta, prefix):
 def _model_from_members(path, problem, zf, meta, prefix):
     """The model stored under prefix, whose member sizes _check_sizes
     passed, after checking that B is unit lower triangular and that the
-    start table is finite; it is assigned its stored table.  The basis
-    is parsed from the bytes of zf on first use."""
+    start table is finite; it is given its stored table.  The basis is
+    parsed from the bytes of zf on first use."""
     n, t = meta[prefix + "N"], meta[prefix + "t"]
     m, ndof = len(t), problem.space.ndof
     floats = np.frombuffer(zf.read(prefix + "floats"), dtype=FLOAT,
@@ -214,26 +213,22 @@ def _model_from_members(path, problem, zf, meta, prefix):
     B = arrays["B"]
     if not ((np.triu(B) == np.eye(m)).all() and np.isfinite(B).all()):
         raise ValueError(f"{prefix}B is not unit lower triangular")
-    table = [arrays[name] for name in
-             ("start_mus", "start_coeffs", "start_slopes")]
+    table = [arrays["table." + part] for part in ("mus", "coeffs", "slopes")]
     if not all(np.isfinite(a).all() for a in table):
         raise ValueError(f"{prefix}start table holds a value that is not "
                          "finite")
     if not (table[0] > 0).all():
-        raise ValueError(f"{prefix}start_mus holds a parameter that is not "
+        raise ValueError(f"{prefix}table.mus holds a parameter that is not "
                          "positive")
-    table = StartTable(*table)
 
     def read_basis():
         with _reading(path):
             return np.frombuffer(zf.read(prefix + "basis"),
                                  dtype=FLOAT).reshape(ndof, n)
 
-    model = ReducedModel(problem, t, B, arrays["A"], arrays["F"],
-                         arrays["Rq"], arrays["Tr"], arrays["avg"], read_basis,
-                         arrays["snapshot_mus"], table.mus)
-    model.start_table = table
-    return model
+    return ReducedModel(problem, t, B, arrays["A"], arrays["F"],
+                        arrays["Rq"], arrays["Tr"], arrays["avg"], read_basis,
+                        arrays["snapshot_mus"], StartTable(*table))
 
 
 @contextmanager

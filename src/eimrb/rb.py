@@ -24,11 +24,11 @@ J from one pair of kernels on a (P, N) block, ``_residual`` and
 ``_jacobian``, ``solve`` on a (1, N) row.
 
 An online query starts where the model already knows an answer near
-it.  A model holds a start table over its ``start_mus``, the training
-set of the build that made it (``start_table``): at each of those
-parameters mu_k its own reduced solution c_k, from one cold
-``solve_many`` with the default settings, and the slope S_k = dc/dlog mu
-there, the tangent of the solution path,
+it.  A model is given its start table (``StartTable``), or none:
+``start_table(model, mus)`` makes one over parameters mu_k, in a build
+its training set: at each of them the model's own reduced solution c_k,
+from one cold ``solve_many`` with the default settings, and the slope
+S_k = dc/dlog mu there, the tangent of the solution path,
 
     S_k = -J(c_k)^{-1} W dg/dlog mu (Tr^T c_k; mu_k),
 
@@ -39,13 +39,16 @@ mu-derivative.  A row whose cold solve fails or whose slope is not
 finite is left out.  ``solve`` without an initial guess starts Newton
 at the Euler (tangent) prediction c_k + S_k (log mu - log mu_k) of the
 row nearest to mu in log-parameter distance (``nonlinear.nearest``, the
-rule of the truth references too), or at zero when no row is left.
+rule of the truth references too), or at zero with no table or no row.
 Every ``solve`` stops at cfg.tolerance of the residual norm at c = 0,
 whatever its start, so a start saves steps but never moves the rule.
 The sweeps' ``solve_many`` stays cold, so no build array depends on a
-start.  ``build_ser`` makes the final model's table, an archive stores
-it, and any other model (a restriction, a stored checkpoint before it
-is saved) makes its own from its own arrays on its first solve.
+start.  ``build_ser`` makes the table of the final model and of each
+stored checkpoint, an archive stores them, and a restriction is given
+its parent's table sliced to its n coefficients: the basis is nested,
+so the leading coefficients of the parent's rows and slopes start the
+restricted solve near its answer.  The sweep models of
+``RbSpace.model`` never call ``solve`` and hold no table.
 
 ``RbSpace`` is the build's growing state: the basis, extended by each
 snapshot, and the reduced blocks on it, extended when a model is asked
@@ -61,7 +64,7 @@ fields enter a model only through Rq, so no model holds them, and
 A model forms W on first use, from B and Rq, and a model given a
 function in place of its (ndof, N) basis calls it on first use.  The
 online solve reads W and never the basis, so a loaded model, which is
-assigned its stored table and parses its basis on its first lift,
+given its stored table and parses its basis on its first lift,
 answers a query without the basis and on numpy alone.
 """
 
@@ -144,11 +147,11 @@ class RbSpace:
         self.mus.append(tuple(mu))
         return xi
 
-    def model(self, mass_fields, start_mus):
+    def model(self, mass_fields):
         """Online model of the current basis and the interpolant of
         mass_fields (a nonlinear.MassFields, which makes the products
         M q_m that Rq reads), its blocks first grown to the current
-        (N, M), that starts its solves from a table over start_mus."""
+        (N, M), with no start table."""
         eim = mass_fields.eim
         mass_qs = mass_fields.update()
         n_old, n_new = self.A.shape[0], self.N
@@ -190,7 +193,7 @@ class RbSpace:
         stacked = self.basis_matrix()
         return ReducedModel(self.problem, eim.t, eim.B, self.A, self.F,
                             self.Rq, stacked[eim.t].T.copy(), self.avg,
-                            stacked, self.mus, start_mus)
+                            stacked, self.mus, None)
 
 
 class RbSolution:
@@ -239,14 +242,13 @@ class ReducedModel:
     and basis the (ndof, N) stacked basis, or a function of no arguments
     that returns it when it is first read (how a loaded model parses it
     late).  snapshot_mus records the parameters of the basis snapshots,
-    and start_mus (P, 2) those where the start table may have rows (a
-    copy of the given sequence).  The interpolation point
-    coordinates xg are derived here, and W and the start_table on first
-    use; an assigned W, table or basis replaces the derived one.
+    and table is the StartTable where solve starts, or None for a start
+    at zero.  The interpolation point coordinates xg are derived here,
+    and W on first use; an assigned W or basis replaces the derived one.
     """
 
     def __init__(self, problem, t, B, A, F, Rq, Tr, avg, basis,
-                 snapshot_mus, start_mus):
+                 snapshot_mus, table):
         self.problem = problem
         # own copies: the build's interpolant goes on growing
         self.t = np.array(t, dtype=np.int64)
@@ -257,7 +259,7 @@ class ReducedModel:
         else:
             self.basis = basis
         self.snapshot_mus = [tuple(mu) for mu in snapshot_mus]
-        self.start_mus = np.array(start_mus, dtype=float).reshape(-1, 2)
+        self.table = table
         # coordinates of the interpolation points, from their dof ids
         # alone: a loaded model builds no ndof-sized lattice
         self.xg = problem.space.coords(self.t)
@@ -284,38 +286,6 @@ class ReducedModel:
     def M(self):
         return len(self.t)
 
-    @cached_property
-    def start_table(self):
-        """The StartTable over start_mus: one cold solve_many with the
-        default settings, then the slopes -J^{-1} W dg/dlog mu at the
-        converged rows from one stacked solve; rows that fail either are
-        left out."""
-        mus = self.start_mus
-        coeffs, failures = self.solve_many(mus)
-        term, xg = self.problem.term, self.xg
-        values = coeffs @ self.Tr
-        with np.errstate(over="ignore", invalid="ignore"):
-            # (P, 2, M): the term's central difference in each log mu_j
-            dg_dlog = np.stack([
-                (term.g(values, xg, mus * step) - term.g(values, xg, mus / step))
-                / (2 * SLOPE_STEP)
-                for step in np.exp(SLOPE_STEP * np.eye(2))], axis=1)
-            jac = self._jacobian(term.dg_du(values, xg, mus))
-            rhs = -(dg_dlog @ self.W.T).transpose(0, 2, 1)     # (P, N, 2)
-            try:
-                slopes = np.linalg.solve(jac, rhs)
-            except np.linalg.LinAlgError:
-                # the stacked solve only says that some Jacobian is
-                # singular: solve one by one and leave those rows out
-                slopes = np.full(rhs.shape, np.nan)
-                for k in range(len(jac)):
-                    with suppress(np.linalg.LinAlgError):
-                        slopes[k] = np.linalg.solve(jac[k], rhs[k])
-        kept = np.isfinite(slopes).all(axis=(1, 2))
-        kept[list(failures)] = False
-        return StartTable(mus[kept], coeffs[kept], np.ascontiguousarray(
-            slopes[kept].transpose(0, 2, 1)))
-
     def _residual(self, c, g_values):
         """Residuals of a (P, N) block c, g_values being g at c Tr."""
         return c @ self.A.T + g_values @ self.W.T - self.F
@@ -328,9 +298,10 @@ class ReducedModel:
         """Online reduced Newton solve on the shared driver; cost
         independent of the FE dimension.
 
-        Newton starts from initial, N coefficients, or when none is
-        given from the tangent prediction of the start_table row nearest
-        to mu in log-parameter distance (nonlinear.nearest).  Whatever
+        mu must be positive and finite.  Newton starts from initial, N
+        coefficients, or when none is given from the tangent prediction
+        of the table row nearest to mu in log-parameter distance
+        (nonlinear.nearest), or from zero with no table.  Whatever
         the start, it stops at cfg.tolerance of the residual norm at
         c = 0, as the truth solve does: a start saves steps but never
         moves the rule.
@@ -338,12 +309,16 @@ class ReducedModel:
         cfg = cfg or DEFAULT_NEWTON
         if self.N < 1:
             raise ValueError("empty reduced basis")
+        # refused before np.log sees it; 0 < nan is false
+        if not all(0.0 < x < math.inf for x in mu):
+            raise ValueError(f"mu={tuple(mu)} is not positive and finite")
         g, dg_du = self.problem.term.g, self.problem.term.dg_du
         xg, Tr = self.xg, self.Tr
         twice = np.array((mu, mu), dtype=float)     # mu on two rows
         mus = twice[:1]
         if initial is None:
-            initial = self.start_table.start(twice[0])
+            initial = (np.zeros(self.N) if self.table is None
+                       else self.table.start(twice[0]))
         c = np.array(initial, dtype=float, ndmin=2)     # a (1, N) row
         if c.shape != (1, self.N):
             raise ValueError(f"initial has shape {np.shape(initial)}, "
@@ -470,9 +445,9 @@ class ReducedModel:
         """Model of the leading n basis vectors and m interpolant fields,
         on copies of the sliced arrays (valid because growth is
         append-only).  An m above M is taken as M; n and m are ints (a
-        bool or a float is refused).  It makes its own start_table over
-        the same start_mus on its first solve: the rows of this model's
-        table solve this model, not the restricted one."""
+        bool or a float is refused).  Its start table is this model's
+        table, its coefficients and slopes sliced to n, or None when
+        this model has none."""
         if type(n) is not int or type(m) is not int:
             raise ValueError(f"restriction sizes must be ints, got {n!r} "
                              f"and {m!r}")
@@ -481,8 +456,43 @@ class ReducedModel:
         if n > self.N:
             raise ValueError(f"cannot restrict N={self.N} model to {n}")
         m = min(m, self.M)
+        table = self.table and StartTable(
+            self.table.mus.copy(), self.table.coeffs[:, :n].copy(),
+            self.table.slopes[:, :, :n].copy())
         return ReducedModel(self.problem, self.t[:m], self.B[:m, :m],
                             self.A[:n, :n].copy(), self.F[:n].copy(),
                             self.Rq[:m, :n].copy(), self.Tr[:n, :m].copy(),
                             self.avg[:n].copy(), self.basis[:, :n].copy(),
-                            self.snapshot_mus[:n], self.start_mus)
+                            self.snapshot_mus[:n], table)
+
+
+def start_table(model, mus):
+    """The StartTable of model over the (P, 2) parameters mus: one cold
+    solve_many with the default settings, then the slopes
+    -J^{-1} W dg/dlog mu at the converged rows from one stacked solve;
+    rows that fail either are left out."""
+    mus = np.array(mus, dtype=float).reshape(-1, 2)
+    coeffs, failures = model.solve_many(mus)
+    term, xg = model.problem.term, model.xg
+    values = coeffs @ model.Tr
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (P, 2, M): the term's central difference in each log mu_j
+        dg_dlog = np.stack([
+            (term.g(values, xg, mus * step) - term.g(values, xg, mus / step))
+            / (2 * SLOPE_STEP)
+            for step in np.exp(SLOPE_STEP * np.eye(2))], axis=1)
+        jac = model._jacobian(term.dg_du(values, xg, mus))
+        rhs = -(dg_dlog @ model.W.T).transpose(0, 2, 1)     # (P, N, 2)
+        try:
+            slopes = np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError:
+            # the stacked solve only says that some Jacobian is singular:
+            # solve one by one and leave those rows out
+            slopes = np.full(rhs.shape, np.nan)
+            for k in range(len(jac)):
+                with suppress(np.linalg.LinAlgError):
+                    slopes[k] = np.linalg.solve(jac[k], rhs[k])
+    kept = np.isfinite(slopes).all(axis=(1, 2))
+    kept[list(failures)] = False
+    return StartTable(mus[kept], coeffs[kept], np.ascontiguousarray(
+        slopes[kept].transpose(0, 2, 1)))

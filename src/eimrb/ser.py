@@ -33,12 +33,11 @@ is append-only between rebuilds, so the model of an earlier (N, M)
 stage is the final model restricted to it, equal in every array
 (``BuildResult.checkpoint``).  A stage from ``SerConfig.checkpoints`` is
 stored only when a later update of a ``rebuild_wn`` build replaces the
-basis it was solved with.  Every model the build makes starts its online
-solves from a table over the training set (``ReducedModel.start_mus``),
-and before it returns, the build makes the final model's table: its
-reduced solutions at the training parameters, from one cold
-``solve_many``, and their slopes in log mu
-(``ReducedModel.start_table``).
+basis it was solved with.  The build gives the final model and each
+stored checkpoint, when it stores it, the table where its online solves
+start (``rb.start_table``): its reduced solutions at the training
+parameters, from one cold ``solve_many``, and their slopes in log mu.
+The sweep models hold no table, and a restriction slices its parent's.
 
 Snapshots with the current interpolated operator are solved in the M
 interpolation-point values (see ``nonlinear``), always from zero.  The
@@ -75,7 +74,7 @@ from .eim import eim_greedy_step, eim_initialize
 from .fem import SolverFailure
 from .nonlinear import (MassFields, NewtonConfig, NewtonFailure,
                         SurrogateSolver, truth_newton_solve_eim)
-from .rb import DependentSnapshot, RbSpace, ReducedModel
+from .rb import DependentSnapshot, RbSpace, ReducedModel, start_table
 
 
 class SerBuildError(RuntimeError):
@@ -291,7 +290,7 @@ def build_ser(problem, cfg):
             else:
                 # the interpolant grows only after the sweep, so every
                 # sweep evaluation sees the same model
-                provider = reduced_g_block(rb.model(mass_fields, train),
+                provider = reduced_g_block(rb.model(mass_fields),
                                            cfg.newton)
             step = eim_greedy_step(eim_g, provider, train)
             report.skipped.extend(step.skipped)
@@ -331,11 +330,12 @@ def build_ser(problem, cfg):
         stage = (rb.N, m_target)
         if (cfg.rebuild_wn and j < n_updates
                 and stage in map(tuple, cfg.checkpoints)):
-            stored = rb.model(mass_fields, train)
-            result.checkpoints[stage] = stored.restrict(*stage)
+            stored = rb.model(mass_fields).restrict(*stage)
+            stored.table = start_table(stored, train)
+            result.checkpoints[stage] = stored
 
     report.fe_solve_count = fe_solves()
     report.wall_time = time.perf_counter() - t0
-    result.model = rb.model(mass_fields, train)
-    result.model.start_table    # the starts of its online solves, made now
+    result.model = rb.model(mass_fields)
+    result.model.table = start_table(result.model, train)
     return result

@@ -60,21 +60,35 @@ def rebuild_small(problem8, train5, newton_roomy):
 
 
 MODEL_FIELDS = ("problem", "t", "B", "A", "F", "Rq", "Tr", "avg", "basis",
-                "snapshot_mus", "start_mus")
-# the arrays of a model, those derived from its fields included: xg, W
-# and the start table (the model's solutions and their slopes at its
-# start parameters, where its online solves start; a model remade from
-# its fields by model_with derives these from the arrays it is given)
+                "snapshot_mus", "table")
+# the arrays of a model, those derived from its fields included (xg and
+# W, which a model remade from its fields by model_with derives from the
+# arrays it is given), and those of its start table, where its online
+# solves start (the model's solutions and their slopes at the table's
+# parameters)
 MODEL_ARRAYS = ("t", "B", "A", "F", "Rq", "Tr", "avg", "basis", "W", "xg")
 TABLE_ARRAYS = ("mus", "coeffs", "slopes", "logs")
 
 
 def model_arrays(model):
-    """Every array of a model by name, the start table's among them."""
+    """Every array of a model by name, its start table's among them when
+    it has one."""
     arrays = {name: getattr(model, name) for name in MODEL_ARRAYS}
-    arrays.update({"start_table." + name: getattr(model.start_table, name)
-                   for name in TABLE_ARRAYS})
+    if model.table is not None:
+        arrays.update(table_arrays(model.table))
     return arrays
+
+
+def table_arrays(table):
+    """Every array of a start table by name."""
+    return {"table." + name: getattr(table, name) for name in TABLE_ARRAYS}
+
+
+def assert_same_table(a, b):
+    """Two start tables equal bitwise in every array."""
+    arrays = table_arrays(b)
+    for name, array in table_arrays(a).items():
+        assert same_bits(array, arrays[name]), name
 
 
 def model_with(model, **changes):
@@ -110,13 +124,13 @@ def same_bits(a, b):
 
 def assert_same_model(a, b, mus=((0.37, 0.8), (5.0, 0.02), (2.0, 6.0))):
     """Two models equal bitwise: every array (the interpolation points and
-    matrix among them) and the coefficients and outputs of online solves
-    at mus."""
+    matrix and the start table among them) and the coefficients and
+    outputs of online solves at mus."""
     arrays = model_arrays(b)
+    assert set(model_arrays(a)) == set(arrays)
     for name, array in model_arrays(a).items():
         assert same_bits(array, arrays[name]), name
     assert a.snapshot_mus == b.snapshot_mus
-    assert same_bits(a.start_mus, b.start_mus)
     for mu in mus:
         sa, sb = a.solve(mu), b.solve(mu)
         assert same_bits(sa.coeffs, sb.coeffs)

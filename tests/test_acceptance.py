@@ -248,7 +248,7 @@ def test_online_start_saves_newton_iterations(ser1_build):
 def test_r5_sweep_models_answer_every_online_query(ser5_build):
     # clock-free: the restrictions of the r=5 build whose sweeps skip
     # evaluations on the mu2 = 10 edge answer every point of a 40x40 log
-    # grid from their own start tables
+    # grid from the final model's start table, sliced to their N
     grid = list(er.SampleSet.log_grid(40, 40))
     failed, most = {}, 0
     for n, m in ((4, 6), (4, 7), (12, 16), (12, 17)):

@@ -18,7 +18,8 @@ from eimrb import cli, fem, nonlinear
 from eimrb.archive import _float_shapes
 from eimrb.cli import EXIT_PIPE, _variant_slug, main
 
-from conftest import assert_same_model, poisoned_at, same_bits, with_term
+from conftest import (assert_same_model, assert_same_table, model_with,
+                      poisoned_at, same_bits, with_term)
 
 
 def _set_b(row, col, value):
@@ -379,8 +380,7 @@ class TestArchive:
             er.save_model(tmp_path / f"{name}.npz", built)
             stages = [built.model] + [built.checkpoints[key]
                                       for key in sorted(built.checkpoints)]
-            expected[name] = [(m.start_table, m.start_mus,
-                               [m.solve(mu).coeffs for mu in mus])
+            expected[name] = [(m.table, [m.solve(mu).coeffs for mu in mus])
                               for m in stages]
 
         def no_table(*args, **kwargs):
@@ -392,11 +392,8 @@ class TestArchive:
             stored = [loaded.model] + [loaded.checkpoints[key]
                                        for key in sorted(loaded.checkpoints)]
             assert len(stored) == len(stages)
-            for model, (table, start_mus, answers) in zip(stored, stages):
-                assert same_bits(model.start_mus, start_mus)
-                for part in ("mus", "coeffs", "slopes", "logs"):
-                    assert same_bits(getattr(model.start_table, part),
-                                     getattr(table, part)), part
+            for model, (table, answers) in zip(stored, stages):
+                assert_same_table(model.table, table)
                 for mu, coeffs in zip(mus, answers):
                     assert same_bits(model.solve(mu).coeffs, coeffs)
 
@@ -404,23 +401,22 @@ class TestArchive:
                                                             standard_small,
                                                             tmp_path):
         # a row left out of the table is left out of the archive, and a
-        # loaded model's start parameters are the stored rows
+        # loaded model's table holds the stored rows
         model = standard_small.model
-        bad = model.start_mus[4]
-        poisoned = with_term(model, g=poisoned_at(model.problem.term.g, bad,
-                                                  np.nan))
+        mus = model.table.mus
+        poisoned = with_term(model, g=poisoned_at(model.problem.term.g,
+                                                  mus[4], np.nan))
+        poisoned = model_with(poisoned,
+                              table=er.rb.start_table(poisoned, mus))
         result = er.BuildResult(model=poisoned, report=standard_small.report,
                                 eim_g=None)
         path = tmp_path / "model.npz"
         er.save_model(path, result)
         meta = json.loads(_read_members(path)["meta"])
-        assert meta["P"] == len(model.start_mus) - 1
+        assert meta["P"] == len(mus) - 1
         loaded = er.load_model(path).model
-        assert same_bits(loaded.start_mus,
-                         np.delete(model.start_mus, 4, axis=0))
-        for part in ("mus", "coeffs", "slopes"):
-            assert same_bits(getattr(loaded.start_table, part),
-                             getattr(poisoned.start_table, part)), part
+        assert same_bits(loaded.table.mus, np.delete(mus, 4, axis=0))
+        assert_same_table(loaded.table, poisoned.table)
 
     def test_loaded_model_restricts(self, standard_small, tmp_path):
         path = tmp_path / "model.npz"
@@ -468,7 +464,7 @@ class TestArchive:
                  loaded.checkpoint(2, 2))):
             assert meta[prefix + "N"] == built.N
             assert meta[prefix + "t"] == built.t.tolist()
-            assert meta[prefix + "P"] == len(built.start_mus) == 25
+            assert meta[prefix + "P"] == len(built.table.mus) == 25
             assert all(type(p) is int for p in meta[prefix + "t"])
             assert model.t.dtype == np.int64
             floats = np.frombuffer(raw[prefix + "floats"], dtype="<f8")
@@ -476,13 +472,54 @@ class TestArchive:
                 [np.ravel(getattr(built, name)) for name in
                  ("B", "A", "F", "Rq", "Tr", "avg")]
                 + [np.ravel(built.snapshot_mus)]
-                + [np.ravel(getattr(built.start_table, part))
+                + [np.ravel(getattr(built.table, part))
                    for part in ("mus", "coeffs", "slopes")]))
             assert same_bits(np.frombuffer(raw[prefix + "basis"], dtype="<f8")
                              .reshape(ndof, built.N), built.basis)
             assert same_bits(model.W, built.W)
             assert (model.W.flags.c_contiguous, model.W.flags.f_contiguous) \
                 == (built.W.flags.c_contiguous, built.W.flags.f_contiguous)
+
+    def test_seeded_damage_is_refused_or_harmless(self, rebuild_small,
+                                                  tmp_path):
+        # 1,700 seeded single-bit flips and 300 truncations of an archive
+        # with a stored checkpoint: each damaged file raises ArchiveError
+        # on load, solve, lift or checkpoint access, or answers bit for
+        # bit as the undamaged one (a flip in a field that no load reads)
+        path = tmp_path / "model.npz"
+        er.save_model(path, rebuild_small)
+        raw = path.read_bytes()
+        mu = (0.37, 0.8)
+
+        def answers(result):
+            out = []
+            for model in (result.model, result.checkpoint(2, 2)):
+                sol = model.solve(mu)
+                out += [sol.coeffs, model.output(sol), model.lift_values(sol)]
+            return [np.asarray(a).tobytes() for a in out]
+
+        expected = answers(er.load_model(path))
+
+        def flipped(bit):
+            data = bytearray(raw)
+            data[bit // 8] ^= 1 << bit % 8
+            return bytes(data)
+
+        rng = np.random.default_rng(0)
+        damaged = [flipped(bit) for bit in
+                   rng.choice(8 * len(raw), size=1700, replace=False)]
+        damaged += [raw[:cut] for cut in
+                    np.linspace(0, len(raw) - 1, 300).astype(int)]
+        refused = 0
+        for data in damaged:
+            path.write_bytes(data)
+            try:
+                got = answers(er.load_model(path))
+            except er.ArchiveError:
+                refused += 1
+                continue
+            assert got == expected
+        assert refused > 0.9 * len(damaged)
 
     def test_two_saves_write_the_same_bytes(self, rebuild_small, tmp_path,
                                             monkeypatch):
@@ -541,7 +578,7 @@ class TestArchive:
          "start table holds a value that is not finite"),
         (lambda meta, members: members["floats"].__setitem__(
             _table_entries(meta).start + 1, 0.0),
-         "start_mus holds a parameter that is not positive"),
+         "table.mus holds a parameter that is not positive"),
         (lambda meta, members: meta.pop("P"), "meta lacks P"),
         (lambda meta, members: meta.update(P=-1), "meta P holds -1"),
         (lambda meta, members: meta.update(P=meta["P"] - 1),
@@ -840,6 +877,27 @@ class TestCli:
         assert f"s_N={s:.10e}" in line.split()
         assert s_hex == s.hex()
         assert scipy_modules == "[]"
+
+    def test_build_does_not_depend_on_blas_threads(self, tmp_path):
+        # eimrb build under one and under two OpenBLAS threads writes the
+        # same bytes: the archive and the build report
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            cfg = tmp_path / f"run{threads}.cfg"
+            cfg.write_text(f"mesh.n = 16\nfem.degree = 2\ntrain.grid_n1 = 10\n"
+                           f"train.grid_n2 = 10\nser.r = 1\nser.n_max = 10\n"
+                           f"eim.m_max = 10\noutput.dir = {out}\n")
+            run = subprocess.run(
+                [sys.executable, "-m", "eimrb", "build", str(cfg)],
+                env=dict(os.environ, PYTHONPATH=str(src),
+                         OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            outputs.append([(out / name).read_bytes()
+                            for name in ("model.npz", "build_report.json")])
+        assert outputs[0] == outputs[1]
 
     def test_solve_checks_mu_before_reading_the_archive(self, tmp_path):
         # an out-of-domain mu is a config error even with no archive

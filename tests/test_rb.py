@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 import eimrb as er
 
 from conftest import (at_mu, eim_train, gram_matrix, model_arrays,
-                      model_with, poisoned_at, same_bits, with_term)
+                      assert_same_table, model_with, poisoned_at, same_bits,
+                      with_term)
 
 
 class TestRbSpace:
@@ -64,11 +66,11 @@ class TestBlocks:
         for mu in self.MUS[:2]:
             rb.add_snapshot(truth.get(mu)[0], mu)
         mass_fields = er.MassFields(problem8, eim_g)
-        old = rb.model(mass_fields, train5)
+        old = rb.model(mass_fields)
         # grow the basis and the interpolant in one model() call
         rb.add_snapshot(truth.get(self.MUS[2])[0], self.MUS[2])
         eim_train(problem8.space, provider, list(train5), m_max=4, basis=eim_g)
-        new = rb.model(mass_fields, train5)
+        new = rb.model(mass_fields)
         assert (new.N, new.Rq.shape[0]) == (3, 4)
         assert same_bits(new.A[:2, :2], old.A)
         assert same_bits(new.F[:2], old.F)
@@ -80,7 +82,7 @@ class TestBlocks:
         fresh = er.RbSpace(problem8)
         for mu in self.MUS:
             fresh.add_snapshot(truth.get(mu)[0], mu)
-        at_once = fresh.model(mass_fields, train5)
+        at_once = fresh.model(mass_fields)
         arrays = model_arrays(at_once)
         for name, array in model_arrays(new).items():
             assert same_bits(array, arrays[name]), name
@@ -95,7 +97,7 @@ class TestBlocks:
         for mu in self.MUS[:2]:
             rb.add_snapshot(truth.get(mu)[0], mu)
         mass_fields = er.MassFields(problem8, eim_g)
-        first = rb.model(mass_fields, train5)
+        first = rb.model(mass_fields)
         assert not np.shares_memory(first.B, eim_g.B)
         before = {name: array.copy()
                   for name, array in model_arrays(first).items()}
@@ -104,7 +106,7 @@ class TestBlocks:
 
         rb.add_snapshot(truth.get(self.MUS[2])[0], self.MUS[2])
         assert not er.eim_greedy_step(eim_g, provider, list(train5)).saturated
-        second = rb.model(mass_fields, train5)
+        second = rb.model(mass_fields)
 
         assert (second.N, second.Rq.shape[0]) == (3, 4)
         arrays = model_arrays(second)
@@ -188,14 +190,15 @@ class TestReducedSolve:
         eim_g = eim_train(problem8.space, er.truth_g_block(truth), samples, m_max=4)
         rb = er.RbSpace(problem8)
         rb.add_snapshot(truth.get(mu)[0], mu)
-        model = rb.model(er.MassFields(problem8, eim_g), samples)
+        model = rb.model(er.MassFields(problem8, eim_g))
         sol = model.solve(mu)
         du = truth.get(mu)[0] - model.lift_values(sol)
         assert float(np.sqrt(du @ (problem8.mass @ du))) <= 1e-6
 
     def test_zero_rhs_gives_zero_in_one_iteration(self, standard_small):
+        # with no table, as the start rows solve the model with its F
         model = standard_small.model.restrict(4, 5)
-        model = model_with(model, F=np.zeros_like(model.F))
+        model = model_with(model, F=np.zeros_like(model.F), table=None)
         sol = model.solve((1.0, 1.0))
         assert np.all(sol.coeffs == 0.0)
         assert sol.newton_iters == 1
@@ -237,9 +240,8 @@ class TestReducedSolve:
             e = np.zeros(space.ndof)
             e[dof] = 1.0
             rb.add_snapshot(e, (float(k), 0.0))
-        model = rb.model(er.MassFields(problem, eim_g), samples)
+        model = rb.model(er.MassFields(problem, eim_g))
         for mu in samples:
-            # the solve starts from zero, so the start table plays no part
             sol = model.solve(mu, er.NewtonConfig(max_iter=200),
                               initial=np.zeros(model.N))
             du = truth.get(mu)[0] - model.lift_values(sol)
@@ -327,7 +329,7 @@ class TestSolveMany:
 
     def test_empty_basis_rejected_like_solve(self, problem8, standard_small):
         mass_fields = er.MassFields(problem8, standard_small.eim_g)
-        model = er.RbSpace(problem8).model(mass_fields, [(1.0, 1.0)])
+        model = er.RbSpace(problem8).model(mass_fields)
         with pytest.raises(ValueError) as single:
             model.solve((1.0, 1.0))
         with pytest.raises(ValueError) as many:
@@ -345,8 +347,8 @@ class TestSolveMany:
 
 class TestOnlineStart:
     """solve starts at the tangent prediction from the model's own
-    solution at the nearest start parameter and stops by the rule of a
-    solve from zero."""
+    solution at the nearest parameter of its start table, or at zero with
+    no table, and stops by the rule of a solve from zero."""
 
     MUS = list(er.SampleSet.log_random(20, seed=8))
 
@@ -354,9 +356,9 @@ class TestOnlineStart:
     def predicted(model, mu):
         """The start of solve(mu) by a plain loop: the row of the start
         table nearest to mu in log distance, the first on a tie, moved
-        along its slopes; zero with no row."""
-        table = model.start_table
-        if not len(table.mus):
+        along its slopes; zero with no table or no row."""
+        table = model.table
+        if table is None or not len(table.mus):
             return np.zeros(model.N)
 
         def dist(k):
@@ -365,6 +367,11 @@ class TestOnlineStart:
         k = min(range(len(table.mus)), key=dist)
         step = np.log(mu) - np.log(table.mus[k])
         return table.coeffs[k] + step @ table.slopes[k]
+
+    @staticmethod
+    def tabled(model, mus):
+        """The model given the start table that it makes over mus."""
+        return model_with(model, table=er.rb.start_table(model, mus))
 
     def assert_starts_at(self, model, mu, start):
         """solve(mu) is bitwise the solve started at start."""
@@ -376,18 +383,16 @@ class TestOnlineStart:
     def test_table_is_the_cold_block_solve_at_the_start_parameters(
             self, ser_small, train5):
         model = ser_small.model
-        table = model.start_table
-        assert same_bits(model.start_mus, train5.points)
-        assert same_bits(table.mus, model.start_mus)
-        assert same_bits(table.coeffs,
-                         model.solve_many(model.start_mus)[0])
+        table = model.table
+        assert same_bits(table.mus, train5.points)
+        assert same_bits(table.coeffs, model.solve_many(train5.points)[0])
         assert table.slopes.shape == (len(train5), 2, model.N)
         assert table.slopes.flags.c_contiguous
 
     def test_slopes_are_the_derivatives_of_the_solution(self, ser_small):
         # central differences of the cold block solve in each log mu_j
         model = ser_small.model
-        table = model.start_table
+        table = model.table
         h = 1e-4
         worst = 0.0
         for j in range(2):
@@ -409,12 +414,35 @@ class TestOnlineStart:
         cfg = er.SerConfig(r=r, rebuild_wn=rebuild, n_max=2, m_max=3,
                            train_set=train)
         model = er.build_ser(er.benchmark_problem(4, 1), cfg).model
-        assert "start_table" in vars(model)
-        assert same_bits(model.start_mus, train.points)
-        fresh = model_with(model).start_table
-        for name in ("mus", "coeffs", "slopes", "logs"):
-            assert same_bits(getattr(model.start_table, name),
-                             getattr(fresh, name)), name
+        fresh = er.rb.start_table(model_with(model, table=None), train.points)
+        assert same_bits(model.table.mus, train.points)
+        assert_same_table(model.table, fresh)
+
+    def test_build_gives_each_stored_checkpoint_its_table(self, tmp_path):
+        # made when the checkpoint is stored, from its own arrays, before
+        # any solve or save; the archive stores it and a load gives it back
+        train = er.SampleSet.log_grid(3, 3)
+        cfg = er.SerConfig(r=1, rebuild_wn=True, n_max=2, m_max=2,
+                           train_set=train, checkpoints=((1, 1),))
+        result = er.build_ser(er.benchmark_problem(4, 1), cfg)
+        stored = result.checkpoints[(1, 1)]
+        assert "W" in vars(stored)      # formed by the table's solves
+        assert_same_table(stored.table, er.rb.start_table(
+            model_with(stored, table=None), train.points))
+        er.save_model(tmp_path / "model.npz", result)
+        loaded = er.load_model(tmp_path / "model.npz").checkpoint(1, 1)
+        assert_same_table(loaded.table, stored.table)
+
+    def test_a_sweep_model_has_no_table_and_starts_at_zero(self, problem8,
+                                                           standard_small):
+        rb = er.RbSpace(problem8)
+        source = standard_small.model
+        for k in range(3):
+            rb.add_snapshot(source.basis[:, k], source.snapshot_mus[k])
+        model = rb.model(er.MassFields(problem8, standard_small.eim_g))
+        assert model.table is None
+        for mu in self.MUS:
+            self.assert_starts_at(model, mu, np.zeros(model.N))
 
     def test_default_start_is_the_tangent_prediction_bitwise(self,
                                                              ser_small):
@@ -428,7 +456,7 @@ class TestOnlineStart:
 
     def test_start_at_a_table_parameter_is_that_row(self, ser_small):
         model = ser_small.model
-        table = model.start_table
+        table = model.table
         for k in (0, 7, len(table.mus) - 1):
             mu = tuple(table.mus[k])
             assert same_bits(table.start(np.array(mu)), table.coeffs[k])
@@ -441,16 +469,17 @@ class TestOnlineStart:
         # is left out, and a query beside it starts from its nearest
         # converged row
         model = standard_small.model
-        bad = tuple(model.start_mus[12])
+        mus = model.table.mus
+        bad = tuple(mus[12])
         poison = np.array(bad)
         if where == "slope":
             poison = poison * np.exp(er.rb.SLOPE_STEP * np.eye(2))[1]
-        poisoned = with_term(model, g=poisoned_at(model.problem.term.g,
-                                                  poison, np.nan))
-        table = poisoned.start_table
-        assert same_bits(table.mus, np.delete(model.start_mus, 12, axis=0))
+        poisoned = self.tabled(with_term(model, g=poisoned_at(
+            model.problem.term.g, poison, np.nan)), mus)
+        table = poisoned.table
+        assert same_bits(table.mus, np.delete(mus, 12, axis=0))
         assert np.isfinite(table.slopes).all()
-        logs = np.log(model.start_mus)
+        logs = np.log(mus)
         for mu in ((bad[0] * 1.01, bad[1]), (bad[0], bad[1] / 1.01)):
             # bad is the start parameter nearest to mu, but no table row
             assert ((logs - np.log(mu)) ** 2).sum(axis=1).argmin() == 12
@@ -462,7 +491,8 @@ class TestOnlineStart:
         # from c = 0; g' vanishes away from u = 0 at one parameter only,
         # so its converged Jacobian W diag(g') Tr^T is singular there
         model = standard_small.model
-        bad = np.array(model.start_mus[6])
+        mus = model.table.mus
+        bad = np.array(mus[6])
 
         def dg_du(u, xy, mus):
             out = np.ones_like(u)
@@ -471,19 +501,19 @@ class TestOnlineStart:
 
         linear = model_with(with_term(model, g=lambda u, xy, mus: u * 1.0,
                                       dg_du=dg_du), A=np.zeros_like(model.A))
-        coeffs, failures = linear.solve_many(linear.start_mus)
+        coeffs, failures = linear.solve_many(mus)
         assert failures == {}
-        table = linear.start_table
-        assert same_bits(table.mus, np.delete(linear.start_mus, 6, axis=0))
+        table = er.rb.start_table(linear, mus)
+        assert same_bits(table.mus, np.delete(mus, 6, axis=0))
         assert same_bits(table.coeffs, np.delete(coeffs, 6, axis=0))
 
     def test_a_table_with_no_converged_row_starts_at_zero(self,
                                                           standard_small):
         model = standard_small.model
-        bad = model.start_mus[3]
-        lone = model_with(with_term(model, g=poisoned_at(
-            model.problem.term.g, bad, np.nan)), start_mus=[bad])
-        table = lone.start_table
+        bad = model.table.mus[3]
+        lone = self.tabled(with_term(model, g=poisoned_at(
+            model.problem.term.g, bad, np.nan)), [bad])
+        table = lone.table
         assert table.mus.shape == (0, 2)
         assert table.coeffs.shape == (0, model.N)
         assert same_bits(table.start(np.array([0.5, 0.5])), np.zeros(model.N))
@@ -514,8 +544,7 @@ class TestOnlineStart:
                 10.0 * np.eye(n) + rng.standard_normal((n, n)),
                 rng.standard_normal(n), np.zeros((m, n)),
                 rng.standard_normal((n, m)), np.zeros(n),
-                np.zeros((problem8.space.ndof, n)), [(1.0, 1.0)] * n,
-                [(1.0, 1.0)])
+                np.zeros((problem8.space.ndof, n)), [(1.0, 1.0)] * n, None)
             model.W = rng.standard_normal((n, m))
             start = rng.standard_normal(n)
             g_start = model.problem.term.g(start[None] @ model.Tr, model.xg,
@@ -528,22 +557,27 @@ class TestOnlineStart:
             assert model.solve(mu, initial=start).residual_history[0] == norm
         assert moved
 
-    def test_restriction_derives_its_own_table(self, ser_small):
+    def test_restriction_slices_its_parents_table(self, ser_small):
+        # the basis is nested, so the leading n coefficients of the
+        # parent's rows and slopes start the restriction; its table is
+        # that slice, bit for bit, in arrays of its own
         model = ser_small.model
         small = model.restrict(3, 3)
-        assert same_bits(small.start_mus, model.start_mus)
-        assert not np.shares_memory(small.start_mus, model.start_mus)
-        assert "start_table" not in vars(small)
-        small.solve((0.7, 0.9))
-        assert "start_table" in vars(small)
-        table = small.start_table
-        assert same_bits(table.mus, model.start_table.mus)
-        assert same_bits(table.coeffs,
-                         small.solve_many(small.start_mus)[0])
-        fresh = model_with(small).start_table
-        assert same_bits(table.slopes, fresh.slopes)
+        parent, table = model.table, small.table
+        assert same_bits(table.mus, parent.mus)
+        assert same_bits(table.coeffs, parent.coeffs[:, :3])
+        assert same_bits(table.slopes, parent.slopes[:, :, :3])
+        assert same_bits(table.logs, parent.logs)
+        assert table.slopes.flags.c_contiguous
+        for name in ("mus", "coeffs", "slopes"):
+            assert not np.shares_memory(getattr(table, name),
+                                        getattr(parent, name)), name
         self.assert_starts_at(small, (0.7, 0.9),
                               self.predicted(small, (0.7, 0.9)))
+        # at full size the slice is the whole table
+        assert_same_table(model.restrict(model.N, model.M).table, parent)
+        # and a parent with no table gives none
+        assert model_with(model, table=None).restrict(3, 3).table is None
 
     @pytest.mark.parametrize("initial", [np.zeros(3), np.zeros((2, 5)),
                                          np.zeros(6), np.zeros(0)])
@@ -553,6 +587,20 @@ class TestOnlineStart:
         assert model.N == 5
         with pytest.raises(ValueError, match="expected N=5 coefficients"):
             model.solve((0.7, 0.9), initial=initial)
+
+    @pytest.mark.parametrize("mu", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
+                                    (math.nan, 1.0), (1.0, math.inf)],
+                             ids=["zero", "negative", "zero-mu2", "nan",
+                                  "inf"])
+    def test_a_parameter_that_is_not_positive_and_finite_is_refused(
+            self, ser_small, mu):
+        # refused before the log of the tangent start warns, and before
+        # a misleading Newton failure
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"mu={mu} is not positive and finite")):
+                ser_small.model.solve(mu)
 
 
 class TestOutputsAndLift:
@@ -632,13 +680,19 @@ class TestRestrict:
         # a restricted model shares no array with the model it came from:
         # writing into every array of it leaves the model unchanged
         model = standard_small.model
-        names = ("t", "B", "A", "F", "Rq", "Tr", "avg", "basis")
-        before = {name: getattr(model, name).copy() for name in names}
+        names = ("t", "B", "A", "F", "Rq", "Tr", "avg", "basis",
+                 "table.mus", "table.coeffs", "table.slopes")
+
+        def array(of, name):
+            table, _, part = name.rpartition(".")
+            return getattr(of.table if table else of, part)
+
+        before = {name: array(model, name).copy() for name in names}
         small = model.restrict(model.N, model.M)
         for name in names:
-            getattr(small, name)[...] = -1 if name == "t" else np.nan
+            array(small, name)[...] = -1 if name == "t" else np.nan
         for name in names:
-            assert np.array_equal(getattr(model, name), before[name]), name
+            assert np.array_equal(array(model, name), before[name]), name
 
     def test_restriction_beyond_size_rejected(self, standard_small):
         with pytest.raises(ValueError):

@@ -8,8 +8,9 @@ import pytest
 import eimrb as er
 import eimrb.ser
 
-from conftest import (assert_same_interpolant, assert_same_model, eim_train,
-                      same_bits, small_config)
+from conftest import (assert_same_interpolant, assert_same_model,
+                      assert_same_table, eim_train, model_with, same_bits,
+                      small_config)
 
 
 def expected_solids(r, rebuild, n_max, m_max, n_train):
@@ -145,13 +146,20 @@ class TestSchedules:
     def test_nested_growth_no_rebuild(self, problem8, train5, newton_roomy,
                                       ser_small):
         # without rebuilding, a build stopped at a stage is the longer
-        # build's final model restricted to it, bitwise in every array and
-        # in online outputs: so no stage needs storing
+        # build's final model restricted to it, bitwise in every array: so
+        # no stage needs storing.  Only the start tables differ: the short
+        # build's holds its own solutions, made by the table function from
+        # those arrays, the restriction the longer model's sliced to N = 3;
+        # given the short build's table, it answers bit for bit as it does
         cfg = er.SerConfig(r=1, n_max=3, m_max=3, train_set=train5,
                            newton=newton_roomy)
         short = er.build_ser(problem8, cfg)
-        assert_same_model(short.model, ser_small.model.restrict(3, 3))
-        assert_same_model(short.model, ser_small.checkpoint(3, 3))
+        for stage in (ser_small.model.restrict(3, 3),
+                      ser_small.checkpoint(3, 3)):
+            assert_same_table(short.model.table,
+                              er.rb.start_table(stage, train5.points))
+            assert_same_model(short.model,
+                              model_with(stage, table=short.model.table))
         # and its interpolant is the longer build's, cut to its size
         assert short.eim_g.M == 3
         assert_same_interpolant(short.eim_g, ser_small.eim_g, m=3)
