@@ -72,11 +72,11 @@ def benchmark_term():
     large u overflows to inf, under the callers' warning state
     (NonlinearTerm).
     """
-    def g(u, xy, mus):
+    def g(u, mus):
         mu1, mu2 = mus[:, :1], mus[:, 1:]
         return mu1 * np.expm1(mu2 * u) / mu2
 
-    def dg(u, xy, mus):
+    def dg(u, mus):
         mu1, mu2 = mus[:, :1], mus[:, 1:]
         return mu1 * np.exp(mu2 * u)
 
@@ -93,7 +93,9 @@ def benchmark_problem(n, degree):
 
 
 def default_checkpoints(r, n_max, m_max):
-    """Five proportional (N, M) stages; for r=1 builds these are N=M rows."""
+    """Five proportional (N, M) stages of n_max and m_max; for r=1 builds
+    these are N=M rows.  The stages depend on n_max and m_max alone: r
+    is not read."""
     out = []
     for j in range(1, 6):
         n = max(1, round(j * n_max / 5))

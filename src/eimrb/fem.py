@@ -155,11 +155,10 @@ class FESpace:
     dof id of lattice point (ix, iy) is iy*(n*degree+1) + ix.  Quadrature
     is exact for polynomials of degree 2*degree + 2.
 
-    A space builds nothing until first use: ndof and coords follow from
-    n and the degree, and the dof lattice and the data that assembly
-    reads (reference basis, quadrature, per-triangle Jacobians,
-    elem_dofs) are made when first read, so a loaded online model pays
-    for none of it.
+    A space builds nothing until first use: ndof follows from n and the
+    degree, and the dof lattice and the data that assembly reads
+    (reference basis, quadrature, per-triangle Jacobians, elem_dofs) are
+    made when first read, so a loaded online model pays for none of it.
     """
 
     def __init__(self, mesh, degree):
@@ -173,14 +172,10 @@ class FESpace:
     def ndof(self):
         return (self._nd + 1) ** 2
 
-    def coords(self, dofs):
-        """Coordinates (k, 2) of the lattice points of the dofs (k,)."""
-        iy, ix = np.divmod(dofs, self._nd + 1)
-        return np.column_stack([ix / self._nd, iy / self._nd])
-
     @cached_property
     def dof_coords(self):
-        return self.coords(np.arange(self.ndof))
+        iy, ix = np.divmod(np.arange(self.ndof), self._nd + 1)
+        return np.column_stack([ix / self._nd, iy / self._nd])
 
     @cached_property
     def boundary_dofs(self):

@@ -21,7 +21,7 @@ The full problem is: find u with zero boundary values such that
 
 where A is the stiffness matrix, M the mass matrix, g is applied to the
 nodal values of u (so the nonlinear term is the nodal interpolant of
-g(u(x), x; mu)), and F the assembled load.  Newton uses the exact
+g(u(x); mu)), and F the assembled load.  Newton uses the exact
 Jacobian A + M diag(g'(u)) of this residual.
 
 The boundary values are zero, so Newton only solves for the interior
@@ -152,14 +152,14 @@ class SolveStats:
 
 
 class NonlinearTerm:
-    """Pointwise nonlinearity g(u, x; mu) and its u-derivative.
+    """Pointwise nonlinearity g(u; mu) and its u-derivative.
 
     Both callables act on a block of parameters at once: they take a
-    (P, k) array of u values, one row per parameter, the matching (k, 2)
-    coordinates and the (P, 2) array of parameters, and return the (P, k)
-    values.  A solve at one parameter passes one row.  A term may
-    overflow to inf: its callers own numpy's warning state (the errstate
-    of _newton, rb.ReducedModel.solve_many and ser.GBlock).
+    (P, k) array of u values, one row per parameter, and the (P, 2)
+    array of parameters, and return the (P, k) values.  A solve at one
+    parameter passes one row.  A term may overflow to inf: its callers
+    own numpy's warning state (the errstate of _newton,
+    rb.ReducedModel.solve_many and ser.GBlock).
     """
 
     def __init__(self, g, dg_du):
@@ -207,7 +207,7 @@ class NonlinearProblem:
     Constructing a problem assembles nothing: the stiffness, the mass,
     their sum x_op (the H1 inner product), the load and the mass row sums
     are each made once, when first read, so that an online model (which
-    reads only the term and its points' coordinates) never pays for them.
+    reads only the term) never pays for them.
     The problem is their one owner: the space holds no operator, so two
     problems on one space each make their own.  Each is a plain instance
     attribute once made, and an assigned operator replaces it.
@@ -344,8 +344,7 @@ def truth_jacobian(problem, u, mu):
     (1, 2) row."""
     import scipy.sparse as sp
     idx, a_ii, m_data, cols = problem.interior_block
-    dg = problem.term.dg_du(u[None, idx], problem.space.dof_coords[idx],
-                            mu_row(mu))[0]
+    dg = problem.term.dg_du(u[None, idx], mu_row(mu))[0]
     data = a_ii.data + m_data * dg[cols]
     return sp.csc_matrix((data, a_ii.indices, a_ii.indptr), shape=a_ii.shape)
 
@@ -376,15 +375,13 @@ def truth_newton_solve(problem, mu, cfg=None, initial=None, chord=None):
     space = problem.space
     bdofs = space.boundary_dofs
     idx = problem.interior_block[0]
-    coords = space.dof_coords
-    term = problem.term
     mus = mu_row(mu)
     u = np.zeros(space.ndof)
     r = None
 
     def residual_at(v):
         out = (problem.stiffness @ v
-               + problem.mass @ term.g(v[None], coords, mus)[0]
+               + problem.mass @ problem.term.g(v[None], mus)[0]
                - problem.load)
         out[bdofs] = 0.0
         return out
@@ -460,12 +457,12 @@ class SurrogateSolver:
     keeps A^{-1} M q_m for every field q_m of the interpolant (solutions
     on the interior rows, zero on the boundary), from the products M q_m
     of mass_fields (a MassFields).  From these, update() makes the M x M
-    data of the solve in the point values (module docstring): the point
-    coordinates xt, a = E_t A^{-1} F, K = E_t A^{-1} M Q B^{-1} and the
-    norm map R B^{-1}, with R the Cholesky factor of the Gram matrix
-    G = (M Q)_I^T (M Q)_I of the interior rows (positive definite while
-    the interior rows of the M q_m are independent), and the (ndof, M)
-    stacks mass_q of the M q_m and solved_q of the A^{-1} M q_m.  The
+    data of the solve in the point values (module docstring): a = E_t
+    A^{-1} F, K = E_t A^{-1} M Q B^{-1} and the norm map R B^{-1}, with
+    R the Cholesky factor of the Gram matrix G = (M Q)_I^T (M Q)_I of
+    the interior rows (positive definite while the interior rows of the
+    M q_m are independent), and the (ndof, M) stacks mass_q of the M q_m
+    and solved_q of the A^{-1} M q_m.  The
     fields of an interpolant are append-only, so the columns of earlier
     fields stay valid: a field appended since the last solve costs one
     solve with the cached factor and one dot product per new entry of G,
@@ -509,7 +506,6 @@ class SurrogateSolver:
         self.mass_q = np.column_stack(mass_qs)
         self.solved_q = np.column_stack(self._solved)
         t = np.asarray(eim.t, dtype=int)
-        self.xt = self.problem.space.dof_coords[t]
         self.a = self.linear[t]
         # X B^{-1} as (B^{-T} X^T)^T, for X = E_t A^{-1} M Q and for
         # R = L^T, with G = L L^T; B^T is unit upper triangular, so the LU
@@ -544,8 +540,7 @@ def truth_newton_solve_eim(surrogate, mu, cfg=None):
     bdofs = problem.space.boundary_dofs
     term = problem.term
     mus = mu_row(mu)
-    xt, a, k_mat = surrogate.xt, surrogate.a, surrogate.k_mat
-    norm_map = surrogate.norm_map
+    a, k_mat, norm_map = surrogate.a, surrogate.k_mat, surrogate.norm_map
 
     v = np.zeros(eim.M)
     g_v = k_g = None        # g(v) and K g(v) at the current v
@@ -554,7 +549,7 @@ def truth_newton_solve_eim(surrogate, mu, cfg=None):
         """The full-space residual at u = 0, where A u vanishes and the
         point values are v = 0."""
         nonlocal g_v, k_g
-        g_v = term.g(v[None], xt, mus)[0]
+        g_v = term.g(v[None], mus)[0]
         k_g = k_mat @ g_v
         r = surrogate.mass_q @ eim.coeffs(g_v) - problem.load
         r[bdofs] = 0.0
@@ -563,12 +558,12 @@ def truth_newton_solve_eim(surrogate, mu, cfg=None):
     def step():
         nonlocal v, g_v, k_g
         f = v + k_g - a
-        jac = np.eye(eim.M) + k_mat * term.dg_du(v[None], xt, mus)
+        jac = np.eye(eim.M) + k_mat * term.dg_du(v[None], mus)
         v = v - np.linalg.solve(jac, f)
-        g_v = term.g(v[None], xt, mus)[0]
+        g_v = term.g(v[None], mus)[0]
         k_g = k_mat @ g_v
         u_t = a - k_g
-        delta = term.g(u_t[None], xt, mus)[0] - g_v
+        delta = term.g(u_t[None], mus)[0] - g_v
         r = norm_map @ delta
         return math.sqrt(r @ r)     # np.linalg.norm, without its overhead
 

@@ -199,11 +199,10 @@ class RbSpace:
 class RbSolution:
     """Coefficients of the reduced solution at one parameter."""
 
-    __slots__ = ("coeffs", "mu", "newton_iters", "residual_history")
+    __slots__ = ("coeffs", "newton_iters", "residual_history")
 
-    def __init__(self, coeffs, mu, newton_iters, residual_history):
+    def __init__(self, coeffs, newton_iters, residual_history):
         self.coeffs = coeffs
-        self.mu = mu
         self.newton_iters = newton_iters
         self.residual_history = residual_history
 
@@ -243,8 +242,8 @@ class ReducedModel:
     that returns it when it is first read (how a loaded model parses it
     late).  snapshot_mus records the parameters of the basis snapshots,
     and table is the StartTable where solve starts, or None for a start
-    at zero.  The interpolation point coordinates xg are derived here,
-    and W on first use; an assigned W or basis replaces the derived one.
+    at zero.  W is derived on first use; an assigned W or basis replaces
+    the derived one.
     """
 
     def __init__(self, problem, t, B, A, F, Rq, Tr, avg, basis,
@@ -260,9 +259,6 @@ class ReducedModel:
             self.basis = basis
         self.snapshot_mus = [tuple(mu) for mu in snapshot_mus]
         self.table = table
-        # coordinates of the interpolation points, from their dof ids
-        # alone: a loaded model builds no ndof-sized lattice
-        self.xg = problem.space.coords(self.t)
 
     @cached_property
     def W(self):
@@ -313,7 +309,6 @@ class ReducedModel:
         if not all(0.0 < x < math.inf for x in mu):
             raise ValueError(f"mu={tuple(mu)} is not positive and finite")
         g, dg_du = self.problem.term.g, self.problem.term.dg_du
-        xg, Tr = self.xg, self.Tr
         twice = np.array((mu, mu), dtype=float)     # mu on two rows
         mus = twice[:1]
         if initial is None:
@@ -336,8 +331,8 @@ class ReducedModel:
             row at a time (a two-row product moves the bits of row 1)."""
             nonlocal values, norm_at_zero
             both = np.zeros((2, self.M))
-            both[1:] = c @ Tr
-            g_both = g(both, xg, twice)
+            both[1:] = c @ self.Tr
+            g_both = g(both, twice)
             values = both[1:]
             r0 = self._residual(np.zeros(c.shape), g_both[:1])
             norm_at_zero = math.sqrt(np.vdot(r0, r0))
@@ -345,14 +340,13 @@ class ReducedModel:
 
         def step():
             nonlocal values
-            jac = self._jacobian(dg_du(values, xg, mus))
+            jac = self._jacobian(dg_du(values, mus))
             c[0] += np.linalg.solve(jac[0], -r[0])
-            values = c @ Tr
-            return residual(g(values, xg, mus))
+            values = c @ self.Tr
+            return residual(g(values, mus))
 
         stats = _newton("reduced ", mu, cfg, start, step, lambda: norm_at_zero)
-        return RbSolution(c[0], tuple(mu), stats.iterations,
-                          stats.residual_history)
+        return RbSolution(c[0], stats.iterations, stats.residual_history)
 
     def solve_many(self, mus, cfg=None):
         """Reduced Newton solves at every parameter of mus at once.
@@ -381,7 +375,7 @@ class ReducedModel:
         def residual(rows):
             c = coeffs[rows]
             values = c @ self.Tr
-            r = self._residual(c, g(values, self.xg, mu_rows[rows]))
+            r = self._residual(c, g(values, mu_rows[rows]))
             return values, r, np.linalg.norm(r, axis=1)
 
         def fail(rows, kind, iterations, cause):
@@ -406,7 +400,7 @@ class ReducedModel:
                 if iterations >= cfg.max_iter:
                     fail(live, "stall", iterations, None)
                     break
-                jac = self._jacobian(dg_du(values, self.xg, mu_rows[live]))
+                jac = self._jacobian(dg_du(values, mu_rows[live]))
                 try:
                     delta = np.linalg.solve(jac, -r[:, :, None])[:, :, 0]
                 except np.linalg.LinAlgError:
@@ -473,15 +467,15 @@ def start_table(model, mus):
     rows that fail either are left out."""
     mus = np.array(mus, dtype=float).reshape(-1, 2)
     coeffs, failures = model.solve_many(mus)
-    term, xg = model.problem.term, model.xg
+    term = model.problem.term
     values = coeffs @ model.Tr
     with np.errstate(over="ignore", invalid="ignore"):
         # (P, 2, M): the term's central difference in each log mu_j
         dg_dlog = np.stack([
-            (term.g(values, xg, mus * step) - term.g(values, xg, mus / step))
+            (term.g(values, mus * step) - term.g(values, mus / step))
             / (2 * SLOPE_STEP)
             for step in np.exp(SLOPE_STEP * np.eye(2))], axis=1)
-        jac = model._jacobian(term.dg_du(values, xg, mus))
+        jac = model._jacobian(term.dg_du(values, mus))
         rhs = -(dg_dlog @ model.W.T).transpose(0, 2, 1)     # (P, N, 2)
         try:
             slopes = np.linalg.solve(jac, rhs)

@@ -55,7 +55,9 @@ tolerance, and for the one lift of the converged values.
 A greedy sweep hands the whole training set of P parameters to its
 provider at once.  With the reduced model, that is one Newton over a
 (P, N) coefficient array (``ReducedModel.solve_many``, one call of g and
-one of g' per iteration on the parameters still iterating).  The fields
+one of g' per iteration on the parameters still iterating); a parameter
+it fails is solved again from the converged row nearest to it, and is
+skipped only if that fails too (``reduced_g_block``).  The fields
 are then made a chunk of rows at a time (``GBlock``): the greedy step in
 ``eim`` asks for about a megabyte of rows, which are lifted with one
 (rows, N) @ (N, ndof) product, passed through g in one call, and turned
@@ -64,7 +66,9 @@ solve and one (rows, M) @ (M, ndof) product while they are still in
 cache.  No (P, ndof) array of the whole sweep is made.
 """
 
+import math
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +77,7 @@ from .benchmark import TruthReferences
 from .eim import eim_greedy_step, eim_initialize
 from .fem import SolverFailure
 from .nonlinear import (MassFields, NewtonConfig, NewtonFailure,
-                        SurrogateSolver, truth_newton_solve_eim)
+                        SurrogateSolver, nearest, truth_newton_solve_eim)
 from .rb import DependentSnapshot, RbSpace, ReducedModel, start_table
 
 
@@ -85,8 +89,8 @@ class SerBuildError(RuntimeError):
 class SerConfig:
     r: object = 1                       # positive int or "standard" (r = m_max)
     rebuild_wn: bool = False
-    n_max: int = 1
-    m_max: int = 1
+    n_max: int = field(kw_only=True)
+    m_max: int = field(kw_only=True)
     train_set: object = field(kw_only=True)
     newton: NewtonConfig = field(default_factory=NewtonConfig)
     checkpoints: tuple = ()
@@ -105,6 +109,11 @@ class SerConfig:
                                 f"{self.n_max!r} and {self.m_max!r}")
         if len(self.train_set) == 0:
             raise SerBuildError("empty training set")
+        # the sweeps measure distances between training parameters in log mu
+        for mu in self.train_set:
+            if not all(0.0 < x < math.inf for x in mu):
+                raise SerBuildError(f"training parameter {tuple(mu)} is not "
+                                    "positive and finite")
 
 
 @dataclass
@@ -161,7 +170,7 @@ class BuildResult:
 
 
 class GBlock:
-    """Fields g(u_p, x; mu_p) over samples mu_p, made a row range at a time.
+    """Fields g(u_p; mu_p) over samples mu_p, made a row range at a time.
 
     ``block[lo:hi]`` is a new (hi - lo, ndof) array: ``values(rows)``
     gives the fields u_p of that slice of samples and the term is applied
@@ -171,13 +180,12 @@ class GBlock:
 
     def __init__(self, problem, samples, values):
         self.term = problem.term
-        self.coords = problem.space.dof_coords
         self.mus = np.asarray(samples, dtype=float)
         self.values = values
 
     def __getitem__(self, rows):
         with np.errstate(over="ignore"):    # the greedy step skips an inf row
-            return self.term.g(self.values(rows), self.coords, self.mus[rows])
+            return self.term.g(self.values(rows), self.mus[rows])
 
 
 def truth_g_block(references):
@@ -202,10 +210,23 @@ def truth_g_block(references):
 
 def reduced_g_block(model, newton):
     """Greedy-sweep provider over the reduced model: g of the lifted reduced
-    solutions at the samples.  One ``solve_many`` solves every sample; each
-    row range is lifted and g applied when the greedy step asks for it."""
+    solutions at the samples.  One ``solve_many`` solves every sample from
+    zero.  Each sample it fails is solved again with ``solve``, started
+    at the row that ``solve_many`` converged to at the sample nearest in
+    log-parameter distance (``nonlinear.nearest``); a sample that fails
+    again keeps its first failure.  Each row range is lifted and g
+    applied when the greedy step asks for it."""
     def provider(samples):
         coeffs, failures = model.solve_many(samples, newton)
+        if failures and len(failures) < len(samples):
+            converged = np.setdiff1d(np.arange(len(samples)), list(failures))
+            logs = np.log(samples).T
+            for k in list(failures):
+                near = converged[nearest(logs[:, converged], logs[:, k])]
+                with suppress(NewtonFailure, SolverFailure):
+                    coeffs[k] = model.solve(samples[k], newton,
+                                            coeffs[near]).coeffs
+                    del failures[k]
         return (GBlock(model.problem, samples,
                        lambda rows: model.lift_block(coeffs[rows])),
                 failures)

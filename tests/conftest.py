@@ -61,12 +61,12 @@ def rebuild_small(problem8, train5, newton_roomy):
 
 MODEL_FIELDS = ("problem", "t", "B", "A", "F", "Rq", "Tr", "avg", "basis",
                 "snapshot_mus", "table")
-# the arrays of a model, those derived from its fields included (xg and
-# W, which a model remade from its fields by model_with derives from the
+# the arrays of a model, the one derived from its fields included (W,
+# which a model remade from its fields by model_with derives from the
 # arrays it is given), and those of its start table, where its online
 # solves start (the model's solutions and their slopes at the table's
 # parameters)
-MODEL_ARRAYS = ("t", "B", "A", "F", "Rq", "Tr", "avg", "basis", "W", "xg")
+MODEL_ARRAYS = ("t", "B", "A", "F", "Rq", "Tr", "avg", "basis", "W")
 TABLE_ARRAYS = ("mus", "coeffs", "slopes", "logs")
 
 
@@ -110,8 +110,8 @@ def with_term(model, g=None, dg_du=None):
 
 def poisoned_at(func, bad, value):
     """func, but filled with value in the rows of the parameter bad."""
-    def out(u, xy, mus):
-        res = np.array(func(u, xy, mus), dtype=float)
+    def out(u, mus):
+        res = np.array(func(u, mus), dtype=float)
         res[np.all(mus == bad, axis=1)] = value
         return res
     return out
@@ -192,23 +192,22 @@ def eim_train(space, provider, samples, m_max, basis=None):
     return basis
 
 
-def at_mu(func, u, xy, mu):
+def at_mu(func, u, mu):
     """func of the term (g or dg_du) at the one parameter mu: u is passed
     as one row and the row of the result is returned."""
-    return func(np.asarray(u, dtype=float)[None], xy,
+    return func(np.asarray(u, dtype=float)[None],
                 np.asarray(mu, dtype=float).reshape(1, -1))[0]
 
 
-def check_derivative(term, mus, u_values, x=(0.3, 0.7), h=1e-6, tol=1e-5):
-    """Central-difference check of dg_du against g at every (mu, u) pair,
-    all at the point x; returns the worst error.  The pairs form one
-    (len(mus), len(u_values)) block: row p holds every u at mus[p]."""
+def check_derivative(term, mus, u_values, h=1e-6, tol=1e-5):
+    """Central-difference check of dg_du against g at every (mu, u) pair;
+    returns the worst error.  The pairs form one (len(mus),
+    len(u_values)) block: row p holds every u at mus[p]."""
     mus = np.asarray(mus, dtype=float).reshape(-1, 2)
     u = np.broadcast_to(np.atleast_1d(np.asarray(u_values, dtype=float)),
                         (len(mus), np.size(u_values)))
-    xy = np.tile(np.asarray(x, dtype=float), (u.shape[1], 1))
-    fd = (term.g(u + h, xy, mus) - term.g(u - h, xy, mus)) / (2 * h)
-    worst = float(np.max(np.abs(fd - term.dg_du(u, xy, mus))))
+    fd = (term.g(u + h, mus) - term.g(u - h, mus)) / (2 * h)
+    worst = float(np.max(np.abs(fd - term.dg_du(u, mus))))
     if worst > tol:
         raise ValueError(f"dg_du disagrees with finite differences by {worst:.3e}")
     return worst

@@ -216,6 +216,16 @@ def test_r1_build_skips_no_sweep_evaluation(ser1_run):
                    f"{len({tuple(mu) for _, mu, _ in skipped})} parameters")
 
 
+def test_r5_build_skips_no_sweep_evaluation(ser5_build):
+    # a row the cold block solve fails on the mu2 = 10 edge converges
+    # when solved again from its nearest converged neighbour, so the
+    # greedy ranks the whole training set in every sweep
+    skipped = ser5_build.report.skipped
+    assert verdict(not skipped, "r=5 build skips no sweep evaluation",
+                   f"{len(skipped)} skipped, at "
+                   f"{len({tuple(mu) for _, mu, _ in skipped})} parameters")
+
+
 def test_online_start_saves_newton_iterations(ser1_build):
     # clock-free: over a 40x40 log grid, a query started at the tangent
     # prediction from the model's own solution at the nearest training

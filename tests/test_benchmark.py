@@ -12,13 +12,12 @@ from conftest import at_mu, check_derivative
 class TestNonlinearity:
     def test_zero_input(self):
         term = er.benchmark_term()
-        xy = np.array([[0.5, 0.5]])
         for mu in [(0.01, 0.01), (10, 10), (3, 0.2)]:
-            assert at_mu(term.g, [0.0], xy, mu)[0] == 0.0
+            assert at_mu(term.g, [0.0], mu)[0] == 0.0
 
     def test_unit_input(self):
         term = er.benchmark_term()
-        val = at_mu(term.g, [1.0], np.array([[0.1, 0.2]]), (1.0, 1.0))[0]
+        val = at_mu(term.g, [1.0], (1.0, 1.0))[0]
         assert abs(val - (math.e - 1.0)) <= 1e-12
 
     def test_derivative_by_central_differences(self):
@@ -39,13 +38,12 @@ class TestNonlinearity:
                          10.0 ** rng.uniform(-2, 1, (16, 2))])
         u = rng.uniform(-1.5, 1.5, (len(mus), 40))
         u[:, :3] = [1e-12, -1e-9, 80.0]
-        xy = rng.uniform(0, 1, (u.shape[1], 2))
         assert len({tuple(mu) for mu in mus}) == len(mus)
         for func in (term.g, term.dg_du):
             # the term leaves the warning state to its caller
             with np.errstate(over="ignore"):
-                block = func(u, xy, mus)
-                rows = np.array([func(u[p:p + 1], xy, mus[p:p + 1])[0]
+                block = func(u, mus)
+                rows = np.array([func(u[p:p + 1], mus[p:p + 1])[0]
                                  for p in range(len(mus))])
             assert block.shape == u.shape
             assert block.tobytes() == rows.tobytes()
@@ -54,9 +52,8 @@ class TestNonlinearity:
     def test_small_exponent_accuracy(self):
         # expm1 keeps g ~ mu1*u when mu2*u is tiny
         term = er.benchmark_term()
-        xy = np.array([[0.5, 0.5]])
         u = np.array([1e-9])
-        val = at_mu(term.g, u, xy, (1.0, 0.01))[0]
+        val = at_mu(term.g, u, (1.0, 0.01))[0]
         assert abs(val - 1e-9) <= 1e-17
 
 

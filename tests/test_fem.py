@@ -95,9 +95,6 @@ class TestSpace:
             assert got.dtype == expected.dtype
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
-        t = np.random.default_rng(n * degree).integers(0, space.ndof, 25)
-        assert space.coords(t).tobytes() == space.dof_coords[t].tobytes()
-        assert space.coords(t).shape == (25, 2)
 
     def test_boundary_dofs_match_coords(self, space8):
         xy = space8.dof_coords

@@ -128,8 +128,7 @@ class TestBlocks:
 
 def reduced_residual(model, c, mu):
     """A c + Rq^T B^{-1} g(Tr^T c) - F, written out from the blocks."""
-    xg = model.problem.space.dof_coords[model.t]
-    g = at_mu(model.problem.term.g, model.Tr.T @ c, xg, mu)
+    g = at_mu(model.problem.term.g, model.Tr.T @ c, mu)
     return model.A @ c + model.Rq.T @ np.linalg.solve(model.B, g) - model.F
 
 
@@ -145,12 +144,11 @@ class TestExactJacobians:
         # Jacobian is its derivative
         model = standard_small.model
         c = model.solve((0.5, 0.5)).coeffs
-        xg = model.problem.space.dof_coords[model.t]
-        g = at_mu(model.problem.term.g, c @ model.Tr, xg, mu)
+        g = at_mu(model.problem.term.g, c @ model.Tr, mu)
         assert np.abs(model._residual(c[None], g[None])[0]
                       - reduced_residual(model, c, mu)).max() \
             <= 1e-12 * np.abs(model.F).max()
-        dg = at_mu(model.problem.term.dg_du, c @ model.Tr, xg, mu)
+        dg = at_mu(model.problem.term.dg_du, c @ model.Tr, mu)
         jac = model._jacobian(dg[None])[0]
         fd = np.column_stack([
             (reduced_residual(model, c + self.H * e, mu)
@@ -165,12 +163,12 @@ class TestExactJacobians:
         # residual rows with respect to the interior values, both in the
         # problem's elimination order
         space = problem8.space
-        coords, idx = space.dof_coords, problem8.interior_block[0]
+        idx = problem8.interior_block[0]
         assert np.array_equal(np.sort(idx), space.interior_dofs)
 
         def residual(u):
             return (problem8.stiffness @ u
-                    + problem8.mass @ at_mu(problem8.term.g, u, coords, mu)
+                    + problem8.mass @ at_mu(problem8.term.g, u, mu)
                     - problem8.load)[idx]
 
         u, _ = er.truth_newton_solve(problem8, (0.5, 0.5))
@@ -313,8 +311,8 @@ class TestSolveMany:
         # and regular, except at bad, where g' is poisoned to 0
         bad = grid[7]
         model = standard_small.model
-        linear = with_term(model, g=lambda u, xy, mu: np.array(u, dtype=float),
-                           dg_du=poisoned_at(lambda u, xy, mu: np.ones_like(u),
+        linear = with_term(model, g=lambda u, mu: np.array(u, dtype=float),
+                           dg_du=poisoned_at(lambda u, mu: np.ones_like(u),
                                              bad, 0.0))
         linear = model_with(linear, A=np.zeros_like(model.A))
         failures = self.assert_matches_solve(linear, grid, er.NewtonConfig())
@@ -341,7 +339,7 @@ class TestSolveMany:
         coeffs, _ = model.solve_many(grid[:5])
         block = model.lift_block(coeffs)
         for c, row in zip(coeffs, block):
-            lifted = model.lift_values(er.RbSolution(c, None, 0, []))
+            lifted = model.lift_values(er.RbSolution(c, 0, []))
             assert np.abs(row - lifted).max() <= 1e-12 * np.abs(lifted).max()
 
 
@@ -494,12 +492,12 @@ class TestOnlineStart:
         mus = model.table.mus
         bad = np.array(mus[6])
 
-        def dg_du(u, xy, mus):
+        def dg_du(u, mus):
             out = np.ones_like(u)
             out[np.all(mus == bad, axis=1) & np.any(u != 0, axis=1)] = 0.0
             return out
 
-        linear = model_with(with_term(model, g=lambda u, xy, mus: u * 1.0,
+        linear = model_with(with_term(model, g=lambda u, mus: u * 1.0,
                                       dg_du=dg_du), A=np.zeros_like(model.A))
         coeffs, failures = linear.solve_many(mus)
         assert failures == {}
@@ -547,7 +545,7 @@ class TestOnlineStart:
                 np.zeros((problem8.space.ndof, n)), [(1.0, 1.0)] * n, None)
             model.W = rng.standard_normal((n, m))
             start = rng.standard_normal(n)
-            g_start = model.problem.term.g(start[None] @ model.Tr, model.xg,
+            g_start = model.problem.term.g(start[None] @ model.Tr,
                                            np.array([mu]))
             one_row = model._residual(start[None], g_start)
             two_rows = model._residual(np.vstack([np.zeros(n), start]),
@@ -606,7 +604,7 @@ class TestOnlineStart:
 class TestOutputsAndLift:
     def test_zero_coeffs(self, standard_small):
         model = standard_small.model
-        sol = er.RbSolution(np.zeros(model.N), (1.0, 1.0), 0, [])
+        sol = er.RbSolution(np.zeros(model.N), 0, [])
         assert model.output(sol) == 0.0
         assert np.all(model.lift_values(sol) == 0.0)
 
@@ -621,7 +619,7 @@ class TestOutputsAndLift:
         model = standard_small.model
         e1 = np.zeros(model.N)
         e1[0] = 1.0
-        sol = er.RbSolution(e1, (1.0, 1.0), 0, [])
+        sol = er.RbSolution(e1, 0, [])
         assert np.array_equal(model.lift_values(sol), model.basis[:, 0])
 
     def test_w_and_basis_are_made_on_first_use(self, standard_small):
@@ -654,7 +652,7 @@ class TestOutputsAndLift:
         rng = np.random.default_rng(11)
         for _ in range(5):
             c = rng.standard_normal(model.N)
-            sol = er.RbSolution(c, (1.0, 1.0), 0, [])
+            sol = er.RbSolution(c, 0, [])
             lifted = model.lift_values(sol)
             xnorm = float(np.sqrt(max(lifted @ (x_op @ lifted), 0.0)))
             assert abs(xnorm - np.linalg.norm(c)) <= 1e-9 * max(1.0, np.linalg.norm(c))

@@ -245,6 +245,16 @@ class TestSnapshotSources:
         with pytest.raises(er.SerBuildError):
             er.SerConfig(r=1, n_max=2, m_max=2, train_set=[])
 
+    @pytest.mark.parametrize("bad", [(1.0, 0.0), (-0.5, 1.0), (1.0, np.inf),
+                                     (np.nan, 1.0)])
+    def test_training_parameter_not_positive_and_finite_rejected(self, train5,
+                                                                 bad):
+        # a failed sweep row is restarted from its nearest neighbour in
+        # log mu, so every training parameter needs a finite logarithm
+        with pytest.raises(er.SerBuildError, match="not positive and finite"):
+            er.SerConfig(r=1, n_max=2, m_max=2,
+                         train_set=list(train5) + [bad])
+
 
 class TestFailureHandling:
     def test_sweep_failures_are_recorded_and_skipped(self, problem8, train5,
@@ -252,8 +262,8 @@ class TestFailureHandling:
         term = problem8.term
         poisoned = tuple(train5[7])
 
-        def poisoned_g(u, xy, mus):
-            res = term.g(u, xy, mus)
+        def poisoned_g(u, mus):
+            res = term.g(u, mus)
             res[np.all(mus == poisoned, axis=1)] = np.nan
             return res
 
@@ -307,6 +317,66 @@ class TestFailureHandling:
                                 for k in bad]
         assert np.flatnonzero(np.isnan(step.errors)).tolist() == bad
         assert basis.M == 2
+
+    # in log-parameter distance, row 3 is nearest to row 1 and row 4 to row 2
+    SWEEP = [(0.1, 0.1), (0.2, 0.1), (3.0, 3.0), (0.3, 0.12), (5.0, 4.0)]
+
+    def failing_sweep(self, model, failed, solve):
+        """The sweep of reduced_g_block over SWEEP on a copy of model whose
+        solve_many fails the rows failed (zero there, each with a failure
+        of its own), whose solve is solve and whose lift is the identity,
+        so the block's values are its coefficients.  Returns those values,
+        the provider's failures, the cold failures and coefficients."""
+        cold, _ = model.solve_many(self.SWEEP)
+        cold[failed] = 0.0
+        first = {k: er.SolverFailure(f"cold failure {k}") for k in failed}
+        copy = model_with(model)
+        copy.solve_many = lambda mus, cfg: (cold.copy(), dict(first))
+        copy.solve = solve
+        copy.lift_block = lambda coeffs: coeffs
+        block, failures = eimrb.ser.reduced_g_block(
+            copy, er.NewtonConfig())(self.SWEEP)
+        return block.values(slice(None)), failures, first, cold
+
+    def test_failed_sweep_rows_restart_from_the_nearest_converged_row(
+            self, standard_small):
+        model = standard_small.model
+        starts = {}
+
+        def solve(mu, cfg, initial):
+            starts[mu] = initial.copy()
+            return model.solve(mu, cfg, initial)
+
+        coeffs, failures, _, cold = self.failing_sweep(model, [3, 4], solve)
+        assert failures == {}
+        assert same_bits(starts[self.SWEEP[3]], cold[1])
+        assert same_bits(starts[self.SWEEP[4]], cold[2])
+        assert same_bits(coeffs[:3], cold[:3])
+        for k, near in ((3, 1), (4, 2)):
+            restarted = model.solve(self.SWEEP[k], er.NewtonConfig(),
+                                    cold[near])
+            assert same_bits(coeffs[k], restarted.coeffs)
+
+    def test_a_row_that_fails_again_keeps_its_first_failure(self,
+                                                            standard_small):
+        def solve(mu, cfg, initial):
+            raise er.NewtonFailure(f"restart failed at {mu}", [1.0])
+
+        coeffs, failures, first, cold = self.failing_sweep(
+            standard_small.model, [3, 4], solve)
+        assert list(failures) == [3, 4]
+        assert all(failures[k] is first[k] for k in first)
+        assert same_bits(coeffs, cold)
+
+    def test_a_sweep_with_no_converged_row_restarts_none(self,
+                                                         standard_small):
+        def solve(mu, cfg, initial):
+            raise AssertionError("no converged row to start from")
+
+        _, failures, first, _ = self.failing_sweep(
+            standard_small.model, list(range(len(self.SWEEP))), solve)
+        assert all(failures[k] is first[k] for k in first)
+        assert list(failures) == list(first)
 
     def test_majority_failure_aborts(self, problem8, train5):
         cfg = er.SerConfig(r=1, n_max=3, m_max=3, train_set=train5,

@@ -13,7 +13,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eimrb"
-SETTABLE = 45
+SETTABLE = 43
 
 
 def _is_dataclass(node):

@@ -30,16 +30,16 @@ class TestNonlinearTerm:
         check_derivative(term, CORNERS, np.linspace(-1, 1, 9))
 
     def test_inconsistent_derivative_detected(self):
-        bad = er.NonlinearTerm(lambda u, xy, mu: np.asarray(u) ** 2,
-                               lambda u, xy, mu: 3 * np.asarray(u))
+        bad = er.NonlinearTerm(lambda u, mu: np.asarray(u) ** 2,
+                               lambda u, mu: 3 * np.asarray(u))
         with pytest.raises(ValueError):
             check_derivative(bad, [(1.0, 1.0)], [0.5])
 
 
 class TestTruthNewton:
     def test_linear_poisson_one_iteration(self, problem8):
-        zero_term = er.NonlinearTerm(lambda u, xy, mu: np.zeros_like(u),
-                                     lambda u, xy, mu: np.zeros_like(u))
+        zero_term = er.NonlinearTerm(lambda u, mu: np.zeros_like(u),
+                                     lambda u, mu: np.zeros_like(u))
         lin = er.NonlinearProblem(problem8.space, zero_term, er.benchmark_rhs)
         u, stats = er.truth_newton_solve(lin, (1.0, 1.0))
         assert stats.iterations == 1
@@ -81,12 +81,12 @@ class TestTruthNewton:
         # a step first tries the last factor, and refactors unless that
         # trial cuts the residual norm to CHORD_CONTRACTION of its value
         space, term = problem8.space, problem8.term
-        coords, bdofs = space.dof_coords, space.boundary_dofs
+        bdofs = space.boundary_dofs
         cfg = er.NewtonConfig()
 
         def residual(u):
             r = (problem8.stiffness @ u
-                 + problem8.mass @ at_mu(term.g, u, coords, mu)
+                 + problem8.mass @ at_mu(term.g, u, mu)
                  - problem8.load)
             r[bdofs] = 0.0
             return r
@@ -107,8 +107,7 @@ class TestTruthNewton:
                     accepted = False
             if not accepted:
                 jac = (problem8.stiffness
-                       + problem8.mass @ sp.diags(at_mu(term.dg_du, ref,
-                                                        coords, mu)))
+                       + problem8.mass @ sp.diags(at_mu(term.dg_du, ref, mu)))
                 op, rhs = eliminate_boundary(space, jac, -r)
                 factor = factor_sparse(op)
                 trial = ref + solve_factored(factor, rhs)
@@ -269,9 +268,9 @@ class TestChord:
         log = []
         term, factor = problem8.term, er.nonlinear.factor_sparse
 
-        def g(u, xy, mus):
+        def g(u, mus):
             log.append("r")
-            return term.g(u, xy, mus)
+            return term.g(u, mus)
 
         def counted(op):
             log.append("F")
@@ -431,17 +430,17 @@ class TestNewtonDriver:
         term = model.problem.term
         cfg = er.NewtonConfig(max_iter=1 if failure == "stall" else 50)
         if failure == "start":
-            term = er.NonlinearTerm(lambda u, xy, mus: np.full_like(u, np.nan),
+            term = er.NonlinearTerm(lambda u, mus: np.full_like(u, np.nan),
                                     term.dg_du)
         elif failure == "diverge":
             # g' is all but zero, so the first step lands near A^{-1} F,
             # where g overflows: the next residual is not finite
-            term = er.NonlinearTerm(lambda u, xy, mus: np.expm1(1e3 * u),
-                                    lambda u, xy, mus: np.full_like(u, 1e-300))
+            term = er.NonlinearTerm(lambda u, mus: np.expm1(1e3 * u),
+                                    lambda u, mus: np.full_like(u, 1e-300))
         elif failure == "singular":
             slope = self.singular_slope(kind, model, one_field)
-            term = er.NonlinearTerm(lambda u, xy, mus: np.array(u) * slope,
-                                    lambda u, xy, mus: np.full_like(u, slope))
+            term = er.NonlinearTerm(lambda u, mus: np.array(u) * slope,
+                                    lambda u, mus: np.full_like(u, slope))
         problem = er.NonlinearProblem(model.problem.space, term,
                                       er.benchmark_rhs)
         if kind == "truth":
@@ -508,7 +507,7 @@ def surrogate_residual(problem, eim, mu, u):
     """Interior rows of A u + M Q B^{-1} g(u_t) - F, assembled directly
     from the interpolant's fields, not through the solver's cached state."""
     t = np.asarray(eim.t, dtype=int)
-    g_t = at_mu(problem.term.g, u[t], problem.space.dof_coords[t], mu)
+    g_t = at_mu(problem.term.g, u[t], mu)
     surrogate = np.column_stack(eim.fields) @ np.linalg.solve(eim.B, g_t)
     r = problem.stiffness @ u + problem.mass @ surrogate - problem.load
     r[problem.space.boundary_dofs] = 0.0
@@ -529,7 +528,6 @@ def full_space_solve_eim(surrogate, mu, cfg=None):
     term = problem.term
     bdofs = problem.space.boundary_dofs
     t = np.asarray(eim.t, dtype=int)
-    xt = problem.space.dof_coords[t]
     mus = mu_row(mu)
     mass_q = np.column_stack([problem.mass @ q for q in eim.fields])
     k_mat = solve_triangular(eim.B, surrogate.solved_q[t].T, lower=True,
@@ -539,18 +537,18 @@ def full_space_solve_eim(surrogate, mu, cfg=None):
     u = np.zeros(problem.space.ndof)
 
     def residual():
-        r = (mass_q @ eim.coeffs(term.g(v[None], xt, mus)[0])
+        r = (mass_q @ eim.coeffs(term.g(v[None], mus)[0])
              - problem.load)
         r[bdofs] = 0.0
         return float(np.linalg.norm(r))
 
     def step():
         nonlocal v, u
-        f = v + k_mat @ term.g(v[None], xt, mus)[0] - a
-        jac = np.eye(eim.M) + k_mat * term.dg_du(v[None], xt, mus)
+        f = v + k_mat @ term.g(v[None], mus)[0] - a
+        jac = np.eye(eim.M) + k_mat * term.dg_du(v[None], mus)
         v = v - np.linalg.solve(jac, f)
         u = surrogate.linear - surrogate.solved_q @ eim.coeffs(
-            term.g(v[None], xt, mus)[0])
+            term.g(v[None], mus)[0])
         u[bdofs] = 0.0
         return float(np.linalg.norm(surrogate_residual(problem, eim, mu, u)))
 
@@ -709,9 +707,8 @@ class TestTruthNewtonEim:
         # error of the residual nonlinearity
         samples = list(er.SampleSet.log_grid(4, 4))
         truth = er.TruthReferences(problem8)
-        coords = problem8.space.dof_coords
         term = problem8.term
-        g_of = lambda mu: at_mu(term.g, truth.get(mu)[0], coords, mu)
+        g_of = lambda mu: at_mu(term.g, truth.get(mu)[0], mu)
         probes = [samples[5], samples[10], samples[15]]
         for m_max in (6, 10, 14):
             eim_g = eim_train(problem8.space, er.truth_g_block(truth), samples,
