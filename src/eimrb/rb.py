@@ -294,17 +294,20 @@ class ReducedModel:
         """Online reduced Newton solve on the shared driver; cost
         independent of the FE dimension.
 
-        mu must be positive and finite.  Newton starts from initial, N
-        coefficients, or when none is given from the tangent prediction
-        of the table row nearest to mu in log-parameter distance
-        (nonlinear.nearest), or from zero with no table.  Whatever
-        the start, it stops at cfg.tolerance of the residual norm at
-        c = 0, as the truth solve does: a start saves steps but never
-        moves the rule.
+        mu must have two entries, positive and finite.  Newton starts
+        from initial, N coefficients, or when none is given from the
+        tangent prediction of the table row nearest to mu in
+        log-parameter distance (nonlinear.nearest), or from zero with no
+        table.  Whatever the start, it stops at cfg.tolerance of the
+        residual norm at c = 0, as the truth solve does: a start saves
+        steps but never moves the rule.
         """
         cfg = cfg or DEFAULT_NEWTON
         if self.N < 1:
             raise ValueError("empty reduced basis")
+        if len(mu) != 2:
+            raise ValueError(f"mu={tuple(mu)} has {len(mu)} entries, "
+                             "expected 2")
         # refused before np.log sees it; 0 < nan is false
         if not all(0.0 < x < math.inf for x in mu):
             raise ValueError(f"mu={tuple(mu)} is not positive and finite")

@@ -19,10 +19,15 @@ the schedule:
   operator, so the build costs one finite element solve per training
   parameter and no more.
 
-Each update snapshots the parameters its group selected, then the
-parameters the last sweep approximated worst.  With ``rebuild_wn`` (not
-for the standard build) every update re-solves all snapshot parameters
-with the current interpolated operator into a new ``RbSpace``.
+An update takes candidate parameters one at a time until the basis is
+full: the parameters its group of greedy steps picked
+(``EimBasis.mus``), then the training set worst first by the last
+sweep, skipping every parameter tried before.  A snapshot that is
+linearly dependent on the basis is rejected and logged, and the next
+candidate is taken.  With ``rebuild_wn`` (not for the standard build) every update
+first re-solves all snapshot parameters with the current interpolated
+operator into a new ``RbSpace``; a kept parameter rejected there is
+dropped like any other.
 
 The build keeps one growing ``RbSpace``: a snapshot extends its basis,
 and its reduced blocks are extended when the build asks it for the
@@ -70,6 +75,7 @@ import math
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -111,9 +117,19 @@ class SerConfig:
             raise SerBuildError("empty training set")
         # the sweeps measure distances between training parameters in log mu
         for mu in self.train_set:
+            if len(mu) != 2:
+                raise SerBuildError(f"training parameter {tuple(mu)} has "
+                                    f"{len(mu)} entries, expected 2")
             if not all(0.0 < x < math.inf for x in mu):
                 raise SerBuildError(f"training parameter {tuple(mu)} is not "
                                     "positive and finite")
+        # stages (N, M), held as tuples so that the build can look one up
+        if not all(isinstance(stage, (tuple, list)) and len(stage) == 2
+                   and all(type(x) is int and x >= 1 for x in stage)
+                   for stage in self.checkpoints):
+            raise SerBuildError(f"checkpoints must be pairs of ints >= 1, "
+                                f"got {self.checkpoints!r}")
+        self.checkpoints = tuple(map(tuple, self.checkpoints))
 
 
 @dataclass
@@ -233,20 +249,6 @@ def reduced_g_block(model, newton):
     return provider
 
 
-def _snapshot_params(due, preferred, fallbacks, used):
-    """First `due` unused parameters: preferred ones first, then fallbacks."""
-    out = []
-    for pool in (preferred, fallbacks):
-        for p in pool:
-            key = tuple(p)
-            if key in used or key in out:
-                continue
-            out.append(key)
-            if len(out) == due:
-                return out
-    return out
-
-
 def build_ser(problem, cfg):
     """Alternating build with basis updates every r interpolation steps;
     r="standard" is the single group r = m_max with exact snapshots."""
@@ -288,22 +290,12 @@ def build_ser(problem, cfg):
         return u
 
     result = BuildResult(model=None, report=report, eim_g=eim_g)
-    used = set()
-    group_selected = [train[0]]
+    used = set()             # every parameter a snapshot was tried at
     last_errors = None       # sweep errors, for ranking fallback snapshots
     saturated = False
 
-    def fallback_params():
-        """Training points ordered by how badly the last sweep approximated
-        them, so a duplicate greedy selection falls back to the worst
-        unused parameter instead of an arbitrary one."""
-        if last_errors is None:
-            return train
-        ranked = np.argsort(np.nan_to_num(-last_errors, nan=np.inf),
-                            kind="stable")
-        return [train[i] for i in ranked]
-
-    for j, (m_target, n_target) in enumerate(zip(event_m, n_after), start=1):
+    for j, (m_start, m_target, n_target) in enumerate(
+            zip([0] + event_m, event_m, n_after), start=1):
         # --- interpolant enrichment for this group
         while eim_g.M < m_target and not saturated:
             if j == 1 and r > 1:
@@ -317,23 +309,22 @@ def build_ser(problem, cfg):
             report.skipped.extend(step.skipped)
             saturated = step.saturated
             last_errors = step.errors
-            if not step.saturated:
-                group_selected.append(step.mu)
             report.log("eim", step.mu, step.sup_error, eim_g.M, rb.N,
                        fe_solves())
 
-        # --- basis update event
-        due = n_target - rb.N
-        if due > 0:
+        # --- basis update event: snapshots at the candidates, one at a
+        # time, until the basis is full: a rebuild's kept parameters, the
+        # group's picks, then the training set worst first by the last
+        # sweep; a dependent snapshot is rejected and the next one taken
+        if rb.N < n_target:
             kept = list(rb.mus) if cfg.rebuild_wn else []
-            queue = kept + _snapshot_params(due, group_selected,
-                                            fallback_params(), used)
             if cfg.rebuild_wn:
                 rb = RbSpace(problem)
-            # a rejected parameter is replaced by at most one other, so
-            # len(queue) + rb.N <= n_target holds throughout
-            while queue:
-                mu = queue.pop(0)
+            ranked = (range(len(train)) if last_errors is None else
+                      np.argsort(np.nan_to_num(-last_errors, nan=np.inf),
+                                 kind="stable"))
+            fresh = chain(eim_g.mus[m_start:], (train[i] for i in ranked))
+            for mu in chain(kept, (mu for mu in fresh if mu not in used)):
                 used.add(mu)
                 try:
                     rb.add_snapshot(snapshot_solve(mu), mu)
@@ -341,17 +332,14 @@ def build_ser(problem, cfg):
                         report.log("rb", mu, None, eim_g.M, rb.N, fe_solves())
                 except DependentSnapshot:
                     report.log("reject", mu, None, eim_g.M, rb.N, fe_solves())
-                    queue.extend(_snapshot_params(1, group_selected,
-                                                  fallback_params(),
-                                                  used | set(queue)))
+                if rb.N == n_target:
+                    break
             if cfg.rebuild_wn:
                 report.log("rebuild", None, None, eim_g.M, rb.N, fe_solves())
-        group_selected = []
 
         stage = (rb.N, m_target)
-        if (cfg.rebuild_wn and j < n_updates
-                and stage in map(tuple, cfg.checkpoints)):
-            stored = rb.model(mass_fields).restrict(*stage)
+        if cfg.rebuild_wn and j < n_updates and stage in cfg.checkpoints:
+            stored = rb.model(mass_fields)
             stored.table = start_table(stored, train)
             result.checkpoints[stage] = stored
 

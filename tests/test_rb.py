@@ -587,17 +587,20 @@ class TestOnlineStart:
             model.solve((0.7, 0.9), initial=initial)
 
     @pytest.mark.parametrize("mu", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
-                                    (math.nan, 1.0), (1.0, math.inf)],
+                                    (math.nan, 1.0), (1.0, math.inf),
+                                    (0.5,), (0.5, 0.5, 0.5)],
                              ids=["zero", "negative", "zero-mu2", "nan",
-                                  "inf"])
+                                  "inf", "one-entry", "three-entries"])
     def test_a_parameter_that_is_not_positive_and_finite_is_refused(
             self, ser_small, mu):
         # refused before the log of the tangent start warns, and before
-        # a misleading Newton failure
+        # a misleading Newton failure; one of the wrong length before the
+        # table lookup or the term fails on it
+        message = (f"mu={mu} is not positive and finite" if len(mu) == 2
+                   else f"mu={mu} has {len(mu)} entries, expected 2")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match=re.escape(
-                    f"mu={mu} is not positive and finite")):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 ser_small.model.solve(mu)
 
 

@@ -246,14 +246,35 @@ class TestSnapshotSources:
             er.SerConfig(r=1, n_max=2, m_max=2, train_set=[])
 
     @pytest.mark.parametrize("bad", [(1.0, 0.0), (-0.5, 1.0), (1.0, np.inf),
-                                     (np.nan, 1.0)])
+                                     (np.nan, 1.0), (0.5,), (0.5, 0.5, 0.5)])
     def test_training_parameter_not_positive_and_finite_rejected(self, train5,
                                                                  bad):
         # a failed sweep row is restarted from its nearest neighbour in
-        # log mu, so every training parameter needs a finite logarithm
-        with pytest.raises(er.SerBuildError, match="not positive and finite"):
+        # log mu, so every training parameter needs a finite logarithm;
+        # one of the wrong length would fail the first truth solve
+        message = ("not positive and finite" if len(bad) == 2
+                   else f"has {len(bad)} entries, expected 2")
+        with pytest.raises(er.SerBuildError, match=message):
             er.SerConfig(r=1, n_max=2, m_max=2,
                          train_set=list(train5) + [bad])
+
+    @pytest.mark.parametrize("checkpoints", [
+        (3, 4), ((3,),), ((3, 4, 5),), ((3, 4.0),), ((0, 2),), ((True, 2),),
+        ("34",)],
+        ids=["flat-pair", "one-entry", "three-entries", "float", "zero",
+             "bool", "string"])
+    def test_checkpoints_that_are_not_pairs_of_ints_rejected(self, train5,
+                                                             checkpoints):
+        # a flat pair would reach the first rebuild and fail there, and a
+        # stage of the wrong length would never be stored
+        with pytest.raises(er.SerBuildError, match="pairs of ints >= 1"):
+            er.SerConfig(r=1, rebuild_wn=True, n_max=8, m_max=8,
+                         train_set=train5, checkpoints=checkpoints)
+
+    def test_checkpoints_are_held_as_tuples(self, train5):
+        cfg = er.SerConfig(r=1, n_max=4, m_max=4, train_set=train5,
+                           checkpoints=[[2, 2], (4, 4)])
+        assert cfg.checkpoints == ((2, 2), (4, 4))
 
 
 class TestFailureHandling:
@@ -440,8 +461,9 @@ class TestSnapshotSelection:
         assert result.model.N == 5
         assert len(set(result.model.snapshot_mus)) == 5
         assert rejected["mu"] not in result.model.snapshot_mus
-        # the replacement joins the end of the update's queue: it is the
-        # last snapshot the update logs, and the ones before it were queued
+        # the update takes candidates until the basis is full, so the
+        # replacement is the last snapshot it logs: the first parameter,
+        # worst first by the last sweep, that it has not tried before
         event = []
         for s in steps_log[at + 1:]:
             if s.kind != "rb":
@@ -461,6 +483,54 @@ class TestSnapshotSelection:
                                              + kinds.count("reject"))
         elif schedule == dict(r="standard"):
             assert report.fe_solve_count == len(train5)
+
+    def test_kept_parameter_rejected_in_a_rebuild(self, problem8, train5,
+                                                  newton_roomy, monkeypatch):
+        # the third update re-solves its two kept parameters first; the
+        # second of them is rejected as dependent
+        steps = record_steps(monkeypatch)
+        add_snapshot = er.RbSpace.add_snapshot
+        accepted, rejected = set(), {}
+
+        def kept_dependent_once(space, values, mu):
+            if not rejected and mu in accepted and space.N == 1:
+                rejected.update(mu=mu, errors=steps[-1].errors.copy(),
+                                tried=set(accepted))
+                raise er.DependentSnapshot(f"forced at mu={mu}")
+            xi = add_snapshot(space, values, mu)
+            accepted.add(mu)
+            return xi
+
+        monkeypatch.setattr(er.RbSpace, "add_snapshot", kept_dependent_once)
+        cfg = er.SerConfig(r=1, rebuild_wn=True, n_max=5, m_max=5,
+                           train_set=train5, newton=newton_roomy)
+        result = er.build_ser(problem8, cfg)
+
+        steps_log = result.report.steps
+        kinds = [s.kind for s in steps_log]
+        assert kinds.count("reject") == 1
+        at = kinds.index("reject")
+        assert steps_log[at].mu == rejected["mu"]
+        assert (steps_log[at].M, steps_log[at].N) == (3, 1)
+        assert result.model.N == 5
+        assert rejected["mu"] not in result.model.snapshot_mus
+        # the update still fills its basis, with the first candidates it
+        # has not tried: the group's pick, then worst first by the sweep
+        event = []
+        for s in steps_log[at + 1:]:
+            if s.kind == "rebuild":
+                assert s.N == 3
+                break
+            event.append(s.mu)
+        train = [tuple(p) for p in train5]
+        stream = list(result.eim_g.mus[2:3]) + [
+            train[i] for i in worst_first(rejected["errors"])]
+        unused = [mu for mu in dict.fromkeys(stream)
+                  if mu not in rejected["tried"]]
+        assert event == unused[:2]
+        # the rejected re-solve is counted like every other
+        assert result.report.fe_solve_count == expected_solids(
+            1, True, 5, 5, len(train5)) + 1
 
     def test_standard_fallback_snapshots_ranked_by_last_sweep(self, problem8,
                                                               train5,
