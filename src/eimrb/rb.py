@@ -16,12 +16,13 @@ element dimension.  ``ReducedModel.solve`` runs it at one parameter on
 the package's one Newton driver (``nonlinear._newton``), the loop of
 the truth and surrogate solves too.  ``solve_many`` is the block solver:
 one masked Newton for a whole list of parameters at once, on a (P, N)
-coefficient array, which is how the greedy sweeps of a build scan the
-training set.  It applies the same stopping rule and builds its
-failures from the same templates (``nonlinear.newton_failure``), so at
-each parameter it fails as ``solve`` does from zero.  Both take R and
-J from one pair of kernels on a (P, N) block, ``_residual`` and
-``_jacobian``, ``solve`` on a (1, N) row.
+coefficient array started at a (P, N) start that the caller gives,
+which is how the greedy sweeps of a build scan the training set.  It
+applies the same stopping rule and builds its failures from the same
+templates (``nonlinear.newton_failure``), so at each parameter it fails
+as ``solve`` does from that parameter's start.  Both take R and J from
+one pair of kernels on a (P, N) block, ``_residual`` and ``_jacobian``,
+``solve`` on a (1, N) row.
 
 An online query starts where the model already knows an answer near
 it.  A model is given its start table (``StartTable``), or none:
@@ -40,15 +41,17 @@ finite is left out.  ``solve`` without an initial guess starts Newton
 at the Euler (tangent) prediction c_k + S_k (log mu - log mu_k) of the
 row nearest to mu in log-parameter distance (``nonlinear.nearest``, the
 rule of the truth references too), or at zero with no table or no row.
-Every ``solve`` stops at cfg.tolerance of the residual norm at c = 0,
-whatever its start, so a start saves steps but never moves the rule.
-The sweeps' ``solve_many`` stays cold, so no build array depends on a
-start.  ``build_ser`` makes the table of the final model and of each
+Every ``solve`` and every row of ``solve_many`` stops at cfg.tolerance
+of its residual norm at c = 0, whatever its start, so a start saves
+steps but never moves the rule.  A greedy sweep starts at the last
+sweep's answers (``ser.reduced_g_block``); the table's own block solve
+starts at zero, so a table does not depend on the build's history.
+``build_ser`` makes the table of the final model and of each
 stored checkpoint, an archive stores them, and a restriction is given
 its parent's table sliced to its n coefficients: the basis is nested,
 so the leading coefficients of the parent's rows and slopes start the
 restricted solve near its answer.  The sweep models of
-``RbSpace.model`` never call ``solve`` and hold no table.
+``RbSpace.model`` hold no table: a sweep gives each solve its start.
 
 ``RbSpace`` is the build's growing state: the basis, extended by each
 snapshot, and the reduced blocks on it, extended when a model is asked
@@ -351,32 +354,36 @@ class ReducedModel:
         stats = _newton("reduced ", mu, cfg, start, step, lambda: norm_at_zero)
         return RbSolution(c[0], stats.iterations, stats.residual_history)
 
-    def solve_many(self, mus, cfg=None):
+    def solve_many(self, mus, cfg=None, *, initial):
         """Reduced Newton solves at every parameter of mus at once.
 
         One Newton loop over a (P, N) coefficient array: residuals come
         from products with A, W and Tr for all parameters at once, and
-        the Newton steps from one stacked (P, N, N) solve.  Each parameter
-        starts from zero, stops at its own cfg.tolerance(r0) and leaves
-        the iteration when it converges or fails, so at each parameter it
-        fails as ``solve`` does from zero.  Returns the (P, N)
-        coefficients, zero in the rows of failed parameters, and
-        {index: exception} for those, each the exception ``solve`` raises
-        at that parameter with initial=np.zeros(N).
+        the Newton steps from one stacked (P, N, N) solve.  Row k starts
+        from initial[k], initial being (P, N) coefficients (zeros for a
+        cold solve), stops at cfg.tolerance of its residual norm at
+        c = 0, as ``solve`` does, and leaves the iteration when it
+        converges or fails, so at each parameter it fails as ``solve``
+        does from the same start.  Returns the (P, N) coefficients, zero
+        in the rows of failed parameters, and {index: exception} for
+        those, each the exception ``solve`` raises at that parameter with
+        initial=initial[k].
         """
         cfg = cfg or DEFAULT_NEWTON
         if self.N < 1:
             raise ValueError("empty reduced basis")
-        g, dg_du = self.problem.term.g, self.problem.term.dg_du
-        coeffs = np.zeros((len(mus), self.N))
+        coeffs = np.array(initial, dtype=float)
+        if coeffs.shape != (len(mus), self.N):
+            raise ValueError(f"initial has shape {np.shape(initial)}, "
+                             f"expected ({len(mus)}, {self.N})")
         if not len(mus):
             return coeffs, {}
+        g, dg_du = self.problem.term.g, self.problem.term.dg_du
         mu_rows = np.asarray(mus, dtype=float)
         history = np.full((cfg.max_iter + 1, len(mus)), np.nan)
         failures = {}
 
-        def residual(rows):
-            c = coeffs[rows]
+        def residual(c, rows):
             values = c @ self.Tr
             r = self._residual(c, g(values, mu_rows[rows]))
             return values, r, np.linalg.norm(r, axis=1)
@@ -390,9 +397,11 @@ class ReducedModel:
         live = np.arange(len(mus))   # parameters still iterating
         # divergence shows up as inf/nan and is classified below, not warned
         with np.errstate(over="ignore", invalid="ignore"):
-            values, r, r_norm = residual(live)
+            # the tolerance comes from the residual at zero, wherever a
+            # row starts, so a start never moves the stopping rule
+            tol = cfg.tolerance(residual(np.zeros(coeffs.shape), live)[2])
+            values, r, r_norm = residual(coeffs, live)
             history[0] = r_norm
-            tol = cfg.tolerance(r_norm)
             fail(live[~np.isfinite(r_norm)], "start", 0, None)
             going = np.isfinite(r_norm)
             iterations = 0
@@ -420,7 +429,7 @@ class ReducedModel:
                     live, delta = live[solved], delta[solved]
                 coeffs[live] += delta
                 iterations += 1
-                values, r, r_norm = residual(live)
+                values, r, r_norm = residual(coeffs[live], live)
                 history[iterations, live] = r_norm
                 fail(live[~np.isfinite(r_norm)], "diverge", iterations, None)
                 going = np.isfinite(r_norm) & (r_norm > tol[live])
@@ -469,7 +478,8 @@ def start_table(model, mus):
     -J^{-1} W dg/dlog mu at the converged rows from one stacked solve;
     rows that fail either are left out."""
     mus = np.array(mus, dtype=float).reshape(-1, 2)
-    coeffs, failures = model.solve_many(mus)
+    coeffs, failures = model.solve_many(
+        mus, initial=np.zeros((len(mus), model.N)))
     term = model.problem.term
     values = coeffs @ model.Tr
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,27 @@ class TestNonlinearity:
             assert block.shape == u.shape
             assert block.tobytes() == rows.tobytes()
             assert np.isinf(block[1, 2])
+
+    def test_block_equals_the_formulas_bitwise(self):
+        # g and dg_du, evaluated into one array, against the expressions
+        # they stand for, on random blocks with overflowing rows; the
+        # callers' errstate silences the overflow, and nothing else warns
+        term = er.benchmark_term()
+        rng = np.random.default_rng(23)
+        for rows, cols in ((31, 4225), (1, 25), (400, 7)):
+            mus = 10.0 ** rng.uniform(-2, 1, (rows, 2))
+            u = rng.uniform(-1.5, 1.5, (rows, cols))
+            u[::5, -1] = 1e5     # mu2 u >= 1e3: exp overflows
+            mu1, mu2 = mus[:, :1], mus[:, 1:]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    g, dg = term.g(u, mus), term.dg_du(u, mus)
+                    expected_g = mu1 * np.expm1(mu2 * u) / mu2
+                    expected_dg = mu1 * np.exp(mu2 * u)
+            assert np.isinf(g[::5, -1]).all() and np.isinf(dg[::5, -1]).all()
+            assert g.tobytes() == expected_g.tobytes()
+            assert dg.tobytes() == expected_dg.tobytes()
 
     def test_small_exponent_accuracy(self):
         # expm1 keeps g ~ mu1*u when mu2*u is tiny
@@ -117,7 +139,10 @@ class TestErrorStudy:
 
     def test_stage_beyond_the_build_is_an_incomplete_row(self, standard_small):
         test_set = er.SampleSet.log_random(5, 3)
-        rows = er.run_error_study(standard_small, test_set, [(7, 8)])
+        refs = er.TruthReferences(standard_small.model.problem)
+        rows = er.run_error_study(standard_small, test_set, [(7, 8)],
+                                  references=refs)
+        assert refs.solves == 0     # no model measured, no reference
         assert (rows[0].N, rows[0].M, rows[0].failures) == (7, 8, 5)
         assert math.isnan(rows[0].max_err_u) and math.isnan(rows[0].max_err_s)
 
@@ -165,6 +190,46 @@ class TestErrorStudy:
         assert [(row.N, row.M) for row in rows] == [
             (n, min(m, 9)) for n, m in checkpoints]
         assert rows[2] == rows[1] and rows[2] is not rows[1]
+
+    def test_references_are_fetched_along_a_nearest_neighbour_tour(
+            self, standard_small, monkeypatch):
+        # every reference is solved before the first stage is measured, in
+        # the order of the tour: from the first test point, each next one
+        # the nearest in log-parameter distance of those not yet visited
+        test_set = er.SampleSet.log_random(12, 4)
+        events = []
+        truth_solve = er.benchmark.truth_newton_solve
+        solve = er.ReducedModel.solve
+
+        def recorded_truth(problem, mu, *args, **kwargs):
+            events.append(("truth", mu))
+            return truth_solve(problem, mu, *args, **kwargs)
+
+        def recorded_solve(model, mu, *args, **kwargs):
+            if model is not standard_small.model:
+                events.append(("stage", tuple(mu)))
+            return solve(model, mu, *args, **kwargs)
+
+        monkeypatch.setattr(er.benchmark, "truth_newton_solve", recorded_truth)
+        monkeypatch.setattr(er.ReducedModel, "solve", recorded_solve)
+        er.run_error_study(standard_small, test_set, [(3, 4)])
+        truths = [mu for kind, mu in events[:len(test_set)] if kind == "truth"]
+        assert len(truths) == len(test_set)
+        logs = {mu: np.log(mu) for mu in test_set}
+        left = list(test_set)
+        expected = [left.pop(0)]
+        while left:
+            dist = [float(np.sum((logs[mu] - logs[expected[-1]]) ** 2))
+                    for mu in left]
+            expected.append(left.pop(int(np.argmin(dist))))
+        assert truths == expected
+        assert truths == [test_set[k] for k in er.benchmark.tour(test_set)]
+        assert [kind for kind, _ in events[len(test_set):]] == \
+            ["stage"] * len(test_set)
+
+    def test_tour_of_no_and_of_one_parameter(self):
+        assert er.benchmark.tour([]) == []
+        assert er.benchmark.tour([(1.0, 2.0)]) == [0]
 
     def test_error_decreases_with_model_size(self, standard_small):
         test_set = er.SampleSet.log_random(15, 9)

@@ -246,6 +246,49 @@ class TestReducedSolve:
             assert float(np.sqrt(du @ (problem.mass @ du))) <= 1e-8
 
 
+def cold_block_newton(model, mus, cfg):
+    """The block Newton of solve_many from zero, written out as it ran
+    before it took starts: every row's tolerance from its norm at the
+    start.  Returns the coefficients and the indices of the failed rows
+    (zero there)."""
+    g, dg_du = model.problem.term.g, model.problem.term.dg_du
+    mu_rows = np.asarray(mus, dtype=float)
+    coeffs = np.zeros((len(mus), model.N))
+
+    def residual(rows):
+        c = coeffs[rows]
+        values = c @ model.Tr
+        r = c @ model.A.T + g(values, mu_rows[rows]) @ model.W.T - model.F
+        return values, r, np.linalg.norm(r, axis=1)
+
+    live = np.arange(len(mus))
+    failed = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, r, r_norm = residual(live)
+        tol = cfg.tolerance(r_norm)
+        failed.update(live[~np.isfinite(r_norm)].tolist())
+        going = np.isfinite(r_norm)
+        for _ in range(cfg.max_iter):
+            live, values, r = live[going], values[going], r[going]
+            if live.size == 0:
+                break
+            jac = model.A + (model.W * dg_du(values, mu_rows[live])[:, None, :]) \
+                @ model.Tr.T
+            coeffs[live] += np.linalg.solve(jac, -r[:, :, None])[:, :, 0]
+            values, r, r_norm = residual(live)
+            failed.update(live[~np.isfinite(r_norm)].tolist())
+            going = np.isfinite(r_norm) & (r_norm > tol[live])
+        else:
+            failed.update(live[going].tolist())
+    coeffs[sorted(failed)] = 0.0
+    return coeffs, failed
+
+
+def zeros_for(model, mus):
+    """The cold start of solve_many at mus: one zero row per parameter."""
+    return np.zeros((len(mus), model.N))
+
+
 class TestSolveMany:
     """solve_many against solve, one parameter at a time."""
 
@@ -253,14 +296,15 @@ class TestSolveMany:
     def grid(self):
         return [tuple(p) for p in er.SampleSet.log_grid(6, 6)]
 
-    def assert_matches_solve(self, model, mus, cfg):
-        # solve_many starts every parameter from zero, and so does solve
-        # here
-        coeffs, failures = model.solve_many(mus, cfg)
+    def assert_matches_solve(self, model, mus, cfg, start=None):
+        # row k of solve_many against solve from the same start, zero
+        # when none is given
+        start = zeros_for(model, mus) if start is None else start
+        coeffs, failures = model.solve_many(mus, cfg, initial=start)
         assert coeffs.shape == (len(mus), model.N)
         for k, mu in enumerate(mus):
             try:
-                sol = model.solve(mu, cfg, initial=np.zeros(model.N))
+                sol = model.solve(mu, cfg, initial=start[k])
             except (er.NewtonFailure, er.SolverFailure) as exc:
                 got = failures[k]
                 assert type(got) is type(exc)
@@ -280,10 +324,24 @@ class TestSolveMany:
         # parameter through the block solver takes solve's steps bit for bit
         model = standard_small.model
         for mu in grid:
-            coeffs, failures = model.solve_many([mu])
+            coeffs, failures = model.solve_many([mu],
+                                                initial=zeros_for(model, [mu]))
             assert not failures
             assert same_bits(coeffs[0], model.solve(
                 mu, initial=np.zeros(model.N)).coeffs)
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 50])
+    def test_zero_start_is_the_cold_block_solve_bitwise(self, standard_small,
+                                                         grid, max_iter):
+        # from zero, the residual at the start is the residual at zero, so
+        # the start's tolerance is the cold one and every step is the same
+        model = standard_small.model
+        cfg = er.NewtonConfig(max_iter=max_iter)
+        coeffs, failures = model.solve_many(grid, cfg,
+                                            initial=zeros_for(model, grid))
+        cold, failed = cold_block_newton(model, grid, cfg)
+        assert set(failures) == failed
+        assert same_bits(coeffs, cold)
 
     def test_coefficients_match_solve(self, standard_small, grid):
         failures = self.assert_matches_solve(standard_small.model, grid,
@@ -296,6 +354,52 @@ class TestSolveMany:
             standard_small.model, grid, er.NewtonConfig(max_iter=max_iter))
         assert failures
         assert all("stalled" in str(exc) for exc in failures.values())
+
+    def test_a_row_started_at_its_answer_takes_one_step(self, standard_small,
+                                                        grid):
+        # the tolerance is that of the residual at zero: one step from the
+        # converged answer meets it, where the start's own norm would ask
+        # for more (abs_tol is set below every residual that one step
+        # leaves)
+        model = standard_small.model
+        cfg = er.NewtonConfig(abs_tol=1e-300, rel_tol=1e-10)
+        answers, _ = model.solve_many(grid, cfg,
+                                      initial=zeros_for(model, grid))
+        one_step = er.NewtonConfig(abs_tol=1e-300, rel_tol=1e-10, max_iter=1)
+        coeffs, failures = model.solve_many(grid, one_step, initial=answers)
+        assert failures == {}
+        moved_on = 0
+        for k, mu in enumerate(grid):
+            sol = model.solve(mu, one_step, initial=answers[k])
+            assert sol.newton_iters == 1
+            assert np.abs(coeffs[k] - sol.coeffs).max() \
+                <= 1e-12 * np.abs(sol.coeffs).max()
+            start_norm, after = sol.residual_history
+            moved_on += after > one_step.tolerance(start_norm)
+        # most rows would not have stopped by their start's tolerance
+        assert moved_on > len(grid) // 2
+
+    @pytest.mark.parametrize("max_iter", [2, 50])
+    def test_failed_rows_from_a_start_raise_what_solve_raises(
+            self, standard_small, grid, max_iter):
+        # far starts: some rows stall or diverge, and row 0 starts at a
+        # point where g overflows
+        model = standard_small.model
+        start = np.random.default_rng(3).normal(0.0, 30.0,
+                                                (len(grid), model.N))
+        start[0] = 1e300
+        failures = self.assert_matches_solve(
+            model, grid, er.NewtonConfig(max_iter=max_iter), start)
+        assert "not finite at the initial guess" in str(failures[0])
+        assert len(failures) > 1
+
+    def test_a_start_of_the_wrong_shape_is_refused(self, standard_small,
+                                                   grid):
+        model = standard_small.model
+        for shape in ((len(grid), model.N + 1), (len(grid) - 1, model.N),
+                      (model.N,)):
+            with pytest.raises(ValueError, match="initial has shape"):
+                model.solve_many(grid, initial=np.zeros(shape))
 
     def test_poisoned_term_fails_only_there(self, standard_small, grid):
         bad = grid[7]
@@ -321,8 +425,9 @@ class TestSolveMany:
         assert "singular reduced Jacobian" in str(failures[7])
 
     def test_no_parameters(self, standard_small):
-        coeffs, failures = standard_small.model.solve_many([])
-        assert coeffs.shape == (0, standard_small.model.N)
+        model = standard_small.model
+        coeffs, failures = model.solve_many([], initial=np.zeros((0, model.N)))
+        assert coeffs.shape == (0, model.N)
         assert failures == {}
 
     def test_empty_basis_rejected_like_solve(self, problem8, standard_small):
@@ -331,12 +436,13 @@ class TestSolveMany:
         with pytest.raises(ValueError) as single:
             model.solve((1.0, 1.0))
         with pytest.raises(ValueError) as many:
-            model.solve_many([(1.0, 1.0)])
+            model.solve_many([(1.0, 1.0)], initial=np.zeros((1, 0)))
         assert str(many.value) == str(single.value)
 
     def test_lift_block_matches_lift_values(self, standard_small, grid):
         model = standard_small.model
-        coeffs, _ = model.solve_many(grid[:5])
+        coeffs, _ = model.solve_many(grid[:5], initial=zeros_for(model,
+                                                                 grid[:5]))
         block = model.lift_block(coeffs)
         for c, row in zip(coeffs, block):
             lifted = model.lift_values(er.RbSolution(c, 0, []))
@@ -383,7 +489,8 @@ class TestOnlineStart:
         model = ser_small.model
         table = model.table
         assert same_bits(table.mus, train5.points)
-        assert same_bits(table.coeffs, model.solve_many(train5.points)[0])
+        assert same_bits(table.coeffs, model.solve_many(
+            train5.points, initial=zeros_for(model, train5))[0])
         assert table.slopes.shape == (len(train5), 2, model.N)
         assert table.slopes.flags.c_contiguous
 
@@ -395,8 +502,9 @@ class TestOnlineStart:
         worst = 0.0
         for j in range(2):
             shift = np.exp(h * np.eye(2)[j])
-            up = model.solve_many(table.mus * shift)[0]
-            down = model.solve_many(table.mus / shift)[0]
+            cold = zeros_for(model, table.mus)
+            up = model.solve_many(table.mus * shift, initial=cold)[0]
+            down = model.solve_many(table.mus / shift, initial=cold)[0]
             fd = (up - down) / (2 * h)
             worst = max(worst, float(np.max(
                 np.abs(fd - table.slopes[:, j]).max(axis=1)
@@ -499,7 +607,8 @@ class TestOnlineStart:
 
         linear = model_with(with_term(model, g=lambda u, mus: u * 1.0,
                                       dg_du=dg_du), A=np.zeros_like(model.A))
-        coeffs, failures = linear.solve_many(mus)
+        coeffs, failures = linear.solve_many(mus,
+                                             initial=zeros_for(linear, mus))
         assert failures == {}
         table = er.rb.start_table(linear, mus)
         assert same_bits(table.mus, np.delete(mus, 6, axis=0))

@@ -343,21 +343,35 @@ class TestFailureHandling:
     SWEEP = [(0.1, 0.1), (0.2, 0.1), (3.0, 3.0), (0.3, 0.12), (5.0, 4.0)]
 
     def failing_sweep(self, model, failed, solve):
-        """The sweep of reduced_g_block over SWEEP on a copy of model whose
-        solve_many fails the rows failed (zero there, each with a failure
-        of its own), whose solve is solve and whose lift is the identity,
-        so the block's values are its coefficients.  Returns those values,
-        the provider's failures, the cold failures and coefficients."""
-        cold, _ = model.solve_many(self.SWEEP)
+        """The sweep of reduced_g_block over SWEEP, started at a start of
+        its own, on a copy of model whose solve_many, given that start,
+        fails the rows failed (zero there, each with a failure of its
+        own), whose solve is solve and whose lift is the identity, so the
+        block's values are its coefficients.  Returns those values, the
+        provider's failures, the cold failures and coefficients."""
+        cold, _ = model.solve_many(
+            self.SWEEP, initial=np.zeros((len(self.SWEEP), model.N)))
         cold[failed] = 0.0
         first = {k: er.SolverFailure(f"cold failure {k}") for k in failed}
+        newton = er.NewtonConfig()
+        start = np.random.default_rng(8).normal(size=cold.shape)
+        given = start.copy()
+
+        def solve_many(mus, cfg, initial):
+            assert mus == self.SWEEP and cfg is newton
+            assert same_bits(initial, given)
+            return cold.copy(), dict(first)
+
         copy = model_with(model)
-        copy.solve_many = lambda mus, cfg: (cold.copy(), dict(first))
+        copy.solve_many = solve_many
         copy.solve = solve
         copy.lift_block = lambda coeffs: coeffs
-        block, failures = eimrb.ser.reduced_g_block(
-            copy, er.NewtonConfig())(self.SWEEP)
-        return block.values(slice(None)), failures, first, cold
+        block, failures = eimrb.ser.reduced_g_block(copy, newton,
+                                                    start)(self.SWEEP)
+        values = block.values(slice(None))
+        # the sweep's answers are written over its start
+        assert same_bits(start, values)
+        return values, failures, first, cold
 
     def test_failed_sweep_rows_restart_from_the_nearest_converged_row(
             self, standard_small):
@@ -425,6 +439,74 @@ def worst_first(errors):
     return sorted(range(len(errors)),
                   key=lambda i: (bool(np.isnan(errors[i])),
                                  -np.nan_to_num(errors[i])))
+
+
+class TestWarmSweeps:
+    """Each reduced sweep starts at the last one's answers, with a zero
+    for each new basis vector; the first reduced sweep of a build and the
+    first after a rebuild start at zero."""
+
+    FORCED = 12     # the training row that every block solve fails
+
+    def record_sweeps(self, monkeypatch):
+        """Wrap the build's reduced sweeps, whose block solve fails row
+        FORCED, so that the provider restarts it; the returned list fills
+        with (start, answers) of each sweep, copies taken as the sweep
+        begins and when its provider returns."""
+        sweeps = []
+        reduced_g_block = eimrb.ser.reduced_g_block
+        solve_many = er.ReducedModel.solve_many
+
+        def failing(model, mus, cfg=None, *, initial):
+            coeffs, failures = solve_many(model, mus, cfg, initial=initial)
+            coeffs[self.FORCED] = 0.0
+            failures[self.FORCED] = er.SolverFailure("forced")
+            return coeffs, failures
+
+        def recording(model, newton, coeffs):
+            provider = reduced_g_block(model, newton, coeffs)
+
+            def recorded(samples):
+                start = coeffs.copy()
+                block, failures = provider(samples)
+                assert failures == {}
+                sweeps.append((start, coeffs.copy()))
+                return block, failures
+            return recorded
+
+        monkeypatch.setattr(er.ReducedModel, "solve_many", failing)
+        monkeypatch.setattr(eimrb.ser, "reduced_g_block", recording)
+        return sweeps
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_each_sweep_starts_at_the_last_ones_answers(
+            self, problem8, train5, newton_roomy, monkeypatch, r):
+        sweeps = self.record_sweeps(monkeypatch)
+        er.build_ser(problem8, er.SerConfig(r=r, n_max=5, m_max=5,
+                                            train_set=train5,
+                                            newton=newton_roomy))
+        assert len(sweeps) == (4 if r == 1 else 3)
+        assert np.all(sweeps[0][0] == 0.0)
+        grown = 0
+        for (_, answers), (start, _) in zip(sweeps, sweeps[1:]):
+            n = answers.shape[1]
+            grown += start.shape[1] > n
+            assert same_bits(start[:, :n], answers)
+            assert np.all(start[:, n:] == 0.0)
+            # the restarted row is carried over, not the block solve's zero
+            assert np.any(answers[self.FORCED] != 0.0)
+        assert grown == (3 if r == 1 else 1)
+
+    def test_every_sweep_of_a_rebuild_starts_at_zero(
+            self, problem8, train5, newton_roomy, monkeypatch):
+        sweeps = self.record_sweeps(monkeypatch)
+        er.build_ser(problem8, er.SerConfig(r=1, rebuild_wn=True, n_max=4,
+                                            m_max=4, train_set=train5,
+                                            newton=newton_roomy))
+        assert len(sweeps) == 3
+        for start, answers in sweeps:
+            assert np.all(start == 0.0)
+            assert np.any(answers[self.FORCED] != 0.0)
 
 
 class TestSnapshotSelection:
