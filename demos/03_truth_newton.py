@@ -29,7 +29,7 @@ for mu in [(0.01, 0.01), (10, 0.01), (0.01, 10), (10, 10), (1, 1)]:
     elapsed = time.perf_counter() - t0
     s = problem.average(u)
     print(f"mu=({mu[0]:5.2f}, {mu[1]:5.2f}): {stats.iterations:2d} Newton its, "
-          f"residual {stats.final_residual_norm:.1e}, "
+          f"residual {stats.residual_history[-1]:.1e}, "
           f"u in [{u.min():+.3f}, {u.max():+.3f}], "
           f"s = {s:+.6f}  ({elapsed * 1e3:.0f} ms)")
 

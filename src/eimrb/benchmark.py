@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .eim import gamma
 from .fem import FESpace, Mesh, SolverFailure
 from .nonlinear import (DEFAULT_NEWTON, Chord, NewtonFailure,
                         NonlinearProblem, NonlinearTerm, nearest,
@@ -23,6 +24,11 @@ from .nonlinear import (DEFAULT_NEWTON, Chord, NewtonFailure,
 
 D_MIN = 0.01
 D_MAX = 10.0
+# ulps of numpy's expm1 and exp that the benchmark term's error bound
+# allows; their float32 loops measured at most 2.5 and 2.2 ulps against
+# float64 over mu in [0.01, 10]^2 and mu2 u in [-60, 88]
+# (tests/test_benchmark.py checks the allowance)
+TERM_ULPS = 8
 
 
 def in_parameter_domain(mu):
@@ -73,7 +79,23 @@ def benchmark_term():
     (NonlinearTerm).  Each is evaluated into the one array that its first
     product makes, by the operations of mu1 * expm1(mu2 u) / mu2 and
     mu1 * exp(mu2 u) in their order, so with their bits and no temporary
-    of the block's size.
+    of the block's size.  On float32 u and parameters they compute in
+    float32.
+
+    Its error bound (NonlinearTerm) on a row of values v in [lo, hi]
+    against exact values w within du of them, with u the precision's
+    unit roundoff, gamma_n = n u / (1 - n u) and g' = mu1 e^(mu2 u)
+    increasing:
+
+    * the argument mu2 v is rounded by the parameter and the product,
+      so it is off by gamma_2 |mu2 v|, which moves g by at most
+      gamma_2 e^(gamma_2 mu2 |v|) |v| g'(hi);
+    * expm1 is off by TERM_ULPS ulps, at most 2 TERM_ULPS u relative,
+      and the roundings of mu1, mu2, the product and the quotient add
+      gamma_4 relative, of at most max |g| over [lo - du, hi + du];
+    * w differs from v by du, which moves g by at most du g'(hi + du);
+    * an underflow adds at most a few smallest normals, scaled by
+      mu1 / mu2 through expm1.
     """
     def g(u, mus):
         mu1, mu2 = mus[:, :1], mus[:, 1:]
@@ -90,7 +112,21 @@ def benchmark_term():
         out *= mu1
         return out
 
-    return NonlinearTerm(g, dg)
+    def error_bound(lo, hi, du, mus, dtype):
+        unit, tiny = np.finfo(dtype).eps / 2, np.finfo(dtype).tiny
+        mu1, mu2 = mus[:, 0], mus[:, 1]
+        top, bottom = hi + du, lo - du
+        slope = mu1 * np.exp(mu2 * top)
+        size = mu1 / mu2 * np.maximum(np.abs(np.expm1(mu2 * top)),
+                                      np.abs(np.expm1(mu2 * bottom)))
+        reach = np.maximum(np.abs(lo), np.abs(hi))
+        argument = gamma(2, unit) * np.exp(gamma(2, unit) * mu2 * reach)
+        rounding = 2 * TERM_ULPS * unit + gamma(4, unit)
+        # the last factor covers the float64 roundoff of this formula
+        return (rounding * size + (argument * reach + du) * slope
+                + 16 * tiny * (1 + slope / mu2)) * (1 + 1e-9)
+
+    return NonlinearTerm(g, dg, error_bound)
 
 
 def benchmark_rhs(xy):

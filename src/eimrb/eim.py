@@ -20,6 +20,51 @@ with one right-hand side per row and one (rows, M) @ (M, ndof) product,
 and only the best residual so far is kept.  Swapping a provider of
 truth solutions for one of reduced solutions is what turns the standard
 training loop into the simultaneous build.
+
+A sweep needs the argmax row, its error and its residual; every other
+row only has to be shown smaller.  So a step runs in two passes, the
+certified mixed-precision screening of Higham and Mary ("Mixed
+precision algorithms in numerical linear algebra", Acta Numerica 31,
+2022):
+
+* the screen, in float32, when the fields offer one
+  (``fields.screen(t)``, see ``ser.ReducedGBlock``).  Over chunks of
+  the same byte budget, so twice the rows, it gives each row p an
+  estimate e^_p of the error e_p that the float64 pass computes, and a
+  bound d_p on |e^_p - e_p| (``screen_sweep``);
+* the float64 pass, which runs on every chunk of BUDGET // ndof rows
+  that holds a row with e^_p + d_p >= max_q (e^_q - d_q), or a row whose
+  estimate or bound is not finite (a float32 exp overflows at 88.7, a
+  float64 one at 709).  It is the whole step when the fields offer no
+  screen.
+
+Every row whose error ties or beats the largest has e^_p + d_p >= e_p >=
+max_q (e^_q - d_q), so the largest error and the first row that reaches
+it are found in the float64 chunks, in their order: the pick, its error,
+its residual and the skipped rows keep the bits of a float64 pass over
+every chunk.  ``GreedyStep.errors`` runs the float64 pass on the other
+chunks the first time it is read.
+
+The bound d_p follows from the dot-product bounds |fl(x.y) - x.y| <=
+gamma_n |x|.|y|, gamma_n = n u / (1 - n u) with u the unit roundoff
+(Higham, *Accuracy and Stability of Numerical Algorithms*, SIAM 2002,
+3.1 and 8.1), on the float64 pass r = g - beta q, beta = B^-1 g(t):
+
+* the fields: the screen gives a float32 block g^ and a bound on
+  |g^ - g| per row, from the lift's and the term's rounding;
+* beta: the screen gives g at the points in float64, by a separate
+  product, and a bound on its distance from the float64 pass's values
+  there; its beta~ is off from the pass's beta by ||B^-1||_inf times
+  that, plus the forward error gamma_M ||B^-1||_inf ||B||_inf ||beta||_inf
+  of each triangular solve (||B||_inf <= M, as |B| <= 1);
+* beta q: every field has |q_m| <= 1, so the float32 product of the
+  rounded beta~ and q is off from beta~ q by gamma32_(M+2) ||beta~||_1,
+  the float64 one from beta q by gamma64_M ||beta||_1, and the gap
+  between beta~ and beta adds M times its largest entry;
+* the subtraction g^ - beta q in float32 adds u32 e^_p.
+
+The float64 roundoff of the bound's own arithmetic, and the float64
+subtraction's u64 e_p, are covered by a relative slack (SLACK).
 """
 
 from dataclasses import dataclass
@@ -33,6 +78,19 @@ SATURATION_REL = 1e-13
 # doubles per chunk of rows in a greedy step (1 MB): a chunk and its
 # residual stay in a core's L2 cache from the provider to the sup errors
 BUDGET = 2 ** 17
+# unit roundoffs, and the smallest normal float32 (an underflow's error)
+U32 = float(np.finfo(np.float32).eps) / 2
+U64 = float(np.finfo(np.float64).eps) / 2
+TINY32 = float(np.finfo(np.float32).tiny)
+# relative slack on a screen bound: above the float64 roundoff of its
+# arithmetic, and above u64 / u32 (2e-9), so u64 e_p is inside it
+SLACK = 1e-6
+
+
+def gamma(n, unit):
+    """Higham's gamma_n = n u / (1 - n u), which bounds the relative
+    error of n roundings, and that of a dot product of length n."""
+    return n * unit / (1 - n * unit)
 
 
 class DegenerateSnapshot(ValueError):
@@ -79,26 +137,6 @@ class EimBasis:
             beta[i] = (w[i] - B[i, :i] @ beta[:i]) / B[i, i]
         return beta
 
-    def evaluate(self, beta):
-        """Field sum_m beta_m q_m as a dof-value array."""
-        beta = np.asarray(beta, dtype=float)
-        if beta.shape != (self.M,):
-            raise ValueError(f"expected {self.M} coefficients, got {beta.shape}")
-        if self.M == 0:
-            return np.zeros(self.space.ndof)
-        return self.field_matrix().T @ beta
-
-    def interpolate(self, values):
-        """Interpolant of a full nodal field (exact at the points t)."""
-        values = np.asarray(values, dtype=float)
-        if self.M == 0:
-            return np.zeros_like(values)
-        return self.evaluate(self.coeffs(values[self.t]))
-
-    def sup_error(self, values):
-        values = np.asarray(values, dtype=float)
-        return float(np.max(np.abs(values - self.interpolate(values))))
-
     def append_from_residual(self, residual, mu, recorded_error):
         """Normalize a greedy residual into the next basis field.
 
@@ -129,13 +167,84 @@ class EimBasis:
         self.train_errors.append(float(recorded_error))
 
 
+class SweepErrors:
+    """The float64 errors of a sweep's samples, nan = skipped, made a
+    chunk at a time: a chunk's float64 pass runs when one of its rows may
+    be the next one asked for.
+
+    chunk_pass(lo, hi) runs the float64 pass on the rows lo:hi and gives
+    their residuals and errors; bad marks the skipped samples, and est
+    and dev are the screen's estimates and bounds (dev inf for a sample
+    with no bound).
+    """
+
+    def __init__(self, chunk_pass, rows, bad, est, dev):
+        self.chunk_pass, self.rows, self.bad = chunk_pass, rows, bad
+        self.est, self.dev = est, dev
+        self.errors = np.full(len(bad), np.nan)
+        self.ran = np.zeros(len(bad), dtype=bool)
+        self.n_chunks = -(-len(bad) // rows)
+
+    def run(self, i):
+        """The float64 pass on chunk i: its residuals and errors."""
+        lo, hi = i * self.rows, min((i + 1) * self.rows, len(self.bad))
+        chunk, err = self.chunk_pass(lo, hi)
+        self.errors[lo:hi] = err
+        self.ran[lo:hi] = True
+        return chunk, err
+
+    def leaders(self, mask):
+        """The chunks holding a sample of the boolean mask whose float64
+        error may be the largest over the mask: est + dev >= max(est -
+        dev), or dev not finite."""
+        with np.errstate(invalid="ignore"):     # inf - inf where unbounded
+            floor = np.max(self.est - self.dev,
+                           where=mask & np.isfinite(self.dev), initial=-np.inf)
+        unsure = mask & ~(self.est + self.dev < floor)
+        return np.unique(np.flatnonzero(unsure) // self.rows).tolist()
+
+    def all(self):
+        for i in range(self.n_chunks):
+            if not self.ran[i * self.rows]:
+                self.run(i)
+        return self.errors
+
+    def worst_first(self):
+        """Sample indices by decreasing error, skipped samples last, ties
+        in sample order (a stable argsort of -errors, nan last).  Each
+        next index runs only the chunks that may hold it."""
+        left = ~self.bad
+        count = 0
+        while not self.ran.all():
+            for i in self.leaders(left):
+                if not self.ran[i * self.rows]:
+                    self.run(i)
+            left &= ~self.bad
+            if not left.any():
+                break
+            known = np.flatnonzero(left & self.ran)
+            k = int(known[np.argmax(self.errors[known])])
+            yield k
+            left[k] = False
+            count += 1
+        order = np.argsort(np.nan_to_num(-self.all(), nan=np.inf),
+                           kind="stable")
+        yield from order[count:].tolist()
+
+
 @dataclass
 class GreedyStep:
     mu: tuple | None
     sup_error: float
     saturated: bool
     skipped: list
-    errors: np.ndarray  # per-sample sup errors, nan = skipped
+    confirmed: list         # the chunks whose float64 pass the pick ran
+    sweep: SweepErrors      # the float64 errors, made on demand
+
+    @property
+    def errors(self):
+        """Per-sample sup errors of the float64 pass, nan = skipped."""
+        return self.sweep.all()
 
 
 def eim_initialize(space, provider, samples):
@@ -157,27 +266,74 @@ def eim_initialize(space, provider, samples):
     return basis
 
 
+def screen_sweep(screen, B, q, n_samples, rows):
+    """The float32 screen of a sweep (module docstring), in chunks of
+    `rows` rows: each sample's estimated sup error and the bound on its
+    distance from the float64 pass's error, inf where the screen cannot
+    bound it.
+
+    screen.points is the (P, M) float64 field values at the points,
+    screen.chunk(rows) gives the float32 fields of a row range and two
+    per-row arrays, and screen.bounds takes those arrays for every row and
+    gives two per-row bounds: on the float32 fields' distance from the
+    float64 pass's fields, and on the distance of points from the float64
+    pass's values at the points (``ser.Float32Screen``).
+    """
+    m = len(B)
+    # ||B^-1||_inf, with room for the roundoff of the inverse
+    inv_norm = 1.01 * np.abs(np.linalg.inv(B)).sum(axis=1).max()
+    solve = gamma(m, U64) * inv_norm * m
+    q32 = q.astype(np.float32)
+    est, lo, hi = np.empty((3, n_samples))
+    product = np.empty((min(rows, n_samples), q.shape[1]), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a row of w that is not finite is zeroed, since the solve mixes
+        # the points; a row of g that is not finite gives an error that
+        # is not, and the rows of the product stay apart
+        w = screen.points
+        ok = np.all(np.isfinite(w), axis=1)
+        w[~ok] = 0.0
+        beta = np.linalg.solve(B, w.T)
+        beta32 = beta.T.astype(np.float32)
+        for start in range(0, n_samples, rows):
+            sl = slice(start, min(start + rows, n_samples))
+            g, lo[sl], hi[sl] = screen.chunk(sl)
+            g -= np.matmul(beta32[sl], q32, out=product[:len(g)])
+            est[sl] = np.maximum(g.max(axis=1), -g.min(axis=1))
+        g_dev, w_dev = screen.bounds(lo, hi)
+        size = np.abs(beta).sum(axis=0)
+        beta_dev = ((inv_norm * w_dev + 2 * solve * np.abs(beta).max(axis=0))
+                    / (1 - solve))
+        bound = (g_dev + gamma(m + 2, U32) * size + m * beta_dev
+                 + gamma(m, U64) * (size + m * beta_dev) + U32 * est
+                 + (m + 2) * TINY32) * (1 + SLACK)
+        dev = np.where(ok & np.isfinite(est + bound) & (solve < 1), bound,
+                       np.inf)
+    return est, dev
+
+
 def eim_greedy_step(basis, provider, samples):
     """One greedy enrichment: pick the worst-approximated sample, add its residual.
 
     Samples the provider failed on, and rows that are not finite, are
     skipped for this sweep; more than half the set skipped aborts.  A sup
     error below the saturation threshold returns a saturated step without
-    enriching.
+    enriching.  The float64 pass runs on the chunks that the float32
+    screen cannot rule out, or on all of them (module docstring).
     """
     if basis.M < 1:
         raise ValueError("initialize the basis before greedy steps")
     fields, failures = provider(samples)
     n_samples = len(samples)
     t_idx = np.asarray(basis.t, dtype=int)
-    q = basis.field_matrix()
+    # the step's own q and B: the errors of the other chunks may be made
+    # with them after the basis has grown
+    q, B = basis.field_matrix(), basis.B
     bad = np.zeros(n_samples, dtype=bool)
     bad[list(failures)] = True
-    errors = np.full(n_samples, np.nan)
-    best, best_err, best_residual = None, -np.inf, None
     rows = max(1, BUDGET // basis.space.ndof)
-    for lo in range(0, n_samples, rows):
-        hi = min(lo + rows, n_samples)
+
+    def chunk_pass(lo, hi):
         # the chunk becomes the interpolation residuals, in place
         chunk = fields[lo:hi]
         chunk_bad = bad[lo:hi]
@@ -185,17 +341,29 @@ def eim_greedy_step(basis, provider, samples):
         chunk[chunk_bad] = 0.0
         # B is unit lower triangular with no entry above 1 in size, so
         # the LU solve pivots no row and runs the triangular solve
-        beta = np.linalg.solve(basis.B, chunk[:, t_idx].T)
+        beta = np.linalg.solve(B, chunk[:, t_idx].T)
         chunk -= beta.T @ q
         err = np.maximum(chunk.max(axis=1), -chunk.min(axis=1))
         err[chunk_bad] = np.nan
-        errors[lo:hi] = err
+        return chunk, err
+
+    screen = fields.screen(t_idx) if hasattr(fields, "screen") else None
+    if screen is None:
+        est, dev = np.zeros(n_samples), np.full(n_samples, np.inf)
+    else:
+        est, dev = screen_sweep(screen, B, q, n_samples, 2 * rows)
+    sweep = SweepErrors(chunk_pass, rows, bad, est, dev)
+    confirmed = sweep.leaders(~bad)
+    best, best_err, best_residual = None, -np.inf, None
+    for i in confirmed:
+        chunk, err = sweep.run(i)
         if np.isnan(err).all():
             continue
         k = int(np.nanargmax(err))
         # strictly larger: on ties the first sample wins, as in one argmax
         if err[k] > best_err:
-            best, best_err, best_residual = lo + k, float(err[k]), chunk[k].copy()
+            best, best_err, best_residual = (i * rows + k, float(err[k]),
+                                             chunk[k].copy())
     skipped = [(k, tuple(samples[k]),
                 str(failures[k]) if k in failures else "snapshot field overflowed")
                for k in np.flatnonzero(bad).tolist()]
@@ -206,13 +374,14 @@ def eim_greedy_step(basis, provider, samples):
     if best is None:
         raise EimTrainingError("every sample failed during the sweep")
     best_mu = tuple(samples[best])
+    step = GreedyStep(mu=best_mu, sup_error=best_err, saturated=False,
+                      skipped=skipped, confirmed=confirmed, sweep=sweep)
     # saturation is judged against the largest error seen: the first
     # snapshot (at the first training parameter) can sit orders of
     # magnitude below the manifold scale
     floor = max(SATURATION_FLOOR, SATURATION_REL * max(basis.train_errors))
     if best_err < floor:
-        return GreedyStep(mu=best_mu, sup_error=best_err, saturated=True,
-                          skipped=skipped, errors=errors)
-    basis.append_from_residual(best_residual, best_mu, best_err)
-    return GreedyStep(mu=best_mu, sup_error=best_err, saturated=False,
-                      skipped=skipped, errors=errors)
+        step.saturated = True
+    else:
+        basis.append_from_residual(best_residual, best_mu, best_err)
+    return step

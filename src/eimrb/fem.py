@@ -137,16 +137,6 @@ class Mesh:
         b, c, d = a + 1, a + n + 2, a + n + 1
         return np.column_stack([a, b, c, a, c, d]).reshape(-1, 3)
 
-    @property
-    def n_triangles(self):
-        return len(self.triangles)
-
-    def triangle_areas(self):
-        v = self.vertices[self.triangles]
-        e1 = v[:, 1] - v[:, 0]
-        e2 = v[:, 2] - v[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-
 
 class FESpace:
     """Lagrange P1/P2/P3 space on a structured mesh, homogeneous-Dirichlet aware.

@@ -147,8 +147,7 @@ DEFAULT_NEWTON = NewtonConfig()
 @dataclass
 class SolveStats:
     iterations: int
-    final_residual_norm: float
-    residual_history: list
+    residual_history: list   # norms from the initial guess; the last is final
 
 
 class NonlinearTerm:
@@ -159,12 +158,31 @@ class NonlinearTerm:
     array of parameters, and return the (P, k) values.  A solve at one
     parameter passes one row.  A term may overflow to inf: its callers
     own numpy's warning state (the errstate of _newton,
-    rb.ReducedModel.solve_many and ser.GBlock).
+    rb.ReducedModel.solve_many, ser.GBlock and the greedy step's screen).
+
+    error_bound lets the greedy step screen a reduced sweep in float32
+    (``eim``), or is None, and then every sweep runs in float64.  The
+    screen assumes three things of a term that gives one:
+
+    * g run on float32 u and float32 parameters computes in float32,
+      with the parameters rounded to float32;
+    * g is finite wherever its error bound is, and g and g' do not
+      decrease in u, so the largest |g| and g' over an interval of u are
+      at its ends;
+    * ``error_bound(lo, hi, du, mus, dtype)``, given (P,) arrays lo, hi
+      and du, the (P, 2) float64 parameters and a float dtype, returns
+      for each row p a bound on |g_dtype(v; mu_p) - g(w; mu_p)| over
+      every dtype value v in [lo_p, hi_p] and every real w with
+      |w - v| <= du_p, where g_dtype is g run in that precision and g
+      the exact function.  It is evaluated in float64 and may be inf
+      (or nan) where it cannot bound; it covers the ulp errors of the
+      library functions that g calls.
     """
 
-    def __init__(self, g, dg_du):
+    def __init__(self, g, dg_du, error_bound):
         self.g = g
         self.dg_du = dg_du
+        self.error_bound = error_bound
 
 
 class Chord:
@@ -333,8 +351,7 @@ def _newton(what, mu, cfg, residual, step, reference=None):
                 break
         else:
             raise newton_failure("stall", what, mu, history, None)
-    return SolveStats(iterations=len(history) - 1, final_residual_norm=r_norm,
-                      residual_history=history)
+    return SolveStats(iterations=len(history) - 1, residual_history=history)
 
 
 def truth_jacobian(problem, u, mu):

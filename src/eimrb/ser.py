@@ -77,7 +77,18 @@ are then made a chunk of rows at a time (``GBlock``): the greedy step in
 (rows, N) @ (N, ndof) product, passed through g in one call, and turned
 into their interpolation residuals and sup errors by one triangular
 solve and one (rows, M) @ (M, ndof) product while they are still in
-cache.  No (P, ndof) array of the whole sweep is made.
+cache.  No (P, ndof) array of the whole sweep is made.  A reduced sweep
+(``ReducedGBlock``) is first screened in float32, chunks of twice the
+rows, which gives each row an estimated error and a certified bound on
+its distance from the float64 one; the float64 pass above then runs
+only on the chunks that may hold the largest error (``eim``), so the
+sweep picks, and the build writes, the bits of a float64 sweep.  On the
+n=32 P2 20x20 r=1 build that is 1-4 of 13 chunks per sweep.  The
+errors of the other rows are made only when read: an update that runs
+past its group's picks takes the training set worst first from the
+last sweep (``eim.SweepErrors.worst_first``), which runs the float64
+pass on the chunks that may hold each next parameter.  A truth sweep is
+not screened.
 """
 
 import math
@@ -89,7 +100,7 @@ from itertools import chain
 import numpy as np
 
 from .benchmark import TruthReferences
-from .eim import eim_greedy_step, eim_initialize
+from .eim import TINY32, U32, U64, eim_greedy_step, eim_initialize, gamma
 from .fem import SolverFailure
 from .nonlinear import (MassFields, NewtonConfig, NewtonFailure,
                         SurrogateSolver, nearest, truth_newton_solve_eim)
@@ -149,6 +160,7 @@ class StepRecord:
     M: int
     N: int
     fe_solves: int
+    confirmed: int | None    # float64 chunks of the sweep; not in the summary
 
 
 @dataclass
@@ -161,8 +173,9 @@ class BuildReport:
     r: object = None         # update frequency of the build
     rebuild_wn: bool = False
 
-    def log(self, kind, mu, sup_error, m, n, fe_solves):
-        self.steps.append(StepRecord(kind, mu, sup_error, m, n, fe_solves))
+    def log(self, kind, mu, sup_error, m, n, fe_solves, confirmed):
+        self.steps.append(StepRecord(kind, mu, sup_error, m, n, fe_solves,
+                                     confirmed))
 
     def summary_dict(self):
         """Deterministic machine-readable summary (no timings)."""
@@ -200,7 +213,9 @@ class GBlock:
     ``block[lo:hi]`` is a new (hi - lo, ndof) array: ``values(rows)``
     gives the fields u_p of that slice of samples and the term is applied
     to them at once.  A greedy step walks the block in cache-sized
-    chunks, so no (P, ndof) array of the whole sweep is ever made.
+    chunks, so no (P, ndof) array of the whole sweep is ever made.  It
+    offers the greedy step no float32 screen (no ``screen`` method), so
+    every chunk runs in float64.
     """
 
     def __init__(self, problem, samples, values):
@@ -211,6 +226,74 @@ class GBlock:
     def __getitem__(self, rows):
         with np.errstate(over="ignore"):    # the greedy step skips an inf row
             return self.term.g(self.values(rows), self.mus[rows])
+
+
+class ReducedGBlock(GBlock):
+    """The fields g(V c_p; mu_p) of the (P, N) reduced solutions coeffs on
+    the (ndof, N) basis V of a model, which the greedy step screens in
+    float32 (``Float32Screen``) when the term gives an error bound."""
+
+    def __init__(self, model, samples, coeffs):
+        super().__init__(model.problem, samples,
+                         lambda rows: model.lift_block(coeffs[rows]))
+        self.coeffs, self.basis = coeffs, model.basis
+
+    def screen(self, t):
+        if self.term.error_bound is None:
+            return None
+        return Float32Screen(self, t)
+
+
+class Float32Screen:
+    """The float32 screen of a ReducedGBlock's sweep at the points t, in
+    the form ``eim.screen_sweep`` reads.
+
+    With c the float64 coefficients of a row:
+
+    * ``chunk(rows)`` gives the float32 fields g(u^) of a row range, with
+      u^ = fl32(c) @ fl32(V^T) lifted into one buffer, and the least and
+      largest u^ of each row.  u^ is within du = (gamma32_(N+2) +
+      gamma64_N) |c| @ max|V| of the float64 pass's lift (each is within
+      its gamma of the exact product);
+    * ``points`` holds g at the points for every row, in float64, of
+      c @ V(t)^T, which is within dt = 2 gamma64_N |c| @ max|V| of the
+      float64 pass's lift there;
+    * ``bounds(lo, hi)`` gives, from the least and largest u^ of every
+      row, a bound per row on the fields' distance from the float64
+      pass's fields (the term's float32 bound with du, plus its float64
+      rounding there) and one on the distance of ``points`` from the
+      float64 pass's g at the points (twice the term's float64 bound with
+      dt).  Both float64 bounds are taken over one interval that holds
+      every float64 value of the row.
+
+    The float32 copy of V, du, dt and ``points`` are made once per sweep.
+    """
+
+    def __init__(self, block, t):
+        basis, coeffs = block.basis, block.coeffs
+        self.term, self.mus, self.coeffs = block.term, block.mus, coeffs
+        self.mus32 = block.mus.astype(np.float32)
+        self.v32 = np.ascontiguousarray(basis.T, dtype=np.float32)
+        self.lift = np.empty((0, basis.shape[0]), dtype=np.float32)
+        n = basis.shape[1]
+        scale = np.abs(coeffs) @ np.abs(basis).max(axis=0)
+        self.du = (gamma(n + 2, U32) + gamma(n, U64)) * scale + n * TINY32
+        self.dt = 2 * gamma(n, U64) * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.points = block.term.g(coeffs @ basis[t].T, block.mus)
+
+    def chunk(self, rows):
+        c32 = self.coeffs[rows].astype(np.float32)
+        if len(self.lift) < len(c32):
+            self.lift = np.empty((len(c32), self.v32.shape[1]),
+                                 dtype=np.float32)
+        u = np.matmul(c32, self.v32, out=self.lift[:len(c32)])
+        return self.term.g(u, self.mus32[rows]), u.min(axis=1), u.max(axis=1)
+
+    def bounds(self, lo, hi):
+        bound, du, dt, mus = self.term.error_bound, self.du, self.dt, self.mus
+        b64 = bound(lo - du - dt, hi + du + dt, dt, mus, np.float64)
+        return bound(lo, hi, du, mus, np.float32) + b64, 2 * b64
 
 
 def truth_g_block(references):
@@ -255,9 +338,7 @@ def reduced_g_block(model, newton, coeffs):
                     coeffs[k] = model.solve(samples[k], newton,
                                             coeffs[near]).coeffs
                     del failures[k]
-        return (GBlock(model.problem, samples,
-                       lambda rows: model.lift_block(coeffs[rows])),
-                failures)
+        return ReducedGBlock(model, samples, coeffs), failures
     return provider
 
 
@@ -285,7 +366,7 @@ def build_ser(problem, cfg):
     n_after[-1] = cfg.n_max
 
     eim_g = eim_initialize(problem.space, truth_g_block(truth), train)
-    report.log("eim", train[0], eim_g.train_errors[0], 1, 0, fe_solves())
+    report.log("eim", train[0], eim_g.train_errors[0], 1, 0, fe_solves(), None)
     mass_fields = MassFields(problem, eim_g)
 
     rb = RbSpace(problem)
@@ -303,7 +384,7 @@ def build_ser(problem, cfg):
 
     result = BuildResult(model=None, report=report, eim_g=eim_g)
     used = set()             # every parameter a snapshot was tried at
-    last_errors = None       # sweep errors, for ranking fallback snapshots
+    step = None              # the last sweep, whose errors rank fallbacks
     # the last reduced sweep's (P, N) answers, none (N = 0) before the
     # first reduced sweep and after a rebuild, whose basis is new
     answers = np.zeros((len(train), 0))
@@ -328,9 +409,8 @@ def build_ser(problem, cfg):
             step = eim_greedy_step(eim_g, provider, train)
             report.skipped.extend(step.skipped)
             saturated = step.saturated
-            last_errors = step.errors
             report.log("eim", step.mu, step.sup_error, eim_g.M, rb.N,
-                       fe_solves())
+                       fe_solves(), len(step.confirmed))
 
         # --- basis update event: snapshots at the candidates, one at a
         # time, until the basis is full: a rebuild's kept parameters, the
@@ -341,22 +421,24 @@ def build_ser(problem, cfg):
             if cfg.rebuild_wn:
                 rb = RbSpace(problem)
                 answers = answers[:, :0]
-            ranked = (range(len(train)) if last_errors is None else
-                      np.argsort(np.nan_to_num(-last_errors, nan=np.inf),
-                                 kind="stable"))
+            ranked = (range(len(train)) if step is None
+                      else step.sweep.worst_first())
             fresh = chain(eim_g.mus[m_start:], (train[i] for i in ranked))
             for mu in chain(kept, (mu for mu in fresh if mu not in used)):
                 used.add(mu)
                 try:
                     rb.add_snapshot(snapshot_solve(mu), mu)
                     if mu not in kept:
-                        report.log("rb", mu, None, eim_g.M, rb.N, fe_solves())
+                        report.log("rb", mu, None, eim_g.M, rb.N,
+                                   fe_solves(), None)
                 except DependentSnapshot:
-                    report.log("reject", mu, None, eim_g.M, rb.N, fe_solves())
+                    report.log("reject", mu, None, eim_g.M, rb.N, fe_solves(),
+                               None)
                 if rb.N == n_target:
                     break
             if cfg.rebuild_wn:
-                report.log("rebuild", None, None, eim_g.M, rb.N, fe_solves())
+                report.log("rebuild", None, None, eim_g.M, rb.N,
+                           fe_solves(), None)
 
         stage = (rb.N, m_target)
         if cfg.rebuild_wn and j < n_updates and stage in cfg.checkpoints:

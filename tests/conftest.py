@@ -99,11 +99,14 @@ def model_with(model, **changes):
 
 
 def with_term(model, g=None, dg_du=None):
-    """The model with its nonlinear term's g or dg_du replaced."""
+    """The model with its nonlinear term's g or dg_du replaced; a new g
+    comes with no error bound."""
     term = model.problem.term
     problem = er.NonlinearProblem(model.problem.space,
                                   er.NonlinearTerm(g or term.g,
-                                                   dg_du or term.dg_du),
+                                                   dg_du or term.dg_du,
+                                                   None if g else
+                                                   term.error_bound),
                                   er.benchmark_rhs)
     return model_with(model, problem=problem)
 
@@ -211,6 +214,38 @@ def check_derivative(term, mus, u_values, h=1e-6, tol=1e-5):
     if worst > tol:
         raise ValueError(f"dg_du disagrees with finite differences by {worst:.3e}")
     return worst
+
+
+def triangle_areas(mesh):
+    """Signed areas of a mesh's triangles, from their vertex coordinates."""
+    v = mesh.vertices[mesh.triangles]
+    e1 = v[:, 1] - v[:, 0]
+    e2 = v[:, 2] - v[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+def eim_evaluate(basis, beta):
+    """Field sum_m beta_m q_m of an interpolation basis, as dof values."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (basis.M,):
+        raise ValueError(f"expected {basis.M} coefficients, got {beta.shape}")
+    if basis.M == 0:
+        return np.zeros(basis.space.ndof)
+    return basis.field_matrix().T @ beta
+
+
+def eim_interpolate(basis, values):
+    """Interpolant of a full nodal field (exact at the points t)."""
+    values = np.asarray(values, dtype=float)
+    if basis.M == 0:
+        return np.zeros_like(values)
+    return eim_evaluate(basis, basis.coeffs(values[basis.t]))
+
+
+def eim_sup_error(basis, values):
+    """Sup norm over the dofs of a field's interpolation error."""
+    values = np.asarray(values, dtype=float)
+    return float(np.max(np.abs(values - eim_interpolate(basis, values))))
 
 
 def rows_provider(field):

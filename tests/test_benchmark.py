@@ -79,6 +79,64 @@ class TestNonlinearity:
         assert abs(val - 1e-9) <= 1e-17
 
 
+class TestFloat32Term:
+    """The float32 screen of a greedy sweep (eim) assumes that the
+    benchmark term's float32 g and dg stay within TERM_ULPS ulps of their
+    library functions, and within the term's error bound."""
+
+    @staticmethod
+    def samples(count=4000, seed=36):
+        """Parameters log-uniform over [0.01, 10]^2 and float32 u with
+        mu2 u from -60 to 88, ends included, one per row."""
+        rng = np.random.default_rng(seed)
+        mus = 10.0 ** rng.uniform(-2.0, 1.0, size=(count, 2))
+        x = rng.uniform(-60.0, 88.0, size=count)
+        x[:4] = [-60.0, 0.0, 1e-6, 88.0]
+        u = (x / mus[:, 1]).astype(np.float32)[:, None]
+        return mus, u
+
+    def test_float32_expm1_and_exp_within_the_ulp_allowance(self):
+        mus, u = self.samples()
+        x = mus.astype(np.float32)[:, 1:] * u
+        assert x.dtype == np.float32 and np.isfinite(np.exp(x)).all()
+        for func in (np.expm1, np.exp):
+            exact = func(x.astype(float))
+            ulp = np.spacing(np.abs(exact).astype(np.float32)).astype(float)
+            ulps = np.abs(func(x).astype(float) - exact) / ulp
+            assert ulps.max() <= er.benchmark.TERM_ULPS
+
+    def test_float32_g_and_dg_stay_float32(self):
+        term = er.benchmark_term()
+        mus, u = self.samples(count=8)
+        mus32 = mus.astype(np.float32)
+        assert term.g(u, mus32).dtype == np.float32
+        assert term.dg_du(u, mus32).dtype == np.float32
+
+    def test_float32_g_within_the_error_bound(self):
+        # float64 g at the same float32 u stands for the exact g: its own
+        # error is some 1e9 times below the bound
+        # (its products overflow float32 near mu2 u = 88 with mu1 > 2 or
+        # a small mu2; the screen confirms such rows in float64)
+        term = er.benchmark_term()
+        mus, u = self.samples()
+        with np.errstate(over="ignore"):
+            g32 = term.g(u, mus.astype(np.float32))[:, 0].astype(float)
+        g64 = term.g(u.astype(float), mus)[:, 0]
+        finite = np.isfinite(g32)
+        assert finite.mean() > 0.9
+        assert np.all(np.abs(g64[~finite]) > 1e36)
+        mus, g32, g64 = mus[finite], g32[finite], g64[finite]
+        v = u[finite, 0].astype(float)
+        bound = term.error_bound(v, v, np.zeros_like(v), mus, np.float32)
+        assert np.isfinite(bound).all()
+        assert np.all(np.abs(g32 - g64) <= bound)
+        # and a shift of u by du moves g by no more than its bound allows
+        du = 1e-6 * np.abs(v) + 1e-30
+        shifted = term.g((v + du)[:, None], mus)[:, 0]
+        bound = term.error_bound(v, v, du, mus, np.float32)
+        assert np.all(np.abs(g32 - shifted) <= bound)
+
+
 class TestSampleSets:
     def test_log_grid_is_lexicographic_and_in_bounds(self):
         s = er.SampleSet.log_grid(4, 3)

@@ -1,0 +1,334 @@
+"""The float32 screen of the reduced greedy sweeps (eim, ser.ReducedGBlock).
+
+A sweep screens every row in float32 and runs the float64 pass only on
+the chunks that may hold its largest error, so its pick, the pick's error
+and residual, its skipped rows and every error it reports are those of a
+float64 pass over every chunk.  The n=8 builds here use chunks of three
+rows (six in the screen), so that a sweep has chunks to leave out.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+import eimrb as er
+import eimrb.eim
+import eimrb.ser
+
+SCHEDULES = {"r1": dict(r=1, n_max=5, m_max=5),
+             "r1-rebuild": dict(r=1, rebuild_wn=True, n_max=4, m_max=4),
+             "r2": dict(r=2, n_max=4, m_max=6),
+             "standard": dict(r="standard", n_max=4, m_max=6)}
+
+
+@pytest.fixture
+def small_chunks(problem8, monkeypatch):
+    monkeypatch.setattr("eimrb.eim.BUDGET", 3 * problem8.space.ndof)
+
+
+@pytest.fixture(scope="module")
+def train6():
+    return er.SampleSet.log_grid(6, 6)
+
+
+def unbounded(monkeypatch):
+    """Force every screen bound to infinity: every chunk runs in float64."""
+    screen_sweep = eimrb.eim.screen_sweep
+
+    def no_bound(*args):
+        est, dev = screen_sweep(*args)
+        return est, np.full_like(dev, np.inf)
+
+    monkeypatch.setattr("eimrb.eim.screen_sweep", no_bound)
+
+
+def record_screens(monkeypatch):
+    """Each greedy step of a build with its screen's (est, dev), or None
+    for a sweep with no screen; the list fills as the build runs."""
+    screens, steps = [], []
+    screen_sweep, greedy_step = eimrb.eim.screen_sweep, eimrb.ser.eim_greedy_step
+
+    def recording_screen(*args):
+        screens.append(screen_sweep(*args))
+        return screens[-1]
+
+    def recording_step(*args):
+        screens.clear()
+        step = greedy_step(*args)
+        steps.append((step, screens[0] if screens else None))
+        return step
+
+    monkeypatch.setattr("eimrb.eim.screen_sweep", recording_screen)
+    monkeypatch.setattr("eimrb.ser.eim_greedy_step", recording_step)
+    return steps
+
+
+def build_bytes(problem, cfg, path):
+    result = er.build_ser(problem, cfg)
+    er.save_model(path, result)
+    return path.read_bytes(), result.report.summary_dict(), result
+
+
+def sweep_setup(ser_small):
+    """A copy of ser_small's interpolant, its final model and start rows
+    at train5, for one greedy step of hand-made reduced solutions."""
+    model = ser_small.model
+    return copy.deepcopy(ser_small.eim_g), model, model.table.coeffs.copy()
+
+
+def reduced_provider(model, coeffs, failures=None):
+    return lambda mus: (eimrb.ser.ReducedGBlock(model, mus, coeffs),
+                        dict(failures or {}))
+
+
+class TestBound:
+    @pytest.mark.parametrize("schedule", ["r1", "r1-rebuild", "r2"])
+    def test_bound_holds_on_every_row_of_every_reduced_sweep(
+            self, problem8, train6, newton_roomy, small_chunks, monkeypatch,
+            schedule):
+        steps = record_screens(monkeypatch)
+        cfg = er.SerConfig(train_set=train6, newton=newton_roomy,
+                           **SCHEDULES[schedule])
+        er.build_ser(problem8, cfg)
+        screened = [(step, screen) for step, screen in steps
+                    if screen is not None]
+        assert len(screened) >= 3
+        rows = 3
+        n_chunks = -(-len(train6) // rows)
+        left_out = 0
+        for step, (est, dev) in screened:
+            errors = step.errors
+            ok = np.isfinite(errors)
+            assert np.isfinite(dev[ok]).all()
+            assert np.all(np.abs(est[ok] - errors[ok]) <= dev[ok])
+            left_out += n_chunks - len(step.confirmed)
+            # the pick is in a confirmed chunk
+            assert train6[int(np.nanargmax(errors))] == step.mu
+            assert int(np.nanargmax(errors)) // rows in step.confirmed
+        assert left_out > 0
+
+    def test_truth_sweeps_are_not_screened(self, problem8, train6,
+                                           small_chunks, monkeypatch):
+        steps = record_screens(monkeypatch)
+        cfg = er.SerConfig(train_set=train6, **SCHEDULES["standard"])
+        er.build_ser(problem8, cfg)
+        assert steps and all(screen is None for _, screen in steps)
+        assert all(step.confirmed == list(range(12)) for step, _ in steps)
+
+    def test_a_term_with_no_bound_runs_every_chunk(self, ser_small, train5,
+                                                   small_chunks):
+        basis, model, coeffs = sweep_setup(ser_small)
+        term = model.problem.term
+        no_bound = er.NonlinearProblem(model.problem.space,
+                                       er.NonlinearTerm(term.g, term.dg_du,
+                                                        None),
+                                       er.benchmark_rhs)
+        model = copy.copy(model)
+        model.problem = no_bound
+        block = eimrb.ser.ReducedGBlock(model, list(train5), coeffs)
+        assert block.screen(np.asarray(basis.t)) is None
+        step = er.eim_greedy_step(basis, reduced_provider(model, coeffs),
+                                  list(train5))
+        assert step.confirmed == list(range(9))
+
+
+class TestOverflow:
+    def scaled(self, model, coeffs, k, x, mus):
+        """coeffs with row k scaled so that mu2 max u = x at mus[k]."""
+        u = model.basis @ coeffs[k]
+        coeffs[k] *= x / (mus[k][1] * u.max())
+
+    def test_float32_overflow_is_confirmed_and_not_skipped(
+            self, ser_small, train5, small_chunks, monkeypatch):
+        # rows 10 and 20 are finite in float64 but overflow in float32
+        # (mu2 u from 89 to 709); row 20 is the worst
+        samples = list(train5)
+        basis, model, coeffs = sweep_setup(ser_small)
+        self.scaled(model, coeffs, 10, 150.0, samples)
+        self.scaled(model, coeffs, 20, 300.0, samples)
+        block = eimrb.ser.ReducedGBlock(model, samples, coeffs)
+        with np.errstate(over="ignore"):
+            g32 = block.screen(np.asarray(basis.t)).chunk(slice(0, 25))[0]
+        assert np.isinf(g32[[10, 20]]).any(axis=1).all()
+        steps = record_screens(monkeypatch)
+        step = eimrb.ser.eim_greedy_step(basis, reduced_provider(model, coeffs),
+                                         samples)
+        assert steps[0][0] is step
+        est, dev = steps[0][1]
+        assert np.isinf(dev[[10, 20]]).all()
+        assert 10 // 3 in step.confirmed and 20 // 3 in step.confirmed
+        assert step.skipped == []
+        assert np.isfinite(step.errors).all()
+        assert step.mu == samples[20]
+
+    def test_skips_keep_their_messages_and_order(self, ser_small, train5,
+                                                 small_chunks, monkeypatch):
+        # a provider failure, a row that overflows in float64 too and a
+        # nan row, each in a chunk of its own, against a float64 pass over
+        # every chunk
+        samples = list(train5)
+        failures = {7: er.SolverFailure("synthetic singular solve")}
+
+        def step_of():
+            basis, model, coeffs = sweep_setup(ser_small)
+            self.scaled(model, coeffs, 11, 2000.0, samples)
+            coeffs[20] = np.nan
+            step = er.eim_greedy_step(
+                basis, reduced_provider(model, coeffs, failures), samples)
+            return step, basis
+
+        screened, basis = step_of()
+        unbounded(monkeypatch)
+        full, full_basis = step_of()
+        assert screened.skipped == full.skipped == [
+            (7, samples[7], "synthetic singular solve"),
+            (11, samples[11], "snapshot field overflowed"),
+            (20, samples[20], "snapshot field overflowed")]
+        assert screened.mu == full.mu
+        assert screened.sup_error == full.sup_error
+        assert len(screened.confirmed) < len(full.confirmed)
+        assert screened.errors.tobytes() == full.errors.tobytes()
+        assert basis.fields[-1].tobytes() == full_basis.fields[-1].tobytes()
+
+
+class TestSweepErrors:
+    """Given bounds that hold, the float64 pass runs on every chunk that
+    may hold the largest error, and the ranking follows the errors."""
+
+    # row 4 has the largest error and the lowest estimate, with a wide
+    # bound that still reaches the floor set by row 1's tight one; row 5
+    # is skipped
+    ERRORS = np.array([0.1, 0.5, 0.2, 0.3, 0.6, np.nan])
+    EST = np.array([0.105, 0.5, 0.195, 0.3, 0.15, 0.0])
+    DEV = np.array([0.01, 0.01, 0.01, 0.01, 0.5, np.inf])
+
+    def sweep(self):
+        ran = []
+
+        def chunk_pass(lo, hi):
+            ran.append(lo // 2)
+            return None, self.ERRORS[lo:hi].copy()
+
+        bad = np.isnan(self.ERRORS)
+        return eimrb.eim.SweepErrors(chunk_pass, 2, bad, self.EST, self.DEV), ran
+
+    def test_a_row_whose_bound_reaches_the_floor_is_a_leader(self):
+        assert np.all(np.abs(self.EST - self.ERRORS)[:5] <= self.DEV[:5])
+        sweep, _ = self.sweep()
+        assert sweep.leaders(~np.isnan(self.ERRORS)) == [0, 2]
+
+    def test_worst_first_runs_the_chunks_each_index_needs(self):
+        sweep, ran = self.sweep()
+        order = sweep.worst_first()
+        assert next(order) == 4 and ran == [0, 2]
+        assert list(order) == [1, 3, 2, 0, 5]
+        assert sorted(ran) == [0, 1, 2]
+        assert sweep.errors.tobytes() == self.ERRORS.tobytes()
+
+
+class TestOrder:
+    def test_equal_worst_rows_in_different_chunks_pick_the_first(
+            self, ser_small, train5, small_chunks):
+        # the samples twice over: row k and row k + 25 are equal and lie
+        # in different chunks
+        samples = list(train5) * 2
+        basis, model, coeffs = sweep_setup(ser_small)
+        coeffs = np.vstack([coeffs, coeffs])
+        step = er.eim_greedy_step(basis, reduced_provider(model, coeffs),
+                                  samples)
+        errors = step.errors
+        k = int(np.nanargmax(errors))
+        assert k < 25 and errors[k] == errors[k + 25]
+        assert step.mu == samples[k] and step.sup_error == errors[k]
+        assert basis.mus[-1] == samples[k]
+
+    @pytest.mark.parametrize("schedule", ["r1", "r2"])
+    def test_worst_first_is_the_stable_order_of_the_errors(
+            self, problem8, train6, newton_roomy, small_chunks, monkeypatch,
+            schedule):
+        steps = record_screens(monkeypatch)
+        cfg = er.SerConfig(train_set=train6, newton=newton_roomy,
+                           **SCHEDULES[schedule])
+        er.build_ser(problem8, cfg)
+        partial = 0
+        for step, screen in steps:
+            # copies taken before the errors are read: the first index of
+            # one runs only the chunks that may hold it
+            lazy, first = copy.deepcopy(step), copy.deepcopy(step)
+            leader = next(first.sweep.worst_first())
+            partial += not first.sweep.ran.all()
+            order = list(lazy.sweep.worst_first())
+            expected = np.argsort(np.nan_to_num(-step.errors, nan=np.inf),
+                                  kind="stable").tolist()
+            assert order == expected
+            assert leader == expected[0]
+            assert step.mu == cfg.train_set[leader]
+        assert partial > 0
+
+
+class TestBitwise:
+    """Builds with the screen write the bytes of builds that run every
+    chunk in float64."""
+
+    @pytest.mark.parametrize("schedule", list(SCHEDULES))
+    def test_same_archive_and_summary_as_float64_sweeps(
+            self, problem8, train6, newton_roomy, small_chunks, monkeypatch,
+            tmp_path, schedule):
+        cfg = er.SerConfig(train_set=train6, newton=newton_roomy,
+                           **SCHEDULES[schedule])
+        screened = build_bytes(problem8, cfg, tmp_path / "screened.npz")
+        unbounded(monkeypatch)
+        full = build_bytes(problem8, cfg, tmp_path / "full.npz")
+        assert screened[0] == full[0]
+        assert screened[1] == full[1]
+        confirmed = [s.confirmed for s in screened[2].report.steps
+                     if s.kind == "eim" and s.confirmed is not None]
+        if schedule != "standard":
+            assert min(confirmed) < 12
+
+    def test_same_bytes_when_a_rejected_snapshot_reaches_the_ranked_tail(
+            self, problem8, train6, newton_roomy, small_chunks, monkeypatch,
+            tmp_path):
+        # the fourth snapshot tried is rejected as dependent, so its
+        # update takes the next candidate from the last sweep's ranking
+        add_snapshot = er.RbSpace.add_snapshot
+        tried = []
+
+        def dependent_fourth(space, values, mu):
+            tried.append(mu)
+            if len(tried) == 4:
+                raise er.DependentSnapshot(f"forced at mu={mu}")
+            return add_snapshot(space, values, mu)
+
+        monkeypatch.setattr(er.RbSpace, "add_snapshot", dependent_fourth)
+        cfg = er.SerConfig(train_set=train6, newton=newton_roomy,
+                           **SCHEDULES["r1"])
+        screened = build_bytes(problem8, cfg, tmp_path / "screened.npz")
+        steps = screened[2].report.steps
+        at = [s.kind for s in steps].index("reject")
+        picks = [s.mu for s in steps[:at] if s.kind == "eim"]
+        # the replacement is not a pick of the group, so it came from the
+        # ranking of the last sweep
+        assert steps[at + 1].kind == "rb" and steps[at + 1].mu != picks[-1]
+        tried.clear()
+        unbounded(monkeypatch)
+        full = build_bytes(problem8, cfg, tmp_path / "full.npz")
+        assert screened[0] == full[0]
+        assert screened[1] == full[1]
+
+
+class TestRecord:
+    def test_steps_carry_their_confirmed_chunks_outside_the_summary(
+            self, problem8, train6, newton_roomy, small_chunks, monkeypatch):
+        steps = record_screens(monkeypatch)
+        cfg = er.SerConfig(train_set=train6, newton=newton_roomy,
+                           **SCHEDULES["r1"])
+        report = er.build_ser(problem8, cfg).report
+        eim_steps = [s for s in report.steps if s.kind == "eim"]
+        assert eim_steps[0].confirmed is None    # the first, no sweep
+        assert ([s.confirmed for s in eim_steps[1:]]
+                == [len(step.confirmed) for step, _ in steps])
+        assert all(s.confirmed is None for s in report.steps
+                   if s.kind != "eim")
+        assert all("confirmed" not in s for s in report.summary_dict()["steps"])

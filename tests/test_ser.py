@@ -289,7 +289,7 @@ class TestFailureHandling:
             return res
 
         bad_problem = er.NonlinearProblem(
-            problem8.space, er.NonlinearTerm(poisoned_g, term.dg_du),
+            problem8.space, er.NonlinearTerm(poisoned_g, term.dg_du, None),
             er.benchmark_rhs)
         cfg = er.SerConfig(r=1, n_max=3, m_max=3, train_set=train5,
                            newton=newton_roomy)
