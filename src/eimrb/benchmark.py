@@ -170,16 +170,17 @@ class TruthReferences:
     finite element solves from it; an error study keeps its own, so its
     reference solves stay out of any build's count.
 
-    A solve starts from the caller's guess when it has one, and otherwise
-    from the cached solution nearest to mu in log-parameter distance (the
-    first cached on a tie; ``nonlinear.nearest``, the rule by which an
-    online reduced solve picks its start too), or from u = 0 while the
-    cache is empty.  Every solve stops by the same rule
-    (``truth_newton_solve``), so the start moves a solution only at the
-    level of that tolerance.  A cache shared by several callers, as
-    ``compare`` shares one across its error studies, keeps the solution
-    started from the guess of whichever caller asked first; that order is
-    fixed by the caller's code, so the results are deterministic.
+    A solve starts from the caller's guess when it has one.  Otherwise it
+    starts at a secant prediction from two cached solutions, in log
+    mu (``predict``), and a solve from a prediction that fails
+    (NewtonFailure or SolverFailure) is made once more from the cached
+    solution the prediction extrapolates; only that second failure is
+    raised.  Every solve stops by the same rule (``truth_newton_solve``),
+    so the start moves a solution only at the level of that tolerance.
+    A cache shared by several callers, as ``compare`` shares one across
+    its error studies, keeps the solution started from the guess of
+    whichever caller asked first; that order is fixed by the caller's
+    code, so the results are deterministic.
 
     All its solves share one ``Chord`` slot: each solve first steps with
     the last Jacobian factor of the solves before it, and refactors only
@@ -194,31 +195,64 @@ class TruthReferences:
         self.cache = {}
         self.chord = Chord()             # the last factor, carried over
         self._logs = np.empty((2, 0))    # cached log-parameters, as columns
+        self._solutions = []             # the cached solutions, in that order
 
     @property
     def solves(self):
         return len(self.cache)
 
-    def nearest(self, mu):
-        """The cached solution nearest to mu in log-parameter distance,
-        the first cached on a tie; None while the cache is empty."""
-        if not self.cache:
-            return None
-        return list(self.cache.values())[nearest(self._logs, np.log(mu))][0]
+    def predict(self, mu):
+        """The secant prediction at mu and the cached solution u_a it
+        extrapolates from; (None, None) while the cache is empty.
+
+        a is the cached parameter nearest to mu in log-parameter
+        distance, and b the other one nearest to a's mirror image
+        2 log a - log mu (each the first cached on a tie;
+        ``nonlinear.nearest``).  With s the projection of log mu - log a
+        onto log a - log b, clipped to [0, 1], the prediction is
+        u_a + s (u_a - u_b): the linear extrapolation 2 u_a - u_b when b
+        is the point before a on mu's grid line, and u_a itself (the
+        same array) when s is 0 or only a is cached.
+        """
+        if not self._solutions:
+            return None, None
+        log_mu = np.log(mu)
+        a = nearest(self._logs, log_mu)
+        u_a = self._solutions[a]
+        if len(self._solutions) == 1:
+            return u_a, u_a
+        log_a = self._logs[:, a]
+        b = nearest(np.delete(self._logs, a, axis=1), 2 * log_a - log_mu)
+        b += b >= a
+        step = log_a - self._logs[:, b]
+        length = step @ step
+        s = min(max((log_mu - log_a) @ step / length, 0.0), 1.0) \
+            if length > 0 else 0.0
+        if s == 0.0:
+            return u_a, u_a
+        return u_a + s * (u_a - self._solutions[b]), u_a
 
     def get(self, mu, guess=None):
         """The cached (solution, output) at mu, solved on a miss.  guess,
         if given, is called with mu on a miss only; the initial values it
-        returns replace the nearest cached solution, and None keeps it."""
+        returns replace the secant prediction, and None keeps it."""
         key = tuple(mu)
         if key not in self.cache:
             initial = guess(key) if guess is not None else None
+            fallback = None
             if initial is None:
-                initial = self.nearest(key)
-            u, _ = truth_newton_solve(self.problem, key, self.newton, initial,
-                                      self.chord)
+                initial, fallback = self.predict(key)
+            try:
+                u, _ = truth_newton_solve(self.problem, key, self.newton,
+                                          initial, self.chord)
+            except (NewtonFailure, SolverFailure):
+                if fallback is None or fallback is initial:
+                    raise
+                u, _ = truth_newton_solve(self.problem, key, self.newton,
+                                          fallback, self.chord)
             self.cache[key] = (u, self.problem.average(u))
             self._logs = np.column_stack([self._logs, np.log(key)])
+            self._solutions.append(u)
         return self.cache[key]
 
 

@@ -56,6 +56,7 @@ def cmd_build(args):
     _write_report(result.report, out / "build_report.json")
     print(f"variant {result.report.variant}: N={result.model.N} "
           f"M={result.model.M} fe_solves={result.report.fe_solve_count} "
+          f"truth_factorizations={result.report.truth_factorizations} "
           f"wall={result.report.wall_time:.2f}s")
     print(f"model archive: {out / 'model.npz'}")
     return EXIT_OK
@@ -123,6 +124,7 @@ def cmd_compare(args):
         _write_report(result.report, out / f"build_report_{slug}.json")
         counts.append((label, result.report.fe_solve_count))
         print(f"variant {label}: fe_solves={result.report.fe_solve_count} "
+              f"truth_factorizations={result.report.truth_factorizations} "
               f"wall={result.report.wall_time:.2f}s")
     with open(out / "solve_counts.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("variant,fe_solve_count\n")

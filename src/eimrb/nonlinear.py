@@ -208,8 +208,9 @@ def mu_row(mu):
 
 def nearest(log_columns, log_mu):
     """Column of the (2, k) array log_columns of log-parameters nearest to
-    the (2,) log-parameter log_mu, the first on a tie: the start rule of
-    the truth references and of the online reduced solve."""
+    the (2,) log-parameter log_mu, the first on a tie: the rule by which
+    the online reduced solve picks its start row, and the truth
+    references the two cached solutions of their secant start."""
     d0 = log_columns[0] - log_mu[0]
     d1 = log_columns[1] - log_mu[1]
     d0 *= d0

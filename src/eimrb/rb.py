@@ -39,8 +39,9 @@ the point values (step ``SLOPE_STEP``), since the term has no
 mu-derivative.  A row whose cold solve fails or whose slope is not
 finite is left out.  ``solve`` without an initial guess starts Newton
 at the Euler (tangent) prediction c_k + S_k (log mu - log mu_k) of the
-row nearest to mu in log-parameter distance (``nonlinear.nearest``, the
-rule of the truth references too), or at zero with no table or no row.
+row nearest to mu in log-parameter distance (``nonlinear.nearest``, by
+which the truth references pick their start too), or at zero with no
+table or no row.
 Every ``solve`` and every row of ``solve_many`` stops at cfg.tolerance
 of its residual norm at c = 0, whatever its start, so a start saves
 steps but never moves the rule.  A greedy sweep starts at the last

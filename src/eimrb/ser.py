@@ -172,6 +172,9 @@ class BuildReport:
     wall_time: float = 0.0
     r: object = None         # update frequency of the build
     rebuild_wn: bool = False
+    # the Jacobian factorisations of the build's truth solves, set by
+    # build_ser: not a field, so neither settable nor in summary_dict
+    truth_factorizations = 0
 
     def log(self, kind, mu, sup_error, m, n, fe_solves, confirmed):
         self.steps.append(StepRecord(kind, mu, sup_error, m, n, fe_solves,
@@ -447,6 +450,7 @@ def build_ser(problem, cfg):
             result.checkpoints[stage] = stored
 
     report.fe_solve_count = fe_solves()
+    report.truth_factorizations = truth.chord.factorizations
     report.wall_time = time.perf_counter() - t0
     result.model = rb.model(mass_fields)
     result.model.table = start_table(result.model, train)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -842,6 +843,36 @@ class TestCli:
         line = capsys.readouterr().out
         assert "s_N=" in line and "time=" in line and "load=" in line
 
+    def test_build_prints_its_truth_factorizations(self, tiny_config, capsys,
+                                                   monkeypatch):
+        # printed beside fe_solves, and kept out of build_report.json: a
+        # copy of the report without the count writes the same bytes
+        cfg, out = tiny_config
+        made, results = [], []
+        refactor, build = er.Chord.refactor, cli.build_ser
+
+        def counted(chord, jacobian):
+            made.append(jacobian)
+            return refactor(chord, jacobian)
+
+        def kept(problem, config):
+            results.append(build(problem, config))
+            return results[-1]
+
+        monkeypatch.setattr(er.Chord, "refactor", counted)
+        monkeypatch.setattr(cli, "build_ser", kept)
+        capsys.readouterr()
+        assert main(["build", str(cfg)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert f" fe_solves=4 truth_factorizations={len(made)} " in line
+        report = results[0].report
+        assert report.truth_factorizations == len(made) > 0
+        bare = replace(report)
+        assert bare.truth_factorizations == 0
+        cli._write_report(bare, out / "bare.json")
+        assert ((out / "bare.json").read_bytes()
+                == (out / "build_report.json").read_bytes())
+
     def test_solve_rejects_out_of_domain(self, tiny_config):
         cfg, out = tiny_config
         assert main(["build", str(cfg)]) == 0
@@ -988,7 +1019,8 @@ class TestCli:
         assert counts[0] == "variant,fe_solve_count"
         assert len(counts) == 5
 
-    def test_compare_builds_the_four_variants(self, tmp_path, monkeypatch):
+    def test_compare_builds_the_four_variants(self, tmp_path, monkeypatch,
+                                              capsys):
         # the build config of each variant, as compare hands it to build_ser
         seen = []
 
@@ -998,6 +1030,7 @@ class TestCli:
             assert (cfg.newton, len(cfg.train_set)) == (
                 er.NewtonConfig(max_iter=200), 16)
             report = er.BuildReport(variant=f"r={len(seen)}")
+            report.truth_factorizations = 10 * len(seen)
             return er.BuildResult(model=None, report=report, eim_g=None)
 
         def study(result, *args, **kwargs):
@@ -1008,7 +1041,11 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CONFIG.format(out=tmp_path / "out")
                        .replace("eim.m_max = 3", "eim.m_max = 5"))
+        capsys.readouterr()
         assert main(["compare", str(cfg)]) == 0
+        assert [line.split()[3] for line in
+                capsys.readouterr().out.splitlines()[:4]] == [
+            f"truth_factorizations={10 * k}" for k in range(1, 5)]
         grouped = ((1, 1), (1, 2), (2, 3), (2, 4), (3, 5))
         square = ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5))
         assert seen == [("standard", False, 3, 5, grouped),

@@ -291,52 +291,142 @@ class TestChord:
 
     def test_references_factor_less_than_once_per_solve(self, problem8,
                                                         factors):
-        # on a 5x5 grid the solves at mu2 = 10 take 3-4 factorisations
-        # each, and the other solves just make up for it (25 for 25 solves)
+        # each solve along the grid starts at the secant prediction from
+        # the two before it, so most keep the carried factor: 37 for the
+        # 100 solves (55 from the nearest cached solution alone)
         train = er.SampleSet.log_grid(10, 10)
         refs = er.TruthReferences(problem8)
         for mu in train:
             refs.get(mu)
-        assert len(factors) == refs.chord.factorizations < refs.solves
+        assert len(factors) == refs.chord.factorizations <= 40
         for mu in train:
             cold, _ = er.truth_newton_solve(problem8, mu)
             assert np.abs(refs.get(mu)[0] - cold).max() <= 1e-9
 
 
 class TestTruthReferences:
-    """A cache miss starts from the caller's guess, else from the nearest
-    cached solution in log-parameter distance, else from u = 0."""
+    """A cache miss starts from the caller's guess, else from the secant
+    prediction u_a + s (u_a - u_b) of the cached solutions, else from
+    u = 0; a failed solve from a prediction is made once more from u_a."""
 
     @pytest.fixture
     def starts(self, monkeypatch):
-        """The initial guess of every truth solve TruthReferences makes."""
-        seen = []
+        """The (mu, initial guess) of every truth solve TruthReferences
+        makes.  A solve whose index is in starts.fail raises NewtonFailure
+        instead of solving."""
+        seen = _Starts()
         solve = er.truth_newton_solve
 
         def recorded(problem, mu, cfg=None, initial=None, chord=None):
             seen.append((mu, initial))
+            if len(seen) - 1 in seen.fail:
+                raise er.NewtonFailure("forced", [])
             return solve(problem, mu, cfg, initial, chord)
 
         monkeypatch.setattr("eimrb.benchmark.truth_newton_solve", recorded)
         return seen
 
+    @staticmethod
+    def cached(refs, mus):
+        for mu in mus:
+            refs.get(mu)
+        return [refs.cache[mu][0] for mu in mus]
+
     def test_nearest_in_log_distance(self, problem8, starts):
         refs = er.TruthReferences(problem8)
-        assert refs.nearest((1.0, 1.0)) is None
+        assert refs.predict((1.0, 1.0)) == (None, None)
         refs.get((0.01, 1.0))
         refs.get((1.0, 1.0))
         assert starts[0][1] is None              # empty cache: from u = 0
-        assert starts[1][1] is refs.cache[(0.01, 1.0)][0]
-        # 0.2 is nearer 0.01 than 1 on the line, but nearer 1 in log distance
+        assert starts[1][1] is refs.cache[(0.01, 1.0)][0]    # one cached
+        # 0.2 is nearer 0.01 than 1 on the line, but nearer 1 in log
+        # distance; 0.01 lies beyond a = 1 from 0.2, so s is clipped to 0
         refs.get((0.2, 1.0))
         assert starts[2][1] is refs.cache[(1.0, 1.0)][0]
 
-    def test_first_cached_wins_a_tie(self, problem8):
+    @pytest.mark.parametrize("guess", [None, lambda mu: None],
+                             ids=["no-guess", "guess-gives-none"])
+    @pytest.mark.parametrize("mu", [(1.0, 4.0), (1.0, 8.0)])
+    def test_mirror_point_gives_the_linear_extrapolation(self, problem8,
+                                                         starts, mu, guess):
+        # a = (1, 2) and b = (1, 1): s is exactly 1 at (1, 4), and the
+        # projection 2 is clipped to 1 at (1, 8)
+        refs = er.TruthReferences(problem8)
+        u_b, u_a = self.cached(refs, [(1.0, 1.0), (1.0, 2.0)])
+        refs.get(mu, guess)
+        assert same_bits(starts[-1][1], u_a + 1.0 * (u_a - u_b))
+
+    def test_projection_between_the_ends(self, problem8, starts):
+        # a = (1, 4), b = (1, 1): log mu - log a = (log 2, log 2) projects
+        # to half of log a - log b = (0, log 4)
+        refs = er.TruthReferences(problem8)
+        u_b, u_a = self.cached(refs, [(1.0, 1.0), (1.0, 4.0)])
+        refs.get((2.0, 8.0))
+        assert np.allclose(starts[-1][1], u_a + 0.5 * (u_a - u_b),
+                           rtol=0, atol=1e-12 * np.abs(u_a).max())
+
+    def test_projection_is_clipped_at_zero(self, problem8, starts):
+        # (1, 1.5) lies between a = (1, 1) and b = (1, 4): s < 0 is clipped
+        # to 0, and the start is u_a itself
+        refs = er.TruthReferences(problem8)
+        u_a, _ = self.cached(refs, [(1.0, 1.0), (1.0, 4.0)])
+        refs.get((1.0, 1.5))
+        assert starts[-1][1] is u_a
+
+    def test_first_cached_wins_a_tie(self, problem8, starts):
+        # (1, 1) is as near (2, 1) as (1, 2); with either as a the other's
+        # projection is negative, so the start is u_a itself
         for order in ([(2.0, 1.0), (1.0, 2.0)], [(1.0, 2.0), (2.0, 1.0)]):
             refs = er.TruthReferences(problem8)
-            for mu in order:
-                refs.get(mu)
-            assert refs.nearest((1.0, 1.0)) is refs.cache[order[0]][0]
+            first, _ = self.cached(refs, order)
+            refs.get((1.0, 1.0))
+            assert starts[-1][1] is first
+
+    def test_first_cached_wins_a_tie_for_b(self, problem8, starts):
+        # a = (1, 1) for mu = (1, 0.5), whose mirror image (1, 2) is as near
+        # (2, 2) as (0.5, 2); either b gives s = 1/2 exactly
+        for order in ([(2.0, 2.0), (0.5, 2.0)], [(0.5, 2.0), (2.0, 2.0)]):
+            refs = er.TruthReferences(problem8)
+            u_a, u_b, _ = self.cached(refs, [(1.0, 1.0)] + order)
+            refs.get((1.0, 0.5))
+            assert same_bits(starts[-1][1], u_a + 0.5 * (u_a - u_b))
+
+    def test_failed_prediction_is_retried_from_u_a(self, problem8, starts):
+        refs = er.TruthReferences(problem8)
+        u_b, u_a = self.cached(refs, [(1.0, 1.0), (1.0, 2.0)])
+        starts.fail.add(2)
+        u, _ = refs.get((1.0, 4.0))
+        assert [mu for mu, _ in starts[2:]] == [(1.0, 4.0)] * 2
+        assert same_bits(starts[2][1], u_a + 1.0 * (u_a - u_b))
+        assert starts[3][1] is u_a
+        cold, _ = er.truth_newton_solve(problem8, (1.0, 4.0))
+        assert np.abs(u - cold).max() <= 1e-9
+        assert refs.solves == 3
+
+    def test_second_failure_is_raised(self, problem8, starts):
+        refs = er.TruthReferences(problem8)
+        _, u_a = self.cached(refs, [(1.0, 1.0), (1.0, 2.0)])
+        starts.fail.update({2, 3})
+        with pytest.raises(er.NewtonFailure, match="forced"):
+            refs.get((1.0, 4.0))
+        assert len(starts) == 4 and starts[3][1] is u_a
+        assert (1.0, 4.0) not in refs.cache and refs.solves == 2
+
+    @pytest.mark.parametrize("case", ["u_a", "guess", "empty"])
+    def test_start_other_than_a_prediction_is_not_retried(self, problem8,
+                                                          starts, case):
+        # the start u_a (one cached solution), a caller's guess and u = 0
+        # fail at once
+        refs = er.TruthReferences(problem8)
+        cached = {"u_a": [(1.0, 1.0)], "guess": [(1.0, 1.0), (1.0, 2.0)],
+                  "empty": []}[case]
+        self.cached(refs, cached)
+        starts.fail.add(len(cached))
+        guess = (lambda mu: np.zeros(problem8.space.ndof)) \
+            if case == "guess" else None
+        with pytest.raises(er.NewtonFailure, match="forced"):
+            refs.get((1.0, 4.0), guess)
+        assert len(starts) == len(cached) + 1
 
     def test_guess_used_on_a_miss_only(self, problem8, starts):
         refs = er.TruthReferences(problem8)
@@ -360,6 +450,15 @@ class TestTruthReferences:
         refs.get((1.0, 1.0))
         refs.get((1.0, 2.0), lambda mu: None)
         assert starts[-1][1] is refs.cache[(1.0, 1.0)][0]
+
+
+class _Starts(list):
+    """The starts a TruthReferences test records, and the indices of the
+    solves it makes fail."""
+
+    def __init__(self):
+        super().__init__()
+        self.fail = set()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-10])
