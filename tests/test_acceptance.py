@@ -227,6 +227,20 @@ def test_r5_build_skips_no_sweep_evaluation(ser5_build):
                    f"{len({tuple(mu) for _, mu, _ in skipped})} parameters")
 
 
+@pytest.mark.parametrize("name", ["std_build", "ser5_build"])
+def test_truth_sweep_factors_at_most_112_times(name, request):
+    # each of the 400 truth solves starts at the secant prediction from the
+    # solves before it along the grid, so most keep the carried factor:
+    # 108 factorisations (148 from the nearest cached solution alone); a
+    # truth solve that failed would be a skipped sweep evaluation
+    report = request.getfixturevalue(name).report
+    ok = report.truth_factorizations <= 112 and not report.skipped
+    assert verdict(ok, f"{report.variant} build: at most 112 truth "
+                   "factorisations, and no truth solve failed",
+                   f"{report.truth_factorizations} made, "
+                   f"{len(report.skipped)} skipped")
+
+
 def test_online_start_saves_newton_iterations(ser1_build):
     # clock-free: over a 40x40 log grid, a query started at the tangent
     # prediction from the model's own solution at the nearest training
