@@ -45,6 +45,13 @@ def _write_report(report, path):
         fh.write("\n")
 
 
+def _screened_rows(report, samples):
+    """The rows the float32 screen ran over the rows of the reduced sweeps
+    of a build with `samples` training parameters."""
+    counts = [s.screened for s in report.steps if s.screened is not None]
+    return f"screened_rows={sum(counts)}/{len(counts) * samples}"
+
+
 def cmd_build(args):
     settings = load_config(args.config)
     cfg = settings.ser_config()
@@ -57,6 +64,7 @@ def cmd_build(args):
     print(f"variant {result.report.variant}: N={result.model.N} "
           f"M={result.model.M} fe_solves={result.report.fe_solve_count} "
           f"truth_factorizations={result.report.truth_factorizations} "
+          f"{_screened_rows(result.report, len(cfg.train_set))} "
           f"wall={result.report.wall_time:.2f}s")
     print(f"model archive: {out / 'model.npz'}")
     return EXIT_OK
@@ -125,6 +133,7 @@ def cmd_compare(args):
         counts.append((label, result.report.fe_solve_count))
         print(f"variant {label}: fe_solves={result.report.fe_solve_count} "
               f"truth_factorizations={result.report.truth_factorizations} "
+              f"{_screened_rows(result.report, len(cfg.train_set))} "
               f"wall={result.report.wall_time:.2f}s")
     with open(out / "solve_counts.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("variant,fe_solve_count\n")

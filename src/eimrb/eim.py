@@ -65,6 +65,46 @@ gamma_n |x|.|y|, gamma_n = n u / (1 - n u) with u the unit roundoff
 
 The float64 roundoff of the bound's own arithmetic, and the float64
 subtraction's u64 e_p, are covered by a relative slack (SLACK).
+
+A reduced sweep b that follows a reduced sweep a on the same reduced
+space (its basis V_b starts with V_a, and its interpolant with a's M_a
+fields) screens only the rows that can still hold its largest error.
+Each row p carries a bound U_p on its float64 error from a into b
+(``SweepBounds``, ``carried_bounds``).  The interpolants are nested
+(Barrault, Maday, Nguyen and Patera, C. R. Acad. Sci. Paris 339, 2004):
+with r = (I - I_M) f, I_(M+1) f = I_M f + r(t_(M+1)) q_(M+1), since
+q_(M+1) is 1 at t_(M+1) and 0 at the earlier points, so (I - I_(M+1)) f
+= r - r(t_(M+1)) q_(M+1), and |q_(M+1)| <= 1 makes its sup norm at most
+2 ||r||.  With u_a and u_b the exact lifts of the row's reduced solutions
+and e^x the exact interpolation errors,
+
+    e^x_b <= 2^(M_b - M_a) e^x_a + (1 + L_b) ||g(u_b) - g(u_a)||,
+
+where L_b = ||B_b^-1||_inf max_x sum_m |q_m(x)| bounds the interpolation
+operator.  The screen of b gives G_p Delta_p for the last norm: Delta_p
+bounds ||u_b - u_a||_inf from the two coefficient rows, and G_p the
+largest |g'| over a range of u that holds both lifts (the term reads it
+at the range's ends).  rho_p, the rounding of the float64 pass and of
+the term (the float64 gamma terms above, over the row's range of u),
+links each float64 error to its exact one, so
+
+    U_p = (2^(M_b - M_a) (top_p + rho_a,p) + (1 + L_b) G_p Delta_p
+           + rho_b,p) (1 + SLACK)
+
+bounds the float64 error e_b,p.  top_p is the top of the row's bracket
+in a: its float64 error where a's pick confirmed its chunk, else e^_p +
+d_p, which is its own U_p when a ruled the row out.  U_p is inf in a
+first reduced sweep, for a row that failed or was restarted in either
+sweep, and where it is not finite.  The screen then runs in two passes:
+the screen's chunk of rows with the largest U, which sets the floor
+max (e^_q - d_q) over those rows, and every other row whose U reaches
+that floor.  A row left out is entered with e^_p = d_p = U_p / 2, a bracket
+[0, U_p] that holds its error, so the float64 pass, its order and the
+errors read later run as above.  When an update ranks the rows worst
+first, a row left out whose U may hold the next largest error is
+screened before any float64 pass runs for it (``SweepErrors.refine``):
+its loose bracket would otherwise send chunks to the float64 pass that
+the screen rules out.
 """
 
 from dataclasses import dataclass
@@ -140,11 +180,18 @@ class EimBasis:
     def append_from_residual(self, residual, mu, recorded_error):
         """Normalize a greedy residual into the next basis field.
 
-        The new point is the dof where |residual| peaks (first index on
-        ties); reusing an existing point means the basis is degenerate.
-        The residual of an interpolant vanishes at the existing points,
-        so the roundoff left there is cleared, keeping the interpolation
-        matrix exactly unit lower triangular.
+        The new point is the dof where |residual| peaks, the first in
+        dof order on an exact tie (np.argmax of |r|; +a and -a tie).  A
+        tie is a matter of rounding: on a symmetric problem two
+        mirror-image dofs can hold residuals equal up to the last bit,
+        and a change in the last bit of the residual moves the point
+        from one to the other.  Reusing an existing point means the
+        basis is degenerate.  The field is the residual divided by its
+        value at the new point, so it is exactly 1 there and no larger
+        than 1 in size anywhere.  The residual of an interpolant
+        vanishes at the existing points, so the roundoff left there is
+        cleared, keeping the interpolation matrix exactly unit lower
+        triangular.
         """
         r = np.asarray(residual, dtype=float)
         t_new = int(np.argmax(np.abs(r)))
@@ -175,12 +222,14 @@ class SweepErrors:
     chunk_pass(lo, hi) runs the float64 pass on the rows lo:hi and gives
     their residuals and errors; bad marks the skipped samples, and est
     and dev are the screen's estimates and bounds (dev inf for a sample
-    with no bound).
+    with no bound).  screen is the sweep's ``Float32Pass``, or None: a
+    sample that only its carried bound brackets is screened before a
+    float64 pass runs for it (``refine``).
     """
 
-    def __init__(self, chunk_pass, rows, bad, est, dev):
+    def __init__(self, chunk_pass, rows, bad, est, dev, screen):
         self.chunk_pass, self.rows, self.bad = chunk_pass, rows, bad
-        self.est, self.dev = est, dev
+        self.est, self.dev, self.screen = est, dev, screen
         self.errors = np.full(len(bad), np.nan)
         self.ran = np.zeros(len(bad), dtype=bool)
         self.n_chunks = -(-len(bad) // rows)
@@ -193,15 +242,39 @@ class SweepErrors:
         self.ran[lo:hi] = True
         return chunk, err
 
-    def leaders(self, mask):
-        """The chunks holding a sample of the boolean mask whose float64
-        error may be the largest over the mask: est + dev >= max(est -
-        dev), or dev not finite."""
+    def unsure(self, mask):
+        """The samples of the boolean mask whose float64 error may be the
+        largest over the mask: est + dev >= max(est - dev), or dev not
+        finite."""
         with np.errstate(invalid="ignore"):     # inf - inf where unbounded
             floor = np.max(self.est - self.dev,
                            where=mask & np.isfinite(self.dev), initial=-np.inf)
-        unsure = mask & ~(self.est + self.dev < floor)
-        return np.unique(np.flatnonzero(unsure) // self.rows).tolist()
+        return mask & ~(self.est + self.dev < floor)
+
+    def leaders(self, mask):
+        """The chunks holding a sample of the boolean mask whose float64
+        error may be the largest over the mask."""
+        return np.unique(np.flatnonzero(self.unsure(mask))
+                         // self.rows).tolist()
+
+    def refine(self, mask):
+        """Screen the samples of the boolean mask that the screen has not
+        run and whose carried bound may still hold the largest error over
+        the mask, so that their brackets are the screen's."""
+        if self.screen is not None:
+            idx = np.flatnonzero(self.unsure(mask) & ~self.screen.screened)
+            if len(idx):
+                self.est[idx], self.dev[idx] = self.screen.bracket(idx)
+
+    def tops(self, rho):
+        """Per sample, a bound on the exact error, given rho, a bound on
+        the distance of the float64 error from it: the top of the
+        sample's bracket (its float64 error where its chunk ran, else est
+        + dev) plus rho; inf for a skipped sample, a sample with no
+        finite bound, and where the sum is not finite."""
+        top = np.where(self.ran, self.errors, self.est + self.dev) + rho
+        top[self.bad | ~np.isfinite(self.dev) | ~np.isfinite(top)] = np.inf
+        return top
 
     def all(self):
         for i in range(self.n_chunks):
@@ -212,10 +285,12 @@ class SweepErrors:
     def worst_first(self):
         """Sample indices by decreasing error, skipped samples last, ties
         in sample order (a stable argsort of -errors, nan last).  Each
-        next index runs only the chunks that may hold it."""
+        next index screens the samples and runs only the chunks that may
+        hold it."""
         left = ~self.bad
         count = 0
         while not self.ran.all():
+            self.refine(left)
             for i in self.leaders(left):
                 if not self.ran[i * self.rows]:
                     self.run(i)
@@ -233,12 +308,26 @@ class SweepErrors:
 
 
 @dataclass
+class SweepBounds:
+    """What a screened sweep leaves to the next reduced sweep on the same
+    reduced space (module docstring): its number of interpolant fields M,
+    tops, per row a bound on the exact interpolation error (inf for
+    none), and rows, the screen's own record of its rows, which only the
+    next screen reads."""
+    M: int
+    tops: np.ndarray
+    rows: object
+
+
+@dataclass
 class GreedyStep:
     mu: tuple | None
     sup_error: float
     saturated: bool
     skipped: list
     confirmed: list         # the chunks whose float64 pass the pick ran
+    screened: int | None    # the rows the float32 screen ran, None for none
+    bounds: SweepBounds | None  # what the next reduced sweep carries
     sweep: SweepErrors      # the float64 errors, made on demand
 
     @property
@@ -266,49 +355,139 @@ def eim_initialize(space, provider, samples):
     return basis
 
 
-def screen_sweep(screen, B, q, n_samples, rows):
-    """The float32 screen of a sweep (module docstring), in chunks of
-    `rows` rows: each sample's estimated sup error and the bound on its
-    distance from the float64 pass's error, inf where the screen cannot
-    bound it.
+class PointSolve:
+    """The float64 coefficients of a sweep's point values, with what the
+    screen bounds read of them: ||B^-1||_inf with room for the roundoff
+    of the inverse, solve = gamma_M ||B^-1||_inf ||B||_inf, which bounds
+    a triangular solve's relative forward error (||B||_inf <= M, as |B|
+    <= 1), ok, the mask of the rows whose values are all finite, beta,
+    the (M, P) coefficients (zero where a row is not ok), and each row's
+    ||beta||_1 and ||beta||_inf."""
 
-    screen.points is the (P, M) float64 field values at the points,
-    screen.chunk(rows) gives the float32 fields of a row range and two
-    per-row arrays, and screen.bounds takes those arrays for every row and
-    gives two per-row bounds: on the float32 fields' distance from the
-    float64 pass's fields, and on the distance of points from the float64
-    pass's values at the points (``ser.Float32Screen``).
+    def __init__(self, B, points):
+        self.m = len(B)
+        self.inv_norm = 1.01 * np.abs(np.linalg.inv(B)).sum(axis=1).max()
+        self.solve = gamma(self.m, U64) * self.inv_norm * self.m
+        self.ok = np.all(np.isfinite(points), axis=1)
+        # a row of values that is not finite is zeroed, since the solve
+        # mixes the points
+        self.beta = np.linalg.solve(
+            B, np.where(self.ok[:, None], points, 0.0).T)
+        self.size = np.abs(self.beta).sum(axis=0)
+        self.peak = np.abs(self.beta).max(axis=0)
+
+    def deviation(self, w_dev, rows):
+        """For the rows (an index), a bound on the distance between the
+        coefficients of point values within w_dev of each other, each
+        solved in float64."""
+        return ((self.inv_norm * w_dev + 2 * self.solve * self.peak[rows])
+                / (1 - self.solve))
+
+
+class Float32Pass:
+    """The float32 screen of a sweep (module docstring), run on the rows
+    asked for.  ``bracket(idx)`` gives, for the rows of an index array,
+    each one's estimated sup error and the bound on its distance from the
+    float64 pass's error (inf where the screen cannot bound it), in
+    chunks of `rows` rows, and marks them ``screened``.
+
+    screen.chunks(idx, rows) gives, for the rows of an index array in
+    chunks of `rows`, their float32 fields and the least and largest
+    float32 u of each, and
+    screen.bounds(lo, hi, idx) takes those two arrays and gives two
+    per-row bounds: on the float32 fields' distance from the float64
+    pass's fields, and on the distance of the rows' screen.points, the
+    float64 field values at the points, from the float64 pass's values
+    there (``ser.Float32Screen``).  solved is the ``PointSolve`` of
+    screen.points.
     """
-    m = len(B)
-    # ||B^-1||_inf, with room for the roundoff of the inverse
-    inv_norm = 1.01 * np.abs(np.linalg.inv(B)).sum(axis=1).max()
-    solve = gamma(m, U64) * inv_norm * m
-    q32 = q.astype(np.float32)
-    est, lo, hi = np.empty((3, n_samples))
-    product = np.empty((min(rows, n_samples), q.shape[1]), dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a row of w that is not finite is zeroed, since the solve mixes
-        # the points; a row of g that is not finite gives an error that
-        # is not, and the rows of the product stay apart
-        w = screen.points
-        ok = np.all(np.isfinite(w), axis=1)
-        w[~ok] = 0.0
-        beta = np.linalg.solve(B, w.T)
-        beta32 = beta.T.astype(np.float32)
-        for start in range(0, n_samples, rows):
-            sl = slice(start, min(start + rows, n_samples))
-            g, lo[sl], hi[sl] = screen.chunk(sl)
-            g -= np.matmul(beta32[sl], q32, out=product[:len(g)])
-            est[sl] = np.maximum(g.max(axis=1), -g.min(axis=1))
-        g_dev, w_dev = screen.bounds(lo, hi)
-        size = np.abs(beta).sum(axis=0)
-        beta_dev = ((inv_norm * w_dev + 2 * solve * np.abs(beta).max(axis=0))
-                    / (1 - solve))
-        bound = (g_dev + gamma(m + 2, U32) * size + m * beta_dev
-                 + gamma(m, U64) * (size + m * beta_dev) + U32 * est
-                 + (m + 2) * TINY32) * (1 + SLACK)
-        dev = np.where(ok & np.isfinite(est + bound) & (solve < 1), bound,
-                       np.inf)
+
+    def __init__(self, screen, solved, q, rows):
+        self.screen, self.solved, self.q, self.rows = screen, solved, q, rows
+        with np.errstate(over="ignore"):
+            self.beta32 = solved.beta.T.astype(np.float32)
+        self.screened = np.zeros(len(solved.ok), dtype=bool)
+
+    def bracket(self, idx):
+        solved, m = self.solved, self.solved.m
+        est, lo, hi = np.empty((3, len(idx)))
+        # the float32 arrays are made for the call only: a sweep's screen
+        # outlives it while an update ranks its rows
+        q32 = self.q.astype(np.float32)
+        product = np.empty((min(self.rows, len(idx)), q32.shape[1]),
+                           dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            chunks = self.screen.chunks(idx, self.rows)
+            for start, (g, lo_part, hi_part) in zip(
+                    range(0, len(idx), self.rows), chunks):
+                part = slice(start, start + self.rows)
+                lo[part], hi[part] = lo_part, hi_part
+                # a row of g that is not finite gives an error that is
+                # not, and the rows of the product stay apart
+                g -= np.matmul(self.beta32[idx[part]], q32,
+                               out=product[:len(g)])
+                est[part] = np.maximum(g.max(axis=1), -g.min(axis=1))
+            g_dev, w_dev = self.screen.bounds(lo, hi, idx)
+            size, beta_dev = solved.size[idx], solved.deviation(w_dev, idx)
+            bound = (g_dev + gamma(m + 2, U32) * size + m * beta_dev
+                     + gamma(m, U64) * (size + m * beta_dev) + U32 * est
+                     + (m + 2) * TINY32) * (1 + SLACK)
+            dev = np.where(solved.ok[idx] & np.isfinite(est + bound)
+                           & (solved.solve < 1), bound, np.inf)
+        self.screened[idx] = True
+        return est, dev
+
+
+def float64_rounding(screen, solved):
+    """Per row, rho: a bound on the distance of the float64 pass's error
+    from the exact interpolation error of g(u), for an exact u within the
+    screen's range of the row (``screen.lo`` to ``screen.hi``; nan for a
+    row it has no range for, and then rho is not finite).  The float64
+    fields and point values are within b64 = ``screen.rounding`` of the
+    exact ones, and the rest is the beta and beta q terms of the screen
+    bound."""
+    m, every = solved.m, slice(None)
+    b64 = screen.rounding(screen.lo, screen.hi, every)
+    beta_dev = solved.deviation(2 * b64, every)
+    rho = (b64 + m * beta_dev + gamma(m, U64) * (solved.size + m * beta_dev)
+           + (m + 2) * TINY32) * (1 + SLACK)
+    return rho if solved.solve < 1 else np.full_like(rho, np.inf)
+
+
+def carried_bounds(screen, solved, q):
+    """Per row, the bound U on the float64 pass's error that the screen's
+    prior carries into this sweep (module docstring), inf where it
+    carries none: every row when screen.prior is None.  screen.prior is
+    the last sweep's ``SweepBounds`` when it carries into this one, and
+    then screen.drift is the per-row bound G Delta on ||g(u) -
+    g(u_prior)||_inf (``ser.Float32Screen``)."""
+    prior = screen.prior
+    if prior is None:
+        return np.full(len(solved.ok), np.inf)
+    spread = solved.inv_norm * np.abs(q).sum(axis=0).max()
+    carried = (2.0 ** (solved.m - prior.M) * prior.tops
+               + (1 + spread) * screen.drift
+               + float64_rounding(screen, solved)) * (1 + SLACK)
+    carried[~(solved.ok & np.isfinite(carried))] = np.inf
+    return carried
+
+
+def screen_sweep(screen, carried):
+    """The float32 screen of a sweep (module docstring), given the bound
+    U that each row carries into it (inf where none, ``carried_bounds``):
+    each row's estimated sup error and the bound on its distance from the
+    float64 pass's error.  screen is the sweep's ``Float32Pass``.  Its
+    first chunk of rows is those with the largest U, which set the floor
+    max(est - dev) over them; every other row whose U reaches the floor
+    is screened too, and the rest enter as est = dev = U / 2."""
+    est, dev = carried / 2, carried / 2
+    first = np.sort(np.argsort(-carried, kind="stable")[:screen.rows])
+    est[first], dev[first] = screen.bracket(first)
+    with np.errstate(invalid="ignore"):     # inf - inf where unbounded
+        floor = np.max(est[first] - dev[first],
+                       where=np.isfinite(dev[first]), initial=-np.inf)
+    rest = np.flatnonzero(~screen.screened & ~(carried < floor))
+    est[rest], dev[rest] = screen.bracket(rest)
     return est, dev
 
 
@@ -348,11 +527,16 @@ def eim_greedy_step(basis, provider, samples):
         return chunk, err
 
     screen = fields.screen(t_idx) if hasattr(fields, "screen") else None
+    float32 = None
     if screen is None:
         est, dev = np.zeros(n_samples), np.full(n_samples, np.inf)
     else:
-        est, dev = screen_sweep(screen, B, q, n_samples, 2 * rows)
-    sweep = SweepErrors(chunk_pass, rows, bad, est, dev)
+        with np.errstate(over="ignore", invalid="ignore"):
+            solved = PointSolve(B, screen.points)
+            carried = carried_bounds(screen, solved, q)
+        float32 = Float32Pass(screen, solved, q, 2 * rows)
+        est, dev = screen_sweep(float32, carried)
+    sweep = SweepErrors(chunk_pass, rows, bad, est, dev, float32)
     confirmed = sweep.leaders(~bad)
     best, best_err, best_residual = None, -np.inf, None
     for i in confirmed:
@@ -374,8 +558,15 @@ def eim_greedy_step(basis, provider, samples):
     if best is None:
         raise EimTrainingError("every sample failed during the sweep")
     best_mu = tuple(samples[best])
+    screened, bounds = None, None
+    if float32 is not None:
+        screened = int(float32.screened.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = float64_rounding(screen, solved)
+            bounds = SweepBounds(len(B), sweep.tops(rho), screen.record())
     step = GreedyStep(mu=best_mu, sup_error=best_err, saturated=False,
-                      skipped=skipped, confirmed=confirmed, sweep=sweep)
+                      skipped=skipped, confirmed=confirmed, screened=screened,
+                      bounds=bounds, sweep=sweep)
     # saturation is judged against the largest error seen: the first
     # snapshot (at the first training parameter) can sit orders of
     # magnitude below the manifold scale

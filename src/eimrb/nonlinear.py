@@ -167,8 +167,10 @@ class NonlinearTerm:
     * g run on float32 u and float32 parameters computes in float32,
       with the parameters rounded to float32;
     * g is finite wherever its error bound is, and g and g' do not
-      decrease in u, so the largest |g| and g' over an interval of u are
-      at its ends;
+      decrease in u, so the largest |g| and |g'| over an interval of u
+      are at its ends: the error bound may read them there, and the
+      bound that a sweep carries into the next reads |g'| at the two
+      ends of an interval (``eim``, ``ser.Float32Screen``);
     * ``error_bound(lo, hi, du, mus, dtype)``, given (P,) arrays lo, hi
       and du, the (P, 2) float64 parameters and a float dtype, returns
       for each row p a bound on |g_dtype(v; mu_p) - g(w; mu_p)| over

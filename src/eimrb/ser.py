@@ -82,13 +82,20 @@ cache.  No (P, ndof) array of the whole sweep is made.  A reduced sweep
 rows, which gives each row an estimated error and a certified bound on
 its distance from the float64 one; the float64 pass above then runs
 only on the chunks that may hold the largest error (``eim``), so the
-sweep picks, and the build writes, the bits of a float64 sweep.  On the
-n=32 P2 20x20 r=1 build that is 1-4 of 13 chunks per sweep.  The
-errors of the other rows are made only when read: an update that runs
-past its group's picks takes the training set worst first from the
-last sweep (``eim.SweepErrors.worst_first``), which runs the float64
-pass on the chunks that may hold each next parameter.  A truth sweep is
-not screened.
+sweep picks, and the build writes, the bits of a float64 sweep.  A
+reduced sweep that follows one on the same basis (not the first reduced
+sweep, nor the first after a ``rebuild_wn`` update) screens only the
+rows that can still hold its largest error: each row carries a bound
+on its error from the last sweep (``eim.SweepBounds``), from the last
+sweep's bracket, the growth of the interpolant and how far the row's
+solution moved (``Float32Screen``).  On the n=32 P2 20x20 r=1 build
+that is 1-4 of 13 float64 chunks per sweep, and 64-210 of the 400 rows
+in the float32 screen after the first sweep (3,648 of the 9,600
+reduced-sweep rows).  The errors of the other rows are made only when
+read: an update that runs past its group's picks takes the training set
+worst first from the last sweep (``eim.SweepErrors.worst_first``),
+which screens the rows left out and runs the float64 pass on the chunks
+that may hold each next parameter.  A truth sweep is not screened.
 """
 
 import math
@@ -161,6 +168,7 @@ class StepRecord:
     N: int
     fe_solves: int
     confirmed: int | None    # float64 chunks of the sweep; not in the summary
+    screened: int | None     # float32 rows of a reduced sweep; not either
 
 
 @dataclass
@@ -176,9 +184,10 @@ class BuildReport:
     # build_ser: not a field, so neither settable nor in summary_dict
     truth_factorizations = 0
 
-    def log(self, kind, mu, sup_error, m, n, fe_solves, confirmed):
+    def log(self, kind, mu, sup_error, m, n, fe_solves, confirmed,
+            screened):
         self.steps.append(StepRecord(kind, mu, sup_error, m, n, fe_solves,
-                                     confirmed))
+                                     confirmed, screened))
 
     def summary_dict(self):
         """Deterministic machine-readable summary (no timings)."""
@@ -234,12 +243,16 @@ class GBlock:
 class ReducedGBlock(GBlock):
     """The fields g(V c_p; mu_p) of the (P, N) reduced solutions coeffs on
     the (ndof, N) basis V of a model, which the greedy step screens in
-    float32 (``Float32Screen``) when the term gives an error bound."""
+    float32 (``Float32Screen``) when the term gives an error bound.
+    restarted lists the rows whose first solve failed, and prior is the
+    last sweep's ``eim.SweepBounds`` when its solutions are the first
+    columns of the rows' starts on a basis that V extends, else None."""
 
-    def __init__(self, model, samples, coeffs):
+    def __init__(self, model, samples, coeffs, restarted, prior):
         super().__init__(model.problem, samples,
                          lambda rows: model.lift_block(coeffs[rows]))
         self.coeffs, self.basis = coeffs, model.basis
+        self.restarted, self.prior = restarted, prior
 
     def screen(self, t):
         if self.term.error_bound is None:
@@ -253,50 +266,91 @@ class Float32Screen:
 
     With c the float64 coefficients of a row:
 
-    * ``chunk(rows)`` gives the float32 fields g(u^) of a row range, with
-      u^ = fl32(c) @ fl32(V^T) lifted into one buffer, and the least and
-      largest u^ of each row.  u^ is within du = (gamma32_(N+2) +
-      gamma64_N) |c| @ max|V| of the float64 pass's lift (each is within
-      its gamma of the exact product);
+    * ``chunks(idx, rows)`` gives, for the rows of an index array in
+      chunks of `rows`, their float32 fields g(u^), with u^ = fl32(c) @
+      fl32(V^T) lifted into one buffer, and the least and largest u^ of
+      each row.  u^ is within du = (gamma32_(N+2) + gamma64_N) |c| @
+      max|V| of the float64 pass's lift and of the exact one V c (each
+      is within its gamma of the exact product), so it also records
+      [min u^ - du, max u^ + du] as the row's range of exact u;
     * ``points`` holds g at the points for every row, in float64, of
       c @ V(t)^T, which is within dt = 2 gamma64_N |c| @ max|V| of the
       float64 pass's lift there;
-    * ``bounds(lo, hi)`` gives, from the least and largest u^ of every
-      row, a bound per row on the fields' distance from the float64
-      pass's fields (the term's float32 bound with du, plus its float64
-      rounding there) and one on the distance of ``points`` from the
-      float64 pass's g at the points (twice the term's float64 bound with
-      dt).  Both float64 bounds are taken over one interval that holds
-      every float64 value of the row.
+    * ``bounds(lo, hi, rows)`` gives, from the least and largest u^ of
+      the rows (an index), a bound per row on the fields' distance from
+      the float64 pass's fields (the term's float32 bound with du, plus
+      its float64 rounding there) and one on the distance of ``points``
+      from the float64 pass's g at the points (twice the term's float64
+      bound with dt).  ``rounding(lo, hi, rows)`` is that float64
+      rounding for rows whose exact u lies in [lo, hi]: the float64
+      values are within dt of it.
 
-    The float32 copy of V, du, dt and ``points`` are made once per sweep.
+    ``lo`` and ``hi`` hold each row's range of exact u: nan until
+    ``chunks`` lifts the row, or, when the block has a prior, first the
+    prior's range widened by Delta = (1 + gamma64_(N+2)) |c - c_prior|
+    @ max|V| >= ||V c - V_prior c_prior||_inf (c_prior padded with
+    zeros, as V starts with V_prior).  ``drift`` is then G Delta, with G
+    the larger |g'| at the two ends of that range.  ``record()`` gives
+    the ranges and c for the next sweep's screen.  A restarted row has
+    no range (nan), so it carries no bound.
+
+    du, dt and ``points`` are made once per sweep, and the float32 copy
+    of V and the buffer once per call of ``chunks``: the screen lives on
+    while an update ranks the sweep's rows.
     """
 
     def __init__(self, block, t):
         basis, coeffs = block.basis, block.coeffs
         self.term, self.mus, self.coeffs = block.term, block.mus, coeffs
-        self.mus32 = block.mus.astype(np.float32)
-        self.v32 = np.ascontiguousarray(basis.T, dtype=np.float32)
-        self.lift = np.empty((0, basis.shape[0]), dtype=np.float32)
+        self.basis, self.mus32 = basis, block.mus.astype(np.float32)
         n = basis.shape[1]
-        scale = np.abs(coeffs) @ np.abs(basis).max(axis=0)
+        reach = np.abs(basis).max(axis=0)
+        scale = np.abs(coeffs) @ reach
         self.du = (gamma(n + 2, U32) + gamma(n, U64)) * scale + n * TINY32
         self.dt = 2 * gamma(n, U64) * scale
+        self.restarted = block.restarted
+        self.lo, self.hi = np.full((2, len(coeffs)), np.nan)
+        self.prior, self.drift = block.prior, None
         with np.errstate(over="ignore", invalid="ignore"):
             self.points = block.term.g(coeffs @ basis[t].T, block.mus)
+            if self.prior is not None:
+                lo, hi, before = self.prior.rows
+                moved = coeffs.copy()
+                moved[:, :before.shape[1]] -= before
+                delta = (1 + gamma(n + 2, U64)) * (np.abs(moved) @ reach)
+                delta[block.restarted] = np.nan
+                self.lo, self.hi = lo - delta, hi + delta
+                ends = block.term.dg_du(np.column_stack([self.lo, self.hi]),
+                                        self.mus)
+                self.drift = np.abs(ends).max(axis=1) * delta
 
-    def chunk(self, rows):
-        c32 = self.coeffs[rows].astype(np.float32)
-        if len(self.lift) < len(c32):
-            self.lift = np.empty((len(c32), self.v32.shape[1]),
-                                 dtype=np.float32)
-        u = np.matmul(c32, self.v32, out=self.lift[:len(c32)])
-        return self.term.g(u, self.mus32[rows]), u.min(axis=1), u.max(axis=1)
+    def chunks(self, idx, rows):
+        v32 = np.ascontiguousarray(self.basis.T, dtype=np.float32)
+        lift = np.empty((min(rows, len(idx)), v32.shape[1]), dtype=np.float32)
+        for start in range(0, len(idx), rows):
+            part = idx[start:start + rows]
+            u = np.matmul(self.coeffs[part].astype(np.float32), v32,
+                          out=lift[:len(part)])
+            lo, hi = u.min(axis=1), u.max(axis=1)
+            self.lo[part], self.hi[part] = (lo - self.du[part],
+                                            hi + self.du[part])
+            yield self.term.g(u, self.mus32[part]), lo, hi
 
-    def bounds(self, lo, hi):
-        bound, du, dt, mus = self.term.error_bound, self.du, self.dt, self.mus
-        b64 = bound(lo - du - dt, hi + du + dt, dt, mus, np.float64)
-        return bound(lo, hi, du, mus, np.float32) + b64, 2 * b64
+    def bounds(self, lo, hi, rows):
+        du = self.du[rows]
+        b64 = self.rounding(lo - du, hi + du, rows)
+        return (self.term.error_bound(lo, hi, du, self.mus[rows], np.float32)
+                + b64, 2 * b64)
+
+    def rounding(self, lo, hi, rows):
+        dt = self.dt[rows]
+        return self.term.error_bound(lo - dt, hi + dt, dt, self.mus[rows],
+                                     np.float64)
+
+    def record(self):
+        lo, hi = self.lo.copy(), self.hi.copy()
+        lo[self.restarted] = hi[self.restarted] = np.nan
+        return lo, hi, self.coeffs
 
 
 def truth_g_block(references):
@@ -319,7 +373,7 @@ def truth_g_block(references):
     return provider
 
 
-def reduced_g_block(model, newton, coeffs):
+def reduced_g_block(model, newton, coeffs, prior):
     """Greedy-sweep provider over the reduced model: g of the lifted reduced
     solutions at the samples.  coeffs is a (P, N) array with one row per
     sample, where its solve starts, and the sweep writes its answers
@@ -328,10 +382,14 @@ def reduced_g_block(model, newton, coeffs):
     that ``solve_many`` converged to at the sample nearest in
     log-parameter distance (``nonlinear.nearest``); a sample that fails
     again keeps its first failure and a zero row.  Each row range is
-    lifted and g applied when the greedy step asks for it."""
+    lifted and g applied when the greedy step asks for it.  prior is
+    the last sweep's ``eim.SweepBounds`` when that sweep's answers start
+    these rows on a basis that the model's extends, else None
+    (``ReducedGBlock``)."""
     def provider(samples):
         answers, failures = model.solve_many(samples, newton, initial=coeffs)
         coeffs[:] = answers
+        restarted = list(failures)
         if failures and len(failures) < len(samples):
             converged = np.setdiff1d(np.arange(len(samples)), list(failures))
             logs = np.log(samples).T
@@ -341,7 +399,8 @@ def reduced_g_block(model, newton, coeffs):
                     coeffs[k] = model.solve(samples[k], newton,
                                             coeffs[near]).coeffs
                     del failures[k]
-        return ReducedGBlock(model, samples, coeffs), failures
+        return (ReducedGBlock(model, samples, coeffs, restarted, prior),
+                failures)
     return provider
 
 
@@ -369,7 +428,8 @@ def build_ser(problem, cfg):
     n_after[-1] = cfg.n_max
 
     eim_g = eim_initialize(problem.space, truth_g_block(truth), train)
-    report.log("eim", train[0], eim_g.train_errors[0], 1, 0, fe_solves(), None)
+    report.log("eim", train[0], eim_g.train_errors[0], 1, 0, fe_solves(), None,
+               None)
     mass_fields = MassFields(problem, eim_g)
 
     rb = RbSpace(problem)
@@ -406,14 +466,20 @@ def build_ser(problem, cfg):
                 # basis vector, and writes its own over them
                 start = np.zeros((len(train), rb.N))
                 start[:, :answers.shape[1]] = answers
+                # the last sweep's row bounds carry over when it was a
+                # reduced sweep on this basis, whose answers start this one
+                prior = step.bounds if answers.shape[1] else None
                 answers = start
                 provider = reduced_g_block(rb.model(mass_fields),
-                                           cfg.newton, answers)
+                                           cfg.newton, answers, prior)
+            # the last sweep is read no more: it is freed, with its model
+            # and screen, before this one runs
+            step = None
             step = eim_greedy_step(eim_g, provider, train)
             report.skipped.extend(step.skipped)
             saturated = step.saturated
             report.log("eim", step.mu, step.sup_error, eim_g.M, rb.N,
-                       fe_solves(), len(step.confirmed))
+                       fe_solves(), len(step.confirmed), step.screened)
 
         # --- basis update event: snapshots at the candidates, one at a
         # time, until the basis is full: a rebuild's kept parameters, the
@@ -433,15 +499,15 @@ def build_ser(problem, cfg):
                     rb.add_snapshot(snapshot_solve(mu), mu)
                     if mu not in kept:
                         report.log("rb", mu, None, eim_g.M, rb.N,
-                                   fe_solves(), None)
+                                   fe_solves(), None, None)
                 except DependentSnapshot:
                     report.log("reject", mu, None, eim_g.M, rb.N, fe_solves(),
-                               None)
+                               None, None)
                 if rb.N == n_target:
                     break
             if cfg.rebuild_wn:
                 report.log("rebuild", None, None, eim_g.M, rb.N,
-                           fe_solves(), None)
+                           fe_solves(), None, None)
 
         stage = (rb.N, m_target)
         if cfg.rebuild_wn and j < n_updates and stage in cfg.checkpoints:

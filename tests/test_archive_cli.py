@@ -873,6 +873,36 @@ class TestCli:
         assert ((out / "bare.json").read_bytes()
                 == (out / "build_report.json").read_bytes())
 
+    def test_build_prints_its_screened_rows(self, tiny_config, capsys,
+                                            monkeypatch):
+        # the rows its reduced sweeps screened, over their rows, printed
+        # after truth_factorizations and kept out of build_report.json;
+        # with chunks of 3 rows (6 in the screen) the carried bound
+        # leaves rows out
+        cfg, out = tiny_config
+        results, build = [], cli.build_ser
+
+        def kept(problem, config):
+            results.append(build(problem, config))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "build_ser", kept)
+        monkeypatch.setattr("eimrb.eim.BUDGET", 3 * 49)    # 49 dofs
+        capsys.readouterr()
+        assert main(["build", str(cfg)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        report = results[0].report
+        screened = [s.screened for s in report.steps
+                    if s.screened is not None]
+        assert len(screened) == 2 and sum(screened) < 2 * 16
+        assert (f" truth_factorizations={report.truth_factorizations} "
+                f"screened_rows={sum(screened)}/{2 * 16} wall=") in line
+        bare = replace(report, steps=[replace(s, screened=None)
+                                      for s in report.steps])
+        cli._write_report(bare, out / "bare.json")
+        assert ((out / "bare.json").read_bytes()
+                == (out / "build_report.json").read_bytes())
+
     def test_solve_rejects_out_of_domain(self, tiny_config):
         cfg, out = tiny_config
         assert main(["build", str(cfg)]) == 0

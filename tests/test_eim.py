@@ -221,6 +221,42 @@ class TestGreedy:
         with pytest.raises(er.DegenerateInterpolationPoint):
             basis.append_from_residual(clash, (2.0, 2.0), 3.0)
 
+    def test_each_field_peaks_at_exactly_one_at_its_point(self, problem8,
+                                                          train5):
+        # the facts the carried sweep bound reads: max|q_m| = 1 with
+        # q_m(t_m) = 1 exactly, and B exactly unit lower triangular with
+        # no entry above 1 in size, after every step of a benchmark build
+        truth = er.TruthReferences(problem8)
+        provider = er.truth_g_block(truth)
+        basis = er.eim_initialize(problem8.space, provider, list(train5))
+        while basis.M < 8:
+            er.eim_greedy_step(basis, provider, list(train5))
+            q, B = basis.field_matrix(), basis.B
+            assert np.all(np.abs(q).max(axis=1) == 1.0)
+            assert np.all(q[np.arange(basis.M), basis.t] == 1.0)
+            assert np.all(np.diag(B) == 1.0)
+            assert np.all(np.triu(B, 1) == 0.0)
+            assert np.all(np.abs(B) <= 1.0)
+            assert np.array_equal(B, q[:, basis.t].T)
+
+    @pytest.mark.parametrize("signs", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
+    def test_an_exact_tie_goes_to_the_first_dof(self, space8, signs):
+        # |r| peaks at dofs 9 and 31 with the same size, +a against -a
+        # included: the first dof is the point, and the field is exactly
+        # 1 there and +-1 at the other
+        basis = er.EimBasis(space8)
+        first = np.zeros(space8.ndof)
+        first[2] = 1.0
+        basis.append_from_residual(first, (1.0, 1.0), 1.0)
+        r = np.linspace(-0.4, 0.4, space8.ndof)
+        r[2] = 0.0
+        r[9], r[31] = signs[0] * 0.7, signs[1] * 0.7
+        basis.append_from_residual(r, (2.0, 2.0), 0.7)
+        q = basis.fields[-1]
+        assert basis.t == [2, 9]
+        assert q[9] == 1.0 and q[31] == signs[0] * signs[1]
+        assert np.abs(q).max() == 1.0
+
     def test_nestedness_is_bitwise(self, space8, grid10):
         # richer manifold so the greedy can run longer
         x, y = space8.dof_coords[:, 0], space8.dof_coords[:, 1]

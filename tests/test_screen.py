@@ -64,6 +64,39 @@ def record_screens(monkeypatch):
     return steps
 
 
+def record_carried(monkeypatch):
+    """Each greedy step of a build with the bound U its rows carried into
+    it, the screen's (est, dev) copied as the screen returned them and
+    the rows of the sweep that restarted a solve, or None for U and (est,
+    dev) of a sweep with no screen; the list fills as the build runs."""
+    found, steps = {}, []
+    carried_bounds = eimrb.eim.carried_bounds
+    screen_sweep = eimrb.eim.screen_sweep
+    greedy_step = eimrb.ser.eim_greedy_step
+
+    def recording_bounds(screen, solved, q):
+        found["U"] = carried_bounds(screen, solved, q).copy()
+        found["restarted"] = list(screen.restarted)
+        return found["U"]
+
+    def recording_screen(*args):
+        est, dev = screen_sweep(*args)
+        found["screen"] = est.copy(), dev.copy()
+        return est, dev
+
+    def recording_step(*args):
+        found.clear()
+        step = greedy_step(*args)
+        steps.append((step, found.get("U"), found.get("screen"),
+                      found.get("restarted")))
+        return step
+
+    monkeypatch.setattr("eimrb.eim.carried_bounds", recording_bounds)
+    monkeypatch.setattr("eimrb.eim.screen_sweep", recording_screen)
+    monkeypatch.setattr("eimrb.ser.eim_greedy_step", recording_step)
+    return steps
+
+
 def build_bytes(problem, cfg, path):
     result = er.build_ser(problem, cfg)
     er.save_model(path, result)
@@ -78,7 +111,7 @@ def sweep_setup(ser_small):
 
 
 def reduced_provider(model, coeffs, failures=None):
-    return lambda mus: (eimrb.ser.ReducedGBlock(model, mus, coeffs),
+    return lambda mus: (eimrb.ser.ReducedGBlock(model, mus, coeffs, [], None),
                         dict(failures or {}))
 
 
@@ -126,11 +159,195 @@ class TestBound:
                                        er.benchmark_rhs)
         model = copy.copy(model)
         model.problem = no_bound
-        block = eimrb.ser.ReducedGBlock(model, list(train5), coeffs)
+        block = eimrb.ser.ReducedGBlock(model, list(train5), coeffs, [],
+                                         None)
         assert block.screen(np.asarray(basis.t)) is None
         step = er.eim_greedy_step(basis, reduced_provider(model, coeffs),
                                   list(train5))
         assert step.confirmed == list(range(9))
+
+
+class TestCarried:
+    """Each row of a reduced sweep that follows a reduced sweep on the
+    same basis carries a bound U on its float64 error (eim docstring);
+    the screen runs only on the rows that can still hold the largest."""
+
+    def build(self, problem8, train6, newton_roomy, monkeypatch, schedule):
+        steps = record_carried(monkeypatch)
+        cfg = er.SerConfig(train_set=train6, newton=newton_roomy,
+                           **SCHEDULES[schedule])
+        result = er.build_ser(problem8, cfg)
+        return [s for s in steps if s[1] is not None], result
+
+    @pytest.mark.parametrize("schedule", ["r1", "r2", "r1-rebuild"])
+    def test_every_row_is_under_its_carried_bound(
+            self, problem8, train6, newton_roomy, small_chunks, monkeypatch,
+            schedule):
+        swept, result = self.build(problem8, train6, newton_roomy,
+                                   monkeypatch, schedule)
+        assert len(swept) >= 3
+        carried = 0
+        for step, U, (est, dev), _ in swept:
+            errors = step.errors
+            ok = np.isfinite(errors)
+            assert np.all(errors[ok] <= U[ok])
+            carried += np.isfinite(U).any()
+            # a row left out is entered as the bracket [0, U]
+            out = np.isfinite(U) & (est == U / 2) & (dev == U / 2)
+            assert out.sum() == len(train6) - step.screened
+        if schedule == "r1-rebuild":
+            # every reduced sweep follows a rebuild
+            assert carried == 0
+            assert all(step.screened == len(train6) for step, *_ in swept)
+        else:
+            assert carried > 0
+            assert min(step.screened for step, *_ in swept) < len(train6)
+
+    def test_rows_interpolated_to_roundoff_stay_under_their_bound(
+            self, problem8, newton_roomy, monkeypatch):
+        # sweeps repeated on the same reduced solutions move no row
+        # (Delta = 0), so each picked row is interpolated to roundoff in
+        # the sweeps after its pick, and with one chunk every bracket's
+        # top is the float64 error: there U rests on the rounding terms,
+        # far below the sweep's largest error.  Some such error grows by
+        # more than 2^(M_b - M_a) from one sweep to the next, so U needs
+        # them
+        train = er.SampleSet.log_grid(8, 8)
+        built = er.build_ser(problem8, er.SerConfig(
+            r=1, n_max=5, m_max=5, train_set=train, newton=newton_roomy))
+        steps = record_carried(monkeypatch)
+        basis, model = copy.deepcopy(built.eim_g), built.model
+        coeffs, samples, prior = model.table.coeffs.copy(), list(train), None
+        for _ in range(12):
+            step = eimrb.ser.eim_greedy_step(basis, lambda mus: (
+                eimrb.ser.ReducedGBlock(model, mus, coeffs, [], prior), {}),
+                samples)
+            prior = step.bounds
+        assert not step.saturated
+        tiny, growth = 0, 0.0
+        for (before, _, _, _), (step, U, _, _) in zip(steps, steps[1:]):
+            errors = step.errors
+            assert np.all(errors <= U)
+            # the rows at roundoff in both sweeps
+            for k in np.flatnonzero(before.errors < 1e-13):
+                tiny += 1
+                assert errors[k] < 1e-13 and U[k] < 1e-6 * step.sup_error
+                growth = max(growth, errors[k] / before.errors[k])
+        assert tiny >= 20 and growth > 2
+
+    def test_rows_that_move_stay_under_their_bound(self, ser_small, train5,
+                                                  monkeypatch):
+        # the second sweep doubles every reduced solution, which moves g
+        # most where mu2 is large: U holds by Delta, and by G read at the
+        # ends of the range of u widened by Delta
+        steps = record_carried(monkeypatch)
+        basis, model, coeffs = sweep_setup(ser_small)
+        samples = list(train5)
+        first = eimrb.ser.eim_greedy_step(basis, lambda mus: (
+            eimrb.ser.ReducedGBlock(model, mus, coeffs, [], None), {}),
+            samples)
+        second = eimrb.ser.eim_greedy_step(basis, lambda mus: (
+            eimrb.ser.ReducedGBlock(model, mus, 2 * coeffs, [],
+                                    first.bounds), {}), samples)
+        errors, U = second.errors, steps[1][1]
+        assert np.all(errors <= U)
+        assert np.any(errors > 2 * first.bounds.tops)
+
+    @pytest.mark.parametrize("schedule", ["r1", "r2", "r1-rebuild"])
+    def test_first_sweeps_on_a_basis_are_screened_in_full(
+            self, problem8, train6, newton_roomy, small_chunks, monkeypatch,
+            schedule):
+        # the first reduced sweep and the first after a rebuild carry no
+        # bound: they start at zero, as the sweep records
+        starts = []
+        solve_many = er.ReducedModel.solve_many
+
+        def recording(model, mus, cfg=None, *, initial):
+            starts.append(not np.any(initial))
+            return solve_many(model, mus, cfg, initial=initial)
+
+        monkeypatch.setattr(er.ReducedModel, "solve_many", recording)
+        swept, _ = self.build(problem8, train6, newton_roomy, monkeypatch,
+                              schedule)
+        # the last call makes the final model's start table
+        assert len(starts) == len(swept) + 1 and starts[0]
+        for cold, (step, U, _, _) in zip(starts, swept):
+            if cold:
+                assert np.all(U == np.inf)
+                assert step.screened == len(train6)
+
+    def test_a_restarted_or_failed_row_is_screened_in_full(
+            self, problem8, train6, newton_roomy, small_chunks, monkeypatch):
+        # the block solve fails row 12 in the second reduced sweep, whose
+        # restart converges, and row 20 in the third, whose restart fails
+        # too: each row carries no bound in that sweep and the next
+        solve_many, solve = er.ReducedModel.solve_many, er.ReducedModel.solve
+        calls = []
+
+        def failing(model, mus, cfg=None, *, initial):
+            calls.append(len(calls))
+            coeffs, failures = solve_many(model, mus, cfg, initial=initial)
+            forced = {1: 12, 2: 20}.get(calls[-1])
+            if forced is not None:
+                coeffs[forced] = 0.0
+                failures[forced] = er.SolverFailure("forced")
+            return coeffs, failures
+
+        def failing_solve(model, mu, cfg=None, initial=None):
+            if calls[-1] == 2 and tuple(mu) == tuple(train6[20]):
+                raise er.SolverFailure("forced again")
+            return solve(model, mu, cfg, initial)
+
+        monkeypatch.setattr(er.ReducedModel, "solve_many", failing)
+        monkeypatch.setattr(er.ReducedModel, "solve", failing_solve)
+        swept, result = self.build(problem8, train6, newton_roomy,
+                                   monkeypatch, "r1")
+        assert [k for k, _, _ in result.report.skipped] == [20]
+        U = [u for _, u, _, _ in swept]
+        assert [r for *_, r in swept][1:3] == [[12], [20]]
+        assert U[1][12] == U[2][12] == np.inf
+        assert U[2][20] == U[3][20] == np.inf
+        for u in U[1:4]:
+            assert np.isfinite(u).sum() > len(train6) // 2
+        # a row that carries no bound is screened: its bracket is not U / 2
+        for (step, u, (est, dev), _), k in zip(swept[1:4], (12, 12, 20)):
+            assert np.isfinite(dev[k]) and est[k] != dev[k]
+
+    @pytest.mark.parametrize("schedule", list(SCHEDULES))
+    def test_same_archive_and_summary_as_without_carrying(
+            self, problem8, train6, newton_roomy, small_chunks, monkeypatch,
+            tmp_path, schedule):
+        cfg = er.SerConfig(train_set=train6, newton=newton_roomy,
+                           **SCHEDULES[schedule])
+        carrying = build_bytes(problem8, cfg, tmp_path / "carrying.npz")
+        carried_bounds = eimrb.eim.carried_bounds
+        monkeypatch.setattr(
+            "eimrb.eim.carried_bounds",
+            lambda *args: np.full_like(carried_bounds(*args), np.inf))
+        every_row = build_bytes(problem8, cfg, tmp_path / "every_row.npz")
+        assert carrying[0] == every_row[0]
+        assert carrying[1] == every_row[1]
+        screened = [s.screened for s in carrying[2].report.steps
+                    if s.screened is not None]
+        if schedule in ("r1", "r2"):
+            assert min(screened) < len(train6)
+        assert all(s.screened in (None, len(train6))
+                   for s in every_row[2].report.steps)
+
+    def test_an_unbounded_screen_carries_no_bound(
+            self, problem8, train6, newton_roomy, small_chunks, monkeypatch):
+        # the reference of TestBitwise: with every screen bound inf, no
+        # row carries a bound, so every row is screened
+        steps = record_carried(monkeypatch)
+        unbounded(monkeypatch)
+        cfg = er.SerConfig(train_set=train6, newton=newton_roomy,
+                           **SCHEDULES["r1"])
+        er.build_ser(problem8, cfg)
+        swept = [(step, U) for step, U, *_ in steps if U is not None]
+        assert len(swept) >= 3
+        for step, U in swept:
+            assert np.all(U == np.inf)
+            assert step.screened == len(train6)
 
 
 class TestOverflow:
@@ -147,9 +364,10 @@ class TestOverflow:
         basis, model, coeffs = sweep_setup(ser_small)
         self.scaled(model, coeffs, 10, 150.0, samples)
         self.scaled(model, coeffs, 20, 300.0, samples)
-        block = eimrb.ser.ReducedGBlock(model, samples, coeffs)
+        block = eimrb.ser.ReducedGBlock(model, samples, coeffs, [], None)
         with np.errstate(over="ignore"):
-            g32 = block.screen(np.asarray(basis.t)).chunk(slice(0, 25))[0]
+            g32 = next(block.screen(np.asarray(basis.t)).chunks(
+                np.arange(25), 25))[0]
         assert np.isinf(g32[[10, 20]]).any(axis=1).all()
         steps = record_screens(monkeypatch)
         step = eimrb.ser.eim_greedy_step(basis, reduced_provider(model, coeffs),
@@ -211,7 +429,8 @@ class TestSweepErrors:
             return None, self.ERRORS[lo:hi].copy()
 
         bad = np.isnan(self.ERRORS)
-        return eimrb.eim.SweepErrors(chunk_pass, 2, bad, self.EST, self.DEV), ran
+        return (eimrb.eim.SweepErrors(chunk_pass, 2, bad, self.EST, self.DEV,
+                                      None), ran)
 
     def test_a_row_whose_bound_reaches_the_floor_is_a_leader(self):
         assert np.all(np.abs(self.EST - self.ERRORS)[:5] <= self.DEV[:5])
@@ -224,6 +443,42 @@ class TestSweepErrors:
         assert next(order) == 4 and ran == [0, 2]
         assert list(order) == [1, 3, 2, 0, 5]
         assert sorted(ran) == [0, 1, 2]
+        assert sweep.errors.tobytes() == self.ERRORS.tobytes()
+
+    def test_a_row_left_out_is_screened_before_its_chunk_runs(self):
+        # rows 2 and 3 were left out with brackets [0, U], [0, 0.4] and
+        # [0, 0.8]; the screen brackets a row as EST and DEV do when its
+        # U reaches the floor of the rows left, so chunk 1 runs only for
+        # the third index, as with the screen's brackets for every row
+        class Screen:
+            def __init__(self):
+                self.screened = np.array([True, True, False, False, True,
+                                          True])
+                self.asked = []
+
+            def bracket(self, idx):
+                self.asked.append(idx.tolist())
+                self.screened[idx] = True
+                return TestSweepErrors.EST[idx], TestSweepErrors.DEV[idx]
+
+        est, dev = self.EST.copy(), self.DEV.copy()
+        est[2] = dev[2] = 0.2
+        est[3] = dev[3] = 0.4
+        ran = []
+
+        def chunk_pass(lo, hi):
+            ran.append(lo // 2)
+            return None, self.ERRORS[lo:hi].copy()
+
+        screen = Screen()
+        sweep = eimrb.eim.SweepErrors(chunk_pass, 2, np.isnan(self.ERRORS),
+                                      est, dev, screen)
+        order = sweep.worst_first()
+        assert next(order) == 4 and ran == [0, 2] and screen.asked == [[3]]
+        assert next(order) == 1 and ran == [0, 2] and screen.asked == [[3]]
+        assert next(order) == 3 and ran == [0, 2, 1]
+        assert screen.asked == [[3], [2]]
+        assert list(order) == [2, 0, 5]
         assert sweep.errors.tobytes() == self.ERRORS.tobytes()
 
 
@@ -252,6 +507,9 @@ class TestOrder:
                            **SCHEDULES[schedule])
         er.build_ser(problem8, cfg)
         partial = 0
+        # the carried bound left rows out of some sweep
+        assert min(step.screened for step, _ in steps
+                   if step.screened is not None) < len(train6)
         for step, screen in steps:
             # copies taken before the errors are read: the first index of
             # one runs only the chunks that may hold it
@@ -332,3 +590,43 @@ class TestRecord:
         assert all(s.confirmed is None for s in report.steps
                    if s.kind != "eim")
         assert all("confirmed" not in s for s in report.summary_dict()["steps"])
+
+    @pytest.mark.parametrize("schedule", ["r1", "r2", "standard"])
+    def test_steps_carry_their_screened_rows_outside_the_summary(
+            self, problem8, train6, newton_roomy, small_chunks, monkeypatch,
+            schedule):
+        # the rows the float32 screen lifted in each reduced sweep; None
+        # for a truth sweep and for a step that is not a sweep
+        lifted, sweeping = [], []
+        chunks, screen_sweep = (eimrb.ser.Float32Screen.chunks,
+                                eimrb.eim.screen_sweep)
+
+        def counted(screen, idx, rows):
+            if sweeping:
+                lifted[-1] += len(idx)
+            return chunks(screen, idx, rows)
+
+        def counting(*args):
+            lifted.append(0)
+            sweeping.append(True)
+            try:
+                return screen_sweep(*args)
+            finally:
+                sweeping.clear()
+
+        monkeypatch.setattr(eimrb.ser.Float32Screen, "chunks", counted)
+        monkeypatch.setattr("eimrb.eim.screen_sweep", counting)
+        cfg = er.SerConfig(train_set=train6, newton=newton_roomy,
+                           **SCHEDULES[schedule])
+        report = er.build_ser(problem8, cfg).report
+        # rows screened later, when an update ranks a sweep's rows, are
+        # not the sweep's
+        sweeps = [s.screened for s in report.steps
+                  if s.kind == "eim" and s.confirmed is not None]
+        truth = 0 if schedule == "r1" else len(sweeps) - len(lifted)
+        assert sweeps[:truth] == [None] * truth
+        assert sweeps[truth:] == lifted
+        assert all(s.screened is None for s in report.steps
+                   if s.kind != "eim" or s.confirmed is None)
+        assert all("screened" not in s
+                   for s in report.summary_dict()["steps"])

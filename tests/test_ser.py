@@ -366,8 +366,8 @@ class TestFailureHandling:
         copy.solve_many = solve_many
         copy.solve = solve
         copy.lift_block = lambda coeffs: coeffs
-        block, failures = eimrb.ser.reduced_g_block(copy, newton,
-                                                    start)(self.SWEEP)
+        block, failures = eimrb.ser.reduced_g_block(copy, newton, start,
+                                                    None)(self.SWEEP)
         values = block.values(slice(None))
         # the sweep's answers are written over its start
         assert same_bits(start, values)
@@ -463,8 +463,8 @@ class TestWarmSweeps:
             failures[self.FORCED] = er.SolverFailure("forced")
             return coeffs, failures
 
-        def recording(model, newton, coeffs):
-            provider = reduced_g_block(model, newton, coeffs)
+        def recording(model, newton, coeffs, prior):
+            provider = reduced_g_block(model, newton, coeffs, prior)
 
             def recorded(samples):
                 start = coeffs.copy()
