@@ -98,10 +98,10 @@ first reduced sweep, for a row that failed or was restarted in either
 sweep, and where it is not finite.  The screen then runs in two passes:
 the screen's chunk of rows with the largest U, which sets the floor
 max (e^_q - d_q) over those rows, and every other row whose U reaches
-that floor.  A row left out is entered with e^_p = d_p = U_p / 2, a bracket
-[0, U_p] that holds its error, so the float64 pass, its order and the
-errors read later run as above.  When an update ranks the rows worst
-first, a row left out whose U may hold the next largest error is
+that floor.  A row left out is entered with e^_p = d_p = U_p / 2, a
+bracket [0, U_p] that holds its error, so the float64 pass, its order
+and the errors read later run as above.  When an update ranks the rows
+worst first, a row left out whose U may hold the next largest error is
 screened before any float64 pass runs for it (``SweepErrors.refine``):
 its loose bracket would otherwise send chunks to the float64 pass that
 the screen rules out.
@@ -393,13 +393,12 @@ class Float32Pass:
 
     screen.chunks(idx, rows) gives, for the rows of an index array in
     chunks of `rows`, their float32 fields and the least and largest
-    float32 u of each, and
-    screen.bounds(lo, hi, idx) takes those two arrays and gives two
-    per-row bounds: on the float32 fields' distance from the float64
-    pass's fields, and on the distance of the rows' screen.points, the
-    float64 field values at the points, from the float64 pass's values
-    there (``ser.Float32Screen``).  solved is the ``PointSolve`` of
-    screen.points.
+    float32 u of each.  screen.bounds(lo, hi, idx) takes those two
+    arrays and gives two per-row bounds: on the float32 fields' distance
+    from the float64 pass's fields, and on the distance of the rows'
+    screen.points, the float64 field values at the points, from the
+    float64 pass's values there (``ser.Float32Screen``).  solved is the
+    ``PointSolve`` of screen.points.
     """
 
     def __init__(self, screen, solved, q, rows):
