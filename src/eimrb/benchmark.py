@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eim import gamma
 from .fem import FESpace, Mesh, SolverFailure
 from .nonlinear import (DEFAULT_NEWTON, Chord, NewtonFailure,
                         NonlinearProblem, NonlinearTerm, nearest,
                         truth_newton_solve)
+from .screen import gamma
 
 D_MIN = 0.01
 D_MAX = 10.0

@@ -158,11 +158,12 @@ class NonlinearTerm:
     array of parameters, and return the (P, k) values.  A solve at one
     parameter passes one row.  A term may overflow to inf: its callers
     own numpy's warning state (the errstate of _newton,
-    rb.ReducedModel.solve_many, ser.GBlock and the greedy step's screen).
+    rb.ReducedModel.solve_many, ser.GBlock and screen.Float32Screen).
 
     error_bound lets the greedy step screen a reduced sweep in float32
-    (``eim``), or is None, and then every sweep runs in float64.  The
-    screen assumes three things of a term that gives one:
+    (``screen``); a row where it is inf runs in float64, so a term that
+    can bound nothing returns inf everywhere.  The screen assumes three
+    things of a term:
 
     * g run on float32 u and float32 parameters computes in float32,
       with the parameters rounded to float32;
@@ -170,7 +171,7 @@ class NonlinearTerm:
       decrease in u, so the largest |g| and |g'| over an interval of u
       are at its ends: the error bound may read them there, and the
       bound that a sweep carries into the next reads |g'| at the two
-      ends of an interval (``eim``, ``ser.Float32Screen``);
+      ends of an interval (``screen``);
     * ``error_bound(lo, hi, du, mus, dtype)``, given (P,) arrays lo, hi
       and du, the (P, 2) float64 parameters and a float dtype, returns
       for each row p a bound on |g_dtype(v; mu_p) - g(w; mu_p)| over

@@ -78,24 +78,17 @@ are then made a chunk of rows at a time (``GBlock``): the greedy step in
 into their interpolation residuals and sup errors by one triangular
 solve and one (rows, M) @ (M, ndof) product while they are still in
 cache.  No (P, ndof) array of the whole sweep is made.  A reduced sweep
-(``ReducedGBlock``) is first screened in float32, chunks of twice the
-rows, which gives each row an estimated error and a certified bound on
-its distance from the float64 one; the float64 pass above then runs
-only on the chunks that may hold the largest error (``eim``), so the
-sweep picks, and the build writes, the bits of a float64 sweep.  A
-reduced sweep that follows one on the same basis (not the first reduced
-sweep, nor the first after a ``rebuild_wn`` update) screens only the
-rows that can still hold its largest error: each row carries a bound
-on its error from the last sweep (``eim.SweepBounds``), from the last
-sweep's bracket, the growth of the interpolant and how far the row's
-solution moved (``Float32Screen``).  On the n=32 P2 20x20 r=1 build
+(``ReducedGBlock``) is screened in float32 first (``screen``), so the
+float64 pass runs only on the chunks that may hold the largest error,
+and the sweep picks, and the build writes, the bits of a float64 sweep.
+Each reduced sweep hands what its screen carries (``GreedyStep.bounds``)
+to the next one on the same basis, so that screen runs only on the rows
+that can still hold its largest error.  On the n=32 P2 20x20 r=1 build
 that is 1-4 of 13 float64 chunks per sweep, and 64-210 of the 400 rows
 in the float32 screen after the first sweep (3,648 of the 9,600
-reduced-sweep rows).  The errors of the other rows are made only when
-read: an update that runs past its group's picks takes the training set
-worst first from the last sweep (``eim.SweepErrors.worst_first``),
-which screens the rows left out and runs the float64 pass on the chunks
-that may hold each next parameter.  A truth sweep is not screened.
+reduced-sweep rows).  An update that runs past its group's picks takes
+the training set worst first from the last sweep
+(``eim.SweepErrors.worst_first``).  A truth sweep is not screened.
 """
 
 import math
@@ -107,11 +100,12 @@ from itertools import chain
 import numpy as np
 
 from .benchmark import TruthReferences
-from .eim import TINY32, U32, U64, eim_greedy_step, eim_initialize, gamma
+from .eim import eim_greedy_step, eim_initialize
 from .fem import SolverFailure
 from .nonlinear import (MassFields, NewtonConfig, NewtonFailure,
                         SurrogateSolver, nearest, truth_newton_solve_eim)
 from .rb import DependentSnapshot, RbSpace, ReducedModel, start_table
+from .screen import Float32Screen
 
 
 class SerBuildError(RuntimeError):
@@ -226,8 +220,8 @@ class GBlock:
     gives the fields u_p of that slice of samples and the term is applied
     to them at once.  A greedy step walks the block in cache-sized
     chunks, so no (P, ndof) array of the whole sweep is ever made.  It
-    offers the greedy step no float32 screen (no ``screen`` method), so
-    every chunk runs in float64.
+    offers the greedy step no screen (no ``screen`` method), so every
+    chunk runs in float64.
     """
 
     def __init__(self, problem, samples, values):
@@ -243,10 +237,10 @@ class GBlock:
 class ReducedGBlock(GBlock):
     """The fields g(V c_p; mu_p) of the (P, N) reduced solutions coeffs on
     the (ndof, N) basis V of a model, which the greedy step screens in
-    float32 (``Float32Screen``) when the term gives an error bound.
-    restarted lists the rows whose first solve failed, and prior is the
-    last sweep's ``eim.SweepBounds`` when its solutions are the first
-    columns of the rows' starts on a basis that V extends, else None."""
+    float32 (``screen.Float32Screen``).  restarted lists the rows whose
+    first solve failed, and prior is the last sweep's
+    ``screen.SweepBounds`` when its solutions are the first columns of
+    the rows' starts on a basis that V extends, else None."""
 
     def __init__(self, model, samples, coeffs, restarted, prior):
         super().__init__(model.problem, samples,
@@ -254,103 +248,8 @@ class ReducedGBlock(GBlock):
         self.coeffs, self.basis = coeffs, model.basis
         self.restarted, self.prior = restarted, prior
 
-    def screen(self, t):
-        if self.term.error_bound is None:
-            return None
-        return Float32Screen(self, t)
-
-
-class Float32Screen:
-    """The float32 screen of a ReducedGBlock's sweep at the points t, in
-    the form ``eim.screen_sweep`` reads.
-
-    With c the float64 coefficients of a row:
-
-    * ``chunks(idx, rows)`` gives, for the rows of an index array in
-      chunks of `rows`, their float32 fields g(u^), with u^ = fl32(c) @
-      fl32(V^T) lifted into one buffer, and the least and largest u^ of
-      each row.  u^ is within du = (gamma32_(N+2) + gamma64_N) |c| @
-      max|V| of the float64 pass's lift and of the exact one V c (each
-      is within its gamma of the exact product), so it also records
-      [min u^ - du, max u^ + du] as the row's range of exact u;
-    * ``points`` holds g at the points for every row, in float64, of
-      c @ V(t)^T, which is within dt = 2 gamma64_N |c| @ max|V| of the
-      float64 pass's lift there;
-    * ``bounds(lo, hi, rows)`` gives, from the least and largest u^ of
-      the rows (an index), a bound per row on the fields' distance from
-      the float64 pass's fields (the term's float32 bound with du, plus
-      its float64 rounding there) and one on the distance of ``points``
-      from the float64 pass's g at the points (twice the term's float64
-      bound with dt).  ``rounding(lo, hi, rows)`` is that float64
-      rounding for rows whose exact u lies in [lo, hi]: the float64
-      values are within dt of it.
-
-    ``lo`` and ``hi`` hold each row's range of exact u: nan until
-    ``chunks`` lifts the row, or, when the block has a prior, first the
-    prior's range widened by Delta = (1 + gamma64_(N+2)) |c - c_prior|
-    @ max|V| >= ||V c - V_prior c_prior||_inf (c_prior padded with
-    zeros, as V starts with V_prior).  ``drift`` is then G Delta, with G
-    the larger |g'| at the two ends of that range.  ``record()`` gives
-    the ranges and c for the next sweep's screen.  A restarted row has
-    no range (nan), so it carries no bound.
-
-    du, dt and ``points`` are made once per sweep, and the float32 copy
-    of V and the buffer once per call of ``chunks``: the screen lives on
-    while an update ranks the sweep's rows.
-    """
-
-    def __init__(self, block, t):
-        basis, coeffs = block.basis, block.coeffs
-        self.term, self.mus, self.coeffs = block.term, block.mus, coeffs
-        self.basis, self.mus32 = basis, block.mus.astype(np.float32)
-        n = basis.shape[1]
-        reach = np.abs(basis).max(axis=0)
-        scale = np.abs(coeffs) @ reach
-        self.du = (gamma(n + 2, U32) + gamma(n, U64)) * scale + n * TINY32
-        self.dt = 2 * gamma(n, U64) * scale
-        self.restarted = block.restarted
-        self.lo, self.hi = np.full((2, len(coeffs)), np.nan)
-        self.prior, self.drift = block.prior, None
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.points = block.term.g(coeffs @ basis[t].T, block.mus)
-            if self.prior is not None:
-                lo, hi, before = self.prior.rows
-                moved = coeffs.copy()
-                moved[:, :before.shape[1]] -= before
-                delta = (1 + gamma(n + 2, U64)) * (np.abs(moved) @ reach)
-                delta[block.restarted] = np.nan
-                self.lo, self.hi = lo - delta, hi + delta
-                ends = block.term.dg_du(np.column_stack([self.lo, self.hi]),
-                                        self.mus)
-                self.drift = np.abs(ends).max(axis=1) * delta
-
-    def chunks(self, idx, rows):
-        v32 = np.ascontiguousarray(self.basis.T, dtype=np.float32)
-        lift = np.empty((min(rows, len(idx)), v32.shape[1]), dtype=np.float32)
-        for start in range(0, len(idx), rows):
-            part = idx[start:start + rows]
-            u = np.matmul(self.coeffs[part].astype(np.float32), v32,
-                          out=lift[:len(part)])
-            lo, hi = u.min(axis=1), u.max(axis=1)
-            self.lo[part], self.hi[part] = (lo - self.du[part],
-                                            hi + self.du[part])
-            yield self.term.g(u, self.mus32[part]), lo, hi
-
-    def bounds(self, lo, hi, rows):
-        du = self.du[rows]
-        b64 = self.rounding(lo - du, hi + du, rows)
-        return (self.term.error_bound(lo, hi, du, self.mus[rows], np.float32)
-                + b64, 2 * b64)
-
-    def rounding(self, lo, hi, rows):
-        dt = self.dt[rows]
-        return self.term.error_bound(lo - dt, hi + dt, dt, self.mus[rows],
-                                     np.float64)
-
-    def record(self):
-        lo, hi = self.lo.copy(), self.hi.copy()
-        lo[self.restarted] = hi[self.restarted] = np.nan
-        return lo, hi, self.coeffs
+    def screen(self, t, B, q, rows):
+        return Float32Screen(self, t, B, q, rows)
 
 
 def truth_g_block(references):
@@ -383,7 +282,7 @@ def reduced_g_block(model, newton, coeffs, prior):
     log-parameter distance (``nonlinear.nearest``); a sample that fails
     again keeps its first failure and a zero row.  Each row range is
     lifted and g applied when the greedy step asks for it.  prior is
-    the last sweep's ``eim.SweepBounds`` when that sweep's answers start
+    the last sweep's ``screen.SweepBounds`` when that sweep's answers start
     these rows on a basis that the model's extends, else None
     (``ReducedGBlock``)."""
     def provider(samples):

@@ -98,14 +98,20 @@ def model_with(model, **changes):
     return er.ReducedModel(**fields)
 
 
+def no_error_bound(lo, hi, du, mus, dtype):
+    """The error bound of a term that bounds nothing: inf on every row, so
+    every chunk of a reduced sweep runs in float64."""
+    return np.full(len(mus), np.inf)
+
+
 def with_term(model, g=None, dg_du=None):
     """The model with its nonlinear term's g or dg_du replaced; a new g
-    comes with no error bound."""
+    comes with the bound that bounds nothing."""
     term = model.problem.term
     problem = er.NonlinearProblem(model.problem.space,
                                   er.NonlinearTerm(g or term.g,
                                                    dg_du or term.dg_du,
-                                                   None if g else
+                                                   no_error_bound if g else
                                                    term.error_bound),
                                   er.benchmark_rhs)
     return model_with(model, problem=problem)

@@ -11,7 +11,11 @@ package's exports.  The sparse direct solvers of scipy (``splu``,
 diff that adds it.  No module names ``scipy.linalg``: every dense solve
 runs on numpy, so a process loads one BLAS library with one thread pool.
 scipy may be imported only inside a function, so that ``import eimrb``
-and an online query load numpy alone.
+and an online query load numpy alone.  ``eim.py`` imports no module of
+the package and never names float32, and reads no more of a sweep's
+screen than its brackets, ``bracket``, ``screened`` and ``carry``: the
+greedy step stays generic, and a bound that leaks back into it shows in
+the diff.
 """
 
 import ast
@@ -203,3 +207,40 @@ def test_no_module_level_scipy_import(path):
     found = module_level_scipy_imports(path.read_text(encoding="utf-8"))
     assert not found, ", ".join(f"{path.name}:{line}: import of {module}"
                                 for line, module in found)
+
+
+SCREEN_NAMES = {"brackets", "bracket", "screened", "carry"}
+
+
+def screen_reads(source):
+    """(line, name) of each attribute read off a name or attribute that
+    is called screen."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if "screen" in (getattr(owner, "id", None),
+                            getattr(owner, "attr", None)):
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_screen_reads_are_found_on_names_and_attributes():
+    source = ("def step(fields, sweep):\n"
+              "    screen = fields.screen(1)\n"
+              "    a = screen.brackets\n"
+              "    return sweep.screen.bounds(a), self.screens.x\n")
+    assert screen_reads(source) == [(3, "brackets"), (4, "bounds")]
+
+
+def test_greedy_step_stays_generic():
+    source = (PACKAGE / "eim.py").read_text(encoding="utf-8")
+    package = [ast.dump(node) for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or node.module.split(".")[0] == "eimrb")
+               or isinstance(node, ast.Import)
+               and any(a.name.split(".")[0] == "eimrb" for a in node.names)]
+    assert not package
+    assert "float32" not in source.lower()
+    reads = screen_reads(source)
+    assert reads and {name for _, name in reads} <= SCREEN_NAMES

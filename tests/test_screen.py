@@ -1,4 +1,4 @@
-"""The float32 screen of the reduced greedy sweeps (eim, ser.ReducedGBlock).
+"""The float32 screen of the reduced greedy sweeps (screen, eim).
 
 A sweep screens every row in float32 and runs the float64 pass only on
 the chunks that may hold its largest error, so its pick, the pick's error
@@ -14,7 +14,9 @@ import pytest
 
 import eimrb as er
 import eimrb.eim
+import eimrb.screen
 import eimrb.ser
+from conftest import no_error_bound
 
 SCHEDULES = {"r1": dict(r=1, n_max=5, m_max=5),
              "r1-rebuild": dict(r=1, rebuild_wn=True, n_max=4, m_max=4),
@@ -34,65 +36,53 @@ def train6():
 
 def unbounded(monkeypatch):
     """Force every screen bound to infinity: every chunk runs in float64."""
-    screen_sweep = eimrb.eim.screen_sweep
+    bracket = eimrb.screen.Float32Screen.bracket
 
-    def no_bound(*args):
-        est, dev = screen_sweep(*args)
+    def no_bound(screen, idx):
+        est, dev = bracket(screen, idx)
         return est, np.full_like(dev, np.inf)
 
-    monkeypatch.setattr("eimrb.eim.screen_sweep", no_bound)
+    monkeypatch.setattr(eimrb.screen.Float32Screen, "bracket", no_bound)
 
 
 def record_screens(monkeypatch):
-    """Each greedy step of a build with its screen's (est, dev), or None
-    for a sweep with no screen; the list fills as the build runs."""
-    screens, steps = [], []
-    screen_sweep, greedy_step = eimrb.eim.screen_sweep, eimrb.ser.eim_greedy_step
-
-    def recording_screen(*args):
-        screens.append(screen_sweep(*args))
-        return screens[-1]
+    """Each greedy step of a build with its screen's (est, dev) as the
+    step's float64 pass read them, or None for a sweep with no screen;
+    the list fills as the build runs."""
+    steps = []
+    greedy_step = eimrb.ser.eim_greedy_step
 
     def recording_step(*args):
-        screens.clear()
         step = greedy_step(*args)
-        steps.append((step, screens[0] if screens else None))
+        screened = step.sweep.screen is not None
+        steps.append((step, (step.sweep.est, step.sweep.dev) if screened
+                      else None))
         return step
 
-    monkeypatch.setattr("eimrb.eim.screen_sweep", recording_screen)
     monkeypatch.setattr("eimrb.ser.eim_greedy_step", recording_step)
     return steps
 
 
 def record_carried(monkeypatch):
     """Each greedy step of a build with the bound U its rows carried into
-    it, the screen's (est, dev) copied as the screen returned them and
-    the rows of the sweep that restarted a solve, or None for U and (est,
-    dev) of a sweep with no screen; the list fills as the build runs."""
-    found, steps = {}, []
-    carried_bounds = eimrb.eim.carried_bounds
-    screen_sweep = eimrb.eim.screen_sweep
+    it, the screen's (est, dev) copied as the step's float64 pass read
+    them and the rows of the sweep that restarted a solve, or None for U,
+    (est, dev) and the rows of a sweep with no screen; the list fills as
+    the build runs."""
+    steps = []
     greedy_step = eimrb.ser.eim_greedy_step
 
-    def recording_bounds(screen, solved, q):
-        found["U"] = carried_bounds(screen, solved, q).copy()
-        found["restarted"] = list(screen.restarted)
-        return found["U"]
-
-    def recording_screen(*args):
-        est, dev = screen_sweep(*args)
-        found["screen"] = est.copy(), dev.copy()
-        return est, dev
-
     def recording_step(*args):
-        found.clear()
         step = greedy_step(*args)
-        steps.append((step, found.get("U"), found.get("screen"),
-                      found.get("restarted")))
+        screen = step.sweep.screen
+        if screen is None:
+            steps.append((step, None, None, None))
+        else:
+            steps.append((step, screen.carried.copy(),
+                          (step.sweep.est.copy(), step.sweep.dev.copy()),
+                          list(screen.restarted)))
         return step
 
-    monkeypatch.setattr("eimrb.eim.carried_bounds", recording_bounds)
-    monkeypatch.setattr("eimrb.eim.screen_sweep", recording_screen)
     monkeypatch.setattr("eimrb.ser.eim_greedy_step", recording_step)
     return steps
 
@@ -151,19 +141,19 @@ class TestBound:
 
     def test_a_term_with_no_bound_runs_every_chunk(self, ser_small, train5,
                                                    small_chunks):
+        # a term whose error bound is inf everywhere: every row is
+        # screened, and no bracket rules a chunk out
         basis, model, coeffs = sweep_setup(ser_small)
         term = model.problem.term
         no_bound = er.NonlinearProblem(model.problem.space,
                                        er.NonlinearTerm(term.g, term.dg_du,
-                                                        None),
+                                                        no_error_bound),
                                        er.benchmark_rhs)
         model = copy.copy(model)
         model.problem = no_bound
-        block = eimrb.ser.ReducedGBlock(model, list(train5), coeffs, [],
-                                         None)
-        assert block.screen(np.asarray(basis.t)) is None
         step = er.eim_greedy_step(basis, reduced_provider(model, coeffs),
                                   list(train5))
+        assert step.screened == 25 and np.isinf(step.sweep.dev).all()
         assert step.confirmed == list(range(9))
 
 
@@ -320,10 +310,11 @@ class TestCarried:
         cfg = er.SerConfig(train_set=train6, newton=newton_roomy,
                            **SCHEDULES[schedule])
         carrying = build_bytes(problem8, cfg, tmp_path / "carrying.npz")
-        carried_bounds = eimrb.eim.carried_bounds
+        start = eimrb.screen.Float32Screen.start
         monkeypatch.setattr(
-            "eimrb.eim.carried_bounds",
-            lambda *args: np.full_like(carried_bounds(*args), np.inf))
+            eimrb.screen.Float32Screen, "start",
+            lambda screen, carried: start(screen,
+                                          np.full_like(carried, np.inf)))
         every_row = build_bytes(problem8, cfg, tmp_path / "every_row.npz")
         assert carrying[0] == every_row[0]
         assert carrying[1] == every_row[1]
@@ -364,10 +355,12 @@ class TestOverflow:
         basis, model, coeffs = sweep_setup(ser_small)
         self.scaled(model, coeffs, 10, 150.0, samples)
         self.scaled(model, coeffs, 20, 300.0, samples)
-        block = eimrb.ser.ReducedGBlock(model, samples, coeffs, [], None)
+        u32 = (coeffs.astype(np.float32)
+               @ model.basis.T.astype(np.float32))
         with np.errstate(over="ignore"):
-            g32 = next(block.screen(np.asarray(basis.t)).chunks(
-                np.arange(25), 25))[0]
+            g32 = model.problem.term.g(
+                u32, np.asarray(samples).astype(np.float32))
+        assert g32.dtype == np.float32
         assert np.isinf(g32[[10, 20]]).any(axis=1).all()
         steps = record_screens(monkeypatch)
         step = eimrb.ser.eim_greedy_step(basis, reduced_provider(model, coeffs),
@@ -480,6 +473,50 @@ class TestSweepErrors:
         assert screen.asked == [[3], [2]]
         assert list(order) == [2, 0, 5]
         assert sweep.errors.tobytes() == self.ERRORS.tobytes()
+
+
+class TestSelection:
+    """The rows a sweep screens before its float64 pass: the screen's
+    first chunk, the rows with the largest carried bound U, sets a floor
+    max(est - dev), and every other row whose U reaches it is screened
+    too (``SweepErrors.refine`` over every row); the rest enter as the
+    bracket [0, U]."""
+
+    # rows 1 and 4 carry no bound and row 3 the largest; row 3's bracket
+    # sets the floor 0.55 (row 4's bound is inf), which rows 0 and 7
+    # reach, row 7 exactly, and rows 2, 5 and 6 do not
+    U = np.array([0.7, np.inf, 0.2, 0.9, np.inf, 0.05, 0.4, 0.55])
+    EST = np.array([0.3, 0.3, 0.1, 0.6, 0.2, 0.02, 0.15, 0.5])
+    DEV = np.array([0.01, 0.01, 0.01, 0.05, np.inf, 0.01, 0.01, 0.01])
+
+    class Screen(eimrb.screen.Float32Screen):
+        """The screen's own selection, with hand-made brackets."""
+
+        def __init__(self, carried, rows):
+            self.rows, self.asked = rows, []
+            self.screened = np.zeros(len(carried), dtype=bool)
+            self.brackets = self.start(carried)
+
+        def bracket(self, idx):
+            self.asked.append(idx.tolist())
+            self.screened[idx] = True
+            return TestSelection.EST[idx], TestSelection.DEV[idx]
+
+    def test_rows_that_may_hold_the_largest_error_are_screened(self):
+        screen = self.Screen(self.U, 3)
+        est, dev = screen.brackets
+        sweep = eimrb.eim.SweepErrors(None, 2, np.zeros(8, dtype=bool),
+                                      est, dev, screen)
+        sweep.refine(np.ones(8, dtype=bool))
+        assert screen.asked == [[1, 3, 4], [0, 7]]
+        bracketed = [1, 3, 4, 0, 7]
+        assert np.all(sweep.est[bracketed] == self.EST[bracketed])
+        assert np.all(sweep.dev[bracketed] == self.DEV[bracketed])
+        rest = [2, 5, 6]
+        assert np.all(sweep.est[rest] == self.U[rest] / 2)
+        assert np.all(sweep.dev[rest] == self.U[rest] / 2)
+        assert np.flatnonzero(screen.screened).tolist() == sorted(bracketed)
+        assert screen.screened.sum() == sum(map(len, screen.asked))
 
 
 class TestOrder:
@@ -598,24 +635,26 @@ class TestRecord:
         # the rows the float32 screen lifted in each reduced sweep; None
         # for a truth sweep and for a step that is not a sweep
         lifted, sweeping = [], []
-        chunks, screen_sweep = (eimrb.ser.Float32Screen.chunks,
-                                eimrb.eim.screen_sweep)
+        bracket, greedy_step = (eimrb.screen.Float32Screen.bracket,
+                                eimrb.ser.eim_greedy_step)
 
-        def counted(screen, idx, rows):
+        def counted(screen, idx):
             if sweeping:
+                if sweeping[-1] is None:
+                    lifted.append(0)
+                    sweeping[-1] = True
                 lifted[-1] += len(idx)
-            return chunks(screen, idx, rows)
+            return bracket(screen, idx)
 
         def counting(*args):
-            lifted.append(0)
-            sweeping.append(True)
+            sweeping.append(None)
             try:
-                return screen_sweep(*args)
+                return greedy_step(*args)
             finally:
                 sweeping.clear()
 
-        monkeypatch.setattr(eimrb.ser.Float32Screen, "chunks", counted)
-        monkeypatch.setattr("eimrb.eim.screen_sweep", counting)
+        monkeypatch.setattr(eimrb.screen.Float32Screen, "bracket", counted)
+        monkeypatch.setattr("eimrb.ser.eim_greedy_step", counting)
         cfg = er.SerConfig(train_set=train6, newton=newton_roomy,
                            **SCHEDULES[schedule])
         report = er.build_ser(problem8, cfg).report

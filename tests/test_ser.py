@@ -9,8 +9,8 @@ import eimrb as er
 import eimrb.ser
 
 from conftest import (assert_same_interpolant, assert_same_model,
-                      assert_same_table, eim_train, model_with, same_bits,
-                      small_config)
+                      assert_same_table, eim_train, model_with,
+                      no_error_bound, same_bits, small_config)
 
 
 def expected_solids(r, rebuild, n_max, m_max, n_train):
@@ -289,7 +289,8 @@ class TestFailureHandling:
             return res
 
         bad_problem = er.NonlinearProblem(
-            problem8.space, er.NonlinearTerm(poisoned_g, term.dg_du, None),
+            problem8.space, er.NonlinearTerm(poisoned_g, term.dg_du,
+                                             no_error_bound),
             er.benchmark_rhs)
         cfg = er.SerConfig(r=1, n_max=3, m_max=3, train_set=train5,
                            newton=newton_roomy)
