@@ -43,7 +43,7 @@ with np.printoptions(precision=2, suppress=True):
 mu_probe = samples[37]
 w = provider([mu_probe])[0][0]
 # the interpolant sum_m beta_m q_m, with B beta = w(t)
-interp = basis.field_matrix().T @ basis.coeffs(w[basis.t])
+interp = basis.fields.T @ basis.coeffs(w[basis.t])
 print(f"\nprobe at mu=({mu_probe[0]:.3g}, {mu_probe[1]:.3g}): "
       f"sup interpolation error {np.max(np.abs(w - interp)):.3e}, "
       f"error at the interpolation points "

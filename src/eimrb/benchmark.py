@@ -195,7 +195,6 @@ class TruthReferences:
         self.cache = {}
         self.chord = Chord()             # the last factor, carried over
         self._logs = np.empty((2, 0))    # cached log-parameters, as columns
-        self._solutions = []             # the cached solutions, in that order
 
     @property
     def solves(self):
@@ -214,12 +213,13 @@ class TruthReferences:
         is the point before a on mu's grid line, and u_a itself (the
         same array) when s is 0 or only a is cached.
         """
-        if not self._solutions:
+        if not self.cache:
             return None, None
+        solutions = [u for u, _ in self.cache.values()]    # in _logs' order
         log_mu = np.log(mu)
         a = nearest(self._logs, log_mu)
-        u_a = self._solutions[a]
-        if len(self._solutions) == 1:
+        u_a = solutions[a]
+        if len(solutions) == 1:
             return u_a, u_a
         log_a = self._logs[:, a]
         b = nearest(np.delete(self._logs, a, axis=1), 2 * log_a - log_mu)
@@ -230,7 +230,7 @@ class TruthReferences:
             if length > 0 else 0.0
         if s == 0.0:
             return u_a, u_a
-        return u_a + s * (u_a - self._solutions[b]), u_a
+        return u_a + s * (u_a - solutions[b]), u_a
 
     def get(self, mu, guess=None):
         """The cached (solution, output) at mu, solved on a miss.  guess,
@@ -252,7 +252,6 @@ class TruthReferences:
                                           fallback, self.chord)
             self.cache[key] = (u, self.problem.average(u))
             self._logs = np.column_stack([self._logs, np.log(key)])
-            self._solutions.append(u)
         return self.cache[key]
 
 

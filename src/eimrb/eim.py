@@ -71,7 +71,9 @@ class EimBasis:
 
     def __init__(self, space):
         self.space = space
-        self.fields = []        # unit-sup-norm dof vectors, append only
+        # (M, ndof) unit-sup-norm fields, one per row, append only: an
+        # append makes a new array, so one read earlier stays as it was
+        self.fields = np.zeros((0, space.ndof))
         self.t = []             # interpolation point dof indices
         self.B = np.zeros((0, 0))
         self.mus = []           # parameter selected at each step
@@ -80,10 +82,6 @@ class EimBasis:
     @property
     def M(self):
         return len(self.t)
-
-    def field_matrix(self):
-        """Stacked basis fields, shape (M, ndof)."""
-        return np.array(self.fields)
 
     def coeffs(self, values_at_points):
         """Solve B beta = w(t) by forward substitution, a row at a time
@@ -112,7 +110,7 @@ class EimBasis:
         than 1 in size anywhere.  The residual of an interpolant
         vanishes at the existing points, so the roundoff left there is
         cleared, keeping the interpolation matrix exactly unit lower
-        triangular.
+        triangular.  B is then read off the fields, B[i, m] = q_m(t_i).
         """
         r = np.asarray(residual, dtype=float)
         t_new = int(np.argmax(np.abs(r)))
@@ -121,16 +119,9 @@ class EimBasis:
                 f"residual peaks at already used dof {t_new}")
         q = r / r[t_new]
         q[np.asarray(self.t, dtype=int)] = 0.0
-        m = self.M
-        newb = np.empty((m + 1, m + 1))
-        newb[:m, :m] = self.B
-        for k, f in enumerate(self.fields):
-            newb[m, k] = f[t_new]
-        newb[:m, m] = q[self.t]
-        newb[m, m] = q[t_new]
-        self.B = newb
-        self.fields.append(q)
+        self.fields = np.vstack([self.fields, q])
         self.t.append(t_new)
+        self.B = np.ascontiguousarray(self.fields[:, self.t].T)
         self.mus.append(mu)
         self.train_errors.append(float(recorded_error))
 
@@ -270,8 +261,8 @@ def eim_greedy_step(basis, provider, samples):
     n_samples = len(samples)
     t_idx = np.asarray(basis.t, dtype=int)
     # the step's own q and B: the errors of the other chunks may be made
-    # with them after the basis has grown
-    q, B = basis.field_matrix(), basis.B
+    # with them after the basis has grown, which replaces both arrays
+    q, B = basis.fields, basis.B
     bad = np.zeros(n_samples, dtype=bool)
     bad[list(failures)] = True
     rows = max(1, BUDGET // basis.space.ndof)

@@ -204,6 +204,13 @@ class Chord:
         return self.factor
 
 
+def grown(arr, shape):
+    """A new zero array of the given shape with arr in its leading block."""
+    out = np.zeros(shape)
+    out[tuple(slice(0, n) for n in arr.shape)] = arr
+    return out
+
+
 def mu_row(mu):
     """One parameter as the (1, 2) parameter block the term takes."""
     return np.asarray(mu, dtype=float).reshape(1, -1)
@@ -455,19 +462,22 @@ class MassFields:
     that reads M Q: the SurrogateSolver and every RbSpace.model call,
     those of the spaces a rebuild replaces included.  The fields of an
     interpolant are append-only, so each product is made once, when
-    update() first sees its field, and kept as a contiguous vector.
+    update() first sees its field, and kept as row m of vectors, an
+    (M, ndof) array.
     """
 
     def __init__(self, problem, eim):
         self.problem = problem
         self.eim = eim
-        self.vectors = []
+        self.vectors = np.zeros((0, problem.space.ndof))
 
     def update(self):
         """The products of every field of eim, those of the fields
         appended since the last call made now."""
-        for q in self.eim.fields[len(self.vectors):]:
-            self.vectors.append(self.problem.mass @ q)
+        fresh = [self.problem.mass @ q
+                 for q in self.eim.fields[len(self.vectors):]]
+        if fresh:
+            self.vectors = np.vstack([self.vectors, *fresh])
         return self.vectors
 
 
@@ -476,14 +486,14 @@ class SurrogateSolver:
 
     Factors the interior stiffness block A_II once, solves A^{-1} F, and
     keeps A^{-1} M q_m for every field q_m of the interpolant (solutions
-    on the interior rows, zero on the boundary), from the products M q_m
-    of mass_fields (a MassFields).  From these, update() makes the M x M
-    data of the solve in the point values (module docstring): a = E_t
-    A^{-1} F, K = E_t A^{-1} M Q B^{-1} and the norm map R B^{-1}, with
-    R the Cholesky factor of the Gram matrix G = (M Q)_I^T (M Q)_I of
-    the interior rows (positive definite while the interior rows of the
-    M q_m are independent), and the (ndof, M) stacks mass_q of the M q_m
-    and solved_q of the A^{-1} M q_m.  The
+    on the interior rows, zero on the boundary) as column m of the
+    (ndof, M) array solved_q, from the products M q_m, the rows of
+    mass_fields.vectors (a MassFields), of which it keeps no copy.  From
+    these, update() makes the M x M data of the solve in the point
+    values (module docstring): a = E_t A^{-1} F, K = E_t A^{-1} M Q
+    B^{-1} and the norm map R B^{-1}, with R the Cholesky factor of the
+    Gram matrix G = (M Q)_I^T (M Q)_I of the interior rows (positive
+    definite while the interior rows of the M q_m are independent).  The
     fields of an interpolant are append-only, so the columns of earlier
     fields stay valid: a field appended since the last solve costs one
     solve with the cached factor and one dot product per new entry of G,
@@ -497,7 +507,7 @@ class SurrogateSolver:
         self.eim_g = mass_fields.eim
         self._factor = factor_sparse(problem.interior_block[1])
         self.linear = self._solve(problem.load)              # A^{-1} F
-        self._solved = []                                    # A^{-1} M q_m
+        self.solved_q = np.zeros((problem.space.ndof, 0))    # A^{-1} M q_m
         self._gram = np.zeros((0, 0))                        # (M Q)_I^T (M Q)_I
 
     def _solve(self, rhs):
@@ -511,21 +521,20 @@ class SurrogateSolver:
         """Add the columns of the fields appended to eim_g since the last
         call, and remake the M x M data of the solve from them."""
         eim = self.eim_g
-        m_old = len(self._solved)
+        m_old = self.solved_q.shape[1]
         if m_old == eim.M:
             return
         mass_qs = self.mass_fields.update()
         idx = self.problem.interior_block[0]
-        interior = [mq[idx] for mq in mass_qs]
-        gram = np.zeros((eim.M, eim.M))
-        gram[:m_old, :m_old] = self._gram
+        # C order: each entry of G is a dot product of contiguous rows
+        interior = np.ascontiguousarray(mass_qs.take(idx, axis=1))
+        gram = grown(self._gram, (eim.M, eim.M))
+        solved = grown(self.solved_q, (len(self.linear), eim.M))
         for m in range(m_old, eim.M):
             for k in range(m + 1):
                 gram[m, k] = gram[k, m] = interior[m] @ interior[k]
-            self._solved.append(self._solve(mass_qs[m]))
-        self._gram = gram
-        self.mass_q = np.column_stack(mass_qs)
-        self.solved_q = np.column_stack(self._solved)
+            solved[:, m] = self._solve(mass_qs[m])
+        self._gram, self.solved_q = gram, solved
         t = np.asarray(eim.t, dtype=int)
         self.a = self.linear[t]
         # X B^{-1} as (B^{-T} X^T)^T, for X = E_t A^{-1} M Q and for
@@ -572,7 +581,7 @@ def truth_newton_solve_eim(surrogate, mu, cfg=None):
         nonlocal g_v, k_g
         g_v = term.g(v[None], mus)[0]
         k_g = k_mat @ g_v
-        r = surrogate.mass_q @ eim.coeffs(g_v) - problem.load
+        r = eim.coeffs(g_v) @ surrogate.mass_fields.vectors - problem.load
         r[bdofs] = 0.0
         return float(np.linalg.norm(r))
 

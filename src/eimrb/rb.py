@@ -78,7 +78,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .nonlinear import DEFAULT_NEWTON, _newton, nearest, newton_failure
+from .nonlinear import (DEFAULT_NEWTON, _newton, grown, nearest,
+                        newton_failure)
 
 # step in log mu of the central difference of the term in the slopes
 SLOPE_STEP = 1e-5
@@ -96,9 +97,11 @@ class RbSpace:
     reduced vector per interpolant field; avg holds the basis averages.
     ``model`` grows them: existing entries are never recomputed, only new
     rows, columns and vectors are filled in, into new arrays, so a model
-    made earlier never sees a later entry.  The basis traces at the
-    interpolation points are rows of the stacked basis, taken by
-    ``model`` for each model it makes.
+    made earlier never sees a later entry.  basis holds the basis
+    vectors as the rows of an (N, ndof) array and x_basis their products
+    with x_op; each snapshot appends a row to both, into new arrays.
+    ``model`` hands each model it makes the basis as (ndof, N) columns
+    and the basis traces at the interpolation points.
     """
 
     REJECT_REL = 1e-10
@@ -106,8 +109,9 @@ class RbSpace:
     def __init__(self, problem):
         self.problem = problem
         self.x_op = problem.x_op
-        self.basis = []        # orthonormal dof vectors
-        self.x_basis = []      # cached x_op @ xi
+        ndof = problem.space.ndof
+        self.basis = np.zeros((0, ndof))      # orthonormal dof vectors
+        self.x_basis = np.zeros((0, ndof))    # cached x_op @ xi
         self.mus = []
         self.A = np.zeros((0, 0))
         self.F = np.zeros(0)
@@ -117,12 +121,6 @@ class RbSpace:
     @property
     def N(self):
         return len(self.basis)
-
-    def basis_matrix(self):
-        """Basis as columns, shape (ndof, N)."""
-        if not self.basis:
-            return np.zeros((self.problem.space.ndof, 0))
-        return np.column_stack(self.basis)
 
     def x_norm(self, values):
         return float(np.sqrt(max(values @ (self.x_op @ values), 0.0)))
@@ -146,8 +144,8 @@ class RbSpace:
                 f"snapshot at mu={mu} is dependent (residual {norm:.3e} "
                 f"of {u_norm:.3e})")
         xi = v / norm
-        self.basis.append(xi)
-        self.x_basis.append(self.x_op @ xi)
+        self.basis = np.vstack([self.basis, xi])
+        self.x_basis = np.vstack([self.x_basis, self.x_op @ xi])
         self.mus.append(tuple(mu))
         return xi
 
@@ -162,13 +160,6 @@ class RbSpace:
         m_old, m_new = self.Rq.shape[0], eim.M
         stiffness = self.problem.stiffness
         basis = self.basis
-
-        def grown(arr, shape):
-            out = np.zeros(shape)
-            sl = tuple(slice(0, s) for s in arr.shape)
-            out[sl] = arr
-            return out
-
         self.A = grown(self.A, (n_new, n_new))
         self.F = grown(self.F, (n_new,))
         self.Rq = grown(self.Rq, (m_new, n_new))
@@ -194,10 +185,10 @@ class RbSpace:
             for n in range(n_old):
                 self.Rq[m, n] = mq @ basis[n]
 
-        stacked = self.basis_matrix()
         return ReducedModel(self.problem, eim.t, eim.B, self.A, self.F,
-                            self.Rq, stacked[eim.t].T.copy(), self.avg,
-                            stacked, self.mus, None)
+                            self.Rq, np.ascontiguousarray(basis[:, eim.t]),
+                            self.avg, np.ascontiguousarray(basis.T),
+                            self.mus, None)
 
 
 class RbSolution:

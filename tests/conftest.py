@@ -157,7 +157,7 @@ def assert_same_interpolant(a, b, m=None):
     assert a.t[:m] == b.t[:m] and a.mus[:m] == b.mus[:m]
     assert a.train_errors[:m] == b.train_errors[:m]
     assert same_bits(a.B[:m, :m], b.B[:m, :m])
-    assert same_bits(a.field_matrix()[:m], b.field_matrix()[:m])
+    assert same_bits(a.fields[:m], b.fields[:m])
 
 
 def poisson_solve(space, rhs):
@@ -185,8 +185,7 @@ def eliminate_boundary(space, op, rhs):
 
 def gram_matrix(rb):
     """Gram matrix of an RbSpace basis in its inner product."""
-    basis = rb.basis_matrix()
-    return basis.T @ (rb.x_op @ basis)
+    return rb.basis @ (rb.x_op @ rb.basis.T)
 
 
 def eim_train(space, provider, samples, m_max, basis=None):
@@ -237,7 +236,7 @@ def eim_evaluate(basis, beta):
         raise ValueError(f"expected {basis.M} coefficients, got {beta.shape}")
     if basis.M == 0:
         return np.zeros(basis.space.ndof)
-    return basis.field_matrix().T @ beta
+    return basis.fields.T @ beta
 
 
 def eim_interpolate(basis, values):

@@ -7,7 +7,7 @@ import eimrb as er
 from eimrb.eim import SATURATION_FLOOR
 
 from conftest import (eim_evaluate, eim_interpolate, eim_sup_error, eim_train,
-                      rows_provider)
+                      rows_provider, same_bits)
 
 
 @pytest.fixture(scope="module")
@@ -231,13 +231,38 @@ class TestGreedy:
         basis = er.eim_initialize(problem8.space, provider, list(train5))
         while basis.M < 8:
             er.eim_greedy_step(basis, provider, list(train5))
-            q, B = basis.field_matrix(), basis.B
+            q, B = basis.fields, basis.B
             assert np.all(np.abs(q).max(axis=1) == 1.0)
             assert np.all(q[np.arange(basis.M), basis.t] == 1.0)
             assert np.all(np.diag(B) == 1.0)
             assert np.all(np.triu(B, 1) == 0.0)
             assert np.all(np.abs(B) <= 1.0)
             assert np.array_equal(B, q[:, basis.t].T)
+
+    def test_b_and_the_mass_products_are_read_off_the_field_rows(
+            self, problem8, train5):
+        # the interpolant holds its fields as the rows of one (M, ndof)
+        # array; after every append B is bitwise B[i, m] = q_m(t_i) and
+        # exactly unit lower triangular, and row m of the build's mass
+        # products is bitwise M q_m of row m, made once
+        truth = er.TruthReferences(problem8)
+        provider = er.truth_g_block(truth)
+        basis = er.eim_initialize(problem8.space, provider, list(train5))
+        mass_fields = er.MassFields(problem8, basis)
+        while True:
+            q, B, m = basis.fields, basis.B, basis.M
+            assert q.shape == (m, problem8.space.ndof)
+            assert same_bits(B, q[:, basis.t].T)
+            assert same_bits(np.diag(B), np.ones(m))
+            assert same_bits(np.triu(B, 1), np.zeros((m, m)))
+            vectors = mass_fields.update()
+            assert vectors.shape == q.shape
+            for k in range(m):
+                assert same_bits(vectors[k], problem8.mass @ q[k])
+            assert mass_fields.update() is vectors
+            if m == 6:
+                break
+            er.eim_greedy_step(basis, provider, list(train5))
 
     @pytest.mark.parametrize("signs", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
     def test_an_exact_tie_goes_to_the_first_dof(self, space8, signs):

@@ -91,8 +91,14 @@ class TestSolveCounts:
             cfg = small_config(name, train5, newton_roomy)
         result = er.build_ser(problem, cfg)
         fields = result.eim_g.fields
-        assert [sum(op is q for op in problem.mass.operands)
-                for q in fields] == [1] * len(fields)
+        # a field is a row of the interpolant's array, and each read of a
+        # row is a new view, so each operand is matched to a field by its
+        # bits: exactly one product per field, and M products of fields
+        # in all
+        meets = np.array([[same_bits(op, q) for q in fields]
+                          for op in problem.mass.operands])
+        assert meets.sum(axis=0).tolist() == [1] * len(fields)
+        assert meets.any(axis=1).sum() == len(fields)
         assert len(fields) == cfg.m_max
         # the stand-in changes no bit of the build
         assert_same_model(result.model, request.getfixturevalue(name).model)

@@ -1,4 +1,5 @@
-"""The package's settable parameters are counted, and the count is pinned.
+"""The package's settable parameters and code lines are counted, and
+both counts are pinned.
 
 A settable parameter is a function parameter with a default (private
 helpers and lambdas included) or a dataclass field with a default: each
@@ -7,13 +8,24 @@ with neither ``default`` nor ``default_factory`` has no default, so a
 caller must set it, and it is not counted.  The pin makes a new knob a
 visible change: a diff that adds one fails here until it changes
 ``SETTABLE`` too.
+
+A code line is a line that holds code: not blank, not only a comment,
+and not in a docstring.  ``CODE_LINES`` pins their total over the
+package, so that every diff of the package states its net code lines.
 """
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eimrb"
 SETTABLE = 43
+CODE_LINES = 1981
+
+# tokens that hold no code
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+          tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def _is_dataclass(node):
@@ -80,3 +92,48 @@ def test_settable_parameter_count_is_pinned():
                         for module, items in found.items()
                         for line, name, count in items)
     assert total == SETTABLE, listing
+
+
+def code_lines(source):
+    """The number of code lines of source: the lines on which a token
+    other than a comment starts, continues or ends, less the lines of
+    the docstrings of the module, its classes and its functions."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            first = node.body[0]
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in LAYOUT:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docstrings)
+
+
+def test_counter_counts_code_lines_only():
+    source = ('"""Module\n'                     # 1
+              'docstring."""\n'                 # 2
+              "import os  # a comment\n"        # 3: code
+              "\n"                              # 4
+              "# a comment line\n"              # 5
+              "def f(a,\n"                      # 6: code
+              "      b):\n"                     # 7: code
+              '    """One line."""\n'           # 8
+              '    text = """not a\n'           # 9: code
+              '    docstring"""\n'              # 10: code
+              "    return (a +\n"               # 11: code
+              "\n"                              # 12
+              "            b)\n"                # 13: code
+              "class C:\n"                      # 14: code
+              '    """Doc."""\n'                # 15
+              "    x = 1\n")                    # 16: code
+    assert code_lines(source) == 9
+
+
+def test_code_line_count_is_pinned():
+    found = {path.name: code_lines(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    listing = "; ".join(f"{module} {count}" for module, count in found.items())
+    assert sum(found.values()) == CODE_LINES, listing
