@@ -9,7 +9,8 @@ a residual not finite at the initial guess, a stall, a divergence, and
 a singular Jacobian.  r0 is the residual norm at zero: a solve that
 starts elsewhere (the truth solve from a neighbour's solution, the
 reduced solve from a tangent prediction off its model's solution at
-the nearest training parameter, see ``nearest``) passes it as the
+the nearest training parameter, see ``nearest``, and a rebuild's
+surrogate re-solve from the parameter's last answer) passes it as the
 reference, so a good start saves steps but never moves the rule.
 ``rb.ReducedModel.solve_many``, the block solver of the greedy sweeps,
 raises its failures from the same templates and takes its tolerances
@@ -546,20 +547,24 @@ class SurrogateSolver:
             np.linalg.solve(eim.B.T, np.linalg.cholesky(self._gram)).T)
 
 
-def truth_newton_solve_eim(surrogate, mu, cfg=None):
+def truth_newton_solve_eim(surrogate, mu, cfg=None, *, initial):
     """Solve the full problem with the nonlinear term replaced by the
     empirical interpolant surrogate.eim_g, in its M point values.
 
-    Newton solves v + K g(v) = a (module docstring) from v = 0 with the
-    exact Jacobian I + K diag(g'(v)), an M x M system.  It stops when
+    Newton solves v + K g(v) = a (module docstring) with the exact
+    Jacobian I + K diag(g'(v)), an M x M system, from the values of
+    initial (ndof nodal values, a parameter's last answer) at the
+    current points t, or from v = 0 when initial is None.  It stops when
     the norm of the full-space surrogate residual A u + M Q B^{-1}
     g(u_t) - F on the interior rows falls to cfg.tolerance(r0), with r0
-    its norm at u = 0.  That first norm is taken on the mesh; every
-    later iterate is read as its lift u(v), whose residual norm is
-    ||R B^{-1} (g(u_t) - g(v))|| with u_t = a - K g(v), so a step makes
-    no ndof-sized array.  Only the converged v is lifted to the mesh.
-    Returns the ndof nodal values, zero on the boundary, and the
-    SolveStats.
+    its norm at u = 0 whatever the start, so a start saves steps but
+    never moves the rule.  That norm is taken on the mesh, and it is
+    the first of the history of a start at zero; every other iterate,
+    a start from initial included, is read as its lift u(v), whose
+    residual norm is ||R B^{-1} (g(u_t) - g(v))|| with u_t = a - K g(v),
+    so a step makes no ndof-sized array.  Only the converged v is
+    lifted to the mesh.  Returns the ndof nodal values, zero on the
+    boundary, and the SolveStats.
     """
     cfg = cfg or DEFAULT_NEWTON
     eim = surrogate.eim_g
@@ -572,24 +577,13 @@ def truth_newton_solve_eim(surrogate, mu, cfg=None):
     mus = mu_row(mu)
     a, k_mat, norm_map = surrogate.a, surrogate.k_mat, surrogate.norm_map
 
-    v = np.zeros(eim.M)
+    v = np.zeros(eim.M) if initial is None else initial[eim.t]
     g_v = k_g = None        # g(v) and K g(v) at the current v
 
-    def residual():
-        """The full-space residual at u = 0, where A u vanishes and the
-        point values are v = 0."""
+    def lifted():
+        """The residual norm at the lift u(v) of the current v, whose
+        point values are u_t = a - K g(v)."""
         nonlocal g_v, k_g
-        g_v = term.g(v[None], mus)[0]
-        k_g = k_mat @ g_v
-        r = eim.coeffs(g_v) @ surrogate.mass_fields.vectors - problem.load
-        r[bdofs] = 0.0
-        return float(np.linalg.norm(r))
-
-    def step():
-        nonlocal v, g_v, k_g
-        f = v + k_g - a
-        jac = np.eye(eim.M) + k_mat * term.dg_du(v[None], mus)
-        v = v - np.linalg.solve(jac, f)
         g_v = term.g(v[None], mus)[0]
         k_g = k_mat @ g_v
         u_t = a - k_g
@@ -597,7 +591,29 @@ def truth_newton_solve_eim(surrogate, mu, cfg=None):
         r = norm_map @ delta
         return math.sqrt(r @ r)     # np.linalg.norm, without its overhead
 
-    stats = _newton("surrogate ", mu, cfg, residual, step)
+    def at_zero():
+        """The full-space residual norm at u = 0, where A u vanishes and
+        the point values are 0."""
+        g_0 = term.g(np.zeros((1, eim.M)), mus)[0]
+        r = eim.coeffs(g_0) @ surrogate.mass_fields.vectors - problem.load
+        r[bdofs] = 0.0
+        return float(np.linalg.norm(r))
+
+    def residual():
+        """The norm at the start, at u = 0 for a start at zero; either
+        way g(v) and K g(v) are set for the first step."""
+        norm = lifted()
+        return norm if initial is not None else at_zero()
+
+    def step():
+        nonlocal v
+        f = v + k_g - a
+        jac = np.eye(eim.M) + k_mat * term.dg_du(v[None], mus)
+        v = v - np.linalg.solve(jac, f)
+        return lifted()
+
+    stats = _newton("surrogate ", mu, cfg, residual, step,
+                    None if initial is None else at_zero)
     u = surrogate.linear - surrogate.solved_q @ eim.coeffs(g_v)
     u[bdofs] = 0.0
     return u, stats

@@ -41,28 +41,46 @@ gamma_n |x|.|y|, gamma_n = n u / (1 - n u) with u the unit roundoff
 The float64 roundoff of the bound's own arithmetic, and the float64
 subtraction's u64 e_p, are covered by a relative slack (SLACK).
 
-A reduced sweep b that follows a reduced sweep a on the same reduced
-space (its basis V_b starts with V_a, and its interpolant with a's M_a
-fields) screens only the rows that can still hold its largest error.
-Each row p carries a bound U_p on its float64 error from a into b
-(``SweepBounds``).  The interpolants are nested (Barrault, Maday, Nguyen
-and Patera, C. R. Acad. Sci. Paris 339, 2004): with r = (I - I_M) f,
-I_(M+1) f = I_M f + r(t_(M+1)) q_(M+1), since q_(M+1) is 1 at t_(M+1)
-and 0 at the earlier points, so (I - I_(M+1)) f = r - r(t_(M+1))
-q_(M+1), and |q_(M+1)| <= 1 makes its sup norm at most 2 ||r||.  With
-u_a and u_b the exact lifts of the row's reduced solutions and e^x the
-exact interpolation errors,
+A reduced sweep b that follows a reduced sweep a screens only the rows
+that can still hold its largest error.  Its interpolant starts with a's
+M_a fields, and its basis V_b either starts with V_a or, after a
+``rebuild_wn`` update, replaces it.  Each row p carries a bound U_p on
+its float64 error from a into b (``SweepBounds``).  The interpolants are
+nested (Barrault, Maday, Nguyen and Patera, C. R. Acad. Sci. Paris 339,
+2004): with r = (I - I_M) f, I_(M+1) f = I_M f + r(t_(M+1)) q_(M+1),
+since q_(M+1) is 1 at t_(M+1) and 0 at the earlier points, so (I -
+I_(M+1)) f = r - r(t_(M+1)) q_(M+1), and |q_(M+1)| <= 1 makes its sup
+norm at most 2 ||r||, whatever basis each sweep is on.  With u_a and u_b
+the exact lifts of the row's reduced solutions and e^x the exact
+interpolation errors,
 
     e^x_b <= 2^(M_b - M_a) e^x_a + (1 + L_b) ||g(u_b) - g(u_a)||,
 
 where L_b = ||B_b^-1||_inf max_x sum_m |q_m(x)| bounds the interpolation
-operator.  G_p Delta_p bounds the last norm: Delta_p = (1 +
-gamma64_(N+2)) |c_b - c_a| @ max|V_b| >= ||u_b - u_a||_inf (c_a padded
-with zeros, as V_b starts with V_a), and G_p is the largest |g'| over a
-range of u that holds both lifts, a's range of exact u widened by
-Delta_p (the term reads it at the range's ends).  rho_p, the rounding of
-the float64 pass and of the term (the float64 terms above, over the
-row's range of u), links each float64 error to its exact one, so
+operator.  G_p Delta_p bounds the last norm.  The row's solve in b
+starts at m, a's coefficients c_a on V_b: c_a padded with zeros when V_b
+starts with V_a (``SweepBounds.padded``), else c_a S^T, the coefficients
+of the X-projection onto V_b, S = V_b^T X V_a (``SweepBounds.rebased``).
+As u_b - u_a = V_b (c_b - m) - (V_a c_a - V_b m),
+
+    Delta_p = (1 + gamma64_(N_b+2)) |c_b - m| @ max|V_b| + offset_p
+
+bounds ||u_b - u_a||_inf, with offset_p a bound on ||V_a c_a - V_b
+m||_inf: 0 for a padded m, which V_b lifts to V_a c_a, and for a
+projected one
+
+    offset_p = (|c_a| @ d + gamma64_(N_a) (|c_a| @ |S|^T) @ max|V_b|)
+               (1 + SLACK),
+
+d_n = max|D[:, n]| + gamma64_(N_b+1) (max|V_a[:, n]| + sum_k max|V_b[:,
+k]| |S_kn|), with D = fl(V_a - V_b S) made in one pass: the exact V_a -
+V_b S is within gamma64_(N_b+1) (|V_a| + |V_b| |S|) of D, and the
+float64 m within gamma64_(N_a) |c_a| |S|^T of the exact c_a S^T.  G_p
+is the largest |g'| over a range of u that holds both lifts, a's range
+of exact u widened by Delta_p (the term reads it at the range's ends).
+rho_p, the rounding of the float64 pass and of the term (the float64
+terms above, over the row's range of u), links each float64 error to its
+exact one, so
 
     U_p = (2^(M_b - M_a) (top_p + rho_a,p) + (1 + L_b) G_p Delta_p
            + rho_b,p) (1 + SLACK)
@@ -77,7 +95,7 @@ U; the greedy step then screens every row whose bracket may still hold
 the largest error (``eim.SweepErrors.refine``) before its float64 pass.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,16 +116,46 @@ def gamma(n, unit):
 
 @dataclass
 class SweepBounds:
-    """What a screened sweep carries into the next reduced sweep on the
-    same reduced space (module docstring): its number of interpolant
-    fields M, tops, per row a bound on the exact interpolation error (inf
-    for none), each row's range lo to hi of exact u (nan for none) and
-    its reduced coefficients."""
+    """What a screened sweep carries into the next reduced sweep (module
+    docstring): its number of interpolant fields M, tops, per row a bound
+    on the exact interpolation error (inf for none), each row's range lo
+    to hi of exact u (nan for none), its reduced coefficients on a basis,
+    and per row a bound offset on the sup distance between the exact
+    lift of those coefficients and the row's exact u: zero on the
+    sweep's own basis (``Float32Screen.carry``), and on the basis that
+    extends it (``padded``), the basis-change term on a new one
+    (``rebased``)."""
     M: int
     tops: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     coeffs: np.ndarray
+    offset: np.ndarray
+
+    def padded(self, n):
+        """These bounds on a basis of n vectors that starts with this
+        one: the coefficients with a zero for each vector added."""
+        added = n - self.coeffs.shape[1]
+        return replace(self, coeffs=np.pad(self.coeffs, ((0, 0), (0, added))))
+
+    def rebased(self, basis, new_basis, new_x_basis):
+        """These bounds on the new basis of a rebuild, from the (N_a, ndof)
+        rows of the basis of their coefficients, the (N_b, ndof) rows of
+        the new one and their products with the inner product X: the
+        coefficients c S^T of the X-projection, S = V_b^T X V_a, and the
+        basis-change term added to the offset (module docstring)."""
+        s = new_x_basis @ basis.T
+        n_b, n_a = s.shape
+        reach = np.abs(new_basis).max(axis=1)
+        size, across = np.abs(self.coeffs), np.abs(s).T
+        # d_n >= max|(V_a - V_b S)[:, n]|, from D = fl(V_a - V_b S)
+        d = (np.abs(basis - s.T @ new_basis).max(axis=1)
+             + gamma(n_b + 1, U64) * (np.abs(basis).max(axis=1)
+                                      + across @ reach))
+        offset = (size @ d + gamma(n_a, U64) * ((size @ across) @ reach)
+                  ) * (1 + SLACK)
+        return replace(self, coeffs=self.coeffs @ s.T,
+                       offset=self.offset + offset)
 
 
 class Float32Screen:
@@ -160,9 +208,9 @@ class Float32Screen:
             self.beta32 = beta.T.astype(np.float32)
             self.carried = np.full(len(coeffs), np.inf)
             if prior is not None:
-                moved = coeffs.copy()
-                moved[:, :prior.coeffs.shape[1]] -= prior.coeffs
-                delta = (1 + gamma(n + 2, U64)) * (np.abs(moved) @ reach)
+                delta = ((1 + gamma(n + 2, U64))
+                         * (np.abs(coeffs - prior.coeffs) @ reach)
+                         + prior.offset)
                 delta[block.restarted] = np.nan
                 self.lo, self.hi = prior.lo - delta, prior.hi + delta
                 ends = term.dg_du(np.column_stack([self.lo, self.hi]),
@@ -254,4 +302,5 @@ class Float32Screen:
         top[sweep.bad | ~np.isfinite(sweep.dev) | ~np.isfinite(top)] = np.inf
         lo, hi = self.lo.copy(), self.hi.copy()
         lo[self.restarted] = hi[self.restarted] = np.nan
-        return SweepBounds(self.m, top, lo, hi, self.coeffs)
+        return SweepBounds(self.m, top, lo, hi, self.coeffs,
+                           np.zeros(len(top)))

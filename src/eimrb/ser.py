@@ -45,7 +45,12 @@ parameters, from one cold ``solve_many``, and their slopes in log mu.
 The sweep models hold no table, and a restriction slices its parent's.
 
 Snapshots with the current interpolated operator are solved in the M
-interpolation-point values (see ``nonlinear``), always from zero.  The
+interpolation-point values (see ``nonlinear``).  A parameter's first
+solve starts at zero; a ``rebuild_wn`` update re-solves each kept
+parameter from the values, at the current points, of the field its last
+solve returned, which the build keeps, and the tolerance still comes
+from the residual at zero.  On the n=32 P2 20x20 r=1-rebuild build this
+cut the snapshots' surrogate Newton steps from 2,649 to 650.  The
 build keeps one ``SurrogateSolver``, made at the first such snapshot: the
 stiffness is factored once and each new interpolant field costs one
 solve with that factor, so no snapshot factorises a sparse matrix.  The
@@ -66,27 +71,32 @@ skipped only if that fails too (``reduced_g_block``).  Each reduced
 sweep starts at the last reduced sweep's answers, restarted rows
 included, with a zero for each basis vector added since: the model of
 the next sweep differs by a few basis vectors and interpolant fields,
-so its answers are near.  The first reduced sweep, and the first after
-a ``rebuild_wn`` update, whose basis is new, start at zero.  Every row
-stops by the tolerance of its residual at zero, so a start moves an
-answer only at the level of the Newton tolerance.  On the n=32 P2
-20x20 r=1 build this cut the sweeps' reduced Newton row-iterations from
-32,321 to 13,266 (26,941 to 10,029 on r=5).  The fields
-are then made a chunk of rows at a time (``GBlock``): the greedy step in
-``eim`` asks for about a megabyte of rows, which are lifted with one
-(rows, N) @ (N, ndof) product, passed through g in one call, and turned
-into their interpolation residuals and sup errors by one triangular
-solve and one (rows, M) @ (M, ndof) product while they are still in
-cache.  No (P, ndof) array of the whole sweep is made.  A reduced sweep
-(``ReducedGBlock``) is screened in float32 first (``screen``), so the
-float64 pass runs only on the chunks that may hold the largest error,
-and the sweep picks, and the build writes, the bits of a float64 sweep.
+so its answers are near.  A ``rebuild_wn`` update replaces the basis
+V_a by V_b, and the next sweep starts at the last answers c_a mapped
+by the X-projection, c_a S^T with S = V_b^T X V_a
+(``screen.SweepBounds.rebased``).  Only the first reduced sweep starts
+at zero.  Every row stops by the tolerance of its residual at zero, so
+a start moves an answer only at the level of the Newton tolerance.  On
+the n=32 P2 20x20 r=1 build this cut the sweeps' reduced Newton
+row-iterations from 32,321 to 13,266 (26,941 to 10,029 on r=5).  The
+fields are then made a chunk of rows at a time (``GBlock``): the greedy
+step in ``eim`` asks for about a megabyte of rows, which are lifted with
+one (rows, N) @ (N, ndof) product, passed through g in one call, and
+turned into their interpolation residuals and sup errors by one
+triangular solve and one (rows, M) @ (M, ndof) product while they are
+still in cache.  No (P, ndof) array of the whole sweep is made.  A
+reduced sweep (``ReducedGBlock``) is screened in float32 first
+(``screen``), so the float64 pass runs only on the chunks that may hold
+the largest error, and the sweep picks, and the build writes, the bits
+of a float64 sweep.
 Each reduced sweep hands what its screen carries (``GreedyStep.bounds``)
-to the next one on the same basis, so that screen runs only on the rows
-that can still hold its largest error.  On the n=32 P2 20x20 r=1 build
-that is 1-4 of 13 float64 chunks per sweep, and 64-210 of the 400 rows
-in the float32 screen after the first sweep (3,648 of the 9,600
-reduced-sweep rows).  An update that runs past its group's picks takes
+to the next one, on the next one's basis (padded, or mapped after a
+rebuild with the bound on the move of each row's lift), so that screen
+runs only on the rows that can still hold its largest error.  On the
+n=32 P2 20x20 r=1 build that is 1-4 of 13 float64 chunks per sweep, and
+64-210 of the 400 rows in the float32 screen after the first sweep
+(3,648 of the 9,600 reduced-sweep rows); the r=1-rebuild build screens
+3,814 of its 9,600.  An update that runs past its group's picks takes
 the training set worst first from the last sweep
 (``eim.SweepErrors.worst_first``).  A truth sweep is not screened.
 """
@@ -238,9 +248,9 @@ class ReducedGBlock(GBlock):
     """The fields g(V c_p; mu_p) of the (P, N) reduced solutions coeffs on
     the (ndof, N) basis V of a model, which the greedy step screens in
     float32 (``screen.Float32Screen``).  restarted lists the rows whose
-    first solve failed, and prior is the last sweep's
-    ``screen.SweepBounds`` when its solutions are the first columns of
-    the rows' starts on a basis that V extends, else None."""
+    first solve failed, and prior is the last reduced sweep's
+    ``screen.SweepBounds`` on V, whose coefficients started the rows,
+    or None for the first reduced sweep."""
 
     def __init__(self, model, samples, coeffs, restarted, prior):
         super().__init__(model.problem, samples,
@@ -282,9 +292,9 @@ def reduced_g_block(model, newton, coeffs, prior):
     log-parameter distance (``nonlinear.nearest``); a sample that fails
     again keeps its first failure and a zero row.  Each row range is
     lifted and g applied when the greedy step asks for it.  prior is
-    the last sweep's ``screen.SweepBounds`` when that sweep's answers start
-    these rows on a basis that the model's extends, else None
-    (``ReducedGBlock``)."""
+    the last reduced sweep's ``screen.SweepBounds`` on the model's basis,
+    whose coefficients are the rows' starts, or None for the first
+    reduced sweep (``ReducedGBlock``)."""
     def provider(samples):
         answers, failures = model.solve_many(samples, newton, initial=coeffs)
         coeffs[:] = answers
@@ -333,6 +343,7 @@ def build_ser(problem, cfg):
 
     rb = RbSpace(problem)
     surrogate = None     # made at the first snapshot solved with it
+    last = {}            # a rebuilding build's last snapshot field per mu
 
     def snapshot_solve(mu):
         nonlocal surrogate, surrogate_solves
@@ -340,16 +351,19 @@ def build_ser(problem, cfg):
             return truth.get(mu)[0]
         if surrogate is None:
             surrogate = SurrogateSolver(mass_fields)
-        u, _ = truth_newton_solve_eim(surrogate, mu, cfg.newton)
+        u, _ = truth_newton_solve_eim(surrogate, mu, cfg.newton,
+                                      initial=last.get(mu))
         surrogate_solves += 1
+        if cfg.rebuild_wn:
+            last[mu] = u
         return u
 
     result = BuildResult(model=None, report=report, eim_g=eim_g)
     used = set()             # every parameter a snapshot was tried at
     step = None              # the last sweep, whose errors rank fallbacks
-    # the last reduced sweep's (P, N) answers, none (N = 0) before the
-    # first reduced sweep and after a rebuild, whose basis is new
-    answers = np.zeros((len(train), 0))
+    # what the last reduced sweep carries (its answers among it), on the
+    # basis of the next sweep after a rebuild; None before the first
+    carried = None
     saturated = False
 
     for j, (m_start, m_target, n_target) in enumerate(
@@ -361,20 +375,22 @@ def build_ser(problem, cfg):
             else:
                 # the interpolant grows only after the sweep, so every
                 # sweep evaluation sees the same model; the sweep starts
-                # at the last one's answers, with a zero for each new
-                # basis vector, and writes its own over them
-                start = np.zeros((len(train), rb.N))
-                start[:, :answers.shape[1]] = answers
-                # the last sweep's row bounds carry over when it was a
-                # reduced sweep on this basis, whose answers start this one
-                prior = step.bounds if answers.shape[1] else None
-                answers = start
+                # at the last reduced sweep's answers (mapped onto a
+                # rebuild's new basis), with a zero for each basis vector
+                # added since, and writes its own over them, and that
+                # sweep's row bounds carry over
+                if carried is None:
+                    start = np.zeros((len(train), rb.N))
+                else:
+                    carried = carried.padded(rb.N)
+                    start = carried.coeffs.copy()
                 provider = reduced_g_block(rb.model(mass_fields),
-                                           cfg.newton, answers, prior)
+                                           cfg.newton, start, carried)
             # the last sweep is read no more: it is freed, with its model
             # and screen, before this one runs
             step = None
             step = eim_greedy_step(eim_g, provider, train)
+            carried = step.bounds
             report.skipped.extend(step.skipped)
             saturated = step.saturated
             report.log("eim", step.mu, step.sup_error, eim_g.M, rb.N,
@@ -387,8 +403,7 @@ def build_ser(problem, cfg):
         if rb.N < n_target:
             kept = list(rb.mus) if cfg.rebuild_wn else []
             if cfg.rebuild_wn:
-                rb = RbSpace(problem)
-                answers = answers[:, :0]
+                basis, rb = rb.basis, RbSpace(problem)
             ranked = (range(len(train)) if step is None
                       else step.sweep.worst_first())
             fresh = chain(eim_g.mus[m_start:], (train[i] for i in ranked))
@@ -405,6 +420,10 @@ def build_ser(problem, cfg):
                 if rb.N == n_target:
                     break
             if cfg.rebuild_wn:
+                # the last sweep's answers and bounds, mapped onto the
+                # new basis
+                if carried is not None:
+                    carried = carried.rebased(basis, rb.basis, rb.x_basis)
                 report.log("rebuild", None, None, eim_g.M, rb.N,
                            fe_solves(), None, None)
 

@@ -241,6 +241,19 @@ def test_truth_sweep_factors_at_most_112_times(name, request):
                    f"{len(report.skipped)} skipped")
 
 
+def test_r1_rebuild_screens_at_most_4000_rows(ser1_rebuild_build, train20):
+    # each sweep after a rebuild starts at the last sweep's answers mapped
+    # onto the new basis, with its row bounds carried over, so the float32
+    # screen runs on 3,814 of the 9,600 reduced-sweep rows (every row of
+    # every sweep when a rebuild resets the sweep)
+    counts = [s.screened for s in ser1_rebuild_build.report.steps
+              if s.screened is not None]
+    ok = sum(counts) <= 4000
+    assert verdict(ok, "r=1-rebuild build: the float32 screen runs on at "
+                   "most 4,000 reduced-sweep rows",
+                   f"{sum(counts)} of {len(counts) * len(train20)}")
+
+
 def test_online_start_saves_newton_iterations(ser1_build):
     # clock-free: over a 40x40 log grid, a query started at the tangent
     # prediction from the model's own solution at the nearest training

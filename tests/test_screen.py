@@ -16,7 +16,7 @@ import eimrb as er
 import eimrb.eim
 import eimrb.screen
 import eimrb.ser
-from conftest import no_error_bound
+from conftest import no_error_bound, same_bits, small_config
 
 SCHEDULES = {"r1": dict(r=1, n_max=5, m_max=5),
              "r1-rebuild": dict(r=1, rebuild_wn=True, n_max=4, m_max=4),
@@ -158,9 +158,10 @@ class TestBound:
 
 
 class TestCarried:
-    """Each row of a reduced sweep that follows a reduced sweep on the
-    same basis carries a bound U on its float64 error (eim docstring);
-    the screen runs only on the rows that can still hold the largest."""
+    """Each row of a reduced sweep that follows a reduced sweep carries a
+    bound U on its float64 error (screen docstring), onto a new basis
+    after a rebuild too; the screen runs only on the rows that can still
+    hold the largest."""
 
     def build(self, problem8, train6, newton_roomy, monkeypatch, schedule):
         steps = record_carried(monkeypatch)
@@ -185,13 +186,9 @@ class TestCarried:
             # a row left out is entered as the bracket [0, U]
             out = np.isfinite(U) & (est == U / 2) & (dev == U / 2)
             assert out.sum() == len(train6) - step.screened
-        if schedule == "r1-rebuild":
-            # every reduced sweep follows a rebuild
-            assert carried == 0
-            assert all(step.screened == len(train6) for step, *_ in swept)
-        else:
-            assert carried > 0
-            assert min(step.screened for step, *_ in swept) < len(train6)
+        # a rebuild's sweeps carry their bounds onto the new basis too
+        assert carried > 0
+        assert min(step.screened for step, *_ in swept) < len(train6)
 
     def test_rows_interpolated_to_roundoff_stay_under_their_bound(
             self, problem8, newton_roomy, monkeypatch):
@@ -247,8 +244,9 @@ class TestCarried:
     def test_first_sweeps_on_a_basis_are_screened_in_full(
             self, problem8, train6, newton_roomy, small_chunks, monkeypatch,
             schedule):
-        # the first reduced sweep and the first after a rebuild carry no
-        # bound: they start at zero, as the sweep records
+        # the first reduced sweep carries no bound: it starts at zero, as
+        # the sweep records, and a sweep after a rebuild starts at the
+        # mapped answers of the sweep before it
         starts = []
         solve_many = er.ReducedModel.solve_many
 
@@ -339,6 +337,68 @@ class TestCarried:
         for step, U in swept:
             assert np.all(U == np.inf)
             assert step.screened == len(train6)
+
+
+    def test_the_basis_change_term_bounds_each_rows_move(
+            self, problem8, train5, newton_roomy, monkeypatch):
+        # at each rebuild after a reduced sweep, the sweep's answers c_a
+        # on V_a are mapped to m on the new V_b, and offset bounds the
+        # sup distance of the two lifts, made densely here in extended
+        # precision
+        rebased = []
+        rebase = eimrb.screen.SweepBounds.rebased
+
+        def recording(bounds, basis, new_basis, new_x_basis):
+            mapped = rebase(bounds, basis, new_basis, new_x_basis)
+            rebased.append((bounds, basis, new_basis, mapped))
+            return mapped
+
+        monkeypatch.setattr(eimrb.screen.SweepBounds, "rebased", recording)
+        er.build_ser(problem8, small_config("rebuild_small", train5,
+                                            newton_roomy))
+        # the updates after the three reduced sweeps are rebuilds
+        assert len(rebased) == 3
+        wide = np.longdouble
+        for bounds, basis, new_basis, mapped in rebased:
+            assert np.all(bounds.offset == 0.0)
+            assert mapped.coeffs.shape == (len(train5), len(new_basis))
+            moved = np.abs(bounds.coeffs.astype(wide) @ basis.astype(wide)
+                           - mapped.coeffs.astype(wide)
+                           @ new_basis.astype(wide)).max(axis=1)
+            assert np.all(moved <= mapped.offset)
+            # and is not loose: some row moves by half its offset
+            assert np.any(moved >= 0.5 * mapped.offset)
+            # the other fields carry over as they are
+            assert mapped.M == bounds.M and mapped.tops is bounds.tops
+            assert mapped.lo is bounds.lo and mapped.hi is bounds.hi
+
+    @pytest.mark.parametrize("schedule", ["r1", "r2"])
+    def test_a_basis_that_extends_carries_the_zero_padded_prior(
+            self, problem8, train6, newton_roomy, monkeypatch, schedule):
+        # without a rebuild each sweep's prior is the last sweep's bounds
+        # with a zero coefficient for each basis vector added since, and
+        # no offset
+        priors, answers = [], []
+        reduced_g_block = eimrb.ser.reduced_g_block
+
+        def recording(model, newton, coeffs, prior):
+            priors.append(prior)
+            answers.append(coeffs)
+            return reduced_g_block(model, newton, coeffs, prior)
+
+        monkeypatch.setattr(eimrb.ser, "reduced_g_block", recording)
+        steps = record_carried(monkeypatch)
+        cfg = er.SerConfig(train_set=train6, newton=newton_roomy,
+                           **SCHEDULES[schedule])
+        er.build_ser(problem8, cfg)
+        assert len(priors) >= 3 and priors[0] is None
+        swept = [step for step, U, *_ in steps if U is not None]
+        for step, last, prior in zip(swept, answers, priors[1:]):
+            n = last.shape[1]
+            assert prior.M == step.bounds.M and prior.tops is step.bounds.tops
+            assert same_bits(prior.coeffs[:, :n], last)
+            assert np.all(prior.coeffs[:, n:] == 0.0)
+            assert np.all(prior.offset == 0.0)
 
 
 class TestOverflow:

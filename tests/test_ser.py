@@ -450,8 +450,9 @@ def worst_first(errors):
 
 class TestWarmSweeps:
     """Each reduced sweep starts at the last one's answers, with a zero
-    for each new basis vector; the first reduced sweep of a build and the
-    first after a rebuild start at zero."""
+    for each new basis vector, and after a rebuild at those answers
+    mapped onto the new basis; the first reduced sweep of a build starts
+    at zero."""
 
     FORCED = 12     # the training row that every block solve fails
 
@@ -504,16 +505,37 @@ class TestWarmSweeps:
             assert np.any(answers[self.FORCED] != 0.0)
         assert grown == (3 if r == 1 else 1)
 
-    def test_every_sweep_of_a_rebuild_starts_at_zero(
+    def test_each_sweep_after_a_rebuild_starts_at_the_mapped_answers(
             self, problem8, train5, newton_roomy, monkeypatch):
+        # each update replaces the basis V_a by a new V_b, and the next
+        # sweep starts at the answers c_a of the sweep before it mapped
+        # by the X-projection, c_a S^T with S = V_b^T X V_a, made here
+        # from the spaces of the build
         sweeps = self.record_sweeps(monkeypatch)
+        spaces = []
+        space_init = er.RbSpace.__init__
+
+        def recording_init(space, problem):
+            space_init(space, problem)
+            spaces.append(space)
+
+        monkeypatch.setattr(er.RbSpace, "__init__", recording_init)
         er.build_ser(problem8, er.SerConfig(r=1, rebuild_wn=True, n_max=4,
                                             m_max=4, train_set=train5,
                                             newton=newton_roomy))
-        assert len(sweeps) == 3
-        for start, answers in sweeps:
-            assert np.all(start == 0.0)
+        # the first space is the empty one before the first update, and
+        # sweep k runs on space k + 1
+        assert len(sweeps) == 3 and len(spaces) == 5
+        assert np.all(sweeps[0][0] == 0.0)
+        for k, ((_, answers), (start, _)) in enumerate(zip(sweeps,
+                                                           sweeps[1:])):
+            old, new = spaces[k + 1], spaces[k + 2]
+            assert answers.shape[1] == old.N and start.shape[1] == new.N
+            s = new.x_basis @ old.basis.T
+            assert same_bits(start, answers @ s.T)
+            # the restarted row is carried over, not the block solve's zero
             assert np.any(answers[self.FORCED] != 0.0)
+            assert np.any(start[self.FORCED] != 0.0)
 
 
 class TestSnapshotSelection:

@@ -549,7 +549,8 @@ class TestNewtonDriver:
         elif kind == "surrogate":
             surrogate = surrogate_of(problem, one_field)
             what = "surrogate "
-            solve = lambda: er.truth_newton_solve_eim(surrogate, self.MU, cfg)
+            solve = lambda: er.truth_newton_solve_eim(
+                surrogate, self.MU, cfg, initial=None)
         else:
             if failure == "singular":
                 model = model_with(model, A=np.zeros_like(model.A))
@@ -615,13 +616,15 @@ def surrogate_residual(problem, eim, mu, u):
     return r
 
 
-def full_space_solve_eim(surrogate, mu, cfg=None):
+def full_space_solve_eim(surrogate, mu, cfg=None, *, initial):
     """truth_newton_solve_eim with the full-space stopping rule: the same
-    Newton on v + K g(v) = a from v = 0, with every iterate lifted to the
-    mesh and its residual norm taken by surrogate_residual.  The norm at
-    u = 0 is the solver's own expression on an M Q made here from the
-    mass and the fields, not read from the solver's mass products, so
-    both stop at the same tolerance when those products are right."""
+    Newton on v + K g(v) = a from the values of initial at the points,
+    or from v = 0 when initial is None, with every iterate lifted to the
+    mesh and its residual norm taken by surrogate_residual, a start from
+    initial included.  The norm at u = 0 is the solver's own expression
+    on an M Q made here from the mass and the fields, not read from the
+    solver's mass products, so both stop at the same tolerance when
+    those products are right."""
     cfg = cfg or er.NewtonConfig()
     eim = surrogate.eim_g
     surrogate.update()
@@ -634,26 +637,33 @@ def full_space_solve_eim(surrogate, mu, cfg=None):
     k_mat = solve_triangular(eim.B, surrogate.solved_q[t].T, lower=True,
                              trans="T").T
     a = surrogate.linear[t]
-    v = np.zeros(eim.M)
+    v = np.zeros(eim.M) if initial is None else initial[t]
     u = np.zeros(problem.space.ndof)
 
-    def residual():
-        r = (mass_q @ eim.coeffs(term.g(v[None], mus)[0])
+    def at_zero():
+        r = (mass_q @ eim.coeffs(term.g(np.zeros((1, eim.M)), mus)[0])
              - problem.load)
         r[bdofs] = 0.0
         return float(np.linalg.norm(r))
 
-    def step():
-        nonlocal v, u
-        f = v + k_mat @ term.g(v[None], mus)[0] - a
-        jac = np.eye(eim.M) + k_mat * term.dg_du(v[None], mus)
-        v = v - np.linalg.solve(jac, f)
+    def lifted():
+        nonlocal u
         u = surrogate.linear - surrogate.solved_q @ eim.coeffs(
             term.g(v[None], mus)[0])
         u[bdofs] = 0.0
         return float(np.linalg.norm(surrogate_residual(problem, eim, mu, u)))
 
-    stats = _newton("surrogate ", mu, cfg, residual, step)
+    def step():
+        nonlocal v
+        f = v + k_mat @ term.g(v[None], mus)[0] - a
+        jac = np.eye(eim.M) + k_mat * term.dg_du(v[None], mus)
+        v = v - np.linalg.solve(jac, f)
+        return lifted()
+
+    if initial is None:
+        stats = _newton("surrogate ", mu, cfg, at_zero, step)
+    else:
+        stats = _newton("surrogate ", mu, cfg, lifted, step, at_zero)
     return u, stats
 
 
@@ -674,6 +684,17 @@ def four_field_eim(problem8):
                      samples, m_max=4)
 
 
+@pytest.fixture(scope="module")
+def three_field_eim(problem8, four_field_eim):
+    """The first three fields of four_field_eim, trained the same way."""
+    samples = list(er.SampleSet.log_grid(4, 4))
+    eim_g = eim_train(problem8.space,
+                      er.truth_g_block(er.TruthReferences(problem8)),
+                      samples, m_max=3)
+    assert_same_interpolant(eim_g, four_field_eim, 3)
+    return eim_g
+
+
 # the corners, an interior point and parameters off every training grid
 STOPPING_MUS = CORNERS + [(0.5, 2.0), (0.05, 7.0), (3.0, 0.2), (1.0, 1.0),
                           (7.5, 0.9)]
@@ -686,7 +707,7 @@ class TestTruthNewtonEim:
         samples, truth, eim_g = saturated_eims
         solver = surrogate_of(problem8, eim_g)
         for mu in samples:
-            u, stats = er.truth_newton_solve_eim(solver, mu)
+            u, stats = er.truth_newton_solve_eim(solver, mu, initial=None)
             assert l2_distance(problem8, truth.get(mu)[0], u) <= 1e-8
             assert stats.residual_history[-1] <= 1e-9
 
@@ -694,7 +715,8 @@ class TestTruthNewtonEim:
                                                        saturated_eims):
         samples, truth, eim_g = saturated_eims
         mu = samples[0]  # (0.01, 0.01): nearly linear
-        u, stats = er.truth_newton_solve_eim(surrogate_of(problem8, eim_g), mu)
+        u, stats = er.truth_newton_solve_eim(surrogate_of(problem8, eim_g),
+                                             mu, initial=None)
         assert l2_distance(problem8, truth.get(mu)[0], u) <= 1e-8
         assert stats.iterations <= 3
 
@@ -703,7 +725,8 @@ class TestTruthNewtonEim:
         mu = (10.0, 10.0)
         assert mu in samples
         u, _ = er.truth_newton_solve_eim(surrogate_of(problem8, eim_g),
-                                         mu, er.NewtonConfig())
+                                         mu, er.NewtonConfig(),
+                                         initial=None)
         assert l2_distance(problem8, truth.get(mu)[0], u) <= 1e-8
 
     @pytest.mark.parametrize("mu", CORNERS + [(0.5, 2.0)])
@@ -712,7 +735,7 @@ class TestTruthNewtonEim:
         _, _, eim_g = saturated_eims
         cfg = er.NewtonConfig()
         u, stats = er.truth_newton_solve_eim(surrogate_of(problem8, eim_g),
-                                             mu, cfg)
+                                             mu, cfg, initial=None)
         r0 = float(np.linalg.norm(np.delete(problem8.load,
                                             problem8.space.boundary_dofs)))
         r = surrogate_residual(problem8, eim_g, mu, u)
@@ -727,31 +750,42 @@ class TestTruthNewtonEim:
         eim_g = eim_train(problem8.space, er.truth_g_block(truth), samples, m_max=4)
         cached = surrogate_of(problem8, eim_g)
         mu = (2.0, 5.0)
-        er.truth_newton_solve_eim(cached, mu)
+        er.truth_newton_solve_eim(cached, mu, initial=None)
         er.eim_greedy_step(eim_g, er.truth_g_block(truth), samples)
         assert eim_g.M == 5
-        u_cached, s_cached = er.truth_newton_solve_eim(cached, mu)
+        u_cached, s_cached = er.truth_newton_solve_eim(cached, mu,
+                                                       initial=None)
         u_fresh, s_fresh = er.truth_newton_solve_eim(
-            surrogate_of(problem8, eim_g), mu)
+            surrogate_of(problem8, eim_g), mu, initial=None)
         assert u_cached.tobytes() == u_fresh.tobytes()
         assert s_cached.residual_history == s_fresh.residual_history
 
     @pytest.mark.parametrize("mu", CORNERS + [(0.5, 2.0)])
     def test_loop_touches_no_mesh_operator(self, problem8, saturated_eims, mu):
-        # after update() the solve reads no stiffness or mass: the loop
-        # stays in the point values and the lift uses the cached columns
+        # after update() the solve reads no stiffness or mass, from zero
+        # or from a start: the loop stays in the point values, the norm
+        # at u = 0 reads the cached mass products and the lift the cached
+        # columns
         _, _, eim_g = saturated_eims
-        u_ref, stats_ref = er.truth_newton_solve_eim(
-            surrogate_of(problem8, eim_g), mu)
+        reference = surrogate_of(problem8, eim_g)
+        u_ref, stats_ref = er.truth_newton_solve_eim(reference, mu,
+                                                     initial=None)
+        warm_ref, warm_stats_ref = er.truth_newton_solve_eim(
+            reference, mu, initial=0.5 * u_ref)
         problem = er.NonlinearProblem(problem8.space, problem8.term,
                                       er.benchmark_rhs)
         solver = surrogate_of(problem, eim_g)
         solver.update()
         problem.stiffness = Blinded()
         problem.mass = Blinded()
-        u, stats = er.truth_newton_solve_eim(solver, mu)
+        u, stats = er.truth_newton_solve_eim(solver, mu, initial=None)
         assert u.tobytes() == u_ref.tobytes()
         assert stats.residual_history == stats_ref.residual_history
+        warm, warm_stats = er.truth_newton_solve_eim(solver, mu,
+                                                     initial=0.5 * u_ref)
+        assert warm.tobytes() == warm_ref.tobytes()
+        assert warm_stats.residual_history == warm_stats_ref.residual_history
+        assert warm_stats.iterations >= 1
 
     @pytest.mark.parametrize("which", ["saturated", "four fields"])
     def test_stops_where_the_full_space_rule_stops(self, problem8,
@@ -761,8 +795,8 @@ class TestTruthNewtonEim:
         assert eim_g.M == (9 if which == "saturated" else 4)
         solver = surrogate_of(problem8, eim_g)
         for mu in STOPPING_MUS:
-            u, stats = er.truth_newton_solve_eim(solver, mu)
-            u_ref, stats_ref = full_space_solve_eim(solver, mu)
+            u, stats = er.truth_newton_solve_eim(solver, mu, initial=None)
+            u_ref, stats_ref = full_space_solve_eim(solver, mu, initial=None)
             assert stats.iterations == stats_ref.iterations, mu
             assert u.tobytes() == u_ref.tobytes(), mu
             history, reference = stats.residual_history, stats_ref.residual_history
@@ -788,11 +822,68 @@ class TestTruthNewtonEim:
                               built.checkpoint(*stage))
         assert reference.report.summary_dict() == built.report.summary_dict()
 
+    def test_a_warm_re_solve_stops_by_the_residual_at_zero(
+            self, problem8, three_field_eim, four_field_eim):
+        # a rebuild re-solves a snapshot with one interpolant field more,
+        # from its last answer: the solve stops at the first norm under
+        # the tolerance of the mesh residual at u = 0, as the solve from
+        # zero does, and both answers solve the surrogate problem to it
+        cfg = er.NewtonConfig()
+        last, solver = (surrogate_of(problem8, three_field_eim),
+                        surrogate_of(problem8, four_field_eim))
+        warm_iters = cold_iters = 0
+        for mu in STOPPING_MUS:
+            start, _ = er.truth_newton_solve_eim(last, mu, cfg, initial=None)
+            cold, cold_stats = er.truth_newton_solve_eim(solver, mu, cfg,
+                                                         initial=None)
+            warm, warm_stats = er.truth_newton_solve_eim(solver, mu, cfg,
+                                                         initial=start)
+            tol = cfg.tolerance(cold_stats.residual_history[0])
+            history = warm_stats.residual_history
+            assert history[-1] <= tol, mu
+            assert all(h > tol for h in history[1:-1]), mu
+            for u in (warm, cold):
+                r = surrogate_residual(problem8, four_field_eim, mu, u)
+                # the lift's own rounding, as in the solve from zero
+                assert np.linalg.norm(r) <= tol + 1e-13, mu
+            assert l2_distance(problem8, warm, cold) <= 1e-9, mu
+            warm_iters += warm_stats.iterations
+            cold_iters += cold_stats.iterations
+        assert warm_iters < cold_iters
+
+    @pytest.mark.parametrize("name", ["ser_small", "rebuild_small"])
+    def test_a_snapshot_starts_at_its_parameters_last_answer(
+            self, problem8, train5, newton_roomy, monkeypatch, name):
+        # a parameter's first surrogate solve starts at zero, bitwise the
+        # solve with no start; a rebuild's re-solve starts at the field
+        # that the parameter's last solve returned
+        calls = []
+        solve_eim = er.truth_newton_solve_eim
+
+        def recording(surrogate, mu, cfg=None, *, initial):
+            u, stats = solve_eim(surrogate, mu, cfg, initial=initial)
+            calls.append((mu, initial, u))
+            return u, stats
+
+        monkeypatch.setattr("eimrb.ser.truth_newton_solve_eim", recording)
+        er.build_ser(problem8, small_config(name, train5, newton_roomy))
+        last, warm = {}, 0
+        for mu, initial, u in calls:
+            if mu in last:
+                assert initial is last[mu]
+                warm += 1
+            else:
+                assert initial is None
+            last[mu] = u
+        assert len(calls) == (5 if name == "ser_small" else 10)
+        assert warm == (0 if name == "ser_small" else 6)
+
     def test_single_field_interpolant_at_training_parameter(self, problem8):
         mu = (0.5, 2.0)
         truth = er.TruthReferences(problem8)
         eim_g = er.eim_initialize(problem8.space, er.truth_g_block(truth), [mu])
-        u, _ = er.truth_newton_solve_eim(surrogate_of(problem8, eim_g), mu)
+        u, _ = er.truth_newton_solve_eim(surrogate_of(problem8, eim_g), mu,
+                                         initial=None)
         assert l2_distance(problem8, truth.get(mu)[0], u) <= 1e-8
         assert np.all(u[problem8.space.boundary_dofs] == 0.0)
 
@@ -800,7 +891,7 @@ class TestTruthNewtonEim:
         empty = er.EimBasis(problem8.space)
         with pytest.raises(ValueError):
             er.truth_newton_solve_eim(surrogate_of(problem8, empty),
-                                      (1.0, 1.0))
+                                      (1.0, 1.0), initial=None)
 
     def test_output_error_tracks_interpolation_error(self, problem8):
         # sanity regression, not a theorem: the output of the interpolated
@@ -818,7 +909,7 @@ class TestTruthNewtonEim:
             eps = max(eim_sup_error(eim_g, g_of(mu)) for mu in samples)
             for mu in probes:
                 u_ref = truth.get(mu)[0]
-                u, _ = er.truth_newton_solve_eim(solver, mu)
+                u, _ = er.truth_newton_solve_eim(solver, mu, initial=None)
                 ds = abs(problem8.average(u) - problem8.average(u_ref))
                 assert ds <= 10.0 * eps
 
