@@ -87,12 +87,15 @@ exact one, so
 
 bounds the float64 error e_b,p.  top_p is the top of the row's bracket
 in a: its float64 error where a's float64 pass ran its chunk, else e^_p
-+ d_p.  U_p is inf in a first reduced sweep, for a row that failed or
-was restarted in either sweep, and where it is not finite.  A row enters
-the sweep with e^_p = d_p = U_p / 2, a bracket [0, U_p] that holds its
-error, and the screen brackets first the chunk of rows with the largest
-U; the greedy step then screens every row whose bracket may still hold
-the largest error (``eim.SweepErrors.refine``) before its float64 pass.
++ d_p.  U_p is inf for a row that failed or was restarted in either
+sweep, and where it is not finite: on every row of a first reduced
+sweep, whose prior is ``SweepBounds.unknown`` (M_a = 0, inf tops, no
+range of u, no coefficients, zero offsets), so the rule needs no case
+of its own there.  A row enters the sweep with e^_p = d_p = U_p / 2, a
+bracket [0, U_p] that holds its error, and the screen brackets first
+the chunk of rows with the largest U; the greedy step then screens
+every row whose bracket may still hold the largest error
+(``eim.SweepErrors.refine``) before its float64 pass.
 """
 
 from dataclasses import dataclass, replace
@@ -132,6 +135,14 @@ class SweepBounds:
     coeffs: np.ndarray
     offset: np.ndarray
 
+    @classmethod
+    def unknown(cls, rows):
+        """The bounds of no sweep over `rows` rows, where a first reduced
+        sweep starts: no field, no bound (inf), no range of u (nan), no
+        coefficients, and no offset."""
+        return cls(0, np.full(rows, np.inf), np.full(rows, np.nan),
+                   np.full(rows, np.nan), np.zeros((rows, 0)), np.zeros(rows))
+
     def padded(self, n):
         """These bounds on a basis of n vectors that starts with this
         one: the coefficients with a zero for each vector added."""
@@ -143,18 +154,21 @@ class SweepBounds:
         rows of the basis of their coefficients, the (N_b, ndof) rows of
         the new one and their products with the inner product X: the
         coefficients c S^T of the X-projection, S = V_b^T X V_a, and the
-        basis-change term added to the offset (module docstring)."""
+        basis-change term added to the offset (module docstring).  The
+        coefficients are first padded to the old basis: those of a first
+        sweep have none."""
+        coeffs = self.padded(len(basis)).coeffs
         s = new_x_basis @ basis.T
         n_b, n_a = s.shape
         reach = np.abs(new_basis).max(axis=1)
-        size, across = np.abs(self.coeffs), np.abs(s).T
+        size, across = np.abs(coeffs), np.abs(s).T
         # d_n >= max|(V_a - V_b S)[:, n]|, from D = fl(V_a - V_b S)
         d = (np.abs(basis - s.T @ new_basis).max(axis=1)
              + gamma(n_b + 1, U64) * (np.abs(basis).max(axis=1)
                                       + across @ reach))
         offset = (size @ d + gamma(n_a, U64) * ((size @ across) @ reach)
                   ) * (1 + SLACK)
-        return replace(self, coeffs=self.coeffs @ s.T,
+        return replace(self, coeffs=coeffs @ s.T,
                        offset=self.offset + offset)
 
 
@@ -170,10 +184,10 @@ class Float32Screen:
     marks them ``screened``.  ``carry(sweep)`` gives the ``SweepBounds``
     that the next sweep's screen reads.
 
-    ``lo`` and ``hi`` hold each row's range of exact u: nan until the
-    screen lifts the row, [min u^ - du, max u^ + du] once it has, and
-    before that, when the block has a prior, the prior's range widened
-    by Delta.  A restarted row has no range, so it carries no bound.
+    ``lo`` and ``hi`` hold each row's range of exact u: the block's
+    prior's range widened by Delta until the screen lifts the row (nan
+    where the prior has none), [min u^ - du, max u^ + du] once it has.
+    A restarted row has no range, so it carries no bound.
     The float32 copies of V and q, and the buffers, are made per call of
     ``bracket``: the screen lives on while an update ranks the sweep's
     rows.
@@ -190,7 +204,6 @@ class Float32Screen:
         scale = np.abs(coeffs) @ reach
         self.du = (gamma(n + 2, U32) + gamma(n, U64)) * scale + n * TINY32
         self.dt = 2 * gamma(n, U64) * scale
-        self.lo, self.hi = np.full((2, len(coeffs)), np.nan)
         with np.errstate(over="ignore", invalid="ignore"):
             points = term.g(coeffs @ basis[t].T, block.mus)
             # ||B^-1||_inf with room for the roundoff of the inverse, and
@@ -206,22 +219,18 @@ class Float32Screen:
             self.size = np.abs(beta).sum(axis=0)
             self.peak = np.abs(beta).max(axis=0)
             self.beta32 = beta.T.astype(np.float32)
-            self.carried = np.full(len(coeffs), np.inf)
-            if prior is not None:
-                delta = ((1 + gamma(n + 2, U64))
-                         * (np.abs(coeffs - prior.coeffs) @ reach)
-                         + prior.offset)
-                delta[block.restarted] = np.nan
-                self.lo, self.hi = prior.lo - delta, prior.hi + delta
-                ends = term.dg_du(np.column_stack([self.lo, self.hi]),
-                                  self.mus)
-                drift = np.abs(ends).max(axis=1) * delta
-                spread = self.inv_norm * np.abs(q).sum(axis=0).max()
-                carried = (2.0 ** (self.m - prior.M) * prior.tops
-                           + (1 + spread) * drift
-                           + self.rho()) * (1 + SLACK)
-                self.carried = np.where(self.ok & np.isfinite(carried),
-                                        carried, np.inf)
+            delta = ((1 + gamma(n + 2, U64))
+                     * (np.abs(coeffs - prior.coeffs) @ reach) + prior.offset)
+            delta[block.restarted] = np.nan
+            self.lo, self.hi = prior.lo - delta, prior.hi + delta
+            ends = term.dg_du(np.column_stack([self.lo, self.hi]), self.mus)
+            drift = np.abs(ends).max(axis=1) * delta
+            spread = self.inv_norm * np.abs(q).sum(axis=0).max()
+            # ldexp scales by 2^(M_b - M_a), to inf where that overflows
+            carried = (np.ldexp(prior.tops, self.m - prior.M)
+                       + (1 + spread) * drift + self.rho()) * (1 + SLACK)
+            self.carried = np.where(self.ok & np.isfinite(carried), carried,
+                                    np.inf)
         self.screened = np.zeros(len(coeffs), dtype=bool)
         self.brackets = self.start(self.carried)
 

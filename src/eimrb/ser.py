@@ -68,17 +68,19 @@ provider at once.  With the reduced model, that is one Newton over a
 one of g' per iteration on the parameters still iterating); a parameter
 it fails is solved again from the converged row nearest to it, and is
 skipped only if that fails too (``reduced_g_block``).  Each reduced
-sweep starts at the last reduced sweep's answers, restarted rows
-included, with a zero for each basis vector added since: the model of
-the next sweep differs by a few basis vectors and interpolant fields,
-so its answers are near.  A ``rebuild_wn`` update replaces the basis
-V_a by V_b, and the next sweep starts at the last answers c_a mapped
-by the X-projection, c_a S^T with S = V_b^T X V_a
-(``screen.SweepBounds.rebased``).  Only the first reduced sweep starts
-at zero.  Every row stops by the tolerance of its residual at zero, so
-a start moves an answer only at the level of the Newton tolerance.  On
-the n=32 P2 20x20 r=1 build this cut the sweeps' reduced Newton
-row-iterations from 32,321 to 13,266 (26,941 to 10,029 on r=5).  The
+sweep starts at what the build carries (``screen.SweepBounds``): the
+last reduced sweep's answers, restarted rows included, with a zero for
+each basis vector added since, as the model of the next sweep differs
+by a few basis vectors and interpolant fields, so its answers are near.
+A ``rebuild_wn`` update replaces the basis V_a by V_b, and maps the
+carry by the X-projection, c_a S^T with S = V_b^T X V_a
+(``SweepBounds.rebased``).  Before the first reduced sweep the carry is
+``SweepBounds.unknown``, whose coefficients are none, so that sweep
+starts at zero, and a truth sweep leaves the carry as it is.  Every row
+stops by the tolerance of its residual at zero, so a start moves an
+answer only at the level of the Newton tolerance.  On the n=32 P2 20x20
+r=1 build this cut the sweeps' reduced Newton row-iterations from
+32,321 to 13,266 (26,941 to 10,029 on r=5).  The
 fields are then made a chunk of rows at a time (``GBlock``): the greedy
 step in ``eim`` asks for about a megabyte of rows, which are lifted with
 one (rows, N) @ (N, ndof) product, passed through g in one call, and
@@ -115,7 +117,7 @@ from .fem import SolverFailure
 from .nonlinear import (MassFields, NewtonConfig, NewtonFailure,
                         SurrogateSolver, nearest, truth_newton_solve_eim)
 from .rb import DependentSnapshot, RbSpace, ReducedModel, start_table
-from .screen import Float32Screen
+from .screen import Float32Screen, SweepBounds
 
 
 class SerBuildError(RuntimeError):
@@ -154,6 +156,11 @@ class SerConfig:
             if not all(0.0 < x < math.inf for x in mu):
                 raise SerBuildError(f"training parameter {tuple(mu)} is not "
                                     "positive and finite")
+        # every snapshot is taken at a training parameter, once
+        distinct = len(set(map(tuple, self.train_set)))
+        if self.n_max > distinct:
+            raise SerBuildError(f"n_max = {self.n_max} exceeds the {distinct} "
+                                "distinct training parameters")
         # stages (N, M), held as tuples so that the build can look one up
         if not all(isinstance(stage, (tuple, list)) and len(stage) == 2
                    and all(type(x) is int and x >= 1 for x in stage)
@@ -248,9 +255,10 @@ class ReducedGBlock(GBlock):
     """The fields g(V c_p; mu_p) of the (P, N) reduced solutions coeffs on
     the (ndof, N) basis V of a model, which the greedy step screens in
     float32 (``screen.Float32Screen``).  restarted lists the rows whose
-    first solve failed, and prior is the last reduced sweep's
-    ``screen.SweepBounds`` on V, whose coefficients started the rows,
-    or None for the first reduced sweep."""
+    first solve failed, and prior is the ``screen.SweepBounds`` that the
+    rows carry into the sweep, on V, whose coefficients started them:
+    the last reduced sweep's, or ``SweepBounds.unknown`` before the
+    first."""
 
     def __init__(self, model, samples, coeffs, restarted, prior):
         super().__init__(model.problem, samples,
@@ -282,22 +290,23 @@ def truth_g_block(references):
     return provider
 
 
-def reduced_g_block(model, newton, coeffs, prior):
+def reduced_g_block(model, newton, prior):
     """Greedy-sweep provider over the reduced model: g of the lifted reduced
-    solutions at the samples.  coeffs is a (P, N) array with one row per
-    sample, where its solve starts, and the sweep writes its answers
-    over it.  One ``solve_many`` solves every sample from its row.  Each
-    sample it fails is solved again with ``solve``, started at the row
-    that ``solve_many`` converged to at the sample nearest in
-    log-parameter distance (``nonlinear.nearest``); a sample that fails
-    again keeps its first failure and a zero row.  Each row range is
-    lifted and g applied when the greedy step asks for it.  prior is
-    the last reduced sweep's ``screen.SweepBounds`` on the model's basis,
-    whose coefficients are the rows' starts, or None for the first
-    reduced sweep (``ReducedGBlock``)."""
+    solutions at the samples.  prior is the ``screen.SweepBounds`` that
+    the samples carry into the sweep (``ReducedGBlock``), on the model's
+    basis or one that it extends: padded to the model's N, its (P, N)
+    coefficients hold one row per sample, where its solve starts, zero
+    for ``SweepBounds.unknown``.  One ``solve_many`` solves every sample
+    from its row.  Each sample it fails is solved again with ``solve``,
+    started at the row that ``solve_many`` converged to at the sample
+    nearest in log-parameter distance (``nonlinear.nearest``); a sample
+    that fails again keeps its first failure and a zero row.  Each row
+    range is lifted and g applied when the greedy step asks for it."""
+    prior = prior.padded(model.N)
+
     def provider(samples):
-        answers, failures = model.solve_many(samples, newton, initial=coeffs)
-        coeffs[:] = answers
+        coeffs, failures = model.solve_many(samples, newton,
+                                            initial=prior.coeffs)
         restarted = list(failures)
         if failures and len(failures) < len(samples):
             converged = np.setdiff1d(np.arange(len(samples)), list(failures))
@@ -362,8 +371,8 @@ def build_ser(problem, cfg):
     used = set()             # every parameter a snapshot was tried at
     step = None              # the last sweep, whose errors rank fallbacks
     # what the last reduced sweep carries (its answers among it), on the
-    # basis of the next sweep after a rebuild; None before the first
-    carried = None
+    # basis of the next sweep after a rebuild; nothing before the first
+    carried = SweepBounds.unknown(len(train))
     saturated = False
 
     for j, (m_start, m_target, n_target) in enumerate(
@@ -375,22 +384,17 @@ def build_ser(problem, cfg):
             else:
                 # the interpolant grows only after the sweep, so every
                 # sweep evaluation sees the same model; the sweep starts
-                # at the last reduced sweep's answers (mapped onto a
+                # at what the last reduced sweep carries (mapped onto a
                 # rebuild's new basis), with a zero for each basis vector
-                # added since, and writes its own over them, and that
-                # sweep's row bounds carry over
-                if carried is None:
-                    start = np.zeros((len(train), rb.N))
-                else:
-                    carried = carried.padded(rb.N)
-                    start = carried.coeffs.copy()
+                # added since
                 provider = reduced_g_block(rb.model(mass_fields),
-                                           cfg.newton, start, carried)
+                                           cfg.newton, carried)
             # the last sweep is read no more: it is freed, with its model
             # and screen, before this one runs
             step = None
             step = eim_greedy_step(eim_g, provider, train)
-            carried = step.bounds
+            # a truth sweep carries nothing, and keeps the carry as it is
+            carried = step.bounds or carried
             report.skipped.extend(step.skipped)
             saturated = step.saturated
             report.log("eim", step.mu, step.sup_error, eim_g.M, rb.N,
@@ -422,8 +426,7 @@ def build_ser(problem, cfg):
             if cfg.rebuild_wn:
                 # the last sweep's answers and bounds, mapped onto the
                 # new basis
-                if carried is not None:
-                    carried = carried.rebased(basis, rb.basis, rb.x_basis)
+                carried = carried.rebased(basis, rb.basis, rb.x_basis)
                 report.log("rebuild", None, None, eim_g.M, rb.N,
                            fe_solves(), None, None)
 

@@ -802,6 +802,20 @@ class TestConfig:
         with pytest.raises(er.ConfigError, match="test.seed"):
             er.parse_config("test.seed = -1")
 
+    def test_n_max_above_the_training_set_rejected(self, tmp_path):
+        # every snapshot is taken at a training parameter, once, so a 2x2
+        # grid gives at most 4: a build asked for 6 would stop short of
+        # them and say nothing
+        text = ("train.grid_n1 = 2\ntrain.grid_n2 = 2\n"
+                "ser.n_max = 6\neim.m_max = 6\n")
+        with pytest.raises(er.ConfigError,
+                           match="n_max = 6 exceeds the 4 distinct training"):
+            er.parse_config(text)
+        assert er.parse_config(text.replace("n_max = 6", "n_max = 4")).n_max == 4
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["build", str(cfg)]) == 2
+
 
 TINY_CONFIG = """
 mesh.n = 6
@@ -1082,6 +1096,23 @@ class TestCli:
                         (5, False, 3, 5, grouped),
                         (1, True, 5, 5, square),
                         (1, False, 5, 5, square)]
+
+    def test_compare_with_m_max_above_the_training_set_builds_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        # the r=1 variants take N = M = 17 on the 16 training parameters,
+        # which their build config refuses before any build, though the
+        # build's own n_max = 3 fits
+        def build(problem, cfg):
+            raise AssertionError("no variant is built")
+
+        monkeypatch.setattr(cli, "build_ser", build)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG.format(out=tmp_path / "out")
+                       .replace("eim.m_max = 3", "eim.m_max = 17"))
+        capsys.readouterr()
+        assert main(["compare", str(cfg)]) == cli.EXIT_SOLVER
+        assert ("n_max = 17 exceeds the 16 distinct training parameters"
+                in capsys.readouterr().err)
 
     def test_study_of_archive_matches_compare(self, tmp_path):
         # the study of a saved model reads its restricted and its stored

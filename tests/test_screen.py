@@ -100,8 +100,14 @@ def sweep_setup(ser_small):
     return copy.deepcopy(ser_small.eim_g), model, model.table.coeffs.copy()
 
 
+def unknown(model, mus):
+    """The prior of a first reduced sweep over mus on model's basis."""
+    return eimrb.screen.SweepBounds.unknown(len(mus)).padded(model.N)
+
+
 def reduced_provider(model, coeffs, failures=None):
-    return lambda mus: (eimrb.ser.ReducedGBlock(model, mus, coeffs, [], None),
+    return lambda mus: (eimrb.ser.ReducedGBlock(model, mus, coeffs, [],
+                                                unknown(model, mus)),
                         dict(failures or {}))
 
 
@@ -204,7 +210,8 @@ class TestCarried:
             r=1, n_max=5, m_max=5, train_set=train, newton=newton_roomy))
         steps = record_carried(monkeypatch)
         basis, model = copy.deepcopy(built.eim_g), built.model
-        coeffs, samples, prior = model.table.coeffs.copy(), list(train), None
+        coeffs, samples = model.table.coeffs.copy(), list(train)
+        prior = unknown(model, samples)
         for _ in range(12):
             step = eimrb.ser.eim_greedy_step(basis, lambda mus: (
                 eimrb.ser.ReducedGBlock(model, mus, coeffs, [], prior), {}),
@@ -231,8 +238,8 @@ class TestCarried:
         basis, model, coeffs = sweep_setup(ser_small)
         samples = list(train5)
         first = eimrb.ser.eim_greedy_step(basis, lambda mus: (
-            eimrb.ser.ReducedGBlock(model, mus, coeffs, [], None), {}),
-            samples)
+            eimrb.ser.ReducedGBlock(model, mus, coeffs, [],
+                                    unknown(model, mus)), {}), samples)
         second = eimrb.ser.eim_greedy_step(basis, lambda mus: (
             eimrb.ser.ReducedGBlock(model, mus, 2 * coeffs, [],
                                     first.bounds), {}), samples)
@@ -356,8 +363,13 @@ class TestCarried:
         monkeypatch.setattr(eimrb.screen.SweepBounds, "rebased", recording)
         er.build_ser(problem8, small_config("rebuild_small", train5,
                                             newton_roomy))
-        # the updates after the three reduced sweeps are rebuilds
-        assert len(rebased) == 3
+        # the first update maps what no sweep carries from the empty
+        # basis, and the updates after the three reduced sweeps are
+        # rebuilds
+        assert len(rebased) == 4
+        bounds, basis, _, mapped = rebased[0]
+        assert bounds.M == 0 and len(basis) == 0
+        assert np.all(mapped.coeffs == 0.0) and np.all(mapped.offset == 0.0)
         wide = np.longdouble
         for bounds, basis, new_basis, mapped in rebased:
             assert np.all(bounds.offset == 0.0)
@@ -372,26 +384,67 @@ class TestCarried:
             assert mapped.M == bounds.M and mapped.tops is bounds.tops
             assert mapped.lo is bounds.lo and mapped.hi is bounds.hi
 
+    def test_the_unknown_prior_carries_nothing(self, problem8, ser_small,
+                                               train5, small_chunks):
+        # what a first reduced sweep starts from: mapped onto a new basis
+        # from a non-empty one it stays exactly zero, and a screen that
+        # reads it carries no bound on any row
+        samples = list(train5)
+        prior = eimrb.screen.SweepBounds.unknown(len(samples))
+        assert prior.M == 0 and prior.coeffs.shape == (len(samples), 0)
+        assert np.all(prior.tops == np.inf) and np.all(prior.offset == 0.0)
+        assert np.isnan(prior.lo).all() and np.isnan(prior.hi).all()
+        basis, model, coeffs = sweep_setup(ser_small)
+        space = er.RbSpace(problem8)
+        for k in (0, 12, 24):
+            space.add_snapshot(model.basis @ coeffs[k], samples[k])
+        mapped = prior.rebased(model.basis.T, space.basis, space.x_basis)
+        assert mapped.coeffs.shape == (len(samples), space.N)
+        assert np.all(mapped.coeffs == 0.0) and np.all(mapped.offset == 0.0)
+        block = eimrb.ser.ReducedGBlock(model, samples, coeffs, [],
+                                        prior.padded(model.N))
+        screen = block.screen(np.asarray(basis.t), basis.B, basis.fields, 3)
+        assert np.all(screen.carried == np.inf)
+        # the screen brackets its first chunk of six rows, with bounds
+        # of their own
+        assert screen.screened.sum() == 6
+        assert np.isfinite(screen.brackets[1][screen.screened]).all()
+
     @pytest.mark.parametrize("schedule", ["r1", "r2"])
     def test_a_basis_that_extends_carries_the_zero_padded_prior(
             self, problem8, train6, newton_roomy, monkeypatch, schedule):
         # without a rebuild each sweep's prior is the last sweep's bounds
         # with a zero coefficient for each basis vector added since, and
-        # no offset
-        priors, answers = [], []
+        # no offset; the first reduced sweep's is the unknown prior, on
+        # the r2 build across the truth sweeps too.  handed holds the
+        # priors the build hands to the sweeps, priors those the blocks
+        # read, and answers the blocks' reduced solutions
+        handed, priors, answers = [], [], []
         reduced_g_block = eimrb.ser.reduced_g_block
 
-        def recording(model, newton, coeffs, prior):
-            priors.append(prior)
-            answers.append(coeffs)
-            return reduced_g_block(model, newton, coeffs, prior)
+        def recording(model, newton, prior):
+            handed.append(prior)
+            provider = reduced_g_block(model, newton, prior)
+
+            def recorded(samples):
+                block, failures = provider(samples)
+                priors.append(block.prior)
+                answers.append(block.coeffs)
+                return block, failures
+            return recorded
 
         monkeypatch.setattr(eimrb.ser, "reduced_g_block", recording)
         steps = record_carried(monkeypatch)
         cfg = er.SerConfig(train_set=train6, newton=newton_roomy,
                            **SCHEDULES[schedule])
         er.build_ser(problem8, cfg)
-        assert len(priors) >= 3 and priors[0] is None
+        assert len(priors) == len(handed) >= 3
+        assert all(isinstance(prior, eimrb.screen.SweepBounds)
+                   for prior in handed + priors)
+        first = handed[0]
+        assert first.M == 0 and first.coeffs.shape == (len(train6), 0)
+        assert np.all(first.tops == np.inf) and np.all(first.offset == 0.0)
+        assert np.all(priors[0].coeffs == 0.0)
         swept = [step for step, U, *_ in steps if U is not None]
         for step, last, prior in zip(swept, answers, priors[1:]):
             n = last.shape[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import warnings
 from collections import Counter
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import eimrb as er
+import eimrb.screen
 import eimrb.ser
 
 from conftest import (assert_same_interpolant, assert_same_model,
@@ -251,6 +253,14 @@ class TestSnapshotSources:
         with pytest.raises(er.SerBuildError):
             er.SerConfig(r=1, n_max=2, m_max=2, train_set=[])
 
+    def test_n_max_above_the_distinct_training_parameters_rejected(self):
+        # a snapshot is taken at each training parameter at most once, so
+        # a repeated one adds no room
+        train = [(1.0, 1.0), (2.0, 2.0), (1.0, 1.0)]
+        with pytest.raises(er.SerBuildError, match="n_max = 3 exceeds the 2"):
+            er.SerConfig(r=1, n_max=3, m_max=2, train_set=train)
+        assert er.SerConfig(r=1, n_max=2, m_max=2, train_set=train).n_max == 2
+
     @pytest.mark.parametrize("bad", [(1.0, 0.0), (-0.5, 1.0), (1.0, np.inf),
                                      (np.nan, 1.0), (0.5,), (0.5, 0.5, 0.5)])
     def test_training_parameter_not_positive_and_finite_rejected(self, train5,
@@ -350,12 +360,13 @@ class TestFailureHandling:
     SWEEP = [(0.1, 0.1), (0.2, 0.1), (3.0, 3.0), (0.3, 0.12), (5.0, 4.0)]
 
     def failing_sweep(self, model, failed, solve):
-        """The sweep of reduced_g_block over SWEEP, started at a start of
-        its own, on a copy of model whose solve_many, given that start,
-        fails the rows failed (zero there, each with a failure of its
-        own), whose solve is solve and whose lift is the identity, so the
-        block's values are its coefficients.  Returns those values, the
-        provider's failures, the cold failures and coefficients."""
+        """The sweep of reduced_g_block over SWEEP, started at a prior
+        with a start of its own, on a copy of model whose solve_many,
+        given that start, fails the rows failed (zero there, each with a
+        failure of its own), whose solve is solve and whose lift is the
+        identity, so the block's values are its coefficients.  Returns
+        those values, the provider's failures, the cold failures and
+        coefficients."""
         cold, _ = model.solve_many(
             self.SWEEP, initial=np.zeros((len(self.SWEEP), model.N)))
         cold[failed] = 0.0
@@ -363,6 +374,8 @@ class TestFailureHandling:
         newton = er.NewtonConfig()
         start = np.random.default_rng(8).normal(size=cold.shape)
         given = start.copy()
+        prior = dataclasses.replace(
+            eimrb.screen.SweepBounds.unknown(len(self.SWEEP)), coeffs=start)
 
         def solve_many(mus, cfg, initial):
             assert mus == self.SWEEP and cfg is newton
@@ -373,11 +386,14 @@ class TestFailureHandling:
         copy.solve_many = solve_many
         copy.solve = solve
         copy.lift_block = lambda coeffs: coeffs
-        block, failures = eimrb.ser.reduced_g_block(copy, newton, start,
-                                                    None)(self.SWEEP)
+        block, failures = eimrb.ser.reduced_g_block(copy, newton,
+                                                    prior)(self.SWEEP)
         values = block.values(slice(None))
-        # the sweep's answers are written over its start
-        assert same_bits(start, values)
+        # the sweep's answers are the block's, and its start is left as
+        # it was
+        assert same_bits(block.coeffs, values)
+        assert same_bits(start, given)
+        assert same_bits(block.prior.coeffs, given)
         return values, failures, first, cold
 
     def test_failed_sweep_rows_restart_from_the_nearest_converged_row(
@@ -471,14 +487,14 @@ class TestWarmSweeps:
             failures[self.FORCED] = er.SolverFailure("forced")
             return coeffs, failures
 
-        def recording(model, newton, coeffs, prior):
-            provider = reduced_g_block(model, newton, coeffs, prior)
+        def recording(model, newton, prior):
+            provider = reduced_g_block(model, newton, prior)
 
             def recorded(samples):
-                start = coeffs.copy()
+                start = prior.padded(model.N).coeffs.copy()
                 block, failures = provider(samples)
                 assert failures == {}
-                sweeps.append((start, coeffs.copy()))
+                sweeps.append((start, block.coeffs.copy()))
                 return block, failures
             return recorded
 

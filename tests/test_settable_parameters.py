@@ -21,7 +21,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eimrb"
 SETTABLE = 43
-CODE_LINES = 2010
+CODE_LINES = 2008
 
 # tokens that hold no code
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
