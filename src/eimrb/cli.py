@@ -106,21 +106,26 @@ def cmd_solve(args):
 
 def cmd_compare(args):
     settings = load_config(args.config)
+    base = settings.ser_config()
+    m = settings.m_max
+    # the r=1 builds grow the basis with the interpolant: N = M; a variant
+    # that its build config refuses is a config error, found before any
+    # file is written
+    square = dict(n_max=m, m_max=m, checkpoints=default_checkpoints(1, m, m))
+    try:
+        variants = [
+            replace(base, r="standard", rebuild_wn=False),
+            replace(base, r=5, rebuild_wn=False),
+            replace(base, r=1, rebuild_wn=True, **square),
+            replace(base, r=1, rebuild_wn=False, **square),
+        ]
+    except SerBuildError as exc:
+        raise ConfigError(f"compare variants: {exc}") from None
     out = Path(settings.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem = benchmark_problem(settings.mesh_n, settings.degree)
     test_set = settings.test_set()
     refs = TruthReferences(problem, settings.newton())
-    base = settings.ser_config()
-    m = settings.m_max
-    # the r=1 builds grow the basis with the interpolant: N = M
-    square = dict(n_max=m, m_max=m, checkpoints=default_checkpoints(1, m, m))
-    variants = [
-        replace(base, r="standard", rebuild_wn=False),
-        replace(base, r=5, rebuild_wn=False),
-        replace(base, r=1, rebuild_wn=True, **square),
-        replace(base, r=1, rebuild_wn=False, **square),
-    ]
     counts = []
     for cfg in variants:
         result = build_ser(problem, cfg)

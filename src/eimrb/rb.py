@@ -19,10 +19,13 @@ one masked Newton for a whole list of parameters at once, on a (P, N)
 coefficient array started at a (P, N) start that the caller gives,
 which is how the greedy sweeps of a build scan the training set.  It
 applies the same stopping rule and builds its failures from the same
-templates (``nonlinear.newton_failure``), so at each parameter it fails
-as ``solve`` does from that parameter's start.  Both take R and J from
-one pair of kernels on a (P, N) block, ``_residual`` and ``_jacobian``,
-``solve`` on a (1, N) row.
+templates (``nonlinear.newton_failure``).  Both take R and J from one
+pair of kernels on a (P, N) block, ``_residual`` and ``_jacobian``,
+``solve`` on a (1, N) row.  ``solve_many`` makes the products of each
+row as a stacked one-row product (``row_products``), with the bits of
+``solve``'s (1, N) products, which a (P, N) GEMM does not have: so each
+of its rows takes ``solve``'s steps from that row's start bit for bit,
+and fails where and as ``solve`` fails.
 
 An online query starts where the model already knows an answer near
 it.  A model is given its start table (``StartTable``), or none:
@@ -83,6 +86,13 @@ from .nonlinear import (DEFAULT_NEWTON, _newton, grown, nearest,
 
 # step in log mu of the central difference of the term in the slopes
 SLOPE_STEP = 1e-5
+
+
+def row_products(x, mat):
+    """x @ mat for a (P, n) block x, each row with the bits of the one-row
+    product x[k:k+1] @ mat: one (P, n) @ (n, m) product runs one GEMM,
+    whose rows can differ in the last bits from one-row products."""
+    return np.matmul(x[:, None, :], mat)[:, 0, :]
 
 
 class DependentSnapshot(RuntimeError):
@@ -277,9 +287,11 @@ class ReducedModel:
     def M(self):
         return len(self.t)
 
-    def _residual(self, c, g_values):
-        """Residuals of a (P, N) block c, g_values being g at c Tr."""
-        return c @ self.A.T + g_values @ self.W.T - self.F
+    def _residual(self, c, g_values, product):
+        """Residuals of a (P, N) block c, g_values being g at c Tr, from
+        the matrix products that product makes: np.matmul on solve's
+        (1, N) row, row_products on solve_many's block."""
+        return product(c, self.A.T) + product(g_values, self.W.T) - self.F
 
     def _jacobian(self, dg):
         """(P, N, N) exact Jacobians, dg being g' at the point values."""
@@ -320,7 +332,7 @@ class ReducedModel:
 
         def residual(g_values):
             nonlocal r
-            r = self._residual(c, g_values)
+            r = self._residual(c, g_values, np.matmul)
             return math.sqrt(np.vdot(r, r))     # np.linalg.norm, cheaper
 
         def start():
@@ -332,7 +344,7 @@ class ReducedModel:
             both[1:] = c @ self.Tr
             g_both = g(both, twice)
             values = both[1:]
-            r0 = self._residual(np.zeros(c.shape), g_both[:1])
+            r0 = self._residual(np.zeros(c.shape), g_both[:1], np.matmul)
             norm_at_zero = math.sqrt(np.vdot(r0, r0))
             return residual(g_both[1:])
 
@@ -350,16 +362,19 @@ class ReducedModel:
         """Reduced Newton solves at every parameter of mus at once.
 
         One Newton loop over a (P, N) coefficient array: residuals come
-        from products with A, W and Tr for all parameters at once, and
-        the Newton steps from one stacked (P, N, N) solve.  Row k starts
-        from initial[k], initial being (P, N) coefficients (zeros for a
-        cold solve), stops at cfg.tolerance of its residual norm at
-        c = 0, as ``solve`` does, and leaves the iteration when it
-        converges or fails, so at each parameter it fails as ``solve``
-        does from the same start.  Returns the (P, N) coefficients, zero
-        in the rows of failed parameters, and {index: exception} for
-        those, each the exception ``solve`` raises at that parameter with
-        initial=initial[k].
+        from stacked one-row products with A, W and Tr for all parameters
+        at once (``row_products``), and the Newton steps from one stacked
+        (P, N, N) solve.  Row k starts from initial[k], initial being
+        (P, N) coefficients (zeros for a cold solve), stops at
+        cfg.tolerance of its residual norm at c = 0, as ``solve`` does,
+        and leaves the iteration when it converges or fails.  Each row's
+        products and norms have the bits of ``solve``'s, so row k takes
+        the steps of ``solve`` from the same start bit for bit, and fails
+        where and as it fails: from a far start, a last-bit difference
+        would send the two along different paths.  Returns the (P, N)
+        coefficients, zero in the rows of failed parameters, and {index:
+        exception} for those, each the exception ``solve`` raises at that
+        parameter with initial=initial[k].
         """
         cfg = cfg or DEFAULT_NEWTON
         if self.N < 1:
@@ -376,9 +391,11 @@ class ReducedModel:
         failures = {}
 
         def residual(c, rows):
-            values = c @ self.Tr
-            r = self._residual(c, g(values, mu_rows[rows]))
-            return values, r, np.linalg.norm(r, axis=1)
+            values = row_products(c, self.Tr)
+            r = self._residual(c, g(values, mu_rows[rows]), row_products)
+            # each norm as solve takes it, sqrt(r . r) by one dot product
+            norms = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+            return values, r, norms
 
         def fail(rows, kind, iterations, cause):
             for k in rows:

@@ -101,6 +101,10 @@ n=32 P2 20x20 r=1 build that is 1-4 of 13 float64 chunks per sweep, and
 3,814 of its 9,600.  An update that runs past its group's picks takes
 the training set worst first from the last sweep
 (``eim.SweepErrors.worst_first``).  A truth sweep is not screened.
+The truth fields do not change from one sweep to the next, so a build
+keeps one provider for its truth sweeps (``truth_g_block``), which
+makes g of them once, a chunk at a time, and hands each sweep copies of
+its rows.
 """
 
 import math
@@ -112,7 +116,7 @@ from itertools import chain
 import numpy as np
 
 from .benchmark import TruthReferences
-from .eim import eim_greedy_step, eim_initialize
+from .eim import BUDGET, eim_greedy_step, eim_initialize
 from .fem import SolverFailure
 from .nonlinear import (MassFields, NewtonConfig, NewtonFailure,
                         SurrogateSolver, nearest, truth_newton_solve_eim)
@@ -236,7 +240,8 @@ class GBlock:
     ``block[lo:hi]`` is a new (hi - lo, ndof) array: ``values(rows)``
     gives the fields u_p of that slice of samples and the term is applied
     to them at once.  A greedy step walks the block in cache-sized
-    chunks, so no (P, ndof) array of the whole sweep is ever made.  It
+    chunks, so the block makes no (P, ndof) array of the whole sweep
+    (``truth_g_block`` keeps one, of fields that do not change).  It
     offers the greedy step no screen (no ``screen`` method), so every
     chunk runs in float64.
     """
@@ -270,12 +275,36 @@ class ReducedGBlock(GBlock):
         return Float32Screen(self, t, B, q, rows)
 
 
+class HeldGBlock:
+    """Fields held as one (P, ndof) array: ``block[lo:hi]`` is a copy of
+    the row range, since the greedy step overwrites each chunk it reads
+    in place.  It offers no screen either."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __getitem__(self, rows):
+        return self.values[rows].copy()
+
+
 def truth_g_block(references):
     """Greedy-sweep provider over exact truth solves: g of the truth
     solutions at the samples, solved and cached by ``references`` (a
     ``TruthReferences``), and {index: exception} for failed solves, whose
-    rows hold g of a zero field."""
+    rows hold g of a zero field.
+
+    The truth fields of a sample do not change from one sweep to the
+    next, so the provider makes the (P, ndof) array of g once and keeps
+    it while it is asked for the same samples (``HeldGBlock``).  A call
+    with a failed solve keeps nothing, so that the next one solves it
+    again."""
+    held = None     # (samples, g of their fields) of the last call
+
     def provider(samples):
+        nonlocal held
+        key = [tuple(mu) for mu in samples]
+        if held is not None and held[0] == key:
+            return HeldGBlock(held[1]), {}
         zero = np.zeros(references.problem.space.ndof)
         fields, failures = [], {}
         for k, mu in enumerate(samples):
@@ -284,9 +313,15 @@ def truth_g_block(references):
             except (NewtonFailure, SolverFailure) as exc:
                 failures[k] = exc
                 fields.append(zero)
-        return (GBlock(references.problem, samples,
-                       lambda rows: np.array(fields[rows])),
-                failures)
+        # g a cache-sized chunk of rows at a time: its temporaries stay small
+        block = GBlock(references.problem, samples,
+                       lambda rows: np.array(fields[rows]))
+        values = np.empty((len(samples), len(zero)))
+        rows = max(1, BUDGET // len(zero))
+        for lo in range(0, len(samples), rows):
+            values[lo:lo + rows] = block[lo:lo + rows]
+        held = None if failures else (key, values)
+        return HeldGBlock(values), failures
     return provider
 
 
@@ -345,7 +380,10 @@ def build_ser(problem, cfg):
     n_after = [max(1, (j * cfg.n_max) // n_updates) for j in range(1, n_updates + 1)]
     n_after[-1] = cfg.n_max
 
-    eim_g = eim_initialize(problem.space, truth_g_block(truth), train)
+    # the provider of the truth sweeps, one per build: it keeps g of the
+    # truth fields from one sweep to the next
+    truth_sweeps = truth_g_block(truth)
+    eim_g = eim_initialize(problem.space, truth_sweeps, train)
     report.log("eim", train[0], eim_g.train_errors[0], 1, 0, fe_solves(), None,
                None)
     mass_fields = MassFields(problem, eim_g)
@@ -380,7 +418,7 @@ def build_ser(problem, cfg):
         # --- interpolant enrichment for this group
         while eim_g.M < m_target and not saturated:
             if j == 1 and r > 1:
-                provider = truth_g_block(truth)
+                provider = truth_sweeps
             else:
                 # the interpolant grows only after the sweep, so every
                 # sweep evaluation sees the same model; the sweep starts
@@ -399,6 +437,7 @@ def build_ser(problem, cfg):
             saturated = step.saturated
             report.log("eim", step.mu, step.sup_error, eim_g.M, rb.N,
                        fe_solves(), len(step.confirmed), step.screened)
+        truth_sweeps = None     # its fields are freed with the last sweep
 
         # --- basis update event: snapshots at the candidates, one at a
         # time, until the basis is full: a rebuild's kept parameters, the

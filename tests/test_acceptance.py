@@ -228,14 +228,16 @@ def test_r5_build_skips_no_sweep_evaluation(ser5_build):
 
 
 @pytest.mark.parametrize("name", ["std_build", "ser5_build"])
-def test_truth_sweep_factors_at_most_112_times(name, request):
+def test_truth_sweep_factors_at_most_48_times(name, request):
     # each of the 400 truth solves starts at the secant prediction from the
-    # solves before it along the grid, so most keep the carried factor:
-    # 108 factorisations (148 from the nearest cached solution alone); a
-    # truth solve that failed would be a skipped sweep evaluation
+    # solves before it along the grid, and a refused chord trial is retried
+    # once with its Broyden pair, so most keep the carried factor: 44
+    # factorisations (108 with no retry, 148 from the nearest cached
+    # solution alone); a truth solve that failed would be a skipped sweep
+    # evaluation
     report = request.getfixturevalue(name).report
-    ok = report.truth_factorizations <= 112 and not report.skipped
-    assert verdict(ok, f"{report.variant} build: at most 112 truth "
+    ok = report.truth_factorizations <= 48 and not report.skipped
+    assert verdict(ok, f"{report.variant} build: at most 48 truth "
                    "factorisations, and no truth solve failed",
                    f"{report.truth_factorizations} made, "
                    f"{len(report.skipped)} skipped")

@@ -1110,9 +1110,11 @@ class TestCli:
         cfg.write_text(TINY_CONFIG.format(out=tmp_path / "out")
                        .replace("eim.m_max = 3", "eim.m_max = 17"))
         capsys.readouterr()
-        assert main(["compare", str(cfg)]) == cli.EXIT_SOLVER
-        assert ("n_max = 17 exceeds the 16 distinct training parameters"
-                in capsys.readouterr().err)
+        assert main(["compare", str(cfg)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "n_max = 17 exceeds the 16 distinct training parameters" in err
+        assert not (tmp_path / "out").exists()
 
     def test_study_of_archive_matches_compare(self, tmp_path):
         # the study of a saved model reads its restricted and its stored

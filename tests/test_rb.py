@@ -145,7 +145,7 @@ class TestExactJacobians:
         model = standard_small.model
         c = model.solve((0.5, 0.5)).coeffs
         g = at_mu(model.problem.term.g, c @ model.Tr, mu)
-        assert np.abs(model._residual(c[None], g[None])[0]
+        assert np.abs(model._residual(c[None], g[None], np.matmul)[0]
                       - reduced_residual(model, c, mu)).max() \
             <= 1e-12 * np.abs(model.F).max()
         dg = at_mu(model.problem.term.dg_du, c @ model.Tr, mu)
@@ -246,6 +246,11 @@ class TestReducedSolve:
             assert float(np.sqrt(du @ (problem.mass @ du))) <= 1e-8
 
 
+def one_row_each(x, mat):
+    """x @ mat made one row at a time, as solve makes its products."""
+    return np.array([row[None] @ mat for row in x]).reshape(len(x), -1)
+
+
 def cold_block_newton(model, mus, cfg):
     """The block Newton of solve_many from zero, written out as it ran
     before it took starts: every row's tolerance from its norm at the
@@ -257,8 +262,9 @@ def cold_block_newton(model, mus, cfg):
 
     def residual(rows):
         c = coeffs[rows]
-        values = c @ model.Tr
-        r = c @ model.A.T + g(values, mu_rows[rows]) @ model.W.T - model.F
+        values = one_row_each(c, model.Tr)
+        r = (one_row_each(c, model.A.T)
+             + one_row_each(g(values, mu_rows[rows]), model.W.T) - model.F)
         return values, r, np.linalg.norm(r, axis=1)
 
     live = np.arange(len(mus))
@@ -298,7 +304,9 @@ class TestSolveMany:
 
     def assert_matches_solve(self, model, mus, cfg, start=None):
         # row k of solve_many against solve from the same start, zero
-        # when none is given
+        # when none is given: each row makes its products with the bits of
+        # solve's one-row products, so it takes solve's steps bit for bit,
+        # its residual norms included, and fails where and as solve fails
         start = zeros_for(model, mus) if start is None else start
         coeffs, failures = model.solve_many(mus, cfg, initial=start)
         assert coeffs.shape == (len(mus), model.N)
@@ -310,13 +318,11 @@ class TestSolveMany:
                 assert type(got) is type(exc)
                 assert str(got) == str(exc)
                 if isinstance(exc, er.NewtonFailure):
-                    assert got.history == pytest.approx(exc.history, rel=1e-10,
-                                                        nan_ok=True)
+                    assert same_bits(got.history, exc.history)
                 assert np.all(coeffs[k] == 0.0)
                 continue
             assert k not in failures
-            assert np.abs(coeffs[k] - sol.coeffs).max() \
-                <= 1e-12 * np.abs(sol.coeffs).max()
+            assert same_bits(coeffs[k], sol.coeffs)
         return failures
 
     def test_one_parameter_equals_solve_bitwise(self, standard_small, grid):
@@ -656,9 +662,10 @@ class TestOnlineStart:
             start = rng.standard_normal(n)
             g_start = model.problem.term.g(start[None] @ model.Tr,
                                            np.array([mu]))
-            one_row = model._residual(start[None], g_start)
+            one_row = model._residual(start[None], g_start, np.matmul)
             two_rows = model._residual(np.vstack([np.zeros(n), start]),
-                                       np.vstack([np.zeros(m), g_start]))[1:]
+                                       np.vstack([np.zeros(m), g_start]),
+                                       np.matmul)[1:]
             norm = math.sqrt(np.vdot(one_row, one_row))
             moved += norm != math.sqrt(np.vdot(two_rows, two_rows))
             assert model.solve(mu, initial=start).residual_history[0] == norm

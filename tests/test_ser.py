@@ -226,6 +226,46 @@ class TestSnapshotSources:
         assert result.model.N == 4
         assert result.report.fe_solve_count == len(train5)
 
+    def test_truth_sweeps_make_g_of_their_fields_once(self, problem8,
+                                                      train5):
+        # the truth provider makes g of its samples' fields in one call of
+        # the term and hands the next sweep of the same samples the same
+        # rows; every read is a copy, since the greedy step overwrites its
+        # chunks in place.  A sweep with a failed solve holds nothing.
+        term = problem8.term
+        samples = [tuple(mu) for mu in train5]
+        blocks = []             # the row counts of the term's block calls
+
+        def g(u, mus):
+            if len(u) > 1:
+                blocks.append(len(u))
+            return term.g(u, mus)
+
+        problem = er.NonlinearProblem(
+            problem8.space, er.NonlinearTerm(g, term.dg_du, None),
+            er.benchmark_rhs)
+        truth = er.TruthReferences(problem)
+        provider = er.truth_g_block(truth)
+        fields, failures = provider(samples)
+        assert failures == {} and blocks == [len(samples)]
+        rows = np.array([term.g(truth.get(mu)[0][None], np.array([mu]))[0]
+                         for mu in samples])
+        chunk = fields[2:5]
+        assert same_bits(chunk, rows[2:5])
+        chunk[:] = 0.0
+        again, failures = provider(samples)
+        assert failures == {} and blocks == [len(samples)]
+        assert same_bits(again[0:len(samples)], rows)
+        assert same_bits(fields[2:5], rows[2:5])
+        # other samples are made afresh, and so is a sweep that failed
+        provider(samples[:3])
+        assert blocks == [len(samples), 3]
+        truth = er.TruthReferences(problem, er.NewtonConfig(max_iter=1))
+        provider = er.truth_g_block(truth)
+        for made in (3, 4):
+            _, failures = provider(samples)
+            assert failures and len(blocks) == made
+
     def test_standard_with_rebuild_rejected(self, train5):
         with pytest.raises(er.SerBuildError):
             er.SerConfig(r="standard", rebuild_wn=True, n_max=2, m_max=2,

@@ -78,8 +78,10 @@ class TestTruthNewton:
     def test_matches_newton_on_the_full_eliminated_system(self, problem8, mu):
         # reference: Newton on all dofs, boundary rows and columns of the
         # assembled Jacobian replaced by identity, with the same chord rule:
-        # a step first tries the last factor, and refactors unless that
-        # trial cuts the residual norm to CHORD_CONTRACTION of its value
+        # a step first tries H = J_old^{-1} + sum_j a_j y_j^T, the last
+        # factor with this solve's Broyden pairs, retries once with the
+        # pair of a refused trial, and refactors unless a trial cuts the
+        # residual norm to CHORD_CONTRACTION of its value
         space, term = problem8.space, problem8.term
         bdofs = space.boundary_dofs
         cfg = er.NewtonConfig()
@@ -91,25 +93,47 @@ class TestTruthNewton:
             r[bdofs] = 0.0
             return r
 
+        def inverse(v):
+            out = solve_factored(factor, v)
+            for y, a in pairs:
+                out += (y @ v) * a
+            return out
+
+        def paired(y, h_next, h_r):
+            # the pair that makes H y = -h_r, and the new H r
+            a = -h_next / (y @ y)
+            pairs.append((y, a))
+            return h_r + (y @ r) * a
+
         ref = np.zeros(space.ndof)
         r = residual(ref)
         tol = cfg.tolerance(np.linalg.norm(r))
-        iterations, factor, accepted = 0, None, False
+        iterations, factor, pairs, kept = 0, None, [], None
         while np.linalg.norm(r) > tol:
             assert iterations < cfg.max_iter
+            accepted = False
             if factor is not None:
                 try:        # r is zero on the boundary rows already
-                    trial = ref + solve_factored(factor, -r)
-                    r_trial = residual(trial)
-                    accepted = (np.linalg.norm(r_trial)
-                                <= er.CHORD_CONTRACTION * np.linalg.norm(r))
+                    h_r = inverse(r)
+                    if kept is not None:
+                        h_r = paired(kept, h_r, h_r)
+                    for retry in (False, True):
+                        trial = ref - h_r
+                        r_trial = residual(trial)
+                        norm = np.linalg.norm(r_trial)
+                        accepted = (norm <= er.CHORD_CONTRACTION
+                                    * np.linalg.norm(r))
+                        if accepted or retry or not math.isfinite(norm):
+                            break
+                        h_r = paired(r_trial - r, inverse(r_trial), h_r)
                 except er.SolverFailure:
                     accepted = False
+            kept = r_trial - r if accepted else None
             if not accepted:
                 jac = (problem8.stiffness
                        + problem8.mass @ sp.diags(at_mu(term.dg_du, ref, mu)))
                 op, rhs = eliminate_boundary(space, jac, -r)
-                factor = factor_sparse(op)
+                factor, pairs = factor_sparse(op), []
                 trial = ref + solve_factored(factor, rhs)
                 r_trial = residual(trial)
             ref, r = trial, r_trial
@@ -249,7 +273,11 @@ class TestChord:
 
         monkeypatch.setattr("eimrb.nonlinear.solve_factored", recorded)
         u, stats = er.truth_newton_solve(problem8, (10.0, 10.0), chord=chord)
-        assert used[0] is carried and used[1] is not carried  # tried, refused
+        # the first trial, and the pair of its refusal that the second
+        # trial steps with, solve with the carried factor; both trials are
+        # refused, and the solve goes on from u = 0 as a fresh one
+        assert used[0] is carried and used[1] is carried
+        assert used[2] is not carried
         made = len(factors) - before
         fresh = er.Chord()
         u0, stats0 = er.truth_newton_solve(problem8, (10.0, 10.0), chord=fresh)
@@ -262,18 +290,27 @@ class TestChord:
     @pytest.mark.parametrize("mu", CORNERS + [(1.0, 1.0)])
     def test_each_iteration_factors_or_contracts(self, problem8, monkeypatch,
                                                  mu):
-        # log "r" at every residual (every evaluation of g) and "F" at every
-        # factorisation; a step is then "r" (chord step kept), "rFr" (trial
-        # refused) or "Fr" (no factor held yet)
-        log = []
+        # log "r" at every residual (every evaluation of g), with its norm,
+        # and "F" at every factorisation; a step ends at the residual whose
+        # norm the history records, and is then "r" (first trial kept),
+        # "rr" (a refused trial, then its retry kept), "rrFr" (both
+        # refused), "rFr" (a trial refused with no retry, as when its
+        # residual is not finite) or "Fr" (no factor held yet)
+        log, norms = [], []
         term, factor = problem8.term, er.nonlinear.factor_sparse
 
         def g(u, mus):
+            values = term.g(u, mus)
+            r = problem.stiffness @ u[0] + problem.mass @ values[0] \
+                - problem.load
+            r[problem.space.boundary_dofs] = 0.0
             log.append("r")
-            return term.g(u, mus)
+            norms.append(np.linalg.norm(r))
+            return values
 
         def counted(op):
             log.append("F")
+            norms.append(None)
             return factor(op)
 
         monkeypatch.setattr("eimrb.nonlinear.factor_sparse", counted)
@@ -281,24 +318,55 @@ class TestChord:
                                       er.NonlinearTerm(g, term.dg_du, None),
                                       er.benchmark_rhs)
         _, stats = er.truth_newton_solve(problem, mu)
-        log = "".join(log)
-        steps = re.findall("r?Fr|r", log[1:])
-        assert log[0] == "r" and "".join(steps) == log[1:]
-        assert len(steps) == stats.iterations
         hist = stats.residual_history
+        assert log[0] == "r" and norms[0] == hist[0]
+        steps, begin = [], 1
+        for k in range(stats.iterations):
+            end = norms.index(hist[k + 1], begin)
+            steps.append("".join(log[begin:end + 1]))
+            begin = end + 1
+        assert begin == len(log)
         for k, step in enumerate(steps):
+            assert re.fullmatch("r{1,2}|r{0,2}Fr", step)
             assert "F" in step or hist[k + 1] <= hist[k] / 10
+        assert steps[0] == "Fr"         # a bare solve holds no factor yet
+
+    def test_secant_update_meets_the_secant_condition(self, problem8):
+        # after a trial step s = -H r that moved the residual by y, the
+        # updated H maps y to s, and is H as before on every vector
+        # orthogonal to y; the H r it returns is the updated H's
+        u, _ = er.truth_newton_solve(problem8, (1.0, 1.0))
+        jac = er.truth_jacobian(problem8, u, (10.0, 10.0))
+        inverse = er.nonlinear.SecantInverse(factor_sparse(jac))
+        rng = np.random.default_rng(0)
+        for pairs in range(1, 4):
+            r, r_next = rng.normal(size=(2, jac.shape[0]))
+            h_r = inverse(r)
+            y = r_next - r
+            v = rng.normal(size=jac.shape[0])
+            v -= (v @ y) / (y @ y) * y
+            h_v = inverse(v)
+            h_r_new = inverse.update(y, inverse(r_next), h_r, r)
+            assert len(inverse.pairs) == pairs
+            assert (np.linalg.norm(inverse(y) + h_r)
+                    <= 1e-12 * np.linalg.norm(h_r))
+            assert (np.linalg.norm(inverse(v) - h_v)
+                    <= 1e-12 * np.linalg.norm(h_v))
+            assert (np.linalg.norm(h_r_new - inverse(r))
+                    <= 1e-12 * np.linalg.norm(h_r_new))
 
     def test_references_factor_less_than_once_per_solve(self, problem8,
                                                         factors):
         # each solve along the grid starts at the secant prediction from
-        # the two before it, so most keep the carried factor: 37 for the
-        # 100 solves (55 from the nearest cached solution alone)
+        # the two before it, and a trial refused once is retried with its
+        # Broyden pair, so most keep the carried factor: 25 for the 100
+        # solves (37 with no retry, 55 from the nearest cached solution
+        # alone)
         train = er.SampleSet.log_grid(10, 10)
         refs = er.TruthReferences(problem8)
         for mu in train:
             refs.get(mu)
-        assert len(factors) == refs.chord.factorizations <= 40
+        assert len(factors) == refs.chord.factorizations <= 28
         for mu in train:
             cold, _ = er.truth_newton_solve(problem8, mu)
             assert np.abs(refs.get(mu)[0] - cold).max() <= 1e-9
