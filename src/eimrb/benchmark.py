@@ -182,9 +182,9 @@ class TruthReferences:
     whichever caller asked first; that order is fixed by the caller's
     code, so the results are deterministic.
 
-    All its solves share one ``Chord`` slot: each solve first steps with
-    the last Jacobian factor of the solves before it, and refactors only
-    when that factor stops contracting.  The slot is carried in call
+    All its solves share one ``Chord``: each solve first steps with the
+    last Jacobian factor of the solves before it, and refactors only
+    when that factor stops contracting.  The factor is carried in call
     order, so a solve's steps depend only on the order of the calls,
     which is again fixed by the callers' code.
     """

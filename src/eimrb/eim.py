@@ -12,11 +12,12 @@ it could not compute (a Newton or linear solver failure); those rows hold
 no field.  The fields need only be sliceable by row ranges:
 ``fields[lo:hi]`` is a (hi - lo, ndof) float array of dof values, one row
 per parameter, so a plain (P, ndof) array qualifies, and so does a lazy
-block that makes each range on request (``ser.GBlock``).  A greedy step
-asks for the whole training set at once and walks it in chunks of rows
-that fit in cache; it owns every slice it takes and overwrites it with
-the interpolation residuals, so each chunk costs one triangular solve
-with one right-hand side per row and one (rows, M) @ (M, ndof) product,
+block that makes each range on request (``ser.ReducedGBlock``).  A
+greedy step asks for the whole training set at once and walks it in
+chunks of rows that fit in cache; it only reads the fields, so one
+array may be handed to any number of sweeps.  Each chunk costs one
+triangular solve with one right-hand side per row and one (rows, M) @
+(M, ndof) product, into which its interpolation residuals are written,
 and only the best residual so far is kept.  Swapping a provider of
 truth solutions for one of reduced solutions is what turns the standard
 training loop into the simultaneous build.
@@ -268,18 +269,20 @@ def eim_greedy_step(basis, provider, samples):
     rows = max(1, BUDGET // basis.space.ndof)
 
     def chunk_pass(lo, hi):
-        # the chunk becomes the interpolation residuals, in place
+        # the fields are only read: the residuals overwrite the product
         chunk = fields[lo:hi]
         chunk_bad = bad[lo:hi]
         chunk_bad |= ~np.all(np.isfinite(chunk), axis=1)
-        chunk[chunk_bad] = 0.0
+        points = chunk[:, t_idx]
+        points[chunk_bad] = 0.0
         # B is unit lower triangular with no entry above 1 in size, so
         # the LU solve pivots no row and runs the triangular solve
-        beta = np.linalg.solve(B, chunk[:, t_idx].T)
-        chunk -= beta.T @ q
-        err = np.maximum(chunk.max(axis=1), -chunk.min(axis=1))
+        beta = np.linalg.solve(B, points.T)
+        product = beta.T @ q
+        residual = np.subtract(chunk, product, out=product)
+        err = np.maximum(residual.max(axis=1), -residual.min(axis=1))
         err[chunk_bad] = np.nan
-        return chunk, err
+        return residual, err
 
     screen = (fields.screen(t_idx, B, q, rows) if hasattr(fields, "screen")
               else None)

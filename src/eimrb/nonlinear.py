@@ -46,7 +46,7 @@ Factoring a Jacobian costs as much as about thirteen solves with a
 factor at hand (9 vs 0.7 ms at n=32 P2, one thread of an Intel Xeon),
 so the truth Newton reuses its last factor while that factor still
 contracts (the chord method), and corrects it with the secant pairs of
-its trials (Broyden's second method, SecantInverse).  A step first
+its trials (Broyden's second method).  A step first
 tries u_I - H r_I, where H v = J_old^{-1} v + sum_j a_j (y_j . v)
 holds the most recent Jacobian factor J_old and one pair (y_j, a_j)
 per trial made with it in this solve, and keeps it if its residual
@@ -56,9 +56,9 @@ too, the Jacobian at the current iterate is factored, the pairs are
 dropped and the Newton step is taken, so every step cuts the residual
 tenfold or is a Newton step.  On the n=32 P2 standard build over a
 10x10 grid this takes 22 factorisations instead of 38 (44 instead of
-108 over 20x20).  The last factor lives in a Chord slot, which may
-carry it from one solve to the next (truth_newton_solve); the pairs
-belong to one solve.
+108 over 20x20).  A Chord holds H: the last factor, which it may
+carry from one solve to the next (truth_newton_solve), and the pairs,
+which belong to one solve and go with their factor.
 
 The EIM-surrogate problem replaces g(u) by its empirical interpolant
 Q B^{-1} g(u_t): Q holds the M basis fields as columns, B is the lower
@@ -166,7 +166,8 @@ class NonlinearTerm:
     array of parameters, and return the (P, k) values.  A solve at one
     parameter passes one row.  A term may overflow to inf: its callers
     own numpy's warning state (the errstate of _newton,
-    rb.ReducedModel.solve_many, ser.GBlock and screen.Float32Screen).
+    rb.ReducedModel.solve_many, ser.ReducedGBlock, ser.truth_g_block
+    and screen.Float32Screen).
 
     error_bound lets the greedy step screen a reduced sweep in float32
     (``screen``); a row where it is inf runs in float64, so a term that
@@ -197,27 +198,11 @@ class NonlinearTerm:
 
 
 class Chord:
-    """One slot for the last Jacobian factor (a factor_sparse pair) made by
-    the truth solves of one problem, and the count of factors made.  It
-    holds no secant pair: each solve starts its SecantInverse afresh
-    from the factor."""
-
-    def __init__(self):
-        self.factor = None
-        self.factorizations = 0
-
-    def refactor(self, jacobian):
-        """Factor jacobian into the slot, replacing the factor it held."""
-        self.factor = None          # freed first: one factor alive at a time
-        self.factor = factor_sparse(jacobian)
-        self.factorizations += 1
-        return self.factor
-
-
-class SecantInverse:
-    """The inverse Jacobian H of the chord steps of one truth solve: a
-    Jacobian factor J0 (a factor_sparse pair) with Broyden's second
-    method pairs (y_j, a_j), so that
+    """The inverse Jacobian H of the chord steps of the truth solves of
+    one problem, and the count of factors they made: the last Jacobian
+    factor J0 made (a factor_sparse pair), which a Chord may carry from
+    one solve to the next, with Broyden's second method pairs (y_j,
+    a_j) of the trials made with it in the current solve, so that
 
         H v = J0^{-1} v + sum_j a_j (y_j . v).
 
@@ -230,9 +215,17 @@ class SecantInverse:
     at a kept step has H r+ at hand at the next step's direction.
     """
 
-    def __init__(self, factor):
-        self.factor = factor
+    def __init__(self):
+        self.factor = None
         self.pairs = []
+        self.factorizations = 0
+
+    def refactor(self, jacobian):
+        """Factor jacobian, replacing the factor held and dropping its
+        pairs."""
+        self.factor, self.pairs = None, []  # freed first: one factor alive
+        self.factor = factor_sparse(jacobian)
+        self.factorizations += 1
 
     def __call__(self, v):
         """H v, from one solve with the factor."""
@@ -430,20 +423,20 @@ def truth_newton_solve(problem, mu, cfg=None, initial=None, chord=None):
 
     Each step solves for the interior values only (module docstring);
     the boundary values stay zero.  A step first tries the inverse
-    Jacobian H of the chord steps (a SecantInverse): the factor held by
-    chord, the last one made on this problem, with the Broyden pairs of
-    this solve's trials since that factor was made.  The trial u_I -
-    H r_I is kept iff its residual norm is at most CHORD_CONTRACTION
-    ||r||.  Every trial adds its pair to H, a kept one at the next step,
-    where H r_I is solved anyway, so a trial costs one solve with the
-    factor.  A refused trial leaves the iterate untouched and is tried
-    once more with the updated H.  When that retry is refused too, or a
-    trial's residual is not finite, or a solve raises SolverFailure, the
-    Jacobian at the iterate is factored into chord, the pairs are
-    dropped and the Newton step is taken.  Either way it is one
-    iteration.  chord=None gives the solve a slot of its own, so it
-    starts with a Newton step; a Chord passed in carries its factor,
-    without pairs, to the next solve.
+    Jacobian H of the chord steps, which chord holds: the last factor
+    made on this problem, with the Broyden pairs of this solve's trials
+    since that factor was made (the solve drops the pairs of the solve
+    before at its start).  The trial u_I - H r_I is kept iff its
+    residual norm is at most CHORD_CONTRACTION ||r||.  Every trial adds
+    its pair to H, a kept one at the next step, where H r_I is solved
+    anyway, so a trial costs one solve with the factor.  A refused trial
+    leaves the iterate untouched and is tried once more with the updated
+    H.  When that retry is refused too, or a trial's residual is not
+    finite, or a solve raises SolverFailure, the Jacobian at the iterate
+    is factored into chord, which drops the old factor and its pairs,
+    and the Newton step is taken.  Either way it is one iteration.
+    chord=None gives the solve a Chord of its own, so it starts with a
+    Newton step; a Chord passed in carries its factor to the next solve.
 
     The stopping tolerance is cfg.tolerance of the residual norm at
     u = 0, ||(M g(0) - F)_I||, whatever the initial guess: a guess near
@@ -474,22 +467,22 @@ def truth_newton_solve(problem, mu, cfg=None, initial=None, chord=None):
     def norm_at_zero():
         return np.linalg.norm(residual_at(np.zeros(space.ndof)))
 
-    inverse = None if chord.factor is None else SecantInverse(chord.factor)
+    chord.pairs = []    # the pairs of the solve before are not this one's
     kept = None     # y of the last kept trial, paired at the next step
 
     def chord_step():
         """The trial iterate of H and its residual, or None when there is
         no factor or neither of the two trials contracts."""
         nonlocal kept
-        if inverse is None:
+        if chord.factor is None:
             return None
         r_i = r[idx]
         limit = CHORD_CONTRACTION * np.linalg.norm(r)
         try:
-            h_r = inverse(r_i)
+            h_r = chord(r_i)
             if kept is not None:
                 y, kept = kept, None
-                h_r = inverse.update(y, h_r, h_r, r_i)
+                h_r = chord.update(y, h_r, h_r, r_i)
             for retry in (False, True):
                 trial = u.copy()
                 trial[idx] -= h_r
@@ -501,19 +494,19 @@ def truth_newton_solve(problem, mu, cfg=None, initial=None, chord=None):
                     return trial, r_trial
                 if retry or not math.isfinite(norm):
                     return None
-                h_r = inverse.update(r_next - r_i, inverse(r_next), h_r, r_i)
+                h_r = chord.update(r_next - r_i, chord(r_next), h_r, r_i)
         except SolverFailure:
             return None
 
     def step():
-        nonlocal u, r, inverse, kept
+        nonlocal u, r, kept
         accepted = chord_step()
         if accepted is not None:
             u, r = accepted
             return np.linalg.norm(r)
-        inverse = kept = None   # its factor is freed before the next is made
-        inverse = SecantInverse(chord.refactor(truth_jacobian(problem, u, mus)))
-        u[idx] += solve_factored(inverse.factor, -r[idx])
+        kept = None
+        chord.refactor(truth_jacobian(problem, u, mus))
+        u[idx] += solve_factored(chord.factor, -r[idx])
         return residual()
 
     if initial is not None:

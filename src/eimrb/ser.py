@@ -81,16 +81,15 @@ stops by the tolerance of its residual at zero, so a start moves an
 answer only at the level of the Newton tolerance.  On the n=32 P2 20x20
 r=1 build this cut the sweeps' reduced Newton row-iterations from
 32,321 to 13,266 (26,941 to 10,029 on r=5).  The
-fields are then made a chunk of rows at a time (``GBlock``): the greedy
-step in ``eim`` asks for about a megabyte of rows, which are lifted with
-one (rows, N) @ (N, ndof) product, passed through g in one call, and
-turned into their interpolation residuals and sup errors by one
-triangular solve and one (rows, M) @ (M, ndof) product while they are
-still in cache.  No (P, ndof) array of the whole sweep is made.  A
-reduced sweep (``ReducedGBlock``) is screened in float32 first
-(``screen``), so the float64 pass runs only on the chunks that may hold
-the largest error, and the sweep picks, and the build writes, the bits
-of a float64 sweep.
+fields are then made a chunk of rows at a time (``ReducedGBlock``): the
+greedy step in ``eim`` asks for about a megabyte of rows, which are
+lifted with one (rows, N) @ (N, ndof) product, passed through g in one
+call, and turned into their interpolation residuals and sup errors by
+one triangular solve and one (rows, M) @ (M, ndof) product while they
+are still in cache.  No (P, ndof) array of the whole sweep is made.  A
+reduced sweep is screened in float32 first (``screen``), so the float64
+pass runs only on the chunks that may hold the largest error, and the
+sweep picks, and the build writes, the bits of a float64 sweep.
 Each reduced sweep hands what its screen carries (``GreedyStep.bounds``)
 to the next one, on the next one's basis (padded, or mapped after a
 rebuild with the bound on the move of each row's lift), so that screen
@@ -103,8 +102,8 @@ the training set worst first from the last sweep
 (``eim.SweepErrors.worst_first``).  A truth sweep is not screened.
 The truth fields do not change from one sweep to the next, so a build
 keeps one provider for its truth sweeps (``truth_g_block``), which
-makes g of them once, a chunk at a time, and hands each sweep copies of
-its rows.
+makes g of them once, into one (P, ndof) array, and hands that array to
+each sweep: the greedy step only reads its fields.
 """
 
 import math
@@ -234,57 +233,32 @@ class BuildResult:
         return self.model.restrict(n, m)
 
 
-class GBlock:
-    """Fields g(u_p; mu_p) over samples mu_p, made a row range at a time.
-
-    ``block[lo:hi]`` is a new (hi - lo, ndof) array: ``values(rows)``
-    gives the fields u_p of that slice of samples and the term is applied
-    to them at once.  A greedy step walks the block in cache-sized
-    chunks, so the block makes no (P, ndof) array of the whole sweep
-    (``truth_g_block`` keeps one, of fields that do not change).  It
-    offers the greedy step no screen (no ``screen`` method), so every
-    chunk runs in float64.
-    """
-
-    def __init__(self, problem, samples, values):
-        self.term = problem.term
-        self.mus = np.asarray(samples, dtype=float)
-        self.values = values
-
-    def __getitem__(self, rows):
-        with np.errstate(over="ignore"):    # the greedy step skips an inf row
-            return self.term.g(self.values(rows), self.mus[rows])
-
-
-class ReducedGBlock(GBlock):
-    """The fields g(V c_p; mu_p) of the (P, N) reduced solutions coeffs on
-    the (ndof, N) basis V of a model, which the greedy step screens in
-    float32 (``screen.Float32Screen``).  restarted lists the rows whose
-    first solve failed, and prior is the ``screen.SweepBounds`` that the
-    rows carry into the sweep, on V, whose coefficients started them:
-    the last reduced sweep's, or ``SweepBounds.unknown`` before the
-    first."""
+class ReducedGBlock:
+    """The fields g(V c_p; mu_p) over samples mu_p of the (P, N) reduced
+    solutions coeffs on the (ndof, N) basis V of a model, made a row
+    range at a time: ``block[lo:hi]`` is a new (hi - lo, ndof) array,
+    lifted with one product and passed through the term in one call.  A
+    greedy step walks the block in cache-sized chunks, so the block
+    makes no (P, ndof) array of the whole sweep.  The greedy step
+    screens it in float32 (``screen.Float32Screen``).  restarted lists
+    the rows whose first solve failed, and prior is the
+    ``screen.SweepBounds`` that the rows carry into the sweep, on V,
+    whose coefficients started them: the last reduced sweep's, or
+    ``SweepBounds.unknown`` before the first."""
 
     def __init__(self, model, samples, coeffs, restarted, prior):
-        super().__init__(model.problem, samples,
-                         lambda rows: model.lift_block(coeffs[rows]))
+        self.model, self.term = model, model.problem.term
+        self.mus = np.asarray(samples, dtype=float)
         self.coeffs, self.basis = coeffs, model.basis
         self.restarted, self.prior = restarted, prior
 
+    def __getitem__(self, rows):
+        with np.errstate(over="ignore"):    # the greedy step skips an inf row
+            return self.term.g(self.model.lift_block(self.coeffs[rows]),
+                               self.mus[rows])
+
     def screen(self, t, B, q, rows):
         return Float32Screen(self, t, B, q, rows)
-
-
-class HeldGBlock:
-    """Fields held as one (P, ndof) array: ``block[lo:hi]`` is a copy of
-    the row range, since the greedy step overwrites each chunk it reads
-    in place.  It offers no screen either."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def __getitem__(self, rows):
-        return self.values[rows].copy()
 
 
 def truth_g_block(references):
@@ -293,35 +267,37 @@ def truth_g_block(references):
     ``TruthReferences``), and {index: exception} for failed solves, whose
     rows hold g of a zero field.
 
-    The truth fields of a sample do not change from one sweep to the
-    next, so the provider makes the (P, ndof) array of g once and keeps
-    it while it is asked for the same samples (``HeldGBlock``).  A call
-    with a failed solve keeps nothing, so that the next one solves it
-    again."""
+    The provider hands out one (P, ndof) array, which the greedy step
+    only reads and which offers it no screen, so every chunk runs in
+    float64.  The truth fields of a sample do not change from one sweep
+    to the next, so the provider fills the array once, with the truth
+    fields, applies the term to it in place a chunk of rows at a time,
+    and hands the same array to every call for the same samples.  A
+    call with a failed solve keeps nothing, so that the next one solves
+    it again."""
     held = None     # (samples, g of their fields) of the last call
 
     def provider(samples):
         nonlocal held
         key = [tuple(mu) for mu in samples]
         if held is not None and held[0] == key:
-            return HeldGBlock(held[1]), {}
-        zero = np.zeros(references.problem.space.ndof)
-        fields, failures = [], {}
+            return held[1], {}
+        values = np.zeros((len(samples), references.problem.space.ndof))
+        failures = {}
         for k, mu in enumerate(samples):
             try:
-                fields.append(references.get(mu)[0])
+                values[k] = references.get(mu)[0]
             except (NewtonFailure, SolverFailure) as exc:
                 failures[k] = exc
-                fields.append(zero)
         # g a cache-sized chunk of rows at a time: its temporaries stay small
-        block = GBlock(references.problem, samples,
-                       lambda rows: np.array(fields[rows]))
-        values = np.empty((len(samples), len(zero)))
-        rows = max(1, BUDGET // len(zero))
-        for lo in range(0, len(samples), rows):
-            values[lo:lo + rows] = block[lo:lo + rows]
+        term, mus = references.problem.term, np.asarray(samples, dtype=float)
+        rows = max(1, BUDGET // values.shape[1])
+        with np.errstate(over="ignore"):    # the greedy step skips an inf row
+            for lo in range(0, len(samples), rows):
+                part = slice(lo, lo + rows)
+                values[part] = term.g(values[part], mus[part])
         held = None if failures else (key, values)
-        return HeldGBlock(values), failures
+        return values, failures
     return provider
 
 

@@ -165,8 +165,9 @@ class TestGreedy:
             assert len(chunks) == 4
             assert len(samples) % chunk_rows == 1
 
-        step = er.eim_greedy_step(
-            basis, lambda mus: (np.array(fields), dict(failed)), samples)
+        block = np.array(fields)
+        step = er.eim_greedy_step(basis, lambda mus: (block, dict(failed)),
+                                  samples)
         assert step.skipped == ref_skipped
         assert step.mu == samples[best_k]
         assert step.sup_error == pytest.approx(best_err, rel=1e-12)
@@ -205,11 +206,48 @@ class TestGreedy:
         scale[[4, 40]] = 2.0
         fields = np.array([x + s * x**2 for s in scale])
         basis = er.eim_initialize(space8, rows_provider(lambda mu: x), samples)
-        step = er.eim_greedy_step(basis, lambda mus: (fields.copy(), {}),
-                                  samples)
+        step = er.eim_greedy_step(basis, lambda mus: (fields, {}), samples)
         assert step.errors[4] == step.errors[40] == np.nanmax(step.errors)
         assert step.mu == samples[4]
         assert basis.mus[-1] == samples[4]
+
+    @pytest.mark.parametrize("chunk_rows", [None, 3],
+                             ids=["default-chunks", "3-row-chunks"])
+    def test_a_plain_array_is_only_read(self, space8, grid10, monkeypatch,
+                                        chunk_rows):
+        # one (P, ndof) array handed to two sweeps stays as it was, with
+        # its failed and non-finite rows, and the second sweep is the one
+        # a fresh copy gives
+        if chunk_rows is not None:
+            monkeypatch.setattr("eimrb.eim.BUDGET", chunk_rows * space8.ndof)
+        x, y = space8.dof_coords[:, 0], space8.dof_coords[:, 1]
+        samples = list(grid10)
+        fields = np.array([np.exp(-mu[0] * x) + mu[1] * y**2
+                           for mu in samples])
+        fields[11][5], fields[20][0] = np.inf, np.nan
+        kept = fields.copy()
+
+        def failed(mus):
+            # a sweep fails row 7; the first sample, the one of the
+            # initial field, reads row 0
+            return ({7: er.SolverFailure("synthetic singular solve")}
+                    if len(mus) == len(samples) else {})
+
+        steps, bases = [], []
+        for provider in (lambda mus: (fields, failed(mus)),
+                         lambda mus: (kept.copy(), failed(mus))):
+            basis = er.eim_initialize(space8, provider, samples)
+            steps.append([er.eim_greedy_step(basis, provider, samples)
+                          for _ in range(2)])
+            bases.append(basis)
+            assert same_bits(fields, kept)
+        for a, b in zip(*steps):
+            assert (a.mu, a.skipped, a.confirmed) == (b.mu, b.skipped,
+                                                      b.confirmed)
+            assert same_bits(a.sup_error, b.sup_error)
+            assert same_bits(a.errors, b.errors)
+        assert same_bits(bases[0].fields, bases[1].fields)
+        assert bases[0].t == bases[1].t and bases[0].M == 3
 
     def test_degenerate_point_guard(self, space8):
         basis = er.EimBasis(space8)

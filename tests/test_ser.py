@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import types
 import warnings
 from collections import Counter
 
@@ -230,8 +231,8 @@ class TestSnapshotSources:
                                                       train5):
         # the truth provider makes g of its samples' fields in one call of
         # the term and hands the next sweep of the same samples the same
-        # rows; every read is a copy, since the greedy step overwrites its
-        # chunks in place.  A sweep with a failed solve holds nothing.
+        # array, which a sweep leaves as it was: the greedy step only
+        # reads its fields.  A sweep with a failed solve holds nothing.
         term = problem8.term
         samples = [tuple(mu) for mu in train5]
         blocks = []             # the row counts of the term's block calls
@@ -246,17 +247,18 @@ class TestSnapshotSources:
             er.benchmark_rhs)
         truth = er.TruthReferences(problem)
         provider = er.truth_g_block(truth)
+        basis = er.eim_initialize(problem8.space, provider, samples)
         fields, failures = provider(samples)
         assert failures == {} and blocks == [len(samples)]
         rows = np.array([term.g(truth.get(mu)[0][None], np.array([mu]))[0]
                          for mu in samples])
-        chunk = fields[2:5]
-        assert same_bits(chunk, rows[2:5])
-        chunk[:] = 0.0
-        again, failures = provider(samples)
-        assert failures == {} and blocks == [len(samples)]
-        assert same_bits(again[0:len(samples)], rows)
-        assert same_bits(fields[2:5], rows[2:5])
+        assert same_bits(fields, rows)
+        for _ in range(2):
+            er.eim_greedy_step(basis, provider, samples)
+            again, failures = provider(samples)
+            assert failures == {} and again is fields
+            assert same_bits(fields, rows)
+        assert blocks == [len(samples)]
         # other samples are made afresh, and so is a sweep that failed
         provider(samples[:3])
         assert blocks == [len(samples), 3]
@@ -366,26 +368,25 @@ class TestFailureHandling:
                                    f"{float(poisoned[1])!r})")
 
     def test_overflowing_rows_are_inf_and_skipped(self, problem8, train5):
-        # the block owns the warning state of its term calls: a row whose
-        # g overflows comes back as inf without a RuntimeWarning, and the
-        # greedy step skips it
+        # the truth provider owns the warning state of its term calls: a
+        # row whose g overflows comes back as inf without a RuntimeWarning,
+        # and the greedy step skips it
         samples = [tuple(mu) for mu in train5]
         overflowing = {samples[3], samples[11]}
         coords = problem8.space.dof_coords
         bump = np.sin(np.pi * coords[:, 0]) * np.sin(np.pi * coords[:, 1])
 
-        def provider(mus):
+        def solution(mu):
             # mu2 u reaches 1e3 on the scaled rows: exp overflows there
-            scale = np.array([1e5 if tuple(mu) in overflowing else 1.0
-                              for mu in mus])
-            return (eimrb.ser.GBlock(problem8, mus,
-                                     lambda rows: np.outer(scale[rows], bump)),
-                    {})
+            return (1e5 if tuple(mu) in overflowing else 1.0) * bump, None
 
+        # references whose cached truth solutions are the scaled bumps
+        references = types.SimpleNamespace(problem=problem8, get=solution)
+        provider = er.truth_g_block(references)
         bad = sorted(samples.index(mu) for mu in overflowing)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            fields = provider(samples)[0][0:len(samples)]
+            fields, _ = provider(samples)
             basis = er.eim_initialize(problem8.space, provider, samples)
             step = er.eim_greedy_step(basis, provider, samples)
         is_inf = np.isinf(fields).any(axis=1)
@@ -404,9 +405,9 @@ class TestFailureHandling:
         with a start of its own, on a copy of model whose solve_many,
         given that start, fails the rows failed (zero there, each with a
         failure of its own), whose solve is solve and whose lift is the
-        identity, so the block's values are its coefficients.  Returns
-        those values, the provider's failures, the cold failures and
-        coefficients."""
+        identity, so the block's fields are g of its coefficients.
+        Returns those coefficients, the provider's failures, the cold
+        failures and coefficients."""
         cold, _ = model.solve_many(
             self.SWEEP, initial=np.zeros((len(self.SWEEP), model.N)))
         cold[failed] = 0.0
@@ -428,10 +429,11 @@ class TestFailureHandling:
         copy.lift_block = lambda coeffs: coeffs
         block, failures = eimrb.ser.reduced_g_block(copy, newton,
                                                     prior)(self.SWEEP)
-        values = block.values(slice(None))
-        # the sweep's answers are the block's, and its start is left as
-        # it was
-        assert same_bits(block.coeffs, values)
+        values = block.coeffs
+        # the block's fields are g of the sweep's answers, and its start
+        # is left as it was
+        mus = np.array(self.SWEEP)
+        assert same_bits(block[0:len(mus)], model.problem.term.g(values, mus))
         assert same_bits(start, given)
         assert same_bits(block.prior.coeffs, given)
         return values, failures, first, cold

@@ -12,6 +12,9 @@ visible change: a diff that adds one fails here until it changes
 A code line is a line that holds code: not blank, not only a comment,
 and not in a docstring.  ``CODE_LINES`` pins their total over the
 package, so that every diff of the package states its net code lines.
+
+``CLASSES`` pins the number of class statements in the package, nested
+ones included, so that a new wrapper class shows in its diff.
 """
 
 import ast
@@ -21,7 +24,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eimrb"
 SETTABLE = 43
-CODE_LINES = 2060
+CODE_LINES = 2048
+CLASSES = 38
 
 # tokens that hold no code
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -137,3 +141,30 @@ def test_code_line_count_is_pinned():
              for path in sorted(PACKAGE.glob("*.py"))}
     listing = "; ".join(f"{module} {count}" for module, count in found.items())
     assert sum(found.values()) == CODE_LINES, listing
+
+
+def classes(source):
+    """(line, name) of each class statement of source, nested ones too."""
+    return [(node.lineno, node.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)]
+
+
+def test_counter_counts_every_class_statement():
+    source = ("class A:\n"
+              "    class B:\n"
+              "        pass\n"
+              "def f():\n"
+              "    class C(A):\n"
+              "        pass\n"
+              "    return C\n"
+              "D = type('D', (), {})\n")
+    assert sorted(classes(source)) == [(1, "A"), (2, "B"), (5, "C")]
+
+
+def test_class_count_is_pinned():
+    found = {path.name: classes(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    listing = "; ".join(f"{module}:{line} {name}"
+                        for module, items in found.items()
+                        for line, name in items)
+    assert sum(map(len, found.values())) == CLASSES, listing

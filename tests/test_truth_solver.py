@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -235,20 +236,39 @@ class TestWarmStart:
         assert hist[-1] > 1e-3 * hist[0]
 
 
+class TrackedLU:
+    """The LU of a factor_sparse factor, numbered in the order made, and
+    weakly referenced by the fixture that made it."""
+
+    def __init__(self, lu, serial):
+        self.lu, self.serial = lu, serial
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
+
+
 class TestChord:
     """A truth step first tries the last Jacobian factor, and refactors only
     when that trial does not cut the residual norm to CHORD_CONTRACTION of
-    its value; a Chord slot carries the factor from one solve to the next."""
+    its value; a Chord carries the factor from one solve to the next."""
 
     @pytest.fixture
     def factors(self, monkeypatch):
-        """The Jacobians factored by the truth solves, in order."""
-        made = []
+        """The Jacobians factored by the truth solves, in order.  Each
+        factor's LU is a TrackedLU numbered by its place, and no factor
+        made before is still referenced when the next one is made: one
+        factor is alive at a time, through refused retries and across the
+        solves that share a Chord."""
+        made, alive = [], []
         factor = er.nonlinear.factor_sparse
 
         def counted(op):
+            assert [ref() for ref in alive] == [None] * len(alive)
             made.append(op)
-            return factor(op)
+            op, lu = factor(op)
+            tracked = TrackedLU(lu, len(made))
+            alive.append(weakref.ref(tracked))
+            return op, tracked
 
         monkeypatch.setattr("eimrb.nonlinear.factor_sparse", counted)
         return made
@@ -263,12 +283,12 @@ class TestChord:
                                                           monkeypatch):
         chord = er.Chord()
         er.truth_newton_solve(problem8, (0.01, 0.01), chord=chord)
-        carried, before = chord.factor, len(factors)
+        carried, before = chord.factor[1].serial, len(factors)
         used = []
         solve = er.nonlinear.solve_factored
 
         def recorded(factor, rhs):
-            used.append(factor)
+            used.append(factor[1].serial)
             return solve(factor, rhs)
 
         monkeypatch.setattr("eimrb.nonlinear.solve_factored", recorded)
@@ -276,16 +296,17 @@ class TestChord:
         # the first trial, and the pair of its refusal that the second
         # trial steps with, solve with the carried factor; both trials are
         # refused, and the solve goes on from u = 0 as a fresh one
-        assert used[0] is carried and used[1] is carried
-        assert used[2] is not carried
-        made = len(factors) - before
+        assert used[0] == carried and used[1] == carried
+        assert used[2] != carried
+        made, total = len(factors) - before, chord.factorizations
+        del chord       # and its factor, before the fresh solve makes one
         fresh = er.Chord()
         u0, stats0 = er.truth_newton_solve(problem8, (10.0, 10.0), chord=fresh)
         assert same_bits(u, u0)
         assert stats.iterations == stats0.iterations
         assert same_bits(stats.residual_history[-1], stats0.residual_history[-1])
         assert same_bits(stats.residual_history, stats0.residual_history)
-        assert made == fresh.factorizations == chord.factorizations - 1
+        assert made == fresh.factorizations == total - 1
 
     @pytest.mark.parametrize("mu", CORNERS + [(1.0, 1.0)])
     def test_each_iteration_factors_or_contracts(self, problem8, monkeypatch,
@@ -337,23 +358,63 @@ class TestChord:
         # orthogonal to y; the H r it returns is the updated H's
         u, _ = er.truth_newton_solve(problem8, (1.0, 1.0))
         jac = er.truth_jacobian(problem8, u, (10.0, 10.0))
-        inverse = er.nonlinear.SecantInverse(factor_sparse(jac))
+        chord = er.Chord()
+        chord.refactor(jac)
         rng = np.random.default_rng(0)
         for pairs in range(1, 4):
             r, r_next = rng.normal(size=(2, jac.shape[0]))
-            h_r = inverse(r)
+            h_r = chord(r)
             y = r_next - r
             v = rng.normal(size=jac.shape[0])
             v -= (v @ y) / (y @ y) * y
-            h_v = inverse(v)
-            h_r_new = inverse.update(y, inverse(r_next), h_r, r)
-            assert len(inverse.pairs) == pairs
-            assert (np.linalg.norm(inverse(y) + h_r)
+            h_v = chord(v)
+            h_r_new = chord.update(y, chord(r_next), h_r, r)
+            assert len(chord.pairs) == pairs
+            assert (np.linalg.norm(chord(y) + h_r)
                     <= 1e-12 * np.linalg.norm(h_r))
-            assert (np.linalg.norm(inverse(v) - h_v)
+            assert (np.linalg.norm(chord(v) - h_v)
                     <= 1e-12 * np.linalg.norm(h_v))
-            assert (np.linalg.norm(h_r_new - inverse(r))
+            assert (np.linalg.norm(h_r_new - chord(r))
                     <= 1e-12 * np.linalg.norm(h_r_new))
+
+    def test_refactor_and_each_solve_start_with_no_pairs(self, problem8,
+                                                         monkeypatch):
+        # the pairs correct one factor in one solve: a refactor drops
+        # them with their factor, and a solve drops those of the solve
+        # before, so H is the bare factor's inverse at the first trial of
+        # each solve and after each refactor
+        u, _ = er.truth_newton_solve(problem8, (1.0, 1.0))
+        jac = er.truth_jacobian(problem8, u, (1.0, 1.0))
+        chord = er.Chord()
+        chord.refactor(jac)
+        r, r_next = np.random.default_rng(1).normal(size=(2, jac.shape[0]))
+        chord.update(r_next - r, chord(r_next), chord(r), r)
+        assert len(chord.pairs) == 1
+        chord.refactor(jac)
+        assert chord.pairs == [] and chord.factorizations == 2
+        chord.update(r_next - r, chord(r_next), chord(r), r)
+        seen, held = [], []     # (factors made, pairs) at each H v, and
+        call, refactor = er.Chord.__call__, er.Chord.refactor  # at refactors
+
+        def recorded(self, v):
+            seen.append((self.factorizations, len(self.pairs)))
+            return call(self, v)
+
+        def counted(self, jacobian):
+            held.append(len(self.pairs))
+            refactor(self, jacobian)
+
+        monkeypatch.setattr(er.Chord, "__call__", recorded)
+        monkeypatch.setattr(er.Chord, "refactor", counted)
+        # from the (1, 1) Jacobian the trials at (10, 10) are refused: the
+        # first refactors of this solve drop the pair of a refused trial
+        er.truth_newton_solve(problem8, (10.0, 10.0), chord=chord)
+        firsts = {}
+        for made, pairs in seen:
+            firsts.setdefault(made, pairs)
+        assert seen[0] == (2, 0) and held[0] == 1
+        assert len(firsts) == len(held) + 1 and set(firsts.values()) == {0}
+        assert max(pairs for _, pairs in seen) > 0
 
     def test_references_factor_less_than_once_per_solve(self, problem8,
                                                         factors):
@@ -364,12 +425,12 @@ class TestChord:
         # alone)
         train = er.SampleSet.log_grid(10, 10)
         refs = er.TruthReferences(problem8)
-        for mu in train:
-            refs.get(mu)
+        solved = [refs.get(mu)[0] for mu in train]
         assert len(factors) == refs.chord.factorizations <= 28
-        for mu in train:
+        del refs        # and its factor, before the cold solves make theirs
+        for mu, u in zip(train, solved):
             cold, _ = er.truth_newton_solve(problem8, mu)
-            assert np.abs(refs.get(mu)[0] - cold).max() <= 1e-9
+            assert np.abs(u - cold).max() <= 1e-9
 
 
 class TestTruthReferences:
